@@ -29,7 +29,6 @@ from .problems import (
     audit_derivatives,
     cost,
     hamiltonian,
-    hamiltonian_derivatives,
     make_problem,
 )
 from .forward import (
@@ -44,7 +43,6 @@ from .adjoint import (
     SecondAdjoint,
     TestTuple,
     compute_P,
-    q_terms,
     solve_first_adjoint,
     transposition_residual,
 )

@@ -24,10 +24,30 @@ backward conjugation recursion
 
     P_N = -(terminal cost curvature),   P_k = E_k ( T_k^* P_{k+1} T_k + dt M_k ) E_k,
 
-with M_k the curvature operator of the Hamiltonian at step k.  The two
-martingale components of the second adjoint are never materialized: the only
-combination the optimality functional needs is recovered by eliminating them
-from the transposition identity, see :func:`q_terms`.
+with M_k the curvature operator of the Hamiltonian at step k.
+
+In continuous time the second adjoint is a triple: P together with two
+martingale components, which pair against the diffusion part of the test
+equations (Peng, SIAM J. Control Optim. 28(4), 1990; as correction processes
+of the transposition solution in Lu & Zhang, SpringerBriefs in Mathematics,
+2014).  They are needed there because the backward equation for P is solved
+by martingale representation, and the pairings of the diffusion part of a
+test equation against the fluctuation of P are written through them.  Here
+the recursion keeps P_{j+1} whole, as an operator on the step-(j+1) subspace,
+and conditions only after conjugation; a test step
+
+    phi_{j+1} = T_j phi_j + dt mu_j + nu_j dW_{j+1}
+
+is explicit, so those pairings are evaluated directly as P_{j+1}-pairings of
+the three parts of the step.  The recursion then telescopes the transposition
+identity
+
+    -g_xx(phi2_N, phi1_N) + sum_j dt <M_j phi2_j, phi1_j>
+        = <P_k zeta2, zeta1> + sum_j [P_{j+1}-pairings of the step parts]
+
+exactly, for any two test tuples and with or without nu; the discrete identity
+has no martingale component to solve for.  The optimality functional takes the
+same pairings along the first variation (zeta = 0, mu = Du du, nu = Bu du).
 
 Discrete displays keep the summation-by-parts staggering (P_{j+1} paired
 against T_j phi_j, dW terms kept explicit); this is the discrete realization
@@ -54,7 +74,7 @@ from .clifford import (
     superop_from_pairing,
 )
 from .errors import CapacityError, ContractError, SupportError
-from .forward import Trajectory
+from .forward import Trajectory, quadratic_drivers
 from .problems import ControlProblem
 
 __all__ = [
@@ -64,7 +84,6 @@ __all__ = [
     "TestTuple",
     "solve_first_adjoint",
     "compute_P",
-    "q_terms",
     "transposition_residual",
     "first_duality_residual",
     "second_duality_residual",
@@ -145,15 +164,12 @@ class Linearization:
 
 @dataclass
 class AdjointPair:
-    """First adjoint (y, Y) plus the duality pairs actually used downstream."""
+    """First adjoint (y, Y); downstream pairings use (yhat_k, Y_k)."""
 
     y: AdaptedProcess
     Y: AdaptedProcess
     yhat: list
     lin: Linearization
-
-    def duality_pair(self, k: int) -> tuple[CliffordElement, CliffordElement]:
-        return self.yhat[k], self.Y[k]
 
 
 def solve_first_adjoint(p: ControlProblem, xbar: Trajectory,
@@ -204,22 +220,9 @@ def second_duality_residual(p: ControlProblem, adj: AdjointPair, xbar: Trajector
     lin = adj.lin
     lhs = -inner(lin.gx, x2[alg.n])
     rhs = 0.0 + 0.0j
-
-    def drv(fn_xx, fn_xu, fn_uu, k, xk, uk):
-        out = CliffordElement.zero(alg)
-        if fn_xx is not None:
-            out = out + fn_xx(k, xk, uk)(x1[k], x1[k])
-        if fn_xu is not None:
-            out = out + 2.0 * fn_xu(k, xk, uk)(x1[k], du[k])
-        if fn_uu is not None:
-            out = out + fn_uu(k, xk, uk)(du[k], du[k])
-        return out
-
     for k in range(alg.n):
-        xk, uk = xbar[k], xbar.control[k]
-        mu = drv(p.D_xx, p.D_xu, p.D_uu, k, xk, uk)
-        nu = drv(p.F_xx, p.F_xu, p.F_uu, k, xk, uk) \
-            + parity(drv(p.G_xx, p.G_xu, p.G_uu, k, xk, uk))
+        mu, f2, g2 = quadratic_drivers(p, k, xbar[k], xbar.control[k], x1[k], du[k])
+        nu = f2 + parity(g2)
         rhs += alg.dt * (inner(adj.yhat[k], mu) + inner(lin.Lx[k], x2[k])
                          + inner(adj.Y[k], nu))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
@@ -402,55 +405,36 @@ def compute_P(p: ControlProblem, xbar: Trajectory, ubar: np.ndarray,
     return SecondAdjoint(P=P, M=M, lin=lin, adj=adj, xbar=xbar, ubar=ubar)
 
 
-def _check_variation_consistency(p, sa: SecondAdjoint, x1, du):
-    alg = p.algebra
-    for j in range(alg.n):
-        rec = sa.lin.t_apply(j, x1[j]) + alg.dt * sa.lin.du_apply(j, du[j]) \
-            + mul_dw_right(sa.lin.bu_apply(j, du[j]), j + 1)
-        gap = (x1[j + 1] - rec).norm()
-        if gap > 1e-9 * (1.0 + x1[j + 1].norm()):
-            raise ContractError(
-                f"first variation inconsistent with the perturbation at step {j}")
+def _step_pairings(pj: SuperOperator, dt: float, phi2, mu2, n2, phi1, mu1, n1) -> complex:
+    """P_{j+1}-pairings of two test steps phi_{j+1} = T_j phi_j + dt mu_j + n_j.
+
+    phi1 and phi2 are the step results phi_{j+1}; n_j = nu_j dW_{j+1} is the
+    noise part of the step.  Under the real
+    symmetry of P the real part collapses to the familiar display with three
+    distinct quadratic/cross terms.
+    """
+    t2 = phi2 - dt * mu2 - n2  # T_j phi2_j
+    t1 = phi1 - dt * mu1 - n1
+    return (dt * (pj.pair(t2, mu1) + pj.pair(mu2, t1)) + dt * dt * pj.pair(mu2, mu1)
+            + pj.pair(t2, n1) + pj.pair(n2, t1)
+            + dt * (pj.pair(mu2, n1) + pj.pair(n2, mu1))
+            + pj.pair(n2, n1))
 
 
 def _p_block_terms(p: ControlProblem, sa: SecondAdjoint, x1: AdaptedProcess,
                    du: np.ndarray) -> complex:
-    """Summation-by-parts realization of the five P-pairings of the functional.
+    """P-pairings of the functional: the first variation as a test equation.
 
-    Under the real symmetry of P the real part of this sum collapses to the
-    familiar display with the three distinct quadratic/cross terms; keeping the
-    uncollapsed form is what cancels exactly inside :func:`q_terms`.
+    x1 solves the test equation with zeta = 0, mu_j = Du_j du_j and
+    nu_j = Bu_j du_j, so P_0 never enters.
     """
-    alg = p.algebra
-    dt = alg.dt
+    dt = p.algebra.dt
     total = 0.0 + 0.0j
-    for j in range(alg.n):
-        pj = sa.P[j + 1]
+    for j in range(p.algebra.n):
         a = sa.lin.du_apply(j, du[j])
         bn = mul_dw_right(sa.lin.bu_apply(j, du[j]), j + 1)
-        tx = x1[j + 1] - dt * a - bn  # equals T_j x1_j for a consistent pair
-        total += dt * (pj.pair(tx, a) + pj.pair(a, tx)) + dt * dt * pj.pair(a, a)
-        total += pj.pair(tx, bn) + pj.pair(bn, tx)
-        total += dt * (pj.pair(a, bn) + pj.pair(bn, a))
-        total += pj.pair(bn, bn)
+        total += _step_pairings(sa.P[j + 1], dt, x1[j + 1], a, bn, x1[j + 1], a, bn)
     return total
-
-
-def q_terms(p: ControlProblem, sa: SecondAdjoint, x1: AdaptedProcess,
-            du: np.ndarray) -> float:
-    """Martingale-component contribution of the second adjoint, by elimination.
-
-    The transposition identity applied to the first variation determines the
-    paired sum of the two unmaterialized components; solving it for that sum
-    gives curvature head terms minus the five P-pairings.
-    """
-    du = np.asarray(du, dtype=float)
-    _check_variation_consistency(p, sa, x1, du)
-    alg = p.algebra
-    head = sa.P[alg.n].pair(x1[alg.n], x1[alg.n])
-    for j in range(alg.n):
-        head += alg.dt * sa.pair_M(j, x1[j], x1[j])
-    return float((head - _p_block_terms(p, sa, x1, du)).real)
 
 
 # -- transposition identity --------------------------------------------------
@@ -466,11 +450,9 @@ class TestTuple:
     mu: list
     nu: list | None = None
 
-    def nu_zero(self) -> bool:
-        return self.nu is None or all(v.norm() == 0.0 for v in self.nu)
 
-
-def _solve_test_equation(p: ControlProblem, lin: Linearization, t: TestTuple) -> list:
+def _solve_test_equation(p: ControlProblem, lin: Linearization, t: TestTuple):
+    """Test-equation path phi plus the noise parts nu_j dW_{j+1} of its steps."""
     alg = p.algebra
     if not t.zeta.is_adapted(t.k):
         raise SupportError("test tuple initial condition not adapted at its start index")
@@ -478,18 +460,20 @@ def _solve_test_equation(p: ControlProblem, lin: Linearization, t: TestTuple) ->
     if len(t.mu) != span or (t.nu is not None and len(t.nu) != span):
         raise ValueError("test tuple drivers must cover start index .. N-1")
     phi = [t.zeta]
+    noise = []
     for j in range(t.k, alg.n):
         mu = t.mu[j - t.k]
         if not mu.is_adapted(j):
             raise SupportError(f"mu driver not adapted at step {j}")
-        step = lin.t_apply(j, phi[-1]) + alg.dt * mu
+        n_j = CliffordElement.zero(alg)
         if t.nu is not None:
             nu = t.nu[j - t.k]
             if not nu.is_adapted(j):
                 raise SupportError(f"nu driver not adapted at step {j}")
-            step = step + mul_dw_right(nu, j + 1)
-        phi.append(step)
-    return phi
+            n_j = mul_dw_right(nu, j + 1)
+        noise.append(n_j)
+        phi.append(lin.t_apply(j, phi[-1]) + alg.dt * mu + n_j)
+    return phi, noise
 
 
 def transposition_residual(p: ControlProblem, sa: SecondAdjoint,
@@ -497,11 +481,9 @@ def transposition_residual(p: ControlProblem, sa: SecondAdjoint,
     """Max absolute defect of the transposition identity over test-tuple pairs.
 
     The left side is evaluated through the raw curvature callbacks and fresh
-    forward solves; the right side through the materialized P family.  Pairs
-    with vanishing nu close without any martingale component and must agree to
-    rounding.  A pair whose two tuples coincide is handled with the eliminated
-    martingale combination; distinct tuples with nonvanishing nu would need
-    those components as standalone objects and are rejected.
+    forward solves; the right side through the materialized P family.  The
+    identity closes to rounding for any two tuples sharing a start index,
+    with or without nu drivers.
     """
     alg = p.algebra
     dt = alg.dt
@@ -510,66 +492,22 @@ def transposition_residual(p: ControlProblem, sa: SecondAdjoint,
         if t1.k != t2.k:
             raise ValueError("tuple pairs must share their start index")
         k = t1.k
-        phi1 = _solve_test_equation(p, sa.lin, t1)
-        phi2 = _solve_test_equation(p, sa.lin, t2)
+        phi1, n1 = _solve_test_equation(p, sa.lin, t1)
+        phi2, n2 = _solve_test_equation(p, sa.lin, t2)
 
         # left side: callbacks only
-        xN = sa.xbar.terminal
         if p.g_xx is not None:
-            lhs = -p.g_xx(xN)(phi2[-1], phi1[-1])
+            lhs = -p.g_xx(sa.xbar.terminal)(phi2[-1], phi1[-1])
         else:
             lhs = 0.0 + 0.0j
         for j in range(k, alg.n):
-            yh, yk = _weights_at(sa, j)
-            pair = hxx_pairing(p, j, sa.xbar[j], sa.ubar[j], yh, yk)
+            pair = hxx_pairing(p, j, sa.xbar[j], sa.ubar[j], sa.adj.yhat[j], sa.adj.Y[j])
             lhs += dt * pair(phi2[j - k], phi1[j - k])
 
         # right side: materialized P with summation-by-parts staggering
         rhs = sa.P[k].pair(t2.zeta, t1.zeta)
-        for j in range(k, alg.n):
-            pj = sa.P[j + 1]
-            i = j - k
-            mu1, mu2 = t1.mu[i], t2.mu[i]
-            nu1 = t1.nu[i] if t1.nu is not None else CliffordElement.zero(alg)
-            nu2 = t2.nu[i] if t2.nu is not None else CliffordElement.zero(alg)
-            n1 = mul_dw_right(nu1, j + 1)
-            n2 = mul_dw_right(nu2, j + 1)
-            tphi1 = phi1[i + 1] - dt * mu1 - n1
-            tphi2 = phi2[i + 1] - dt * mu2 - n2
-            rhs += dt * (pj.pair(tphi2, mu1) + pj.pair(mu2, tphi1)) \
-                + dt * dt * pj.pair(mu2, mu1)
-            rhs += pj.pair(tphi2, n1) + pj.pair(n2, tphi1)
-            rhs += dt * (pj.pair(mu2, n1) + pj.pair(n2, mu1))
-            rhs += pj.pair(n2, n1)
-
-        if not (t1.nu_zero() and t2.nu_zero()):
-            if t1 is not t2 and not _tuples_equal(t1, t2):
-                raise ContractError(
-                    "martingale components are only recoverable for matching tuples")
-            # Close the identity with the eliminated martingale combination,
-            # defined as whatever the P family leaves over; the residual then
-            # measures materialized curvature against the raw callbacks.
-            lhs_mat = sa.P[alg.n].pair(phi2[-1], phi1[-1])
-            for j in range(k, alg.n):
-                lhs_mat += dt * sa.pair_M(j, phi2[j - k], phi1[j - k])
-            q_part = lhs_mat - rhs
-            rhs = rhs + q_part
-
+        for i in range(alg.n - k):
+            rhs += _step_pairings(sa.P[k + i + 1], dt, phi2[i + 1], t2.mu[i], n2[i],
+                                  phi1[i + 1], t1.mu[i], n1[i])
         worst = max(worst, abs(lhs - rhs))
     return worst
-
-
-def _tuples_equal(t1: TestTuple, t2: TestTuple) -> bool:
-    if t1.k != t2.k or not np.array_equal(t1.zeta.coeffs, t2.zeta.coeffs):
-        return False
-    if any(not np.array_equal(a.coeffs, b.coeffs) for a, b in zip(t1.mu, t2.mu)):
-        return False
-    nu1 = t1.nu or []
-    nu2 = t2.nu or []
-    if len(nu1) != len(nu2):
-        return False
-    return all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(nu1, nu2))
-
-
-def _weights_at(sa: SecondAdjoint, j: int):
-    return sa.adj.yhat[j], sa.adj.Y[j]

@@ -5,9 +5,13 @@ it equals minus the derivative of the cost along the convex perturbation, so a
 difference quotient of the cost must reproduce it to rounding.
 
 ``second_order_functional`` assembles the curvature functional whose sign the
-second-order necessary condition constrains on gated directions.  Its value
-equals minus the second epsilon-derivative of the cost, which
-``taylor_consistency`` verifies by Richardson extrapolation of cost sweeps.
+second-order necessary condition constrains on gated directions, through the
+second adjoint P.  Its value equals minus the second epsilon-derivative of the
+cost, which ``taylor_consistency`` verifies by Richardson extrapolation of
+cost sweeps.  ``second_order_direct`` evaluates it directly along the first
+variation (terminal and running curvature, no P_k with k < N); the gap between
+the two routes vanishes to rounding only when P and the first variation are
+consistent, and both checks above require it.
 
 A note on the assembled display: a variant that applies the state-direction
 diffusion operator to control directions is dimensionally inconsistent (those
@@ -30,7 +34,6 @@ from .adjoint import (
     hu_field,
     huu_matrix,
     hxu_pairing,
-    q_terms,
     solve_first_adjoint,
 )
 from .errors import ContractError
@@ -40,6 +43,7 @@ from .problems import ControlProblem, cost
 __all__ = [
     "first_order_integral",
     "second_order_functional",
+    "second_order_direct",
     "SecondOrderBreakdown",
     "second_order_breakdown",
     "taylor_consistency",
@@ -47,7 +51,10 @@ __all__ = [
     "verify_theorem",
     "TheoremReport",
     "default_gate_tolerance",
+    "ROUTE_GAP_TOL",
 ]
+
+ROUTE_GAP_TOL = 1e-10  # bound on the route gap, relative to 1 + |S|
 
 
 def first_order_integral(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
@@ -59,20 +66,28 @@ def first_order_integral(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     return float(p.algebra.dt * np.sum(hu * (u - ubar)))
 
 
+def _routes_agree(route_gap: float, s: float) -> bool:
+    return route_gap <= ROUTE_GAP_TOL * (1.0 + abs(s))
+
+
 @dataclass
 class SecondOrderBreakdown:
     """Pieces of the curvature functional, kept for diagnostics."""
 
     value: float
     curvature_part: complex  # control curvature + mixed curvature terms
-    p_part: complex          # five P-pairings (summation-by-parts form)
-    q_part: float            # eliminated martingale combination
+    p_part: complex          # P-pairings of the first variation (summation by parts)
+    route_gap: float         # |value - second_order_direct|
     imag_abs: float          # imaginary magnitude discarded by the final Re
 
+    @property
+    def routes_agree(self) -> bool:
+        return _routes_agree(self.route_gap, self.value)
 
-def second_order_breakdown(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
-                           adj: AdjointPair, sa: SecondAdjoint,
-                           x1) -> SecondOrderBreakdown:
+
+def _curvature_terms(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
+                     adj: AdjointPair, sa: SecondAdjoint, x1) -> tuple[np.ndarray, complex]:
+    """Direction u - ubar and the control/mixed curvature terms shared by both routes."""
     ubar = p.check_control_path(ubar)
     u = p.check_control_path(u)
     if sa.adj is not adj:
@@ -83,25 +98,49 @@ def second_order_breakdown(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     alg = p.algebra
     curix = 0.0 + 0.0j
     for k in range(alg.n):
-        yh, yk = adj.duality_pair(k)
+        yh, yk = adj.yhat[k], adj.Y[k]
         huu = huu_matrix(p, k, sa.xbar[k], ubar[k], yh, yk)
         curix += alg.dt * complex(du[k] @ huu @ du[k])
         xu = hxu_pairing(p, k, sa.xbar[k], ubar[k], yh, yk)
         if xu is not None:
             curix += alg.dt * 2.0 * xu(x1[k], du[k])
+    return du, curix
+
+
+def second_order_breakdown(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
+                           adj: AdjointPair, sa: SecondAdjoint,
+                           x1) -> SecondOrderBreakdown:
+    du, curix = _curvature_terms(p, ubar, u, adj, sa, x1)
     pb = _p_block_terms(p, sa, x1, du)
-    qt = q_terms(p, sa, x1, du)
     total = curix + pb
+    direct = second_order_direct(p, ubar, u, adj, sa, x1)
     return SecondOrderBreakdown(
-        value=float(total.real + qt),
-        curvature_part=curix, p_part=pb, q_part=qt,
+        value=float(total.real),
+        curvature_part=curix, p_part=pb,
+        route_gap=abs(total.real - direct),
         imag_abs=abs(total.imag))
 
 
 def second_order_functional(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
                             adj: AdjointPair, sa: SecondAdjoint, x1) -> float:
-    """Curvature functional S; equals -d2J/deps2 at 0 along u - ubar."""
-    return second_order_breakdown(p, ubar, u, adj, sa, x1).value
+    """Curvature functional S through P; equals -d2J/deps2 at 0 along u - ubar."""
+    du, curix = _curvature_terms(p, ubar, u, adj, sa, x1)
+    return float((curix + _p_block_terms(p, sa, x1, du)).real)
+
+
+def second_order_direct(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
+                        adj: AdjointPair, sa: SecondAdjoint, x1) -> float:
+    """Oracle for S: x1 paired with P_N and the curvature operators M_j only.
+
+    Agrees with :func:`second_order_functional` to rounding exactly when the
+    P_k with 0 < k < N and the first variation are consistent.
+    """
+    _, curix = _curvature_terms(p, ubar, u, adj, sa, x1)
+    alg = p.algebra
+    total = curix + sa.P[alg.n].pair(x1[alg.n], x1[alg.n])
+    for j in range(alg.n):
+        total += alg.dt * sa.pair_M(j, x1[j], x1[j])
+    return float(total.real)
 
 
 def _richardson(values: list[float], order: int) -> list[float]:
@@ -120,6 +159,7 @@ class TaylorReport:
     rel_err_b: float
     rel_err_s: float
     fit_residual: float
+    route_gap: float
     eps: list
     gaps: list
     passed: bool
@@ -132,7 +172,7 @@ def taylor_consistency(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     Fits J(u^eps) - J(ubar) = a eps + b eps^2 (+ higher order); the duality
     identities force a = -FO and b = -S/2.  Estimates use two Richardson
     levels over a halving sweep, so smooth higher-order terms drop to O(eps^2)
-    of the finest point.
+    of the finest point.  Passing also requires the two routes to S to agree.
     """
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
     if len(eps_list) < 3:
@@ -147,6 +187,7 @@ def taylor_consistency(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     x1 = solve_first_variation(p, xbar, du)
     fo = first_order_integral(p, ubar, u, adj)
     s = second_order_functional(p, ubar, u, adj, sa, x1)
+    route_gap = abs(s - second_order_direct(p, ubar, u, adj, sa, x1))
 
     j0 = cost(p, ubar, xbar)
     gaps = []
@@ -176,8 +217,10 @@ def taylor_consistency(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     rel_s = abs(s_est - s) / max(abs(s), scale * 1e-3)
     return TaylorReport(fo=fo, s=s, a_est=float(a_est), b_est=b_est, s_est=float(s_est),
                         rel_err_a=rel_a, rel_err_b=rel_b, rel_err_s=rel_s,
-                        fit_residual=fit_res, eps=eps_list, gaps=gaps,
-                        passed=bool(rel_a <= tol and rel_s <= tol))
+                        fit_residual=fit_res, route_gap=route_gap,
+                        eps=eps_list, gaps=gaps,
+                        passed=bool(rel_a <= tol and rel_s <= tol
+                                    and _routes_agree(route_gap, s)))
 
 
 def default_gate_tolerance(p: ControlProblem, adj: AdjointPair) -> float:
@@ -192,6 +235,7 @@ class TheoremReport:
     rows: list          # (fo, s, gated, ok) per candidate
     fo_tol: float
     s_tol: float
+    max_route_gap: float
     verdict: bool
 
     @property
@@ -204,8 +248,8 @@ def verify_theorem(p: ControlProblem, ubar: np.ndarray, candidates: list,
     """Check the second-order necessary condition over a candidate family.
 
     For every candidate whose gate integral vanishes within ``fo_tol`` the
-    curvature functional must be <= ``s_tol``.  Ungated candidates are reported
-    but make no assertion.
+    curvature functional must be <= ``s_tol``.  Ungated candidates make no
+    sign assertion, but every candidate's two routes to S must agree.
     """
     ubar = p.check_control_path(ubar)
     xbar = solve_state(p, ubar)
@@ -215,14 +259,17 @@ def verify_theorem(p: ControlProblem, ubar: np.ndarray, candidates: list,
         fo_tol = default_gate_tolerance(p, adj)
     rows = []
     verdict = True
+    max_gap = 0.0
     for u in candidates:
         u = p.check_control_path(u)
         fo = first_order_integral(p, ubar, u, adj)
         x1 = solve_first_variation(p, xbar, u - ubar)
         s = second_order_functional(p, ubar, u, adj, sa, x1)
+        gap = abs(s - second_order_direct(p, ubar, u, adj, sa, x1))
         gated = abs(fo) <= fo_tol
-        ok = (not gated) or (s <= s_tol)
+        ok = _routes_agree(gap, s) and ((not gated) or (s <= s_tol))
         verdict = verdict and ok
+        max_gap = max(max_gap, gap)
         rows.append((fo, s, gated, ok))
     return TheoremReport(rows=rows, fo_tol=float(fo_tol), s_tol=float(s_tol),
-                         verdict=verdict)
+                         max_route_gap=max_gap, verdict=verdict)

@@ -30,6 +30,7 @@ __all__ = [
     "solve_state",
     "solve_first_variation",
     "solve_second_variation",
+    "quadratic_drivers",
     "order_estimate_slopes",
     "OrderReport",
     "SlopeFit",
@@ -91,6 +92,25 @@ def solve_first_variation(p: ControlProblem, xbar: Trajectory,
     return AdaptedProcess(alg, zs, tol=1e-9)
 
 
+def quadratic_drivers(p: ControlProblem, k: int, x, u, h, v) -> tuple:
+    """Quadratic-response drivers C_xx(h, h) + 2 C_xu(h, v) + C_uu(v, v).
+
+    One element per coefficient channel C in (D, F, G), frozen at (k, x, u).
+    """
+    out = []
+    for fn_xx, fn_xu, fn_uu in ((p.D_xx, p.D_xu, p.D_uu), (p.F_xx, p.F_xu, p.F_uu),
+                                (p.G_xx, p.G_xu, p.G_uu)):
+        drv = CliffordElement.zero(p.algebra)
+        if fn_xx is not None:
+            drv = drv + fn_xx(k, x, u)(h, h)
+        if fn_xu is not None:
+            drv = drv + 2.0 * fn_xu(k, x, u)(h, v)
+        if fn_uu is not None:
+            drv = drv + fn_uu(k, x, u)(v, v)
+        out.append(drv)
+    return tuple(out)
+
+
 def solve_second_variation(p: ControlProblem, xbar: Trajectory, x1: AdaptedProcess,
                            du: np.ndarray) -> AdaptedProcess:
     """Quadratic response; drivers are the frozen second derivatives at xbar."""
@@ -98,23 +118,13 @@ def solve_second_variation(p: ControlProblem, xbar: Trajectory, x1: AdaptedProce
     du = np.asarray(du, dtype=float)
     if du.shape != xbar.control.shape or len(x1) != alg.n + 1:
         raise ValueError("inputs must match the trajectory grid")
-
-    def driver(fn_xx, fn_xu, fn_uu, k, xk, uk):
-        out = CliffordElement.zero(alg)
-        if fn_xx is not None:
-            out = out + fn_xx(k, xk, uk)(x1[k], x1[k])
-        if fn_xu is not None:
-            out = out + 2.0 * fn_xu(k, xk, uk)(x1[k], du[k])
-        if fn_uu is not None:
-            out = out + fn_uu(k, xk, uk)(du[k], du[k])
-        return out
-
     zs = [CliffordElement.zero(alg)]
     for k in range(alg.n):
         xk, uk, zk = xbar[k], xbar.control[k], zs[k]
-        drift = p.D_x(k, xk, uk)(zk) + driver(p.D_xx, p.D_xu, p.D_uu, k, xk, uk)
-        left = p.F_x(k, xk, uk)(zk) + driver(p.F_xx, p.F_xu, p.F_uu, k, xk, uk)
-        right = p.G_x(k, xk, uk)(zk) + driver(p.G_xx, p.G_xu, p.G_uu, k, xk, uk)
+        d2, f2, g2 = quadratic_drivers(p, k, xk, uk, x1[k], du[k])
+        drift = p.D_x(k, xk, uk)(zk) + d2
+        left = p.F_x(k, xk, uk)(zk) + f2
+        right = p.G_x(k, xk, uk)(zk) + g2
         zs.append(zk + alg.dt * drift + mul_dw_right(left, k + 1) + mul_dw_left(right, k + 1))
     return AdaptedProcess(alg, zs, tol=1e-9)
 

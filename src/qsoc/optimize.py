@@ -19,7 +19,7 @@ from .errors import BudgetError, StepSizeError
 from .forward import solve_state
 from .problems import ControlProblem, cost
 
-__all__ = ["projected_gradient", "brute_force_search", "GradientTrace"]
+__all__ = ["projected_gradient", "brute_force_search", "control_grid", "GradientTrace"]
 
 BRUTE_FORCE_BUDGET = 10 ** 6
 
@@ -93,9 +93,25 @@ def projected_gradient(p: ControlProblem, u0: np.ndarray, step: float = 0.5,
                             stalled=stalled)
 
 
+def control_grid(p: ControlProblem, grid_points_per_dim: int):
+    """Piecewise-constant controls on a product grid over the box, lexicographic.
+
+    Each control dimension takes ``grid_points_per_dim`` evenly spaced values
+    from its lower to its upper bound; a single point is the box midpoint.
+    """
+    lo, hi = p.control_set.lower, p.control_set.upper
+    if grid_points_per_dim == 1:
+        axes = [np.array([0.5 * (lo[i] + hi[i])]) for i in range(p.m)]
+    else:
+        axes = [np.linspace(lo[i], hi[i], grid_points_per_dim) for i in range(p.m)]
+    n, m = p.algebra.n, p.m
+    for values in itertools.product(*(axes * n)):
+        yield np.array(values).reshape(n, m)
+
+
 def brute_force_search(p: ControlProblem, grid_points_per_dim: int,
                        budget: int = BRUTE_FORCE_BUDGET) -> tuple[np.ndarray, float]:
-    """Exhaustive minimum over piecewise-constant controls on a product grid.
+    """Exhaustive minimum over the controls of :func:`control_grid`.
 
     Enumeration is lexicographic and ties keep the earlier (lexicographically
     smallest) control, so the result is deterministic.
@@ -104,23 +120,12 @@ def brute_force_search(p: ControlProblem, grid_points_per_dim: int,
         raise ValueError("need at least one grid point per dimension")
     if not p.control_set.is_bounded():
         raise ValueError("brute force requires a bounded control box")
-    n, m = p.algebra.n, p.m
-    total = grid_points_per_dim ** (n * m)
+    total = grid_points_per_dim ** (p.algebra.n * p.m)
     if total > budget:
         raise BudgetError(f"{total} grid controls exceed the budget {budget}")
-    if grid_points_per_dim == 1:
-        axes = [np.array([0.5 * (p.control_set.lower[i] + p.control_set.upper[i])])
-                for i in range(m)]
-    else:
-        axes = [np.linspace(p.control_set.lower[i], p.control_set.upper[i],
-                            grid_points_per_dim) for i in range(m)]
     best_u = None
     best_j = np.inf
-    for combo in itertools.product(range(grid_points_per_dim), repeat=n * m):
-        u = np.empty((n, m))
-        for k in range(n):
-            for i in range(m):
-                u[k, i] = axes[i][combo[k * m + i]]
+    for u in control_grid(p, grid_points_per_dim):
         j = cost(p, u, solve_state(p, u))
         if j < best_j:
             best_j = j

@@ -41,11 +41,9 @@ import numpy as np
 from .clifford import (
     CliffordAlgebra,
     CliffordElement,
-    SuperOperator,
     conditional_expectation,
     inner,
     parity,
-    superop_from_pairing,
 )
 from .errors import AlgebraMismatchError, SupportError
 
@@ -53,11 +51,9 @@ __all__ = [
     "ControlSet",
     "ProblemSpec",
     "ControlProblem",
-    "HamiltonianDerivatives",
     "make_problem",
     "cost",
     "hamiltonian",
-    "hamiltonian_derivatives",
     "audit_derivatives",
     "audit_adaptedness",
     "audit_growth",
@@ -464,95 +460,6 @@ def hamiltonian(p: ControlProblem, k: int, x, u, y, Y) -> complex:
         if e.algebra is not p.algebra:
             raise AlgebraMismatchError("element on a different algebra")
     return inner(y, p.D(k, x, u)) + inner(Y, _f_tilde(p, k, x, u)) - p.L(k, x, u)
-
-
-@dataclass
-class HamiltonianDerivatives:
-    """First/second derivatives of the Hamiltonian at one grid point.
-
-    ``h_x`` is the drift element of the first adjoint recursion; ``h_u`` is the
-    real Riesz representative used by gradients and the first-order gate;
-    ``h_xx`` is materialized on the full coefficient space; ``h_xu`` is kept as
-    a pairing since its domain mixes the state space with R^m.
-    """
-
-    h_x: CliffordElement
-    h_u: np.ndarray
-    h_xx: SuperOperator
-    h_xu: Callable
-    h_uu: np.ndarray
-
-
-def _adjoint_apply(p: ControlProblem, k, x, u, fn_x, target: CliffordElement) -> CliffordElement:
-    """Compute fn_x(k,x,u)^dagger target by probing the blade basis."""
-    alg = p.algebra
-    op = fn_x(k, x, u)
-    out = np.empty(alg.dim, dtype=np.complex128)
-    for mask in range(alg.dim):
-        image = op(CliffordElement.blade(alg, mask))
-        out[mask] = np.conj(np.vdot(target.coeffs, image.coeffs))
-    return CliffordElement(alg, out)
-
-
-def hamiltonian_derivatives(p: ControlProblem, k: int, x, u, y, Y) -> HamiltonianDerivatives:
-    alg = p.algebra
-    u = np.asarray(u, dtype=float)
-    y_par = parity(Y)
-
-    h_x = (_adjoint_apply(p, k, x, u, p.D_x, y)
-           + _adjoint_apply(p, k, x, u, p.F_x, Y)
-           + _adjoint_apply(p, k, x, u, p.G_x, y_par)
-           - p.L_x(k, x, u))
-
-    basis = np.eye(p.m)
-    du = p.D_u(k, x, u)
-    fu = p.F_u(k, x, u)
-    gu = p.G_u(k, x, u)
-    lu = np.asarray(p.L_u(k, x, u), dtype=float)
-    h_u = np.array([
-        (inner(y, du(basis[i])) + inner(Y, fu(basis[i]) + parity(gu(basis[i])))).real - lu[i]
-        for i in range(p.m)])
-
-    def pair_xx(v, w):
-        out = 0.0 + 0.0j
-        if p.D_xx is not None:
-            out += inner(y, p.D_xx(k, x, u)(v, w))
-        if p.F_xx is not None:
-            out += inner(Y, p.F_xx(k, x, u)(v, w))
-        if p.G_xx is not None:
-            out += inner(y_par, p.G_xx(k, x, u)(v, w))
-        if p.L_xx is not None:
-            out -= p.L_xx(k, x, u)(v, w)
-        return out
-
-    h_xx = superop_from_pairing(alg, pair_xx)
-
-    def pair_xu(h, v):
-        out = 0.0 + 0.0j
-        if p.D_xu is not None:
-            out += inner(y, p.D_xu(k, x, u)(h, v))
-        if p.F_xu is not None:
-            out += inner(Y, p.F_xu(k, x, u)(h, v))
-        if p.G_xu is not None:
-            out += inner(y_par, p.G_xu(k, x, u)(h, v))
-        if p.L_xu is not None:
-            out -= p.L_xu(k, x, u)(h, v)
-        return out
-
-    h_uu = np.zeros((p.m, p.m), dtype=np.complex128)
-    luu = p.L_uu(k, x, u) if p.L_uu is not None else np.zeros((p.m, p.m))
-    for i in range(p.m):
-        for j in range(p.m):
-            val = -complex(luu[i, j])
-            if p.D_uu is not None:
-                val += inner(y, p.D_uu(k, x, u)(basis[i], basis[j]))
-            if p.F_uu is not None:
-                val += inner(Y, p.F_uu(k, x, u)(basis[i], basis[j]))
-            if p.G_uu is not None:
-                val += inner(y_par, p.G_uu(k, x, u)(basis[i], basis[j]))
-            h_uu[i, j] = val
-
-    return HamiltonianDerivatives(h_x=h_x, h_u=h_u, h_xx=h_xx, h_xu=pair_xu, h_uu=h_uu)
 
 
 # -- randomized audits -------------------------------------------------------

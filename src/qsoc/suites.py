@@ -8,7 +8,6 @@ for canonical serialization.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ from .conditions import (
 from .config import SUITE_ORDER, RunConfig
 from .forward import order_estimate_slopes, solve_first_variation, solve_state
 from .matrices import realization_for
-from .optimize import brute_force_search, projected_gradient
+from .optimize import brute_force_search, control_grid, projected_gradient
 from .problems import ProblemSpec, cost, make_problem
 
 __all__ = ["SuiteResult", "run_suite", "run_all", "suite_rng"]
@@ -309,7 +308,8 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
     for i in range(pairs_n):
         k = int(rng.integers(0, alg.n))
         mk = lambda: TestTuple(k=k, zeta=rand_adapted(k),
-                               mu=[rand_adapted(j) for j in range(k, alg.n)])
+                               mu=[rand_adapted(j) for j in range(k, alg.n)],
+                               nu=[rand_adapted(j) for j in range(k, alg.n)])
         tuples.append((mk(), mk()))
     trans_res = transposition_residual(p, sa, tuples)
 
@@ -361,25 +361,12 @@ def run_second_order(cfg: RunConfig) -> SuiteResult:
                         "a_est": rep.a_est, "s_est": rep.s_est,
                         "rel_err_first_order": rep.rel_err_a,
                         "rel_err_second_order": rep.rel_err_s,
-                        "fit_residual": rep.fit_residual},
+                        "fit_residual": rep.fit_residual,
+                        "route_gap": rep.route_gap},
                        plotdata=plot)
 
 
 # -- theorem -------------------------------------------------------------------
-
-def _grid_candidates(p, points: int):
-    axes = [np.linspace(p.control_set.lower[i], p.control_set.upper[i], points)
-            for i in range(p.m)]
-    n, m = p.algebra.n, p.m
-    out = []
-    for combo in itertools.product(range(points), repeat=n * m):
-        u = np.empty((n, m))
-        for k in range(n):
-            for i in range(m):
-                u[k, i] = axes[i][combo[k * m + i]]
-        out.append(u)
-    return out
-
 
 def run_theorem(cfg: RunConfig) -> SuiteResult:
     alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T, cap=cfg.cap)
@@ -390,7 +377,7 @@ def run_theorem(cfg: RunConfig) -> SuiteResult:
     analytic_tol = _tol(cfg, "theorem", "analytic_tol", 1e-10)
 
     ubar, j_star = brute_force_search(p, points)
-    candidates = _grid_candidates(p, points)
+    candidates = list(control_grid(p, points))
     report = verify_theorem(p, ubar, candidates, fo_tol=fo_tol, s_tol=s_tol)
 
     # analytic companion: pure control cost, S = -2r ||du||^2 exactly
@@ -418,6 +405,7 @@ def run_theorem(cfg: RunConfig) -> SuiteResult:
                "fo_tol": report.fo_tol, "s_tol": s_tol,
                "gated_count": report.gated_count,
                "max_gated_s": max(gated_s) if gated_s else 0.0,
+               "max_route_gap": report.max_route_gap,
                "analytic_max_error": analytic_err,
                "verdict_ok": report.verdict,
                "fo_s_table": [[fo, s] for fo, s, _, _ in report.rows]}

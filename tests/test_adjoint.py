@@ -8,13 +8,13 @@ from qsoc.adjoint import (
     compute_P,
     first_duality_residual,
     hxx_pairing,
-    q_terms,
     solve_first_adjoint,
     second_duality_residual,
     transposition_residual,
 )
-from qsoc.clifford import CliffordElement, inner, make_algebra, mul_dw_right
-from qsoc.errors import CapacityError, ContractError
+from qsoc.clifford import CliffordElement, SuperOperator, make_algebra, mul_dw_right
+from qsoc.conditions import second_order_breakdown
+from qsoc.errors import CapacityError
 from qsoc.forward import solve_first_variation, solve_second_variation, solve_state
 from qsoc.problems import ProblemSpec, make_problem
 
@@ -255,62 +255,99 @@ def test_transposition_trivial_cases():
     assert res <= 1e-10
 
 
-def test_transposition_rejects_distinct_nu_tuples():
-    alg, p = build("lq", n=4)
+def rand_tuple(alg, rng, k):
+    return TestTuple(k=k, zeta=rand_adapted(alg, rng, k),
+                     mu=[rand_adapted(alg, rng, j) for j in range(k, alg.n)],
+                     nu=[rand_adapted(alg, rng, j) for j in range(k, alg.n)])
+
+
+def corrupt_p(sa, k):
+    """Plant a defect: P_k -> 3 P_k + I on its adapted subspace."""
+    alg = sa.lin.algebra
+    sa.P[k] = (sa.P[k].scaled(3.0) + SuperOperator.identity(alg, 1.0)).projected(k)
+
+
+def test_transposition_distinct_nu_tuples():
+    # the staggered identity closes with P alone, martingale drivers included
     rng = np.random.default_rng(8)
-    ubar = np.zeros((alg.n, 1))
-    _, _, sa = solve_stack(p, ubar)
-    k = 1
-    span = alg.n - k
-    t1 = TestTuple(k=k, zeta=rand_adapted(alg, rng, k),
-                   mu=[rand_adapted(alg, rng, j) for j in range(k, alg.n)],
-                   nu=[rand_adapted(alg, rng, j) for j in range(k, alg.n)])
-    t2 = TestTuple(k=k, zeta=rand_adapted(alg, rng, k),
-                   mu=[rand_adapted(alg, rng, j) for j in range(k, alg.n)],
-                   nu=[rand_adapted(alg, rng, j) for j in range(k, alg.n)])
-    assert len(t1.mu) == span
-    with pytest.raises(ContractError):
-        transposition_residual(p, sa, [(t1, t2)])
-    # the matched triple closes through the eliminated combination
-    assert transposition_residual(p, sa, [(t1, t1)]) <= 1e-9
+    for name in GALLERY:
+        alg, p = build(name, n=5)
+        ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
+        _, _, sa = solve_stack(p, ubar)
+        pairs = [(rand_tuple(alg, rng, k), rand_tuple(alg, rng, k)) for k in (0, 1, 3, 4)]
+        assert transposition_residual(p, sa, pairs) <= 1e-9
 
 
-def test_q_terms_zero_direction():
-    alg, p = build("lq", n=4)
-    rng = np.random.default_rng(9)
+def functional_case(name, seed, n=5):
+    alg, p = build(name, n=n)
+    rng = np.random.default_rng(seed)
     ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
     xbar, adj, sa = solve_stack(p, ubar)
+    du = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
+    return alg, p, rng, ubar, xbar, adj, sa, du
+
+
+@pytest.mark.parametrize("name", ("lq", "quadratic_control", "quadratic_state"))
+def test_second_order_routes_agree(name):
+    alg, p, _, ubar, xbar, adj, sa, du = functional_case(name, 9)
+    x1 = solve_first_variation(p, xbar, du)
+    bd = second_order_breakdown(p, ubar, ubar + du, adj, sa, x1)
+    assert bd.route_gap <= 1e-12 * (1.0 + abs(bd.value))
+    assert bd.routes_agree
+    assert abs(bd.p_part) > 1e-3  # P carries a real share of S
+
+
+@pytest.mark.parametrize("name", ("lq", "quadratic_control", "quadratic_state"))
+def test_corrupted_p_is_detected(name):
+    alg, p, rng, ubar, xbar, adj, sa, du = functional_case(name, 10)
+    x1 = solve_first_variation(p, xbar, du)
+    clean = second_order_breakdown(p, ubar, ubar + du, adj, sa, x1).value
+    pairs = [(rand_tuple(alg, rng, 0), rand_tuple(alg, rng, 0)) for _ in range(2)]
+    assert transposition_residual(p, sa, pairs) <= 1e-9
+    for k in range(1, alg.n):  # x1_0 = 0, so P_0 only enters the transposition check
+        saved = sa.P[k]
+        corrupt_p(sa, k)
+        bd = second_order_breakdown(p, ubar, ubar + du, adj, sa, x1)
+        assert abs(bd.value - clean) > 1e-3
+        assert bd.route_gap > 1e-3 and not bd.routes_agree
+        assert transposition_residual(p, sa, pairs) > 1.0
+        sa.P[k] = saved
+    corrupt_p(sa, 0)
+    assert transposition_residual(p, sa, pairs) > 1.0
+
+
+def test_route_gap_flags_wrong_direction_variation():
+    for name in ("lq", "quadratic_control", "quadratic_state"):
+        alg, p, _, ubar, xbar, adj, sa, du = functional_case(name, 11)
+        x1 = solve_first_variation(p, xbar, 2.0 * du)  # wrong direction
+        bd = second_order_breakdown(p, ubar, ubar + du, adj, sa, x1)
+        assert bd.route_gap >= 0.1
+        assert not bd.routes_agree
+
+
+def test_second_order_zero_direction():
+    alg, p, _, ubar, xbar, adj, sa, _ = functional_case("lq", 12, n=4)
     du = np.zeros((alg.n, 1))
     x1 = solve_first_variation(p, xbar, du)
-    assert q_terms(p, sa, x1, du) == 0.0
+    bd = second_order_breakdown(p, ubar, ubar, adj, sa, x1)
+    assert bd.value == 0.0
+    assert bd.route_gap == 0.0
 
 
-def test_q_terms_quadratic_homogeneity():
-    alg, p = build("quadratic_control", n=4)
-    rng = np.random.default_rng(10)
-    ubar = rng.uniform(-0.4, 0.4, size=(alg.n, 1))
-    xbar, adj, sa = solve_stack(p, ubar)
-    du = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
-    x1 = solve_first_variation(p, xbar, du)
-    base = q_terms(p, sa, x1, du)
-    x1s = solve_first_variation(p, xbar, 2.0 * du)
-    scaled = q_terms(p, sa, x1s, 2.0 * du)
-    assert scaled == pytest.approx(4.0 * base, rel=1e-10, abs=1e-12)
+def test_second_order_routes_quadratic_homogeneity():
+    alg, p, _, ubar, xbar, adj, sa, du = functional_case("quadratic_control", 13, n=4)
+    du *= 0.5  # keep ubar + 2 du inside the box
+    base = second_order_breakdown(p, ubar, ubar + du, adj, sa,
+                                  solve_first_variation(p, xbar, du))
+    scaled = second_order_breakdown(p, ubar, ubar + 2.0 * du, adj, sa,
+                                    solve_first_variation(p, xbar, 2.0 * du))
+    assert scaled.value == pytest.approx(4.0 * base.value, rel=1e-10, abs=1e-12)
+    assert scaled.p_part == pytest.approx(4.0 * base.p_part, rel=1e-10, abs=1e-12)
+    assert scaled.routes_agree and base.routes_agree
 
 
-def test_q_terms_contract_violation():
-    alg, p = build("lq", n=4)
-    rng = np.random.default_rng(11)
-    ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
-    xbar, adj, sa = solve_stack(p, ubar)
-    du = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
-    x1 = solve_first_variation(p, xbar, 2.0 * du)  # wrong direction
-    with pytest.raises(ContractError):
-        q_terms(p, sa, x1, du)
-
-
-def test_q_terms_zero_dynamics_term_cancellation():
-    # no state feedback, no curvature: P = 0 and every retained term vanishes
+def test_second_order_zero_dynamics_term_cancellation():
+    # no state feedback, no curvature: P = 0 and S is the control curvature alone
     alg = make_algebra(4, 0.0, 1.0)
     spec = ProblemSpec.gallery("lq", a=0.0, f0=0.0, g0=0.0, q=0.0, s=0.0,
                                r=0.5, x_tgt=None)
@@ -321,7 +358,9 @@ def test_q_terms_zero_dynamics_term_cancellation():
     x1 = solve_first_variation(p, xbar, du)
     assert all(np.max(np.abs(op.lin)) == 0.0 for op in sa.P)
     assert _p_block_terms(p, sa, x1, du) == 0.0
-    assert q_terms(p, sa, x1, du) == 0.0
+    bd = second_order_breakdown(p, ubar, ubar + du, adj, sa, x1)
+    assert bd.route_gap == 0.0
+    assert bd.value == pytest.approx(-2.0 * 0.5 * alg.dt * float(np.sum(du * du)), abs=1e-15)
 
 
 def test_p_block_collapses_under_real_symmetry():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from qsoc import conditions
 from qsoc.adjoint import compute_P, solve_first_adjoint
-from qsoc.clifford import make_algebra
+from qsoc.clifford import SuperOperator, make_algebra
 from qsoc.conditions import (
     default_gate_tolerance,
     first_order_integral,
@@ -12,7 +13,9 @@ from qsoc.conditions import (
     verify_theorem,
 )
 from qsoc.forward import solve_first_variation, solve_state
+from qsoc.config import parse_config
 from qsoc.problems import ProblemSpec, cost, make_problem
+from qsoc.suites import run_suite
 
 GALLERY = ("free", "lq", "quadratic_control", "quadratic_state")
 
@@ -194,3 +197,49 @@ def test_default_gate_tolerance_scales():
     tol = default_gate_tolerance(p, adj)
     assert tol >= 1e-8
     assert tol <= 1e-6
+
+
+def suite_config(grid_points=3):
+    return parse_config({
+        "problem": {"name": "lq", "m": 1},
+        "grid": {"t0": 0.0, "T": 1.0, "N": 4},
+        "suites": ["second_order", "theorem"],
+        "tolerances": {"theorem": {"grid_points": grid_points}},
+        "seed": 5,
+    })
+
+
+def test_suites_report_route_gaps():
+    cfg = suite_config()
+    second = run_suite(cfg, "second_order")
+    theorem = run_suite(cfg, "theorem")
+    assert second.passed and theorem.passed
+    assert second.metrics["route_gap"] <= 1e-10 * (1.0 + abs(second.metrics["s"]))
+    assert theorem.metrics["max_route_gap"] <= 1e-12
+
+
+def test_corrupted_p_fails_second_order_and_theorem(monkeypatch):
+    def corrupted_compute_P(*args, **kwargs):
+        sa = compute_P(*args, **kwargs)
+        k = 2
+        sa.P[k] = (sa.P[k].scaled(3.0)
+                   + SuperOperator.identity(sa.lin.algebra, 1.0)).projected(k)
+        return sa
+
+    monkeypatch.setattr(conditions, "compute_P", corrupted_compute_P)
+    cfg = suite_config()
+    second = run_suite(cfg, "second_order")
+    assert second.status == "fail"
+    assert second.metrics["route_gap"] > 1e-3
+    theorem = run_suite(cfg, "theorem")
+    assert theorem.status == "fail" and not theorem.metrics["verdict_ok"]
+    assert theorem.metrics["max_route_gap"] > 1e-3
+
+
+def test_theorem_single_point_grid_checks_the_certified_control():
+    # one grid point is the box midpoint for both the brute force and the
+    # candidate family, so the only candidate is ubar itself
+    res = run_suite(suite_config(grid_points=1), "theorem")
+    assert res.passed
+    assert res.metrics["candidates"] == 1
+    assert res.metrics["fo_s_table"] == [[0.0, 0.0]]

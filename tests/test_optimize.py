@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from qsoc.clifford import make_algebra
 from qsoc.errors import BudgetError
 from qsoc.forward import solve_state
-from qsoc.optimize import brute_force_search, projected_gradient
+from qsoc.optimize import brute_force_search, control_grid, projected_gradient
 from qsoc.problems import ControlSet, ProblemSpec, cost, make_problem
 
 
@@ -66,6 +66,26 @@ def test_brute_force_degenerate_grid():
     u, val = brute_force_search(p, 1)
     assert np.allclose(u, 0.4)
     assert val == pytest.approx(cost(p, u, solve_state(p, u)))
+
+
+def test_control_grid_one_point_contains_brute_force_optimum():
+    alg, p = build("lq", n=3)
+    u, _ = brute_force_search(p, 1)
+    grid = list(control_grid(p, 1))
+    assert len(grid) == 1
+    assert np.array_equal(grid[0], u)
+    assert np.all(u == 0.0)  # box midpoint
+
+
+def test_control_grid_lexicographic_order():
+    alg, p = build("lq", n=2, m=2, lower=(-1.0, 0.0), upper=(1.0, 2.0))
+    grid = list(control_grid(p, 3))
+    assert len(grid) == 3 ** 4
+    assert all(u.shape == (2, 2) for u in grid)
+    assert np.array_equal(grid[0], [[-1.0, 0.0], [-1.0, 0.0]])
+    assert np.array_equal(grid[1], [[-1.0, 0.0], [-1.0, 1.0]])
+    assert np.array_equal(grid[3], [[-1.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(grid[-1], [[1.0, 2.0], [1.0, 2.0]])
 
 
 def test_brute_force_enumeration_count_and_budget():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qsoc.clifford import CliffordElement, inner, make_algebra, parity
+from qsoc.adjoint import hu_field, huu_matrix, hxu_pairing, hxx_pairing, solve_first_adjoint
+from qsoc.clifford import CliffordElement, inner, make_algebra, parity, superop_from_pairing
 from qsoc.errors import SupportError
 from qsoc.forward import solve_state
 from qsoc.problems import (
@@ -12,7 +13,6 @@ from qsoc.problems import (
     audit_growth,
     cost,
     hamiltonian,
-    hamiltonian_derivatives,
     make_problem,
 )
 
@@ -168,14 +168,15 @@ def test_hamiltonian_real_scaling_in_y():
 
 def test_hamiltonian_derivatives_free_quadratic():
     alg, p = build("free", r=0.7, q=0.0, s=0.0, x_tgt=None)
-    x = CliffordElement.unit(alg)
-    u = np.array([0.3])
-    zero = CliffordElement.zero(alg)
-    bundle = hamiltonian_derivatives(p, 0, x, u, zero, zero)
-    assert np.allclose(bundle.h_u, [-2 * 0.7 * 0.3])
-    assert np.allclose(bundle.h_uu, -2 * 0.7 * np.eye(1))
-    assert np.max(np.abs(bundle.h_xx.lin)) == 0.0
-    assert bundle.h_x.norm() == 0.0
+    u = np.full((alg.n, 1), 0.3)
+    xbar = solve_state(p, u)
+    adj = solve_first_adjoint(p, xbar, u)
+    assert np.allclose(hu_field(p, adj), -2 * 0.7 * 0.3)
+    x, zero = xbar[0], CliffordElement.zero(alg)
+    assert np.allclose(huu_matrix(p, 0, x, u[0], zero, zero), -2 * 0.7 * np.eye(1))
+    hxx = superop_from_pairing(alg, hxx_pairing(p, 0, x, u[0], zero, zero))
+    assert np.max(np.abs(hxx.lin)) == 0.0
+    assert hxu_pairing(p, 0, x, u[0], zero, zero) is None
 
 
 def test_hamiltonian_state_curvature_is_running_cost_only_for_lq():
@@ -184,47 +185,50 @@ def test_hamiltonian_state_curvature_is_running_cost_only_for_lq():
     rng = np.random.default_rng(11)
     y = CliffordElement(alg, rng.standard_normal(alg.dim) + 0j)
     Y = CliffordElement(alg, rng.standard_normal(alg.dim) + 0j)
-    bundle = hamiltonian_derivatives(p, 1, CliffordElement.unit(alg), np.zeros(1), y, Y)
-    assert np.allclose(bundle.h_xx.lin, -2.0 * 0.35 * np.eye(alg.dim), atol=1e-13)
-    assert bundle.h_xx.antilin is None
+    hxx = superop_from_pairing(
+        alg, hxx_pairing(p, 1, CliffordElement.unit(alg), np.zeros(1), y, Y))
+    assert np.allclose(hxx.lin, -2.0 * 0.35 * np.eye(alg.dim), atol=1e-13)
+    assert hxx.antilin is None
 
 
 def test_hamiltonian_derivatives_match_finite_differences():
+    # the adjoint's derivative objects, at the (yhat_k, Y_k) they are used with
     alg, p = build("quadratic_state", n=3)
     rng = np.random.default_rng(12)
-    k = 1
-    x = CliffordElement(alg, np.where(alg.adapted_mask(k), rng.standard_normal(alg.dim), 0) + 0j)
-    u = np.array([0.25])
-    y = CliffordElement(alg, rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
-    Y = CliffordElement(alg, rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
-    bundle = hamiltonian_derivatives(p, k, x, u, y, Y)
+    ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
+    xbar = solve_state(p, ubar)
+    adj = solve_first_adjoint(p, xbar, ubar)
+    hu = hu_field(p, adj)
     step = 1e-5
 
-    h = CliffordElement(alg, rng.standard_normal(alg.dim) + 0j)
-    fd = (hamiltonian(p, k, x + step * h, u, y, Y)
-          - hamiltonian(p, k, x - step * h, u, y, Y)) / (2 * step)
-    want = inner(y, p.D_x(k, x, u)(h)) + inner(Y, p.F_x(k, x, u)(h) + parity(p.G_x(k, x, u)(h))) \
-        - inner(p.L_x(k, x, u), h).real
-    assert fd == pytest.approx(want, rel=1e-6, abs=1e-6)
+    def H(k, x, u):
+        return hamiltonian(p, k, x, u, adj.yhat[k], adj.Y[k]).real
 
-    v = rng.standard_normal(1)
-    fd = (hamiltonian(p, k, x, u + step * v, y, Y)
-          - hamiltonian(p, k, x, u - step * v, y, Y)) / (2 * step)
-    # real Riesz representative only sees the real part of the pairing
-    assert fd.real == pytest.approx(float(bundle.h_u @ v), rel=1e-6, abs=1e-6)
+    for k in range(alg.n):
+        x, u, y, Y = xbar[k], ubar[k], adj.yhat[k], adj.Y[k]
+        h = CliffordElement(alg, np.where(alg.adapted_mask(k), rng.standard_normal(alg.dim), 0) + 0j)
+        h2 = CliffordElement(alg, np.where(alg.adapted_mask(k), rng.standard_normal(alg.dim), 0) + 0j)
+        v = rng.standard_normal(1)
 
-    h2 = CliffordElement(alg, rng.standard_normal(alg.dim) + 0j)
-    fd2 = (hamiltonian(p, k, x + step * (h + h2), u, y, Y)
-           - hamiltonian(p, k, x + step * (h - h2), u, y, Y)
-           - hamiltonian(p, k, x - step * (h - h2), u, y, Y)
-           + hamiltonian(p, k, x - step * (h + h2), u, y, Y)) / (4 * step * step)
-    pair = bundle.h_xx.pair(h2, h)
-    # the finite difference of the real running cost sees Re of the curvature
-    assert fd2.real == pytest.approx(pair.real, rel=1e-5, abs=1e-5)
-    fdu = (hamiltonian(p, k, x, u + 2 * step * v, y, Y)
-           - 2 * hamiltonian(p, k, x, u, y, Y)
-           + hamiltonian(p, k, x, u - 2 * step * v, y, Y)).real / (2 * step) ** 2
-    assert fdu == pytest.approx(float(v @ bundle.h_uu.real @ v), rel=1e-4, abs=1e-5)
+        # first adjoint recursion: y_k = yhat_k + dt H_x on the adapted subspace
+        fd = (H(k, x + step * h, u) - H(k, x - step * h, u)) / (2 * step)
+        hx = (adj.y[k] - y) * (1.0 / alg.dt)
+        assert fd == pytest.approx(inner(hx, h).real, rel=1e-6, abs=1e-6)
+
+        fd = (H(k, x, u + step * v) - H(k, x, u - step * v)) / (2 * step)
+        assert fd == pytest.approx(float(hu[k] @ v), rel=1e-6, abs=1e-6)
+
+        fd2 = (H(k, x + step * (h + h2), u) - H(k, x + step * (h - h2), u)
+               - H(k, x - step * (h - h2), u) + H(k, x - step * (h + h2), u)) / (4 * step * step)
+        pair = hxx_pairing(p, k, x, u, y, Y)(h2, h)
+        # the finite difference of the real running cost sees Re of the curvature
+        assert fd2 == pytest.approx(pair.real, rel=1e-5, abs=1e-5)
+
+        fdu = (H(k, x, u + 2 * step * v) - 2 * H(k, x, u)
+               + H(k, x, u - 2 * step * v)) / (2 * step) ** 2
+        huu = huu_matrix(p, k, x, u, y, Y)
+        assert fdu == pytest.approx(float(v @ huu.real @ v), rel=1e-4, abs=1e-5)
+        assert hxu_pairing(p, k, x, u, y, Y) is None  # no mixed terms in the gallery
 
 
 def test_cost_examples():
