@@ -422,18 +422,25 @@ def _step_pairings(pj: SuperOperator, dt: float, phi2, mu2, n2, phi1, mu1, n1) -
 
 
 def _p_block_terms(p: ControlProblem, sa: SecondAdjoint, x1: AdaptedProcess,
-                   du: np.ndarray) -> complex:
-    """P-pairings of the functional: the first variation as a test equation.
+                   du: np.ndarray, x1_b: AdaptedProcess | None = None,
+                   du_b: np.ndarray | None = None) -> complex:
+    """P-pairings of the functional: first variations as test equations.
 
     x1 solves the test equation with zeta = 0, mu_j = Du_j du_j and
-    nu_j = Bu_j du_j, so P_0 never enters.
+    nu_j = Bu_j du_j, so P_0 never enters.  The pairings are real-bilinear in
+    the two test steps; the b side (x1_b, du_b) defaults to the a side, which
+    gives the P block of the functional along du.
     """
+    if x1_b is None:
+        x1_b, du_b = x1, du
     dt = p.algebra.dt
     total = 0.0 + 0.0j
     for j in range(p.algebra.n):
         a = sa.lin.du_apply(j, du[j])
-        bn = mul_dw_right(sa.lin.bu_apply(j, du[j]), j + 1)
-        total += _step_pairings(sa.P[j + 1], dt, x1[j + 1], a, bn, x1[j + 1], a, bn)
+        an = mul_dw_right(sa.lin.bu_apply(j, du[j]), j + 1)
+        b = sa.lin.du_apply(j, du_b[j])
+        bn = mul_dw_right(sa.lin.bu_apply(j, du_b[j]), j + 1)
+        total += _step_pairings(sa.P[j + 1], dt, x1[j + 1], a, an, x1_b[j + 1], b, bn)
     return total
 
 

@@ -21,7 +21,7 @@ from . import __version__
 from .config import SUITE_ORDER, load_config
 from .errors import BudgetError, CapacityError, ConfigError, QsocError
 from .report import write_report_files
-from .suites import run_suite
+from .suites import run_scope, run_suite
 
 __all__ = ["main", "build_report"]
 
@@ -86,14 +86,15 @@ def main(argv=None) -> int:
         results = []
         timings = {}
         plotdata = {}
-        for name in cfg.suites:
-            started = time.perf_counter()
-            res = run_suite(cfg, name)
-            timings[name] = time.perf_counter() - started
-            results.append(res)
-            if res.plotdata:
-                plotdata.update(res.plotdata)
-            print(f"{name}: {res.status}")
+        with run_scope():
+            for name in cfg.suites:
+                started = time.perf_counter()
+                res = run_suite(cfg, name)
+                timings[name] = time.perf_counter() - started
+                results.append(res)
+                if res.plotdata:
+                    plotdata.update(res.plotdata)
+                print(f"{name}: {res.status}")
 
         report = build_report(cfg, results)
         written = write_report_files(report, outdir, cfg.emit,

@@ -11,7 +11,19 @@ cost, which ``taylor_consistency`` verifies by Richardson extrapolation of
 cost sweeps.  ``second_order_direct`` evaluates it directly along the first
 variation (terminal and running curvature, no P_k with k < N); the gap between
 the two routes vanishes to rounding only when P and the first variation are
-consistent, and both checks above require it.
+consistent, and every check here requires it.
+
+At a fixed base control the gate integral is linear in the direction du,
+dt <H_u, du>, and S is an exact real quadratic form in du: the first
+variation is real-linear in du, and each half of S (the curvature terms, the
+P-pairings or the direct terms) is real-bilinear in (x1, du).  Both halves are
+implemented once, as bilinear forms whose diagonal is S.  ``reduced_hessians``
+evaluates them on the N*m unit directions and returns S and its direct oracle
+as real symmetric matrices H_P and H_D.  ``verify_theorem`` scores every
+candidate through them: S = du.H_P.du, route gap |du.(H_P - H_D).du|.  On a
+fixed subsample (evenly spaced candidates and the gated one with the largest
+S) it also evaluates S along the candidate itself; the largest difference is
+``max_oracle_gap``, bounded like the route gap.
 
 A note on the assembled display: a variant that applies the state-direction
 diffusion operator to control directions is dimensionally inconsistent (those
@@ -51,10 +63,13 @@ __all__ = [
     "verify_theorem",
     "TheoremReport",
     "default_gate_tolerance",
+    "reduced_hessians",
+    "quadratic_scores",
     "ROUTE_GAP_TOL",
 ]
 
 ROUTE_GAP_TOL = 1e-10  # bound on the route gap, relative to 1 + |S|
+ORACLE_SAMPLES = 8     # evenly spaced theorem candidates re-scored per candidate
 
 
 def first_order_integral(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
@@ -62,8 +77,12 @@ def first_order_integral(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     """Gate integral sum_k dt <H_u(k), u_k - ubar_k>; equals -dJ/deps at 0."""
     ubar = p.check_control_path(ubar)
     u = p.check_control_path(u)
-    hu = hu_field(p, adj)
-    return float(p.algebra.dt * np.sum(hu * (u - ubar)))
+    return float(_gate_values(p, adj, u - ubar))
+
+
+def _gate_values(p: ControlProblem, adj: AdjointPair, du: np.ndarray):
+    """Gate integral of one direction (N, m), or of a stack of them (C, N, m)."""
+    return p.algebra.dt * np.sum(hu_field(p, adj) * du, axis=(-2, -1))
 
 
 def _routes_agree(route_gap: float, s: float) -> bool:
@@ -85,9 +104,33 @@ class SecondOrderBreakdown:
         return _routes_agree(self.route_gap, self.value)
 
 
-def _curvature_terms(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
+def _curvature_ops(p: ControlProblem, adj: AdjointPair, sa: SecondAdjoint) -> list:
+    """Per step, the control curvature matrix and the mixed-curvature pairing at ubar."""
+    out = []
+    for k in range(p.algebra.n):
+        args = (p, k, sa.xbar[k], sa.ubar[k], adj.yhat[k], adj.Y[k])
+        out.append((huu_matrix(*args), hxu_pairing(*args)))
+    return out
+
+
+def _curvature_terms(dt: float, ops: list, x1_a, du_a: np.ndarray,
+                     x1_b, du_b: np.ndarray) -> complex:
+    """Control and mixed curvature terms shared by both routes, as a bilinear form.
+
+    Real-bilinear in the two (first variation, direction) sides; equal sides
+    give the curvature part of S along that direction.
+    """
+    total = 0.0 + 0.0j
+    for k, (huu, xu) in enumerate(ops):
+        total += dt * complex(du_a[k] @ huu @ du_b[k])
+        if xu is not None:
+            total += dt * (xu(x1_a[k], du_b[k]) + xu(x1_b[k], du_a[k]))
+    return total
+
+
+def _curvature_along(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
                      adj: AdjointPair, sa: SecondAdjoint, x1) -> tuple[np.ndarray, complex]:
-    """Direction u - ubar and the control/mixed curvature terms shared by both routes."""
+    """Direction u - ubar and the curvature terms of S along it."""
     ubar = p.check_control_path(ubar)
     u = p.check_control_path(u)
     if sa.adj is not adj:
@@ -95,25 +138,26 @@ def _curvature_terms(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     if not np.array_equal(ubar, sa.ubar):
         raise ContractError("functional must be evaluated at the adjoint's base control")
     du = u - ubar
-    alg = p.algebra
-    curix = 0.0 + 0.0j
-    for k in range(alg.n):
-        yh, yk = adj.yhat[k], adj.Y[k]
-        huu = huu_matrix(p, k, sa.xbar[k], ubar[k], yh, yk)
-        curix += alg.dt * complex(du[k] @ huu @ du[k])
-        xu = hxu_pairing(p, k, sa.xbar[k], ubar[k], yh, yk)
-        if xu is not None:
-            curix += alg.dt * 2.0 * xu(x1[k], du[k])
-    return du, curix
+    return du, _curvature_terms(p.algebra.dt, _curvature_ops(p, adj, sa), x1, du, x1, du)
+
+
+def _direct_terms(p: ControlProblem, sa: SecondAdjoint, curvature: complex,
+                  x1_a, x1_b) -> complex:
+    """Direct route: curvature terms plus x1 paired with P_N and the M_j only."""
+    n = p.algebra.n
+    total = curvature + sa.P[n].pair(x1_a[n], x1_b[n])
+    for j in range(n):
+        total += p.algebra.dt * sa.pair_M(j, x1_a[j], x1_b[j])
+    return total
 
 
 def second_order_breakdown(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
                            adj: AdjointPair, sa: SecondAdjoint,
                            x1) -> SecondOrderBreakdown:
-    du, curix = _curvature_terms(p, ubar, u, adj, sa, x1)
+    du, curix = _curvature_along(p, ubar, u, adj, sa, x1)
     pb = _p_block_terms(p, sa, x1, du)
     total = curix + pb
-    direct = second_order_direct(p, ubar, u, adj, sa, x1)
+    direct = _direct_terms(p, sa, curix, x1, x1).real
     return SecondOrderBreakdown(
         value=float(total.real),
         curvature_part=curix, p_part=pb,
@@ -124,7 +168,7 @@ def second_order_breakdown(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
 def second_order_functional(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
                             adj: AdjointPair, sa: SecondAdjoint, x1) -> float:
     """Curvature functional S through P; equals -d2J/deps2 at 0 along u - ubar."""
-    du, curix = _curvature_terms(p, ubar, u, adj, sa, x1)
+    du, curix = _curvature_along(p, ubar, u, adj, sa, x1)
     return float((curix + _p_block_terms(p, sa, x1, du)).real)
 
 
@@ -135,12 +179,40 @@ def second_order_direct(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     Agrees with :func:`second_order_functional` to rounding exactly when the
     P_k with 0 < k < N and the first variation are consistent.
     """
-    _, curix = _curvature_terms(p, ubar, u, adj, sa, x1)
+    _, curix = _curvature_along(p, ubar, u, adj, sa, x1)
+    return float(_direct_terms(p, sa, curix, x1, x1).real)
+
+
+def reduced_hessians(p: ControlProblem, adj: AdjointPair,
+                     sa: SecondAdjoint) -> tuple[np.ndarray, np.ndarray]:
+    """S at ubar as real symmetric matrices: S(du) = v . H_P v, direct S = v . H_D v.
+
+    v = du.reshape(-1), so column a = k*m + i is the unit direction of control
+    i at step k.  x1 is real-linear in du and both halves of each route are
+    real-bilinear in (x1, du), so one first-variation solve per column and the
+    bilinear forms on pairs of columns give both quadratic forms exactly.
+    """
+    if sa.adj is not adj:
+        raise ContractError("second adjoint was built from a different first adjoint")
     alg = p.algebra
-    total = curix + sa.P[alg.n].pair(x1[alg.n], x1[alg.n])
-    for j in range(alg.n):
-        total += alg.dt * sa.pair_M(j, x1[j], x1[j])
-    return float(total.real)
+    size = alg.n * p.m
+    basis = np.eye(size).reshape(size, alg.n, p.m)
+    x1s = [solve_first_variation(p, sa.xbar, e) for e in basis]
+    ops = _curvature_ops(p, adj, sa)
+    forms = np.zeros((2, size, size), dtype=np.complex128)
+    for a in range(size):
+        for b in range(size):
+            curix = _curvature_terms(alg.dt, ops, x1s[a], basis[a], x1s[b], basis[b])
+            forms[0, a, b] = curix + _p_block_terms(p, sa, x1s[a], basis[a], x1s[b], basis[b])
+            forms[1, a, b] = _direct_terms(p, sa, curix, x1s[a], x1s[b])
+    real = forms.real
+    sym = 0.5 * (real + real.transpose(0, 2, 1))
+    return sym[0], sym[1]
+
+
+def quadratic_scores(h: np.ndarray, dus: np.ndarray) -> np.ndarray:
+    """v . H v for every row v of ``dus`` (directions flattened as du.reshape(-1))."""
+    return np.einsum("ca,ab,cb->c", dus, h, dus)
 
 
 def _richardson(values: list[float], order: int) -> list[float]:
@@ -236,11 +308,22 @@ class TheoremReport:
     fo_tol: float
     s_tol: float
     max_route_gap: float
+    max_oracle_gap: float  # reduced-Hessian S against S evaluated per candidate
     verdict: bool
 
     @property
     def gated_count(self) -> int:
         return sum(1 for _, _, gated, _ in self.rows if gated)
+
+
+def _oracle_sample(s: np.ndarray, gated: np.ndarray) -> list[int]:
+    """Evenly spaced candidates, first and last included, plus the worst gated one."""
+    count = len(s)
+    picks = set(np.linspace(0, count - 1, min(ORACLE_SAMPLES, count))
+                .round().astype(int).tolist())
+    if gated.any():
+        picks.add(int(np.flatnonzero(gated)[np.argmax(s[gated])]))
+    return sorted(picks)
 
 
 def verify_theorem(p: ControlProblem, ubar: np.ndarray, candidates: list,
@@ -249,7 +332,9 @@ def verify_theorem(p: ControlProblem, ubar: np.ndarray, candidates: list,
 
     For every candidate whose gate integral vanishes within ``fo_tol`` the
     curvature functional must be <= ``s_tol``.  Ungated candidates make no
-    sign assertion, but every candidate's two routes to S must agree.
+    sign assertion, but every candidate's two routes to S must agree.  S is
+    scored through :func:`reduced_hessians`; on a subsample it must also agree
+    with :func:`second_order_functional` evaluated along the candidate.
     """
     ubar = p.check_control_path(ubar)
     xbar = solve_state(p, ubar)
@@ -257,19 +342,33 @@ def verify_theorem(p: ControlProblem, ubar: np.ndarray, candidates: list,
     sa = compute_P(p, xbar, ubar, adj)
     if fo_tol is None:
         fo_tol = default_gate_tolerance(p, adj)
-    rows = []
-    verdict = True
-    max_gap = 0.0
-    for u in candidates:
-        u = p.check_control_path(u)
-        fo = first_order_integral(p, ubar, u, adj)
-        x1 = solve_first_variation(p, xbar, u - ubar)
-        s = second_order_functional(p, ubar, u, adj, sa, x1)
-        gap = abs(s - second_order_direct(p, ubar, u, adj, sa, x1))
-        gated = abs(fo) <= fo_tol
-        ok = _routes_agree(gap, s) and ((not gated) or (s <= s_tol))
-        verdict = verdict and ok
-        max_gap = max(max_gap, gap)
-        rows.append((fo, s, gated, ok))
+    # one box check for the whole family; per path it would cost more than the scoring
+    us = np.array(candidates, dtype=float)
+    if candidates and us.shape[1:] != ubar.shape:
+        raise ValueError(f"candidate control paths must have shape {ubar.shape}")
+    us = us.reshape(len(candidates), *ubar.shape)
+    if not p.control_set.contains(us):
+        raise ValueError("a candidate control leaves the admissible box")
+    du = us - ubar
+    dus = du.reshape(len(us), ubar.size)
+    h_p, h_d = reduced_hessians(p, adj, sa)
+    # + 0.0 turns the -0.0 of a zero direction into 0.0
+    s = quadratic_scores(h_p, dus) + 0.0
+    gaps = np.abs(quadratic_scores(h_p - h_d, dus))
+    fo = _gate_values(p, adj, du)
+    gated = np.abs(fo) <= fo_tol
+    ok = (gaps <= ROUTE_GAP_TOL * (1.0 + np.abs(s))) & (~gated | (s <= s_tol))
+
+    # oracle: S evaluated along the candidate itself, on a subsample
+    max_oracle_gap = 0.0
+    for c in _oracle_sample(s, gated):
+        x1 = solve_first_variation(p, xbar, du[c])
+        s_along = second_order_functional(p, ubar, us[c], adj, sa, x1)
+        max_oracle_gap = max(max_oracle_gap, abs(s[c] - s_along))
+        ok[c] &= _routes_agree(abs(s[c] - s_along), s_along)
+
+    rows = [(float(f), float(v), bool(g), bool(o)) for f, v, g, o in zip(fo, s, gated, ok)]
     return TheoremReport(rows=rows, fo_tol=float(fo_tol), s_tol=float(s_tol),
-                         max_route_gap=max_gap, verdict=verdict)
+                         max_route_gap=float(gaps.max(initial=0.0)),
+                         max_oracle_gap=float(max_oracle_gap),
+                         verdict=bool(ok.all()))

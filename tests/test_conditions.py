@@ -1,21 +1,34 @@
+import math
+
 import numpy as np
 import pytest
 
-from qsoc import conditions
+from qsoc import conditions, suites
 from qsoc.adjoint import compute_P, solve_first_adjoint
-from qsoc.clifford import SuperOperator, make_algebra
+from qsoc.clifford import (
+    CliffordElement,
+    SuperOperator,
+    conditional_expectation,
+    inner,
+    make_algebra,
+)
 from qsoc.conditions import (
+    ORACLE_SAMPLES,
+    ROUTE_GAP_TOL,
     default_gate_tolerance,
     first_order_integral,
+    quadratic_scores,
+    reduced_hessians,
     second_order_breakdown,
+    second_order_direct,
     second_order_functional,
     taylor_consistency,
     verify_theorem,
 )
 from qsoc.forward import solve_first_variation, solve_state
 from qsoc.config import parse_config
-from qsoc.problems import ProblemSpec, cost, make_problem
-from qsoc.suites import run_suite
+from qsoc.problems import ControlSet, ProblemSpec, cost, make_problem
+from qsoc.suites import run_all, run_suite
 
 GALLERY = ("free", "lq", "quadratic_control", "quadratic_state")
 
@@ -189,6 +202,16 @@ def test_verify_theorem_stationary_free_instance():
     assert report.verdict
 
 
+def test_verify_theorem_validates_candidates():
+    alg, p = build("lq", n=3)
+    ubar = np.zeros((alg.n, 1))
+    assert verify_theorem(p, ubar, []).verdict
+    with pytest.raises(ValueError):
+        verify_theorem(p, ubar, [np.zeros((alg.n, 1)), np.full((alg.n, 1), 1.5)])
+    with pytest.raises(ValueError):
+        verify_theorem(p, ubar, [np.zeros((alg.n + 1, 1))])
+
+
 def test_default_gate_tolerance_scales():
     alg, p = build("lq", n=3)
     ubar = np.zeros((alg.n, 1))
@@ -243,3 +266,197 @@ def test_theorem_single_point_grid_checks_the_certified_control():
     assert res.passed
     assert res.metrics["candidates"] == 1
     assert res.metrics["fo_s_table"] == [[0.0, 0.0]]
+
+
+def test_theorem_zero_direction_serializes_as_positive_zero():
+    res = run_suite(suite_config(grid_points=1), "theorem")
+    (fo, s_val), = res.metrics["fo_s_table"]
+    assert math.copysign(1.0, s_val) == 1.0 and math.copysign(1.0, fo) == 1.0
+
+
+# -- reduced Hessian -----------------------------------------------------------
+
+def coupled_custom(alg, gamma=0.6, a=0.3, f0=0.2, g0=0.25, q=0.4, r=0.3, s=0.5):
+    """Two controls, one multiplying the state in the drift (a mixed x-u term)."""
+    b_raw = CliffordElement.from_terms(alg, {0: 1.0, 1: 0.5})
+    c_raw = CliffordElement.from_terms(alg, {0: 0.3, 2: 0.7})
+    f_raw = CliffordElement.from_terms(alg, {0: 0.8, 1: 0.3})
+    tgt = CliffordElement.from_terms(alg, {0: 0.5, 1: 0.25})
+
+    def at(e, k):
+        return conditional_expectation(e, min(k, alg.n))
+
+    def D(k, x, u):
+        return (a + gamma * float(u[0])) * x + float(u[0]) * at(b_raw, k) \
+            + float(u[1]) * at(c_raw, k)
+
+    def D_u(k, x, u):
+        return lambda v: float(v[0]) * (gamma * x + at(b_raw, k)) + float(v[1]) * at(c_raw, k)
+
+    callbacks = dict(
+        control_set=ControlSet(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+        x0=CliffordElement.unit(alg),
+        D=D,
+        F=lambda k, x, u: f0 * x + float(u[1]) * at(f_raw, k),
+        G=lambda k, x, u: g0 * x,
+        D_x=lambda k, x, u: (lambda h: (a + gamma * float(u[0])) * h),
+        F_x=lambda k, x, u: (lambda h: f0 * h),
+        G_x=lambda k, x, u: (lambda h: g0 * h),
+        D_u=D_u,
+        F_u=lambda k, x, u: (lambda v: float(v[1]) * at(f_raw, k)),
+        G_u=lambda k, x, u: (lambda v: CliffordElement.zero(alg)),
+        D_xu=lambda k, x, u: (lambda h, v: gamma * float(v[0]) * h),
+        L=lambda k, x, u: q * x.norm() ** 2 + r * float(u @ u),
+        L_x=lambda k, x, u: (2 * q) * x,
+        L_u=lambda k, x, u: 2 * r * np.asarray(u, dtype=float),
+        L_xx=lambda k, x, u: (lambda v, w: 2 * q * inner(v, w)),
+        L_uu=lambda k, x, u: 2 * r * np.eye(2),
+        g=lambda x: s * (x - tgt).norm() ** 2,
+        g_x=lambda x: (2 * s) * (x - tgt),
+        g_xx=lambda x: (lambda v, w: 2 * s * inner(v, w)),
+        real_data=True,
+    )
+    return make_problem(alg, ProblemSpec(name="custom", custom=callbacks))
+
+
+HESSIAN_CASES = [(name, m) for name in ("lq", "quadratic_control", "quadratic_state")
+                 for m in (1, 2)] + [("custom", 2)]
+
+
+def hessian_case(name, m, seed):
+    if name == "custom":
+        alg = make_algebra(3, 0.0, 1.0)
+        p = coupled_custom(alg)
+    else:
+        alg, p = build(name, n=3, m=m)
+    rng = np.random.default_rng(seed)
+    ubar = rng.uniform(-0.4, 0.4, size=(alg.n, p.m))
+    return alg, p, rng, ubar
+
+
+@pytest.mark.parametrize("name,m", HESSIAN_CASES)
+def test_reduced_hessian_scores_match_per_candidate_functional(name, m):
+    alg, p, rng, ubar = hessian_case(name, m, 20)
+    xbar, adj, sa = stack(p, ubar)
+    h_p, h_d = reduced_hessians(p, adj, sa)
+    size = alg.n * p.m
+    assert h_p.shape == h_d.shape == (size, size)
+    assert np.array_equal(h_p, h_p.T) and np.array_equal(h_d, h_d.T)
+    # unit directions at (k, i) pin the column order a = k*m + i; random
+    # directions pin the off-diagonal entries
+    dus = [np.eye(size)[a].reshape(alg.n, p.m) * 0.5 for a in range(size)]
+    dus += [rng.uniform(-0.5, 0.5, size=(alg.n, p.m)) for _ in range(4)]
+    scored_p = quadratic_scores(h_p, np.array([du.reshape(-1) for du in dus]))
+    scored_d = quadratic_scores(h_d, np.array([du.reshape(-1) for du in dus]))
+    for du, sp, sd in zip(dus, scored_p, scored_d):
+        x1 = solve_first_variation(p, xbar, du)
+        want_p = second_order_functional(p, ubar, ubar + du, adj, sa, x1)
+        want_d = second_order_direct(p, ubar, ubar + du, adj, sa, x1)
+        assert abs(sp - want_p) <= 1e-12 * (1.0 + abs(want_p))
+        assert abs(sd - want_d) <= 1e-12 * (1.0 + abs(want_d))
+    assert np.max(np.abs(h_p - h_d)) <= 1e-12 * (1.0 + np.max(np.abs(h_p)))
+
+
+def test_coupled_custom_problem_has_mixed_curvature_and_exact_s():
+    # the mixed x-u term enters S, and S is still -d2J/deps2
+    alg, p, rng, ubar = hessian_case("custom", 2, 21)
+    u = np.clip(ubar + rng.uniform(-0.5, 0.5, size=ubar.shape), -1.0, 1.0)
+    report = taylor_consistency(p, ubar, u, [2.0 ** -e for e in range(4, 9)])
+    assert report.passed, (report.rel_err_a, report.rel_err_s)
+    xbar, adj, sa = stack(p, ubar)
+    with_mixed = reduced_hessians(p, adj, sa)[0]
+    p.D_xu = None
+    without = reduced_hessians(p, adj, sa)[0]
+    assert np.max(np.abs(with_mixed - without)) > 1e-3
+
+
+def _perturbed_hessians(routes):
+    def assemble(*args, **kwargs):
+        hs = [h.copy() for h in reduced_hessians(*args, **kwargs)]
+        for r in routes:
+            hs[r][0, 1] += 1e-6
+        return tuple(hs)
+    return assemble
+
+
+def theorem_case():
+    alg, p = build("lq", n=3)
+    rng = np.random.default_rng(22)
+    ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
+    candidates = [rng.uniform(-1, 1, size=(alg.n, 1)) for _ in range(6)]
+    return p, ubar, candidates
+
+
+@pytest.mark.parametrize("routes", [(0,), (0, 1)])
+def test_planted_hessian_defect_fails_theorem_through_oracle(monkeypatch, routes):
+    p, ubar, candidates = theorem_case()
+    clean = verify_theorem(p, ubar, candidates)
+    assert clean.verdict and clean.max_oracle_gap <= 1e-13
+    monkeypatch.setattr(conditions, "reduced_hessians", _perturbed_hessians(routes))
+    report = verify_theorem(p, ubar, candidates)
+    assert not report.verdict
+    worst = max(abs(s) for _, s, _, _ in report.rows)
+    assert report.max_oracle_gap > ROUTE_GAP_TOL * (1.0 + worst)
+    if routes == (0, 1):  # both routes moved together: only the oracle sees it
+        assert report.max_route_gap <= 1e-13
+
+
+def test_planted_hessian_defect_fails_analytic_companion(monkeypatch):
+    monkeypatch.setattr(suites, "reduced_hessians", _perturbed_hessians((0,)))
+    res = run_suite(suite_config(), "theorem")
+    assert res.metrics["verdict_ok"]  # the main check does not use the patched name
+    assert res.metrics["analytic_max_error"] > 1e-7
+    assert res.status == "fail"
+
+
+def test_theorem_work_does_not_grow_with_the_grid(monkeypatch):
+    calls = {"solve_first_variation": 0, "second_order_functional": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (conditions, suites):
+        for name in calls:
+            if hasattr(module, name):
+                counted(module, name)
+    res = run_suite(suite_config(grid_points=5), "theorem")
+    assert res.passed and res.metrics["candidates"] == 5 ** 4
+    columns = 4  # N * m, for the problem and for the analytic companion
+    assert calls["solve_first_variation"] <= 2 * columns + ORACLE_SAMPLES + 1
+    assert 1 <= calls["second_order_functional"] <= ORACLE_SAMPLES + 1
+
+
+# -- shared brute force -----------------------------------------------------
+
+def test_brute_force_runs_once_per_run(monkeypatch):
+    calls = []
+    search = suites.brute_force_search
+
+    def counted(p, points, *args, **kwargs):
+        calls.append(points)
+        return search(p, points, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "brute_force_search", counted)
+    cfg = parse_config({
+        "problem": {"name": "lq", "m": 1},
+        "grid": {"t0": 0.0, "T": 1.0, "N": 3},
+        "suites": ["theorem", "optimize"],
+        "tolerances": {"theorem": {"grid_points": 3}, "optimize": {"grid_points": 3}},
+        "seed": 5,
+    })
+    theorem, optimize = run_all(cfg)
+    assert calls == [3]
+    assert theorem.metrics["brute_force_value"] == optimize.metrics["brute_force_value"]
+    run_all(cfg)  # nothing is kept between runs
+    assert calls == [3, 3]
+    alone = run_suite(cfg, "optimize")
+    assert calls == [3, 3, 3]
+    assert alone.metrics == optimize.metrics
+    cfg.tolerances["optimize"]["grid_points"] = 4  # different grids are not shared
+    run_all(cfg)
+    assert calls == [3, 3, 3, 3, 4]
