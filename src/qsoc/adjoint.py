@@ -68,9 +68,7 @@ from .clifford import (
     inner,
     martingale_coefficient,
     mul_dw_right,
-    multiply,
     parity,
-    star,
     superop_from_pairing,
 )
 from .errors import CapacityError, ContractError, SupportError
@@ -248,56 +246,21 @@ def hxx_pairing(p: ControlProblem, k: int, x, u, yhat, Y):
     return pair
 
 
-def _materialize_hxx(p: ControlProblem, k: int, x, u, yhat, Y,
-                     mask: np.ndarray) -> SuperOperator | None:
-    """Curvature operator M_k on the step-k subspace; None when identically zero."""
+def _curvature_operator(p: ControlProblem, k: int, x, u, yhat, Y) -> SuperOperator | None:
+    """M_k on the step-k subspace for k < N, the g_xx operator at k = N.
+
+    Problems that carry a ``curvature`` hook build it from their data; callback
+    problems probe hxx_pairing (or g_xx) once per basis blade pair.  None
+    when M_k is identically zero.
+    """
+    if p.curvature is not None:
+        return p.curvature(k, yhat, Y)
     alg = p.algebra
-    parts: list[SuperOperator] = []
-
-    if p.L_xx is not None:
-        if p.spec is not None and p.name != "custom":
-            q = float(p.spec.q)
-            op = SuperOperator(alg, np.diag(-2.0 * q * mask.astype(np.complex128)))
-        else:
-            op = superop_from_pairing(alg, p.L_xx(k, x, u), mask).scaled(-1.0)
-        parts.append(op)
-
-    quad = p.quad_x_elements
-    chan_cbs = (("D", p.D_xx, yhat), ("F", p.F_xx, Y), ("G", p.G_xx, parity(Y)))
-    for tag, cb, weight in chan_cbs:
-        if cb is None:
-            continue
-        if quad is not None and quad.get(tag) is not None:
-            c = quad[tag](k)
-            w_star_c = star(weight) * c
-            rev = alg.reversal_signs
-
-            def apply_fn(v, wsc=w_star_c, r=rev):
-                left = multiply(wsc, v)
-                right = multiply(v, wsc)
-                return CliffordElement(alg, np.conj(r * (left.coeffs + right.coeffs)))
-
-            parts.append(_restrict_columns(alg, apply_fn, mask))
-        else:
-            def pair(v, w, cb=cb, weight=weight):
-                return inner(weight, cb(k, x, u)(v, w))
-            parts.append(superop_from_pairing(alg, pair, mask))
-
-    if not parts:
+    if k == alg.n:
+        return SuperOperator.zero(alg) if p.g_xx is None else superop_from_pairing(alg, p.g_xx(x))
+    if all(cb is None for cb in (p.D_xx, p.F_xx, p.G_xx, p.L_xx)):
         return None
-    total = parts[0]
-    for extra in parts[1:]:
-        total = total + extra
-    return total
-
-
-def _restrict_columns(alg, apply_fn, mask) -> SuperOperator:
-    from .clifford import superop_from_columns
-
-    def truncated(v):
-        out = apply_fn(v)
-        return CliffordElement(alg, np.where(mask, out.coeffs, 0.0))
-    return superop_from_columns(alg, truncated, mask)
+    return superop_from_pairing(alg, hxx_pairing(p, k, x, u, yhat, Y), alg.adapted_mask(k))
 
 
 def hu_field(p: ControlProblem, adj: AdjointPair) -> np.ndarray:
@@ -366,15 +329,6 @@ class SecondAdjoint:
         return 0.0 + 0.0j if op is None else op.pair(v, w)
 
 
-def _terminal_curvature(p: ControlProblem, x_terminal) -> SuperOperator:
-    alg = p.algebra
-    if p.g_xx is None:
-        return SuperOperator.zero(alg)
-    if p.spec is not None and p.name != "custom":
-        return SuperOperator.identity(alg, 2.0 * float(p.spec.s))
-    return superop_from_pairing(alg, p.g_xx(x_terminal))
-
-
 def compute_P(p: ControlProblem, xbar: Trajectory, ubar: np.ndarray,
               adj: AdjointPair, budget: int = SUPEROP_BUDGET) -> SecondAdjoint:
     """Backward sweep for the second adjoint operator family.
@@ -394,10 +348,9 @@ def compute_P(p: ControlProblem, xbar: Trajectory, ubar: np.ndarray,
     n = alg.n
     P: list = [None] * (n + 1)
     M: list = [None] * n
-    P[n] = _terminal_curvature(p, xbar.terminal).scaled(-1.0)
+    P[n] = _curvature_operator(p, n, xbar.terminal, None, None, None).scaled(-1.0)
     for k in range(n - 1, -1, -1):
-        mask = alg.adapted_mask(k)
-        M[k] = _materialize_hxx(p, k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k], mask)
+        M[k] = _curvature_operator(p, k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k])
         pk = P[k + 1].conjugated_by(lin.t_matrix(k))
         if M[k] is not None:
             pk = pk + M[k].scaled(alg.dt)

@@ -217,13 +217,6 @@ class CliffordElement:
 
     # -- queries -----------------------------------------------------------
 
-    def support_bound(self) -> int:
-        """Smallest k such that self is adapted at step k."""
-        nz = np.nonzero(self.coeffs)[0]
-        if nz.size == 0:
-            return 0
-        return int(nz.max()).bit_length()
-
     def is_adapted(self, k: int, tol: float = 0.0) -> bool:
         outside = self.coeffs[~self.algebra.adapted_mask(k)]
         if outside.size == 0:
@@ -409,9 +402,6 @@ class AdaptedProcess:
     def __iter__(self):
         return iter(self.values)
 
-    def sup_norm(self) -> float:
-        return max(v.norm() for v in self.values)
-
 
 # -- superoperators --------------------------------------------------------
 
@@ -454,17 +444,9 @@ class SuperOperator:
             out = out + self.antilin @ np.conj(v)
         return out
 
-    def apply(self, a: CliffordElement) -> CliffordElement:
-        if a.algebra is not self.algebra:
-            raise AlgebraMismatchError("element on a different algebra")
-        return CliffordElement(self.algebra, self.apply_vec(a.coeffs))
-
     def pair(self, v: CliffordElement, w: CliffordElement) -> complex:
         """Complex pairing <P v, w>."""
         return complex(np.vdot(self.apply_vec(v.coeffs), w.coeffs))
-
-    def re_pair(self, v: CliffordElement, w: CliffordElement) -> float:
-        return self.pair(v, w).real
 
     def __add__(self, other: "SuperOperator") -> "SuperOperator":
         anti = None
@@ -499,30 +481,19 @@ def superop_from_pairing(alg: CliffordAlgebra, pair, mask: np.ndarray | None = N
     """Materialize the operator M with <M v, w> = pair(v, w).
 
     ``pair`` must be additive and real-homogeneous in each slot (any mix of
-    sesquilinear and bilinear parts is fine).  Probing each basis blade and its
-    i-multiple splits the action into the complex-linear block and the
-    conjugation block; a conjugation block that comes out identically zero is
-    dropped.  With ``mask`` given, rows and columns outside the masked
-    subspace stay zero.
+    sesquilinear and bilinear parts is fine).  The column of a probe v is its
+    Riesz representative sum_s conj(pair(v, e_s)) e_s, handed to
+    :func:`superop_from_columns`.  With ``mask`` given, rows and columns
+    outside the masked subspace stay zero.
     """
-    d = alg.dim
-    idxs = np.nonzero(mask)[0] if mask is not None else np.arange(d)
-    lin = np.zeros((d, d), dtype=np.complex128)
-    anti = np.zeros((d, d), dtype=np.complex128)
-    for r in idxs:
-        er = CliffordElement.blade(alg, int(r))
-        ier = CliffordElement.blade(alg, int(r), 1j)
-        col = np.zeros(d, dtype=np.complex128)
-        col_i = np.zeros(d, dtype=np.complex128)
-        for s in idxs:
-            es = CliffordElement.blade(alg, int(s))
-            col[s] = np.conj(pair(er, es))
-            col_i[s] = np.conj(pair(ier, es))
-        lin[:, r] = 0.5 * (col - 1j * col_i)
-        anti[:, r] = 0.5 * (col + 1j * col_i)
-    if not np.any(anti):
-        return SuperOperator(alg, lin)
-    return SuperOperator(alg, lin, anti)
+    idxs = np.nonzero(mask)[0] if mask is not None else np.arange(alg.dim)
+    blades = [CliffordElement.blade(alg, int(s)) for s in idxs]
+
+    def riesz(v):
+        col = np.zeros(alg.dim, dtype=np.complex128)
+        col[idxs] = np.conj([pair(v, e) for e in blades])
+        return CliffordElement(alg, col)
+    return superop_from_columns(alg, riesz, mask)
 
 
 def superop_from_columns(alg: CliffordAlgebra, apply_fn, mask: np.ndarray | None = None,
@@ -530,7 +501,10 @@ def superop_from_columns(alg: CliffordAlgebra, apply_fn, mask: np.ndarray | None
     """Materialize a real-linear operator from its action on basis blades.
 
     ``apply_fn`` maps an element to an element and need only be correct on the
-    masked subspace; outputs are truncated to it.
+    masked subspace; outputs are truncated to it.  Probing each basis blade and
+    its i-multiple splits the action into the complex-linear block and the
+    conjugation block; a conjugation block that comes out identically zero is
+    dropped.
     """
     d = alg.dim
     idxs = np.nonzero(mask)[0] if mask is not None else np.arange(d)

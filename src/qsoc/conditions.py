@@ -265,7 +265,7 @@ def taylor_consistency(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     gaps = []
     for eps in eps_list:
         ueps = ubar + eps * du
-        if not all(p.control_set.contains(ueps[k]) for k in range(p.algebra.n)):
+        if not p.control_set.contains(ueps):
             raise ValueError(f"perturbed control at eps={eps} leaves the admissible box")
         gaps.append(cost(p, ueps, solve_state(p, ueps)) - j0)
 

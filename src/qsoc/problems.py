@@ -29,6 +29,17 @@ For the scalar costs (L real-valued, g real-valued):
 Coefficient elements supplied to the gallery are truncated to the live
 subalgebra at each step (an explicit, admissible time dependence), which keeps
 every channel adapted regardless of the supplied blades.
+
+Curvature hook
+--------------
+``curvature(k, yhat, Y)`` (optional) returns a materialized ``SuperOperator``.
+For k < N it is the state curvature M_k of the Hamiltonian on the step-k
+subspace, <M_k v, w> = <yhat, D_xx(v, w)> + <Y, F_xx(v, w)>
++ <parity(Y), G_xx(v, w)> - L_xx(v, w), or None when M_k is identically zero.
+For k = N (yhat and Y unused) it is the terminal curvature g_xx itself, with
+the cost's sign; the second adjoint starts from its negative, P_N = -g_xx.
+Gallery problems build it from their channel and cost data; without it the
+operators are probed from the callbacks above.
 """
 
 from __future__ import annotations
@@ -41,9 +52,13 @@ import numpy as np
 from .clifford import (
     CliffordAlgebra,
     CliffordElement,
+    SuperOperator,
     conditional_expectation,
     inner,
+    multiply,
     parity,
+    star,
+    superop_from_columns,
 )
 from .errors import AlgebraMismatchError, SupportError
 
@@ -169,39 +184,24 @@ class ProblemSpec:
 class _Channel:
     """One coefficient channel: rate*x + sum u_i b_i + sum u_i^2 c_i + q x x.
 
-    Supplied elements are truncated to the step-k subalgebra before use.
+    Supplied elements are truncated to the step-k subalgebra before use; the
+    truncated lists are built once, indexed by step k in 0..N.
     """
 
     def __init__(self, alg: CliffordAlgebra, rate: float,
                  lin_u: list[CliffordElement] | None,
                  sq_u: list[CliffordElement] | None,
-                 quad_x: CliffordElement | None, m: int):
+                 quad_x: CliffordElement | None):
         self.alg = alg
         self.rate = rate
         self.lin_u = lin_u or []
         self.sq_u = sq_u or []
         self.quad_x = quad_x
-        self.m = m
-        self._mask_cache: dict[tuple[int, int], CliffordElement] = {}
-
-    def _at(self, e: CliffordElement, k: int, slot: int) -> CliffordElement:
-        key = (slot, k)
-        out = self._mask_cache.get(key)
-        if out is None:
-            out = conditional_expectation(e, min(k, self.alg.n))
-            self._mask_cache[key] = out
-        return out
-
-    def lin_u_at(self, k: int) -> list[CliffordElement]:
-        return [self._at(e, k, i) for i, e in enumerate(self.lin_u)]
-
-    def sq_u_at(self, k: int) -> list[CliffordElement]:
-        return [self._at(e, k, 100 + i) for i, e in enumerate(self.sq_u)]
-
-    def quad_x_at(self, k: int) -> CliffordElement | None:
-        if self.quad_x is None:
-            return None
-        return self._at(self.quad_x, k, -1)
+        steps = range(alg.n + 1)
+        self.lin = [[conditional_expectation(e, k) for e in self.lin_u] for k in steps]
+        self.sq = [[conditional_expectation(e, k) for e in self.sq_u] for k in steps]
+        self.quad = None if quad_x is None else \
+            [conditional_expectation(quad_x, k) for k in steps]
 
     @property
     def is_zero(self) -> bool:
@@ -210,25 +210,23 @@ class _Channel:
 
     def value(self, k, x, u):
         out = self.rate * x if self.rate != 0.0 else CliffordElement.zero(self.alg)
-        for i, e in enumerate(self.lin_u_at(k)):
+        for i, e in enumerate(self.lin[k]):
             out = out + float(u[i]) * e
-        for i, e in enumerate(self.sq_u_at(k)):
+        for i, e in enumerate(self.sq[k]):
             out = out + float(u[i]) ** 2 * e
-        qx = self.quad_x_at(k)
-        if qx is not None:
-            out = out + qx * (x * x)
+        if self.quad is not None:
+            out = out + self.quad[k] * (x * x)
         return out
 
     def dx(self, k, x, u):
-        qx = self.quad_x_at(k)
         rate = self.rate
-        if qx is None:
+        if self.quad is None:
             return lambda h: rate * h
+        qx = self.quad[k]
         return lambda h: rate * h + qx * (x * h + h * x)
 
     def du(self, k, x, u):
-        lin = self.lin_u_at(k)
-        sq = self.sq_u_at(k)
+        lin, sq = self.lin[k], self.sq[k]
 
         def fn(v):
             out = CliffordElement.zero(self.alg)
@@ -240,18 +238,15 @@ class _Channel:
         return fn
 
     def dxx(self, k, x, u):
-        qx = self.quad_x_at(k)
-        if qx is None:
+        if self.quad is None:
             return None
+        qx = self.quad[k]
         return lambda h1, h2: qx * (h1 * h2 + h2 * h1)
-
-    def dxu(self, k, x, u):
-        return None
 
     def duu(self, k, x, u):
         if not self.sq_u:
             return None
-        sq = self.sq_u_at(k)
+        sq = self.sq[k]
 
         def fn(v, w):
             out = CliffordElement.zero(self.alg)
@@ -259,6 +254,17 @@ class _Channel:
                 out = out + 2.0 * float(v[i]) * float(w[i]) * e
             return out
         return fn
+
+    def curvature_column(self, k: int, weight: CliffordElement):
+        """Column map of this channel's share of M_k for adjoint weight w.
+
+        The pairing (v, h) -> <w, c(v h + h v)> with c the step-k quad element
+        has Riesz representative v -> conj(rev . (w* c v + v w* c)).
+        """
+        wc = star(weight) * self.quad[k]
+        rev = self.alg.reversal_signs
+        return lambda v: CliffordElement(
+            self.alg, np.conj(rev * (multiply(wc, v).coeffs + multiply(v, wc).coeffs)))
 
 
 @dataclass
@@ -295,11 +301,9 @@ class ControlProblem:
     L_xu: Callable | None = None
     L_uu: Callable | None = None
     g_xx: Callable | None = None
-    name: str = "custom"
     lipschitz_bound: float = 10.0
     real_data: bool = False
-    quad_x_elements: dict | None = None  # gallery fast path for second-derivative assembly
-    spec: ProblemSpec | None = None
+    curvature: Callable | None = None  # (k, yhat, Y) -> M_k, or g_xx at k = N
 
     @property
     def m(self) -> int:
@@ -313,9 +317,9 @@ class ControlProblem:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.algebra.n, self.m):
             raise ValueError(f"control path must have shape ({self.algebra.n}, {self.m})")
-        for k in range(u.shape[0]):
-            if not self.control_set.contains(u[k]):
-                raise ValueError(f"control at step {k} outside the admissible box")
+        if not self.control_set.contains(u):
+            k = next(k for k, uk in enumerate(u) if not self.control_set.contains(uk))
+            raise ValueError(f"control at step {k} outside the admissible box")
         return u
 
 
@@ -326,7 +330,7 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
     if spec.name == "custom":
         if not spec.custom:
             raise ValueError("custom problems require a callback bundle")
-        return ControlProblem(algebra=algebra, name="custom", spec=spec, **spec.custom)
+        return ControlProblem(algebra=algebra, **spec.custom)
 
     if len(spec.lower) != spec.m or len(spec.upper) != spec.m:
         raise ValueError("box bounds must have length m")
@@ -344,11 +348,11 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
         return [_terms_to_element(algebra, row) for row in rows]
 
     chD = _Channel(algebra, spec.a, elems(spec.b), elems(spec.cd),
-                   _terms_to_element(algebra, spec.qd), spec.m)
+                   _terms_to_element(algebra, spec.qd))
     chF = _Channel(algebra, spec.f0, elems(spec.f), elems(spec.cf),
-                   _terms_to_element(algebra, spec.qf), spec.m)
+                   _terms_to_element(algebra, spec.qf))
     chG = _Channel(algebra, spec.g0, elems(spec.g), elems(spec.cg),
-                   _terms_to_element(algebra, spec.qg), spec.m)
+                   _terms_to_element(algebra, spec.qg))
     if spec.name == "free" and not (chD.is_zero and chF.is_zero and chG.is_zero):
         raise ValueError("'free' problems cannot carry dynamics coefficients")
 
@@ -417,9 +421,17 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
         for group in [spec.b or (), spec.f or (), spec.g or (),
                       spec.cd or (), spec.cf or (), spec.cg or ()])
 
-    quad_info = None
-    if any(ch.quad_x is not None for ch in (chD, chF, chG)):
-        quad_info = {"D": chD.quad_x_at, "F": chF.quad_x_at, "G": chG.quad_x_at}
+    def curvature(k, yhat, Y):
+        if k == algebra.n:
+            return SuperOperator.identity(algebra, 2.0 * s)
+        mask = algebra.adapted_mask(k)
+        parts = []
+        if q != 0.0:
+            parts.append(SuperOperator(algebra, np.diag(-2.0 * q * mask.astype(np.complex128))))
+        for ch, weight in ((chD, yhat), (chF, Y), (chG, parity(Y))):
+            if ch.quad is not None:
+                parts.append(superop_from_columns(algebra, ch.curvature_column(k, weight), mask))
+        return sum(parts[1:], parts[0]) if parts else None
 
     return ControlProblem(
         algebra=algebra, control_set=cset, x0=x0,
@@ -431,8 +443,7 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
         D_uu=chan_cb(chD, "duu"), F_uu=chan_cb(chF, "duu"), G_uu=chan_cb(chG, "duu"),
         L=L, L_x=L_x, L_u=L_u, L_xx=L_xx, L_xu=None, L_uu=L_uu,
         g=g_fn, g_x=g_x, g_xx=g_xx,
-        name=spec.name, lipschitz_bound=lip, real_data=real_terms,
-        quad_x_elements=quad_info, spec=spec)
+        lipschitz_bound=lip, real_data=real_terms, curvature=curvature)
 
 
 # -- cost and Hamiltonian ----------------------------------------------------

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qsoc.adjoint import (
     TestTuple,
-    _materialize_hxx,
+    _curvature_operator,
     _p_block_terms,
     compute_P,
     first_duality_residual,
@@ -41,15 +43,16 @@ def rand_adapted(alg, rng, k, real=True):
 
 
 def test_terminal_condition_exact():
-    alg, p = build("lq")
+    alg = make_algebra(4, 0.0, 1.0)
+    spec = ProblemSpec.gallery("lq")
+    p = make_problem(alg, spec)
     rng = np.random.default_rng(0)
     ubar = rng.uniform(-1, 1, size=(alg.n, 1))
     xbar, adj, sa = solve_stack(p, ubar)
     want = -1.0 * p.g_x(xbar.terminal)
     assert np.max(np.abs(adj.y[alg.n].coeffs - want.coeffs)) <= 1e-14
     # P_N = -g_xx materialized: gallery terminal curvature is 2s * identity
-    s_rate = p.spec.s
-    assert np.allclose(sa.P[alg.n].lin, -2.0 * s_rate * np.eye(alg.dim), atol=1e-14)
+    assert np.allclose(sa.P[alg.n].lin, -2.0 * spec.s * np.eye(alg.dim), atol=1e-14)
     assert sa.P[alg.n].antilin is None
 
 
@@ -204,24 +207,28 @@ def test_p_real_symmetry_and_hermitian_symmetry():
                     assert abs(a - np.conj(b)) <= 1e-9 * scale
 
 
-def test_hxx_fast_path_matches_generic_probing():
-    alg, p = build("quadratic_state", n=4)
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("name", GALLERY)
+def test_curvature_data_matches_generic_probing(name, m):
+    # M_0..M_{N-1} and g_xx built from the gallery data against the same
+    # operators probed from the raw callbacks
+    alg, p = build(name, n=4, m=m)
+    generic = dataclasses.replace(p, curvature=None)
     rng = np.random.default_rng(6)
-    ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
+    ubar = rng.uniform(-0.5, 0.5, size=(alg.n, m))
     xbar = solve_state(p, ubar)
     adj = solve_first_adjoint(p, xbar, ubar)
-    k = 2
-    mask = alg.adapted_mask(k)
-    fast = _materialize_hxx(p, k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k], mask)
-    # disable the fast path and rebuild through pair probing
-    saved = p.quad_x_elements
-    p.quad_x_elements = None
-    slow = _materialize_hxx(p, k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k], mask)
-    p.quad_x_elements = saved
-    assert np.allclose(fast.lin, slow.lin, atol=1e-11)
-    fa = fast.antilin if fast.antilin is not None else np.zeros_like(fast.lin)
-    sl = slow.antilin if slow.antilin is not None else np.zeros_like(slow.lin)
-    assert np.allclose(fa, sl, atol=1e-11)
+    for k in range(alg.n + 1):
+        args = (k, xbar[k], None, None, None) if k == alg.n else \
+            (k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k])
+        data = _curvature_operator(p, *args)
+        probe = _curvature_operator(generic, *args)
+        assert data is not None and probe is not None
+        assert np.max(np.abs(data.lin - probe.lin)) <= 1e-12
+        zero = np.zeros_like(data.lin)
+        anti_data = zero if data.antilin is None else data.antilin
+        anti_probe = zero if probe.antilin is None else probe.antilin
+        assert np.max(np.abs(anti_data - anti_probe)) <= 1e-12
 
 
 def test_transposition_identity_nu_zero():

@@ -34,6 +34,17 @@ def test_control_set_basics():
         ControlSet(np.array([1.0]), np.array([0.0]))
 
 
+def test_check_control_path_names_first_step_outside_box():
+    alg, p = build("lq", m=2)
+    u = np.zeros((alg.n, 2))
+    u[1] = [1.0, -1.0 - 1e-13]  # on the box, within the tolerance
+    assert p.check_control_path(u) is not None
+    u[2, 1] = 1.5
+    u[3, 0] = -2.0
+    with pytest.raises(ValueError, match="step 2 outside"):
+        p.check_control_path(u)
+
+
 def test_free_problem_wiring():
     alg, p = build("free", r=1.0, q=0.0, s=0.0, x_tgt=None)
     x = CliffordElement.unit(alg)
