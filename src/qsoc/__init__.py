@@ -17,7 +17,6 @@ from .clifford import (
     make_algebra,
     martingale_coefficient,
     multiply,
-    norm2,
     parity,
     star,
     state_m,

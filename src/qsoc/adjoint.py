@@ -324,10 +324,6 @@ class SecondAdjoint:
     xbar: Trajectory
     ubar: np.ndarray
 
-    def pair_M(self, k: int, v, w) -> complex:
-        op = self.M[k]
-        return 0.0 + 0.0j if op is None else op.pair(v, w)
-
 
 def compute_P(p: ControlProblem, xbar: Trajectory, ubar: np.ndarray,
               adj: AdjointPair, budget: int = SUPEROP_BUDGET) -> SecondAdjoint:
@@ -358,42 +354,38 @@ def compute_P(p: ControlProblem, xbar: Trajectory, ubar: np.ndarray,
     return SecondAdjoint(P=P, M=M, lin=lin, adj=adj, xbar=xbar, ubar=ubar)
 
 
-def _step_pairings(pj: SuperOperator, dt: float, phi2, mu2, n2, phi1, mu1, n1) -> complex:
-    """P_{j+1}-pairings of two test steps phi_{j+1} = T_j phi_j + dt mu_j + n_j.
+def _step_pairings(pj: SuperOperator, dt: float, phi2, mu2, n2, phi1, mu1, n1) -> np.ndarray:
+    """P_{j+1}-pairings of two stacks of test steps phi_{j+1} = T_j phi_j + dt mu_j + n_j.
 
-    phi1 and phi2 are the step results phi_{j+1}; n_j = nu_j dW_{j+1} is the
-    noise part of the step.  Under the real
-    symmetry of P the real part collapses to the familiar display with three
-    distinct quadratic/cross terms.
+    Arguments are coefficient stacks (rows): phi the step results phi_{j+1},
+    n_j = nu_j dW_{j+1} the noise parts.  Entry (a, b) pairs row a of the
+    (phi2, mu2, n2) steps against row b of the (phi1, mu1, n1) steps.  Under
+    the real symmetry of P the real part of a diagonal entry collapses to the
+    familiar display with three distinct quadratic/cross terms.
     """
     t2 = phi2 - dt * mu2 - n2  # T_j phi2_j
     t1 = phi1 - dt * mu1 - n1
-    return (dt * (pj.pair(t2, mu1) + pj.pair(mu2, t1)) + dt * dt * pj.pair(mu2, mu1)
-            + pj.pair(t2, n1) + pj.pair(n2, t1)
-            + dt * (pj.pair(mu2, n1) + pj.pair(n2, mu1))
-            + pj.pair(n2, n1))
+    return (dt * (pj.gram(t2, mu1) + pj.gram(mu2, t1)) + dt * dt * pj.gram(mu2, mu1)
+            + pj.gram(t2, n1) + pj.gram(n2, t1)
+            + dt * (pj.gram(mu2, n1) + pj.gram(n2, mu1))
+            + pj.gram(n2, n1))
 
 
-def _p_block_terms(p: ControlProblem, sa: SecondAdjoint, x1: AdaptedProcess,
-                   du: np.ndarray, x1_b: AdaptedProcess | None = None,
-                   du_b: np.ndarray | None = None) -> complex:
-    """P-pairings of the functional: first variations as test equations.
+def _p_block_terms(sa: SecondAdjoint, X: np.ndarray, dus: np.ndarray) -> np.ndarray:
+    """P-pairings of the functional as a (B, B) form on a stack of directions.
 
-    x1 solves the test equation with zeta = 0, mu_j = Du_j du_j and
-    nu_j = Bu_j du_j, so P_0 never enters.  The pairings are real-bilinear in
-    the two test steps; the b side (x1_b, du_b) defaults to the a side, which
-    gives the P block of the functional along du.
+    X (B, N+1, dim) holds the first variations of the directions dus
+    (B, N, m).  Each solves the test equation with zeta = 0, mu_j = Du_j du_j
+    and nu_j = Bu_j du_j, so P_0 never enters; entry (a, b) is real-bilinear
+    in the two test paths, and the diagonal is the P block along each direction.
     """
-    if x1_b is None:
-        x1_b, du_b = x1, du
-    dt = p.algebra.dt
-    total = 0.0 + 0.0j
-    for j in range(p.algebra.n):
-        a = sa.lin.du_apply(j, du[j])
-        an = mul_dw_right(sa.lin.bu_apply(j, du[j]), j + 1)
-        b = sa.lin.du_apply(j, du_b[j])
-        bn = mul_dw_right(sa.lin.bu_apply(j, du_b[j]), j + 1)
-        total += _step_pairings(sa.P[j + 1], dt, x1[j + 1], a, an, x1_b[j + 1], b, bn)
+    lin = sa.lin
+    total = np.zeros((len(X), len(X)), dtype=np.complex128)
+    for j in range(lin.algebra.n):
+        mu = dus[:, j] @ lin.Du[j].T
+        noise = (dus[:, j] @ lin.Bu[j].T) @ lin.dw_matrix(j + 1).T
+        total += _step_pairings(sa.P[j + 1], lin.algebra.dt, X[:, j + 1], mu, noise,
+                                X[:, j + 1], mu, noise)
     return total
 
 
@@ -467,7 +459,8 @@ def transposition_residual(p: ControlProblem, sa: SecondAdjoint,
         # right side: materialized P with summation-by-parts staggering
         rhs = sa.P[k].pair(t2.zeta, t1.zeta)
         for i in range(alg.n - k):
-            rhs += _step_pairings(sa.P[k + i + 1], dt, phi2[i + 1], t2.mu[i], n2[i],
-                                  phi1[i + 1], t1.mu[i], n1[i])
+            rows = [v.coeffs[None] for v in (phi2[i + 1], t2.mu[i], n2[i],
+                                             phi1[i + 1], t1.mu[i], n1[i])]
+            rhs += _step_pairings(sa.P[k + i + 1], dt, *rows)[0, 0]
         worst = max(worst, abs(lhs - rhs))
     return worst

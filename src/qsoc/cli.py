@@ -1,19 +1,15 @@
 """Command-line interface.
 
-    qsoc run --config cfg.json [--out DIR] [--suite NAME]... [--seed S] [--threads T]
+    qsoc run --config cfg.json [--out DIR] [--suite NAME]... [--seed S]
     qsoc validate --config cfg.json
 
 Exit codes: 0 suites passed, 1 at least one suite failed, 2 configuration or
-capacity error.  ``--threads`` (or the QSOC_THREADS variable) is accepted as a
-scheduling hint; suites currently execute sequentially, which guarantees the
-byte-identical reports the determinism contract requires, so the value never
-influences results and is deliberately kept out of the report.
+capacity error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -37,8 +33,6 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--suite", action="append", default=None, choices=SUITE_ORDER,
                      help="restrict to one suite (repeatable)")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--threads", type=int, default=None,
-                     help="worker hint; results are independent of it")
 
     val = sub.add_parser("validate", help="check a configuration without running")
     val.add_argument("--config", required=True)
@@ -55,18 +49,6 @@ def build_report(cfg, results) -> dict:
     }
 
 
-def _resolve_threads(value) -> int:
-    if value is None:
-        value = os.environ.get("QSOC_THREADS", "1")
-    try:
-        threads = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError([("threads", f"expected an integer, got {value!r}")])
-    if threads < 1:
-        raise ConfigError([("threads", "must be >= 1")])
-    return threads
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -76,7 +58,6 @@ def main(argv=None) -> int:
                   f"suites={','.join(cfg.suites)}")
             return 0
 
-        _resolve_threads(args.threads)
         if args.seed is not None:
             cfg.seed = int(args.seed)
         if args.suite:

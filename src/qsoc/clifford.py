@@ -41,7 +41,6 @@ __all__ = [
     "star",
     "state_m",
     "inner",
-    "norm2",
     "parity",
     "conditional_expectation",
     "brownian_increment",
@@ -297,11 +296,6 @@ def inner(a: CliffordElement, b: CliffordElement) -> complex:
     return complex(np.vdot(a.coeffs, b.coeffs))
 
 
-def norm2(a: CliffordElement) -> float:
-    """L2 norm induced by the trace state."""
-    return a.norm()
-
-
 def parity(a: CliffordElement) -> CliffordElement:
     """Grading automorphism: blades scale by (-1)**grade."""
     return CliffordElement(a.algebra, a.coeffs * a.algebra.parity_signs)
@@ -320,36 +314,23 @@ def brownian_increment(alg: CliffordAlgebra, k: int) -> CliffordElement:
     return CliffordElement.blade(alg, 1 << (k - 1), np.sqrt(alg.dt))
 
 
-def mul_generator_right(a: CliffordElement, g: int) -> CliffordElement:
-    """Fast path for a e_g."""
+def _mul_dw(a: CliffordElement, k: int, side: str) -> CliffordElement:
     alg = a.algebra
-    if not 1 <= g <= alg.n:
-        raise ValueError(f"generator index {g} outside 1..{alg.n}")
+    if not 1 <= k <= alg.n:
+        raise ValueError(f"generator index {k} outside 1..{alg.n}")
     out = np.empty(alg.dim, dtype=np.complex128)
-    out[alg._masks ^ (1 << (g - 1))] = a.coeffs * alg._gen_signs("right", g)
-    return CliffordElement(alg, out)
-
-
-def mul_generator_left(a: CliffordElement, g: int) -> CliffordElement:
-    """Fast path for e_g a."""
-    alg = a.algebra
-    if not 1 <= g <= alg.n:
-        raise ValueError(f"generator index {g} outside 1..{alg.n}")
-    out = np.empty(alg.dim, dtype=np.complex128)
-    out[(1 << (g - 1)) ^ alg._masks] = a.coeffs * alg._gen_signs("left", g)
-    return CliffordElement(alg, out)
+    out[alg._masks ^ (1 << (k - 1))] = a.coeffs * alg._gen_signs(side, k)
+    return CliffordElement(alg, out * np.sqrt(alg.dt))
 
 
 def mul_dw_right(a: CliffordElement, k: int) -> CliffordElement:
     """a * dW_k without materializing the increment element."""
-    out = mul_generator_right(a, k)
-    return CliffordElement(a.algebra, out.coeffs * np.sqrt(a.algebra.dt))
+    return _mul_dw(a, k, "right")
 
 
 def mul_dw_left(a: CliffordElement, k: int) -> CliffordElement:
     """dW_k * a without materializing the increment element."""
-    out = mul_generator_left(a, k)
-    return CliffordElement(a.algebra, out.coeffs * np.sqrt(a.algebra.dt))
+    return _mul_dw(a, k, "left")
 
 
 def martingale_coefficient(f: CliffordElement, k: int) -> CliffordElement:
@@ -373,25 +354,17 @@ def martingale_coefficient(f: CliffordElement, k: int) -> CliffordElement:
 # -- processes -------------------------------------------------------------
 
 class AdaptedProcess:
-    """Time-indexed element sequence with value at t_k adapted at step k.
-
-    ``offset`` shifts the adaptedness requirement: values[i] must be adapted
-    at step offset + i.  The state and adjoint processes use offset 0; the
-    martingale-integrand process of the first adjoint also uses offset 0
-    (its k-th value is adapted at k although it refers to cell k+1).
-    """
+    """Time-indexed element sequence with value at t_k adapted at step k."""
 
     def __init__(self, algebra: CliffordAlgebra, values: Iterable[CliffordElement],
-                 offset: int = 0, validate: bool = True, tol: float = 0.0):
+                 tol: float = 0.0):
         self.algebra = algebra
         self.values = list(values)
-        self.offset = offset
-        if validate:
-            for i, v in enumerate(self.values):
-                if v.algebra is not algebra:
-                    raise AlgebraMismatchError(f"value {i} on a different algebra")
-                if not v.is_adapted(min(offset + i, algebra.n), tol):
-                    raise SupportError(f"value {i} not adapted at step {offset + i}")
+        for i, v in enumerate(self.values):
+            if v.algebra is not algebra:
+                raise AlgebraMismatchError(f"value {i} on a different algebra")
+            if not v.is_adapted(min(i, algebra.n), tol):
+                raise SupportError(f"value {i} not adapted at step {i}")
 
     def __len__(self):
         return len(self.values)
@@ -438,15 +411,16 @@ class SuperOperator:
     def identity(algebra: CliffordAlgebra, scale: complex = 1.0) -> "SuperOperator":
         return SuperOperator(algebra, scale * np.eye(algebra.dim, dtype=np.complex128))
 
-    def apply_vec(self, v: np.ndarray) -> np.ndarray:
-        out = self.lin @ v
+    def gram(self, V: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Pairings <P v_a, w_b> of two coefficient stacks (rows), shape (A, B)."""
+        pv = V @ self.lin.T
         if self.antilin is not None:
-            out = out + self.antilin @ np.conj(v)
-        return out
+            pv = pv + np.conj(V) @ self.antilin.T
+        return np.conj(pv) @ W.T
 
     def pair(self, v: CliffordElement, w: CliffordElement) -> complex:
         """Complex pairing <P v, w>."""
-        return complex(np.vdot(self.apply_vec(v.coeffs), w.coeffs))
+        return complex(self.gram(v.coeffs[None], w.coeffs[None])[0, 0])
 
     def __add__(self, other: "SuperOperator") -> "SuperOperator":
         anti = None

@@ -15,11 +15,13 @@ consistent, and every check here requires it.
 
 At a fixed base control the gate integral is linear in the direction du,
 dt <H_u, du>, and S is an exact real quadratic form in du: the first
-variation is real-linear in du, and each half of S (the curvature terms, the
-P-pairings or the direct terms) is real-bilinear in (x1, du).  Both halves are
-implemented once, as bilinear forms whose diagonal is S.  ``reduced_hessians``
-evaluates them on the N*m unit directions and returns S and its direct oracle
-as real symmetric matrices H_P and H_D.  ``verify_theorem`` scores every
+variation is real-linear in du, and each part of S (the curvature terms, the
+P-pairings, the direct terms) is real-bilinear in (x1, du).  Every part is
+implemented once, in ``_forms``, as a (B, B) form on a stack of B directions
+and their first variations; the diagonal holds each direction's own value.
+The per-direction functionals read a 1x1 stack.  ``reduced_hessians`` reads
+the stack of the N*m unit directions and returns S and its direct oracle as
+real symmetric matrices H_P and H_D.  ``verify_theorem`` scores every
 candidate through them: S = du.H_P.du, route gap |du.(H_P - H_D).du|.  On a
 fixed subsample (evenly spaced candidates and the gated one with the largest
 S) it also evaluates S along the candidate itself; the largest difference is
@@ -104,72 +106,66 @@ class SecondOrderBreakdown:
         return _routes_agree(self.route_gap, self.value)
 
 
-def _curvature_ops(p: ControlProblem, adj: AdjointPair, sa: SecondAdjoint) -> list:
-    """Per step, the control curvature matrix and the mixed-curvature pairing at ubar."""
-    out = []
-    for k in range(p.algebra.n):
-        args = (p, k, sa.xbar[k], sa.ubar[k], adj.yhat[k], adj.Y[k])
-        out.append((huu_matrix(*args), hxu_pairing(*args)))
-    return out
+def _forms(p: ControlProblem, adj: AdjointPair, sa: SecondAdjoint, x1s,
+           dus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parts of S as complex (B, B) forms on a stack of directions.
 
-
-def _curvature_terms(dt: float, ops: list, x1_a, du_a: np.ndarray,
-                     x1_b, du_b: np.ndarray) -> complex:
-    """Control and mixed curvature terms shared by both routes, as a bilinear form.
-
-    Real-bilinear in the two (first variation, direction) sides; equal sides
-    give the curvature part of S along that direction.
+    ``dus`` (B, N, m) are the directions, ``x1s`` their first variations.
+    Returns the curvature terms shared by both routes, the P-pairings and the
+    direct route (curvature terms plus x1 paired with P_N and the M_j only).
+    S through P is Re(curvature + P-pairings), its oracle Re(direct); the
+    diagonal of each form is each direction's own value.
     """
-    total = 0.0 + 0.0j
-    for k, (huu, xu) in enumerate(ops):
-        total += dt * complex(du_a[k] @ huu @ du_b[k])
-        if xu is not None:
-            total += dt * (xu(x1_a[k], du_b[k]) + xu(x1_b[k], du_a[k]))
-    return total
-
-
-def _curvature_along(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
-                     adj: AdjointPair, sa: SecondAdjoint, x1) -> tuple[np.ndarray, complex]:
-    """Direction u - ubar and the curvature terms of S along it."""
-    ubar = p.check_control_path(ubar)
-    u = p.check_control_path(u)
     if sa.adj is not adj:
         raise ContractError("second adjoint was built from a different first adjoint")
+    alg = p.algebra
+    dt = alg.dt
+    X = np.array([[v.coeffs for v in x1] for x1 in x1s])
+    units = np.eye(p.m)
+    curvature = np.zeros((len(dus), len(dus)), dtype=np.complex128)
+    for k in range(alg.n):
+        args = (p, k, sa.xbar[k], sa.ubar[k], adj.yhat[k], adj.Y[k])
+        curvature += dt * (dus[:, k] @ huu_matrix(*args) @ dus[:, k].T)
+        xu = hxu_pairing(*args)
+        if xu is not None:
+            # linear in the control slot: entry (a, b) pairs x1 of a with du of b
+            cross = np.array([[xu(x1[k], e) for e in units] for x1 in x1s]) @ dus[:, k].T
+            curvature += dt * (cross + cross.T)
+    direct = curvature + sa.P[alg.n].gram(X[:, alg.n], X[:, alg.n])
+    for j, mj in enumerate(sa.M):
+        if mj is not None:
+            direct += dt * mj.gram(X[:, j], X[:, j])
+    return curvature, _p_block_terms(sa, X, dus), direct
+
+
+def _forms_along(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
+                 adj: AdjointPair, sa: SecondAdjoint, x1) -> tuple[complex, complex, complex]:
+    """Curvature terms, P-pairings and direct route along the one direction u - ubar."""
+    ubar = p.check_control_path(ubar)
+    u = p.check_control_path(u)
     if not np.array_equal(ubar, sa.ubar):
         raise ContractError("functional must be evaluated at the adjoint's base control")
-    du = u - ubar
-    return du, _curvature_terms(p.algebra.dt, _curvature_ops(p, adj, sa), x1, du, x1, du)
-
-
-def _direct_terms(p: ControlProblem, sa: SecondAdjoint, curvature: complex,
-                  x1_a, x1_b) -> complex:
-    """Direct route: curvature terms plus x1 paired with P_N and the M_j only."""
-    n = p.algebra.n
-    total = curvature + sa.P[n].pair(x1_a[n], x1_b[n])
-    for j in range(n):
-        total += p.algebra.dt * sa.pair_M(j, x1_a[j], x1_b[j])
-    return total
+    forms = _forms(p, adj, sa, [x1], (u - ubar)[None])
+    return tuple(complex(f[0, 0]) for f in forms)
 
 
 def second_order_breakdown(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
                            adj: AdjointPair, sa: SecondAdjoint,
                            x1) -> SecondOrderBreakdown:
-    du, curix = _curvature_along(p, ubar, u, adj, sa, x1)
-    pb = _p_block_terms(p, sa, x1, du)
+    curix, pb, direct = _forms_along(p, ubar, u, adj, sa, x1)
     total = curix + pb
-    direct = _direct_terms(p, sa, curix, x1, x1).real
     return SecondOrderBreakdown(
         value=float(total.real),
         curvature_part=curix, p_part=pb,
-        route_gap=abs(total.real - direct),
+        route_gap=abs(total.real - direct.real),
         imag_abs=abs(total.imag))
 
 
 def second_order_functional(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
                             adj: AdjointPair, sa: SecondAdjoint, x1) -> float:
     """Curvature functional S through P; equals -d2J/deps2 at 0 along u - ubar."""
-    du, curix = _curvature_along(p, ubar, u, adj, sa, x1)
-    return float((curix + _p_block_terms(p, sa, x1, du)).real)
+    curix, pb, _ = _forms_along(p, ubar, u, adj, sa, x1)
+    return float((curix + pb).real)
 
 
 def second_order_direct(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
@@ -179,8 +175,7 @@ def second_order_direct(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     Agrees with :func:`second_order_functional` to rounding exactly when the
     P_k with 0 < k < N and the first variation are consistent.
     """
-    _, curix = _curvature_along(p, ubar, u, adj, sa, x1)
-    return float(_direct_terms(p, sa, curix, x1, x1).real)
+    return float(_forms_along(p, ubar, u, adj, sa, x1)[2].real)
 
 
 def reduced_hessians(p: ControlProblem, adj: AdjointPair,
@@ -188,24 +183,15 @@ def reduced_hessians(p: ControlProblem, adj: AdjointPair,
     """S at ubar as real symmetric matrices: S(du) = v . H_P v, direct S = v . H_D v.
 
     v = du.reshape(-1), so column a = k*m + i is the unit direction of control
-    i at step k.  x1 is real-linear in du and both halves of each route are
-    real-bilinear in (x1, du), so one first-variation solve per column and the
-    bilinear forms on pairs of columns give both quadratic forms exactly.
+    i at step k.  x1 is real-linear in du and every part of S is real-bilinear
+    in (x1, du), so one first-variation solve per column and the forms on the
+    stack of columns give both quadratic forms exactly.
     """
-    if sa.adj is not adj:
-        raise ContractError("second adjoint was built from a different first adjoint")
-    alg = p.algebra
-    size = alg.n * p.m
-    basis = np.eye(size).reshape(size, alg.n, p.m)
+    size = p.algebra.n * p.m
+    basis = np.eye(size).reshape(size, p.algebra.n, p.m)
     x1s = [solve_first_variation(p, sa.xbar, e) for e in basis]
-    ops = _curvature_ops(p, adj, sa)
-    forms = np.zeros((2, size, size), dtype=np.complex128)
-    for a in range(size):
-        for b in range(size):
-            curix = _curvature_terms(alg.dt, ops, x1s[a], basis[a], x1s[b], basis[b])
-            forms[0, a, b] = curix + _p_block_terms(p, sa, x1s[a], basis[a], x1s[b], basis[b])
-            forms[1, a, b] = _direct_terms(p, sa, curix, x1s[a], x1s[b])
-    real = forms.real
+    curvature, p_pairs, direct = _forms(p, adj, sa, x1s, basis)
+    real = np.stack([(curvature + p_pairs).real, direct.real])
     sym = 0.5 * (real + real.transpose(0, 2, 1))
     return sym[0], sym[1]
 

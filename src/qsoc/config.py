@@ -149,8 +149,8 @@ def _parse_problem(raw: dict, check: _Checker) -> ProblemSpec | None:
         return None
     check.expect_keys(raw, "problem", {"name", "m", "lower", "upper", "rates", "elements"})
     name = raw.get("name")
-    if name not in GALLERY_NAMES or name == "custom":
-        check.fail("problem.name", f"expected one of {GALLERY_NAMES[:-1]}")
+    if name not in GALLERY_NAMES:
+        check.fail("problem.name", f"expected one of {GALLERY_NAMES}")
         return None
     m = check.integer(raw.get("m"), "problem.m", default=1, minimum=1)
     if m is None:

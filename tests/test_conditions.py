@@ -27,7 +27,7 @@ from qsoc.conditions import (
 )
 from qsoc.forward import solve_first_variation, solve_state
 from qsoc.config import parse_config
-from qsoc.problems import ControlSet, ProblemSpec, cost, make_problem
+from qsoc.problems import ControlProblem, ControlSet, ProblemSpec, cost, make_problem
 from qsoc.suites import run_all, run_suite
 
 GALLERY = ("free", "lq", "quadratic_control", "quadratic_state")
@@ -316,7 +316,7 @@ def coupled_custom(alg, gamma=0.6, a=0.3, f0=0.2, g0=0.25, q=0.4, r=0.3, s=0.5):
         g_xx=lambda x: (lambda v, w: 2 * s * inner(v, w)),
         real_data=True,
     )
-    return make_problem(alg, ProblemSpec(name="custom", custom=callbacks))
+    return ControlProblem(algebra=alg, **callbacks)
 
 
 HESSIAN_CASES = [(name, m) for name in ("lq", "quadratic_control", "quadratic_state")

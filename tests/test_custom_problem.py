@@ -8,6 +8,7 @@ from qsoc.clifford import CliffordElement, conditional_expectation, inner, make_
 from qsoc.conditions import first_order_integral, second_order_functional
 from qsoc.forward import solve_first_variation, solve_state
 from qsoc.problems import (
+    ControlProblem,
     ControlSet,
     ProblemSpec,
     audit_derivatives,
@@ -57,14 +58,7 @@ def lq_like_custom(alg, a=0.5, q=0.4, r=0.3, s=0.5):
         real_data=True,
         lipschitz_bound=20.0,
     )
-    spec = ProblemSpec(name="custom", custom=callbacks)
-    return make_problem(alg, spec)
-
-
-def test_custom_requires_callbacks():
-    alg = make_algebra(3, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        make_problem(alg, ProblemSpec(name="custom"))
+    return ControlProblem(algebra=alg, **callbacks)
 
 
 def test_custom_problem_passes_derivative_audit():
