@@ -359,16 +359,16 @@ def _step_pairings(pj: SuperOperator, dt: float, phi2, mu2, n2, phi1, mu1, n1) -
 
     Arguments are coefficient stacks (rows): phi the step results phi_{j+1},
     n_j = nu_j dW_{j+1} the noise parts.  Entry (a, b) pairs row a of the
-    (phi2, mu2, n2) steps against row b of the (phi1, mu1, n1) steps.  Under
-    the real symmetry of P the real part of a diagonal entry collapses to the
+    (phi2, mu2, n2) steps against row b of the (phi1, mu1, n1) steps: every
+    pairing of the parts T_j phi_j and d_j = dt mu_j + n_j except T_j phi_j
+    against T_j phi_j, i.e. <P d2, phi1> + <P phi2, d1> - <P d2, d1>, summed
+    as two gram calls (P is real-linear and dt real).  Under the real
+    symmetry of P the real part of a diagonal entry collapses to the
     familiar display with three distinct quadratic/cross terms.
     """
-    t2 = phi2 - dt * mu2 - n2  # T_j phi2_j
-    t1 = phi1 - dt * mu1 - n1
-    return (dt * (pj.gram(t2, mu1) + pj.gram(mu2, t1)) + dt * dt * pj.gram(mu2, mu1)
-            + pj.gram(t2, n1) + pj.gram(n2, t1)
-            + dt * (pj.gram(mu2, n1) + pj.gram(n2, mu1))
-            + pj.gram(n2, n1))
+    d2 = dt * mu2 + n2
+    d1 = dt * mu1 + n1
+    return pj.gram(phi2, d1) + pj.gram(d2, phi1 - d1)
 
 
 def _p_block_terms(sa: SecondAdjoint, X: np.ndarray, dus: np.ndarray) -> np.ndarray:

@@ -12,45 +12,43 @@ import numpy as np
 
 from .clifford import CliffordAlgebra, CliffordElement
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-_I2 = np.eye(2, dtype=np.complex128)
 
 ORACLE_MAX_GENERATORS = 8
 
 
 class MatrixRealization:
-    """Cacheable bundle of generator and blade matrices for one algebra size."""
+    """Cacheable blade matrices for one algebra size."""
 
     def __init__(self, n: int):
         if n > ORACLE_MAX_GENERATORS:
             raise ValueError(f"matrix oracle limited to n <= {ORACLE_MAX_GENERATORS}")
         self.n = n
         self.size = 1 << n
-        self.generators = [self._generator(g) for g in range(1, n + 1)]
-        self._blades: dict[int, np.ndarray] = {0: np.eye(self.size, dtype=np.complex128)}
-
-    def _generator(self, g: int) -> np.ndarray:
-        mat = np.ones((1, 1), dtype=np.complex128)
-        for site in range(1, self.n + 1):
-            if site < g:
-                factor = _Z
-            elif site == g:
-                factor = _X
-            else:
-                factor = _I2
-            mat = np.kron(mat, factor)
-        return mat
+        self._blades: dict[int, np.ndarray] = {}
 
     def blade(self, mask: int) -> np.ndarray:
+        """Ascending product of the generators in ``mask``.
+
+        Each generator is a Kronecker product of one-site factors, so the
+        blade is one too: on site g an X if g is in the mask, times one Z per
+        member above g.  That is the signed permutation ``X^x Z^z`` with
+        entries ``(-1)**|z & i|`` at ``(i ^ x, i)``, site 1 being the top
+        index bit.
+        """
         cached = self._blades.get(mask)
         if cached is not None:
             return cached
-        low = mask & -mask
-        rest = self.blade(mask ^ low)
-        g = low.bit_length()
-        # canonical blade order is ascending, so the lowest generator is leftmost
-        out = self.generators[g - 1] @ rest
+        x = z = 0
+        for site in range(self.n):
+            bit = 1 << (self.n - 1 - site)
+            if mask >> site & 1:
+                x |= bit
+            if (mask >> (site + 1)).bit_count() & 1:
+                z |= bit
+        idx = np.arange(self.size)
+        out = np.zeros((self.size, self.size), dtype=np.complex128)
+        out[idx ^ x, idx] = np.where(np.bitwise_count(idx & z) & 1, -1.0, 1.0)
         self._blades[mask] = out
         return out
 
@@ -62,17 +60,14 @@ class MatrixRealization:
 
     def from_matrix(self, alg: CliffordAlgebra, mat: np.ndarray) -> CliffordElement:
         """Invert to_matrix using blade orthonormality under the trace."""
-        coeffs = np.empty(alg.dim, dtype=np.complex128)
-        for mask in range(alg.dim):
-            b = self.blade(mask)
-            coeffs[mask] = np.trace(b.conj().T @ mat) / self.size
-        return CliffordElement(alg, coeffs)
+        coeffs = [np.vdot(self.blade(mask), mat) for mask in range(alg.dim)]
+        return CliffordElement(alg, np.array(coeffs) / self.size)
 
     def state(self, mat: np.ndarray) -> complex:
         return complex(np.trace(mat) / self.size)
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> complex:
-        return complex(np.trace(a.conj().T @ b) / self.size)
+        return complex(np.vdot(a, b) / self.size)
 
     def parity_matrix(self) -> np.ndarray:
         mat = np.ones((1, 1), dtype=np.complex128)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from qsoc.cli import main
+from qsoc.clifford import CliffordAlgebra
 from qsoc.config import SUITE_ORDER, load_config, parse_config
 from qsoc.errors import ConfigError
 from qsoc.report import canonical_json, flatten_metrics, format_number, render_csv
+from qsoc.suites import run_suite
 
 
 def base_config(**overrides):
@@ -230,6 +232,28 @@ def test_failing_suite_exit_code(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())
     assert report["verdict"] == "fail"
+
+
+def test_algebra_suite_catches_a_wrong_matrix_form(monkeypatch):
+    # a flipped blade phase still gives an associative, star- and
+    # parity-compatible product, so only the sign-table comparison sees it
+    cfg = parse_config(base_config(grid={"t0": 0.0, "T": 1.0, "N": 8}, suites=["algebra"],
+                                   tolerances={"algebra": {"probes": 300}}))
+    clean = run_suite(cfg, "algebra")
+    assert clean.passed
+    assert clean.metrics["kernel_residual"] <= clean.metrics["oracle_tol"]
+    original = CliffordAlgebra._matrix_form
+
+    def flipped(self, q):
+        slot, phase, *rest = original(self, q)
+        phase = phase.copy()
+        phase[-1] = -phase[-1]
+        return (slot, phase, *rest)
+    monkeypatch.setattr(CliffordAlgebra, "_matrix_form", flipped)
+    res = run_suite(cfg, "algebra")
+    assert not res.passed
+    assert res.metrics["kernel_residual"] > res.metrics["oracle_tol"]
+    assert res.metrics["max_law_residual"] <= res.metrics["law_tol"]
 
 
 def test_render_csv_verdict_row():

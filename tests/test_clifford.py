@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 from qsoc.clifford import (
     AdaptedProcess,
     CliffordElement,
+    _matrix_product,
+    _table_product,
     brownian_increment,
     conditional_expectation,
     inner,
@@ -300,6 +302,58 @@ def test_multiply_batch_matches_single():
     for i in range(8):
         single = multiply(CliffordElement(alg, A[i]), CliffordElement(alg, B[i]))
         assert np.allclose(out[i], single.coeffs, atol=1e-12)
+
+
+def _kernel_pairs(alg, rng, rows=3):
+    """Dense, sparse and mixed factor batches, the sparse ones reaching the top blade."""
+    def dense():
+        return rng.standard_normal((rows, alg.dim)) + 1j * rng.standard_normal((rows, alg.dim))
+
+    def sparse():
+        out = np.zeros((rows, alg.dim), dtype=np.complex128)
+        width = min(alg.dim, 3)
+        for r in range(rows):
+            cols = rng.choice(alg.dim, size=width, replace=False)
+            cols[0] = alg.dim - 1
+            out[r, cols] = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        return out
+    return {"dense": (dense(), dense()), "sparse": (sparse(), sparse()),
+            "mixed": (sparse(), dense()), "mixed_rev": (dense(), sparse())}
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_matrix_form_matches_sign_table(n):
+    alg = make_algebra(n, 0.0, 1.0)
+    rng = np.random.default_rng(100 + n)
+    for kind, (A, B) in _kernel_pairs(alg, rng).items():
+        want = _table_product(alg, A, B)
+        tol = 1e-13 * (1.0 + np.abs(want).max())
+        assert np.abs(_matrix_product(alg, A, B) - want).max() <= tol, kind
+        assert np.abs(multiply_batch(alg, A, B) - want).max() <= tol, kind
+        single = multiply(CliffordElement(alg, A[0]), CliffordElement(alg, B[0]))
+        assert np.abs(single.coeffs - want[0]).max() <= tol, kind
+
+
+def test_adapted_products_stay_exactly_adapted():
+    # the matrix form runs on the prefix subalgebra that holds both factors
+    alg = make_algebra(8, 0.0, 1.0)
+    rng = np.random.default_rng(47)
+    for k in range(1, alg.n + 1):
+        a = rand_element(alg, rng, adapted_at=k)
+        b = rand_element(alg, rng, adapted_at=k)
+        outside = ~alg.adapted_mask(k)
+        assert np.all((a * b).coeffs[outside] == 0.0)
+        batch = _matrix_product(alg, np.stack([a.coeffs, b.coeffs]),
+                                np.stack([b.coeffs, a.coeffs]))
+        assert np.all(batch[:, outside] == 0.0)
+
+
+def test_dense_product_at_cap():
+    alg = make_algebra(12, 0.0, 1.0)
+    rng = np.random.default_rng(53)
+    a, b = rand_element(alg, rng), rand_element(alg, rng)
+    want = _table_product(alg, a.coeffs[None], b.coeffs[None])[0]
+    assert np.abs((a * b).coeffs - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
 
 
 def test_gram_matrix_identity():
