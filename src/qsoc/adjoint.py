@@ -26,6 +26,16 @@ backward conjugation recursion
 
 with M_k the curvature operator of the Hamiltonian at step k.
 
+Every step operator lives on its adapted subspace, and a blade is adapted at
+step k iff its mask is < 2^k, so that subspace is the first 2^k coordinates.
+``Linearization`` and ``compute_P`` therefore work on leading blocks: Dx_k
+and Bt_k are (2^k, 2^k), T_k is a (2^{k+1}, 2^k) transition block whose
+dW_{k+1} half is a signed row shift, and P_k is conjugated on its
+(2^k, 2^k) block, then zero-padded into the public dim x dim operator.
+Gallery problems hand the derivative blocks over through the problem's
+``state_derivatives`` hook (left/right multiplication matrices); callback
+problems are probed blade by blade.
+
 In continuous time the second adjoint is a triple: P together with two
 martingale components, which pair against the diffusion part of the test
 equations (Peng, SIAM J. Control Optim. 28(4), 1990; as correction processes
@@ -94,11 +104,25 @@ __all__ = [
 SUPEROP_BUDGET = 256  # largest coefficient-space dimension materialized as matrices
 
 
+def _dw_signs(alg, k: int) -> np.ndarray:
+    """Entries of v -> v dW_k: coefficient S moves to S ^ {k} with this factor."""
+    return alg._gen_signs("right", k) * np.sqrt(alg.dt)
+
+
+def _times_dw(alg, V: np.ndarray, k: int) -> np.ndarray:
+    """Rows of V right-multiplied by dW_k (a signed permutation of columns)."""
+    out = np.empty_like(V)
+    out[:, alg._masks ^ (1 << (k - 1))] = V * _dw_signs(alg, k)
+    return out
+
+
 class Linearization:
     """Derivative operators of the dynamics frozen along one trajectory.
 
-    Matrices are materialized on the step-k adapted subspace (columns outside
-    it are zero); that is the only domain the solvers apply them to.
+    Dx[k] and Bt[k] are dim x dim with only their leading (2^k, 2^k) block,
+    the step-k subspace, filled: from the problem's ``state_derivatives``
+    hook (gallery problems: multiplication matrices) when it has one, else
+    probed blade by blade from the callbacks.
     """
 
     def __init__(self, p: ControlProblem, xbar: Trajectory):
@@ -116,11 +140,15 @@ class Linearization:
         basis = np.eye(m)
         for k in range(n):
             xk, uk = xbar[k], xbar.control[k]
-            dx_op, fx_op, gx_op = p.D_x(k, xk, uk), p.F_x(k, xk, uk), p.G_x(k, xk, uk)
-            for s in np.nonzero(alg.adapted_mask(k))[0]:
-                es = CliffordElement.blade(alg, int(s))
-                self.Dx[k][:, s] = dx_op(es).coeffs
-                self.Bt[k][:, s] = fx_op(es).coeffs + parity(gx_op(es)).coeffs
+            if p.state_derivatives is not None:
+                b = 1 << k
+                self.Dx[k][:b, :b], self.Bt[k][:b, :b] = p.state_derivatives(k, xk, uk)
+            else:
+                dx_op, fx_op, gx_op = p.D_x(k, xk, uk), p.F_x(k, xk, uk), p.G_x(k, xk, uk)
+                for s in np.nonzero(alg.adapted_mask(k))[0]:
+                    es = CliffordElement.blade(alg, int(s))
+                    self.Dx[k][:, s] = dx_op(es).coeffs
+                    self.Bt[k][:, s] = fx_op(es).coeffs + parity(gx_op(es)).coeffs
             du_op, fu_op, gu_op = p.D_u(k, xk, uk), p.F_u(k, xk, uk), p.G_u(k, xk, uk)
             for i in range(m):
                 self.Du[k][:, i] = du_op(basis[i]).coeffs
@@ -128,30 +156,27 @@ class Linearization:
             self.Lx.append(p.L_x(k, xk, uk))
             self.Lu.append(np.asarray(p.L_u(k, xk, uk), dtype=float))
         self.gx = p.g_x(xbar.terminal)
-        self._dw_mats: dict[int, np.ndarray] = {}
 
-    def dw_matrix(self, k: int) -> np.ndarray:
-        """Dense matrix of v -> v dW_k (right multiplication)."""
-        mat = self._dw_mats.get(k)
-        if mat is None:
-            alg = self.algebra
-            mat = np.zeros((alg.dim, alg.dim), dtype=np.complex128)
-            bit = 1 << (k - 1)
-            signs = alg._gen_signs("right", k) * np.sqrt(alg.dt)
-            mat[alg._masks ^ bit, alg._masks] = signs
-            self._dw_mats[k] = mat
-        return mat
+    def t_block(self, k: int) -> np.ndarray:
+        """One-step homogeneous transition T_k as a (2^{k+1}, 2^k) block.
 
-    def t_matrix(self, k: int) -> np.ndarray:
-        """One-step homogeneous transition on the step-k adapted subspace."""
-        alg = self.algebra
-        keep = alg.adapted_mask(k).astype(np.complex128)
-        return np.diag(keep) + alg.dt * self.Dx[k] + self.dw_matrix(k + 1) @ self.Bt[k]
+        E_k + dt Dx_k fills the top half; Bt_k moved by dW_{k+1} (a signed
+        row shift by 2^k) fills the bottom half.
+        """
+        alg, b = self.algebra, 1 << k
+        out = np.empty((2 * b, b), dtype=np.complex128)
+        out[:b] = np.eye(b) + alg.dt * self.Dx[k][:b, :b]
+        out[b:] = _dw_signs(alg, k + 1)[:b, None] * self.Bt[k][:b, :b]
+        return out
 
     def t_apply(self, k: int, v: CliffordElement) -> CliffordElement:
-        dx = CliffordElement(self.algebra, self.Dx[k] @ v.coeffs)
-        bt = CliffordElement(self.algebra, self.Bt[k] @ v.coeffs)
-        return v + self.algebra.dt * dx + mul_dw_right(bt, k + 1)
+        b = 1 << k
+        dx = np.zeros(self.algebra.dim, dtype=np.complex128)
+        bt = np.zeros(self.algebra.dim, dtype=np.complex128)
+        dx[:b] = self.Dx[k][:b, :b] @ v.coeffs[:b]
+        bt[:b] = self.Bt[k][:b, :b] @ v.coeffs[:b]
+        return v + self.algebra.dt * CliffordElement(self.algebra, dx) \
+            + mul_dw_right(CliffordElement(self.algebra, bt), k + 1)
 
     def du_apply(self, k: int, v: np.ndarray) -> CliffordElement:
         return CliffordElement(self.algebra, self.Du[k] @ np.asarray(v, dtype=float))
@@ -186,10 +211,13 @@ def solve_first_adjoint(p: ControlProblem, xbar: Trajectory,
         Y[k] = martingale_coefficient(y[k + 1], k)
         yh = conditional_expectation(y[k + 1], k)
         yhat[k] = yh
-        driver = lin.Dx[k].conj().T @ yh.coeffs \
-            + lin.Bt[k].conj().T @ Y[k].coeffs - lin.Lx[k].coeffs
-        keep = alg.adapted_mask(k)
-        y[k] = CliffordElement(alg, np.where(keep, yh.coeffs + alg.dt * driver, 0.0))
+        # adjoint maps as row-vector products: no conjugate-transposed copies
+        b = 1 << k
+        driver = np.conj(np.conj(yh.coeffs[:b]) @ lin.Dx[k][:b, :b]) \
+            + np.conj(np.conj(Y[k].coeffs[:b]) @ lin.Bt[k][:b, :b]) - lin.Lx[k].coeffs[:b]
+        yk = np.zeros(alg.dim, dtype=np.complex128)
+        yk[:b] = yh.coeffs[:b] + alg.dt * driver
+        y[k] = CliffordElement(alg, yk)
     return AdjointPair(
         y=AdaptedProcess(alg, y),
         Y=AdaptedProcess(alg, Y),
@@ -331,7 +359,9 @@ def compute_P(p: ControlProblem, xbar: Trajectory, ubar: np.ndarray,
 
     Each P_k maps the step-k adapted subspace into itself and satisfies the
     transposition identity against the forward test equations exactly; see
-    :func:`transposition_residual`.
+    :func:`transposition_residual`.  The recursion runs on leading blocks,
+    P_k[:b, :b] = T^H P_{k+1}[:a, :a] T + dt M_k[:b, :b] with a = 2^{k+1},
+    b = 2^k and T = :meth:`Linearization.t_block`, so E_k needs no mask.
     """
     alg = p.algebra
     if alg.dim > budget:
@@ -347,11 +377,27 @@ def compute_P(p: ControlProblem, xbar: Trajectory, ubar: np.ndarray,
     P[n] = _curvature_operator(p, n, xbar.terminal, None, None, None).scaled(-1.0)
     for k in range(n - 1, -1, -1):
         M[k] = _curvature_operator(p, k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k])
-        pk = P[k + 1].conjugated_by(lin.t_matrix(k))
-        if M[k] is not None:
-            pk = pk + M[k].scaled(alg.dt)
-        P[k] = pk.projected(k)
+        a, b = 2 << k, 1 << k
+        t = lin.t_block(k)
+        td = t.conj().T
+        nxt, mk = P[k + 1], M[k]
+        lin_k = td @ nxt.lin[:a, :a] @ t
+        anti_k = None if nxt.antilin is None else td @ nxt.antilin[:a, :a] @ np.conj(t)
+        if mk is not None:
+            lin_k = lin_k + alg.dt * mk.lin[:b, :b]
+            if mk.antilin is not None:
+                m_anti = alg.dt * mk.antilin[:b, :b]
+                anti_k = m_anti if anti_k is None else anti_k + m_anti
+        P[k] = SuperOperator(alg, _padded(alg, lin_k),
+                             None if anti_k is None else _padded(alg, anti_k))
     return SecondAdjoint(P=P, M=M, lin=lin, adj=adj, xbar=xbar, ubar=ubar)
+
+
+def _padded(alg, block: np.ndarray) -> np.ndarray:
+    """A leading block zero-padded to a dim x dim matrix."""
+    out = np.zeros((alg.dim, alg.dim), dtype=np.complex128)
+    out[:len(block), :len(block)] = block
+    return out
 
 
 def _step_pairings(pj: SuperOperator, dt: float, phi2, mu2, n2, phi1, mu1, n1) -> np.ndarray:
@@ -383,7 +429,7 @@ def _p_block_terms(sa: SecondAdjoint, X: np.ndarray, dus: np.ndarray) -> np.ndar
     total = np.zeros((len(X), len(X)), dtype=np.complex128)
     for j in range(lin.algebra.n):
         mu = dus[:, j] @ lin.Du[j].T
-        noise = (dus[:, j] @ lin.Bu[j].T) @ lin.dw_matrix(j + 1).T
+        noise = _times_dw(lin.algebra, dus[:, j] @ lin.Bu[j].T, j + 1)
         total += _step_pairings(sa.P[j + 1], lin.algebra.dt, X[:, j + 1], mu, noise,
                                 X[:, j + 1], mu, noise)
     return total

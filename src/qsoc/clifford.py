@@ -28,6 +28,11 @@ multiply, and the same route maps back.  It runs on the smallest prefix
 subalgebra holding both factors, so blades beyond it stay exactly zero.
 ``multiply`` and ``multiply_batch`` choose by the live-blade count of the
 sparser factor (``_product``).
+
+Operators built from products, such as the derivatives of a channel
+``h -> c (x h + h x)``, do not probe blades: ``_multiplication_blocks``
+writes the left and right multiplication matrices of an adapted element on
+the first 2^k blades straight from the sign table.
 """
 
 from __future__ import annotations
@@ -360,6 +365,28 @@ def _product(alg: CliffordAlgebra, A: np.ndarray, B: np.ndarray,
     return _matrix_product(alg, A, B, int(max(live_a[-1], live_b[-1])).bit_length())
 
 
+def _multiplication_blocks(a: CliffordElement, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices of h -> a h and h -> h a on the first 2^k blades.
+
+    ``L[s^t, t] = a_s sign(s, t)`` and ``R[t^s, t] = a_s sign(t, s)``, one
+    scatter from the sign table.  The prefix is closed under xor, so for
+    ``a`` adapted at step k the (2^k, 2^k) blocks are the whole operators
+    on the step-k subspace.
+    """
+    if not a.is_adapted(k):
+        raise SupportError(f"multiplier not adapted at step {k}")
+    b = 1 << k
+    table = a.algebra.sign_table[:b, :b]
+    idx = np.arange(b)
+    rows = idx[:, None] ^ idx[None, :]  # entry (s, t) goes to row s ^ t of column t
+    coeffs = a.coeffs[:b, None]
+    left = np.zeros((b, b), dtype=np.complex128)
+    right = np.zeros((b, b), dtype=np.complex128)
+    left[rows, idx] = coeffs * table
+    right[rows, idx] = coeffs * table.T
+    return left, right
+
+
 def multiply(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     """Clifford product a b (sign table or matrix form, see :func:`_product`)."""
     a._check_same(b)
@@ -537,13 +564,6 @@ class SuperOperator:
     def scaled(self, c: float) -> "SuperOperator":
         anti = None if self.antilin is None else c * self.antilin
         return SuperOperator(self.algebra, c * self.lin, anti)
-
-    def conjugated_by(self, t: np.ndarray) -> "SuperOperator":
-        """Return T^dagger P T for a complex-linear T given as a matrix."""
-        td = t.conj().T
-        lin = td @ self.lin @ t
-        anti = None if self.antilin is None else td @ self.antilin @ np.conj(t)
-        return SuperOperator(self.algebra, lin, anti)
 
     def projected(self, k: int) -> "SuperOperator":
         """Compress to the step-k adapted subspace: E_k P E_k."""

@@ -34,16 +34,19 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .adjoint import SUPEROP_BUDGET
 from .clifford import DEFAULT_GENERATOR_CAP
 from .errors import ConfigError
 from .problems import GALLERY_NAMES, ProblemSpec
 
-__all__ = ["RunConfig", "parse_config", "load_config", "SUITE_ORDER", "EMIT_FORMATS"]
+__all__ = ["RunConfig", "parse_config", "load_config", "superop_budget_error",
+           "SUITE_ORDER", "EMIT_FORMATS"]
 
 SUITE_ORDER = ("algebra", "isometry", "orders", "gradient", "adjoint",
                "second_order", "theorem", "optimize")
 EMIT_FORMATS = ("json", "csv", "plotdata")
 
+_P_SUITES = ("adjoint", "second_order", "theorem")  # suites that materialize P
 _RATE_KEYS = ("a", "f0", "g0", "q", "r", "s")
 _PER_DIM_ELEMENT_KEYS = ("b", "f", "g", "cd", "cf", "cg")
 _SINGLE_ELEMENT_KEYS = ("qd", "qf", "qg", "x_tgt", "eta", "x0")
@@ -267,6 +270,11 @@ def parse_config(raw: dict, cap: int = DEFAULT_GENERATOR_CAP) -> RunConfig:
             check.fail("suites", "duplicate suite names")
         suites = [s for s in SUITE_ORDER if s in suites]
 
+    if n is not None and n <= cap:
+        msg = superop_budget_error(n, suites)
+        if msg:
+            check.fail("grid.N", msg)
+
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
         check.fail("tolerances", "expected an object keyed by suite name")
@@ -303,6 +311,15 @@ def parse_config(raw: dict, cap: int = DEFAULT_GENERATOR_CAP) -> RunConfig:
     return RunConfig(problem=spec, t0=t0, T=T, n_steps=n, suites=suites,
                      tolerances=tolerances, seed=seed, output=output, emit=emit,
                      cap=cap)
+
+
+def superop_budget_error(n_steps: int, suites) -> str | None:
+    """Why running ``suites`` at N = n_steps would exceed the compute_P budget."""
+    users = [s for s in suites if s in _P_SUITES]
+    if users and (1 << n_steps) > SUPEROP_BUDGET:
+        return (f"coefficient dimension {1 << n_steps} exceeds the superoperator "
+                f"budget {SUPEROP_BUDGET} of suites {', '.join(users)}")
+    return None
 
 
 def load_config(path: str | Path) -> RunConfig:

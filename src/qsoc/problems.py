@@ -30,7 +30,7 @@ Coefficient elements supplied to the gallery are truncated to the live
 subalgebra at each step (an explicit, admissible time dependence), which keeps
 every channel adapted regardless of the supplied blades.
 
-Curvature hook
+Operator hooks
 --------------
 ``curvature(k, yhat, Y)`` (optional) returns a materialized ``SuperOperator``.
 For k < N it is the state curvature M_k of the Hamiltonian on the step-k
@@ -38,8 +38,14 @@ subspace, <M_k v, w> = <yhat, D_xx(v, w)> + <Y, F_xx(v, w)>
 + <parity(Y), G_xx(v, w)> - L_xx(v, w), or None when M_k is identically zero.
 For k = N (yhat and Y unused) it is the terminal curvature g_xx itself, with
 the cost's sign; the second adjoint starts from its negative, P_N = -g_xx.
-Gallery problems build it from their channel and cost data; without it the
-operators are probed from the callbacks above.
+
+``state_derivatives(k, x, u)`` (optional) returns the (2^k, 2^k) matrices
+``(Dx_k, Bt_k)`` of ``D_x`` and ``F_x + parity o G_x`` frozen at (x, u) on
+the step-k subspace, which is the first 2^k blades.
+
+Gallery problems build both hooks from their channel and cost data, as left
+and right multiplication matrices; without them the operators are probed
+blade by blade from the callbacks above.
 """
 
 from __future__ import annotations
@@ -53,12 +59,11 @@ from .clifford import (
     CliffordAlgebra,
     CliffordElement,
     SuperOperator,
+    _multiplication_blocks,
     conditional_expectation,
     inner,
-    multiply,
     parity,
     star,
-    superop_from_columns,
 )
 from .errors import AlgebraMismatchError, SupportError
 
@@ -254,16 +259,30 @@ class _Channel:
             return out
         return fn
 
-    def curvature_column(self, k: int, weight: CliffordElement):
-        """Column map of this channel's share of M_k for adjoint weight w.
+    def dx_block(self, k: int, x: CliffordElement) -> np.ndarray:
+        """D_x frozen at x on the first 2^k blades: rate I + L_c (L_x + R_x).
+
+        L and R are the left/right multiplication matrices, c the step-k
+        quad element; the same map as :meth:`dx` without probing.
+        """
+        out = self.rate * np.eye(1 << k, dtype=np.complex128)
+        if self.quad is not None:
+            left_x, right_x = _multiplication_blocks(x, k)
+            left_c, _ = _multiplication_blocks(self.quad[k], k)
+            out = out + left_c @ (left_x + right_x)
+        return out
+
+    def curvature_block(self, k: int, weight: CliffordElement) -> np.ndarray:
+        """Conjugation block of this channel's share of M_k for adjoint weight w.
 
         The pairing (v, h) -> <w, c(v h + h v)> with c the step-k quad element
-        has Riesz representative v -> conj(rev . (w* c v + v w* c)).
+        has Riesz representative v -> conj(rev . (w* c v + v w* c)), i.e. the
+        pure conjugation block diag(rev) conj(L_wc + R_wc) with wc = w* c, on
+        the first 2^k blades.
         """
-        wc = star(weight) * self.quad[k]
-        rev = self.alg.reversal_signs
-        return lambda v: CliffordElement(
-            self.alg, np.conj(rev * (multiply(wc, v).coeffs + multiply(v, wc).coeffs)))
+        left, right = _multiplication_blocks(star(weight) * self.quad[k], k)
+        rev = self.alg.reversal_signs[:1 << k, None]
+        return rev * np.conj(left + right)
 
 
 @dataclass
@@ -303,6 +322,7 @@ class ControlProblem:
     lipschitz_bound: float = 10.0
     real_data: bool = False
     curvature: Callable | None = None  # (k, yhat, Y) -> M_k, or g_xx at k = N
+    state_derivatives: Callable | None = None  # (k, x, u) -> (Dx_k, Bt_k) blocks
 
     @property
     def m(self) -> int:
@@ -418,14 +438,22 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
     def curvature(k, yhat, Y):
         if k == algebra.n:
             return SuperOperator.identity(algebra, 2.0 * s)
-        mask = algebra.adapted_mask(k)
-        parts = []
-        if q != 0.0:
-            parts.append(SuperOperator(algebra, np.diag(-2.0 * q * mask.astype(np.complex128))))
-        for ch, weight in ((chD, yhat), (chF, Y), (chG, parity(Y))):
-            if ch.quad is not None:
-                parts.append(superop_from_columns(algebra, ch.curvature_column(k, weight), mask))
-        return sum(parts[1:], parts[0]) if parts else None
+        quads = [(ch, weight) for ch, weight in ((chD, yhat), (chF, Y), (chG, parity(Y)))
+                 if ch.quad is not None]
+        if q == 0.0 and not quads:
+            return None
+        b = 1 << k
+        lin = np.zeros((algebra.dim, algebra.dim), dtype=np.complex128)
+        np.fill_diagonal(lin[:b, :b], -2.0 * q)
+        anti = None
+        if quads:
+            anti = np.zeros_like(lin)
+            anti[:b, :b] = sum(ch.curvature_block(k, weight) for ch, weight in quads)
+        return SuperOperator(algebra, lin, anti)
+
+    def state_derivatives(k, x, u):
+        parity_signs = algebra.parity_signs[:1 << k, None]
+        return chD.dx_block(k, x), chF.dx_block(k, x) + parity_signs * chG.dx_block(k, x)
 
     return ControlProblem(
         algebra=algebra, control_set=cset, x0=x0,
@@ -437,7 +465,8 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
         D_uu=chan_cb(chD, "duu"), F_uu=chan_cb(chF, "duu"), G_uu=chan_cb(chG, "duu"),
         L=L, L_x=L_x, L_u=L_u, L_xx=L_xx, L_xu=None, L_uu=L_uu,
         g=g_fn, g_x=g_x, g_xx=g_xx,
-        lipschitz_bound=lip, real_data=real_terms, curvature=curvature)
+        lipschitz_bound=lip, real_data=real_terms, curvature=curvature,
+        state_derivatives=state_derivatives)
 
 
 # -- cost and Hamiltonian ----------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsoc.adjoint import (
+    Linearization,
     TestTuple,
     _curvature_operator,
     compute_P,
@@ -252,6 +253,57 @@ def test_curvature_data_matches_generic_probing(name, m):
         anti_data = zero if data.antilin is None else data.antilin
         anti_probe = zero if probe.antilin is None else probe.antilin
         assert np.max(np.abs(anti_data - anti_probe)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("name", GALLERY)
+def test_step_derivatives_data_match_generic_probing(name, m):
+    # Dx_k and Bt_k from the gallery's multiplication matrices against the
+    # blade-by-blade probes of the raw D_x/F_x/G_x callbacks
+    alg, p = build(name, n=4, m=m)
+    assert p.state_derivatives is not None
+    generic = dataclasses.replace(p, state_derivatives=None, curvature=None)
+    rng = np.random.default_rng(14)
+    xbar = solve_state(p, rng.uniform(-0.5, 0.5, size=(alg.n, m)))
+    data, probe = Linearization(p, xbar), Linearization(generic, xbar)
+    for k in range(alg.n):
+        for got, want in ((data.Dx[k], probe.Dx[k]), (data.Bt[k], probe.Bt[k])):
+            assert got.shape == want.shape == (alg.dim, alg.dim)
+            assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(data.Du[k], probe.Du[k])
+        assert np.array_equal(data.Bu[k], probe.Bu[k])
+
+
+def test_blocked_p_matches_full_matrix_recursion():
+    # P_k = E_k (T_k^H P_{k+1} T_k + dt M_k) E_k on full dim x dim matrices,
+    # with T_k, M_k and P_N probed from the raw callbacks
+    alg, p = build("quadratic_state", n=6)
+    generic = dataclasses.replace(p, state_derivatives=None, curvature=None)
+    rng = np.random.default_rng(15)
+    ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
+    xbar, adj, sa = solve_stack(p, ubar)
+    lin = Linearization(generic, xbar)
+    dim, dt = alg.dim, alg.dt
+
+    def blocks(op):
+        return op.lin, np.zeros((dim, dim)) if op.antilin is None else op.antilin
+
+    lin_p, anti_p = (-mat for mat in blocks(
+        _curvature_operator(generic, alg.n, xbar.terminal, None, None, None)))
+    for k in range(alg.n - 1, -1, -1):
+        keep = np.diag(alg.adapted_mask(k).astype(np.complex128))
+        dw = np.array([mul_dw_right(CliffordElement.blade(alg, s), k + 1).coeffs
+                       for s in range(dim)]).T
+        t = keep + dt * lin.Dx[k] + dw @ lin.Bt[k]
+        m_lin, m_anti = blocks(_curvature_operator(generic, k, xbar[k], ubar[k],
+                                                   adj.yhat[k], adj.Y[k]))
+        lin_p = keep @ (t.conj().T @ lin_p @ t + dt * m_lin) @ keep
+        anti_p = keep @ (t.conj().T @ anti_p @ np.conj(t) + dt * m_anti) @ keep
+        got_lin, got_anti = blocks(sa.P[k])
+        tol = 1e-12 * (1.0 + max(np.abs(lin_p).max(), np.abs(anti_p).max()))
+        assert np.abs(got_lin - lin_p).max() <= tol, k
+        assert np.abs(got_anti - anti_p).max() <= tol, k
+    assert np.abs(anti_p).max() > 0.1  # the conjugation block is exercised
 
 
 def test_transposition_identity_nu_zero():

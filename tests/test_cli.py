@@ -66,6 +66,36 @@ def test_parse_config_capacity():
     assert any(p == "grid.N" for p, _ in err.value.errors)
 
 
+def test_validate_rejects_p_suites_above_superop_budget(tmp_path, capsys):
+    # dim 512 > 256: refused before any suite runs, naming grid.N and the budget
+    cfg = base_config(problem={"name": "quadratic_state"},
+                      grid={"t0": 0.0, "T": 1.0, "N": 9}, suites=["orders", "adjoint"])
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "grid.N" in err and "256" in err
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    for suite in ("second_order", "theorem"):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(dict(cfg, suites=[suite]))
+        assert [p for p, _ in exc.value.errors] == ["grid.N"]
+
+
+def test_validate_accepts_large_n_without_p_suites(tmp_path, capsys):
+    cfg = base_config(problem={"name": "quadratic_state"},
+                      grid={"t0": 0.0, "T": 1.0, "N": 9}, suites=["algebra", "isometry"])
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 0
+    assert "config ok" in capsys.readouterr().out
+    # a --suite override that adds a P suite is held to the same budget
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--suite", "adjoint"]) == 2
+    assert "grid.N" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_config_element_shape_errors():
     bad = base_config()
     bad["problem"]["elements"] = {"b": [[[0, 1.0]]]}

@@ -6,6 +6,7 @@ from qsoc.clifford import (
     AdaptedProcess,
     CliffordElement,
     _matrix_product,
+    _multiplication_blocks,
     _table_product,
     brownian_increment,
     conditional_expectation,
@@ -354,6 +355,39 @@ def test_dense_product_at_cap():
     a, b = rand_element(alg, rng), rand_element(alg, rng)
     want = _table_product(alg, a.coeffs[None], b.coeffs[None])[0]
     assert np.abs((a * b).coeffs - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+
+
+def _adapted_pair(alg, rng, k):
+    """A dense and a 3-blade element adapted at k, the sparse one on blade 2^k - 1."""
+    b = 1 << k
+    dense = np.zeros(alg.dim, dtype=np.complex128)
+    dense[:b] = rng.standard_normal(b) + 1j * rng.standard_normal(b)
+    sparse = np.zeros(alg.dim, dtype=np.complex128)
+    cols = rng.choice(b, size=min(b, 3), replace=False)
+    cols[0] = b - 1
+    sparse[cols] = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
+    return {"dense": CliffordElement(alg, dense), "sparse": CliffordElement(alg, sparse)}
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_multiplication_blocks_match_multiply(n):
+    # L h = a h and R h = h a on every prefix, for dense and sparse a and h
+    alg = make_algebra(n, 0.0, 1.0)
+    rng = np.random.default_rng(200 + n)
+    for k in range(n + 1):
+        b = 1 << k
+        factors = _adapted_pair(alg, rng, k)
+        for kind, a in factors.items():
+            left, right = _multiplication_blocks(a, k)
+            assert left.shape == right.shape == (b, b)
+            for h in _adapted_pair(alg, rng, k).values():
+                for got, want in ((left @ h.coeffs[:b], a * h), (right @ h.coeffs[:b], h * a)):
+                    tol = 1e-12 * (1.0 + np.abs(want.coeffs).max())
+                    assert np.abs(got - want.coeffs[:b]).max() <= tol, (kind, k)
+                    assert np.all(want.coeffs[b:] == 0.0)
+    if n > 1:
+        with pytest.raises(SupportError):
+            _multiplication_blocks(CliffordElement.generator(alg, n), n - 1)
 
 
 def test_gram_matrix_identity():
