@@ -387,6 +387,24 @@ def _multiplication_blocks(a: CliffordElement, k: int) -> tuple[np.ndarray, np.n
     return left, right
 
 
+def _left_multiply_block(a: CliffordElement, k: int, block: np.ndarray) -> np.ndarray:
+    """``L_a @ block`` for a (2^k, cols) block, without building ``L_a``.
+
+    ``L_a`` is the sum over the live blades s of ``a`` of ``a_s`` times the
+    signed row permutation t -> s ^ t with sign(s, t), so the product is one
+    scaled pass over the block per live blade: a single pass for a scalar.
+    """
+    if not a.is_adapted(k):
+        raise SupportError(f"multiplier not adapted at step {k}")
+    b = 1 << k
+    idx = np.arange(b)
+    table = a.algebra.sign_table
+    out = np.zeros(block.shape, dtype=np.complex128)
+    for s in np.nonzero(a.coeffs[:b])[0]:
+        out[s ^ idx] += a.coeffs[s] * (table[s, :b, None] * block)
+    return out
+
+
 def multiply(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     """Clifford product a b (sign table or matrix form, see :func:`_product`)."""
     a._check_same(b)
@@ -445,23 +463,41 @@ def brownian_increment(alg: CliffordAlgebra, k: int) -> CliffordElement:
     return CliffordElement.blade(alg, 1 << (k - 1), np.sqrt(alg.dt))
 
 
-def _mul_dw(a: CliffordElement, k: int, side: str) -> CliffordElement:
-    alg = a.algebra
+def _mul_dw(alg: CliffordAlgebra, rows: np.ndarray, k: int, side: str) -> np.ndarray:
+    """Rows times dW_k (``side="right"``) or dW_k times rows (``"left"``).
+
+    One signed permutation of the coefficient columns, shape (B, dim) in and
+    out; the increment element is never materialized.  Column s moves to
+    s ^ bit, which swaps the two halves of every aligned run of 2 * bit
+    columns: two strided copies instead of a scatter.
+    """
     if not 1 <= k <= alg.n:
         raise ValueError(f"generator index {k} outside 1..{alg.n}")
-    out = np.empty(alg.dim, dtype=np.complex128)
-    out[alg._masks ^ (1 << (k - 1))] = a.coeffs * alg._gen_signs(side, k)
-    return CliffordElement(alg, out * np.sqrt(alg.dt))
+    bit = 1 << (k - 1)
+    signed = (rows * alg._gen_signs(side, k)).reshape(len(rows), -1, 2, bit)
+    out = np.empty(signed.shape, dtype=np.complex128)
+    out[:, :, 0] = signed[:, :, 1]
+    out[:, :, 1] = signed[:, :, 0]
+    return out.reshape(rows.shape) * np.sqrt(alg.dt)
 
 
 def mul_dw_right(a: CliffordElement, k: int) -> CliffordElement:
-    """a * dW_k without materializing the increment element."""
-    return _mul_dw(a, k, "right")
+    """a * dW_k: the one-row case of :func:`_mul_dw`."""
+    return CliffordElement(a.algebra, _mul_dw(a.algebra, a.coeffs[None], k, "right")[0])
 
 
 def mul_dw_left(a: CliffordElement, k: int) -> CliffordElement:
-    """dW_k * a without materializing the increment element."""
-    return _mul_dw(a, k, "left")
+    """dW_k * a: the one-row case of :func:`_mul_dw`."""
+    return CliffordElement(a.algebra, _mul_dw(a.algebra, a.coeffs[None], k, "left")[0])
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """L2 norm of each coefficient row, equal bit for bit to ``CliffordElement.norm``.
+
+    ``np.linalg.norm`` of one vector sums the real and imaginary squares by
+    two BLAS dot products; ``vecdot`` makes the same dot call per row.
+    """
+    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
 
 
 def martingale_coefficient(f: CliffordElement, k: int) -> CliffordElement:

@@ -43,9 +43,18 @@ the cost's sign; the second adjoint starts from its negative, P_N = -g_xx.
 ``(Dx_k, Bt_k)`` of ``D_x`` and ``F_x + parity o G_x`` frozen at (x, u) on
 the step-k subspace, which is the first 2^k blades.
 
-Gallery problems build both hooks from their channel and cost data, as left
-and right multiplication matrices; without them the operators are probed
-blade by blade from the callbacks above.
+``coefficient_rows(k, X, U)`` and ``cost_rows(k, X, U)`` (optional) evaluate
+the problem on row stacks: X is a (B, dim) block of states, U the (B, m)
+controls at step k.  The first returns the (B, dim) stacks of D, F and G; the
+second the (B,) running costs L, or for k = N (U unused) the terminal costs
+g.  They must agree with the callbacks: in the gallery ``D``, ``F`` and ``G``
+are one-row views of the channel rows, and the cost rows match ``L`` and
+``g`` to rounding.
+
+Gallery problems build all four hooks from their channel and cost data (the
+operators as left and right multiplication matrices); without the operator
+hooks the operators are probed blade by blade from the callbacks above, and
+without the row hooks the brute force solves one control path at a time.
 """
 
 from __future__ import annotations
@@ -59,7 +68,9 @@ from .clifford import (
     CliffordAlgebra,
     CliffordElement,
     SuperOperator,
+    _left_multiply_block,
     _multiplication_blocks,
+    _product,
     conditional_expectation,
     inner,
     parity,
@@ -212,15 +223,29 @@ class _Channel:
         return (self.rate == 0.0 and not self.lin_u and not self.sq_u
                 and self.quad_x is None)
 
-    def value(self, k, x, u):
-        out = self.rate * x if self.rate != 0.0 else CliffordElement.zero(self.alg)
+    def value_rows(self, k: int, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """The channel on row stacks: X (B, dim) states, U (B, m) controls.
+
+        The quad term multiplies through :func:`_product` on the live blade
+        columns of the stack, so one row takes the route of ``multiply``.
+        """
+        out = self.rate * X if self.rate != 0.0 else np.zeros(X.shape, dtype=np.complex128)
         for i, e in enumerate(self.lin[k]):
-            out = out + float(u[i]) * e
+            out = out + U[:, i, None] * e.coeffs
         for i, e in enumerate(self.sq[k]):
-            out = out + float(u[i]) ** 2 * e
+            out = out + U[:, i, None] ** 2 * e.coeffs
         if self.quad is not None:
-            out = out + self.quad[k] * (x * x)
+            live = np.nonzero(np.any(X, axis=0))[0]
+            xx = _product(self.alg, X, X, live, live)
+            c = self.quad[k].coeffs
+            out = out + _product(self.alg, np.broadcast_to(c, X.shape), xx,
+                                 np.nonzero(c)[0], np.nonzero(np.any(xx, axis=0))[0])
         return out
+
+    def value(self, k, x, u):
+        """One element: the single-row view of :meth:`value_rows`."""
+        u = np.asarray(u, dtype=float).reshape(1, -1)
+        return CliffordElement(self.alg, self.value_rows(k, x.coeffs[None], u)[0])
 
     def dx(self, k, x, u):
         rate = self.rate
@@ -259,17 +284,17 @@ class _Channel:
             return out
         return fn
 
-    def dx_block(self, k: int, x: CliffordElement) -> np.ndarray:
+    def dx_block(self, k: int, sym_x: np.ndarray | None) -> np.ndarray:
         """D_x frozen at x on the first 2^k blades: rate I + L_c (L_x + R_x).
 
-        L and R are the left/right multiplication matrices, c the step-k
-        quad element; the same map as :meth:`dx` without probing.
+        ``sym_x`` is L_x + R_x, the left plus right multiplication matrix of
+        the state (shared by the channels of a step; unused without a quad
+        element), and c the step-k quad element; the same map as :meth:`dx`
+        without probing.
         """
         out = self.rate * np.eye(1 << k, dtype=np.complex128)
         if self.quad is not None:
-            left_x, right_x = _multiplication_blocks(x, k)
-            left_c, _ = _multiplication_blocks(self.quad[k], k)
-            out = out + left_c @ (left_x + right_x)
+            out = out + _left_multiply_block(self.quad[k], k, sym_x)
         return out
 
     def curvature_block(self, k: int, weight: CliffordElement) -> np.ndarray:
@@ -323,6 +348,8 @@ class ControlProblem:
     real_data: bool = False
     curvature: Callable | None = None  # (k, yhat, Y) -> M_k, or g_xx at k = N
     state_derivatives: Callable | None = None  # (k, x, u) -> (Dx_k, Bt_k) blocks
+    coefficient_rows: Callable | None = None  # (k, X, U) -> (D, F, G) row stacks
+    cost_rows: Callable | None = None  # (k, X, U) -> L rows, or g rows at k = N
 
     @property
     def m(self) -> int:
@@ -399,6 +426,17 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
             val += inner(eta, x).real
         return float(val)
 
+    def cost_rows(k, X, U):
+        # L and g on row stacks; they agree with the scalar forms to rounding
+        # (``x.norm() ** 2`` goes through libm pow, a row of squares does not)
+        if k == algebra.n:
+            diff = X - x_tgt.coeffs
+            val = s * np.vecdot(diff, diff).real
+            if eta is not None:
+                val = val + np.vecdot(eta.coeffs, X).real
+            return val
+        return q * np.vecdot(X, X).real + r * np.vecdot(U, U)
+
     def g_x(x):
         out = (2.0 * s) * (x - x_tgt)
         if eta is not None:
@@ -452,8 +490,16 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
         return SuperOperator(algebra, lin, anti)
 
     def state_derivatives(k, x, u):
+        sym_x = None
+        if any(ch.quad is not None for ch in (chD, chF, chG)):
+            left_x, right_x = _multiplication_blocks(x, k)
+            sym_x = left_x + right_x
         parity_signs = algebra.parity_signs[:1 << k, None]
-        return chD.dx_block(k, x), chF.dx_block(k, x) + parity_signs * chG.dx_block(k, x)
+        return (chD.dx_block(k, sym_x),
+                chF.dx_block(k, sym_x) + parity_signs * chG.dx_block(k, sym_x))
+
+    def coefficient_rows(k, X, U):
+        return chD.value_rows(k, X, U), chF.value_rows(k, X, U), chG.value_rows(k, X, U)
 
     return ControlProblem(
         algebra=algebra, control_set=cset, x0=x0,
@@ -466,7 +512,8 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
         L=L, L_x=L_x, L_u=L_u, L_xx=L_xx, L_xu=None, L_uu=L_uu,
         g=g_fn, g_x=g_x, g_xx=g_xx,
         lipschitz_bound=lip, real_data=real_terms, curvature=curvature,
-        state_derivatives=state_derivatives)
+        state_derivatives=state_derivatives, coefficient_rows=coefficient_rows,
+        cost_rows=cost_rows)
 
 
 # -- cost and Hamiltonian ----------------------------------------------------

@@ -274,6 +274,19 @@ def test_step_derivatives_data_match_generic_probing(name, m):
         assert np.array_equal(data.Bu[k], probe.Bu[k])
 
 
+def test_step_derivatives_with_multi_blade_quad_elements():
+    # L_c applied blade by blade for non-scalar quad elements c, against
+    # the probes of the raw callbacks
+    alg, p = build("quadratic_state", n=5, qd=((0, 0.35, 0.0), (1, 0.1, 0.2), (6, 0.05, 0.0)),
+                   qf=((0, 0.25, 0.0), (3, -0.1, 0.0)), qg=((2, 0.2, 0.1),))
+    generic = dataclasses.replace(p, state_derivatives=None, curvature=None)
+    xbar = solve_state(p, np.random.default_rng(16).uniform(-0.5, 0.5, size=(alg.n, 1)))
+    data, probe = Linearization(p, xbar), Linearization(generic, xbar)
+    for k in range(alg.n):
+        for got, want in ((data.Dx[k], probe.Dx[k]), (data.Bt[k], probe.Bt[k])):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_blocked_p_matches_full_matrix_recursion():
     # P_k = E_k (T_k^H P_{k+1} T_k + dt M_k) E_k on full dim x dim matrices,
     # with T_k, M_k and P_N probed from the raw callbacks

@@ -286,6 +286,44 @@ def test_algebra_suite_catches_a_wrong_matrix_form(monkeypatch):
     assert res.metrics["max_law_residual"] <= res.metrics["law_tol"]
 
 
+def test_isometry_suite_catches_a_sign_error_in_the_dw_kernel(monkeypatch):
+    # dW_k times the scalar blade picks up the wrong sign in the row kernel
+    cfg = parse_config(base_config(grid={"t0": 0.0, "T": 1.0, "N": 5}, suites=["isometry"],
+                                   tolerances={"isometry": {"probes": 40}}))
+    clean = run_suite(cfg, "isometry")
+    assert clean.passed
+    original = CliffordAlgebra._gen_signs
+
+    def flipped(self, side, g):
+        signs = original(self, side, g).copy()
+        if side == "left":
+            signs[0] = -signs[0]
+        return signs
+    monkeypatch.setattr(CliffordAlgebra, "_gen_signs", flipped)
+    res = run_suite(cfg, "isometry")
+    assert not res.passed
+    assert res.metrics["parity_reduction_residual"] > res.metrics["tol"]
+    assert res.metrics["isometry_residual"] > res.metrics["tol"]
+
+
+def test_algebra_suite_catches_a_wrong_generator_sign(monkeypatch):
+    # e1 e2 = e2 e1 in a corrupted sign table breaks anticommutation
+    cfg = parse_config(base_config(suites=["algebra"], tolerances={"algebra": {"probes": 300}}))
+    clean = run_suite(cfg, "algebra")
+    assert clean.passed and clean.metrics["anticommute"] == 0.0
+    original = CliffordAlgebra.sign_table
+
+    def corrupted(self):
+        table = original.fget(self).copy()
+        table[2, 1] = -table[2, 1]
+        return table
+    monkeypatch.setattr(CliffordAlgebra, "sign_table", property(corrupted))
+    res = run_suite(cfg, "algebra")
+    assert not res.passed
+    assert res.metrics["anticommute"] == 2.0
+    assert res.metrics["square"] == 0.0
+
+
 def test_render_csv_verdict_row():
     report = {"suites": [{"name": "x", "status": "pass", "metrics": {"v": 1.0}}],
               "verdict": "pass"}

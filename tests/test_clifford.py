@@ -5,8 +5,11 @@ from hypothesis import given, strategies as st
 from qsoc.clifford import (
     AdaptedProcess,
     CliffordElement,
+    _left_multiply_block,
     _matrix_product,
+    _mul_dw,
     _multiplication_blocks,
+    _row_norms,
     _table_product,
     brownian_increment,
     conditional_expectation,
@@ -388,6 +391,54 @@ def test_multiplication_blocks_match_multiply(n):
     if n > 1:
         with pytest.raises(SupportError):
             _multiplication_blocks(CliffordElement.generator(alg, n), n - 1)
+
+
+@pytest.mark.parametrize("n", (1, 4, 7))
+def test_left_multiply_block_matches_multiplication_matrix(n):
+    # one signed row permutation per live blade of a, against L_a @ M
+    alg = make_algebra(n, 0.0, 1.0)
+    rng = np.random.default_rng(300 + n)
+    for k in range(n + 1):
+        b = 1 << k
+        block = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
+        scalar = CliffordElement.from_terms(alg, {0: 0.35 - 0.2j})
+        for a in (scalar, *_adapted_pair(alg, rng, k).values()):
+            want = _multiplication_blocks(a, k)[0] @ block
+            got = _left_multiply_block(a, k, block)
+            assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+        assert np.array_equal(_left_multiply_block(scalar, k, block), scalar.coeffs[0] * block)
+    if n > 1:
+        with pytest.raises(SupportError):
+            _left_multiply_block(CliffordElement.generator(alg, n), n - 1, np.eye(1 << (n - 1)))
+
+
+def test_row_dw_kernel_is_the_element_product():
+    # rows times dW_k equal mul_dw_* of each row bit for bit, and the
+    # product with the increment element
+    alg = make_algebra(5, 0.0, 2.0)
+    rng = np.random.default_rng(31)
+    rows = rng.standard_normal((7, alg.dim)) + 1j * rng.standard_normal((7, alg.dim))
+    for k in range(1, alg.n + 1):
+        dw = brownian_increment(alg, k)
+        right, left = _mul_dw(alg, rows, k, "right"), _mul_dw(alg, rows, k, "left")
+        for i, row in enumerate(rows):
+            a = CliffordElement(alg, row)
+            assert np.array_equal(right[i], mul_dw_right(a, k).coeffs)
+            assert np.array_equal(left[i], mul_dw_left(a, k).coeffs)
+            assert np.allclose(right[i], (a * dw).coeffs, atol=1e-14)
+            assert np.allclose(left[i], (dw * a).coeffs, atol=1e-14)
+    with pytest.raises(ValueError):
+        _mul_dw(alg, rows, alg.n + 1, "right")
+
+
+def test_row_norms_match_element_norm_bit_for_bit():
+    rng = np.random.default_rng(32)
+    for n in (2, 5, 8):
+        alg = make_algebra(n, 0.0, 1.0)
+        rows = rng.standard_normal((50, alg.dim)) + 1j * rng.standard_normal((50, alg.dim))
+        rows[::3, alg.dim // 2:] = 0.0
+        want = [CliffordElement(alg, row).norm() for row in rows]
+        assert _row_norms(rows).tolist() == want
 
 
 def test_gram_matrix_identity():

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from qsoc import optimize
 from qsoc.adjoint import compute_P, solve_first_adjoint
 from qsoc.clifford import CliffordElement, conditional_expectation, inner, make_algebra
 from qsoc.conditions import first_order_integral, second_order_functional
 from qsoc.forward import solve_first_variation, solve_state
+from qsoc.optimize import brute_force_search
 from qsoc.problems import (
     ControlProblem,
     ControlSet,
@@ -92,3 +94,23 @@ def test_custom_problem_reproduces_gallery_end_to_end():
         ))
     for got, want in zip(results[0], results[1]):
         assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
+
+
+def test_custom_problem_brute_force_runs_the_per_path_loop(monkeypatch):
+    # no row hooks: every grid control is solved on its own, and the result
+    # is the gallery's (whose stacked screen re-evaluates the same way)
+    alg = make_algebra(3, 0.0, 1.0)
+    p_custom = lq_like_custom(alg)
+    assert p_custom.coefficient_rows is None and p_custom.cost_rows is None
+    calls = []
+    solve = optimize.solve_state
+
+    def counted(p, u):
+        calls.append(p is p_custom)
+        return solve(p, u)
+    monkeypatch.setattr(optimize, "solve_state", counted)
+    u_custom, j_custom = brute_force_search(p_custom, 5)
+    assert calls == [True] * 5 ** alg.n
+    u_gallery, j_gallery = brute_force_search(make_problem(alg, ProblemSpec.gallery("lq")), 5)
+    assert np.array_equal(u_custom, u_gallery)
+    assert j_custom == pytest.approx(j_gallery, rel=1e-12)

@@ -8,8 +8,10 @@ from qsoc.forward import (
     solve_first_variation,
     solve_second_variation,
     solve_state,
+    stacked_costs,
 )
-from qsoc.problems import ProblemSpec, make_problem
+from qsoc.optimize import SCREEN_MARGIN, control_grid
+from qsoc.problems import ProblemSpec, cost, make_problem
 
 
 def build(name, n=4, m=1, T=1.0, **overrides):
@@ -190,3 +192,48 @@ def test_order_slopes_validates_sweep():
         order_estimate_slopes(p, ubar, u, [0.5, 0.25])
     with pytest.raises(ValueError):
         order_estimate_slopes(p, ubar, u, [2.0, 1.0, 0.5, 0.25])
+
+
+# -- row-stacked state solve ---------------------------------------------------
+
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("name", ("free", "lq", "quadratic_control", "quadratic_state"))
+def test_stacked_costs_gap_is_far_below_the_screen_margin(name, m):
+    # the brute force is exact while every gap stays below half SCREEN_MARGIN;
+    # measured gaps are a few 1e-16 relative, required here below 1e-14
+    n = 4 if m == 1 else 2
+    for overrides in ({}, {"eta": ((0, 0.3, 0.1), (1, -0.2, 0.0))},
+                      {"qd": ((0, 0.35, 0.0), (1, 0.1, 0.2), (3, 0.05, 0.0))}):
+        if "qd" in overrides and name != "quadratic_state":
+            continue
+        alg, p = build(name, n=n, m=m, **overrides)
+        grid = np.array(list(control_grid(p, 3)))
+        stacked = stacked_costs(p, grid)
+        ref = np.array([cost(p, u, solve_state(p, u)) for u in grid])
+        gap = np.max(np.abs(stacked - ref) / (1.0 + np.abs(ref)))
+        assert gap <= SCREEN_MARGIN / 100
+
+
+def test_stacked_costs_validates_the_block():
+    alg, p = build("lq", n=3)
+    with pytest.raises(ValueError, match="shape"):
+        stacked_costs(p, np.zeros((2, alg.n)))
+    with pytest.raises(ValueError, match="box"):
+        stacked_costs(p, np.full((2, alg.n, 1), 1.5))
+    p.cost_rows = None
+    with pytest.raises(ValueError, match="row hooks"):
+        stacked_costs(p, np.zeros((2, alg.n, 1)))
+
+
+def test_channel_rows_are_the_element_values():
+    # D, F, G of a gallery problem are one-row views of the channel rows
+    alg, p = build("quadratic_state", n=5, m=2)
+    rng = np.random.default_rng(4)
+    k = 3
+    X = np.where(alg.adapted_mask(k), rng.standard_normal((6, alg.dim))
+                 + 1j * rng.standard_normal((6, alg.dim)), 0)
+    U = rng.uniform(-1, 1, (6, 2))
+    for rows, fn in zip(p.coefficient_rows(k, X, U), (p.D, p.F, p.G)):
+        for x, u, row in zip(X, U, rows):
+            want = fn(k, CliffordElement(alg, x), u).coeffs
+            assert np.allclose(row, want, rtol=1e-14, atol=1e-14)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qsoc import optimize
 from qsoc.clifford import make_algebra
-from qsoc.errors import BudgetError
+from qsoc.errors import AdaptednessError, BudgetError
 from qsoc.forward import solve_state
 from qsoc.optimize import brute_force_search, control_grid, projected_gradient
 from qsoc.problems import ControlSet, ProblemSpec, cost, make_problem
@@ -123,3 +124,97 @@ def test_projection_idempotent_nonexpansive(vals):
     assert np.array_equal(cs.project(pv), pv)
     w = np.array([0.3, 1.1])
     assert np.linalg.norm(cs.project(v) - cs.project(w)) <= np.linalg.norm(v - w) + 1e-12
+
+
+# -- stacked screen ----------------------------------------------------------
+
+ETA = ((0, 0.3, 0.1), (1, -0.2, 0.0))
+STACKED_CASES = [("lq", 3, 1, {}), ("quadratic_control", 3, 1, {}),
+                 ("quadratic_state", 3, 1, {}), ("lq", 2, 2, {}),
+                 ("quadratic_state", 2, 2, {}), ("lq", 3, 1, {"eta": ETA})]
+
+
+def per_path_brute_force(p, points):
+    """The per-path loop over the whole grid, which defines the result."""
+    best_u, best_j = None, np.inf
+    for u in control_grid(p, points):
+        j = cost(p, u, solve_state(p, u))
+        if j < best_j:
+            best_u, best_j = u, j
+    return best_u, float(best_j)
+
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = optimize.solve_state
+
+    def counted(p, u):
+        calls.append(1)
+        return solve(p, u)
+    monkeypatch.setattr(optimize, "solve_state", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,n,m,overrides", STACKED_CASES)
+def test_stacked_brute_force_matches_per_path_loop(name, n, m, overrides, monkeypatch):
+    alg, p = build(name, n=n, m=m, **overrides)
+    want_u, want_j = per_path_brute_force(p, 5)
+    got_u, got_j = brute_force_search(p, 5)
+    assert np.array_equal(got_u, want_u) and got_j == want_j
+    # blocks of 7 rows: the grid spans dozens of blocks, the minimum moves
+    monkeypatch.setattr(optimize, "SCREEN_BLOCK_ENTRIES", 7 * alg.dim)
+    got_u, got_j = brute_force_search(p, 5)
+    assert np.array_equal(got_u, want_u) and got_j == want_j
+
+
+def test_stacked_brute_force_exact_tie_keeps_the_first_control(monkeypatch):
+    # pure control cost r dt |u|^2 on the grid -3, -1, 1, 3: the 2^N
+    # controls with entries +-1 tie exactly
+    alg, p = build("free", n=3, r=0.5, q=0.0, s=0.0, x_tgt=None,
+                   lower=(-3.0,), upper=(3.0,))
+    assert np.array_equal(next(iter(control_grid(p, 4)))[0], [-3.0])
+    calls = count_solves(monkeypatch)
+    u, j = brute_force_search(p, 4)
+    assert np.array_equal(u, np.full((alg.n, 1), -1.0))
+    assert len(calls) == 2 ** alg.n  # every tied control is re-evaluated
+    monkeypatch.setattr(optimize, "SCREEN_BLOCK_ENTRIES", 5 * alg.dim)
+    assert brute_force_search(p, 4)[0].tolist() == u.tolist()
+    assert per_path_brute_force(p, 4)[1] == j
+
+
+def test_stacked_screen_raises_on_a_non_adapted_channel(monkeypatch):
+    alg, p = build("lq", n=3)
+    rows = p.coefficient_rows
+
+    def leaky(leak):
+        def fn(k, X, U):
+            d, f, g = rows(k, X, U)
+            if k == alg.n - 1:
+                g = g.copy()
+                g[:, -1] += leak  # blade e1 e2 e3 is not adapted at step N - 1
+            return d, f, g
+        return fn
+
+    calls = count_solves(monkeypatch)
+    p.coefficient_rows = leaky(1e-14)  # within 1e-12 (1 + |row|)
+    brute_force_search(p, 3)
+    calls.clear()
+    p.coefficient_rows = leaky(1e-6)
+    with pytest.raises(AdaptednessError, match="right diffusion"):
+        brute_force_search(p, 3)
+    assert calls == []  # raised by the screen, before any per-path solve
+
+
+def test_gallery_brute_force_solves_few_paths(monkeypatch):
+    alg, p = build("lq", n=4)
+    calls = count_solves(monkeypatch)
+    u, j = brute_force_search(p, 5)
+    assert 1 <= len(calls) <= 3
+    assert j == cost(p, u, solve_state(p, u))
+
+
+def test_brute_force_budget_raises_before_screening(monkeypatch):
+    alg, p = build("lq", n=3)
+    monkeypatch.setattr(optimize, "stacked_costs", lambda *a: pytest.fail("screened"))
+    with pytest.raises(BudgetError):
+        brute_force_search(p, 5, budget=100)
