@@ -28,13 +28,13 @@ with M_k the curvature operator of the Hamiltonian at step k.
 
 Every step operator lives on its adapted subspace, and a blade is adapted at
 step k iff its mask is < 2^k, so that subspace is the first 2^k coordinates.
-``Linearization`` and ``compute_P`` therefore work on leading blocks: Dx_k
-and Bt_k are (2^k, 2^k), T_k is a (2^{k+1}, 2^k) transition block whose
-dW_{k+1} half is a signed row shift, and P_k is conjugated on its
-(2^k, 2^k) block, then zero-padded into the public dim x dim operator.
-Gallery problems hand the derivative blocks over through the problem's
-``state_derivatives`` hook (left/right multiplication matrices); callback
-problems are probed blade by blade.
+Every step operator is therefore stored as its leading block: Dx_k, Bt_k,
+M_k and P_k are (2^k, 2^k), and T_k is a (2^{k+1}, 2^k) transition block
+whose dW_{k+1} half is a signed row shift; only P_N is dim x dim.
+``SuperOperator`` pairings read the leading columns of their rows, so no
+consumer pads or slices.  Gallery problems hand the derivative blocks over
+through the problem's ``state_derivatives`` hook (left/right multiplication
+matrices); callback problems are probed blade by blade.
 
 In continuous time the second adjoint is a triple: P together with two
 martingale components, which pair against the diffusion part of the test
@@ -74,6 +74,7 @@ from .clifford import (
     AdaptedProcess,
     CliffordElement,
     SuperOperator,
+    _mul_dw,
     conditional_expectation,
     inner,
     martingale_coefficient,
@@ -104,25 +105,13 @@ __all__ = [
 SUPEROP_BUDGET = 256  # largest coefficient-space dimension materialized as matrices
 
 
-def _dw_signs(alg, k: int) -> np.ndarray:
-    """Entries of v -> v dW_k: coefficient S moves to S ^ {k} with this factor."""
-    return alg._gen_signs("right", k) * np.sqrt(alg.dt)
-
-
-def _times_dw(alg, V: np.ndarray, k: int) -> np.ndarray:
-    """Rows of V right-multiplied by dW_k (a signed permutation of columns)."""
-    out = np.empty_like(V)
-    out[:, alg._masks ^ (1 << (k - 1))] = V * _dw_signs(alg, k)
-    return out
-
-
 class Linearization:
     """Derivative operators of the dynamics frozen along one trajectory.
 
-    Dx[k] and Bt[k] are dim x dim with only their leading (2^k, 2^k) block,
-    the step-k subspace, filled: from the problem's ``state_derivatives``
-    hook (gallery problems: multiplication matrices) when it has one, else
-    probed blade by blade from the callbacks.
+    Dx[k] and Bt[k] are (2^k, 2^k), the maps on the step-k subspace: the
+    problem's ``state_derivatives`` hook output (gallery problems:
+    multiplication matrices) when it has one, else probed blade by blade
+    from the callbacks.  Du[k] and Bu[k] are (dim, m).
     """
 
     def __init__(self, p: ControlProblem, xbar: Trajectory):
@@ -131,8 +120,8 @@ class Linearization:
         self.algebra = alg
         self.xbar = xbar
         n, dim, m = alg.n, alg.dim, p.m
-        self.Dx = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(n)]
-        self.Bt = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(n)]
+        self.Dx = []
+        self.Bt = []
         self.Du = [np.zeros((dim, m), dtype=np.complex128) for _ in range(n)]
         self.Bu = [np.zeros((dim, m), dtype=np.complex128) for _ in range(n)]
         self.Lx = []
@@ -141,14 +130,18 @@ class Linearization:
         for k in range(n):
             xk, uk = xbar[k], xbar.control[k]
             if p.state_derivatives is not None:
-                b = 1 << k
-                self.Dx[k][:b, :b], self.Bt[k][:b, :b] = p.state_derivatives(k, xk, uk)
+                dx, bt = p.state_derivatives(k, xk, uk)
             else:
+                b = 1 << k
+                dx = np.empty((b, b), dtype=np.complex128)
+                bt = np.empty((b, b), dtype=np.complex128)
                 dx_op, fx_op, gx_op = p.D_x(k, xk, uk), p.F_x(k, xk, uk), p.G_x(k, xk, uk)
-                for s in np.nonzero(alg.adapted_mask(k))[0]:
-                    es = CliffordElement.blade(alg, int(s))
-                    self.Dx[k][:, s] = dx_op(es).coeffs
-                    self.Bt[k][:, s] = fx_op(es).coeffs + parity(gx_op(es)).coeffs
+                for s in range(b):
+                    es = CliffordElement.blade(alg, s)
+                    dx[:, s] = dx_op(es).coeffs[:b]
+                    bt[:, s] = (fx_op(es).coeffs + parity(gx_op(es)).coeffs)[:b]
+            self.Dx.append(dx)
+            self.Bt.append(bt)
             du_op, fu_op, gu_op = p.D_u(k, xk, uk), p.F_u(k, xk, uk), p.G_u(k, xk, uk)
             for i in range(m):
                 self.Du[k][:, i] = du_op(basis[i]).coeffs
@@ -165,16 +158,16 @@ class Linearization:
         """
         alg, b = self.algebra, 1 << k
         out = np.empty((2 * b, b), dtype=np.complex128)
-        out[:b] = np.eye(b) + alg.dt * self.Dx[k][:b, :b]
-        out[b:] = _dw_signs(alg, k + 1)[:b, None] * self.Bt[k][:b, :b]
+        out[:b] = np.eye(b) + alg.dt * self.Dx[k]
+        out[b:] = (alg._gen_signs("right", k + 1)[:b] * np.sqrt(alg.dt))[:, None] * self.Bt[k]
         return out
 
     def t_apply(self, k: int, v: CliffordElement) -> CliffordElement:
         b = 1 << k
         dx = np.zeros(self.algebra.dim, dtype=np.complex128)
         bt = np.zeros(self.algebra.dim, dtype=np.complex128)
-        dx[:b] = self.Dx[k][:b, :b] @ v.coeffs[:b]
-        bt[:b] = self.Bt[k][:b, :b] @ v.coeffs[:b]
+        dx[:b] = self.Dx[k] @ v.coeffs[:b]
+        bt[:b] = self.Bt[k] @ v.coeffs[:b]
         return v + self.algebra.dt * CliffordElement(self.algebra, dx) \
             + mul_dw_right(CliffordElement(self.algebra, bt), k + 1)
 
@@ -213,8 +206,8 @@ def solve_first_adjoint(p: ControlProblem, xbar: Trajectory,
         yhat[k] = yh
         # adjoint maps as row-vector products: no conjugate-transposed copies
         b = 1 << k
-        driver = np.conj(np.conj(yh.coeffs[:b]) @ lin.Dx[k][:b, :b]) \
-            + np.conj(np.conj(Y[k].coeffs[:b]) @ lin.Bt[k][:b, :b]) - lin.Lx[k].coeffs[:b]
+        driver = np.conj(np.conj(yh.coeffs[:b]) @ lin.Dx[k]) \
+            + np.conj(np.conj(Y[k].coeffs[:b]) @ lin.Bt[k]) - lin.Lx[k].coeffs[:b]
         yk = np.zeros(alg.dim, dtype=np.complex128)
         yk[:b] = yh.coeffs[:b] + alg.dt * driver
         y[k] = CliffordElement(alg, yk)
@@ -277,18 +270,23 @@ def hxx_pairing(p: ControlProblem, k: int, x, u, yhat, Y):
 def _curvature_operator(p: ControlProblem, k: int, x, u, yhat, Y) -> SuperOperator | None:
     """M_k on the step-k subspace for k < N, the g_xx operator at k = N.
 
-    Problems that carry a ``curvature`` hook build it from their data; callback
-    problems probe hxx_pairing (or g_xx) once per basis blade pair.  None
-    when M_k is identically zero.
+    Both live on the first 2^k blades.  Problems that carry a ``curvature``
+    hook build it from their data; callback problems probe hxx_pairing (or
+    g_xx) once per basis blade pair.  None when M_k is identically zero.
     """
-    if p.curvature is not None:
-        return p.curvature(k, yhat, Y)
     alg = p.algebra
+    if p.curvature is not None:
+        op = p.curvature(k, yhat, Y)
+        if op is not None and op.size != 1 << k:
+            raise ContractError(f"curvature hook returned side {op.size} at step {k}, "
+                                f"not {1 << k}")
+        return op
     if k == alg.n:
-        return SuperOperator.zero(alg) if p.g_xx is None else superop_from_pairing(alg, p.g_xx(x))
+        return SuperOperator.zero(alg) if p.g_xx is None \
+            else superop_from_pairing(alg, p.g_xx(x), alg.dim)
     if all(cb is None for cb in (p.D_xx, p.F_xx, p.G_xx, p.L_xx)):
         return None
-    return superop_from_pairing(alg, hxx_pairing(p, k, x, u, yhat, Y), alg.adapted_mask(k))
+    return superop_from_pairing(alg, hxx_pairing(p, k, x, u, yhat, Y), 1 << k)
 
 
 def hu_field(p: ControlProblem, adj: AdjointPair) -> np.ndarray:
@@ -359,9 +357,9 @@ def compute_P(p: ControlProblem, xbar: Trajectory, ubar: np.ndarray,
 
     Each P_k maps the step-k adapted subspace into itself and satisfies the
     transposition identity against the forward test equations exactly; see
-    :func:`transposition_residual`.  The recursion runs on leading blocks,
-    P_k[:b, :b] = T^H P_{k+1}[:a, :a] T + dt M_k[:b, :b] with a = 2^{k+1},
-    b = 2^k and T = :meth:`Linearization.t_block`, so E_k needs no mask.
+    :func:`transposition_residual`.  P_k is stored on its (2^k, 2^k) block,
+    P_k = T^H P_{k+1} T + dt M_k with T = :meth:`Linearization.t_block`, so
+    E_k needs no mask; P_N is dim x dim.
     """
     alg = p.algebra
     if alg.dim > budget:
@@ -377,27 +375,14 @@ def compute_P(p: ControlProblem, xbar: Trajectory, ubar: np.ndarray,
     P[n] = _curvature_operator(p, n, xbar.terminal, None, None, None).scaled(-1.0)
     for k in range(n - 1, -1, -1):
         M[k] = _curvature_operator(p, k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k])
-        a, b = 2 << k, 1 << k
         t = lin.t_block(k)
         td = t.conj().T
-        nxt, mk = P[k + 1], M[k]
-        lin_k = td @ nxt.lin[:a, :a] @ t
-        anti_k = None if nxt.antilin is None else td @ nxt.antilin[:a, :a] @ np.conj(t)
-        if mk is not None:
-            lin_k = lin_k + alg.dt * mk.lin[:b, :b]
-            if mk.antilin is not None:
-                m_anti = alg.dt * mk.antilin[:b, :b]
-                anti_k = m_anti if anti_k is None else anti_k + m_anti
-        P[k] = SuperOperator(alg, _padded(alg, lin_k),
-                             None if anti_k is None else _padded(alg, anti_k))
+        nxt = P[k + 1]
+        P[k] = SuperOperator(alg, td @ nxt.lin @ t,
+                             None if nxt.antilin is None else td @ nxt.antilin @ np.conj(t))
+        if M[k] is not None:
+            P[k] = P[k] + M[k].scaled(alg.dt)
     return SecondAdjoint(P=P, M=M, lin=lin, adj=adj, xbar=xbar, ubar=ubar)
-
-
-def _padded(alg, block: np.ndarray) -> np.ndarray:
-    """A leading block zero-padded to a dim x dim matrix."""
-    out = np.zeros((alg.dim, alg.dim), dtype=np.complex128)
-    out[:len(block), :len(block)] = block
-    return out
 
 
 def _step_pairings(pj: SuperOperator, dt: float, phi2, mu2, n2, phi1, mu1, n1) -> np.ndarray:
@@ -429,7 +414,7 @@ def _p_block_terms(sa: SecondAdjoint, X: np.ndarray, dus: np.ndarray) -> np.ndar
     total = np.zeros((len(X), len(X)), dtype=np.complex128)
     for j in range(lin.algebra.n):
         mu = dus[:, j] @ lin.Du[j].T
-        noise = _times_dw(lin.algebra, dus[:, j] @ lin.Bu[j].T, j + 1)
+        noise = _mul_dw(lin.algebra, dus[:, j] @ lin.Bu[j].T, j + 1, "right")
         total += _step_pairings(sa.P[j + 1], lin.algebra.dt, X[:, j + 1], mu, noise,
                                 X[:, j + 1], mu, noise)
     return total

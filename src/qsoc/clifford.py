@@ -547,12 +547,15 @@ class AdaptedProcess:
 
 @dataclass
 class SuperOperator:
-    """Real-linear operator on coefficient space: v -> lin v + antilin conj(v).
+    """Real-linear operator v -> lin v + antilin conj(v) on the first blades.
 
-    Operators coming from sesquilinear forms are plain complex matrices
-    (``antilin is None``).  Second derivatives of quadratic-in-state
-    coefficient maps are complex-bilinear rather than sesquilinear, and those
-    materialize with a pure conjugation block.
+    It acts on the first ``size = len(lin)`` blade coordinates, a power of
+    two at most dim, and is zero beyond them: the step-k operators live on
+    the step-k adapted subspace, the first 2^k blades.  Operators coming from
+    sesquilinear forms are plain complex matrices (``antilin is None``).
+    Second derivatives of quadratic-in-state coefficient maps are
+    complex-bilinear rather than sesquilinear, and those materialize with a
+    pure conjugation block.
     """
 
     algebra: CliffordAlgebra
@@ -560,14 +563,19 @@ class SuperOperator:
     antilin: np.ndarray | None = None
 
     def __post_init__(self):
-        d = self.algebra.dim
         self.lin = np.asarray(self.lin, dtype=np.complex128)
-        if self.lin.shape != (d, d):
-            raise ValueError(f"matrix must have shape ({d}, {d})")
+        size = self.size
+        if self.lin.shape != (size, size) or size & (size - 1) or not 0 < size <= self.algebra.dim:
+            raise ValueError(f"matrix must be square with a power-of-two side at most "
+                             f"{self.algebra.dim}, got shape {self.lin.shape}")
         if self.antilin is not None:
             self.antilin = np.asarray(self.antilin, dtype=np.complex128)
-            if self.antilin.shape != (d, d):
-                raise ValueError(f"conjugation block must have shape ({d}, {d})")
+            if self.antilin.shape != self.lin.shape:
+                raise ValueError(f"conjugation block must have shape {self.lin.shape}")
+
+    @property
+    def size(self) -> int:
+        return len(self.lin)
 
     @staticmethod
     def zero(algebra: CliffordAlgebra) -> "SuperOperator":
@@ -579,7 +587,11 @@ class SuperOperator:
         return SuperOperator(algebra, scale * np.eye(algebra.dim, dtype=np.complex128))
 
     def gram(self, V: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Pairings <P v_a, w_b> of two coefficient stacks (rows), shape (A, B)."""
+        """Pairings <P v_a, w_b> of two coefficient stacks (rows), shape (A, B).
+
+        Only the leading ``size`` columns of the rows enter.
+        """
+        V, W = V[:, :self.size], W[:, :self.size]
         pv = V @ self.lin.T
         if self.antilin is not None:
             pv = pv + np.conj(V) @ self.antilin.T
@@ -590,67 +602,62 @@ class SuperOperator:
         return complex(self.gram(v.coeffs[None], w.coeffs[None])[0, 0])
 
     def __add__(self, other: "SuperOperator") -> "SuperOperator":
+        """Sum of two operators on nested blocks, on the larger block."""
+        big, small = (self, other) if self.size >= other.size else (other, self)
+        b = small.size
+        lin = big.lin.copy()
+        lin[:b, :b] += small.lin
         anti = None
-        if self.antilin is not None or other.antilin is not None:
-            a = self.antilin if self.antilin is not None else 0.0
-            b = other.antilin if other.antilin is not None else 0.0
-            anti = a + b
-        return SuperOperator(self.algebra, self.lin + other.lin, anti)
+        if big.antilin is not None or small.antilin is not None:
+            anti = np.zeros_like(lin) if big.antilin is None else big.antilin.copy()
+            if small.antilin is not None:
+                anti[:b, :b] += small.antilin
+        return SuperOperator(self.algebra, lin, anti)
 
     def scaled(self, c: float) -> "SuperOperator":
         anti = None if self.antilin is None else c * self.antilin
         return SuperOperator(self.algebra, c * self.lin, anti)
 
     def projected(self, k: int) -> "SuperOperator":
-        """Compress to the step-k adapted subspace: E_k P E_k."""
-        keep = self.algebra.adapted_mask(k)
-        sel = np.outer(keep, keep)
-        lin = np.where(sel, self.lin, 0.0)
-        anti = None if self.antilin is None else np.where(sel, self.antilin, 0.0)
-        return SuperOperator(self.algebra, lin, anti)
+        """Compress to the step-k adapted subspace: E_k P E_k, the leading 2^k block."""
+        if not 0 <= k <= self.algebra.n:
+            raise ValueError(f"step index {k} outside 0..{self.algebra.n}")
+        b = 1 << k
+        anti = None if self.antilin is None else self.antilin[:b, :b]
+        return SuperOperator(self.algebra, self.lin[:b, :b], anti)
 
 
-def superop_from_pairing(alg: CliffordAlgebra, pair, mask: np.ndarray | None = None,
-                         ) -> SuperOperator:
-    """Materialize the operator M with <M v, w> = pair(v, w).
+def superop_from_pairing(alg: CliffordAlgebra, pair, size: int) -> SuperOperator:
+    """Materialize the operator M on the first ``size`` blades with <M v, w> = pair(v, w).
 
     ``pair`` must be additive and real-homogeneous in each slot (any mix of
     sesquilinear and bilinear parts is fine).  The column of a probe v is its
-    Riesz representative sum_s conj(pair(v, e_s)) e_s, handed to
-    :func:`superop_from_columns`.  With ``mask`` given, rows and columns
-    outside the masked subspace stay zero.
+    Riesz representative sum_s conj(pair(v, e_s)) e_s over s < size, handed
+    to :func:`superop_from_columns`.
     """
-    idxs = np.nonzero(mask)[0] if mask is not None else np.arange(alg.dim)
-    blades = [CliffordElement.blade(alg, int(s)) for s in idxs]
+    blades = [CliffordElement.blade(alg, s) for s in range(size)]
 
     def riesz(v):
         col = np.zeros(alg.dim, dtype=np.complex128)
-        col[idxs] = np.conj([pair(v, e) for e in blades])
+        col[:size] = np.conj([pair(v, e) for e in blades])
         return CliffordElement(alg, col)
-    return superop_from_columns(alg, riesz, mask)
+    return superop_from_columns(alg, riesz, size)
 
 
-def superop_from_columns(alg: CliffordAlgebra, apply_fn, mask: np.ndarray | None = None,
-                         ) -> SuperOperator:
-    """Materialize a real-linear operator from its action on basis blades.
+def superop_from_columns(alg: CliffordAlgebra, apply_fn, size: int) -> SuperOperator:
+    """Materialize a real-linear operator on the first ``size`` blades from its action.
 
-    ``apply_fn`` maps an element to an element and need only be correct on the
-    masked subspace; outputs are truncated to it.  Probing each basis blade and
-    its i-multiple splits the action into the complex-linear block and the
-    conjugation block; a conjugation block that comes out identically zero is
-    dropped.
+    ``apply_fn`` maps an element to an element; it is probed on blades
+    0..size-1 only, and its outputs are truncated to the same blades.
+    Probing each basis blade and its i-multiple splits the action into the
+    complex-linear block and the conjugation block; a conjugation block that
+    comes out identically zero is dropped.
     """
-    d = alg.dim
-    idxs = np.nonzero(mask)[0] if mask is not None else np.arange(d)
-    keep = np.zeros(d, dtype=bool)
-    keep[idxs] = True
-    lin = np.zeros((d, d), dtype=np.complex128)
-    anti = np.zeros((d, d), dtype=np.complex128)
-    for r in idxs:
-        col = apply_fn(CliffordElement.blade(alg, int(r))).coeffs
-        col_i = apply_fn(CliffordElement.blade(alg, int(r), 1j)).coeffs
-        col = np.where(keep, col, 0.0)
-        col_i = np.where(keep, col_i, 0.0)
+    lin = np.zeros((size, size), dtype=np.complex128)
+    anti = np.zeros((size, size), dtype=np.complex128)
+    for r in range(size):
+        col = apply_fn(CliffordElement.blade(alg, r)).coeffs[:size]
+        col_i = apply_fn(CliffordElement.blade(alg, r, 1j)).coeffs[:size]
         lin[:, r] = 0.5 * (col - 1j * col_i)
         anti[:, r] = 0.5 * (col + 1j * col_i)
     if not np.any(anti):

@@ -32,12 +32,13 @@ every channel adapted regardless of the supplied blades.
 
 Operator hooks
 --------------
-``curvature(k, yhat, Y)`` (optional) returns a materialized ``SuperOperator``.
-For k < N it is the state curvature M_k of the Hamiltonian on the step-k
-subspace, <M_k v, w> = <yhat, D_xx(v, w)> + <Y, F_xx(v, w)>
-+ <parity(Y), G_xx(v, w)> - L_xx(v, w), or None when M_k is identically zero.
-For k = N (yhat and Y unused) it is the terminal curvature g_xx itself, with
-the cost's sign; the second adjoint starts from its negative, P_N = -g_xx.
+``curvature(k, yhat, Y)`` (optional) returns a materialized ``SuperOperator``
+on the step-k subspace, i.e. of side 2^k.  For k < N it is the state
+curvature M_k of the Hamiltonian, <M_k v, w> = <yhat, D_xx(v, w)>
++ <Y, F_xx(v, w)> + <parity(Y), G_xx(v, w)> - L_xx(v, w), or None when M_k
+is identically zero.  For k = N (yhat and Y unused) it is the terminal
+curvature g_xx itself on all dim blades, with the cost's sign; the second
+adjoint starts from its negative, P_N = -g_xx.
 
 ``state_derivatives(k, x, u)`` (optional) returns the (2^k, 2^k) matrices
 ``(Dx_k, Bt_k)`` of ``D_x`` and ``F_x + parity o G_x`` frozen at (x, u) on
@@ -480,13 +481,8 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
                  if ch.quad is not None]
         if q == 0.0 and not quads:
             return None
-        b = 1 << k
-        lin = np.zeros((algebra.dim, algebra.dim), dtype=np.complex128)
-        np.fill_diagonal(lin[:b, :b], -2.0 * q)
-        anti = None
-        if quads:
-            anti = np.zeros_like(lin)
-            anti[:b, :b] = sum(ch.curvature_block(k, weight) for ch, weight in quads)
+        lin = np.diag(np.full(1 << k, -2.0 * q, dtype=np.complex128))
+        anti = sum(ch.curvature_block(k, weight) for ch, weight in quads) if quads else None
         return SuperOperator(algebra, lin, anti)
 
     def state_derivatives(k, x, u):

@@ -168,9 +168,8 @@ def test_criterion_5_transposition_identity():
     sa0 = compute_P(p, x0t, u0, adj0)
     closed_err = 0.0
     for k in range(alg.n + 1):
-        keep = alg.adapted_mask(k)
-        want = np.diag(np.where(keep, -2.0 * q_rate * (alg.T - alg.time(k)), 0.0)
-                       .astype(complex))
+        want = -2.0 * q_rate * (alg.T - alg.time(k)) * np.eye(1 << k)
+        assert sa0.P[k].lin.shape == want.shape
         closed_err = max(closed_err, float(np.max(np.abs(sa0.P[k].lin - want))))
     assert closed_err <= 1e-10
     _announce("5 transposition identity",

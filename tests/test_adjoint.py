@@ -16,7 +16,7 @@ from qsoc.adjoint import (
 )
 from qsoc.clifford import CliffordElement, SuperOperator, make_algebra, mul_dw_right
 from qsoc.conditions import second_order_breakdown
-from qsoc.errors import CapacityError
+from qsoc.errors import CapacityError, ContractError
 from qsoc.forward import solve_first_variation, solve_second_variation, solve_state
 from qsoc.problems import ProblemSpec, make_problem
 
@@ -131,8 +131,8 @@ def test_p_constant_when_no_dynamics_and_no_running_curvature():
     ubar = np.zeros((alg.n, 1))
     _, _, sa = solve_stack(p, ubar)
     for k in range(alg.n + 1):
-        keep = alg.adapted_mask(k)
-        want = np.diag(np.where(keep, -2.0 * 0.8, 0.0).astype(complex))
+        want = -2.0 * 0.8 * np.eye(1 << k)
+        assert sa.P[k].lin.shape == want.shape
         assert np.allclose(sa.P[k].lin, want, atol=1e-13)
 
 
@@ -144,8 +144,8 @@ def test_p_closed_form_running_state_cost():
     ubar = np.zeros((alg.n, 1))
     _, _, sa = solve_stack(p, ubar)
     for k in range(alg.n + 1):
-        keep = alg.adapted_mask(k)
-        want = np.diag(np.where(keep, -2.0 * 0.7 * (alg.T - alg.time(k)), 0.0).astype(complex))
+        want = -2.0 * 0.7 * (alg.T - alg.time(k)) * np.eye(1 << k)
+        assert sa.P[k].lin.shape == want.shape
         assert np.allclose(sa.P[k].lin, want, atol=1e-10)
         assert sa.P[k].antilin is None
 
@@ -174,18 +174,26 @@ def test_p_duality_formula_oracle():
             assert abs(sa.P[k].pair(z2, z1) - val) <= 1e-10 * (1 + abs(val))
 
 
+def assert_step_operator_sides(sa):
+    """P_k and M_k live on their (2^k, 2^k) block; P_N on all dim blades."""
+    n = sa.lin.algebra.n
+    for k, op in [*enumerate(sa.P), *enumerate(sa.M)]:
+        if op is None:
+            continue
+        side = 1 << k
+        assert op.size == side and op.lin.shape == (side, side), k
+        assert op.antilin is None or op.antilin.shape == (side, side), k
+    assert sa.P[n].size == sa.lin.algebra.dim
+
+
 def test_p_maps_adapted_subspace_into_itself():
+    # stored on its step-k block, P_k maps that subspace into itself by construction
     alg, p = build("quadratic_state", n=4)
     rng = np.random.default_rng(4)
     ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
     _, _, sa = solve_stack(p, ubar)
-    for k in range(alg.n + 1):
-        keep = alg.adapted_mask(k)
-        if np.all(keep):
-            continue
-        for mat in filter(lambda m_: m_ is not None, (sa.P[k].lin, sa.P[k].antilin)):
-            assert np.max(np.abs(mat[~keep, :])) == 0.0
-            assert np.max(np.abs(mat[:, ~keep])) == 0.0
+    assert_step_operator_sides(sa)
+    assert all(op is not None and op.antilin is not None for op in sa.M)
 
 
 def test_p_real_symmetry_and_hermitian_symmetry():
@@ -225,7 +233,9 @@ def test_superop_gram_matches_per_entry_pairing(case, rows):
         assert anti is not None and np.max(np.abs(anti)) > 0.1
     V, W = (rng.standard_normal((r, alg.dim)) + 1j * rng.standard_normal((r, alg.dim))
             for r in rows)
-    want = np.array([[np.vdot(op.lin @ v + anti @ np.conj(v), w) for w in W] for v in V])
+    b = op.size  # only the leading columns of the rows enter
+    want = np.array([[np.vdot(op.lin @ v[:b] + anti @ np.conj(v[:b]), w[:b]) for w in W]
+                     for v in V])
     got = op.gram(V, W)
     assert got.shape == rows
     assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
@@ -255,6 +265,17 @@ def test_curvature_data_matches_generic_probing(name, m):
         assert np.max(np.abs(anti_data - anti_probe)) <= 1e-12
 
 
+def test_curvature_hook_of_the_wrong_side_is_refused():
+    # a hook that zero-pads M_k to dim x dim breaks the block format
+    alg, p = build("lq", n=3)
+    padded = dataclasses.replace(p, curvature=lambda k, yhat, Y: SuperOperator.identity(alg))
+    ubar = np.zeros((alg.n, 1))
+    xbar = solve_state(padded, ubar)
+    adj = solve_first_adjoint(padded, xbar, ubar)
+    with pytest.raises(ContractError):
+        compute_P(padded, xbar, ubar, adj)
+
+
 @pytest.mark.parametrize("m", (1, 2))
 @pytest.mark.parametrize("name", GALLERY)
 def test_step_derivatives_data_match_generic_probing(name, m):
@@ -268,7 +289,7 @@ def test_step_derivatives_data_match_generic_probing(name, m):
     data, probe = Linearization(p, xbar), Linearization(generic, xbar)
     for k in range(alg.n):
         for got, want in ((data.Dx[k], probe.Dx[k]), (data.Bt[k], probe.Bt[k])):
-            assert got.shape == want.shape == (alg.dim, alg.dim)
+            assert got.shape == want.shape == (1 << k, 1 << k)
             assert np.max(np.abs(got - want)) <= 1e-12
         assert np.array_equal(data.Du[k], probe.Du[k])
         assert np.array_equal(data.Bu[k], probe.Bu[k])
@@ -298,8 +319,14 @@ def test_blocked_p_matches_full_matrix_recursion():
     lin = Linearization(generic, xbar)
     dim, dt = alg.dim, alg.dt
 
+    def padded(block):
+        out = np.zeros((dim, dim), dtype=np.complex128)
+        out[:len(block), :len(block)] = block
+        return out
+
     def blocks(op):
-        return op.lin, np.zeros((dim, dim)) if op.antilin is None else op.antilin
+        anti = np.zeros((dim, dim)) if op.antilin is None else padded(op.antilin)
+        return padded(op.lin), anti
 
     lin_p, anti_p = (-mat for mat in blocks(
         _curvature_operator(generic, alg.n, xbar.terminal, None, None, None)))
@@ -307,7 +334,7 @@ def test_blocked_p_matches_full_matrix_recursion():
         keep = np.diag(alg.adapted_mask(k).astype(np.complex128))
         dw = np.array([mul_dw_right(CliffordElement.blade(alg, s), k + 1).coeffs
                        for s in range(dim)]).T
-        t = keep + dt * lin.Dx[k] + dw @ lin.Bt[k]
+        t = keep + dt * padded(lin.Dx[k]) + dw @ padded(lin.Bt[k])
         m_lin, m_anti = blocks(_curvature_operator(generic, k, xbar[k], ubar[k],
                                                    adj.yhat[k], adj.Y[k]))
         lin_p = keep @ (t.conj().T @ lin_p @ t + dt * m_lin) @ keep

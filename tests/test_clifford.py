@@ -507,13 +507,68 @@ def test_superop_materialization_roundtrip():
     lin = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal((alg.dim, alg.dim))
     anti = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal((alg.dim, alg.dim))
     op = SuperOperator(alg, lin, anti)
-    got = superop_from_pairing(alg, op.pair)
+    got = superop_from_pairing(alg, op.pair, alg.dim)
     assert np.allclose(got.lin, lin, atol=1e-12)
     assert np.allclose(got.antilin, anti, atol=1e-12)
     # and the matrix action matches the pairing route on random vectors
     v = CliffordElement(alg, rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
     w = CliffordElement(alg, rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
     assert got.pair(v, w) == pytest.approx(op.pair(v, w), rel=1e-12)
+
+
+def rand_block(rng, side):
+    return rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+
+
+@pytest.mark.parametrize("lin,anti", [
+    ((4, 2), None),     # not square
+    ((3, 3), None),     # side not a power of two
+    ((16, 16), None),   # wider than dim = 8
+    ((0, 0), None),     # empty
+    ((4, 4), (2, 2)),   # conjugation block of another shape
+])
+def test_superop_rejects_malformed_blocks(lin, anti):
+    from qsoc.clifford import SuperOperator
+    alg = make_algebra(3, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        SuperOperator(alg, np.ones(lin), None if anti is None else np.ones(anti))
+
+
+def test_superop_nested_blocks_add_as_zero_padded_sum():
+    from qsoc.clifford import SuperOperator
+    alg = make_algebra(3, 0.0, 1.0)
+    rng = np.random.default_rng(32)
+    small = SuperOperator(alg, rand_block(rng, 2), rand_block(rng, 2))
+    big = SuperOperator(alg, rand_block(rng, 4))
+    padded = np.zeros((4, 4), dtype=np.complex128)
+    padded[:2, :2] = small.antilin
+    for total in (small + big, big + small):
+        assert total.size == 4
+        assert np.array_equal(total.lin[:2, :2], small.lin + big.lin[:2, :2])
+        assert np.array_equal(total.lin[2:], big.lin[2:])
+        assert np.array_equal(total.lin[:, 2:], big.lin[:, 2:])
+        assert np.array_equal(total.antilin, padded)
+    # the operands are left as they were
+    assert big.antilin is None and small.size == 2
+
+
+def test_superop_projected_is_the_leading_block():
+    from qsoc.clifford import SuperOperator, superop_from_pairing
+    alg = make_algebra(3, 0.0, 1.0)
+    rng = np.random.default_rng(33)
+    op = SuperOperator(alg, rand_block(rng, 8), rand_block(rng, 8))
+    for k in range(alg.n + 1):
+        got = op.projected(k)
+        b = 1 << k
+        assert got.size == b
+        assert np.array_equal(got.lin, op.lin[:b, :b])
+        assert np.array_equal(got.antilin, op.antilin[:b, :b])
+        # pairings read only the leading b columns, so E_k P E_k is reproduced
+        probe = superop_from_pairing(alg, got.pair, b)
+        assert np.allclose(probe.lin, got.lin, atol=1e-12)
+        assert np.allclose(probe.antilin, got.antilin, atol=1e-12)
+    with pytest.raises(ValueError):
+        op.projected(alg.n + 1)
 
 
 def test_matrix_oracle_equivalence():

@@ -259,6 +259,27 @@ def test_corrupted_p_fails_second_order_and_theorem(monkeypatch):
     assert theorem.metrics["max_route_gap"] > 1e-3
 
 
+def test_gram_one_column_short_fails_adjoint_and_second_order(monkeypatch):
+    # SuperOperator is the one place that knows a step operator's block: a
+    # pairing that drops the last column of the block must be caught
+    gram = SuperOperator.gram
+
+    def short_gram(self, V, W):
+        V, W = np.array(V), np.array(W)
+        V[:, self.size - 1:] = 0.0
+        W[:, self.size - 1:] = 0.0
+        return gram(self, V, W)
+
+    monkeypatch.setattr(SuperOperator, "gram", short_gram)
+    cfg = suite_config()
+    adjoint = run_suite(cfg, "adjoint")
+    assert adjoint.status == "fail"
+    assert adjoint.metrics["transposition_residual"] > adjoint.metrics["transposition_tol"]
+    second = run_suite(cfg, "second_order")
+    assert second.status == "fail"
+    assert second.metrics["route_gap"] > ROUTE_GAP_TOL * (1.0 + abs(second.metrics["s"]))
+
+
 def test_theorem_single_point_grid_checks_the_certified_control():
     # one grid point is the box midpoint for both the brute force and the
     # candidate family, so the only candidate is ubar itself

@@ -114,3 +114,23 @@ def test_custom_problem_brute_force_runs_the_per_path_loop(monkeypatch):
     u_gallery, j_gallery = brute_force_search(make_problem(alg, ProblemSpec.gallery("lq")), 5)
     assert np.array_equal(u_custom, u_gallery)
     assert j_custom == pytest.approx(j_gallery, rel=1e-12)
+
+
+def test_custom_problem_step_operators_live_on_their_blocks():
+    # probed from the callbacks, Dx_k, Bt_k, M_k and P_k come out on their
+    # (2^k, 2^k) blocks and P_N on all dim blades, as for the gallery
+    alg = make_algebra(4, 0.0, 1.0)
+    p = lq_like_custom(alg)
+    assert p.curvature is None and p.state_derivatives is None
+    ubar = np.random.default_rng(2).uniform(-0.5, 0.5, size=(alg.n, 1))
+    xbar = solve_state(p, ubar)
+    adj = solve_first_adjoint(p, xbar, ubar)
+    sa = compute_P(p, xbar, ubar, adj)
+    for k in range(alg.n):
+        side = 1 << k
+        assert adj.lin.Dx[k].shape == adj.lin.Bt[k].shape == (side, side)
+        assert adj.lin.Du[k].shape == adj.lin.Bu[k].shape == (alg.dim, p.m)
+        for op in (sa.M[k], sa.P[k]):
+            assert op.size == side and op.lin.shape == (side, side)
+            assert op.antilin is None
+    assert sa.P[alg.n].size == alg.dim

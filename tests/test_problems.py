@@ -185,7 +185,7 @@ def test_hamiltonian_derivatives_free_quadratic():
     assert np.allclose(hu_field(p, adj), -2 * 0.7 * 0.3)
     x, zero = xbar[0], CliffordElement.zero(alg)
     assert np.allclose(huu_matrix(p, 0, x, u[0], zero, zero), -2 * 0.7 * np.eye(1))
-    hxx = superop_from_pairing(alg, hxx_pairing(p, 0, x, u[0], zero, zero))
+    hxx = superop_from_pairing(alg, hxx_pairing(p, 0, x, u[0], zero, zero), alg.dim)
     assert np.max(np.abs(hxx.lin)) == 0.0
     assert hxu_pairing(p, 0, x, u[0], zero, zero) is None
 
@@ -197,7 +197,7 @@ def test_hamiltonian_state_curvature_is_running_cost_only_for_lq():
     y = CliffordElement(alg, rng.standard_normal(alg.dim) + 0j)
     Y = CliffordElement(alg, rng.standard_normal(alg.dim) + 0j)
     hxx = superop_from_pairing(
-        alg, hxx_pairing(p, 1, CliffordElement.unit(alg), np.zeros(1), y, Y))
+        alg, hxx_pairing(p, 1, CliffordElement.unit(alg), np.zeros(1), y, Y), alg.dim)
     assert np.allclose(hxx.lin, -2.0 * 0.35 * np.eye(alg.dim), atol=1e-13)
     assert hxx.antilin is None
 
