@@ -163,6 +163,12 @@ class Linearization:
         return out
 
     def t_apply(self, k: int, v: CliffordElement) -> CliffordElement:
+        """T_k v on one element, kept apart from :meth:`t_block` on purpose.
+
+        The transposition check steps its test equations here and pairs them
+        with the P_k that :func:`compute_P` conjugates through ``t_block``; on
+        one shared T_k a defect in it would cancel out of the identity.
+        """
         b = 1 << k
         dx = np.zeros(self.algebra.dim, dtype=np.complex128)
         bt = np.zeros(self.algebra.dim, dtype=np.complex128)

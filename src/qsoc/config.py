@@ -17,7 +17,7 @@ Schema (all keys except ``problem`` and ``grid`` optional)::
       },
       "grid": {"t0": 0.0, "T": 1.0, "N": 4},
       "suites": ["algebra", ...],      # default: all
-      "tolerances": {"algebra": {"laws": 1e-10}},
+      "tolerances": {"algebra": {"probes": 10000}},   # or isometry; ints >= 1
       "seed": 0,
       "output": "out",
       "emit": ["json", "csv", "plotdata"]
@@ -25,7 +25,8 @@ Schema (all keys except ``problem`` and ``grid`` optional)::
 
 Omitted gallery fields fall back to the canonical instance for the problem
 name.  Unknown keys anywhere are rejected so typos cannot silently change a
-run.
+run.  Suite bounds are fixed in :mod:`qsoc.suites` and reported per suite;
+``tolerances`` sets only the probe counts of ``algebra`` and ``isometry``.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ from pathlib import Path
 from .adjoint import SUPEROP_BUDGET
 from .clifford import DEFAULT_GENERATOR_CAP
 from .errors import ConfigError
+from .optimize import BRUTE_FORCE_BUDGET, GRID_POINTS
 from .problems import GALLERY_NAMES, ProblemSpec
 
 __all__ = ["RunConfig", "parse_config", "load_config", "superop_budget_error",
-           "SUITE_ORDER", "EMIT_FORMATS"]
+           "brute_force_budget_error", "SUITE_ORDER", "EMIT_FORMATS"]
 
 SUITE_ORDER = ("algebra", "isometry", "orders", "gradient", "adjoint",
                "second_order", "theorem", "optimize")
@@ -63,7 +65,6 @@ class RunConfig:
     seed: int
     output: str | None
     emit: list
-    cap: int = DEFAULT_GENERATOR_CAP
 
     def echo(self) -> dict:
         """Normalized semantic content, used verbatim in reports."""
@@ -231,7 +232,7 @@ def _parse_problem(raw: dict, check: _Checker) -> ProblemSpec | None:
         return None
 
 
-def parse_config(raw: dict, cap: int = DEFAULT_GENERATOR_CAP) -> RunConfig:
+def parse_config(raw: dict) -> RunConfig:
     check = _Checker()
     if not isinstance(raw, dict):
         raise ConfigError([("", "top-level document must be an object")])
@@ -254,8 +255,8 @@ def parse_config(raw: dict, cap: int = DEFAULT_GENERATOR_CAP) -> RunConfig:
         n = check.integer(grid.get("N"), "grid.N", required=True, minimum=1)
         if t0 is not None and T is not None and not (T > t0):
             check.fail("grid.T", "must exceed grid.t0")
-        if n is not None and n > cap:
-            check.fail("grid.N", f"exceeds the generator cap {cap}")
+        if n is not None and n > DEFAULT_GENERATOR_CAP:
+            check.fail("grid.N", f"exceeds the generator cap {DEFAULT_GENERATOR_CAP}")
 
     suites = raw.get("suites", list(SUITE_ORDER))
     if (not isinstance(suites, list) or not suites
@@ -270,8 +271,9 @@ def parse_config(raw: dict, cap: int = DEFAULT_GENERATOR_CAP) -> RunConfig:
             check.fail("suites", "duplicate suite names")
         suites = [s for s in SUITE_ORDER if s in suites]
 
-    if n is not None and n <= cap:
-        msg = superop_budget_error(n, suites)
+    if n is not None and n <= DEFAULT_GENERATOR_CAP:
+        msg = superop_budget_error(n, suites) \
+            or (spec and brute_force_budget_error(n, spec.m, suites))
         if msg:
             check.fail("grid.N", msg)
 
@@ -279,16 +281,18 @@ def parse_config(raw: dict, cap: int = DEFAULT_GENERATOR_CAP) -> RunConfig:
     if not isinstance(tolerances, dict):
         check.fail("tolerances", "expected an object keyed by suite name")
         tolerances = {}
-    else:
-        for key, val in tolerances.items():
-            if key not in SUITE_ORDER:
-                check.fail(f"tolerances.{key}", "unknown suite")
-            elif not isinstance(val, dict):
-                check.fail(f"tolerances.{key}", "expected an object of overrides")
-            else:
-                for name, num in val.items():
-                    if isinstance(num, bool) or not isinstance(num, (int, float)):
-                        check.fail(f"tolerances.{key}.{name}", "expected a number")
+    for key, val in tolerances.items():
+        if key not in SUITE_ORDER:
+            check.fail(f"tolerances.{key}", "unknown suite")
+        elif not isinstance(val, dict):
+            check.fail(f"tolerances.{key}", "expected an object")
+        else:
+            for name, num in val.items():
+                if name == "probes" and key in ("algebra", "isometry"):
+                    check.integer(num, f"tolerances.{key}.probes", minimum=1)
+                else:  # every other bound is fixed in qsoc.suites
+                    check.fail(f"tolerances.{key}.{name}", "unknown key: only "
+                               "algebra.probes and isometry.probes are settable")
 
     seed = check.integer(raw.get("seed"), "seed", default=0)
     output = raw.get("output")
@@ -309,8 +313,7 @@ def parse_config(raw: dict, cap: int = DEFAULT_GENERATOR_CAP) -> RunConfig:
     if check.errors:
         raise ConfigError(check.errors)
     return RunConfig(problem=spec, t0=t0, T=T, n_steps=n, suites=suites,
-                     tolerances=tolerances, seed=seed, output=output, emit=emit,
-                     cap=cap)
+                     tolerances=tolerances, seed=seed, output=output, emit=emit)
 
 
 def superop_budget_error(n_steps: int, suites) -> str | None:
@@ -319,6 +322,15 @@ def superop_budget_error(n_steps: int, suites) -> str | None:
     if users and (1 << n_steps) > SUPEROP_BUDGET:
         return (f"coefficient dimension {1 << n_steps} exceeds the superoperator "
                 f"budget {SUPEROP_BUDGET} of suites {', '.join(users)}")
+    return None
+
+
+def brute_force_budget_error(n_steps: int, m: int, suites) -> str | None:
+    """Why running ``theorem`` at N = n_steps would exceed the brute-force budget."""
+    cells = n_steps * m  # the exponent is capped: 5^64 exceeds any budget
+    if "theorem" in suites and GRID_POINTS ** min(cells, 64) > BRUTE_FORCE_BUDGET:
+        return (f"{GRID_POINTS}^{cells} grid controls of suite theorem exceed the "
+                f"brute-force budget {BRUTE_FORCE_BUDGET}")
     return None
 
 

@@ -28,6 +28,7 @@ from .problems import ControlProblem, cost
 __all__ = ["projected_gradient", "brute_force_search", "control_grid", "GradientTrace"]
 
 BRUTE_FORCE_BUDGET = 10 ** 6
+GRID_POINTS = 5  # per control dimension, on the grids of the theorem and optimize suites
 # Relative screening margin.  It must exceed twice the largest gap between a
 # screened cost and the per-path cost; tests measure that gap on the gallery
 # at a few 1e-16 relative, and require it below a hundredth of the margin.

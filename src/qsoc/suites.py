@@ -3,7 +3,9 @@
 Every suite draws randomness from a generator seeded by (config seed, suite
 index), so reruns and suite subsets reproduce bit-identical numbers.  Suites
 return plain metric dictionaries (floats, ints, strings, short lists) ready
-for canonical serialization.
+for canonical serialization.  Every bound and solver setting is a constant
+here (tolerances are reported in the suite's metrics); a run config sets
+only the probe counts of ``algebra`` and ``isometry``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .conditions import (
 from .config import SUITE_ORDER, RunConfig
 from .forward import order_estimate_slopes, solve_first_variation, solve_state
 from .matrices import realization_for
-from .optimize import brute_force_search, control_grid, projected_gradient
+from .optimize import GRID_POINTS, brute_force_search, control_grid, projected_gradient
 from .problems import ProblemSpec, cost, make_problem
 
 __all__ = ["SuiteResult", "run_suite", "run_all", "run_scope", "suite_rng"]
@@ -86,24 +88,19 @@ def run_scope():
         _RUN_RESULTS.reset(token)
 
 
-def _brute_force(cfg: RunConfig, p, points: int):
-    """brute_force_search on the config's problem, once per run_scope and grid."""
+def _brute_force(cfg: RunConfig, p):
+    """brute_force_search on the config's problem, once per run_scope."""
     shared = _RUN_RESULTS.get()
     if shared is None:
-        return brute_force_search(p, points)
-    key = (cfg.problem, cfg.t0, cfg.T, cfg.n_steps, cfg.cap, points)
+        return brute_force_search(p, GRID_POINTS)
+    key = (cfg.problem, cfg.t0, cfg.T, cfg.n_steps)
     for seen, found in shared:
         if seen == key:
             break
     else:
-        found = brute_force_search(p, points)
+        found = brute_force_search(p, GRID_POINTS)
         shared.append((key, found))
     return found[0].copy(), found[1]
-
-
-def _tol(cfg: RunConfig, suite: str, key: str, default):
-    val = cfg.tolerances.get(suite, {}).get(key, default)
-    return type(default)(val)
 
 
 def _interior_control(p, rng, shape, span=0.6):
@@ -131,10 +128,9 @@ def _unit_rows_on_support(rng, count, dim, support):
 
 def run_algebra(cfg: RunConfig) -> SuiteResult:
     rng = suite_rng(cfg.seed, "algebra")
-    alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T, cap=cfg.cap)
-    probes = int(_tol(cfg, "algebra", "probes", 10000))
-    law_tol = _tol(cfg, "algebra", "laws", 1e-10)
-    oracle_tol = _tol(cfg, "algebra", "oracle", 1e-12)
+    alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
+    probes = cfg.tolerances.get("algebra", {}).get("probes", 10000)
+    law_tol, oracle_tol = 1e-10, 1e-12
 
     worst = {"assoc": 0.0, "anticommute": 0.0, "star": 0.0, "parity": 0.0,
              "trace": 0.0, "orthonormal": 0.0, "square": 0.0}
@@ -228,9 +224,9 @@ def run_algebra(cfg: RunConfig) -> SuiteResult:
 
 def run_isometry(cfg: RunConfig) -> SuiteResult:
     rng = suite_rng(cfg.seed, "isometry")
-    alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T, cap=cfg.cap)
-    probes = int(_tol(cfg, "isometry", "probes", 1000))
-    tol = _tol(cfg, "isometry", "tol", 1e-10)
+    alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
+    probes = cfg.tolerances.get("isometry", {}).get("probes", 1000)
+    tol = 1e-10
 
     # Probes run in blocks through the row dW kernel.  Each block draws its
     # (probe, step, re f / im f / re g / im g, blade) normals in one call, the
@@ -272,17 +268,14 @@ def run_isometry(cfg: RunConfig) -> SuiteResult:
 
 def run_orders(cfg: RunConfig) -> SuiteResult:
     rng = suite_rng(cfg.seed, "orders")
-    alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T, cap=cfg.cap)
+    alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
     p = make_problem(alg, cfg.problem)
     eps = [2.0 ** -e for e in range(3, 10)]
     ubar = _interior_control(p, rng, (alg.n, p.m), span=0.5)
     u = _interior_control(p, rng, (alg.n, p.m), span=1.0)
     rep = order_estimate_slopes(p, ubar, u, eps)
-    lo1, hi1 = _tol(cfg, "orders", "slope1_lo", 0.9), _tol(cfg, "orders", "slope1_hi", 1.1)
-    lo2, hi2 = _tol(cfg, "orders", "slope2_lo", 1.8), _tol(cfg, "orders", "slope2_hi", 2.2)
-    min3 = _tol(cfg, "orders", "slope3_min", 2.5)
-    ok = rep.dx.within(lo1, hi1) and rep.dx_minus_x1.within(lo2, hi2) \
-        and rep.dx_minus_x1_x2.at_least(min3)
+    ok = rep.dx.within(0.9, 1.1) and rep.dx_minus_x1.within(1.8, 2.2) \
+        and rep.dx_minus_x1_x2.at_least(2.5)
 
     def describe(fit):
         return {"slope": fit.slope, "exact": fit.exact}
@@ -300,12 +293,9 @@ def run_orders(cfg: RunConfig) -> SuiteResult:
 
 def run_gradient(cfg: RunConfig) -> SuiteResult:
     rng = suite_rng(cfg.seed, "gradient")
-    alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T, cap=cfg.cap)
+    alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
     p = make_problem(alg, cfg.problem)
-    trials = int(_tol(cfg, "gradient", "trials", 5))
-    dual_tol = _tol(cfg, "gradient", "duality", 1e-10)
-    fd_tol = _tol(cfg, "gradient", "fd", 1e-6)
-    h = _tol(cfg, "gradient", "fd_step", 1e-4)
+    trials, dual_tol, fd_tol, h = 5, 1e-10, 1e-6, 1e-4
 
     ubar = _interior_control(p, rng, (alg.n, p.m), span=0.5)
     xbar = solve_state(p, ubar)
@@ -335,11 +325,9 @@ def run_gradient(cfg: RunConfig) -> SuiteResult:
 
 def run_adjoint(cfg: RunConfig) -> SuiteResult:
     rng = suite_rng(cfg.seed, "adjoint")
-    alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T, cap=cfg.cap)
+    alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
     p = make_problem(alg, cfg.problem)
-    pairs_n = int(_tol(cfg, "adjoint", "pairs", 100))
-    trans_tol = _tol(cfg, "adjoint", "transposition", 1e-9)
-    closed_tol = _tol(cfg, "adjoint", "closed_form", 1e-10)
+    pairs_n, trans_tol, closed_tol = 100, 1e-9, 1e-10
 
     ubar = _interior_control(p, rng, (alg.n, p.m), span=0.5)
     xbar = solve_state(p, ubar)
@@ -404,9 +392,9 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
 
 def run_second_order(cfg: RunConfig) -> SuiteResult:
     rng = suite_rng(cfg.seed, "second_order")
-    alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T, cap=cfg.cap)
+    alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
     p = make_problem(alg, cfg.problem)
-    tol = _tol(cfg, "second_order", "tol", 1e-3)
+    tol = 1e-3
     eps = [2.0 ** -e for e in range(4, 9)]
     ubar = _interior_control(p, rng, (alg.n, p.m), span=0.4)
     u = _interior_control(p, rng, (alg.n, p.m), span=0.9)
@@ -425,16 +413,13 @@ def run_second_order(cfg: RunConfig) -> SuiteResult:
 # -- theorem -------------------------------------------------------------------
 
 def run_theorem(cfg: RunConfig) -> SuiteResult:
-    alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T, cap=cfg.cap)
+    alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
     p = make_problem(alg, cfg.problem)
-    points = int(_tol(cfg, "theorem", "grid_points", 5))
-    s_tol = _tol(cfg, "theorem", "s_tol", 1e-6)
-    fo_tol = cfg.tolerances.get("theorem", {}).get("fo_tol")
-    analytic_tol = _tol(cfg, "theorem", "analytic_tol", 1e-10)
+    s_tol, analytic_tol = 1e-6, 1e-10
 
-    ubar, j_star = _brute_force(cfg, p, points)
-    candidates = list(control_grid(p, points))
-    report = verify_theorem(p, ubar, candidates, fo_tol=fo_tol, s_tol=s_tol)
+    ubar, j_star = _brute_force(cfg, p)
+    candidates = list(control_grid(p, GRID_POINTS))
+    report = verify_theorem(p, ubar, candidates, s_tol=s_tol)
 
     # analytic companion: pure control cost, so H = -2r dt I and S = -2r dt ||du||^2
     r_rate = 0.5
@@ -452,7 +437,7 @@ def run_theorem(cfg: RunConfig) -> SuiteResult:
 
     ok = report.verdict and analytic_err <= analytic_tol and analytic_ok
     gated_s = [s for fo, s, gated, _ in report.rows if gated]
-    metrics = {"grid_points": points, "candidates": len(candidates),
+    metrics = {"grid_points": GRID_POINTS, "candidates": len(candidates),
                "brute_force_value": j_star,
                "fo_tol": report.fo_tol, "s_tol": s_tol,
                "gated_count": report.gated_count,
@@ -470,23 +455,17 @@ def run_theorem(cfg: RunConfig) -> SuiteResult:
 
 def run_optimize(cfg: RunConfig) -> SuiteResult:
     rng = suite_rng(cfg.seed, "optimize")
-    alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T, cap=cfg.cap)
+    alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
     p = make_problem(alg, cfg.problem)
-    step = _tol(cfg, "optimize", "step", 0.5)
-    max_iter = int(_tol(cfg, "optimize", "max_iter", 300))
-    grad_tol = _tol(cfg, "optimize", "grad_tol", 1e-9)
-    points = int(_tol(cfg, "optimize", "grid_points", 5))
-
     u0 = _interior_control(p, rng, (alg.n, p.m), span=0.8)
-    u, trace = projected_gradient(p, u0, step=step, max_iter=max_iter,
-                                  grad_tol=grad_tol)
+    u, trace = projected_gradient(p, u0, step=0.5, max_iter=300, grad_tol=1e-9)
     metrics = {"iterations": trace.iterations, "final_cost": trace.costs[-1],
                "final_grad_norm": trace.grad_norms[-1] if trace.grad_norms else 0.0,
                "converged": trace.converged, "stalled": trace.stalled,
                "step_halvings": trace.step_halvings}
     ok = trace.converged or trace.stalled
-    if p.control_set.is_bounded() and points ** (alg.n * p.m) <= 10 ** 5:
-        _, j_bf = _brute_force(cfg, p, points)
+    if p.control_set.is_bounded() and GRID_POINTS ** (alg.n * p.m) <= 10 ** 5:
+        _, j_bf = _brute_force(cfg, p)
         metrics["brute_force_value"] = j_bf
         ok = ok and trace.costs[-1] <= j_bf + 1e-9
     monotone = all(nxt - prev <= 1e-14

@@ -45,7 +45,7 @@ def test_criterion_1_algebra_laws():
         "problem": {"name": "free"},
         "grid": {"t0": 0.0, "T": 1.0, "N": 8},
         "suites": ["algebra"],
-        "tolerances": {"algebra": {"probes": 10000, "laws": 1e-10, "oracle": 1e-12}},
+        "tolerances": {"algebra": {"probes": 10000}},
         "seed": 1,
     })
     res = run_suite(cfg, "algebra")
@@ -64,7 +64,7 @@ def test_criterion_2_ito_isometry():
         "problem": {"name": "free"},
         "grid": {"t0": 0.0, "T": 1.0, "N": 10},
         "suites": ["isometry"],
-        "tolerances": {"isometry": {"probes": 1000, "tol": 1e-10}},
+        "tolerances": {"isometry": {"probes": 1000}},
         "seed": 2,
     })
     res = run_suite(cfg, "isometry")
@@ -260,8 +260,7 @@ def test_criterion_8_deterministic_reports(tmp_path):
         "grid": {"t0": 0.0, "T": 1.0, "N": 4},
         "suites": ["algebra", "isometry", "orders", "gradient", "adjoint",
                    "second_order", "theorem", "optimize"],
-        "tolerances": {"algebra": {"probes": 400}, "isometry": {"probes": 40},
-                       "adjoint": {"pairs": 25}, "theorem": {"grid_points": 3}},
+        "tolerances": {"algebra": {"probes": 400}, "isometry": {"probes": 40}},
         "seed": 8,
         "emit": ["json", "csv"],
     }

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsoc import cli
 from qsoc.cli import main
 from qsoc.clifford import CliffordAlgebra
 from qsoc.config import SUITE_ORDER, load_config, parse_config
@@ -81,6 +82,52 @@ def test_validate_rejects_p_suites_above_superop_budget(tmp_path, capsys):
         with pytest.raises(ConfigError) as exc:
             parse_config(dict(cfg, suites=[suite]))
         assert [p for p, _ in exc.value.errors] == ["grid.N"]
+
+
+@pytest.mark.parametrize("tolerances, path", [
+    ({"second_order": {"tol": 1e9}}, "tolerances.second_order.tol"),
+    ({"adjoint": {"transposition": 1e9}}, "tolerances.adjoint.transposition"),
+    ({"theorem": {"grid_points": 1}}, "tolerances.theorem.grid_points"),
+    ({"algebra": {"lwas": 1e-10}}, "tolerances.algebra.lwas"),
+    ({"algebra": {"probes": 0}}, "tolerances.algebra.probes"),
+    ({"isometry": {"probes": -5}}, "tolerances.isometry.probes"),
+    ({"algebra": {"probes": 2.5}}, "tolerances.algebra.probes"),
+    ({"isometry": {"probes": True}}, "tolerances.isometry.probes"),
+    ({"nope": {"probes": 3}}, "tolerances.nope"),
+])
+def test_validate_refuses_every_tolerance_but_the_probe_counts(tmp_path, capsys,
+                                                               tolerances, path):
+    cfg = write_config(tmp_path, base_config(tolerances=tolerances))
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
+def test_validate_accepts_the_probe_counts(tmp_path, capsys):
+    cfg = base_config(tolerances={"algebra": {"probes": 1}, "isometry": {"probes": 7}})
+    assert main(["validate", "--config", str(write_config(tmp_path, cfg))]) == 0
+    assert "config ok" in capsys.readouterr().out
+    assert parse_config(cfg).tolerances == cfg["tolerances"]
+
+
+def test_theorem_brute_force_over_budget_is_refused_before_any_suite(tmp_path, capsys,
+                                                                    monkeypatch):
+    # 5^(N·m) = 5^10 grid controls exceed the 10^6 budget of the brute force
+    started = []
+    monkeypatch.setattr(cli, "run_suite", lambda cfg, name: started.append(name))
+    cfg = base_config(problem={"name": "lq", "m": 2}, grid={"t0": 0.0, "T": 1.0, "N": 5},
+                      suites=["gradient", "theorem"])
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "grid.N" in err and "5^10" in err and "1000000" in err
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    # a --suite override that adds theorem is held to the same budget
+    path = write_config(tmp_path, dict(cfg, suites=["gradient"]))
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--out", str(out), "--suite", "theorem"]) == 2
+    assert "grid.N" in capsys.readouterr().err
+    assert started == [] and not out.exists()
 
 
 def test_validate_accepts_large_n_without_p_suites(tmp_path, capsys):
@@ -177,14 +224,12 @@ def test_run_suite_filter(tmp_path):
 
 
 def test_theorem_report_carries_fo_s_table(tmp_path):
-    cfg = base_config(suites=["theorem"],
-                      tolerances={"theorem": {"grid_points": 3}})
-    path = write_config(tmp_path, cfg)
+    path = write_config(tmp_path, base_config(suites=["theorem"]))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     table = report["suites"][0]["metrics"]["fo_s_table"]
-    assert len(table) == 3 ** 3
+    assert len(table) == 5 ** 3
     assert all(len(row) == 2 for row in table)
 
 
@@ -254,10 +299,17 @@ def test_invalid_config_exit_code_and_no_partial_report(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_failing_suite_exit_code(tmp_path):
-    # impossible tolerance forces a failure verdict
-    cfg = base_config(tolerances={"isometry": {"probes": 10, "tol": 1e-30}})
-    path = write_config(tmp_path, cfg)
+def test_failing_suite_exit_code(tmp_path, monkeypatch):
+    # a planted sign error in the dW kernel forces a failure verdict
+    original = CliffordAlgebra._gen_signs
+
+    def flipped(self, side, g):
+        signs = original(self, side, g).copy()
+        if side == "left":
+            signs[0] = -signs[0]
+        return signs
+    monkeypatch.setattr(CliffordAlgebra, "_gen_signs", flipped)
+    path = write_config(tmp_path, base_config(suites=["isometry"]))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())

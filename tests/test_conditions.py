@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsoc import conditions, suites
-from qsoc.adjoint import compute_P, solve_first_adjoint
+from qsoc.adjoint import Linearization, compute_P, solve_first_adjoint
 from qsoc.clifford import (
     CliffordElement,
     SuperOperator,
@@ -27,6 +27,7 @@ from qsoc.conditions import (
 )
 from qsoc.forward import solve_first_variation, solve_state
 from qsoc.config import parse_config
+from qsoc.optimize import control_grid
 from qsoc.problems import ControlProblem, ControlSet, ProblemSpec, cost, make_problem
 from qsoc.suites import run_all, run_suite
 
@@ -222,12 +223,11 @@ def test_default_gate_tolerance_scales():
     assert tol <= 1e-6
 
 
-def suite_config(grid_points=3):
+def suite_config():
     return parse_config({
         "problem": {"name": "lq", "m": 1},
         "grid": {"t0": 0.0, "T": 1.0, "N": 4},
         "suites": ["second_order", "theorem"],
-        "tolerances": {"theorem": {"grid_points": grid_points}},
         "seed": 5,
     })
 
@@ -280,18 +280,39 @@ def test_gram_one_column_short_fails_adjoint_and_second_order(monkeypatch):
     assert second.metrics["route_gap"] > ROUTE_GAP_TOL * (1.0 + abs(second.metrics["s"]))
 
 
+def test_transposition_check_catches_a_wrong_t_block_noise_half(monkeypatch):
+    # compute_P conjugates with t_block while the test equations step through
+    # t_apply, so a defect in t_block cannot cancel out of the identity
+    t_block = Linearization.t_block
+
+    def noisy(self, k):
+        out = t_block(self, k)
+        out[1 << k:] *= 1.0 + 1e-3
+        return out
+
+    cfg = suite_config()
+    clean = run_suite(cfg, "adjoint")
+    assert clean.passed
+    monkeypatch.setattr(Linearization, "t_block", noisy)
+    res = run_suite(cfg, "adjoint")
+    assert res.status == "fail"
+    assert res.metrics["transposition_residual"] > 1e3 * res.metrics["transposition_tol"]
+    assert res.metrics["closed_form_error"] == clean.metrics["closed_form_error"]
+
+
 def test_theorem_single_point_grid_checks_the_certified_control():
-    # one grid point is the box midpoint for both the brute force and the
-    # candidate family, so the only candidate is ubar itself
-    res = run_suite(suite_config(grid_points=1), "theorem")
-    assert res.passed
-    assert res.metrics["candidates"] == 1
-    assert res.metrics["fo_s_table"] == [[0.0, 0.0]]
+    # one grid point is the box midpoint, so the only candidate is ubar itself
+    _, p = build("lq")
+    (ubar,) = control_grid(p, 1)
+    report = verify_theorem(p, ubar, [ubar])
+    assert report.verdict
+    assert [(fo, s) for fo, s, _, _ in report.rows] == [(0.0, 0.0)]
 
 
 def test_theorem_zero_direction_serializes_as_positive_zero():
-    res = run_suite(suite_config(grid_points=1), "theorem")
-    (fo, s_val), = res.metrics["fo_s_table"]
+    _, p = build("lq")
+    (ubar,) = control_grid(p, 1)
+    (fo, s_val, _, _), = verify_theorem(p, ubar, [ubar]).rows
     assert math.copysign(1.0, s_val) == 1.0 and math.copysign(1.0, fo) == 1.0
 
 
@@ -445,7 +466,7 @@ def test_theorem_work_does_not_grow_with_the_grid(monkeypatch):
         for name in calls:
             if hasattr(module, name):
                 counted(module, name)
-    res = run_suite(suite_config(grid_points=5), "theorem")
+    res = run_suite(suite_config(), "theorem")
     assert res.passed and res.metrics["candidates"] == 5 ** 4
     columns = 4  # N * m, for the problem and for the analytic companion
     assert calls["solve_first_variation"] <= 2 * columns + ORACLE_SAMPLES + 1
@@ -467,17 +488,13 @@ def test_brute_force_runs_once_per_run(monkeypatch):
         "problem": {"name": "lq", "m": 1},
         "grid": {"t0": 0.0, "T": 1.0, "N": 3},
         "suites": ["theorem", "optimize"],
-        "tolerances": {"theorem": {"grid_points": 3}, "optimize": {"grid_points": 3}},
         "seed": 5,
     })
     theorem, optimize = run_all(cfg)
-    assert calls == [3]
+    assert calls == [5]
     assert theorem.metrics["brute_force_value"] == optimize.metrics["brute_force_value"]
     run_all(cfg)  # nothing is kept between runs
-    assert calls == [3, 3]
+    assert calls == [5, 5]
     alone = run_suite(cfg, "optimize")
-    assert calls == [3, 3, 3]
+    assert calls == [5, 5, 5]
     assert alone.metrics == optimize.metrics
-    cfg.tolerances["optimize"]["grid_points"] = 4  # different grids are not shared
-    run_all(cfg)
-    assert calls == [3, 3, 3, 3, 4]
