@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import __version__
-from .config import SUITE_ORDER, brute_force_budget_error, load_config, superop_budget_error
+from .config import SUITE_ORDER, budget_error, load_config
 from .errors import BudgetError, CapacityError, ConfigError, QsocError
 from .report import write_report_files
 from .suites import run_scope, run_suite
@@ -62,8 +62,7 @@ def main(argv=None) -> int:
             cfg.seed = int(args.seed)
         if args.suite:
             cfg.suites = [s for s in SUITE_ORDER if s in set(args.suite)]
-            msg = superop_budget_error(cfg.n_steps, cfg.suites) \
-                or brute_force_budget_error(cfg.n_steps, cfg.problem.m, cfg.suites)
+            msg = budget_error(cfg.n_steps, cfg.problem.m, cfg.suites)
             if msg:
                 raise ConfigError([("grid.N", msg)])
         outdir = args.out or cfg.output or "qsoc-out"

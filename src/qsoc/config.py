@@ -41,8 +41,8 @@ from .errors import ConfigError
 from .optimize import BRUTE_FORCE_BUDGET, GRID_POINTS
 from .problems import GALLERY_NAMES, ProblemSpec
 
-__all__ = ["RunConfig", "parse_config", "load_config", "superop_budget_error",
-           "brute_force_budget_error", "SUITE_ORDER", "EMIT_FORMATS"]
+__all__ = ["RunConfig", "parse_config", "load_config", "budget_error", "SUITE_ORDER",
+           "EMIT_FORMATS"]
 
 SUITE_ORDER = ("algebra", "isometry", "orders", "gradient", "adjoint",
                "second_order", "theorem", "optimize")
@@ -272,8 +272,7 @@ def parse_config(raw: dict) -> RunConfig:
         suites = [s for s in SUITE_ORDER if s in suites]
 
     if n is not None and n <= DEFAULT_GENERATOR_CAP:
-        msg = superop_budget_error(n, suites) \
-            or (spec and brute_force_budget_error(n, spec.m, suites))
+        msg = budget_error(n, spec and spec.m, suites)
         if msg:
             check.fail("grid.N", msg)
 
@@ -316,18 +315,17 @@ def parse_config(raw: dict) -> RunConfig:
                      tolerances=tolerances, seed=seed, output=output, emit=emit)
 
 
-def superop_budget_error(n_steps: int, suites) -> str | None:
-    """Why running ``suites`` at N = n_steps would exceed the compute_P budget."""
+def budget_error(n_steps: int, m: int | None, suites) -> str | None:
+    """The first compute budget that running ``suites`` at N = n_steps would exceed.
+
+    ``m`` is the control dimension, None when the problem did not validate (the
+    brute-force budget is then not checked).
+    """
     users = [s for s in suites if s in _P_SUITES]
     if users and (1 << n_steps) > SUPEROP_BUDGET:
         return (f"coefficient dimension {1 << n_steps} exceeds the superoperator "
                 f"budget {SUPEROP_BUDGET} of suites {', '.join(users)}")
-    return None
-
-
-def brute_force_budget_error(n_steps: int, m: int, suites) -> str | None:
-    """Why running ``theorem`` at N = n_steps would exceed the brute-force budget."""
-    cells = n_steps * m  # the exponent is capped: 5^64 exceeds any budget
+    cells = n_steps * (m or 0)  # the exponent is capped: 5^64 exceeds any budget
     if "theorem" in suites and GRID_POINTS ** min(cells, 64) > BRUTE_FORCE_BUDGET:
         return (f"{GRID_POINTS}^{cells} grid controls of suite theorem exceed the "
                 f"brute-force budget {BRUTE_FORCE_BUDGET}")

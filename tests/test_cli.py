@@ -299,8 +299,8 @@ def test_invalid_config_exit_code_and_no_partial_report(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_failing_suite_exit_code(tmp_path, monkeypatch):
-    # a planted sign error in the dW kernel forces a failure verdict
+def flip_left_gen_sign(monkeypatch):
+    """Plant a sign error in the dW kernel: dW_k times the scalar blade flips sign."""
     original = CliffordAlgebra._gen_signs
 
     def flipped(self, side, g):
@@ -309,6 +309,10 @@ def test_failing_suite_exit_code(tmp_path, monkeypatch):
             signs[0] = -signs[0]
         return signs
     monkeypatch.setattr(CliffordAlgebra, "_gen_signs", flipped)
+
+
+def test_failing_suite_exit_code(tmp_path, monkeypatch):
+    flip_left_gen_sign(monkeypatch)  # forces a failure verdict
     path = write_config(tmp_path, base_config(suites=["isometry"]))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
@@ -339,19 +343,11 @@ def test_algebra_suite_catches_a_wrong_matrix_form(monkeypatch):
 
 
 def test_isometry_suite_catches_a_sign_error_in_the_dw_kernel(monkeypatch):
-    # dW_k times the scalar blade picks up the wrong sign in the row kernel
     cfg = parse_config(base_config(grid={"t0": 0.0, "T": 1.0, "N": 5}, suites=["isometry"],
                                    tolerances={"isometry": {"probes": 40}}))
     clean = run_suite(cfg, "isometry")
     assert clean.passed
-    original = CliffordAlgebra._gen_signs
-
-    def flipped(self, side, g):
-        signs = original(self, side, g).copy()
-        if side == "left":
-            signs[0] = -signs[0]
-        return signs
-    monkeypatch.setattr(CliffordAlgebra, "_gen_signs", flipped)
+    flip_left_gen_sign(monkeypatch)
     res = run_suite(cfg, "isometry")
     assert not res.passed
     assert res.metrics["parity_reduction_residual"] > res.metrics["tol"]
