@@ -25,9 +25,7 @@ from .problems import (
     ControlProblem,
     ControlSet,
     ProblemSpec,
-    audit_derivatives,
     cost,
-    hamiltonian,
     make_problem,
 )
 from .forward import (

@@ -83,7 +83,7 @@ from .clifford import (
     superop_from_pairing,
 )
 from .errors import CapacityError, ContractError, SupportError
-from .forward import Trajectory, quadratic_drivers
+from .forward import Trajectory
 from .problems import ControlProblem
 
 __all__ = [
@@ -95,7 +95,6 @@ __all__ = [
     "compute_P",
     "transposition_residual",
     "first_duality_residual",
-    "second_duality_residual",
     "hxx_pairing",
     "hu_field",
     "huu_matrix",
@@ -234,22 +233,6 @@ def first_duality_residual(p: ControlProblem, adj: AdjointPair, x1: AdaptedProce
         rhs += alg.dt * (inner(adj.yhat[k], lin.du_apply(k, du[k]))
                          + inner(lin.Lx[k], x1[k])
                          + inner(adj.Y[k], lin.bu_apply(k, du[k])))
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-
-
-def second_duality_residual(p: ControlProblem, adj: AdjointPair, xbar: Trajectory,
-                            x1: AdaptedProcess, x2: AdaptedProcess,
-                            du: np.ndarray) -> float:
-    """Residual of the duality against the quadratic-response drivers."""
-    alg = p.algebra
-    lin = adj.lin
-    lhs = -inner(lin.gx, x2[alg.n])
-    rhs = 0.0 + 0.0j
-    for k in range(alg.n):
-        mu, f2, g2 = quadratic_drivers(p, k, xbar[k], xbar.control[k], x1[k], du[k])
-        nu = f2 + parity(g2)
-        rhs += alg.dt * (inner(adj.yhat[k], mu) + inner(lin.Lx[k], x2[k])
-                         + inner(adj.Y[k], nu))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 

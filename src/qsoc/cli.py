@@ -17,7 +17,7 @@ from . import __version__
 from .config import SUITE_ORDER, budget_error, load_config
 from .errors import BudgetError, CapacityError, ConfigError, QsocError
 from .report import write_report_files
-from .suites import run_scope, run_suite
+from .suites import run_all
 
 __all__ = ["main", "build_report"]
 
@@ -62,23 +62,22 @@ def main(argv=None) -> int:
             cfg.seed = int(args.seed)
         if args.suite:
             cfg.suites = [s for s in SUITE_ORDER if s in set(args.suite)]
-            msg = budget_error(cfg.n_steps, cfg.problem.m, cfg.suites)
-            if msg:
-                raise ConfigError([("grid.N", msg)])
+            err = budget_error(cfg.n_steps, cfg.problem, cfg.suites)
+            if err:
+                raise ConfigError([err])
         outdir = args.out or cfg.output or "qsoc-out"
 
         results = []
         timings = {}
         plotdata = {}
-        with run_scope():
-            for name in cfg.suites:
-                started = time.perf_counter()
-                res = run_suite(cfg, name)
-                timings[name] = time.perf_counter() - started
-                results.append(res)
-                if res.plotdata:
-                    plotdata.update(res.plotdata)
-                print(f"{name}: {res.status}")
+        started = time.perf_counter()
+        for res in run_all(cfg):
+            timings[res.name] = time.perf_counter() - started
+            results.append(res)
+            if res.plotdata:
+                plotdata.update(res.plotdata)
+            print(f"{res.name}: {res.status}")
+            started = time.perf_counter()
 
         report = build_report(cfg, results)
         written = write_report_files(report, outdir, cfg.emit,

@@ -618,46 +618,23 @@ class SuperOperator:
         anti = None if self.antilin is None else c * self.antilin
         return SuperOperator(self.algebra, c * self.lin, anti)
 
-    def projected(self, k: int) -> "SuperOperator":
-        """Compress to the step-k adapted subspace: E_k P E_k, the leading 2^k block."""
-        if not 0 <= k <= self.algebra.n:
-            raise ValueError(f"step index {k} outside 0..{self.algebra.n}")
-        b = 1 << k
-        anti = None if self.antilin is None else self.antilin[:b, :b]
-        return SuperOperator(self.algebra, self.lin[:b, :b], anti)
-
 
 def superop_from_pairing(alg: CliffordAlgebra, pair, size: int) -> SuperOperator:
     """Materialize the operator M on the first ``size`` blades with <M v, w> = pair(v, w).
 
     ``pair`` must be additive and real-homogeneous in each slot (any mix of
     sesquilinear and bilinear parts is fine).  The column of a probe v is its
-    Riesz representative sum_s conj(pair(v, e_s)) e_s over s < size, handed
-    to :func:`superop_from_columns`.
-    """
-    blades = [CliffordElement.blade(alg, s) for s in range(size)]
-
-    def riesz(v):
-        col = np.zeros(alg.dim, dtype=np.complex128)
-        col[:size] = np.conj([pair(v, e) for e in blades])
-        return CliffordElement(alg, col)
-    return superop_from_columns(alg, riesz, size)
-
-
-def superop_from_columns(alg: CliffordAlgebra, apply_fn, size: int) -> SuperOperator:
-    """Materialize a real-linear operator on the first ``size`` blades from its action.
-
-    ``apply_fn`` maps an element to an element; it is probed on blades
-    0..size-1 only, and its outputs are truncated to the same blades.
-    Probing each basis blade and its i-multiple splits the action into the
+    Riesz representative, conj(pair(v, e_s)) over s < size.  Probing each
+    basis blade and its i-multiple splits the operator into the
     complex-linear block and the conjugation block; a conjugation block that
     comes out identically zero is dropped.
     """
+    blades = [CliffordElement.blade(alg, s) for s in range(size)]
     lin = np.zeros((size, size), dtype=np.complex128)
     anti = np.zeros((size, size), dtype=np.complex128)
     for r in range(size):
-        col = apply_fn(CliffordElement.blade(alg, r)).coeffs[:size]
-        col_i = apply_fn(CliffordElement.blade(alg, r, 1j)).coeffs[:size]
+        col = np.conj([pair(blades[r], e) for e in blades])
+        col_i = np.conj([pair(CliffordElement.blade(alg, r, 1j), e) for e in blades])
         lin[:, r] = 0.5 * (col - 1j * col_i)
         anti[:, r] = 0.5 * (col + 1j * col_i)
     if not np.any(anti):

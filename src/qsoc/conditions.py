@@ -58,8 +58,6 @@ __all__ = [
     "first_order_integral",
     "second_order_functional",
     "second_order_direct",
-    "SecondOrderBreakdown",
-    "second_order_breakdown",
     "taylor_consistency",
     "TaylorReport",
     "verify_theorem",
@@ -89,21 +87,6 @@ def _gate_values(p: ControlProblem, adj: AdjointPair, du: np.ndarray):
 
 def _routes_agree(route_gap: float, s: float) -> bool:
     return route_gap <= ROUTE_GAP_TOL * (1.0 + abs(s))
-
-
-@dataclass
-class SecondOrderBreakdown:
-    """Pieces of the curvature functional, kept for diagnostics."""
-
-    value: float
-    curvature_part: complex  # control curvature + mixed curvature terms
-    p_part: complex          # P-pairings of the first variation (summation by parts)
-    route_gap: float         # |value - second_order_direct|
-    imag_abs: float          # imaginary magnitude discarded by the final Re
-
-    @property
-    def routes_agree(self) -> bool:
-        return _routes_agree(self.route_gap, self.value)
 
 
 def _forms(p: ControlProblem, adj: AdjointPair, sa: SecondAdjoint, x1s,
@@ -147,18 +130,6 @@ def _forms_along(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
         raise ContractError("functional must be evaluated at the adjoint's base control")
     forms = _forms(p, adj, sa, [x1], (u - ubar)[None])
     return tuple(complex(f[0, 0]) for f in forms)
-
-
-def second_order_breakdown(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
-                           adj: AdjointPair, sa: SecondAdjoint,
-                           x1) -> SecondOrderBreakdown:
-    curix, pb, direct = _forms_along(p, ubar, u, adj, sa, x1)
-    total = curix + pb
-    return SecondOrderBreakdown(
-        value=float(total.real),
-        curvature_part=curix, p_part=pb,
-        route_gap=abs(total.real - direct.real),
-        imag_abs=abs(total.imag))
 
 
 def second_order_functional(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
@@ -268,7 +239,7 @@ def taylor_consistency(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
 
     # scale against the larger expansion coefficient so a vanishing gate or a
     # vanishing curvature (stationary or flat directions) cannot inflate the
-    # ratios; truncation errors live on the scale of the surviving terms
+    # relative errors; truncation errors live on the scale of the surviving terms
     scale = max(abs(fo), abs(s), 1e-12)
     rel_a = abs(a_est + fo) / max(abs(fo), scale * 1e-3)
     rel_b = abs(b_est + 0.5 * s) / max(abs(0.5 * s), scale * 1e-3)

@@ -25,13 +25,16 @@ Schema (all keys except ``problem`` and ``grid`` optional)::
 
 Omitted gallery fields fall back to the canonical instance for the problem
 name.  Unknown keys anywhere are rejected so typos cannot silently change a
-run.  Suite bounds are fixed in :mod:`qsoc.suites` and reported per suite;
-``tolerances`` sets only the probe counts of ``algebra`` and ``isometry``.
+run.  Numbers must be finite, except that a box bound may be +-inf (JSON
+``1e400``) to leave that side open; NaN is refused everywhere.  Suite bounds
+are fixed in :mod:`qsoc.suites` and reported per suite; ``tolerances`` sets
+only the probe counts of ``algebra`` and ``isometry``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,6 +98,19 @@ class RunConfig:
         }
 
 
+def _float(obj) -> float | None:
+    """A JSON number as a float, None for anything else.
+
+    An int literal beyond float range becomes +-inf, as a float literal does.
+    """
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        return None
+    try:
+        return float(obj)
+    except OverflowError:
+        return math.inf if obj > 0 else -math.inf
+
+
 class _Checker:
     def __init__(self):
         self.errors: list[tuple[str, str]] = []
@@ -112,10 +128,14 @@ class _Checker:
             if required:
                 self.fail(path, "missing required number")
             return default
-        if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        val = _float(obj)
+        if val is None:
             self.fail(path, f"expected number, got {type(obj).__name__}")
             return default
-        return float(obj)
+        if not math.isfinite(val):
+            self.fail(path, f"must be finite, got {val}")
+            return default
+        return val
 
     def integer(self, obj, path, default=None, required=False, minimum=None):
         if obj is None:
@@ -139,9 +159,10 @@ class _Checker:
         for i, term in enumerate(obj):
             if (not isinstance(term, list) or len(term) != 3
                     or isinstance(term[0], bool) or not isinstance(term[0], int)
-                    or not all(isinstance(t, (int, float)) and not isinstance(t, bool)
+                    or not all((v := _float(t)) is not None and math.isfinite(v)
                                for t in term[1:])):
-                self.fail(f"{path}[{i}]", "expected [mask:int, re:number, im:number]")
+                self.fail(f"{path}[{i}]", "expected [mask:int, re:finite number, "
+                          "im:finite number]")
                 return None
             out.append((term[0], float(term[1]), float(term[2])))
         return tuple(out)
@@ -162,15 +183,20 @@ def _parse_problem(raw: dict, check: _Checker) -> ProblemSpec | None:
     base = ProblemSpec.gallery(name, m=m)
     overrides: dict = {}
 
+    box_ok = True
     for key in ("lower", "upper"):
         if key in raw:
             vals = raw[key]
-            if (not isinstance(vals, list) or len(vals) != m
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               for v in vals)):
-                check.fail(f"problem.{key}", f"expected a list of {m} numbers")
+            floats = [_float(v) for v in vals] if isinstance(vals, list) else []
+            if (len(floats) != m
+                    or not all(v is not None and not math.isnan(v) for v in floats)):
+                check.fail(f"problem.{key}", f"expected a list of {m} numbers, none NaN")
+                box_ok = False
             else:
-                overrides[key] = tuple(float(v) for v in vals)
+                overrides[key] = tuple(floats)
+    lower, upper = (overrides.get(key, getattr(base, key)) for key in ("lower", "upper"))
+    if box_ok and any(lo > hi for lo, hi in zip(lower, upper)):
+        check.fail("problem.lower", "exceeds problem.upper")
 
     rates = raw.get("rates", {})
     if not isinstance(rates, dict):
@@ -272,9 +298,9 @@ def parse_config(raw: dict) -> RunConfig:
         suites = [s for s in SUITE_ORDER if s in suites]
 
     if n is not None and n <= DEFAULT_GENERATOR_CAP:
-        msg = budget_error(n, spec and spec.m, suites)
-        if msg:
-            check.fail("grid.N", msg)
+        err = budget_error(n, spec, suites)
+        if err:
+            check.fail(*err)
 
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -315,19 +341,26 @@ def parse_config(raw: dict) -> RunConfig:
                      tolerances=tolerances, seed=seed, output=output, emit=emit)
 
 
-def budget_error(n_steps: int, m: int | None, suites) -> str | None:
+def budget_error(n_steps: int, spec: ProblemSpec | None,
+                 suites) -> tuple[str, str] | None:
     """The first compute budget that running ``suites`` at N = n_steps would exceed.
 
-    ``m`` is the control dimension, None when the problem did not validate (the
-    brute-force budget is then not checked).
+    Returns (field path, message).  ``spec`` is None when the problem did not
+    validate (the brute-force checks are then skipped).
     """
     users = [s for s in suites if s in _P_SUITES]
     if users and (1 << n_steps) > SUPEROP_BUDGET:
-        return (f"coefficient dimension {1 << n_steps} exceeds the superoperator "
+        return ("grid.N", f"coefficient dimension {1 << n_steps} exceeds the superoperator "
                 f"budget {SUPEROP_BUDGET} of suites {', '.join(users)}")
-    cells = n_steps * (m or 0)  # the exponent is capped: 5^64 exceeds any budget
-    if "theorem" in suites and GRID_POINTS ** min(cells, 64) > BRUTE_FORCE_BUDGET:
-        return (f"{GRID_POINTS}^{cells} grid controls of suite theorem exceed the "
+    if "theorem" not in suites or spec is None:
+        return None
+    for key in ("lower", "upper"):
+        if not all(math.isfinite(v) for v in getattr(spec, key)):
+            return (f"problem.{key}", "suite theorem enumerates a grid of the control "
+                    "box, which must be bounded")
+    cells = n_steps * spec.m  # the exponent is capped: 5^64 exceeds any budget
+    if GRID_POINTS ** min(cells, 64) > BRUTE_FORCE_BUDGET:
+        return ("grid.N", f"{GRID_POINTS}^{cells} grid controls of suite theorem exceed the "
                 f"brute-force budget {BRUTE_FORCE_BUDGET}")
     return None
 

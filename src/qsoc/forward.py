@@ -191,7 +191,6 @@ class OrderReport:
     dx: SlopeFit
     dx_minus_x1: SlopeFit
     dx_minus_x1_x2: SlopeFit
-    ratios: dict
 
 
 def _fit(points: list[tuple[float, float]]) -> SlopeFit:
@@ -241,15 +240,8 @@ def order_estimate_slopes(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
         pts1.append((eps, d1))
         pts2.append((eps, d2))
 
-    def ratio_row(pts):
-        vals = [v for _, v in pts]
-        return [vals[i] / vals[i + 1] if vals[i + 1] > UNDERFLOW_FLOOR else None
-                for i in range(len(vals) - 1)]
-
     return OrderReport(
         dx=_fit(pts0),
         dx_minus_x1=_fit(pts1),
         dx_minus_x1_x2=_fit(pts2),
-        ratios={"dx": ratio_row(pts0), "dx_minus_x1": ratio_row(pts1),
-                "dx_minus_x1_x2": ratio_row(pts2)},
     )

@@ -1,4 +1,4 @@
-"""Control problems: coefficient maps, derivative callbacks, cost, Hamiltonian.
+"""Control problems: coefficient maps, derivative callbacks, cost.
 
 A problem bundles the three coefficient channels of the state equation (drift,
 left diffusion, right diffusion), the running and terminal costs, and every
@@ -77,7 +77,7 @@ from .clifford import (
     parity,
     star,
 )
-from .errors import AlgebraMismatchError, SupportError
+from .errors import SupportError
 
 __all__ = [
     "ControlSet",
@@ -85,10 +85,6 @@ __all__ = [
     "ControlProblem",
     "make_problem",
     "cost",
-    "hamiltonian",
-    "audit_derivatives",
-    "audit_adaptedness",
-    "audit_growth",
 ]
 
 GALLERY_NAMES = ("free", "lq", "quadratic_control", "quadratic_state")
@@ -108,6 +104,8 @@ class ControlSet:
         hi = np.asarray(self.upper, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("bounds must be 1-d arrays of equal length")
+        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+            raise ValueError("bounds must not be NaN")
         if np.any(lo > hi):
             raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)
@@ -345,8 +343,6 @@ class ControlProblem:
     L_xu: Callable | None = None
     L_uu: Callable | None = None
     g_xx: Callable | None = None
-    lipschitz_bound: float = 10.0
-    real_data: bool = False
     curvature: Callable | None = None  # (k, yhat, Y) -> M_k, or g_xx at k = N
     state_derivatives: Callable | None = None  # (k, x, u) -> (Dx_k, Bt_k) blocks
     coefficient_rows: Callable | None = None  # (k, X, U) -> (D, F, G) row stacks
@@ -355,10 +351,6 @@ class ControlProblem:
     @property
     def m(self) -> int:
         return self.control_set.m
-
-    @property
-    def n_steps(self) -> int:
-        return self.algebra.n
 
     def check_control_path(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -454,26 +446,6 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
         probe = fn(0, x0, np.zeros(spec.m))
         return None if probe is None else fn
 
-    # declared probe constant: generous bound valid on the probe domain
-    elem_norm = lambda es: sum(e.norm() for e in es) if es else 0.0
-    rho = 4.0
-    c_lin = sum(abs(z) for z in (spec.a, spec.f0, spec.g0))
-    c_ctrl = sum(elem_norm(ch.lin_u) + 4.0 * elem_norm(ch.sq_u) for ch in (chD, chF, chG))
-    c_quad = sum(2.0 * rho * ch.quad_x.norm() for ch in (chD, chF, chG) if ch.quad_x is not None)
-    u_max = float(np.max(np.abs(np.concatenate([cset.lower, cset.upper])))) if cset.is_bounded() else 1.0
-    c_cost = 2.0 * q * rho + 2.0 * r * max(u_max, 1.0) + 2.0 * s * (rho + x_tgt.norm()) \
-        + (eta.norm() if eta is not None else 0.0)
-    lip = 4.0 * (1.0 + c_lin + c_ctrl + c_quad + c_cost)
-
-    real_terms = all(
-        all(term[2] == 0 for term in rows)
-        for rows in [spec.x0, spec.x_tgt or (), spec.eta or (),
-                     spec.qd or (), spec.qf or (), spec.qg or ()]
-        ) and all(
-        all(term[2] == 0 for row in group for term in row)
-        for group in [spec.b or (), spec.f or (), spec.g or (),
-                      spec.cd or (), spec.cf or (), spec.cg or ()])
-
     def curvature(k, yhat, Y):
         if k == algebra.n:
             return SuperOperator.identity(algebra, 2.0 * s)
@@ -507,12 +479,12 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
         D_uu=chan_cb(chD, "duu"), F_uu=chan_cb(chF, "duu"), G_uu=chan_cb(chG, "duu"),
         L=L, L_x=L_x, L_u=L_u, L_xx=L_xx, L_xu=None, L_uu=L_uu,
         g=g_fn, g_x=g_x, g_xx=g_xx,
-        lipschitz_bound=lip, real_data=real_terms, curvature=curvature,
+        curvature=curvature,
         state_derivatives=state_derivatives, coefficient_rows=coefficient_rows,
         cost_rows=cost_rows)
 
 
-# -- cost and Hamiltonian ----------------------------------------------------
+# -- cost --------------------------------------------------------------------
 
 def cost(p: ControlProblem, u: np.ndarray, x) -> float:
     """Running cost Riemann sum plus terminal cost along a state path."""
@@ -525,159 +497,3 @@ def cost(p: ControlProblem, u: np.ndarray, x) -> float:
     for k in range(p.algebra.n):
         acc += p.L(k, values[k], u[k]) * p.algebra.dt
     return float(acc + p.g(values[-1]))
-
-
-def _f_tilde(p: ControlProblem, k, x, u) -> CliffordElement:
-    return p.F(k, x, u) + parity(p.G(k, x, u))
-
-
-def hamiltonian(p: ControlProblem, k: int, x, u, y, Y) -> complex:
-    """<y, D> + <Y, F + parity(G)> - L at one grid point."""
-    for e in (x, y, Y):
-        if e.algebra is not p.algebra:
-            raise AlgebraMismatchError("element on a different algebra")
-    return inner(y, p.D(k, x, u)) + inner(Y, _f_tilde(p, k, x, u)) - p.L(k, x, u)
-
-
-# -- randomized audits -------------------------------------------------------
-
-def _rand_element(alg, rng, scale=1.0, adapted_at=None, real=False):
-    c = rng.standard_normal(alg.dim) * scale
-    if not real:
-        c = c + 1j * rng.standard_normal(alg.dim) * scale
-    if adapted_at is not None:
-        c = np.where(alg.adapted_mask(adapted_at), c, 0.0)
-    return CliffordElement(alg, c)
-
-
-def _rand_control(p, rng):
-    lo = np.where(np.isfinite(p.control_set.lower), p.control_set.lower, -1.0)
-    hi = np.where(np.isfinite(p.control_set.upper), p.control_set.upper, 1.0)
-    return lo + (hi - lo) * rng.random(p.m)
-
-
-@dataclass
-class AuditReport:
-    errors: dict
-    tol: float
-    passed: bool
-
-    def worst(self) -> float:
-        return max(self.errors.values()) if self.errors else 0.0
-
-
-def audit_derivatives(p: ControlProblem, trials: int = 20, tol: float = 1e-6,
-                      seed: int = 0, step: float = 1e-5) -> AuditReport:
-    """Check every derivative callback against central finite differences.
-
-    First derivatives are differenced from the parent maps, second derivatives
-    from the first-derivative callbacks, so each level is validated against
-    the one below it.
-    """
-    alg = p.algebra
-    rng = np.random.default_rng(seed)
-    errors: dict[str, float] = {}
-
-    def record(tag, err):
-        errors[tag] = max(errors.get(tag, 0.0), float(err))
-
-    channels = [("D", p.D, p.D_x, p.D_u, p.D_xx, p.D_xu, p.D_uu),
-                ("F", p.F, p.F_x, p.F_u, p.F_xx, p.F_xu, p.F_uu),
-                ("G", p.G, p.G_x, p.G_u, p.G_xx, p.G_xu, p.G_uu)]
-
-    for _ in range(trials):
-        k = int(rng.integers(0, alg.n))
-        x = _rand_element(alg, rng, adapted_at=k, real=p.real_data)
-        u = _rand_control(p, rng)
-        h1 = _rand_element(alg, rng, adapted_at=k, real=p.real_data)
-        h2 = _rand_element(alg, rng, adapted_at=k, real=p.real_data)
-        v = rng.standard_normal(p.m)
-        w = rng.standard_normal(p.m)
-
-        for tag, fn, fn_x, fn_u, fn_xx, fn_xu, fn_uu in channels:
-            scale = 1.0 + fn(k, x, u).norm()
-            fd = (fn(k, x + step * h1, u) - fn(k, x - step * h1, u)) * (0.5 / step)
-            record(f"{tag}_x", (fd - fn_x(k, x, u)(h1)).norm() / scale)
-            fd = (fn(k, x, u + step * v) - fn(k, x, u - step * v)) * (0.5 / step)
-            record(f"{tag}_u", (fd - fn_u(k, x, u)(v)).norm() / scale)
-
-            fd = (fn_x(k, x + step * h2, u)(h1) - fn_x(k, x - step * h2, u)(h1)) * (0.5 / step)
-            want = fn_xx(k, x, u)(h1, h2) if fn_xx is not None else CliffordElement.zero(alg)
-            record(f"{tag}_xx", (fd - want).norm() / scale)
-            fd = (fn_x(k, x, u + step * v)(h1) - fn_x(k, x, u - step * v)(h1)) * (0.5 / step)
-            want = fn_xu(k, x, u)(h1, v) if fn_xu is not None else CliffordElement.zero(alg)
-            record(f"{tag}_xu", (fd - want).norm() / scale)
-            fd = (fn_u(k, x, u + step * w)(v) - fn_u(k, x, u - step * w)(v)) * (0.5 / step)
-            want = fn_uu(k, x, u)(v, w) if fn_uu is not None else CliffordElement.zero(alg)
-            record(f"{tag}_uu", (fd - want).norm() / scale)
-
-        # scalar running cost
-        scale = 1.0 + abs(p.L(k, x, u))
-        fd = (p.L(k, x + step * h1, u) - p.L(k, x - step * h1, u)) * (0.5 / step)
-        record("L_x", abs(fd - inner(p.L_x(k, x, u), h1).real) / scale)
-        fd = (p.L(k, x, u + step * v) - p.L(k, x, u - step * v)) * (0.5 / step)
-        record("L_u", abs(fd - float(np.dot(p.L_u(k, x, u), v))) / scale)
-        fd = (inner(p.L_x(k, x + step * h2, u), h1).real
-              - inner(p.L_x(k, x - step * h2, u), h1).real) * (0.5 / step)
-        want = p.L_xx(k, x, u)(h2, h1).real if p.L_xx is not None else 0.0
-        record("L_xx", abs(fd - want) / scale)
-        fd = (np.dot(p.L_u(k, x, u + step * w), v) - np.dot(p.L_u(k, x, u - step * w), v)) * (0.5 / step)
-        want = float(np.dot(v, (p.L_uu(k, x, u) if p.L_uu is not None else np.zeros((p.m, p.m))) @ w))
-        record("L_uu", abs(fd - want) / scale)
-        if p.L_xu is not None:
-            fd = (np.dot(p.L_u(k, x + step * h1, u), v) - np.dot(p.L_u(k, x - step * h1, u), v)) * (0.5 / step)
-            record("L_xu", abs(fd - p.L_xu(k, x, u)(h1, v).real) / scale)
-
-        # terminal cost
-        xN = _rand_element(alg, rng, real=p.real_data)
-        scale = 1.0 + abs(p.g(xN))
-        fd = (p.g(xN + step * h1) - p.g(xN - step * h1)) * (0.5 / step)
-        record("g_x", abs(fd - inner(p.g_x(xN), h1).real) / scale)
-        fd = (inner(p.g_x(xN + step * h2), h1).real - inner(p.g_x(xN - step * h2), h1).real) * (0.5 / step)
-        want = p.g_xx(xN)(h2, h1).real if p.g_xx is not None else 0.0
-        record("g_xx", abs(fd - want) / scale)
-
-    return AuditReport(errors=errors, tol=tol, passed=all(e <= tol for e in errors.values()))
-
-
-def audit_adaptedness(p: ControlProblem, trials: int = 30, seed: int = 0) -> float:
-    """Max coefficient leaked outside the live subalgebra by D/F/G."""
-    alg = p.algebra
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        k = int(rng.integers(0, alg.n + 1))
-        x = _rand_element(alg, rng, adapted_at=k)
-        u = _rand_control(p, rng)
-        kk = min(k, alg.n - 1)
-        for fn in (p.D, p.F, p.G):
-            out = fn(kk, x, u).coeffs
-            leak = np.abs(out[~alg.adapted_mask(k)])
-            if leak.size:
-                worst = max(worst, float(leak.max()))
-    return worst
-
-
-def audit_growth(p: ControlProblem, trials: int = 50, seed: int = 0,
-                 radius: float = 2.0) -> AuditReport:
-    """Probe the Lipschitz/growth bounds with the problem's declared constant."""
-    alg = p.algebra
-    rng = np.random.default_rng(seed)
-    c = p.lipschitz_bound
-    errors: dict[str, float] = {"lipschitz": 0.0, "growth": 0.0}
-    for _ in range(trials):
-        k = int(rng.integers(0, alg.n))
-        x = _rand_element(alg, rng, scale=radius / np.sqrt(2 * alg.dim))
-        xh = _rand_element(alg, rng, scale=radius / np.sqrt(2 * alg.dim))
-        u, uh = _rand_control(p, rng), _rand_control(p, rng)
-        denom = (x - xh).norm() + float(np.linalg.norm(u - uh))
-        for fn in (p.D, p.F, p.G):
-            diff = (fn(k, x, u) - fn(k, xh, uh)).norm()
-            errors["lipschitz"] = max(errors["lipschitz"], diff / max(denom, 1e-12) / c)
-            errors["growth"] = max(errors["growth"], fn(k, CliffordElement.zero(alg), np.zeros(p.m)).norm() / c)
-        ldiff = abs(p.L(k, x, u) - p.L(k, xh, uh))
-        errors["lipschitz"] = max(errors["lipschitz"], ldiff / max(denom, 1e-12) / c)
-        errors["growth"] = max(errors["growth"], abs(p.L(k, CliffordElement.zero(alg), u)) / c)
-        gdiff = abs(p.g(x) - p.g(xh))
-        errors["lipschitz"] = max(errors["lipschitz"], gdiff / max((x - xh).norm(), 1e-12) / c)
-    return AuditReport(errors=errors, tol=1.0, passed=all(v <= 1.0 for v in errors.values()))

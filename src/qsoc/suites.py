@@ -10,7 +10,7 @@ only the probe counts of ``algebra`` and ``isometry``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from collections.abc import Iterator
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -48,7 +48,7 @@ from .matrices import realization_for
 from .optimize import GRID_POINTS, brute_force_search, control_grid, projected_gradient
 from .problems import ProblemSpec, cost, make_problem
 
-__all__ = ["SuiteResult", "run_suite", "run_all", "run_scope", "suite_rng"]
+__all__ = ["SuiteResult", "run_suite", "run_all", "suite_rng"]
 
 
 @dataclass
@@ -69,27 +69,12 @@ def suite_rng(seed: int, suite: str) -> np.random.Generator:
 
 
 # Results shared by the suites of one run.  run_suite(cfg, name) stays the
-# per-suite entry point, so they travel beside it, bound only inside run_scope.
+# per-suite entry point, so they travel beside it, bound only inside run_all.
 _RUN_RESULTS: ContextVar[list | None] = ContextVar("qsoc_run_results", default=None)
 
 
-@contextmanager
-def run_scope():
-    """Let the suites run inside this block share results they would recompute.
-
-    Only the brute-force grid minimum is shared (theorem and optimize both
-    need it).  Nothing outlives the block, so a later run never sees results
-    computed against other code or data.
-    """
-    token = _RUN_RESULTS.set([])
-    try:
-        yield
-    finally:
-        _RUN_RESULTS.reset(token)
-
-
 def _brute_force(cfg: RunConfig, p):
-    """brute_force_search on the config's problem, once per run_scope."""
+    """brute_force_search on the config's problem, once per run_all."""
     shared = _RUN_RESULTS.get()
     if shared is None:
         return brute_force_search(p, GRID_POINTS)
@@ -492,6 +477,17 @@ def run_suite(cfg: RunConfig, name: str) -> SuiteResult:
     return _RUNNERS[name](cfg)
 
 
-def run_all(cfg: RunConfig) -> list[SuiteResult]:
-    with run_scope():
-        return [run_suite(cfg, name) for name in cfg.suites]
+def run_all(cfg: RunConfig) -> Iterator[SuiteResult]:
+    """Run the config's suites in order, yielding each result as it finishes.
+
+    The suites of one run share results they would recompute: only the
+    brute-force grid minimum (theorem and optimize both need it).  Nothing
+    outlives the run, so a later run never sees results computed against
+    other code or data.
+    """
+    token = _RUN_RESULTS.set([])
+    try:
+        for name in cfg.suites:
+            yield run_suite(cfg, name)
+    finally:
+        _RUN_RESULTS.reset(token)

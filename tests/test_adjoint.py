@@ -11,14 +11,14 @@ from qsoc.adjoint import (
     first_duality_residual,
     hxx_pairing,
     solve_first_adjoint,
-    second_duality_residual,
     transposition_residual,
 )
 from qsoc.clifford import CliffordElement, SuperOperator, make_algebra, mul_dw_right
-from qsoc.conditions import second_order_breakdown
+from qsoc.conditions import _forms_along, _routes_agree
 from qsoc.errors import CapacityError, ContractError
 from qsoc.forward import solve_first_variation, solve_second_variation, solve_state
 from qsoc.problems import ProblemSpec, make_problem
+from reference import second_duality_residual
 
 GALLERY = ("free", "lq", "quadratic_control", "quadratic_state")
 
@@ -385,8 +385,9 @@ def rand_tuple(alg, rng, k):
 
 def corrupt_p(sa, k):
     """Plant a defect: P_k -> 3 P_k + I on its adapted subspace."""
-    alg = sa.lin.algebra
-    sa.P[k] = (sa.P[k].scaled(3.0) + SuperOperator.identity(alg, 1.0)).projected(k)
+    b = 1 << k
+    sa.P[k] = SuperOperator(sa.lin.algebra, 3.0 * sa.P[k].lin + np.eye(b),
+                            None if sa.P[k].antilin is None else 3.0 * sa.P[k].antilin)
 
 
 def test_transposition_distinct_nu_tuples():
@@ -398,6 +399,13 @@ def test_transposition_distinct_nu_tuples():
         _, _, sa = solve_stack(p, ubar)
         pairs = [(rand_tuple(alg, rng, k), rand_tuple(alg, rng, k)) for k in (0, 1, 3, 4)]
         assert transposition_residual(p, sa, pairs) <= 1e-9
+
+
+def s_parts(p, ubar, u, adj, sa, x1):
+    """S through P, its P-pairing part and its gap to the direct route."""
+    curvature, p_part, direct = _forms_along(p, ubar, u, adj, sa, x1)
+    value = (curvature + p_part).real
+    return value, p_part, abs(value - direct.real)
 
 
 def functional_case(name, seed, n=5):
@@ -413,25 +421,25 @@ def functional_case(name, seed, n=5):
 def test_second_order_routes_agree(name):
     alg, p, _, ubar, xbar, adj, sa, du = functional_case(name, 9)
     x1 = solve_first_variation(p, xbar, du)
-    bd = second_order_breakdown(p, ubar, ubar + du, adj, sa, x1)
-    assert bd.route_gap <= 1e-12 * (1.0 + abs(bd.value))
-    assert bd.routes_agree
-    assert abs(bd.p_part) > 1e-3  # P carries a real share of S
+    value, p_part, gap = s_parts(p, ubar, ubar + du, adj, sa, x1)
+    assert gap <= 1e-12 * (1.0 + abs(value))
+    assert _routes_agree(gap, value)
+    assert abs(p_part) > 1e-3  # P carries a real share of S
 
 
 @pytest.mark.parametrize("name", ("lq", "quadratic_control", "quadratic_state"))
 def test_corrupted_p_is_detected(name):
     alg, p, rng, ubar, xbar, adj, sa, du = functional_case(name, 10)
     x1 = solve_first_variation(p, xbar, du)
-    clean = second_order_breakdown(p, ubar, ubar + du, adj, sa, x1).value
+    clean, _, _ = s_parts(p, ubar, ubar + du, adj, sa, x1)
     pairs = [(rand_tuple(alg, rng, 0), rand_tuple(alg, rng, 0)) for _ in range(2)]
     assert transposition_residual(p, sa, pairs) <= 1e-9
     for k in range(1, alg.n):  # x1_0 = 0, so P_0 only enters the transposition check
         saved = sa.P[k]
         corrupt_p(sa, k)
-        bd = second_order_breakdown(p, ubar, ubar + du, adj, sa, x1)
-        assert abs(bd.value - clean) > 1e-3
-        assert bd.route_gap > 1e-3 and not bd.routes_agree
+        value, _, gap = s_parts(p, ubar, ubar + du, adj, sa, x1)
+        assert abs(value - clean) > 1e-3
+        assert gap > 1e-3 and not _routes_agree(gap, value)
         assert transposition_residual(p, sa, pairs) > 1.0
         sa.P[k] = saved
     corrupt_p(sa, 0)
@@ -442,30 +450,30 @@ def test_route_gap_flags_wrong_direction_variation():
     for name in ("lq", "quadratic_control", "quadratic_state"):
         alg, p, _, ubar, xbar, adj, sa, du = functional_case(name, 11)
         x1 = solve_first_variation(p, xbar, 2.0 * du)  # wrong direction
-        bd = second_order_breakdown(p, ubar, ubar + du, adj, sa, x1)
-        assert bd.route_gap >= 0.1
-        assert not bd.routes_agree
+        value, _, gap = s_parts(p, ubar, ubar + du, adj, sa, x1)
+        assert gap >= 0.1
+        assert not _routes_agree(gap, value)
 
 
 def test_second_order_zero_direction():
     alg, p, _, ubar, xbar, adj, sa, _ = functional_case("lq", 12, n=4)
     du = np.zeros((alg.n, 1))
     x1 = solve_first_variation(p, xbar, du)
-    bd = second_order_breakdown(p, ubar, ubar, adj, sa, x1)
-    assert bd.value == 0.0
-    assert bd.route_gap == 0.0
+    value, _, gap = s_parts(p, ubar, ubar, adj, sa, x1)
+    assert value == 0.0
+    assert gap == 0.0
 
 
 def test_second_order_routes_quadratic_homogeneity():
     alg, p, _, ubar, xbar, adj, sa, du = functional_case("quadratic_control", 13, n=4)
     du *= 0.5  # keep ubar + 2 du inside the box
-    base = second_order_breakdown(p, ubar, ubar + du, adj, sa,
-                                  solve_first_variation(p, xbar, du))
-    scaled = second_order_breakdown(p, ubar, ubar + 2.0 * du, adj, sa,
-                                    solve_first_variation(p, xbar, 2.0 * du))
-    assert scaled.value == pytest.approx(4.0 * base.value, rel=1e-10, abs=1e-12)
-    assert scaled.p_part == pytest.approx(4.0 * base.p_part, rel=1e-10, abs=1e-12)
-    assert scaled.routes_agree and base.routes_agree
+    base, base_p, base_gap = s_parts(p, ubar, ubar + du, adj, sa,
+                                     solve_first_variation(p, xbar, du))
+    scaled, scaled_p, scaled_gap = s_parts(p, ubar, ubar + 2.0 * du, adj, sa,
+                                           solve_first_variation(p, xbar, 2.0 * du))
+    assert scaled == pytest.approx(4.0 * base, rel=1e-10, abs=1e-12)
+    assert scaled_p == pytest.approx(4.0 * base_p, rel=1e-10, abs=1e-12)
+    assert _routes_agree(scaled_gap, scaled) and _routes_agree(base_gap, base)
 
 
 def test_second_order_zero_dynamics_term_cancellation():
@@ -479,10 +487,10 @@ def test_second_order_zero_dynamics_term_cancellation():
     du = np.array([[0.5], [-0.5], [0.25], [1.0]])
     x1 = solve_first_variation(p, xbar, du)
     assert all(np.max(np.abs(op.lin)) == 0.0 for op in sa.P)
-    bd = second_order_breakdown(p, ubar, ubar + du, adj, sa, x1)
-    assert bd.p_part == 0.0
-    assert bd.route_gap == 0.0
-    assert bd.value == pytest.approx(-2.0 * 0.5 * alg.dt * float(np.sum(du * du)), abs=1e-15)
+    value, p_part, gap = s_parts(p, ubar, ubar + du, adj, sa, x1)
+    assert p_part == 0.0
+    assert gap == 0.0
+    assert value == pytest.approx(-2.0 * 0.5 * alg.dt * float(np.sum(du * du)), abs=1e-15)
 
 
 def test_p_block_collapses_under_real_symmetry():
@@ -494,7 +502,7 @@ def test_p_block_collapses_under_real_symmetry():
         xbar, adj, sa = solve_stack(p, ubar)
         du = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
         x1 = solve_first_variation(p, xbar, du)
-        full = second_order_breakdown(p, ubar, ubar + du, adj, sa, x1).p_part.real
+        full = s_parts(p, ubar, ubar + du, adj, sa, x1)[1].real
         dt = alg.dt
         collapsed = 0.0
         for j in range(alg.n):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsoc import cli
+from qsoc import suites
 from qsoc.cli import main
 from qsoc.clifford import CliffordAlgebra
 from qsoc.config import SUITE_ORDER, load_config, parse_config
@@ -113,7 +113,7 @@ def test_theorem_brute_force_over_budget_is_refused_before_any_suite(tmp_path, c
                                                                     monkeypatch):
     # 5^(N·m) = 5^10 grid controls exceed the 10^6 budget of the brute force
     started = []
-    monkeypatch.setattr(cli, "run_suite", lambda cfg, name: started.append(name))
+    monkeypatch.setattr(suites, "run_suite", lambda cfg, name: started.append(name))
     cfg = base_config(problem={"name": "lq", "m": 2}, grid={"t0": 0.0, "T": 1.0, "N": 5},
                       suites=["gradient", "theorem"])
     path = write_config(tmp_path, cfg)
@@ -201,6 +201,40 @@ def test_validate_bad_config_exit_2(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "grid.N" in err
+
+
+# JSON reads NaN as nan and 1e400 as inf; written as text so the literals stay.
+# An int literal beyond float range counts as inf too.
+@pytest.mark.parametrize("problem,suite,path", [
+    ('"lower": [NaN]', "orders", "problem.lower"),
+    ('"lower": [-1e400]', "theorem", "problem.lower"),
+    ('"rates": {"a": NaN}', "gradient", "problem.rates.a"),
+    ('"rates": {"a": 1' + "0" * 400 + "}", "gradient", "problem.rates.a"),
+    ('"elements": {"x_tgt": [[0, 1e400, 0]]}', "gradient", "problem.elements.x_tgt[0]"),
+    ('"lower": [0.5], "upper": [0.25]', "gradient", "problem.lower"),
+], ids=["nan-bound", "infinite-bound-theorem", "nan-rate", "int-beyond-float-rate",
+        "infinite-term", "empty-box"])
+def test_non_finite_or_empty_box_is_refused_with_its_field_path(tmp_path, capsys,
+                                                                problem, suite, path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"problem": {{"name": "lq", "m": 1, {problem}}}, '
+                   f'"grid": {{"t0": 0.0, "T": 1.0, "N": 3}}, "suites": ["{suite}"]}}')
+    out = tmp_path / "out"
+    for args in (["validate"], ["run", "--out", str(out)]):
+        assert main([*args, "--config", str(cfg)]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_suite_theorem_on_an_unbounded_box_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"problem": {"name": "lq", "m": 1, "upper": [1e400]}, '
+                   '"grid": {"t0": 0.0, "T": 1.0, "N": 3}, "suites": ["gradient"]}')
+    assert main(["validate", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--suite", "theorem"]) == 2
+    assert "config error: problem.upper: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_writes_reports_and_passes(tmp_path, capsys):

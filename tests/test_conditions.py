@@ -19,7 +19,6 @@ from qsoc.conditions import (
     first_order_integral,
     quadratic_scores,
     reduced_hessians,
-    second_order_breakdown,
     second_order_direct,
     second_order_functional,
     taylor_consistency,
@@ -137,9 +136,9 @@ def test_second_order_imaginary_part_small_on_real_data():
         xbar, adj, sa = stack(p, ubar)
         du = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
         x1 = solve_first_variation(p, xbar, du)
-        bd = second_order_breakdown(p, ubar, ubar + du, adj, sa, x1)
-        assert p.real_data
-        assert bd.imag_abs <= 1e-10 * (1.0 + abs(bd.value))
+        curvature, p_part, _ = conditions._forms_along(p, ubar, ubar + du, adj, sa, x1)
+        s = curvature + p_part
+        assert abs(s.imag) <= 1e-10 * (1.0 + abs(s.real))
 
 
 @pytest.mark.parametrize("name", ("lq", "quadratic_control", "quadratic_state"))
@@ -245,8 +244,9 @@ def test_corrupted_p_fails_second_order_and_theorem(monkeypatch):
     def corrupted_compute_P(*args, **kwargs):
         sa = compute_P(*args, **kwargs)
         k = 2
-        sa.P[k] = (sa.P[k].scaled(3.0)
-                   + SuperOperator.identity(sa.lin.algebra, 1.0)).projected(k)
+        pk = sa.P[k]  # 3 P_k + I on the adapted subspace
+        sa.P[k] = SuperOperator(pk.algebra, 3.0 * pk.lin + np.eye(1 << k),
+                                None if pk.antilin is None else 3.0 * pk.antilin)
         return sa
 
     monkeypatch.setattr(conditions, "compute_P", corrupted_compute_P)
@@ -356,7 +356,6 @@ def coupled_custom(alg, gamma=0.6, a=0.3, f0=0.2, g0=0.25, q=0.4, r=0.3, s=0.5):
         g=lambda x: s * (x - tgt).norm() ** 2,
         g_x=lambda x: (2 * s) * (x - tgt),
         g_xx=lambda x: (lambda v, w: 2 * s * inner(v, w)),
-        real_data=True,
     )
     return ControlProblem(algebra=alg, **callbacks)
 
@@ -493,7 +492,8 @@ def test_brute_force_runs_once_per_run(monkeypatch):
     theorem, optimize = run_all(cfg)
     assert calls == [5]
     assert theorem.metrics["brute_force_value"] == optimize.metrics["brute_force_value"]
-    run_all(cfg)  # nothing is kept between runs
+    assert suites._RUN_RESULTS.get() is None  # nothing outlives the run
+    list(run_all(cfg))
     assert calls == [5, 5]
     alone = run_suite(cfg, "optimize")
     assert calls == [5, 5, 5]

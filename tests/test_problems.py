@@ -5,16 +5,8 @@ from qsoc.adjoint import hu_field, huu_matrix, hxu_pairing, hxx_pairing, solve_f
 from qsoc.clifford import CliffordElement, inner, make_algebra, parity, superop_from_pairing
 from qsoc.errors import SupportError
 from qsoc.forward import solve_state
-from qsoc.problems import (
-    ControlSet,
-    ProblemSpec,
-    audit_adaptedness,
-    audit_derivatives,
-    audit_growth,
-    cost,
-    hamiltonian,
-    make_problem,
-)
+from qsoc.problems import ControlSet, ProblemSpec, cost, make_problem
+from reference import derivative_errors, hamiltonian
 
 GALLERY = ("free", "lq", "quadratic_control", "quadratic_state")
 
@@ -32,6 +24,9 @@ def test_control_set_basics():
     assert not cs.contains(np.array([1.5, 1.0]))
     with pytest.raises(ValueError):
         ControlSet(np.array([1.0]), np.array([0.0]))
+    with pytest.raises(ValueError, match="NaN"):
+        ControlSet(np.array([np.nan]), np.array([1.0]))
+    assert not ControlSet(np.array([-np.inf]), np.array([1.0])).is_bounded()
 
 
 def test_check_control_path_names_first_step_outside_box():
@@ -54,7 +49,6 @@ def test_free_problem_wiring():
     assert p.G(0, x, u).norm() == 0.0
     assert p.L(0, x, u) == pytest.approx(0.09)
     assert np.allclose(p.L_u(0, x, u), [0.6])
-    assert p.real_data
 
 
 def test_lq_zero_rates_reduces_to_free():
@@ -87,18 +81,18 @@ def test_quadratic_state_second_derivative():
 @pytest.mark.parametrize("name", GALLERY)
 def test_audit_derivatives_gallery(name):
     _, p = build(name)
-    report = audit_derivatives(p, trials=12, tol=1e-6, seed=1)
-    assert report.passed, report.errors
+    errors = derivative_errors(p, trials=12, seed=1)
+    assert max(errors.values()) <= 1e-6, errors
     if name == "free":
         # constant (zero) coefficient maps difference to exactly zero
         for tag in ("D_x", "D_u", "F_x", "G_x"):
-            assert report.errors[tag] == 0.0
+            assert errors[tag] == 0.0
 
 
 def test_audit_derivatives_linear_maps_tight():
     _, p = build("lq")
-    report = audit_derivatives(p, trials=10, tol=1e-8, seed=2, step=1e-5)
-    assert report.passed, report.errors
+    errors = derivative_errors(p, trials=10, seed=2)
+    assert max(errors.values()) <= 1e-8, errors
 
 
 def test_audit_detects_corrupted_callback():
@@ -110,22 +104,22 @@ def test_audit_detects_corrupted_callback():
         return lambda h: 1.01 * fn(h)
 
     p.D_x = bad
-    report = audit_derivatives(p, trials=10, tol=1e-6, seed=3)
-    assert not report.passed
-    assert report.errors["D_x"] == pytest.approx(1e-2, rel=0.5)
+    errors = derivative_errors(p, trials=10, seed=3)
+    assert max(errors.values()) > 1e-6
+    assert errors["D_x"] == pytest.approx(1e-2, rel=0.5)
 
 
 @pytest.mark.parametrize("name", GALLERY)
 def test_audit_adaptedness_gallery(name):
-    _, p = build(name, n=5)
-    assert audit_adaptedness(p, trials=40, seed=4) == 0.0
-
-
-@pytest.mark.parametrize("name", GALLERY)
-def test_audit_growth_gallery(name):
-    _, p = build(name)
-    report = audit_growth(p, trials=40, seed=5)
-    assert report.passed, report.errors
+    # each channel maps a state adapted at step k to an element adapted at k
+    alg, p = build(name, n=5)
+    rng = np.random.default_rng(4)
+    for k in range(alg.n):
+        c = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+        x = CliffordElement(alg, np.where(alg.adapted_mask(k), c, 0.0))
+        u = rng.uniform(-1.0, 1.0, size=1)
+        for fn in (p.D, p.F, p.G):
+            assert fn(k, x, u).is_adapted(k)
 
 
 def test_hamiltonian_values():
