@@ -9,13 +9,11 @@ exact first and second epsilon-derivatives of this discrete flow, so for
 polynomial coefficient maps the Taylor identities they feed are exact rather
 than O(dt)-approximate.
 
-:func:`solve_state` advances one control path as elements.  For problems with
-the row hooks (every gallery problem), :func:`stacked_costs` runs the same
-scheme on a block of control paths at once, one (B, dim) state array per
-step, with the adaptedness check applied to every row at every step and the
-running cost summed per row in the same pass; it returns only the costs.
-The brute force screens its grid with it and re-evaluates the few controls
-near the minimum through :func:`solve_state` and ``cost``.
+One loop runs the scheme on a block of control paths, one (B, dim) state
+array per step through the problem's ``coefficient_rows`` hook, with the
+adaptedness check applied to every row at every step.  :func:`solve_state`
+is its one-row case and keeps the states; :func:`stacked_costs` sums the
+problem's ``cost_rows`` as the block advances and keeps only the costs.
 """
 
 from __future__ import annotations
@@ -65,56 +63,49 @@ class Trajectory:
         return self.process[-1]
 
 
-def _check_adapted(rows: np.ndarray, k: int, what: str):
-    """Every coefficient row adapted at step k, up to 1e-12 (1 + its norm)."""
-    leak = np.abs(rows[:, 1 << k:])
-    if leak.size and not np.all(leak.max(axis=1) <= 1e-12 * (1.0 + _row_norms(rows))):
-        raise AdaptednessError(f"{what} produced a non-adapted element at step {k}")
+def _state_rows(p: ControlProblem, U: np.ndarray):
+    """The (B, dim) states X_0 .. X_N of a block of control paths U, shape (B, N, m).
+
+    Every coefficient row must be adapted at its step up to 1e-12 (1 + its norm).
+    """
+    alg = p.algebra
+    X = np.repeat(p.x0.coeffs[None], len(U), axis=0)
+    for k in range(alg.n):
+        yield X
+        d, f, g = p.coefficient_rows(k, X, U[:, k])
+        for val, tag in ((d, "drift"), (f, "left diffusion"), (g, "right diffusion")):
+            leak = np.abs(val[:, 1 << k:])
+            if leak.size and not np.all(leak.max(axis=1) <= 1e-12 * (1.0 + _row_norms(val))):
+                raise AdaptednessError(f"{tag} produced a non-adapted element at step {k}")
+        X = X + alg.dt * d + _mul_dw(alg, f, k + 1, "right") + _mul_dw(alg, g, k + 1, "left")
+    yield X
 
 
 def solve_state(p: ControlProblem, u: np.ndarray) -> Trajectory:
     """Solve the controlled state equation for an admissible control path."""
     u = p.check_control_path(u)
-    alg = p.algebra
-    xs = [p.x0]
-    for k in range(alg.n):
-        xk = xs[k]
-        d = p.D(k, xk, u[k])
-        f = p.F(k, xk, u[k])
-        g = p.G(k, xk, u[k])
-        for val, tag in ((d, "drift"), (f, "left diffusion"), (g, "right diffusion")):
-            _check_adapted(val.coeffs[None], k, tag)
-        xs.append(xk + alg.dt * d + mul_dw_right(f, k + 1) + mul_dw_left(g, k + 1))
-    return Trajectory(AdaptedProcess(alg, xs, tol=1e-9), u)
+    xs = [CliffordElement(p.algebra, X[0]) for X in _state_rows(p, u[None])]
+    return Trajectory(AdaptedProcess(p.algebra, xs, tol=1e-9), u)
 
 
 def stacked_costs(p: ControlProblem, U: np.ndarray) -> np.ndarray:
     """Costs of a block of control paths, shape (B, N, m), from one state solve.
 
-    The states advance together as a (B, dim) array through the problem's
-    ``coefficient_rows`` hook, by the scheme of :func:`solve_state`, and every
-    coefficient row is checked for adaptedness at every step with the same
-    tolerance.  The running cost is summed per row as the block advances, so
-    no path is stored.  Agrees with ``cost(p, u, solve_state(p, u))`` to
-    rounding, not bit for bit.
+    No path is stored.  Row i equals ``cost(p, U[i], solve_state(p, U[i]))``
+    bit for bit whenever ``L`` and ``g`` are one-row views of ``cost_rows``,
+    as in the gallery, or ``cost_rows`` is derived from them.
     """
-    if p.coefficient_rows is None or p.cost_rows is None:
-        raise ValueError("problem has no row hooks; solve its paths one by one")
     alg = p.algebra
     U = np.asarray(U, dtype=float)
     if U.ndim != 3 or U.shape[1:] != (alg.n, p.m):
         raise ValueError(f"control block must have shape (B, {alg.n}, {p.m})")
     if not p.control_set.contains(U):
         raise ValueError("control block leaves the admissible box")
-    X = np.repeat(p.x0.coeffs[None], len(U), axis=0)
-    acc = np.zeros(len(U))
-    for k in range(alg.n):
-        d, f, g = p.coefficient_rows(k, X, U[:, k])
-        for val, tag in ((d, "drift"), (f, "left diffusion"), (g, "right diffusion")):
-            _check_adapted(val, k, tag)
-        acc += p.cost_rows(k, X, U[:, k]) * alg.dt
-        X = X + alg.dt * d + _mul_dw(alg, f, k + 1, "right") + _mul_dw(alg, g, k + 1, "left")
-    return acc + p.cost_rows(alg.n, X, None)
+    costs = np.zeros(len(U))
+    for k, X in enumerate(_state_rows(p, U)):
+        if k < alg.n:
+            costs += p.cost_rows(k, X, U[:, k]) * alg.dt
+    return costs + p.cost_rows(alg.n, X, None)
 
 
 def solve_first_variation(p: ControlProblem, xbar: Trajectory,

@@ -12,8 +12,6 @@ import numpy as np
 
 from .clifford import CliffordAlgebra, CliffordElement
 
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-
 ORACLE_MAX_GENERATORS = 8
 
 
@@ -68,12 +66,6 @@ class MatrixRealization:
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> complex:
         return complex(np.vdot(a, b) / self.size)
-
-    def parity_matrix(self) -> np.ndarray:
-        mat = np.ones((1, 1), dtype=np.complex128)
-        for _ in range(self.n):
-            mat = np.kron(mat, _Z)
-        return mat
 
 
 def realization_for(alg: CliffordAlgebra) -> MatrixRealization:

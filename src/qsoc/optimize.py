@@ -6,12 +6,9 @@ the exact gradient of the discrete cost, so fixed-step ascent on the
 Hamiltonian descends the cost.  Brute force enumerates a product grid over the
 box and certifies tiny instances independently of any gradient information.
 
-For problems with the row hooks the brute force screens the grid in blocks
-through :func:`~qsoc.forward.stacked_costs`, then re-evaluates every control
-whose screened cost lies within ``SCREEN_MARGIN`` of the screened minimum
-through ``cost(p, u, solve_state(p, u))``, in lexicographic order; the result
-is the one the per-path loop over the whole grid returns, bit for bit.
-Problems without the hooks run that loop.
+The brute force evaluates the grid in blocks through
+:func:`~qsoc.forward.stacked_costs`, whose rows are the per-path costs
+``cost(p, u, solve_state(p, u))`` bit for bit.
 """
 
 from __future__ import annotations
@@ -29,11 +26,7 @@ __all__ = ["projected_gradient", "brute_force_search", "control_grid", "Gradient
 
 BRUTE_FORCE_BUDGET = 10 ** 6
 GRID_POINTS = 5  # per control dimension, on the grids of the theorem and optimize suites
-# Relative screening margin.  It must exceed twice the largest gap between a
-# screened cost and the per-path cost; tests measure that gap on the gallery
-# at a few 1e-16 relative, and require it below a hundredth of the margin.
-SCREEN_MARGIN = 1e-12
-# State entries (rows x dim) per screened block: bounds the block's memory.
+# State entries (rows x dim) per block of the brute force: bounds the block's memory.
 SCREEN_BLOCK_ENTRIES = 1 << 12
 
 
@@ -106,9 +99,8 @@ def projected_gradient(p: ControlProblem, u0: np.ndarray, step: float = 0.5,
                             stalled=stalled)
 
 
-def _grid_rows(p: ControlProblem, grid_points_per_dim: int,
-               indices: np.ndarray) -> np.ndarray:
-    """Controls number ``indices`` of :func:`control_grid`, shape (len, N, m).
+def _grid_blocks(p: ControlProblem, grid_points_per_dim: int):
+    """Blocks of :func:`control_grid`, in order, each a (rows, N, m) array.
 
     Control number i has base-``grid_points_per_dim`` digits i_0 .. i_{Nm-1},
     most significant first; digit j picks the value of coordinate (j // m,
@@ -122,17 +114,12 @@ def _grid_rows(p: ControlProblem, grid_points_per_dim: int,
                          for i in range(p.m)])
     n, m = p.algebra.n, p.m
     powers = grid_points_per_dim ** np.arange(n * m - 1, -1, -1, dtype=np.int64)
-    digits = (np.asarray(indices, dtype=np.int64)[:, None] // powers) % grid_points_per_dim
-    return axes[np.arange(n * m) % m, digits].reshape(-1, n, m)
-
-
-def _grid_blocks(p: ControlProblem, grid_points_per_dim: int):
-    """(first index, controls) blocks of :func:`control_grid`, in order."""
-    total = grid_points_per_dim ** (p.algebra.n * p.m)
+    total = grid_points_per_dim ** (n * m)
     rows = max(1, SCREEN_BLOCK_ENTRIES // p.algebra.dim)
     for start in range(0, total, rows):
-        stop = min(start + rows, total)
-        yield start, _grid_rows(p, grid_points_per_dim, np.arange(start, stop))
+        indices = np.arange(start, min(start + rows, total), dtype=np.int64)
+        digits = (indices[:, None] // powers) % grid_points_per_dim
+        yield axes[np.arange(n * m) % m, digits].reshape(-1, n, m)
 
 
 def control_grid(p: ControlProblem, grid_points_per_dim: int):
@@ -141,7 +128,7 @@ def control_grid(p: ControlProblem, grid_points_per_dim: int):
     Each control dimension takes ``grid_points_per_dim`` evenly spaced values
     from its lower to its upper bound; a single point is the box midpoint.
     """
-    for _, block in _grid_blocks(p, grid_points_per_dim):
+    for block in _grid_blocks(p, grid_points_per_dim):
         yield from block
 
 
@@ -150,15 +137,8 @@ def brute_force_search(p: ControlProblem, grid_points_per_dim: int,
     """Exhaustive minimum over the controls of :func:`control_grid`.
 
     Enumeration is lexicographic and ties keep the earlier (lexicographically
-    smallest) control, so the result is deterministic.
-
-    With the problem's row hooks the grid is screened block by block with
-    :func:`stacked_costs`.  A control survives while its screened cost is at
-    most ``low + SCREEN_MARGIN (1 + |low|)``, ``low`` the screened minimum so
-    far (a bound that only falls as ``low`` does).  If every screened cost is
-    within half the margin of its per-path cost, every per-path minimizer
-    survives, so the per-path loop over the survivors alone returns the
-    full loop's control and value.
+    smallest) control, so the result is deterministic; a NaN cost never wins.
+    The grid goes through :func:`stacked_costs` block by block.
     """
     if grid_points_per_dim < 1:
         raise ValueError("need at least one grid point per dimension")
@@ -167,32 +147,12 @@ def brute_force_search(p: ControlProblem, grid_points_per_dim: int,
     total = grid_points_per_dim ** (p.algebra.n * p.m)
     if total > budget:
         raise BudgetError(f"{total} grid controls exceed the budget {budget}")
-    if p.coefficient_rows is None or p.cost_rows is None:
-        candidates = control_grid(p, grid_points_per_dim)
-    else:
-        candidates = _grid_rows(p, grid_points_per_dim,
-                                _screen(p, grid_points_per_dim))
     best_u = None
     best_j = np.inf
-    for u in candidates:
-        j = cost(p, u, solve_state(p, u))
-        if j < best_j:
-            best_j = j
-            best_u = u
-    return best_u, float(best_j)
-
-
-def _screen(p: ControlProblem, grid_points_per_dim: int) -> np.ndarray:
-    """Grid indices, ascending, whose stacked cost is near the stacked minimum."""
-    low = np.inf
-    kept = np.zeros(0, dtype=np.int64)
-    kept_costs = np.zeros(0)
-    for start, block in _grid_blocks(p, grid_points_per_dim):
+    for block in _grid_blocks(p, grid_points_per_dim):
         costs = stacked_costs(p, block)
-        low = min(low, float(np.fmin.reduce(costs)))  # NaN rows never win
-        bound = low + SCREEN_MARGIN * (1.0 + abs(low))
-        near = np.nonzero(costs <= bound)[0]
-        keep = kept_costs <= bound
-        kept = np.concatenate([kept[keep], start + near])
-        kept_costs = np.concatenate([kept_costs[keep], costs[near]])
-    return kept
+        i = int(np.argmin(np.where(np.isnan(costs), np.inf, costs)))  # first on a tie
+        if costs[i] < best_j:
+            best_j = float(costs[i])
+            best_u = block[i]
+    return best_u, best_j

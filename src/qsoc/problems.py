@@ -44,18 +44,20 @@ adjoint starts from its negative, P_N = -g_xx.
 ``(Dx_k, Bt_k)`` of ``D_x`` and ``F_x + parity o G_x`` frozen at (x, u) on
 the step-k subspace, which is the first 2^k blades.
 
-``coefficient_rows(k, X, U)`` and ``cost_rows(k, X, U)`` (optional) evaluate
-the problem on row stacks: X is a (B, dim) block of states, U the (B, m)
-controls at step k.  The first returns the (B, dim) stacks of D, F and G; the
-second the (B,) running costs L, or for k = N (U unused) the terminal costs
-g.  They must agree with the callbacks: in the gallery ``D``, ``F`` and ``G``
-are one-row views of the channel rows, and the cost rows match ``L`` and
-``g`` to rounding.
+Row hooks
+---------
+``coefficient_rows(k, X, U)`` and ``cost_rows(k, X, U)`` evaluate the problem
+on row stacks: X is a (B, dim) block of states, U the (B, m) controls at step
+k.  The first returns the (B, dim) stacks of D, F and G; the second the (B,)
+running costs L, or for k = N (U unused) the terminal costs g.  The state
+solve runs through them alone.  Every problem has both: gallery problems
+build them from their channel and cost data, and ``D``, ``F``, ``G``, ``L``
+and ``g`` are their one-row views; a problem wired from callbacks alone gets
+them derived from those callbacks, one call per row.
 
-Gallery problems build all four hooks from their channel and cost data (the
-operators as left and right multiplication matrices); without the operator
-hooks the operators are probed blade by blade from the callbacks above, and
-without the row hooks the brute force solves one control path at a time.
+Gallery problems build the operator hooks as left and right multiplication
+matrices; without them the operators are probed blade by blade from the
+callbacks above.
 """
 
 from __future__ import annotations
@@ -225,8 +227,10 @@ class _Channel:
     def value_rows(self, k: int, X: np.ndarray, U: np.ndarray) -> np.ndarray:
         """The channel on row stacks: X (B, dim) states, U (B, m) controls.
 
-        The quad term multiplies through :func:`_product` on the live blade
-        columns of the stack, so one row takes the route of ``multiply``.
+        The states must be adapted at step k.  The quad term multiplies
+        through :func:`_product` on the first 2^k blade columns, not on the
+        columns the stack happens to fill, so a row's value does not depend
+        on the rows stacked with it.
         """
         out = self.rate * X if self.rate != 0.0 else np.zeros(X.shape, dtype=np.complex128)
         for i, e in enumerate(self.lin[k]):
@@ -234,11 +238,13 @@ class _Channel:
         for i, e in enumerate(self.sq[k]):
             out = out + U[:, i, None] ** 2 * e.coeffs
         if self.quad is not None:
-            live = np.nonzero(np.any(X, axis=0))[0]
+            if np.any(X[:, 1 << k:]):
+                raise SupportError(f"state not adapted at step {k}")
+            live = np.arange(1 << k)
             xx = _product(self.alg, X, X, live, live)
             c = self.quad[k].coeffs
             out = out + _product(self.alg, np.broadcast_to(c, X.shape), xx,
-                                 np.nonzero(c)[0], np.nonzero(np.any(xx, axis=0))[0])
+                                 np.nonzero(c)[0], live)
         return out
 
     def value(self, k, x, u):
@@ -348,6 +354,29 @@ class ControlProblem:
     coefficient_rows: Callable | None = None  # (k, X, U) -> (D, F, G) row stacks
     cost_rows: Callable | None = None  # (k, X, U) -> L rows, or g rows at k = N
 
+    def __post_init__(self):
+        # unset hooks, and hooks derived for the problem this one was copied
+        # from (``dataclasses.replace``), are derived from this one's callbacks
+        for name, derived in (("coefficient_rows", self._coefficient_rows),
+                              ("cost_rows", self._cost_rows)):
+            hook = getattr(self, name)
+            if hook is None or isinstance(getattr(hook, "__self__", None), ControlProblem):
+                setattr(self, name, derived)
+
+    def _coefficient_rows(self, k, X, U):
+        out = np.empty((3,) + X.shape, dtype=np.complex128)
+        for i, (x, u) in enumerate(zip(X, U)):
+            x = CliffordElement(self.algebra, x)
+            for c, fn in enumerate((self.D, self.F, self.G)):
+                out[c, i] = fn(k, x, u).coeffs
+        return tuple(out)
+
+    def _cost_rows(self, k, X, U):
+        xs = [CliffordElement(self.algebra, x) for x in X]
+        if k == self.algebra.n:
+            return np.array([self.g(x) for x in xs], dtype=float)
+        return np.array([self.L(k, x, u) for x, u in zip(xs, U)], dtype=float)
+
     @property
     def m(self) -> int:
         return self.control_set.m
@@ -394,9 +423,20 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
     x_tgt = _terms_to_element(algebra, spec.x_tgt) or CliffordElement.zero(algebra)
     eta = _terms_to_element(algebra, spec.eta)
 
+    def cost_rows(k, X, U):
+        if k == algebra.n:
+            diff = X - x_tgt.coeffs
+            val = s * np.vecdot(diff, diff).real
+            if eta is not None:
+                val = val + np.vecdot(eta.coeffs, X).real
+            return val
+        return q * np.vecdot(X, X).real + r * np.vecdot(U, U)
+
     def L(k, x, u):
-        val = q * x.norm() ** 2 + r * float(np.dot(u, u))
-        return float(val)
+        return float(cost_rows(k, x.coeffs[None], np.asarray(u, dtype=float).reshape(1, -1))[0])
+
+    def g_fn(x):
+        return float(cost_rows(algebra.n, x.coeffs[None], None)[0])
 
     def L_x(k, x, u):
         return (2.0 * q) * x
@@ -411,24 +451,6 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
 
     def L_uu(k, x, u):
         return 2.0 * r * np.eye(spec.m)
-
-    def g_fn(x):
-        diff = x - x_tgt
-        val = s * diff.norm() ** 2
-        if eta is not None:
-            val += inner(eta, x).real
-        return float(val)
-
-    def cost_rows(k, X, U):
-        # L and g on row stacks; they agree with the scalar forms to rounding
-        # (``x.norm() ** 2`` goes through libm pow, a row of squares does not)
-        if k == algebra.n:
-            diff = X - x_tgt.coeffs
-            val = s * np.vecdot(diff, diff).real
-            if eta is not None:
-                val = val + np.vecdot(eta.coeffs, X).real
-            return val
-        return q * np.vecdot(X, X).real + r * np.vecdot(U, U)
 
     def g_x(x):
         out = (2.0 * s) * (x - x_tgt)

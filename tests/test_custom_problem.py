@@ -89,20 +89,21 @@ def test_custom_problem_reproduces_gallery_end_to_end():
 
 
 def test_custom_problem_brute_force_runs_the_per_path_loop(monkeypatch):
-    # no row hooks: every grid control is solved on its own, and the result
-    # is the gallery's (whose stacked screen re-evaluates the same way)
+    # the row hooks derived from the callbacks call the drift once per grid
+    # control and step, and no control is re-solved on its own; the result
+    # is the gallery's
     alg = make_algebra(3, 0.0, 1.0)
     p_custom = lq_like_custom(alg)
-    assert p_custom.coefficient_rows is None and p_custom.cost_rows is None
+    drift = p_custom.D
     calls = []
-    solve = optimize.solve_state
 
-    def counted(p, u):
-        calls.append(p is p_custom)
-        return solve(p, u)
-    monkeypatch.setattr(optimize, "solve_state", counted)
+    def counted(k, x, u):
+        calls.append(k)
+        return drift(k, x, u)
+    p_custom.D = counted
+    monkeypatch.setattr(optimize, "solve_state", lambda *a: pytest.fail("per-path solve"))
     u_custom, j_custom = brute_force_search(p_custom, 5)
-    assert calls == [True] * 5 ** alg.n
+    assert sorted(calls) == [k for k in range(alg.n) for _ in range(5 ** alg.n)]
     u_gallery, j_gallery = brute_force_search(make_problem(alg, ProblemSpec.gallery("lq")), 5)
     assert np.array_equal(u_custom, u_gallery)
     assert j_custom == pytest.approx(j_gallery, rel=1e-12)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,9 @@ from qsoc.forward import (
     solve_state,
     stacked_costs,
 )
-from qsoc.optimize import SCREEN_MARGIN, control_grid
+from qsoc.optimize import control_grid
 from qsoc.problems import ProblemSpec, cost, make_problem
+from test_custom_problem import lq_like_custom
 
 
 def build(name, n=4, m=1, T=1.0, **overrides):
@@ -66,10 +69,11 @@ def test_state_increment_isometry():
 
 
 def test_non_adapted_callback_detected():
-    alg, p = build("lq")
+    # a callback problem whose drift leaks the last generator at every step
+    alg = make_algebra(4, 0.0, 1.0)
     leaky = CliffordElement.generator(alg, alg.n)
-    p.D = lambda k, x, u: leaky
-    with pytest.raises(AdaptednessError):
+    p = dataclasses.replace(lq_like_custom(alg), D=lambda k, x, u: leaky)
+    with pytest.raises(AdaptednessError, match="drift produced a non-adapted element at step 0"):
         solve_state(p, np.zeros((alg.n, 1)))
 
 
@@ -196,22 +200,39 @@ def test_order_slopes_validates_sweep():
 
 # -- row-stacked state solve ---------------------------------------------------
 
+def assert_rows_are_per_path_costs(p, U):
+    want = np.array([cost(p, u, solve_state(p, u)) for u in U])
+    for rows in (1, 7, len(U)):
+        got = np.concatenate([stacked_costs(p, U[i:i + rows]) for i in range(0, len(U), rows)])
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("m", (1, 2))
 @pytest.mark.parametrize("name", ("free", "lq", "quadratic_control", "quadratic_state"))
-def test_stacked_costs_gap_is_far_below_the_screen_margin(name, m):
-    # the brute force is exact while every gap stays below half SCREEN_MARGIN;
-    # measured gaps are a few 1e-16 relative, required here below 1e-14
+def test_stacked_costs_rows_are_the_per_path_costs(name, m):
+    # bit for bit, whatever block a row is solved in; every third row has
+    # zero control
     n = 4 if m == 1 else 2
-    for overrides in ({}, {"eta": ((0, 0.3, 0.1), (1, -0.2, 0.0))},
-                      {"qd": ((0, 0.35, 0.0), (1, 0.1, 0.2), (3, 0.05, 0.0))}):
-        if "qd" in overrides and name != "quadratic_state":
-            continue
+    cases = [{}, {"eta": ((0, 0.3, 0.1), (1, -0.2, 0.0))}]
+    if name == "quadratic_state":
+        cases += [{"qd": ((0, 0.35, 0.0), (1, 0.1, 0.2), (3, 0.05, 0.0))},
+                  # noise only through the control: a zero-control state stays
+                  # scalar while the other rows of its block fill every blade
+                  {"a": 0.0, "f0": 0.0, "g0": 0.0, "qf": None, "qg": None}]
+    for overrides in cases:
         alg, p = build(name, n=n, m=m, **overrides)
         grid = np.array(list(control_grid(p, 3)))
-        stacked = stacked_costs(p, grid)
-        ref = np.array([cost(p, u, solve_state(p, u)) for u in grid])
-        gap = np.max(np.abs(stacked - ref) / (1.0 + np.abs(ref)))
-        assert gap <= SCREEN_MARGIN / 100
+        grid[::3] = 0.0
+        assert_rows_are_per_path_costs(p, grid)
+
+
+def test_stacked_costs_rows_are_the_per_path_costs_of_a_callback_problem():
+    # derived row hooks: one callback call per row
+    alg = make_algebra(3, 0.0, 1.0)
+    p = lq_like_custom(alg)
+    grid = np.array(list(control_grid(p, 3)))
+    grid[::3] = 0.0
+    assert_rows_are_per_path_costs(p, grid)
 
 
 def test_stacked_costs_validates_the_block():
@@ -220,9 +241,6 @@ def test_stacked_costs_validates_the_block():
         stacked_costs(p, np.zeros((2, alg.n)))
     with pytest.raises(ValueError, match="box"):
         stacked_costs(p, np.full((2, alg.n, 1), 1.5))
-    p.cost_rows = None
-    with pytest.raises(ValueError, match="row hooks"):
-        stacked_costs(p, np.zeros((2, alg.n, 1)))
 
 
 def test_channel_rows_are_the_element_values():

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from qsoc import optimize
 from qsoc.clifford import make_algebra
 from qsoc.errors import AdaptednessError, BudgetError
-from qsoc.forward import solve_state
+from qsoc.forward import solve_state, stacked_costs
 from qsoc.optimize import brute_force_search, control_grid, projected_gradient
 from qsoc.problems import ControlSet, ProblemSpec, cost, make_problem
 
@@ -173,13 +173,34 @@ def test_stacked_brute_force_exact_tie_keeps_the_first_control(monkeypatch):
     alg, p = build("free", n=3, r=0.5, q=0.0, s=0.0, x_tgt=None,
                    lower=(-3.0,), upper=(3.0,))
     assert np.array_equal(next(iter(control_grid(p, 4)))[0], [-3.0])
-    calls = count_solves(monkeypatch)
+    grid = np.array(list(control_grid(p, 4)))
+    costs = stacked_costs(p, grid)
+    assert np.count_nonzero(costs == costs.min()) == 2 ** alg.n
     u, j = brute_force_search(p, 4)
     assert np.array_equal(u, np.full((alg.n, 1), -1.0))
-    assert len(calls) == 2 ** alg.n  # every tied control is re-evaluated
+    # blocks of 5 rows: the tied controls fall in different blocks
     monkeypatch.setattr(optimize, "SCREEN_BLOCK_ENTRIES", 5 * alg.dim)
     assert brute_force_search(p, 4)[0].tolist() == u.tolist()
     assert per_path_brute_force(p, 4)[1] == j
+
+
+def test_brute_force_nan_cost_never_wins(monkeypatch):
+    alg, p = build("lq", n=2)
+    first = brute_force_search(p, 5)[0]
+    rows = p.cost_rows
+
+    def poisoned(k, X, U):
+        out = rows(k, X, U)
+        return np.where(U[:, 0] == first[0, 0], np.nan, out) if k == 0 else out
+    p.cost_rows = poisoned
+    grid = np.array(list(control_grid(p, 5)))
+    costs = stacked_costs(p, grid)
+    assert np.isnan(costs).sum() == 5
+    # blocks of 3 rows: some blocks are NaN throughout
+    monkeypatch.setattr(optimize, "SCREEN_BLOCK_ENTRIES", 3 * alg.dim)
+    u, j = brute_force_search(p, 5)
+    assert u[0, 0] != first[0, 0]
+    assert np.array_equal(u, grid[np.nanargmin(costs)]) and j == np.nanmin(costs)
 
 
 def test_stacked_screen_raises_on_a_non_adapted_channel(monkeypatch):
@@ -195,21 +216,18 @@ def test_stacked_screen_raises_on_a_non_adapted_channel(monkeypatch):
             return d, f, g
         return fn
 
-    calls = count_solves(monkeypatch)
     p.coefficient_rows = leaky(1e-14)  # within 1e-12 (1 + |row|)
     brute_force_search(p, 3)
-    calls.clear()
     p.coefficient_rows = leaky(1e-6)
     with pytest.raises(AdaptednessError, match="right diffusion"):
         brute_force_search(p, 3)
-    assert calls == []  # raised by the screen, before any per-path solve
 
 
 def test_gallery_brute_force_solves_few_paths(monkeypatch):
     alg, p = build("lq", n=4)
     calls = count_solves(monkeypatch)
     u, j = brute_force_search(p, 5)
-    assert 1 <= len(calls) <= 3
+    assert calls == []  # the grid goes through stacked_costs alone
     assert j == cost(p, u, solve_state(p, u))
 
 

@@ -51,6 +51,15 @@ def test_free_problem_wiring():
     assert np.allclose(p.L_u(0, x, u), [0.6])
 
 
+def test_quadratic_channel_refuses_a_state_not_adapted_at_its_step():
+    # its product runs on the step-k blades alone, so a wider state is refused
+    alg, p = build("quadratic_state", n=3)
+    x = CliffordElement.generator(alg, 2)
+    assert p.D(2, x, np.zeros(1)).norm() > 0.0
+    with pytest.raises(SupportError, match="not adapted at step 1"):
+        p.D(1, x, np.zeros(1))
+
+
 def test_lq_zero_rates_reduces_to_free():
     alg, p = build("lq", a=0.0, f0=0.0, g0=0.0,
                    b=(((0, 0.0, 0.0),),), f=(((0, 0.0, 0.0),),), g=(((0, 0.0, 0.0),),))
@@ -204,7 +213,7 @@ def test_hamiltonian_derivatives_match_finite_differences():
     xbar = solve_state(p, ubar)
     adj = solve_first_adjoint(p, xbar, ubar)
     hu = hu_field(p, adj)
-    step = 1e-5
+    step, ustep = 1e-5, 1e-2
 
     def H(k, x, u):
         return hamiltonian(p, k, x, u, adj.yhat[k], adj.Y[k]).real
@@ -229,8 +238,9 @@ def test_hamiltonian_derivatives_match_finite_differences():
         # the finite difference of the real running cost sees Re of the curvature
         assert fd2 == pytest.approx(pair.real, rel=1e-5, abs=1e-5)
 
-        fdu = (H(k, x, u + 2 * step * v) - 2 * H(k, x, u)
-               + H(k, x, u - 2 * step * v)) / (2 * step) ** 2
+        # H is exactly quadratic in u, so a wide step has no truncation error;
+        # at a step of 2e-5 one ulp of |H| ~ 18 moves the quotient by ~1e-5
+        fdu = (H(k, x, u + ustep * v) - 2 * H(k, x, u) + H(k, x, u - ustep * v)) / ustep ** 2
         huu = huu_matrix(p, k, x, u, y, Y)
         assert fdu == pytest.approx(float(v @ huu.real @ v), rel=1e-4, abs=1e-5)
         assert hxu_pairing(p, k, x, u, y, Y) is None  # no mixed terms in the gallery
