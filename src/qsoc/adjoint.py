@@ -32,9 +32,9 @@ Every step operator is therefore stored as its leading block: Dx_k, Bt_k,
 M_k and P_k are (2^k, 2^k), and T_k is a (2^{k+1}, 2^k) transition block
 whose dW_{k+1} half is a signed row shift; only P_N is dim x dim.
 ``SuperOperator`` pairings read the leading columns of their rows, so no
-consumer pads or slices.  Gallery problems hand the derivative blocks over
-through the problem's ``state_derivatives`` hook (left/right multiplication
-matrices); callback problems are probed blade by blade.
+consumer pads or slices.  The derivative blocks and the curvature
+operators come from the problem's ``state_derivatives`` and ``curvature``
+hooks, which every problem carries (see :mod:`qsoc.problems`).
 
 In continuous time the second adjoint is a triple: P together with two
 martingale components, which pair against the diffusion part of the test
@@ -80,11 +80,10 @@ from .clifford import (
     martingale_coefficient,
     mul_dw_right,
     parity,
-    superop_from_pairing,
 )
 from .errors import CapacityError, ContractError, SupportError
 from .forward import Trajectory
-from .problems import ControlProblem
+from .problems import ControlProblem, hxx_pairing
 
 __all__ = [
     "Linearization",
@@ -95,10 +94,7 @@ __all__ = [
     "compute_P",
     "transposition_residual",
     "first_duality_residual",
-    "hxx_pairing",
     "hu_field",
-    "huu_matrix",
-    "hxu_pairing",
 ]
 
 SUPEROP_BUDGET = 256  # largest coefficient-space dimension materialized as matrices
@@ -107,10 +103,8 @@ SUPEROP_BUDGET = 256  # largest coefficient-space dimension materialized as matr
 class Linearization:
     """Derivative operators of the dynamics frozen along one trajectory.
 
-    Dx[k] and Bt[k] are (2^k, 2^k), the maps on the step-k subspace: the
-    problem's ``state_derivatives`` hook output (gallery problems:
-    multiplication matrices) when it has one, else probed blade by blade
-    from the callbacks.  Du[k] and Bu[k] are (dim, m).
+    Dx[k] and Bt[k] are (2^k, 2^k), the maps on the step-k subspace, from
+    the problem's ``state_derivatives`` hook.  Du[k] and Bu[k] are (dim, m).
     """
 
     def __init__(self, p: ControlProblem, xbar: Trajectory):
@@ -128,17 +122,7 @@ class Linearization:
         basis = np.eye(m)
         for k in range(n):
             xk, uk = xbar[k], xbar.control[k]
-            if p.state_derivatives is not None:
-                dx, bt = p.state_derivatives(k, xk, uk)
-            else:
-                b = 1 << k
-                dx = np.empty((b, b), dtype=np.complex128)
-                bt = np.empty((b, b), dtype=np.complex128)
-                dx_op, fx_op, gx_op = p.D_x(k, xk, uk), p.F_x(k, xk, uk), p.G_x(k, xk, uk)
-                for s in range(b):
-                    es = CliffordElement.blade(alg, s)
-                    dx[:, s] = dx_op(es).coeffs[:b]
-                    bt[:, s] = (fx_op(es).coeffs + parity(gx_op(es)).coeffs)[:b]
+            dx, bt = p.state_derivatives(k, xk, uk)
             self.Dx.append(dx)
             self.Bt.append(bt)
             du_op, fu_op, gu_op = p.D_u(k, xk, uk), p.F_u(k, xk, uk), p.G_u(k, xk, uk)
@@ -175,12 +159,6 @@ class Linearization:
         bt[:b] = self.Bt[k] @ v.coeffs[:b]
         return v + self.algebra.dt * CliffordElement(self.algebra, dx) \
             + mul_dw_right(CliffordElement(self.algebra, bt), k + 1)
-
-    def du_apply(self, k: int, v: np.ndarray) -> CliffordElement:
-        return CliffordElement(self.algebra, self.Du[k] @ np.asarray(v, dtype=float))
-
-    def bu_apply(self, k: int, v: np.ndarray) -> CliffordElement:
-        return CliffordElement(self.algebra, self.Bu[k] @ np.asarray(v, dtype=float))
 
 
 @dataclass
@@ -230,53 +208,13 @@ def first_duality_residual(p: ControlProblem, adj: AdjointPair, x1: AdaptedProce
     lhs = -inner(lin.gx, x1[alg.n])
     rhs = 0.0 + 0.0j
     for k in range(alg.n):
-        rhs += alg.dt * (inner(adj.yhat[k], lin.du_apply(k, du[k]))
+        rhs += alg.dt * (np.vdot(adj.yhat[k].coeffs, lin.Du[k] @ du[k])
                          + inner(lin.Lx[k], x1[k])
-                         + inner(adj.Y[k], lin.bu_apply(k, du[k])))
+                         + np.vdot(adj.Y[k].coeffs, lin.Bu[k] @ du[k]))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
-# -- Hamiltonian curvature ---------------------------------------------------
-
-def hxx_pairing(p: ControlProblem, k: int, x, u, yhat, Y):
-    """Pairing (v, w) -> <M_k v, w> assembled from the raw callbacks."""
-    y_par = parity(Y)
-
-    def pair(v, w):
-        out = 0.0 + 0.0j
-        if p.D_xx is not None:
-            out += inner(yhat, p.D_xx(k, x, u)(v, w))
-        if p.F_xx is not None:
-            out += inner(Y, p.F_xx(k, x, u)(v, w))
-        if p.G_xx is not None:
-            out += inner(y_par, p.G_xx(k, x, u)(v, w))
-        if p.L_xx is not None:
-            out -= p.L_xx(k, x, u)(v, w)
-        return out
-    return pair
-
-
-def _curvature_operator(p: ControlProblem, k: int, x, u, yhat, Y) -> SuperOperator | None:
-    """M_k on the step-k subspace for k < N, the g_xx operator at k = N.
-
-    Both live on the first 2^k blades.  Problems that carry a ``curvature``
-    hook build it from their data; callback problems probe hxx_pairing (or
-    g_xx) once per basis blade pair.  None when M_k is identically zero.
-    """
-    alg = p.algebra
-    if p.curvature is not None:
-        op = p.curvature(k, yhat, Y)
-        if op is not None and op.size != 1 << k:
-            raise ContractError(f"curvature hook returned side {op.size} at step {k}, "
-                                f"not {1 << k}")
-        return op
-    if k == alg.n:
-        return SuperOperator.zero(alg) if p.g_xx is None \
-            else superop_from_pairing(alg, p.g_xx(x), alg.dim)
-    if all(cb is None for cb in (p.D_xx, p.F_xx, p.G_xx, p.L_xx)):
-        return None
-    return superop_from_pairing(alg, hxx_pairing(p, k, x, u, yhat, Y), 1 << k)
-
+# -- Hamiltonian gradient ------------------------------------------------------
 
 def hu_field(p: ControlProblem, adj: AdjointPair) -> np.ndarray:
     """Riesz representatives of the control derivative of the Hamiltonian, (N, m)."""
@@ -287,43 +225,6 @@ def hu_field(p: ControlProblem, adj: AdjointPair) -> np.ndarray:
         out[k] = (np.conj(yh.coeffs) @ adj.lin.Du[k]).real \
             + (np.conj(yk.coeffs) @ adj.lin.Bu[k]).real - adj.lin.Lu[k]
     return out
-
-
-def huu_matrix(p: ControlProblem, k: int, x, u, yhat, Y) -> np.ndarray:
-    """Control curvature of the Hamiltonian, complex (m, m)."""
-    basis = np.eye(p.m)
-    y_par = parity(Y)
-    out = np.zeros((p.m, p.m), dtype=np.complex128)
-    luu = p.L_uu(k, x, u) if p.L_uu is not None else np.zeros((p.m, p.m))
-    out -= np.asarray(luu, dtype=np.complex128)
-    for cb, weight in ((p.D_uu, yhat), (p.F_uu, Y), (p.G_uu, y_par)):
-        if cb is None:
-            continue
-        fn = cb(k, x, u)
-        for i in range(p.m):
-            for j in range(p.m):
-                out[i, j] += inner(weight, fn(basis[i], basis[j]))
-    return out
-
-
-def hxu_pairing(p: ControlProblem, k: int, x, u, yhat, Y):
-    """Pairing (h, v) -> mixed curvature of the Hamiltonian; None when absent."""
-    if all(cb is None for cb in (p.D_xu, p.F_xu, p.G_xu, p.L_xu)):
-        return None
-    y_par = parity(Y)
-
-    def pair(h, v):
-        out = 0.0 + 0.0j
-        if p.D_xu is not None:
-            out += inner(yhat, p.D_xu(k, x, u)(h, v))
-        if p.F_xu is not None:
-            out += inner(Y, p.F_xu(k, x, u)(h, v))
-        if p.G_xu is not None:
-            out += inner(y_par, p.G_xu(k, x, u)(h, v))
-        if p.L_xu is not None:
-            out -= p.L_xu(k, x, u)(h, v)
-        return out
-    return pair
 
 
 # -- second adjoint ----------------------------------------------------------
@@ -338,6 +239,14 @@ class SecondAdjoint:
     adj: "AdjointPair"
     xbar: Trajectory
     ubar: np.ndarray
+
+
+def _checked_curvature(p: ControlProblem, k: int, *args) -> SuperOperator | None:
+    """The problem's curvature hook at step k, refused unless it has side 2^k."""
+    op = p.curvature(k, *args)
+    if op is not None and op.size != 1 << k:
+        raise ContractError(f"curvature hook returned side {op.size} at step {k}, not {1 << k}")
+    return op
 
 
 def compute_P(p: ControlProblem, xbar: Trajectory, ubar: np.ndarray,
@@ -361,9 +270,9 @@ def compute_P(p: ControlProblem, xbar: Trajectory, ubar: np.ndarray,
     n = alg.n
     P: list = [None] * (n + 1)
     M: list = [None] * n
-    P[n] = _curvature_operator(p, n, xbar.terminal, None, None, None).scaled(-1.0)
+    P[n] = _checked_curvature(p, n, xbar.terminal, None, None, None).scaled(-1.0)
     for k in range(n - 1, -1, -1):
-        M[k] = _curvature_operator(p, k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k])
+        M[k] = _checked_curvature(p, k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k])
         t = lin.t_block(k)
         td = t.conj().T
         nxt = P[k + 1]
@@ -468,13 +377,11 @@ def transposition_residual(p: ControlProblem, sa: SecondAdjoint,
         phi2, n2 = _solve_test_equation(p, sa.lin, t2)
 
         # left side: callbacks only
-        if p.g_xx is not None:
-            lhs = -p.g_xx(sa.xbar.terminal)(phi2[-1], phi1[-1])
-        else:
-            lhs = 0.0 + 0.0j
+        lhs = 0.0 + 0.0j if p.g_xx is None else -p.g_xx(sa.xbar.terminal)(phi2[-1], phi1[-1])
         for j in range(k, alg.n):
             pair = hxx_pairing(p, j, sa.xbar[j], sa.ubar[j], sa.adj.yhat[j], sa.adj.Y[j])
-            lhs += dt * pair(phi2[j - k], phi1[j - k])
+            if pair is not None:
+                lhs += dt * pair(phi2[j - k], phi1[j - k])
 
         # right side: materialized P with summation-by-parts staggering
         rhs = sa.P[k].pair(t2.zeta, t1.zeta)

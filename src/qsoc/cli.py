@@ -59,7 +59,9 @@ def main(argv=None) -> int:
             return 0
 
         if args.seed is not None:
-            cfg.seed = int(args.seed)
+            if args.seed < 0:
+                raise ConfigError([("--seed", "must be >= 0")])
+            cfg.seed = args.seed
         if args.suite:
             cfg.suites = [s for s in SUITE_ORDER if s in set(args.suite)]
             err = budget_error(cfg.n_steps, cfg.problem, cfg.suites)

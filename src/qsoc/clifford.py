@@ -300,9 +300,11 @@ def _table_product(alg: CliffordAlgebra, A: np.ndarray, B: np.ndarray,
     Iterates over the live blade columns of the sparser factor (computed
     when not given); blade S of ``A`` contributes ``A_S * sign(S, .) * B``
     scattered to masks ``S ^ .``, and the scatter targets are distinct for
-    fixed S, so no accumulation conflicts arise.
+    fixed S, so no accumulation conflicts arise.  Rows may hold any prefix
+    of 2^k blades: the prefix is closed under xor.
     """
-    table = alg.sign_table
+    width = A.shape[1]
+    masks, table = alg._masks[:width], alg.sign_table[:width, :width]
     out = np.zeros(A.shape, dtype=np.complex128)
     if live_a is None:
         live_a = np.nonzero(np.any(A, axis=0))[0]
@@ -311,10 +313,10 @@ def _table_product(alg: CliffordAlgebra, A: np.ndarray, B: np.ndarray,
     if live_b.size < live_a.size:
         # e_S e_T = sign(S,T) e_{S^T}; fold over T instead when B is sparser.
         for t in live_b:
-            out[:, alg._masks ^ t] += (A * table[:, t]) * B[:, t][:, None]
+            out[:, masks ^ t] += (A * table[:, t]) * B[:, t][:, None]
         return out
     for s in live_a:
-        out[:, s ^ alg._masks] += A[:, s][:, None] * (table[s] * B)
+        out[:, s ^ masks] += A[:, s][:, None] * (table[s] * B)
     return out
 
 
@@ -385,24 +387,6 @@ def _multiplication_blocks(a: CliffordElement, k: int) -> tuple[np.ndarray, np.n
     left[rows, idx] = coeffs * table
     right[rows, idx] = coeffs * table.T
     return left, right
-
-
-def _left_multiply_block(a: CliffordElement, k: int, block: np.ndarray) -> np.ndarray:
-    """``L_a @ block`` for a (2^k, cols) block, without building ``L_a``.
-
-    ``L_a`` is the sum over the live blades s of ``a`` of ``a_s`` times the
-    signed row permutation t -> s ^ t with sign(s, t), so the product is one
-    scaled pass over the block per live blade: a single pass for a scalar.
-    """
-    if not a.is_adapted(k):
-        raise SupportError(f"multiplier not adapted at step {k}")
-    b = 1 << k
-    idx = np.arange(b)
-    table = a.algebra.sign_table
-    out = np.zeros(block.shape, dtype=np.complex128)
-    for s in np.nonzero(a.coeffs[:b])[0]:
-        out[s ^ idx] += a.coeffs[s] * (table[s, :b, None] * block)
-    return out
 
 
 def multiply(a: CliffordElement, b: CliffordElement) -> CliffordElement:

@@ -46,13 +46,11 @@ from .adjoint import (
     _p_block_terms,
     compute_P,
     hu_field,
-    huu_matrix,
-    hxu_pairing,
     solve_first_adjoint,
 )
 from .errors import ContractError
 from .forward import solve_first_variation, solve_state
-from .problems import ControlProblem, cost
+from .problems import ControlProblem, cost, huu_matrix, hxu_pairing
 
 __all__ = [
     "first_order_integral",

@@ -18,7 +18,7 @@ Schema (all keys except ``problem`` and ``grid`` optional)::
       "grid": {"t0": 0.0, "T": 1.0, "N": 4},
       "suites": ["algebra", ...],      # default: all
       "tolerances": {"algebra": {"probes": 10000}},   # or isometry; ints >= 1
-      "seed": 0,
+      "seed": 0,                       # integer >= 0
       "output": "out",
       "emit": ["json", "csv", "plotdata"]
     }
@@ -26,9 +26,10 @@ Schema (all keys except ``problem`` and ``grid`` optional)::
 Omitted gallery fields fall back to the canonical instance for the problem
 name.  Unknown keys anywhere are rejected so typos cannot silently change a
 run.  Numbers must be finite, except that a box bound may be +-inf (JSON
-``1e400``) to leave that side open; NaN is refused everywhere.  Suite bounds
-are fixed in :mod:`qsoc.suites` and reported per suite; ``tolerances`` sets
-only the probe counts of ``algebra`` and ``isometry``.
+``1e400``) to leave that side open; NaN is refused everywhere.  Blade masks
+lie in 0..2^N-1, and ``x0`` takes mask 0 only.  Suite bounds are fixed in
+:mod:`qsoc.suites` and reported per suite; ``tolerances`` sets only the probe
+counts of ``algebra`` and ``isometry``.
 """
 
 from __future__ import annotations
@@ -258,6 +259,20 @@ def _parse_problem(raw: dict, check: _Checker) -> ProblemSpec | None:
         return None
 
 
+def _check_masks(spec: ProblemSpec, dim: int, check: _Checker) -> None:
+    """Blade masks must lie in 0..dim-1, and x0 in the initial subalgebra (mask 0)."""
+    lists = [(f"problem.elements.{key}[{i}]", row) for key in _PER_DIM_ELEMENT_KEYS
+             for i, row in enumerate(getattr(spec, key) or ())]
+    lists += [(f"problem.elements.{key}", getattr(spec, key) or ())
+              for key in _SINGLE_ELEMENT_KEYS]
+    for path, terms in lists:
+        for j, (mask, _, _) in enumerate(terms):
+            if not 0 <= mask < dim:
+                check.fail(f"{path}[{j}]", f"blade mask {mask} outside 0..{dim - 1} (grid.N)")
+    if spec.x0 is None or any(mask != 0 for mask, _, _ in spec.x0):
+        check.fail("problem.elements.x0", "expected terms of blade mask 0 only")
+
+
 def parse_config(raw: dict) -> RunConfig:
     check = _Checker()
     if not isinstance(raw, dict):
@@ -301,6 +316,8 @@ def parse_config(raw: dict) -> RunConfig:
         err = budget_error(n, spec, suites)
         if err:
             check.fail(*err)
+        if spec is not None:
+            _check_masks(spec, 1 << n, check)
 
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -319,7 +336,7 @@ def parse_config(raw: dict) -> RunConfig:
                     check.fail(f"tolerances.{key}.{name}", "unknown key: only "
                                "algebra.probes and isometry.probes are settable")
 
-    seed = check.integer(raw.get("seed"), "seed", default=0)
+    seed = check.integer(raw.get("seed"), "seed", default=0, minimum=0)
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         check.fail("output", "expected a string path")

@@ -108,21 +108,29 @@ def stacked_costs(p: ControlProblem, U: np.ndarray) -> np.ndarray:
     return costs + p.cost_rows(alg.n, X, None)
 
 
-def solve_first_variation(p: ControlProblem, xbar: Trajectory,
-                          du: np.ndarray) -> AdaptedProcess:
-    """Linear response of the state to a control perturbation direction."""
+def _response(p: ControlProblem, xbar: Trajectory, drivers) -> AdaptedProcess:
+    """z_{k+1} = z_k + dt (D_x z_k + d) + (F_x z_k + f) dW + dW (G_x z_k + g), z_0 = 0,
+    along xbar, with ``(d, f, g) = drivers(k, x_k, u_k)``."""
     alg = p.algebra
-    du = np.asarray(du, dtype=float)
-    if du.shape != xbar.control.shape:
-        raise ValueError("perturbation must match the control path shape")
     zs = [CliffordElement.zero(alg)]
     for k in range(alg.n):
         xk, uk, zk = xbar[k], xbar.control[k], zs[k]
-        drift = p.D_x(k, xk, uk)(zk) + p.D_u(k, xk, uk)(du[k])
-        left = p.F_x(k, xk, uk)(zk) + p.F_u(k, xk, uk)(du[k])
-        right = p.G_x(k, xk, uk)(zk) + p.G_u(k, xk, uk)(du[k])
+        d, f, g = drivers(k, xk, uk)
+        drift = p.D_x(k, xk, uk)(zk) + d
+        left = p.F_x(k, xk, uk)(zk) + f
+        right = p.G_x(k, xk, uk)(zk) + g
         zs.append(zk + alg.dt * drift + mul_dw_right(left, k + 1) + mul_dw_left(right, k + 1))
     return AdaptedProcess(alg, zs, tol=1e-9)
+
+
+def solve_first_variation(p: ControlProblem, xbar: Trajectory,
+                          du: np.ndarray) -> AdaptedProcess:
+    """Linear response of the state to a control perturbation direction."""
+    du = np.asarray(du, dtype=float)
+    if du.shape != xbar.control.shape:
+        raise ValueError("perturbation must match the control path shape")
+    return _response(p, xbar, lambda k, x, u: tuple(
+        fn(k, x, u)(du[k]) for fn in (p.D_u, p.F_u, p.G_u)))
 
 
 def quadratic_drivers(p: ControlProblem, k: int, x, u, h, v) -> tuple:
@@ -147,19 +155,10 @@ def quadratic_drivers(p: ControlProblem, k: int, x, u, h, v) -> tuple:
 def solve_second_variation(p: ControlProblem, xbar: Trajectory, x1: AdaptedProcess,
                            du: np.ndarray) -> AdaptedProcess:
     """Quadratic response; drivers are the frozen second derivatives at xbar."""
-    alg = p.algebra
     du = np.asarray(du, dtype=float)
-    if du.shape != xbar.control.shape or len(x1) != alg.n + 1:
+    if du.shape != xbar.control.shape or len(x1) != p.algebra.n + 1:
         raise ValueError("inputs must match the trajectory grid")
-    zs = [CliffordElement.zero(alg)]
-    for k in range(alg.n):
-        xk, uk, zk = xbar[k], xbar.control[k], zs[k]
-        d2, f2, g2 = quadratic_drivers(p, k, xk, uk, x1[k], du[k])
-        drift = p.D_x(k, xk, uk)(zk) + d2
-        left = p.F_x(k, xk, uk)(zk) + f2
-        right = p.G_x(k, xk, uk)(zk) + g2
-        zs.append(zk + alg.dt * drift + mul_dw_right(left, k + 1) + mul_dw_left(right, k + 1))
-    return AdaptedProcess(alg, zs, tol=1e-9)
+    return _response(p, xbar, lambda k, x, u: quadratic_drivers(p, k, x, u, x1[k], du[k]))
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import hu_field, solve_first_adjoint
-from .errors import BudgetError, StepSizeError
+from .errors import BudgetError, QsocError, StepSizeError
 from .forward import solve_state, stacked_costs
 from .problems import ControlProblem, cost
 
@@ -50,13 +50,16 @@ def projected_gradient(p: ControlProblem, u0: np.ndarray, step: float = 0.5,
 
     A proposed step is halved (up to 20 times) whenever it fails to keep the
     cost finite and non-increasing, so the recorded cost trace is monotone.
-    Stops when the projected-gradient norm falls below ``grad_tol``.
+    Stops when the projected-gradient norm falls below ``grad_tol``.  A
+    non-finite cost at ``u0`` or gradient raises :class:`StepSizeError`.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     u = p.check_control_path(np.asarray(u0, dtype=float)).copy()
     dt = p.algebra.dt
     j_curr = cost(p, u, solve_state(p, u))
+    if not np.isfinite(j_curr):
+        raise StepSizeError(f"cost {j_curr} at the initial control is not finite")
     costs = [j_curr]
     grad_norms = []
     halvings_total = 0
@@ -66,6 +69,8 @@ def projected_gradient(p: ControlProblem, u0: np.ndarray, step: float = 0.5,
         xbar = solve_state(p, u)
         adj = solve_first_adjoint(p, xbar, u)
         grad = hu_field(p, adj)
+        if not np.all(np.isfinite(grad)):
+            raise StepSizeError(f"gradient not finite at iteration {len(grad_norms)}")
         moved = (p.control_set.project(u + step * grad) - u) / step
         pg_norm = float(np.sqrt(dt * np.sum(moved * moved)))
         grad_norms.append(pg_norm)
@@ -138,7 +143,8 @@ def brute_force_search(p: ControlProblem, grid_points_per_dim: int,
 
     Enumeration is lexicographic and ties keep the earlier (lexicographically
     smallest) control, so the result is deterministic; a NaN cost never wins.
-    The grid goes through :func:`stacked_costs` block by block.
+    The grid goes through :func:`stacked_costs` block by block.  Raises
+    :class:`QsocError` when no grid cost is finite.
     """
     if grid_points_per_dim < 1:
         raise ValueError("need at least one grid point per dimension")
@@ -155,4 +161,6 @@ def brute_force_search(p: ControlProblem, grid_points_per_dim: int,
         if costs[i] < best_j:
             best_j = float(costs[i])
             best_u = block[i]
+    if best_u is None:
+        raise QsocError(f"no finite cost on the {grid_points_per_dim}^{p.algebra.n * p.m} grid")
     return best_u, best_j

@@ -32,17 +32,24 @@ every channel adapted regardless of the supplied blades.
 
 Operator hooks
 --------------
-``curvature(k, yhat, Y)`` (optional) returns a materialized ``SuperOperator``
-on the step-k subspace, i.e. of side 2^k.  For k < N it is the state
-curvature M_k of the Hamiltonian, <M_k v, w> = <yhat, D_xx(v, w)>
-+ <Y, F_xx(v, w)> + <parity(Y), G_xx(v, w)> - L_xx(v, w), or None when M_k
-is identically zero.  For k = N (yhat and Y unused) it is the terminal
-curvature g_xx itself on all dim blades, with the cost's sign; the second
-adjoint starts from its negative, P_N = -g_xx.
+``curvature(k, x, u, yhat, Y)`` returns a materialized ``SuperOperator`` on
+the step-k subspace, i.e. of side 2^k.  For k < N it is the state curvature
+M_k of the Hamiltonian, the operator of :func:`hxx_pairing`, or None when
+M_k is identically zero.  For k = N (u, yhat and Y unused) it is the
+terminal curvature g_xx(x) itself on all dim blades, with the cost's sign;
+the second adjoint starts from its negative, P_N = -g_xx.
 
-``state_derivatives(k, x, u)`` (optional) returns the (2^k, 2^k) matrices
+``state_derivatives(k, x, u)`` returns the (2^k, 2^k) matrices
 ``(Dx_k, Bt_k)`` of ``D_x`` and ``F_x + parity o G_x`` frozen at (x, u) on
 the step-k subspace, which is the first 2^k blades.
+
+Every problem has both, and the solvers only ever call them.  Gallery
+problems build them as left and right multiplication matrices.  A hook left
+unset, or inherited through ``dataclasses.replace``, is derived from the
+problem's callbacks by probing blade by blade; every hook below follows the
+same rule.  The Hamiltonian's second derivatives (:func:`hxx_pairing`,
+:func:`hxu_pairing`, :func:`huu_matrix`) are one weighted sum over the
+callbacks of one slot.
 
 Row hooks
 ---------
@@ -50,14 +57,9 @@ Row hooks
 on row stacks: X is a (B, dim) block of states, U the (B, m) controls at step
 k.  The first returns the (B, dim) stacks of D, F and G; the second the (B,)
 running costs L, or for k = N (U unused) the terminal costs g.  The state
-solve runs through them alone.  Every problem has both: gallery problems
-build them from their channel and cost data, and ``D``, ``F``, ``G``, ``L``
-and ``g`` are their one-row views; a problem wired from callbacks alone gets
-them derived from those callbacks, one call per row.
-
-Gallery problems build the operator hooks as left and right multiplication
-matrices; without them the operators are probed blade by blade from the
-callbacks above.
+solve runs through them alone.  Gallery problems build them from their
+channel and cost data, and ``D``, ``F``, ``G``, ``L`` and ``g`` are their
+one-row views; derived ones make one callback call per row.
 """
 
 from __future__ import annotations
@@ -71,13 +73,14 @@ from .clifford import (
     CliffordAlgebra,
     CliffordElement,
     SuperOperator,
-    _left_multiply_block,
     _multiplication_blocks,
     _product,
+    _table_product,
     conditional_expectation,
     inner,
     parity,
     star,
+    superop_from_pairing,
 )
 from .errors import SupportError
 
@@ -87,6 +90,9 @@ __all__ = [
     "ControlProblem",
     "make_problem",
     "cost",
+    "hxx_pairing",
+    "hxu_pairing",
+    "huu_matrix",
 ]
 
 GALLERY_NAMES = ("free", "lq", "quadratic_control", "quadratic_state")
@@ -131,13 +137,7 @@ class ControlSet:
 def _terms_to_element(alg: CliffordAlgebra, terms: Terms | None) -> CliffordElement | None:
     if terms is None:
         return None
-    out = np.zeros(alg.dim, dtype=np.complex128)
-    for mask, re_part, im_part in terms:
-        mask = int(mask)
-        if not 0 <= mask < alg.dim:
-            raise ValueError(f"blade mask {mask} outside algebra of dimension {alg.dim}")
-        out[mask] += re_part + 1j * im_part
-    return CliffordElement(alg, out)
+    return CliffordElement.from_terms(alg, [(mask, re + 1j * im) for mask, re, im in terms])
 
 
 @dataclass(frozen=True)
@@ -295,11 +295,12 @@ class _Channel:
         ``sym_x`` is L_x + R_x, the left plus right multiplication matrix of
         the state (shared by the channels of a step; unused without a quad
         element), and c the step-k quad element; the same map as :meth:`dx`
-        without probing.
+        without probing.  Column j of L_c sym_x is c times column j of sym_x.
         """
         out = self.rate * np.eye(1 << k, dtype=np.complex128)
         if self.quad is not None:
-            out = out + _left_multiply_block(self.quad[k], k, sym_x)
+            c = np.broadcast_to(self.quad[k].coeffs[:1 << k], sym_x.shape)
+            out = out + _table_product(self.alg, c, sym_x.T).T
         return out
 
     def curvature_block(self, k: int, weight: CliffordElement) -> np.ndarray:
@@ -349,7 +350,7 @@ class ControlProblem:
     L_xu: Callable | None = None
     L_uu: Callable | None = None
     g_xx: Callable | None = None
-    curvature: Callable | None = None  # (k, yhat, Y) -> M_k, or g_xx at k = N
+    curvature: Callable | None = None  # (k, x, u, yhat, Y) -> M_k, or g_xx at k = N
     state_derivatives: Callable | None = None  # (k, x, u) -> (Dx_k, Bt_k) blocks
     coefficient_rows: Callable | None = None  # (k, X, U) -> (D, F, G) row stacks
     cost_rows: Callable | None = None  # (k, X, U) -> L rows, or g rows at k = N
@@ -357,11 +358,28 @@ class ControlProblem:
     def __post_init__(self):
         # unset hooks, and hooks derived for the problem this one was copied
         # from (``dataclasses.replace``), are derived from this one's callbacks
-        for name, derived in (("coefficient_rows", self._coefficient_rows),
-                              ("cost_rows", self._cost_rows)):
+        for name in ("curvature", "state_derivatives", "coefficient_rows", "cost_rows"):
             hook = getattr(self, name)
             if hook is None or isinstance(getattr(hook, "__self__", None), ControlProblem):
-                setattr(self, name, derived)
+                setattr(self, name, getattr(self, "_" + name))
+
+    def _curvature(self, k, x, u, yhat, Y):
+        alg = self.algebra
+        if k == alg.n:
+            return SuperOperator.zero(alg) if self.g_xx is None \
+                else superop_from_pairing(alg, self.g_xx(x), alg.dim)
+        pair = hxx_pairing(self, k, x, u, yhat, Y)
+        return None if pair is None else superop_from_pairing(alg, pair, 1 << k)
+
+    def _state_derivatives(self, k, x, u):
+        b = 1 << k
+        dx, bt = np.empty((2, b, b), dtype=np.complex128)
+        dx_op, fx_op, gx_op = self.D_x(k, x, u), self.F_x(k, x, u), self.G_x(k, x, u)
+        for s in range(b):
+            es = CliffordElement.blade(self.algebra, s)
+            dx[:, s] = dx_op(es).coeffs[:b]
+            bt[:, s] = (fx_op(es).coeffs + parity(gx_op(es)).coeffs)[:b]
+        return dx, bt
 
     def _coefficient_rows(self, k, X, U):
         out = np.empty((3,) + X.shape, dtype=np.complex128)
@@ -468,7 +486,7 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
         probe = fn(0, x0, np.zeros(spec.m))
         return None if probe is None else fn
 
-    def curvature(k, yhat, Y):
+    def curvature(k, x, u, yhat, Y):
         if k == algebra.n:
             return SuperOperator.identity(algebra, 2.0 * s)
         quads = [(ch, weight) for ch, weight in ((chD, yhat), (chF, Y), (chG, parity(Y)))
@@ -504,6 +522,53 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
         curvature=curvature,
         state_derivatives=state_derivatives, coefficient_rows=coefficient_rows,
         cost_rows=cost_rows)
+
+
+# -- Hamiltonian second derivatives -------------------------------------------
+
+def _hamiltonian_form(p: ControlProblem, slot: str, k: int, x, u, yhat, Y):
+    """(a, b, start) -> start + <yhat, D(a, b)> + <Y, F(a, b)> + <parity(Y), G(a, b)> - L(a, b).
+
+    D, F, G and L are the callbacks of one slot (``xx``, ``xu`` or ``uu``)
+    frozen at (k, x, u), summed in that order.  L_uu is a matrix, not a form,
+    so the ``uu`` form leaves it out.  None when every term is absent.
+    """
+    channels = [(fn(k, x, u), weight) for fn, weight in
+                ((getattr(p, "D_" + slot), yhat), (getattr(p, "F_" + slot), Y),
+                 (getattr(p, "G_" + slot), parity(Y))) if fn is not None]
+    running = getattr(p, "L_" + slot) if slot != "uu" else None
+    if not channels and running is None:
+        return None
+    running = None if running is None else running(k, x, u)
+
+    def form(a, b, start=0.0 + 0.0j):
+        for fn, weight in channels:
+            start += inner(weight, fn(a, b))
+        return start if running is None else start - running(a, b)
+    return form
+
+
+def hxx_pairing(p: ControlProblem, k: int, x, u, yhat, Y):
+    """Pairing (v, w) -> <M_k v, w> of the state curvature; None when absent."""
+    return _hamiltonian_form(p, "xx", k, x, u, yhat, Y)
+
+
+def hxu_pairing(p: ControlProblem, k: int, x, u, yhat, Y):
+    """Pairing (h, v) -> mixed curvature of the Hamiltonian; None when absent."""
+    return _hamiltonian_form(p, "xu", k, x, u, yhat, Y)
+
+
+def huu_matrix(p: ControlProblem, k: int, x, u, yhat, Y) -> np.ndarray:
+    """Control curvature of the Hamiltonian, complex (m, m); each entry sums from -L_uu."""
+    out = np.zeros((p.m, p.m), dtype=np.complex128)
+    if p.L_uu is not None:
+        out -= np.asarray(p.L_uu(k, x, u), dtype=np.complex128)
+    form = _hamiltonian_form(p, "uu", k, x, u, yhat, Y)
+    if form is not None:
+        basis = np.eye(p.m)
+        for i, j in np.ndindex(p.m, p.m):
+            out[i, j] = form(basis[i], basis[j], out[i, j])
+    return out
 
 
 # -- cost --------------------------------------------------------------------

@@ -6,10 +6,8 @@ import pytest
 from qsoc.adjoint import (
     Linearization,
     TestTuple,
-    _curvature_operator,
     compute_P,
     first_duality_residual,
-    hxx_pairing,
     solve_first_adjoint,
     transposition_residual,
 )
@@ -17,7 +15,7 @@ from qsoc.clifford import CliffordElement, SuperOperator, make_algebra, mul_dw_r
 from qsoc.conditions import _forms_along, _routes_agree
 from qsoc.errors import CapacityError, ContractError
 from qsoc.forward import solve_first_variation, solve_second_variation, solve_state
-from qsoc.problems import ProblemSpec, make_problem
+from qsoc.problems import ProblemSpec, hxx_pairing, make_problem
 from reference import second_duality_residual
 
 GALLERY = ("free", "lq", "quadratic_control", "quadratic_state")
@@ -247,7 +245,7 @@ def test_curvature_data_matches_generic_probing(name, m):
     # M_0..M_{N-1} and g_xx built from the gallery data against the same
     # operators probed from the raw callbacks
     alg, p = build(name, n=4, m=m)
-    generic = dataclasses.replace(p, curvature=None)
+    generic = dataclasses.replace(p, state_derivatives=None, curvature=None)
     rng = np.random.default_rng(6)
     ubar = rng.uniform(-0.5, 0.5, size=(alg.n, m))
     xbar = solve_state(p, ubar)
@@ -255,8 +253,8 @@ def test_curvature_data_matches_generic_probing(name, m):
     for k in range(alg.n + 1):
         args = (k, xbar[k], None, None, None) if k == alg.n else \
             (k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k])
-        data = _curvature_operator(p, *args)
-        probe = _curvature_operator(generic, *args)
+        data = p.curvature(*args)
+        probe = generic.curvature(*args)
         assert data is not None and probe is not None
         assert np.max(np.abs(data.lin - probe.lin)) <= 1e-12
         zero = np.zeros_like(data.lin)
@@ -268,7 +266,8 @@ def test_curvature_data_matches_generic_probing(name, m):
 def test_curvature_hook_of_the_wrong_side_is_refused():
     # a hook that zero-pads M_k to dim x dim breaks the block format
     alg, p = build("lq", n=3)
-    padded = dataclasses.replace(p, curvature=lambda k, yhat, Y: SuperOperator.identity(alg))
+    padded = dataclasses.replace(p, curvature=lambda k, x, u, yhat, Y:
+                                 SuperOperator.identity(alg))
     ubar = np.zeros((alg.n, 1))
     xbar = solve_state(padded, ubar)
     adj = solve_first_adjoint(padded, xbar, ubar)
@@ -329,14 +328,13 @@ def test_blocked_p_matches_full_matrix_recursion():
         return padded(op.lin), anti
 
     lin_p, anti_p = (-mat for mat in blocks(
-        _curvature_operator(generic, alg.n, xbar.terminal, None, None, None)))
+        generic.curvature(alg.n, xbar.terminal, None, None, None)))
     for k in range(alg.n - 1, -1, -1):
         keep = np.diag(alg.adapted_mask(k).astype(np.complex128))
         dw = np.array([mul_dw_right(CliffordElement.blade(alg, s), k + 1).coeffs
                        for s in range(dim)]).T
         t = keep + dt * padded(lin.Dx[k]) + dw @ padded(lin.Bt[k])
-        m_lin, m_anti = blocks(_curvature_operator(generic, k, xbar[k], ubar[k],
-                                                   adj.yhat[k], adj.Y[k]))
+        m_lin, m_anti = blocks(generic.curvature(k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k]))
         lin_p = keep @ (t.conj().T @ lin_p @ t + dt * m_lin) @ keep
         anti_p = keep @ (t.conj().T @ anti_p @ np.conj(t) + dt * m_anti) @ keep
         got_lin, got_anti = blocks(sa.P[k])
@@ -507,8 +505,8 @@ def test_p_block_collapses_under_real_symmetry():
         collapsed = 0.0
         for j in range(alg.n):
             pj = sa.P[j + 1]
-            a = sa.lin.du_apply(j, du[j])
-            bn = mul_dw_right(sa.lin.bu_apply(j, du[j]), j + 1)
+            a = CliffordElement(alg, sa.lin.Du[j] @ du[j])
+            bn = mul_dw_right(CliffordElement(alg, sa.lin.Bu[j] @ du[j]), j + 1)
             tx = x1[j + 1] - dt * a - bn
             collapsed += 2 * dt * pj.pair(tx, a).real + dt * dt * pj.pair(a, a).real
             collapsed += 2 * pj.pair(tx, bn).real + 2 * dt * pj.pair(a, bn).real

@@ -411,3 +411,57 @@ def test_render_csv_verdict_row():
               "verdict": "pass"}
     text = render_csv(report)
     assert text.splitlines()[-1] == ",verdict,pass"
+
+
+@pytest.mark.parametrize("elements,path", [
+    ({"b": [[[99, 1.0, 0.0]]]}, "problem.elements.b[0][0]"),
+    ({"qd": [[64, 0.1, 0.0]]}, "problem.elements.qd[0]"),
+    ({"x0": [[0, 1.0, 0.0], [1, 0.5, 0.0]]}, "problem.elements.x0"),
+], ids=["drift-mask", "quad-mask", "x0-blade"])
+def test_element_masks_the_algebra_lacks_are_refused_before_any_suite(tmp_path, capsys,
+                                                                     elements, path):
+    cfg = base_config(problem={"name": "lq", "elements": elements},
+                      suites=["algebra", "gradient"], tolerances={"algebra": {"probes": 10}})
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    for args in (["validate"], ["run", "--out", str(out)]):
+        assert main([*args, "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {path}: " in captured.err
+        assert "algebra:" not in captured.out
+    assert not out.exists()
+
+
+def test_negative_seed_in_the_config_is_refused(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(seed=-1))
+    for args in (["validate"], ["run", "--out", str(out)]):
+        assert main([*args, "--config", str(path)]) == 2
+        assert "config error: seed: must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_run_seed_is_refused(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config())
+    assert main(["run", "--config", str(path), "--out", str(out), "--seed", "-3"]) == 2
+    assert "config error: --seed: must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite_args", [[], ["--suite", "optimize"]], ids=["theorem", "optimize"])
+def test_a_non_finite_cost_ends_the_run_with_one_error_line(tmp_path, capsys, suite_args):
+    # s * |x - x_tgt|^2 overflows to inf for every control: the config is valid,
+    # the brute force finds no finite grid cost and projected gradient no start
+    cfg = base_config(problem={"name": "lq", "rates": {"s": 1e308},
+                               "elements": {"x_tgt": [[0, 100.0, 0.0]]}},
+                      suites=["gradient", "theorem"])
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                     *suite_args])
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("error: ")

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from qsoc.clifford import (
     AdaptedProcess,
     CliffordElement,
-    _left_multiply_block,
     _matrix_product,
     _mul_dw,
     _multiplication_blocks,
@@ -396,8 +395,8 @@ def test_multiplication_blocks_match_multiply(n):
 
 
 @pytest.mark.parametrize("n", (1, 4, 7))
-def test_left_multiply_block_matches_multiplication_matrix(n):
-    # one signed row permutation per live blade of a, against L_a @ M
+def test_table_product_on_a_prefix_matches_multiplication_matrix(n):
+    # rows of 2^k blades: L_a @ M is the product of a with each column of M
     alg = make_algebra(n, 0.0, 1.0)
     rng = np.random.default_rng(300 + n)
     for k in range(n + 1):
@@ -406,12 +405,10 @@ def test_left_multiply_block_matches_multiplication_matrix(n):
         scalar = CliffordElement.from_terms(alg, {0: 0.35 - 0.2j})
         for a in (scalar, *_adapted_pair(alg, rng, k).values()):
             want = _multiplication_blocks(a, k)[0] @ block
-            got = _left_multiply_block(a, k, block)
+            got = _table_product(alg, np.broadcast_to(a.coeffs[:b], (b, b)), block.T).T
             assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
-        assert np.array_equal(_left_multiply_block(scalar, k, block), scalar.coeffs[0] * block)
-    if n > 1:
-        with pytest.raises(SupportError):
-            _left_multiply_block(CliffordElement.generator(alg, n), n - 1, np.eye(1 << (n - 1)))
+        got = _table_product(alg, np.broadcast_to(scalar.coeffs[:b], (b, b)), block.T).T
+        assert np.array_equal(got, scalar.coeffs[0] * block)
 
 
 def test_row_dw_kernel_is_the_element_product():

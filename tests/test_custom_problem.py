@@ -114,7 +114,8 @@ def test_custom_problem_step_operators_live_on_their_blocks():
     # (2^k, 2^k) blocks and P_N on all dim blades, as for the gallery
     alg = make_algebra(4, 0.0, 1.0)
     p = lq_like_custom(alg)
-    assert p.curvature is None and p.state_derivatives is None
+    assert p.curvature.__func__ is ControlProblem._curvature
+    assert p.state_derivatives.__func__ is ControlProblem._state_derivatives
     ubar = np.random.default_rng(2).uniform(-0.5, 0.5, size=(alg.n, 1))
     xbar = solve_state(p, ubar)
     adj = solve_first_adjoint(p, xbar, ubar)

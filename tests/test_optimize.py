@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from qsoc import optimize
 from qsoc.clifford import make_algebra
-from qsoc.errors import AdaptednessError, BudgetError
+from qsoc.errors import AdaptednessError, BudgetError, QsocError, StepSizeError
 from qsoc.forward import solve_state, stacked_costs
 from qsoc.optimize import brute_force_search, control_grid, projected_gradient
 from qsoc.problems import ControlSet, ProblemSpec, cost, make_problem
@@ -236,3 +238,25 @@ def test_brute_force_budget_raises_before_screening(monkeypatch):
     monkeypatch.setattr(optimize, "stacked_costs", lambda *a: pytest.fail("screened"))
     with pytest.raises(BudgetError):
         brute_force_search(p, 5, budget=100)
+
+
+def overflowing_lq():
+    # the terminal cost s |x - x_tgt|^2 overflows to inf for every control
+    return build("lq", s=1e308, x_tgt=((0, 100.0, 0.0),))
+
+
+def test_brute_force_with_no_finite_grid_cost_raises():
+    alg, p = overflowing_lq()
+    with np.errstate(over="ignore"), pytest.raises(QsocError, match=r"5\^3 grid"):
+        brute_force_search(p, 5)
+
+
+def test_projected_gradient_refuses_a_non_finite_start_or_gradient():
+    alg, p = overflowing_lq()
+    u0 = np.zeros((alg.n, 1))
+    with np.errstate(over="ignore"), pytest.raises(StepSizeError, match="initial control"):
+        projected_gradient(p, u0)
+    _, p = build("lq")
+    nan_lu = dataclasses.replace(p, L_u=lambda k, x, u: np.full(1, np.nan))
+    with pytest.raises(StepSizeError, match="gradient not finite at iteration 0"):
+        projected_gradient(nan_lu, u0)
