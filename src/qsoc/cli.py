@@ -3,8 +3,10 @@
     qsoc run --config cfg.json [--out DIR] [--suite NAME]... [--seed S]
     qsoc validate --config cfg.json
 
-Exit codes: 0 suites passed, 1 at least one suite failed, 2 configuration or
-capacity error.
+Exit codes: 0 suites passed, 1 at least one suite failed, 2 configuration
+error, or a suite that could not run, a capacity limit hit at run time
+included (its status is ``error``; the report of every suite is still
+written).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import time
 
 from . import __version__
 from .config import SUITE_ORDER, budget_error, load_config
-from .errors import BudgetError, CapacityError, ConfigError, QsocError
+from .errors import ConfigError
 from .report import write_report_files
 from .suites import run_all
 
@@ -64,7 +66,7 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.suite:
             cfg.suites = [s for s in SUITE_ORDER if s in set(args.suite)]
-            err = budget_error(cfg.n_steps, cfg.problem, cfg.suites)
+            err = budget_error(cfg.n_steps, cfg.suites)
             if err:
                 raise ConfigError([err])
         outdir = args.out or cfg.output or "qsoc-out"
@@ -79,6 +81,8 @@ def main(argv=None) -> int:
             if res.plotdata:
                 plotdata.update(res.plotdata)
             print(f"{res.name}: {res.status}")
+            if res.status == "error":
+                print(f"error: {res.name}: {res.metrics['reason']}", file=sys.stderr)
             started = time.perf_counter()
 
         report = build_report(cfg, results)
@@ -87,16 +91,12 @@ def main(argv=None) -> int:
         for kind, path in written.items():
             print(f"wrote {kind}: {path}")
         print(f"verdict: {report['verdict']}")
+        if any(r.status == "error" for r in results):
+            return 2
         return 0 if report["verdict"] == "pass" else 1
     except ConfigError as exc:
         for path, msg in exc.errors:
             print(f"config error: {path + ': ' if path else ''}{msg}", file=sys.stderr)
-        return 2
-    except (CapacityError, BudgetError) as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return 2
-    except QsocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -5,7 +5,7 @@ it equals minus the derivative of the cost along the convex perturbation, so a
 difference quotient of the cost must reproduce it to rounding.
 
 ``second_order_functional`` assembles the curvature functional whose sign the
-second-order necessary condition constrains on gated directions, through the
+second-order necessary condition constrains on the critical cone, through the
 second adjoint P.  Its value equals minus the second epsilon-derivative of the
 cost, which ``taylor_consistency`` verifies by Richardson extrapolation of
 cost sweeps.  ``second_order_direct`` evaluates it directly along the first
@@ -21,11 +21,13 @@ implemented once, in ``_forms``, as a (B, B) form on a stack of B directions
 and their first variations; the diagonal holds each direction's own value.
 The per-direction functionals read a 1x1 stack.  ``reduced_hessians`` reads
 the stack of the N*m unit directions and returns S and its direct oracle as
-real symmetric matrices H_P and H_D.  ``verify_theorem`` scores every
-candidate through them: S = du.H_P.du, route gap |du.(H_P - H_D).du|.  On a
-fixed subsample (evenly spaced candidates and the gated one with the largest
-S) it also evaluates S along the candidate itself; the largest difference is
-``max_oracle_gap``, bounded like the route gap.
+real symmetric matrices H_P and H_D.
+
+``verify_theorem`` checks the condition at a KKT point of the box: S =
+du.H_P.du must be <= s_tol on the unit directions of the critical cone.  The
+maximum is an eigenvalue of H_P on the free coordinates and a support of
+the weakly active ones; the route gap H_P - H_D on the cone, S along the top
+cone direction and the cost sweep along it must agree with it.
 
 A note on the assembled display: a variant that applies the state-direction
 diffusion operator to control directions is dimensionally inconsistent (those
@@ -36,6 +38,7 @@ duality bookkeeping that produces it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +51,7 @@ from .adjoint import (
     hu_field,
     solve_first_adjoint,
 )
-from .errors import ContractError
+from .errors import BudgetError, ContractError
 from .forward import solve_first_variation, solve_state
 from .problems import ControlProblem, cost, huu_matrix, hxu_pairing
 
@@ -62,25 +65,21 @@ __all__ = [
     "TheoremReport",
     "default_gate_tolerance",
     "reduced_hessians",
-    "quadratic_scores",
+    "kkt_residual",
     "ROUTE_GAP_TOL",
 ]
 
 ROUTE_GAP_TOL = 1e-10  # bound on the route gap, relative to 1 + |S|
-ORACLE_SAMPLES = 8     # evenly spaced theorem candidates re-scored per candidate
+WEAK_SUPPORT_BUDGET = 1 << 12  # supports of the weakly active coordinates enumerated
+TAYLOR_EPS = [2.0 ** -e for e in range(4, 9)]  # cost sweep along the top cone direction
 
 
 def first_order_integral(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
                          adj: AdjointPair) -> float:
     """Gate integral sum_k dt <H_u(k), u_k - ubar_k>; equals -dJ/deps at 0."""
     ubar = p.check_control_path(ubar)
-    u = p.check_control_path(u)
-    return float(_gate_values(p, adj, u - ubar))
-
-
-def _gate_values(p: ControlProblem, adj: AdjointPair, du: np.ndarray):
-    """Gate integral of one direction (N, m), or of a stack of them (C, N, m)."""
-    return p.algebra.dt * np.sum(hu_field(p, adj) * du, axis=(-2, -1))
+    du = p.check_control_path(u) - ubar
+    return float(p.algebra.dt * np.sum(hu_field(p, adj) * du))
 
 
 def _routes_agree(route_gap: float, s: float) -> bool:
@@ -165,11 +164,6 @@ def reduced_hessians(p: ControlProblem, adj: AdjointPair,
     return sym[0], sym[1]
 
 
-def quadratic_scores(h: np.ndarray, dus: np.ndarray) -> np.ndarray:
-    """v . H v for every row v of ``dus`` (directions flattened as du.reshape(-1))."""
-    return np.einsum("ca,ab,cb->c", dus, h, dus)
-
-
 def _richardson(values: list[float], order: int) -> list[float]:
     w = 2.0 ** order
     return [(w * values[i + 1] - values[i]) / (w - 1.0) for i in range(len(values) - 1)]
@@ -180,10 +174,8 @@ class TaylorReport:
     fo: float
     s: float
     a_est: float
-    b_est: float
     s_est: float
     rel_err_a: float
-    rel_err_b: float
     rel_err_s: float
     fit_residual: float
     route_gap: float
@@ -233,17 +225,15 @@ def taylor_consistency(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     design = np.stack([np.array(eps_list), np.array(eps_list) ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(design, np.array(gaps), rcond=None)
     fit_res = float(np.linalg.norm(design @ coef - np.array(gaps)))
-    b_est = float(coef[1])
 
     # scale against the larger expansion coefficient so a vanishing gate or a
     # vanishing curvature (stationary or flat directions) cannot inflate the
     # relative errors; truncation errors live on the scale of the surviving terms
     scale = max(abs(fo), abs(s), 1e-12)
     rel_a = abs(a_est + fo) / max(abs(fo), scale * 1e-3)
-    rel_b = abs(b_est + 0.5 * s) / max(abs(0.5 * s), scale * 1e-3)
     rel_s = abs(s_est - s) / max(abs(s), scale * 1e-3)
-    return TaylorReport(fo=fo, s=s, a_est=float(a_est), b_est=b_est, s_est=float(s_est),
-                        rel_err_a=rel_a, rel_err_b=rel_b, rel_err_s=rel_s,
+    return TaylorReport(fo=fo, s=s, a_est=float(a_est), s_est=float(s_est),
+                        rel_err_a=rel_a, rel_err_s=rel_s,
                         fit_residual=fit_res, route_gap=route_gap,
                         eps=eps_list, gaps=gaps,
                         passed=bool(rel_a <= tol and rel_s <= tol
@@ -257,39 +247,62 @@ def default_gate_tolerance(p: ControlProblem, adj: AdjointPair) -> float:
     return 1e-8 * scale
 
 
+def kkt_residual(p: ControlProblem, u: np.ndarray, g: np.ndarray) -> float:
+    """Largest move of u -> proj(u + g); g = dt * H_u descends, so 0 at a KKT point."""
+    return float(np.max(np.abs(p.control_set.project(u + g) - u), initial=0.0))
+
+
+def _cone_max(h: np.ndarray, free: np.ndarray, weak: np.ndarray,
+              inward: np.ndarray) -> tuple[float, np.ndarray]:
+    """max of v.h.v over unit v in the cone, and a maximizer; (0.0, 0) on the cone {0}.
+
+    A maximizer with weakly active support A is an eigenvector of the block on
+    the free coordinates and A, its A entries inward: enumerating A is exact.
+    """
+    fixed, loose = np.flatnonzero(free), np.flatnonzero(weak)
+    if 1 << loose.size > WEAK_SUPPORT_BUDGET:
+        raise BudgetError(f"2^{loose.size} supports of the weakly active coordinates exceed "
+                          f"the budget {WEAK_SUPPORT_BUDGET}")
+    best, top = -np.inf, np.zeros(len(h))
+    for size in range(loose.size + 1):
+        for support in itertools.combinations(loose, size):
+            idx = np.r_[fixed, support].astype(int)
+            vals, vecs = np.linalg.eigh(h[np.ix_(idx, idx)])
+            for val, vec in zip(vals[::-1], vecs.T[::-1]):
+                if val <= best:
+                    break
+                side = np.sign(vec[fixed.size:] * inward[list(support)])
+                if abs(side.sum()) == side.size:  # every A entry inward, for vec or -vec
+                    best, top = float(val), np.zeros(len(h))
+                    top[idx] = vec * (side[0] if side.size else 1.0)
+                    break
+    return (0.0, top) if best == -np.inf else (best, top)
+
+
 @dataclass
 class TheoremReport:
-    rows: list          # (fo, s, gated, ok) per candidate
     fo_tol: float
-    s_tol: float
-    max_route_gap: float
-    max_oracle_gap: float  # reduced-Hessian S against S evaluated per candidate
-    verdict: bool
-
-    @property
-    def gated_count(self) -> int:
-        return sum(1 for _, _, gated, _ in self.rows if gated)
-
-
-def _oracle_sample(s: np.ndarray, gated: np.ndarray) -> list[int]:
-    """Evenly spaced candidates, first and last included, plus the worst gated one."""
-    count = len(s)
-    picks = set(np.linspace(0, count - 1, min(ORACLE_SAMPLES, count))
-                .round().astype(int).tolist())
-    if gated.any():
-        picks.add(int(np.flatnonzero(gated)[np.argmax(s[gated])]))
-    return sorted(picks)
+    kkt_residual: float
+    free: int
+    strongly_active: int
+    weakly_active: int
+    cone_max_s: float      # max of du.H_P.du over unit du in the critical cone
+    route_gap: float       # largest |du.(H_P - H_D).du| over unit du in the cone's span
+    oracle_gap: float      # cone_max_s against S along the top cone direction
+    taylor_rel_err: float  # the cost sweep along that direction against S
+    verdict_ok: bool
+    cone_spectrum: list    # eigenvalues of H_P on the free coordinates, ascending
 
 
-def verify_theorem(p: ControlProblem, ubar: np.ndarray, candidates: list,
-                   fo_tol: float | None = None, s_tol: float = 1e-6) -> TheoremReport:
-    """Check the second-order necessary condition over a candidate family.
+def verify_theorem(p: ControlProblem, ubar: np.ndarray, fo_tol: float | None = None,
+                   s_tol: float = 1e-6) -> TheoremReport:
+    """Check the second-order necessary condition on the critical cone at ``ubar``.
 
-    For every candidate whose gate integral vanishes within ``fo_tol`` the
-    curvature functional must be <= ``s_tol``.  Ungated candidates make no
-    sign assertion, but every candidate's two routes to S must agree.  S is
-    scored through :func:`reduced_hessians`; on a subsample it must also agree
-    with :func:`second_order_functional` evaluated along the candidate.
+    ``ubar`` must be a KKT point of the box to ``fo_tol`` (default
+    :func:`default_gate_tolerance`).  A coordinate at a bound whose descent
+    direction leaves the box by more than ``fo_tol`` is strongly active (fixed,
+    as in a box of zero width), by at most ``fo_tol`` weakly active (inward
+    only); the others are free.
     """
     ubar = p.check_control_path(ubar)
     xbar = solve_state(p, ubar)
@@ -297,33 +310,37 @@ def verify_theorem(p: ControlProblem, ubar: np.ndarray, candidates: list,
     sa = compute_P(p, xbar, ubar, adj)
     if fo_tol is None:
         fo_tol = default_gate_tolerance(p, adj)
-    # one box check for the whole family; per path it would cost more than the scoring
-    us = np.array(candidates, dtype=float)
-    if candidates and us.shape[1:] != ubar.shape:
-        raise ValueError(f"candidate control paths must have shape {ubar.shape}")
-    us = us.reshape(len(candidates), *ubar.shape)
-    if not p.control_set.contains(us):
-        raise ValueError("a candidate control leaves the admissible box")
-    du = us - ubar
-    dus = du.reshape(len(us), ubar.size)
+    g = p.algebra.dt * hu_field(p, adj)
+    residual = kkt_residual(p, ubar, g)
+    at_lo, at_hi = (ubar <= p.control_set.lower).ravel(), (ubar >= p.control_set.upper).ravel()
+    inward = np.where(at_lo, 1.0, np.where(at_hi, -1.0, 0.0))
+    push = inward * g.ravel()  # > 0: descent moves into the box
+    movable = ~(at_lo & at_hi)
+    free = (inward == 0) | ((push > fo_tol) & movable)
+    weak = ~free & (push >= -fo_tol) & movable
     h_p, h_d = reduced_hessians(p, adj, sa)
-    # + 0.0 turns the -0.0 of a zero direction into 0.0
-    s = quadratic_scores(h_p, dus) + 0.0
-    gaps = np.abs(quadratic_scores(h_p - h_d, dus))
-    fo = _gate_values(p, adj, du)
-    gated = np.abs(fo) <= fo_tol
-    ok = (gaps <= ROUTE_GAP_TOL * (1.0 + np.abs(s))) & (~gated | (s <= s_tol))
+    max_s, top = _cone_max(h_p, free, weak, inward)
+    span = np.ix_(free | weak, free | weak)
+    route_gap = float(np.abs(np.linalg.eigvalsh((h_p - h_d)[span])).max(initial=0.0))
 
-    # oracle: S evaluated along the candidate itself, on a subsample
-    max_oracle_gap = 0.0
-    for c in _oracle_sample(s, gated):
-        x1 = solve_first_variation(p, xbar, du[c])
-        s_along = second_order_functional(p, ubar, us[c], adj, sa, x1)
-        max_oracle_gap = max(max_oracle_gap, abs(s[c] - s_along))
-        ok[c] &= _routes_agree(abs(s[c] - s_along), s_along)
-
-    rows = [(float(f), float(v), bool(g), bool(o)) for f, v, g, o in zip(fo, s, gated, ok)]
-    return TheoremReport(rows=rows, fo_tol=float(fo_tol), s_tol=float(s_tol),
-                         max_route_gap=float(gaps.max(initial=0.0)),
-                         max_oracle_gap=float(max_oracle_gap),
-                         verdict=bool(ok.all()))
+    # the oracles take the longest step along the top direction that stays in the box
+    top = top.reshape(ubar.shape)
+    room = np.where(top > 0, p.control_set.upper - ubar, p.control_set.lower - ubar)
+    moves = top != 0
+    step = min(1.0, float(np.min(room[moves] / top[moves], initial=1.0)))
+    oracle_gap = taylor_rel_err = 0.0
+    taylor_ok = True
+    if moves.any() and step > 0:
+        du = step * top
+        x1 = solve_first_variation(p, xbar, du)
+        oracle_gap = abs(second_order_functional(p, ubar, ubar + du, adj, sa, x1) / step ** 2
+                         - max_s)
+        sweep = taylor_consistency(p, ubar, ubar + du, TAYLOR_EPS)
+        taylor_rel_err, taylor_ok = sweep.rel_err_s, sweep.passed
+    verdict = (residual <= fo_tol and max_s <= s_tol and taylor_ok
+               and _routes_agree(route_gap, max_s) and _routes_agree(oracle_gap, max_s))
+    return TheoremReport(fo_tol=float(fo_tol), kkt_residual=residual, free=int(free.sum()),
+                         strongly_active=int((~free & ~weak).sum()), weakly_active=int(weak.sum()),
+                         cone_max_s=max_s, route_gap=route_gap, oracle_gap=float(oracle_gap),
+                         taylor_rel_err=float(taylor_rel_err), verdict_ok=bool(verdict),
+                         cone_spectrum=np.linalg.eigh(h_p[np.ix_(free, free)])[0].tolist())

@@ -24,10 +24,11 @@ Schema (all keys except ``problem`` and ``grid`` optional)::
     }
 
 Omitted gallery fields fall back to the canonical instance for the problem
-name.  Unknown keys anywhere are rejected so typos cannot silently change a
-run.  Numbers must be finite, except that a box bound may be +-inf (JSON
-``1e400``) to leave that side open; NaN is refused everywhere.  Blade masks
-lie in 0..2^N-1, and ``x0`` takes mask 0 only.  Suite bounds are fixed in
+name; a default control blade beyond the grid's algebra (blade 2 at N = 1)
+is dropped.  Unknown keys anywhere are rejected so typos cannot silently
+change a run.  Numbers must be finite, except that a box bound may be +-inf
+(JSON ``1e400``) to leave that side open; NaN is refused everywhere.  Blade
+masks set in the config lie in 0..2^N-1, and ``x0`` takes mask 0 only.  Suite bounds are fixed in
 :mod:`qsoc.suites` and reported per suite; ``tolerances`` sets only the probe
 counts of ``algebra`` and ``isometry``.
 """
@@ -42,7 +43,6 @@ from pathlib import Path
 from .adjoint import SUPEROP_BUDGET
 from .clifford import DEFAULT_GENERATOR_CAP
 from .errors import ConfigError
-from .optimize import BRUTE_FORCE_BUDGET, GRID_POINTS
 from .problems import GALLERY_NAMES, ProblemSpec
 
 __all__ = ["RunConfig", "parse_config", "load_config", "budget_error", "SUITE_ORDER",
@@ -169,7 +169,7 @@ class _Checker:
         return tuple(out)
 
 
-def _parse_problem(raw: dict, check: _Checker) -> ProblemSpec | None:
+def _parse_problem(raw: dict, check: _Checker, dim: int | None) -> ProblemSpec | None:
     if not isinstance(raw, dict):
         check.fail("problem", "expected an object")
         return None
@@ -253,7 +253,7 @@ def _parse_problem(raw: dict, check: _Checker) -> ProblemSpec | None:
     if check.errors:
         return None
     try:
-        return ProblemSpec.gallery(name, m=m, **overrides)
+        return ProblemSpec.gallery(name, m=m, dim=dim, **overrides)
     except (ValueError, TypeError) as exc:
         check.fail("problem", str(exc))
         return None
@@ -280,10 +280,6 @@ def parse_config(raw: dict) -> RunConfig:
     check.expect_keys(raw, "", {"problem", "grid", "suites", "tolerances",
                                 "seed", "output", "emit"})
 
-    spec = _parse_problem(raw.get("problem"), check) if "problem" in raw else None
-    if "problem" not in raw:
-        check.fail("problem", "missing required object")
-
     grid = raw.get("grid")
     t0 = T = 0.0
     n = 1
@@ -298,6 +294,13 @@ def parse_config(raw: dict) -> RunConfig:
             check.fail("grid.T", "must exceed grid.t0")
         if n is not None and n > DEFAULT_GENERATOR_CAP:
             check.fail("grid.N", f"exceeds the generator cap {DEFAULT_GENERATOR_CAP}")
+    n_ok = n is not None and n <= DEFAULT_GENERATOR_CAP
+
+    spec = None
+    if "problem" not in raw:
+        check.fail("problem", "missing required object")
+    else:
+        spec = _parse_problem(raw["problem"], check, 1 << n if n_ok else None)
 
     suites = raw.get("suites", list(SUITE_ORDER))
     if (not isinstance(suites, list) or not suites
@@ -312,8 +315,8 @@ def parse_config(raw: dict) -> RunConfig:
             check.fail("suites", "duplicate suite names")
         suites = [s for s in SUITE_ORDER if s in suites]
 
-    if n is not None and n <= DEFAULT_GENERATOR_CAP:
-        err = budget_error(n, spec, suites)
+    if n_ok:
+        err = budget_error(n, suites)
         if err:
             check.fail(*err)
         if spec is not None:
@@ -358,27 +361,15 @@ def parse_config(raw: dict) -> RunConfig:
                      tolerances=tolerances, seed=seed, output=output, emit=emit)
 
 
-def budget_error(n_steps: int, spec: ProblemSpec | None,
-                 suites) -> tuple[str, str] | None:
-    """The first compute budget that running ``suites`` at N = n_steps would exceed.
+def budget_error(n_steps: int, suites) -> tuple[str, str] | None:
+    """The compute budget that running ``suites`` at N = n_steps would exceed, if any.
 
-    Returns (field path, message).  ``spec`` is None when the problem did not
-    validate (the brute-force checks are then skipped).
+    Returns (field path, message).
     """
     users = [s for s in suites if s in _P_SUITES]
     if users and (1 << n_steps) > SUPEROP_BUDGET:
         return ("grid.N", f"coefficient dimension {1 << n_steps} exceeds the superoperator "
                 f"budget {SUPEROP_BUDGET} of suites {', '.join(users)}")
-    if "theorem" not in suites or spec is None:
-        return None
-    for key in ("lower", "upper"):
-        if not all(math.isfinite(v) for v in getattr(spec, key)):
-            return (f"problem.{key}", "suite theorem enumerates a grid of the control "
-                    "box, which must be bounded")
-    cells = n_steps * spec.m  # the exponent is capped: 5^64 exceeds any budget
-    if GRID_POINTS ** min(cells, 64) > BRUTE_FORCE_BUDGET:
-        return ("grid.N", f"{GRID_POINTS}^{cells} grid controls of suite theorem exceed the "
-                f"brute-force budget {BRUTE_FORCE_BUDGET}")
     return None
 
 

@@ -1,10 +1,12 @@
-"""Candidate-control generation: adjoint-based projected gradient, brute force.
+"""Candidate-control generation: projected gradient, Newton polish, brute force.
 
 The gradient field is the control derivative of the Hamiltonian along the
 iterate's own trajectory and adjoint; by the exact discrete duality this is
 the exact gradient of the discrete cost, so fixed-step ascent on the
-Hamiltonian descends the cost.  Brute force enumerates a product grid over the
-box and certifies tiny instances independently of any gradient information.
+Hamiltonian descends the cost.  :func:`kkt_point` polishes a control with
+Newton steps to a KKT point of the box.  Brute force enumerates a product
+grid over the box and certifies tiny instances independently of any gradient
+information.
 
 The brute force evaluates the grid in blocks through
 :func:`~qsoc.forward.stacked_costs`, whose rows are the per-path costs
@@ -17,15 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import hu_field, solve_first_adjoint
+from .adjoint import compute_P, hu_field, solve_first_adjoint
+from .conditions import kkt_residual, reduced_hessians
 from .errors import BudgetError, QsocError, StepSizeError
 from .forward import solve_state, stacked_costs
 from .problems import ControlProblem, cost
 
-__all__ = ["projected_gradient", "brute_force_search", "control_grid", "GradientTrace"]
+__all__ = ["projected_gradient", "kkt_point", "brute_force_search", "GradientTrace",
+           "NewtonTrace"]
 
 BRUTE_FORCE_BUDGET = 10 ** 6
-GRID_POINTS = 5  # per control dimension, on the grids of the theorem and optimize suites
+GRID_POINTS = 5  # per control dimension, on the grid of the optimize suite
+COST_SLACK = 1e-14  # a step may raise the cost by this much (rounding) and still count
 # State entries (rows x dim) per block of the brute force: bounds the block's memory.
 SCREEN_BLOCK_ENTRIES = 1 << 12
 
@@ -104,9 +109,64 @@ def projected_gradient(p: ControlProblem, u0: np.ndarray, step: float = 0.5,
                             stalled=stalled)
 
 
-def _grid_blocks(p: ControlProblem, grid_points_per_dim: int):
-    """Blocks of :func:`control_grid`, in order, each a (rows, N, m) array.
+@dataclass
+class NewtonTrace:
+    costs: list          # at the start and after every accepted step
+    newton_steps: int
+    gradient_steps: int  # projected-gradient steps taken where Newton did not lower the cost
+    kkt_residual: float  # at the returned control
 
+
+def kkt_point(p: ControlProblem, u0: np.ndarray, tol: float,
+              max_steps: int) -> tuple[np.ndarray, NewtonTrace]:
+    """Newton steps on the free coordinates until the KKT residual is <= ``tol``.
+
+    A step is u_F <- u_F - H_P[F, F]^-1 g_F, projected onto the box, where
+    g = dt * H_u, H_P is the reduced Hessian of S (minus the cost's Hessian)
+    and F holds the coordinates inside the box or moved off their bound by g.
+    (A singular block takes its least-squares step.)  A step that raises the
+    cost beyond rounding gives way to one :func:`projected_gradient` step;
+    the search stops when that stalls too, or after ``max_steps`` steps.
+    """
+    u = p.check_control_path(np.asarray(u0, dtype=float))
+    lo, hi = p.control_set.lower, p.control_set.upper
+    xbar = solve_state(p, u)
+    trace = NewtonTrace(costs=[cost(p, u, xbar)], newton_steps=0, gradient_steps=0,
+                        kkt_residual=np.inf)
+    if not np.isfinite(trace.costs[0]):
+        raise StepSizeError(f"cost {trace.costs[0]} at the initial control is not finite")
+    while True:
+        adj = solve_first_adjoint(p, xbar, u)
+        g = p.algebra.dt * hu_field(p, adj)
+        if not np.all(np.isfinite(g)):
+            raise StepSizeError(f"gradient not finite after {len(trace.costs) - 1} steps")
+        trace.kkt_residual = kkt_residual(p, u, g)
+        if trace.kkt_residual <= tol or len(trace.costs) > max_steps:
+            return u, trace
+        free = (((lo < u) & (u < hi)) | (p.control_set.project(u + g) != u)).ravel()
+        h_p = reduced_hessians(p, adj, compute_P(p, xbar, u, adj))[0][np.ix_(free, free)]
+        cand = u.copy()
+        cand.reshape(-1)[free] -= np.linalg.lstsq(h_p, g.ravel()[free], rcond=None)[0]
+        cand = p.control_set.project(cand)
+        x_cand = solve_state(p, cand)
+        j_cand = cost(p, cand, x_cand)
+        if j_cand <= trace.costs[-1] + COST_SLACK:
+            trace.newton_steps += 1
+        else:
+            cand, step = projected_gradient(p, u, max_iter=1, grad_tol=0.0)
+            if step.iterations == 0:
+                return u, trace
+            x_cand, j_cand = solve_state(p, cand), step.costs[-1]
+            trace.gradient_steps += 1
+        u, xbar = cand, x_cand
+        trace.costs.append(j_cand)
+
+
+def _grid_blocks(p: ControlProblem, grid_points_per_dim: int):
+    """The product grid over the box in blocks, in order, each a (rows, N, m) array.
+
+    Each control dimension takes ``grid_points_per_dim`` evenly spaced values
+    from its lower to its upper bound; a single point is the box midpoint.
     Control number i has base-``grid_points_per_dim`` digits i_0 .. i_{Nm-1},
     most significant first; digit j picks the value of coordinate (j // m,
     j % m) on the axis of control dimension j % m.
@@ -127,19 +187,9 @@ def _grid_blocks(p: ControlProblem, grid_points_per_dim: int):
         yield axes[np.arange(n * m) % m, digits].reshape(-1, n, m)
 
 
-def control_grid(p: ControlProblem, grid_points_per_dim: int):
-    """Piecewise-constant controls on a product grid over the box, lexicographic.
-
-    Each control dimension takes ``grid_points_per_dim`` evenly spaced values
-    from its lower to its upper bound; a single point is the box midpoint.
-    """
-    for block in _grid_blocks(p, grid_points_per_dim):
-        yield from block
-
-
 def brute_force_search(p: ControlProblem, grid_points_per_dim: int,
                        budget: int = BRUTE_FORCE_BUDGET) -> tuple[np.ndarray, float]:
-    """Exhaustive minimum over the controls of :func:`control_grid`.
+    """Exhaustive minimum over the controls of the product grid of :func:`_grid_blocks`.
 
     Enumeration is lexicographic and ties keep the earlier (lexicographically
     smallest) control, so the result is deterministic; a NaN cost never wins.

@@ -172,19 +172,27 @@ class ProblemSpec:
     x0: Terms = ((0, 1.0, 0.0),)
 
     @staticmethod
-    def gallery(name: str, m: int = 1, **overrides) -> "ProblemSpec":
-        """Canonical test instances with real data and modest rates."""
+    def gallery(name: str, m: int = 1, dim: int | None = None,
+                **overrides) -> "ProblemSpec":
+        """Canonical test instances with real data and modest rates.
+
+        With ``dim``, the default control blades an algebra of that dimension
+        lacks are dropped: no step reaches them.  Overrides are kept as given.
+        """
         if name not in GALLERY_NAMES:
             raise ValueError(f"unknown gallery problem {name!r}")
         base = dict(m=m, lower=tuple([-1.0] * m), upper=tuple([1.0] * m),
                     q=0.4, r=0.3, s=0.5,
                     x_tgt=((0, 0.5, 0.0), (1, 0.25, 0.0)))
         if name != "free":
+            def live(*terms):
+                return tuple(t for t in terms if dim is None or t[0] < dim)
+
             ctrl_b, ctrl_f, ctrl_g = [], [], []
             for i in range(m):
-                ctrl_b.append(((0, 1.0, 0.0), (1 << (i % 2), 0.5, 0.0)))
-                ctrl_f.append(((0, 0.8, 0.0), (1, 0.3, 0.0)))
-                ctrl_g.append(((0, 0.6, 0.0), (2, 0.4, 0.0)))
+                ctrl_b.append(live((0, 1.0, 0.0), (1 << (i % 2), 0.5, 0.0)))
+                ctrl_f.append(live((0, 0.8, 0.0), (1, 0.3, 0.0)))
+                ctrl_g.append(live((0, 0.6, 0.0), (2, 0.4, 0.0)))
             base.update(a=0.5, f0=0.3, g0=0.25,
                         b=tuple(ctrl_b), f=tuple(ctrl_f), g=tuple(ctrl_g))
         if name == "quadratic_control":

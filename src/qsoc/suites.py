@@ -5,14 +5,15 @@ index), so reruns and suite subsets reproduce bit-identical numbers.  Suites
 return plain metric dictionaries (floats, ints, strings, short lists) ready
 for canonical serialization.  Every bound and solver setting is a constant
 here (tolerances are reported in the suite's metrics); a run config sets
-only the probe counts of ``algebra`` and ``isometry``.
+only the probe counts of ``algebra`` and ``isometry``.  A suite that raises a
+:class:`~qsoc.errors.QsocError` ends with status ``error`` and the reason;
+the other suites still run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Iterator
-from contextvars import ContextVar
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,24 +38,28 @@ from .clifford import (
 )
 from .conditions import (
     first_order_integral,
-    quadratic_scores,
     reduced_hessians,
     taylor_consistency,
     verify_theorem,
 )
 from .config import SUITE_ORDER, RunConfig
+from .errors import QsocError
 from .forward import order_estimate_slopes, solve_first_variation, solve_state
 from .matrices import realization_for
-from .optimize import GRID_POINTS, brute_force_search, control_grid, projected_gradient
+from .optimize import GRID_POINTS, brute_force_search, kkt_point, projected_gradient
 from .problems import ProblemSpec, cost, make_problem
 
 __all__ = ["SuiteResult", "run_suite", "run_all", "suite_rng"]
 
+# KKT points of theorem and optimize: Newton polish until the largest move of
+# the projected step u -> proj(u + dt H_u) is at most KKT_TOL
+KKT_TOL, NEWTON_STEPS = 1e-12, 20
 
-@dataclass
+
+@dataclasses.dataclass
 class SuiteResult:
     name: str
-    status: str  # "pass" | "fail"
+    status: str  # "pass" | "fail" | "error"
     metrics: dict
     plotdata: dict | None = None
 
@@ -66,26 +71,6 @@ class SuiteResult:
 def suite_rng(seed: int, suite: str) -> np.random.Generator:
     idx = SUITE_ORDER.index(suite)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-
-
-# Results shared by the suites of one run.  run_suite(cfg, name) stays the
-# per-suite entry point, so they travel beside it, bound only inside run_all.
-_RUN_RESULTS: ContextVar[list | None] = ContextVar("qsoc_run_results", default=None)
-
-
-def _brute_force(cfg: RunConfig, p):
-    """brute_force_search on the config's problem, once per run_all."""
-    shared = _RUN_RESULTS.get()
-    if shared is None:
-        return brute_force_search(p, GRID_POINTS)
-    key = (cfg.problem, cfg.t0, cfg.T, cfg.n_steps)
-    for seen, found in shared:
-        if seen == key:
-            break
-    else:
-        found = brute_force_search(p, GRID_POINTS)
-        shared.append((key, found))
-    return found[0].copy(), found[1]
 
 
 def _interior_control(p, rng, shape, span=0.6):
@@ -402,37 +387,28 @@ def run_theorem(cfg: RunConfig) -> SuiteResult:
     p = make_problem(alg, cfg.problem)
     s_tol, analytic_tol = 1e-6, 1e-10
 
-    ubar, j_star = _brute_force(cfg, p)
-    candidates = list(control_grid(p, GRID_POINTS))
-    report = verify_theorem(p, ubar, candidates, s_tol=s_tol)
+    # Newton from the box midpoint, an open side counting as 0
+    bounds = np.array([p.control_set.lower, p.control_set.upper])
+    mid = p.control_set.project(np.where(np.isfinite(bounds), bounds, 0.0).mean(axis=0))
+    ubar, polish = kkt_point(p, np.tile(mid, (alg.n, 1)), KKT_TOL, NEWTON_STEPS)
+    report = verify_theorem(p, ubar, s_tol=s_tol)
 
     # analytic companion: pure control cost, so H = -2r dt I and S = -2r dt ||du||^2
     r_rate = 0.5
-    p_free = make_problem(alg, ProblemSpec.gallery(
-        "free", m=p.m, lower=tuple(p.control_set.lower), upper=tuple(p.control_set.upper),
-        q=0.0, r=r_rate, s=0.0, x_tgt=None))
+    p_free = make_problem(alg, ProblemSpec.gallery("free", m=p.m, q=0.0, r=r_rate, s=0.0,
+                                                   x_tgt=None))
     u0 = np.zeros((alg.n, p.m))
     x0t = solve_state(p_free, u0)
     adj0 = solve_first_adjoint(p_free, x0t, u0)
     h_free, _ = reduced_hessians(p_free, adj0, compute_P(p_free, x0t, u0, adj0))
     want = -2.0 * r_rate * alg.dt * np.eye(alg.n * p.m)
     analytic_err = float(np.max(np.abs(h_free - want)))
-    dus = (np.array(candidates) - u0).reshape(len(candidates), -1)
-    analytic_ok = bool(np.all(quadratic_scores(h_free, dus) <= s_tol))
 
-    ok = report.verdict and analytic_err <= analytic_tol and analytic_ok
-    gated_s = [s for fo, s, gated, _ in report.rows if gated]
-    metrics = {"grid_points": GRID_POINTS, "candidates": len(candidates),
-               "brute_force_value": j_star,
-               "fo_tol": report.fo_tol, "s_tol": s_tol,
-               "gated_count": report.gated_count,
-               "max_gated_s": max(gated_s) if gated_s else 0.0,
-               "max_route_gap": report.max_route_gap,
-               "max_oracle_gap": report.max_oracle_gap,
-               "analytic_max_error": analytic_err,
-               "verdict_ok": report.verdict,
-               "fo_s_table": [[fo, s] for fo, s, _, _ in report.rows]}
-    plot = {"theorem_fo_s": [(fo, s) for fo, s, _, _ in report.rows]}
+    ok = report.verdict_ok and report.kkt_residual <= KKT_TOL and analytic_err <= analytic_tol
+    metrics = {"kkt_tol": KKT_TOL, "s_tol": s_tol, "newton_steps": polish.newton_steps,
+               "gradient_steps": polish.gradient_steps, "cost": polish.costs[-1],
+               **dataclasses.asdict(report), "analytic_max_error": analytic_err}
+    plot = {"theorem_spectrum": list(enumerate(report.cone_spectrum))}
     return SuiteResult("theorem", "pass" if ok else "fail", metrics, plotdata=plot)
 
 
@@ -444,19 +420,22 @@ def run_optimize(cfg: RunConfig) -> SuiteResult:
     p = make_problem(alg, cfg.problem)
     u0 = _interior_control(p, rng, (alg.n, p.m), span=0.8)
     u, trace = projected_gradient(p, u0, step=0.5, max_iter=300, grad_tol=1e-9)
-    metrics = {"iterations": trace.iterations, "final_cost": trace.costs[-1],
+    u, polish = kkt_point(p, u, KKT_TOL, NEWTON_STEPS)
+    costs = trace.costs + polish.costs[1:]
+    metrics = {"iterations": trace.iterations, "final_cost": costs[-1],
                "final_grad_norm": trace.grad_norms[-1] if trace.grad_norms else 0.0,
                "converged": trace.converged, "stalled": trace.stalled,
-               "step_halvings": trace.step_halvings}
-    ok = trace.converged or trace.stalled
+               "step_halvings": trace.step_halvings,
+               "newton_steps": polish.newton_steps, "gradient_steps": polish.gradient_steps,
+               "kkt_tol": KKT_TOL, "kkt_residual": polish.kkt_residual}
+    ok = polish.kkt_residual <= KKT_TOL
     if p.control_set.is_bounded() and GRID_POINTS ** (alg.n * p.m) <= 10 ** 5:
-        _, j_bf = _brute_force(cfg, p)
+        _, j_bf = brute_force_search(p, GRID_POINTS)
         metrics["brute_force_value"] = j_bf
-        ok = ok and trace.costs[-1] <= j_bf + 1e-9
-    monotone = all(nxt - prev <= 1e-14
-                   for prev, nxt in zip(trace.costs[:-1], trace.costs[1:]))
+        ok = ok and costs[-1] <= j_bf + 1e-9
+    monotone = all(nxt - prev <= 1e-14 for prev, nxt in zip(costs[:-1], costs[1:]))
     metrics["trace_monotone"] = monotone
-    plot = {"optimize_trace": [(float(i), c) for i, c in enumerate(trace.costs)]}
+    plot = {"optimize_trace": [(float(i), c) for i, c in enumerate(costs)]}
     return SuiteResult("optimize", "pass" if (ok and monotone) else "fail",
                        metrics, plotdata=plot)
 
@@ -480,14 +459,13 @@ def run_suite(cfg: RunConfig, name: str) -> SuiteResult:
 def run_all(cfg: RunConfig) -> Iterator[SuiteResult]:
     """Run the config's suites in order, yielding each result as it finishes.
 
-    The suites of one run share results they would recompute: only the
-    brute-force grid minimum (theorem and optimize both need it).  Nothing
-    outlives the run, so a later run never sees results computed against
-    other code or data.
+    A suite that raises a :class:`QsocError` (a step that stays non-finite, a
+    grid with no finite cost, a budget exceeded at run time) yields status
+    ``error`` with the reason, and the remaining suites still run.
     """
-    token = _RUN_RESULTS.set([])
-    try:
-        for name in cfg.suites:
-            yield run_suite(cfg, name)
-    finally:
-        _RUN_RESULTS.reset(token)
+    for name in cfg.suites:
+        try:
+            result = run_suite(cfg, name)
+        except QsocError as exc:
+            result = SuiteResult(name, "error", {"reason": str(exc)})
+        yield result

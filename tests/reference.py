@@ -8,8 +8,20 @@ import numpy as np
 
 from qsoc.clifford import CliffordElement, inner, parity
 from qsoc.forward import quadratic_drivers
+from qsoc.optimize import _grid_blocks
 
 STEP = 1e-5  # central-difference step
+
+
+def control_grid(p, grid_points_per_dim: int):
+    """The controls of the brute-force grid one at a time, lexicographic."""
+    for block in _grid_blocks(p, grid_points_per_dim):
+        yield from block
+
+
+def quadratic_scores(h: np.ndarray, dus: np.ndarray) -> np.ndarray:
+    """v . H v for every row v of ``dus`` (directions flattened as du.reshape(-1))."""
+    return np.einsum("ca,ab,cb->c", dus, h, dus)
 
 
 def hamiltonian(p, k, x, u, y, Y) -> complex:

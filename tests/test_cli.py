@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,12 @@ from qsoc import suites
 from qsoc.cli import main
 from qsoc.clifford import CliffordAlgebra
 from qsoc.config import SUITE_ORDER, load_config, parse_config
-from qsoc.errors import ConfigError
+from qsoc.errors import ConfigError, QsocError
+from qsoc.problems import ProblemSpec
 from qsoc.report import canonical_json, flatten_metrics, format_number, render_csv
 from qsoc.suites import run_suite
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def base_config(**overrides):
@@ -109,27 +114,6 @@ def test_validate_accepts_the_probe_counts(tmp_path, capsys):
     assert parse_config(cfg).tolerances == cfg["tolerances"]
 
 
-def test_theorem_brute_force_over_budget_is_refused_before_any_suite(tmp_path, capsys,
-                                                                    monkeypatch):
-    # 5^(N·m) = 5^10 grid controls exceed the 10^6 budget of the brute force
-    started = []
-    monkeypatch.setattr(suites, "run_suite", lambda cfg, name: started.append(name))
-    cfg = base_config(problem={"name": "lq", "m": 2}, grid={"t0": 0.0, "T": 1.0, "N": 5},
-                      suites=["gradient", "theorem"])
-    path = write_config(tmp_path, cfg)
-    assert main(["validate", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "grid.N" in err and "5^10" in err and "1000000" in err
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-    # a --suite override that adds theorem is held to the same budget
-    path = write_config(tmp_path, dict(cfg, suites=["gradient"]))
-    assert main(["validate", "--config", str(path)]) == 0
-    assert main(["run", "--config", str(path), "--out", str(out), "--suite", "theorem"]) == 2
-    assert "grid.N" in capsys.readouterr().err
-    assert started == [] and not out.exists()
-
-
 def test_validate_accepts_large_n_without_p_suites(tmp_path, capsys):
     cfg = base_config(problem={"name": "quadratic_state"},
                       grid={"t0": 0.0, "T": 1.0, "N": 9}, suites=["algebra", "isometry"])
@@ -207,12 +191,11 @@ def test_validate_bad_config_exit_2(tmp_path, capsys):
 # An int literal beyond float range counts as inf too.
 @pytest.mark.parametrize("problem,suite,path", [
     ('"lower": [NaN]', "orders", "problem.lower"),
-    ('"lower": [-1e400]', "theorem", "problem.lower"),
     ('"rates": {"a": NaN}', "gradient", "problem.rates.a"),
     ('"rates": {"a": 1' + "0" * 400 + "}", "gradient", "problem.rates.a"),
     ('"elements": {"x_tgt": [[0, 1e400, 0]]}', "gradient", "problem.elements.x_tgt[0]"),
     ('"lower": [0.5], "upper": [0.25]', "gradient", "problem.lower"),
-], ids=["nan-bound", "infinite-bound-theorem", "nan-rate", "int-beyond-float-rate",
+], ids=["nan-bound", "nan-rate", "int-beyond-float-rate",
         "infinite-term", "empty-box"])
 def test_non_finite_or_empty_box_is_refused_with_its_field_path(tmp_path, capsys,
                                                                 problem, suite, path):
@@ -226,15 +209,15 @@ def test_non_finite_or_empty_box_is_refused_with_its_field_path(tmp_path, capsys
     assert not out.exists()
 
 
-def test_run_suite_theorem_on_an_unbounded_box_is_refused(tmp_path, capsys):
+def test_theorem_runs_on_a_half_open_box(tmp_path, capsys):
+    # Newton starts from the box midpoint, an open side counting as 0
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"problem": {"name": "lq", "m": 1, "upper": [1e400]}, '
-                   '"grid": {"t0": 0.0, "T": 1.0, "N": 3}, "suites": ["gradient"]}')
-    assert main(["validate", "--config", str(cfg)]) == 0
+                   '"grid": {"t0": 0.0, "T": 1.0, "N": 3}, "suites": ["theorem"]}')
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--suite", "theorem"]) == 2
-    assert "config error: problem.upper: " in capsys.readouterr().err
-    assert not out.exists()
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    metrics = json.loads((out / "report.json").read_text())["suites"][0]["metrics"]
+    assert metrics["free"] == 3 and metrics["kkt_residual"] <= metrics["kkt_tol"]
 
 
 def test_run_writes_reports_and_passes(tmp_path, capsys):
@@ -257,14 +240,27 @@ def test_run_suite_filter(tmp_path):
     assert [s["name"] for s in report["suites"]] == ["isometry"]
 
 
-def test_theorem_report_carries_fo_s_table(tmp_path):
-    path = write_config(tmp_path, base_config(suites=["theorem"]))
+def test_theorem_report_carries_the_cone_spectrum(tmp_path):
+    path = write_config(tmp_path, base_config(suites=["theorem"], emit=["json", "plotdata"]))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    table = report["suites"][0]["metrics"]["fo_s_table"]
-    assert len(table) == 5 ** 3
-    assert all(len(row) == 2 for row in table)
+    metrics = json.loads((out / "report.json").read_text())["suites"][0]["metrics"]
+    spectrum = metrics["cone_spectrum"]
+    assert len(spectrum) == metrics["free"] == 3
+    assert spectrum == sorted(spectrum) and spectrum[-1] == metrics["cone_max_s"] < 0
+    rows = (out / "theorem_spectrum.txt").read_text().splitlines()
+    assert [float(row.split()[1]) for row in rows] == spectrum
+
+
+def test_readme_config_at_n_8_passes_theorem_within_15_s(tmp_path):
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    cfg = json.loads(block)
+    cfg["grid"]["N"] = 8
+    path = write_config(tmp_path, cfg)
+    started = time.perf_counter()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--suite", "theorem"]) == 0
+    assert time.perf_counter() - started < 15.0
 
 
 def test_run_plotdata_files(tmp_path):
@@ -452,16 +448,63 @@ def test_negative_run_seed_is_refused(tmp_path, capsys):
 @pytest.mark.parametrize("suite_args", [[], ["--suite", "optimize"]], ids=["theorem", "optimize"])
 def test_a_non_finite_cost_ends_the_run_with_one_error_line(tmp_path, capsys, suite_args):
     # s * |x - x_tgt|^2 overflows to inf for every control: the config is valid,
-    # the brute force finds no finite grid cost and projected gradient no start
+    # but neither the Newton search of theorem nor projected gradient has a
+    # finite start; that suite reports an error, the others keep their results
     cfg = base_config(problem={"name": "lq", "rates": {"s": 1e308},
                                "elements": {"x_tgt": [[0, 100.0, 0.0]]}},
                       suites=["gradient", "theorem"])
     path = write_config(tmp_path, cfg)
     assert main(["validate", "--config", str(path)]) == 0
     capsys.readouterr()
+    out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
-                     *suite_args])
+        code = main(["run", "--config", str(path), "--out", str(out), *suite_args])
     assert code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
     assert len(errors) == 1 and errors[0].startswith("error: ")
+    report = json.loads((out / "report.json").read_text())
+    statuses = {s["name"]: s["status"] for s in report["suites"]}
+    assert statuses == ({"optimize": "error"} if suite_args
+                        else {"gradient": "pass", "theorem": "error"})
+    assert report["verdict"] == "fail"
+    (failed,) = [s for s in report["suites"] if s["status"] == "error"]
+    assert failed["metrics"] == {"reason": "cost inf at the initial control is not finite"}
+
+
+def test_a_suite_error_keeps_the_suites_after_it(tmp_path, capsys, monkeypatch):
+    def broken(cfg):
+        raise QsocError("planted")
+
+    monkeypatch.setitem(suites._RUNNERS, "isometry", broken)
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "isometry: error\ngradient: pass\n" in captured.out
+    assert captured.err == "error: isometry: planted\n"
+    report = json.loads((out / "report.json").read_text())
+    assert [(s["name"], s["status"]) for s in report["suites"]] == [
+        ("isometry", "error"), ("gradient", "pass")]
+    assert report["suites"][0]["metrics"] == {"reason": "planted"}
+
+
+def test_gallery_defaults_validate_at_n_1(tmp_path, capsys):
+    # the default g element carries blade 2, which the algebra at N = 1 lacks
+    # and no step reaches: it is dropped there and kept from N = 2 on
+    cfg = {"problem": {"name": "lq"}, "grid": {"t0": 0.0, "T": 1.0, "N": 1},
+           "suites": ["gradient", "theorem", "optimize"]}
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert parse_config(cfg).problem.g == (((0, 0.6, 0.0),),)
+    at_2 = parse_config(dict(cfg, grid={"t0": 0.0, "T": 1.0, "N": 2})).problem
+    assert at_2.g == (((0, 0.6, 0.0), (2, 0.4, 0.0)),)
+    assert at_2 == ProblemSpec.gallery("lq")
+
+
+def test_a_user_set_blade_beyond_the_algebra_at_n_1_is_refused(tmp_path, capsys):
+    cfg = {"problem": {"name": "lq", "elements": {"g": [[[0, 0.6, 0.0], [2, 0.4, 0.0]]]}},
+           "grid": {"t0": 0.0, "T": 1.0, "N": 1}}
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "config error: problem.elements.g[0][1]: blade mask 2" in capsys.readouterr().err

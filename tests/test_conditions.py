@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from qsoc import conditions, suites
-from qsoc.adjoint import Linearization, compute_P, solve_first_adjoint
+from qsoc.adjoint import Linearization, compute_P, hu_field, solve_first_adjoint
 from qsoc.clifford import (
     CliffordElement,
     SuperOperator,
@@ -13,22 +14,22 @@ from qsoc.clifford import (
     make_algebra,
 )
 from qsoc.conditions import (
-    ORACLE_SAMPLES,
     ROUTE_GAP_TOL,
     default_gate_tolerance,
     first_order_integral,
-    quadratic_scores,
     reduced_hessians,
     second_order_direct,
     second_order_functional,
     taylor_consistency,
     verify_theorem,
 )
+from qsoc.errors import BudgetError
 from qsoc.forward import solve_first_variation, solve_state
 from qsoc.config import parse_config
-from qsoc.optimize import control_grid
+from qsoc.optimize import kkt_point
 from qsoc.problems import ControlProblem, ControlSet, ProblemSpec, cost, make_problem
 from qsoc.suites import run_all, run_suite
+from reference import quadratic_scores
 
 GALLERY = ("free", "lq", "quadratic_control", "quadratic_state")
 
@@ -161,7 +162,6 @@ def test_taylor_exact_quadratic_fit():
     report = taylor_consistency(p, ubar, u, [2.0 ** -e for e in range(2, 7)])
     assert report.fit_residual <= 1e-12
     assert report.rel_err_a <= 1e-12
-    assert report.rel_err_b <= 1e-10
     assert report.rel_err_s <= 1e-10
 
 
@@ -177,39 +177,35 @@ def test_taylor_at_stationary_base_control():
 
 
 def test_verify_theorem_gate_semantics():
-    # perturbed base control: directions with nonzero gate make no assertion
+    # off a KKT point the gate refuses: the residual exceeds fo_tol, so the
+    # verdict fails whatever the sign of S; at the KKT point it passes
     alg, p = build("lq", n=3)
     rng = np.random.default_rng(8)
     ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
-    candidates = [rng.uniform(-1, 1, size=(alg.n, 1)) for _ in range(5)]
-    report = verify_theorem(p, ubar, candidates, fo_tol=1e-10, s_tol=1e-6)
-    gated = [row for row in report.rows if row[2]]
-    ungated = [row for row in report.rows if not row[2]]
-    assert len(ungated) >= 1  # generic directions fail the gate
-    assert all(ok for _, _, _, ok in ungated)  # and are never asserted against
-    assert report.verdict == all(ok for *_, ok in report.rows)
-    assert len(gated) + len(ungated) == 5
+    off = verify_theorem(p, ubar, fo_tol=1e-10, s_tol=1e-6)
+    assert off.kkt_residual > off.fo_tol and not off.verdict_ok
+    assert off.cone_max_s <= 1e-6  # the sign of S alone would pass
+    on = verify_theorem(p, kkt_point(p, ubar, 1e-12, 20)[0], fo_tol=1e-10, s_tol=1e-6)
+    assert on.kkt_residual <= 1e-12 and on.verdict_ok
 
 
 def test_verify_theorem_stationary_free_instance():
-    # exact stationary optimum: every direction is gated and S <= 0
+    # exact stationary optimum: every coordinate is free and H_P = -2r dt I
     alg, p = build("free", n=3, r=0.5, q=0.0, s=0.0, x_tgt=None)
-    ubar = np.zeros((alg.n, 1))
-    rng = np.random.default_rng(9)
-    candidates = [rng.uniform(-1, 1, size=(alg.n, 1)) for _ in range(6)]
-    report = verify_theorem(p, ubar, candidates, s_tol=1e-10)
-    assert report.gated_count == 6
-    assert report.verdict
+    report = verify_theorem(p, np.zeros((alg.n, 1)), s_tol=1e-10)
+    assert (report.free, report.strongly_active, report.weakly_active) == (3, 0, 0)
+    assert report.kkt_residual == 0.0
+    assert report.cone_spectrum == pytest.approx([-alg.dt] * 3, abs=1e-14)
+    assert report.cone_max_s == pytest.approx(-alg.dt, abs=1e-14)
+    assert report.verdict_ok
 
 
-def test_verify_theorem_validates_candidates():
+def test_verify_theorem_validates_the_base_control():
     alg, p = build("lq", n=3)
-    ubar = np.zeros((alg.n, 1))
-    assert verify_theorem(p, ubar, []).verdict
     with pytest.raises(ValueError):
-        verify_theorem(p, ubar, [np.zeros((alg.n, 1)), np.full((alg.n, 1), 1.5)])
+        verify_theorem(p, np.full((alg.n, 1), 1.5))
     with pytest.raises(ValueError):
-        verify_theorem(p, ubar, [np.zeros((alg.n + 1, 1))])
+        verify_theorem(p, np.zeros((alg.n + 1, 1)))
 
 
 def test_default_gate_tolerance_scales():
@@ -237,7 +233,7 @@ def test_suites_report_route_gaps():
     theorem = run_suite(cfg, "theorem")
     assert second.passed and theorem.passed
     assert second.metrics["route_gap"] <= 1e-10 * (1.0 + abs(second.metrics["s"]))
-    assert theorem.metrics["max_route_gap"] <= 1e-12
+    assert theorem.metrics["route_gap"] <= 1e-12
 
 
 def test_corrupted_p_fails_second_order_and_theorem(monkeypatch):
@@ -254,9 +250,13 @@ def test_corrupted_p_fails_second_order_and_theorem(monkeypatch):
     second = run_suite(cfg, "second_order")
     assert second.status == "fail"
     assert second.metrics["route_gap"] > 1e-3
+    # the KKT point is found with the true Hessian: only the cone check fails,
+    # through the route gap and the cost sweep along the top cone direction
     theorem = run_suite(cfg, "theorem")
     assert theorem.status == "fail" and not theorem.metrics["verdict_ok"]
-    assert theorem.metrics["max_route_gap"] > 1e-3
+    assert theorem.metrics["kkt_residual"] <= theorem.metrics["kkt_tol"]
+    assert theorem.metrics["route_gap"] > 1e-3
+    assert theorem.metrics["taylor_rel_err"] > 1e-3
 
 
 def test_gram_one_column_short_fails_adjoint_and_second_order(monkeypatch):
@@ -300,20 +300,15 @@ def test_transposition_check_catches_a_wrong_t_block_noise_half(monkeypatch):
     assert res.metrics["closed_form_error"] == clean.metrics["closed_form_error"]
 
 
-def test_theorem_single_point_grid_checks_the_certified_control():
-    # one grid point is the box midpoint, so the only candidate is ubar itself
-    _, p = build("lq")
-    (ubar,) = control_grid(p, 1)
-    report = verify_theorem(p, ubar, [ubar])
-    assert report.verdict
-    assert [(fo, s) for fo, s, _, _ in report.rows] == [(0.0, 0.0)]
-
-
 def test_theorem_zero_direction_serializes_as_positive_zero():
-    _, p = build("lq")
-    (ubar,) = control_grid(p, 1)
-    (fo, s_val, _, _), = verify_theorem(p, ubar, [ubar]).rows
-    assert math.copysign(1.0, s_val) == 1.0 and math.copysign(1.0, fo) == 1.0
+    # every coordinate strongly active: the cone is {0}, and S on it is +0.0
+    alg, p = build("lq", lower=(0.5,), upper=(1.0,))
+    ubar, _ = kkt_point(p, np.full((alg.n, 1), 0.75), 1e-12, 20)
+    report = verify_theorem(p, ubar)
+    assert (report.strongly_active, report.cone_spectrum) == (alg.n, [])
+    assert report.verdict_ok
+    for val in (report.cone_max_s, report.route_gap, report.oracle_gap):
+        assert val == 0.0 and math.copysign(1.0, val) == 1.0
 
 
 # -- reduced Hessian -----------------------------------------------------------
@@ -416,30 +411,29 @@ def _perturbed_hessians(routes):
         hs = [h.copy() for h in reduced_hessians(*args, **kwargs)]
         for r in routes:
             hs[r][0, 1] += 1e-6
+            hs[r][1, 0] += 1e-6
         return tuple(hs)
     return assemble
 
 
 def theorem_case():
+    # an interior KKT point whose top cone direction has v0 * v1 = 0.016
     alg, p = build("lq", n=3)
-    rng = np.random.default_rng(22)
-    ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
-    candidates = [rng.uniform(-1, 1, size=(alg.n, 1)) for _ in range(6)]
-    return p, ubar, candidates
+    ubar, _ = kkt_point(p, np.zeros((alg.n, 1)), 1e-12, 20)
+    return p, ubar
 
 
 @pytest.mark.parametrize("routes", [(0,), (0, 1)])
 def test_planted_hessian_defect_fails_theorem_through_oracle(monkeypatch, routes):
-    p, ubar, candidates = theorem_case()
-    clean = verify_theorem(p, ubar, candidates)
-    assert clean.verdict and clean.max_oracle_gap <= 1e-13
+    p, ubar = theorem_case()
+    clean = verify_theorem(p, ubar)
+    assert clean.verdict_ok and clean.oracle_gap <= 1e-13
     monkeypatch.setattr(conditions, "reduced_hessians", _perturbed_hessians(routes))
-    report = verify_theorem(p, ubar, candidates)
-    assert not report.verdict
-    worst = max(abs(s) for _, s, _, _ in report.rows)
-    assert report.max_oracle_gap > ROUTE_GAP_TOL * (1.0 + worst)
+    report = verify_theorem(p, ubar)
+    assert not report.verdict_ok
+    assert report.oracle_gap > ROUTE_GAP_TOL * (1.0 + abs(report.cone_max_s))
     if routes == (0, 1):  # both routes moved together: only the oracle sees it
-        assert report.max_route_gap <= 1e-13
+        assert report.route_gap <= 1e-13
 
 
 def test_planted_hessian_defect_fails_analytic_companion(monkeypatch):
@@ -450,7 +444,7 @@ def test_planted_hessian_defect_fails_analytic_companion(monkeypatch):
     assert res.status == "fail"
 
 
-def test_theorem_work_does_not_grow_with_the_grid(monkeypatch):
+def test_theorem_work_is_bounded_by_the_column_count(monkeypatch):
     calls = {"solve_first_variation": 0, "second_order_functional": 0}
 
     def counted(module, name):
@@ -466,15 +460,107 @@ def test_theorem_work_does_not_grow_with_the_grid(monkeypatch):
             if hasattr(module, name):
                 counted(module, name)
     res = run_suite(suite_config(), "theorem")
-    assert res.passed and res.metrics["candidates"] == 5 ** 4
+    assert res.passed and res.metrics["newton_steps"] == 1
     columns = 4  # N * m, for the problem and for the analytic companion
-    assert calls["solve_first_variation"] <= 2 * columns + ORACLE_SAMPLES + 1
-    assert 1 <= calls["second_order_functional"] <= ORACLE_SAMPLES + 1
+    # one reduced Hessian per Newton step, one for the cone and one for the
+    # companion; one solve each for S along the top direction and its sweep
+    assert calls["solve_first_variation"] == 3 * columns + 2
+    assert calls["second_order_functional"] == 2
 
 
-# -- shared brute force -----------------------------------------------------
+# -- the critical cone ---------------------------------------------------------
+
+README_LQ = dict(a=0.5, f0=0.3, g0=0.25, q=0.4, r=0.3, s=0.5,
+                 b=(((0, 1.0, 0.0), (1, 0.5, 0.0)),), x_tgt=((0, 0.5, 0.0),))
+
+
+@pytest.mark.parametrize("name,n,overrides", [
+    ("lq", 4, README_LQ), ("lq", 6, README_LQ),
+    ("quadratic_control", 4, {}), ("quadratic_state", 4, {})],
+    ids=["readme-n4", "readme-n6", "quadratic_control", "quadratic_state"])
+def test_theorem_passes_at_a_kkt_point(name, n, overrides):
+    cfg = parse_config({"problem": {"name": name}, "grid": {"t0": 0.0, "T": 1.0, "N": n},
+                        "suites": ["theorem"]})
+    cfg.problem = ProblemSpec.gallery(name, **overrides)
+    res = run_suite(cfg, "theorem")
+    metrics = res.metrics
+    assert res.passed, metrics
+    assert metrics["kkt_residual"] <= metrics["kkt_tol"] == 1e-12
+    assert (metrics["free"], metrics["strongly_active"], metrics["weakly_active"]) == (n, 0, 0)
+    assert metrics["cone_max_s"] < 0 and metrics["cone_max_s"] == max(metrics["cone_spectrum"])
+
+
+def newton_step(p, u):
+    """u - H_P^-1 dt H_u on every coordinate, with no cost check and no box."""
+    xbar, adj, sa = stack(p, u)
+    g = p.algebra.dt * hu_field(p, adj)
+    h_p, _ = reduced_hessians(p, adj, sa)
+    return u - np.linalg.solve(h_p, g.reshape(-1)).reshape(u.shape)
+
+
+@pytest.mark.parametrize("q,r", [(0.4, 0.3), (-3.0, 0.05)], ids=["minimum", "saddle"])
+def test_planted_stationary_saddle_fails_the_cone_check(q, r):
+    # with q = -3 the cost is an indefinite quadratic in u: one Newton step from
+    # 0 lands on a stationary point inside the box where eig(H_P) has 0.13, 0.90
+    # and 2.23 above 0; with the README rates it lands on the minimum
+    alg, p = build("lq", **dict(README_LQ, q=q, r=r), lower=(-2.5,), upper=(2.5,))
+    ubar = newton_step(p, np.zeros((alg.n, 1)))
+    report = verify_theorem(p, ubar)
+    assert report.kkt_residual <= 1e-15 and report.free == alg.n
+    if q < 0:
+        assert report.cone_spectrum == pytest.approx([-0.7112, 0.1307, 0.9013, 2.2282], abs=1e-4)
+        assert report.cone_max_s > 2.0 and not report.verdict_ok
+    else:
+        assert report.cone_max_s < 0 and report.verdict_ok
+
+
+@pytest.mark.parametrize("planted", [True, False], ids=["bound-at-optimum", "box"])
+def test_weakly_active_plant_reaches_the_support_enumeration(monkeypatch, planted):
+    # the upper bound sits at the largest coordinate of the unconstrained
+    # optimum, which stays optimal with that coordinate at the bound, H_u = 0
+    _, p = build("lq", **README_LQ)
+    u_star = newton_step(p, np.zeros((p.algebra.n, 1)))
+    top = float(u_star.max())
+    if planted:  # the largest coordinate sits exactly on the new upper bound
+        p = dataclasses.replace(p, control_set=ControlSet(np.array([-1.0]), np.array([top])))
+    supports = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: supports.append(len(h)) or eigh(h))
+    report = verify_theorem(p, u_star)
+    assert report.verdict_ok
+    assert report.weakly_active == int(planted)
+    assert report.free == p.algebra.n - int(planted)
+    # the free block, and with the plant the block of free + weak coordinates too
+    n = p.algebra.n
+    assert sorted(set(supports)) == ([n - 1, n] if planted else [n])
+    assert report.cone_max_s <= 0 and report.cone_max_s >= max(report.cone_spectrum)
+
+
+def test_cone_max_keeps_weakly_active_coordinates_inward():
+    # both coordinates may only grow: the top eigenvector (1, -1)/sqrt(2) of
+    # [[0, -1], [-1, 0]] leaves the cone, so the maximum is 0 on an edge
+    h = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    weak = np.array([True, True])
+    best, top = conditions._cone_max(h, ~weak, weak, np.array([1.0, 1.0]))
+    assert best == 0.0 and top.tolist() in ([1.0, 0.0], [0.0, 1.0])
+    # moving toward each other from opposite bounds, (1, -1) is inward
+    best, top = conditions._cone_max(h, ~weak, weak, np.array([1.0, -1.0]))
+    assert best == pytest.approx(1.0) and top @ h @ top == pytest.approx(1.0)
+    assert top[0] > 0 > top[1]
+
+
+def test_weak_support_budget_is_checked_before_any_enumeration(monkeypatch):
+    monkeypatch.setattr(conditions, "WEAK_SUPPORT_BUDGET", 2)
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: pytest.fail("enumerated"))
+    weak = np.array([True, True])
+    with pytest.raises(BudgetError, match="2\\^2 supports"):
+        conditions._cone_max(np.eye(2), ~weak, weak, np.array([1.0, 1.0]))
+
+
+# -- brute force -------------------------------------------------------------
 
 def test_brute_force_runs_once_per_run(monkeypatch):
+    # only optimize brute-forces: theorem starts Newton from the box midpoint
     calls = []
     search = suites.brute_force_search
 
@@ -491,8 +577,8 @@ def test_brute_force_runs_once_per_run(monkeypatch):
     })
     theorem, optimize = run_all(cfg)
     assert calls == [5]
-    assert theorem.metrics["brute_force_value"] == optimize.metrics["brute_force_value"]
-    assert suites._RUN_RESULTS.get() is None  # nothing outlives the run
+    assert theorem.passed and optimize.passed
+    assert "brute_force_value" in optimize.metrics
     list(run_all(cfg))
     assert calls == [5, 5]
     alone = run_suite(cfg, "optimize")

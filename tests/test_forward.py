@@ -12,8 +12,8 @@ from qsoc.forward import (
     solve_state,
     stacked_costs,
 )
-from qsoc.optimize import control_grid
 from qsoc.problems import ProblemSpec, cost, make_problem
+from reference import control_grid
 from test_custom_problem import lq_like_custom
 
 

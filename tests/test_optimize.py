@@ -6,10 +6,13 @@ from hypothesis import given, strategies as st
 
 from qsoc import optimize
 from qsoc.clifford import make_algebra
+from qsoc.config import parse_config
 from qsoc.errors import AdaptednessError, BudgetError, QsocError, StepSizeError
 from qsoc.forward import solve_state, stacked_costs
-from qsoc.optimize import brute_force_search, control_grid, projected_gradient
+from qsoc.optimize import brute_force_search, kkt_point, projected_gradient
 from qsoc.problems import ControlSet, ProblemSpec, cost, make_problem
+from qsoc.suites import run_suite
+from reference import control_grid
 
 
 def build(name, n=3, m=1, **overrides):
@@ -260,3 +263,54 @@ def test_projected_gradient_refuses_a_non_finite_start_or_gradient():
     nan_lu = dataclasses.replace(p, L_u=lambda k, x, u: np.full(1, np.nan))
     with pytest.raises(StepSizeError, match="gradient not finite at iteration 0"):
         projected_gradient(nan_lu, u0)
+
+
+# -- Newton polish -------------------------------------------------------------
+
+def test_kkt_point_takes_one_newton_step_on_a_quadratic_cost():
+    # lq is quadratic in u, so one step from the midpoint is exact
+    alg, p = build("lq", n=4)
+    u, trace = kkt_point(p, np.zeros((alg.n, 1)), 1e-12, 20)
+    assert (trace.newton_steps, trace.gradient_steps) == (1, 0)
+    assert trace.kkt_residual <= 1e-15
+    assert trace.costs[1] < trace.costs[0]
+    assert np.all(np.abs(u) < 1.0)  # an interior optimum
+
+
+def test_kkt_point_fixes_the_coordinates_the_box_cuts_off():
+    alg, p = build("lq", n=6, lower=(-1.0,), upper=(-0.45,))
+    u, trace = kkt_point(p, np.full((alg.n, 1), -0.725), 1e-12, 20)
+    assert trace.kkt_residual <= 1e-12
+    at_bound = np.isin(u, (-1.0, -0.45))
+    assert at_bound.any() and not at_bound.all()
+
+
+def test_kkt_point_falls_back_to_gradient_steps_where_newton_climbs():
+    # with q < 0 the stationary point Newton aims at is a saddle of higher cost
+    alg, p = build("lq", n=4, q=-3.0, r=0.05, lower=(-2.5,), upper=(2.5,))
+    u, trace = kkt_point(p, np.zeros((alg.n, 1)), 1e-12, 20)
+    assert trace.gradient_steps >= 1
+    assert all(b <= a for a, b in zip(trace.costs, trace.costs[1:]))
+    assert trace.kkt_residual <= 1e-12
+
+
+def test_kkt_point_refuses_a_non_finite_start():
+    alg, p = overflowing_lq()
+    with np.errstate(over="ignore"), pytest.raises(StepSizeError, match="initial control"):
+        kkt_point(p, np.zeros((alg.n, 1)), 1e-12, 20)
+
+
+def test_optimize_polishes_a_projected_gradient_run_that_hits_its_cap():
+    # quadratic_state with m = 2 at N = 4: projected gradient stops at its
+    # 300-iteration cap (gradient norm 7e-6 to 2e-5 for seeds 0-3), and 5^8
+    # grid controls are too many for the brute force; Newton steps finish it
+    cfg = parse_config({"problem": {"name": "quadratic_state", "m": 2},
+                        "grid": {"t0": 0.0, "T": 1.0, "N": 4},
+                        "suites": ["optimize"], "seed": 3})
+    res = run_suite(cfg, "optimize")
+    metrics = res.metrics
+    assert metrics["iterations"] == 300 and not (metrics["converged"] or metrics["stalled"])
+    assert "brute_force_value" not in metrics
+    assert res.passed, metrics
+    assert metrics["newton_steps"] >= 1
+    assert metrics["kkt_residual"] <= metrics["kkt_tol"] == 1e-12
