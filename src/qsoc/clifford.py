@@ -93,7 +93,7 @@ class CliffordAlgebra:
         self.reversal_signs = np.where((grades * (grades - 1) // 2) & 1, -1.0, 1.0)
         self._sign_table = None
         self._gen_sign_cache: dict[tuple[str, int], np.ndarray] = {}
-        self._matrix_form_cache: dict[int, tuple] = {}
+        self._slot_form_cache: dict[int, tuple] = {}
         for arr in (self._masks, self.grades, self.parity_signs, self.reversal_signs):
             arr.flags.writeable = False
 
@@ -133,9 +133,6 @@ class CliffordAlgebra:
         matrix entry ``(j^x, j)``, and the s x s Walsh-Hadamard signs
         ``had[z, j] = (-1)**|z & j|``.
         """
-        cached = self._matrix_form_cache.get(q)
-        if cached is not None:
-            return cached
         s = 1 << q
         masks = np.arange(s * s, dtype=np.int64)
         x = np.zeros(s * s, dtype=np.int64)
@@ -157,11 +154,23 @@ class CliffordAlgebra:
         perm = ((cols[:, None] ^ cols[None, :]) * s + cols[None, :]).reshape(-1)
         had = np.where(np.bitwise_count(cols[:, None] & cols[None, :]) & 1,
                        -1.0, 1.0).astype(np.complex128)
-        tables = (slot, phase, np.argsort(slot), perm, had)
-        for arr in tables:
-            arr.flags.writeable = False
-        self._matrix_form_cache[q] = tables
-        return tables
+        return slot, phase, np.argsort(slot), perm, had
+
+    def _slot_form(self, top: int) -> tuple:
+        """Cached :meth:`_matrix_form` tables of the first ``top`` generators,
+        ``(gather, gather_phase, slot, back_phase, perm, had)``: generator 2q
+        alone holds ``Z_{q-1}``, so an odd ``top`` fills only the matrix
+        columns z < s/2, and ``gather`` holds the blade at each filled entry."""
+        cached = self._slot_form_cache.get(top)
+        if cached is None:
+            slot, phase, blade_at, perm, had = self._matrix_form((top + 1) // 2)
+            gather = blade_at.reshape(len(had), -1)[:, :len(had) >> (top & 1)]
+            cached = (gather, phase[gather], slot[:1 << top],
+                      np.conj(phase[:1 << top]) / len(had), perm, had)
+            for arr in cached:
+                arr.flags.writeable = False
+            self._slot_form_cache[top] = cached
+        return cached
 
     def _gen_signs(self, side: str, g: int) -> np.ndarray:
         """Sign vector for one-generator products.
@@ -320,34 +329,44 @@ def _table_product(alg: CliffordAlgebra, A: np.ndarray, B: np.ndarray,
     return out
 
 
+def _block_rows(s: int) -> int:
+    """Rows per block of :func:`_matrix_product` for s x s matrices."""
+    return max(8, 2**15 // s**3)
+
+
 def _matrix_product(alg: CliffordAlgebra, A: np.ndarray, B: np.ndarray,
                     top: int | None = None) -> np.ndarray:
     """Row-wise product through the Jordan-Wigner matrix form.
 
     Runs on the subalgebra of the first ``top`` generators (default: the
     smallest that holds both factors), so blades outside it stay exactly
-    zero: an adapted product stays exactly adapted.  Coefficients go to
-    2^q x 2^q matrices (q = ceil(top/2)) by a phased slot gather, one
-    Walsh-Hadamard matmul and a fixed permutation; the way back is the same
-    route divided by 2^q with conjugate phases.
+    zero: an adapted product stays exactly adapted.  In blocks of rows,
+    coefficients go to 2^q x 2^q matrices (q = ceil(top/2)) by a phased
+    gather into slot order, one flat Walsh-Hadamard matmul and a fixed
+    permutation; the way back is the same route divided by 2^q with
+    conjugate phases.  Slots with no blade (odd top) stay exact zeros.
     """
     if top is None:
         live = np.nonzero(np.any(A, axis=0) | np.any(B, axis=0))[0]
         top = int(live[-1]).bit_length() if live.size else 0
-    slot, phase, blade_at, perm, had = alg._matrix_form((top + 1) // 2)
-    rows, s, sub = len(A), len(had), 1 << top
-    coeffs = np.zeros((2, rows, s * s), dtype=np.complex128)
-    coeffs[0, :, :sub] = A[:, :sub]
-    coeffs[1, :, :sub] = B[:, :sub]
-    coeffs = (np.take(coeffs, blade_at, axis=2) * phase[blade_at]).reshape(2, rows, s, s)
-    # one small matmul per element: a single (2*rows*s, s) product lets BLAS
-    # split a tall skinny problem over threads, which costs milliseconds
-    mats = np.take((coeffs @ had).reshape(2, rows, s * s), perm, axis=2)
-    prod = mats[0].reshape(rows, s, s) @ mats[1].reshape(rows, s, s)
-    back = np.take(prod.reshape(rows, s * s), perm, axis=1).reshape(rows, s, s) @ had
+    gather, gather_phase, slot, back_phase, perm, had = alg._slot_form(top)
+    s = len(had)
+    # OpenBLAS splits a complex GEMM of about 2^16 multiply-adds over two
+    # threads, which on a busy 2-core host can wait milliseconds; 2^15/s^3
+    # rows keep the flat Hadamard GEMM on one (8 rows from s = 32 bound the
+    # loop overhead).  Rows never mix, so the block size changes no bit.
+    block = _block_rows(s)
     out = np.zeros(A.shape, dtype=np.complex128)
-    out[:, :sub] = np.take(back.reshape(rows, s * s), slot[:sub], axis=1) \
-        * (np.conj(phase[:sub]) / s)
+    for r in range(0, len(A), block):
+        mats = []
+        for X in (A[r:r + block], B[r:r + block]):
+            T = np.zeros((len(X), s, s), dtype=np.complex128)
+            np.multiply(X.take(gather, axis=1), gather_phase, out=T[:, :, :gather.shape[1]])
+            T = (T.reshape(-1, s) @ had).reshape(-1, s * s)
+            mats.append(T.take(perm, axis=1).reshape(-1, s, s))
+        prod = (mats[0] @ mats[1]).reshape(-1, s * s)
+        back = (prod.take(perm, axis=1).reshape(-1, s) @ had).reshape(-1, s * s)
+        np.multiply(back.take(slot, axis=1), back_phase, out=out[r:r + block, :len(slot)])
     return out
 
 
@@ -356,11 +375,11 @@ def _product(alg: CliffordAlgebra, A: np.ndarray, B: np.ndarray,
     """Row-wise product given the sorted live blade columns of both factors.
 
     The sign-table loop makes one pass over the other factor per live blade
-    of the sparser one; the matrix form costs a fixed dozen array operations
-    plus four 2^q x 2^q matmuls per row.  The matrix form is used when the
-    sparser factor has more than 6 live blades: on a 2-core Xeon the two
-    break even at 4-8 live blades for one row and at 7-10 for 250 rows,
-    4 <= n <= 12 (for odd n and large batches only near 20).
+    of the sparser one; the matrix form costs about two dozen array
+    operations per row block plus one 2^q x 2^q matmul per row.  It is used
+    when the sparser factor has more than 6 live blades.  On a 2-core Xeon
+    the two break even at 3-7 live blades for one row (10-20 at n = 11) and
+    at 2-7 for 250 rows, 4 <= n <= 12; a lower threshold changes rounding.
     """
     if min(live_a.size, live_b.size) <= 6:
         return _table_product(alg, A, B, live_a, live_b)

@@ -74,8 +74,9 @@ def suite_rng(seed: int, suite: str) -> np.random.Generator:
 
 
 def _interior_control(p, rng, shape, span=0.6):
-    lo = np.where(np.isfinite(p.control_set.lower), p.control_set.lower, -1.0)
-    hi = np.where(np.isfinite(p.control_set.upper), p.control_set.upper, 1.0)
+    lower, upper = p.control_set.lower, p.control_set.upper
+    lo = np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper - 2.0, -1.0))
+    hi = np.where(np.isfinite(upper), upper, np.where(np.isfinite(lower), lower + 2.0, 1.0))
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo) * span
     return mid + (2.0 * rng.random(shape) - 1.0) * half

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from qsoc.report import canonical_json, flatten_metrics, format_number, render_c
 from qsoc.suites import run_suite
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def base_config(**overrides):
@@ -220,6 +224,18 @@ def test_theorem_runs_on_a_half_open_box(tmp_path, capsys):
     assert metrics["free"] == 3 and metrics["kkt_residual"] <= metrics["kkt_tol"]
 
 
+@pytest.mark.parametrize("lower,upper", [(-1e400, -5.0), (5.0, 1e400)])
+def test_every_suite_runs_on_a_half_open_box_beyond_the_unit_interval(tmp_path, lower, upper):
+    # the random interior starts of orders, gradient, adjoint, second_order
+    # and optimize put the open side 2 beyond the finite one
+    cfg = {"problem": {"name": "lq", "lower": [lower], "upper": [upper]},
+           "grid": {"t0": 0, "T": 1, "N": 3}}
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [s["status"] for s in report["suites"]] == ["pass"] * len(SUITE_ORDER)
+
+
 def test_run_writes_reports_and_passes(tmp_path, capsys):
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
@@ -276,12 +292,22 @@ def test_run_plotdata_files(tmp_path):
 
 
 def test_run_deterministic_across_threads(tmp_path):
-    path = write_config(tmp_path, base_config(emit=["json", "csv"]))
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["run", "--config", str(path), "--out", str(out1)]) == 0
-    assert main(["run", "--config", str(path), "--out", str(out2)]) == 0
-    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-    assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+    # one process per BLAS thread count; algebra at N=6 with 500 probes runs
+    # 250-row matrix-form batches, so the row blocks meet both thread counts
+    path = write_config(tmp_path, base_config(
+        grid={"t0": 0.0, "T": 1.0, "N": 6}, suites=["algebra", "isometry", "gradient"],
+        tolerances={"algebra": {"probes": 500}, "isometry": {"probes": 30}}))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"o{threads}"
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "qsoc.cli", "run", "--config", str(path),
+                               "--out", str(out)], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.append([(out / name).read_bytes() for name in ("report.json", "report.csv")])
+    assert reports[0] == reports[1]
 
 
 def test_run_seed_changes_numbers(tmp_path):

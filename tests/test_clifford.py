@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from qsoc.clifford import (
     AdaptedProcess,
     CliffordElement,
+    _block_rows,
     _matrix_product,
     _mul_dw,
     _multiplication_blocks,
@@ -306,7 +307,26 @@ def test_multiply_batch_matches_single():
     out = multiply_batch(alg, A, B)
     for i in range(8):
         single = multiply(CliffordElement(alg, A[i]), CliffordElement(alg, B[i]))
-        assert np.allclose(out[i], single.coeffs, atol=1e-12)
+        assert np.array_equal(out[i], single.coeffs)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_row_blocks_of_the_matrix_form_are_invisible(n):
+    # batches around the block size give the row-by-row products bit for bit,
+    # and blades beyond the subalgebra stay exact zeros even with junk there
+    alg = make_algebra(n, 0.0, 1.0)
+    rng = np.random.default_rng(200 + n)
+    for top in (n, n - 1):
+        block = _block_rows(1 << (top + 1) // 2)
+        rows = 2 * block + 3
+        A = rng.standard_normal((rows, alg.dim)) + 1j * rng.standard_normal((rows, alg.dim))
+        B = rng.standard_normal((rows, alg.dim)) + 1j * rng.standard_normal((rows, alg.dim))
+        single = np.concatenate([_matrix_product(alg, A[i:i + 1], B[i:i + 1], top)
+                                 for i in range(rows)])
+        for size in (1, block - 1, block, block + 1, rows):
+            out = _matrix_product(alg, A[:size], B[:size], top)
+            assert np.array_equal(out, single[:size]), (top, size)
+            assert np.all(out[:, 1 << top:] == 0.0), (top, size)
 
 
 def _kernel_pairs(alg, rng, rows=3):
