@@ -78,7 +78,6 @@ from .clifford import (
     conditional_expectation,
     inner,
     martingale_coefficient,
-    mul_dw_right,
     parity,
 )
 from .errors import CapacityError, ContractError, SupportError
@@ -145,20 +144,24 @@ class Linearization:
         out[b:] = (alg._gen_signs("right", k + 1)[:b] * np.sqrt(alg.dt))[:, None] * self.Bt[k]
         return out
 
-    def t_apply(self, k: int, v: CliffordElement) -> CliffordElement:
-        """T_k v on one element, kept apart from :meth:`t_block` on purpose.
+    def t_rows(self, k: int, V: np.ndarray) -> np.ndarray:
+        """T_k on a (B, dim) stack of rows adapted at step k: v + dt Dx_k v + (Bt_k v) dW_{k+1}.
 
-        The transposition check steps its test equations here and pairs them
-        with the P_k that :func:`compute_P` conjugates through ``t_block``; on
-        one shared T_k a defect in it would cancel out of the identity.
+        Kept apart from :meth:`t_block` on purpose: the transposition check
+        steps its test equations here and pairs them with the P_k that
+        :func:`compute_P` conjugates through ``t_block``; on one shared T_k a
+        defect in it would cancel out of the identity.
         """
         b = 1 << k
-        dx = np.zeros(self.algebra.dim, dtype=np.complex128)
-        bt = np.zeros(self.algebra.dim, dtype=np.complex128)
-        dx[:b] = self.Dx[k] @ v.coeffs[:b]
-        bt[:b] = self.Bt[k] @ v.coeffs[:b]
-        return v + self.algebra.dt * CliffordElement(self.algebra, dx) \
-            + mul_dw_right(CliffordElement(self.algebra, bt), k + 1)
+        dx = np.zeros(V.shape, dtype=np.complex128)
+        bt = np.zeros(V.shape, dtype=np.complex128)
+        dx[:, :b] = V[:, :b] @ self.Dx[k].T
+        bt[:, :b] = V[:, :b] @ self.Bt[k].T
+        return V + self.algebra.dt * dx + _mul_dw(self.algebra, bt, k + 1, "right")
+
+    def t_apply(self, k: int, v: CliffordElement) -> CliffordElement:
+        """T_k v on one element: the one-row view of :meth:`t_rows`."""
+        return CliffordElement(self.algebra, self.t_rows(k, v.coeffs[None])[0])
 
 
 @dataclass
@@ -332,62 +335,73 @@ class TestTuple:
     nu: list | None = None
 
 
-def _solve_test_equation(p: ControlProblem, lin: Linearization, t: TestTuple):
-    """Test-equation path phi plus the noise parts nu_j dW_{j+1} of its steps."""
-    alg = p.algebra
+def _check_test_tuple(t: TestTuple, n: int) -> None:
+    """Refuse a test tuple whose data are not adapted or do not cover k .. N-1."""
     if not t.zeta.is_adapted(t.k):
         raise SupportError("test tuple initial condition not adapted at its start index")
-    span = alg.n - t.k
+    span = n - t.k
     if len(t.mu) != span or (t.nu is not None and len(t.nu) != span):
         raise ValueError("test tuple drivers must cover start index .. N-1")
-    phi = [t.zeta]
-    noise = []
-    for j in range(t.k, alg.n):
-        mu = t.mu[j - t.k]
-        if not mu.is_adapted(j):
+    for j in range(t.k, n):
+        if not t.mu[j - t.k].is_adapted(j):
             raise SupportError(f"mu driver not adapted at step {j}")
-        n_j = CliffordElement.zero(alg)
-        if t.nu is not None:
-            nu = t.nu[j - t.k]
-            if not nu.is_adapted(j):
-                raise SupportError(f"nu driver not adapted at step {j}")
-            n_j = mul_dw_right(nu, j + 1)
-        noise.append(n_j)
-        phi.append(lin.t_apply(j, phi[-1]) + alg.dt * mu + n_j)
-    return phi, noise
+        if t.nu is not None and not t.nu[j - t.k].is_adapted(j):
+            raise SupportError(f"nu driver not adapted at step {j}")
 
 
 def transposition_residual(p: ControlProblem, sa: SecondAdjoint,
                            tuples: list) -> float:
     """Max absolute defect of the transposition identity over test-tuple pairs.
 
-    The left side is evaluated through the raw curvature callbacks and fresh
-    forward solves; the right side through the materialized P family.  The
-    identity closes to rounding for any two tuples sharing a start index,
-    with or without nu drivers.
+    The left side is evaluated through the raw curvature callbacks, one pair
+    at a time, along fresh forward solves; the right side through the
+    materialized P family.  The identity closes to rounding for any two
+    tuples sharing a start index, with or without nu drivers.  Every tuple
+    is checked before anything is computed.  The pairs are grouped by start
+    index k, and each group steps its 2B test equations as one (2B, dim)
+    stack through :meth:`Linearization.t_rows`, keeping only the current
+    step; its P side is the diagonal of one ``P_k.gram`` and of one
+    :func:`_step_pairings` per step.
     """
     alg = p.algebra
-    dt = alg.dt
-    worst = 0.0
+    dt, n = alg.dt, alg.n
+    groups: dict = {}
     for t1, t2 in tuples:
         if t1.k != t2.k:
             raise ValueError("tuple pairs must share their start index")
-        k = t1.k
-        phi1, n1 = _solve_test_equation(p, sa.lin, t1)
-        phi2, n2 = _solve_test_equation(p, sa.lin, t2)
+        _check_test_tuple(t1, n)
+        _check_test_tuple(t2, n)
+        groups.setdefault(t1.k, []).append((t1, t2))
+    gxx = None if p.g_xx is None else p.g_xx(sa.xbar.terminal)
+    pairings = {j: hxx_pairing(p, j, sa.xbar[j], sa.ubar[j], sa.adj.yhat[j], sa.adj.Y[j])
+                for j in range(min(groups, default=n), n)}
 
-        # left side: callbacks only
-        lhs = 0.0 + 0.0j if p.g_xx is None else -p.g_xx(sa.xbar.terminal)(phi2[-1], phi1[-1])
-        for j in range(k, alg.n):
-            pair = hxx_pairing(p, j, sa.xbar[j], sa.ubar[j], sa.adj.yhat[j], sa.adj.Y[j])
-            if pair is not None:
-                lhs += dt * pair(phi2[j - k], phi1[j - k])
+    def callback_pairs(form, phi):
+        """form(row a, row B + a) of a (2B, dim) stack, one element pair at a time."""
+        half = len(phi) // 2
+        return np.array([form(CliffordElement(alg, v2), CliffordElement(alg, v1))
+                         for v2, v1 in zip(phi[:half], phi[half:])])
 
-        # right side: materialized P with summation-by-parts staggering
-        rhs = sa.P[k].pair(t2.zeta, t1.zeta)
-        for i in range(alg.n - k):
-            rows = [v.coeffs[None] for v in (phi2[i + 1], t2.mu[i], n2[i],
-                                             phi1[i + 1], t1.mu[i], n1[i])]
-            rhs += _step_pairings(sa.P[k + i + 1], dt, *rows)[0, 0]
-        worst = max(worst, abs(lhs - rhs))
+    worst = 0.0
+    for k, pairs in groups.items():
+        # rows :b hold the t2 paths, rows b: the t1 paths of the same pairs
+        b = len(pairs)
+        tests = [t2 for _, t2 in pairs] + [t1 for t1, _ in pairs]
+        phi = np.array([t.zeta.coeffs for t in tests])
+        rhs = np.diagonal(sa.P[k].gram(phi[:b], phi[b:])).copy()  # P side
+        lhs = np.zeros(b, dtype=np.complex128)  # callback side
+        for j in range(k, n):
+            if pairings[j] is not None:
+                lhs += dt * callback_pairs(pairings[j], phi)
+            mu = np.array([t.mu[j - k].coeffs for t in tests])
+            nu = np.array([np.zeros(alg.dim) if t.nu is None else t.nu[j - k].coeffs
+                           for t in tests], dtype=np.complex128)
+            noise = _mul_dw(alg, nu, j + 1, "right")
+            phi = sa.lin.t_rows(j, phi) + dt * mu + noise
+            # summation-by-parts staggering: P_{j+1} against the step parts
+            rhs += np.diagonal(_step_pairings(sa.P[j + 1], dt, phi[:b], mu[:b], noise[:b],
+                                              phi[b:], mu[b:], noise[b:]))
+        if gxx is not None:
+            lhs -= callback_pairs(gxx, phi)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst

@@ -285,7 +285,10 @@ class CliffordElement:
     # -- queries -----------------------------------------------------------
 
     def is_adapted(self, k: int, tol: float = 0.0) -> bool:
-        outside = self.coeffs[~self.algebra.adapted_mask(k)]
+        """Whether every coefficient off the step-k blades, the first 2^k, is at most tol."""
+        if not 0 <= k <= self.algebra.n:
+            raise ValueError(f"step index {k} outside 0..{self.algebra.n}")
+        outside = self.coeffs[1 << k:]
         if outside.size == 0:
             return True
         return float(np.max(np.abs(outside))) <= tol

@@ -12,8 +12,8 @@ than O(dt)-approximate.
 One loop runs the scheme on a block of control paths, one (B, dim) state
 array per step through the problem's ``coefficient_rows`` hook, with the
 adaptedness check applied to every row at every step.  :func:`solve_state`
-is its one-row case and keeps the states; :func:`stacked_costs` sums the
-problem's ``cost_rows`` as the block advances and keeps only the costs.
+is its one-row case; :func:`stacked_paths` sums the problem's ``cost_rows``
+along the block and keeps its states, :func:`stacked_costs` only its costs.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "Trajectory",
     "solve_state",
     "stacked_costs",
+    "stacked_paths",
     "solve_first_variation",
     "solve_second_variation",
     "quadratic_drivers",
@@ -62,11 +63,20 @@ class Trajectory:
     def terminal(self) -> CliffordElement:
         return self.process[-1]
 
+    @classmethod
+    def from_rows(cls, alg, rows, control: np.ndarray) -> "Trajectory":
+        """The trajectory of ``control`` from its state coefficient rows X_0 .. X_N."""
+        return cls(AdaptedProcess(alg, [CliffordElement(alg, x) for x in rows], tol=1e-9),
+                   control)
+
 
 def _state_rows(p: ControlProblem, U: np.ndarray):
     """The (B, dim) states X_0 .. X_N of a block of control paths U, shape (B, N, m).
 
-    Every coefficient row must be adapted at its step up to 1e-12 (1 + its norm).
+    Every coefficient row must be adapted at its step up to 1e-12 (1 + its
+    norm).  A row whose leak is exactly zero passes even when its norm has
+    overflowed, so overflow reaches the costs as non-finite instead of
+    raising for every row of its block.
     """
     alg = p.algebra
     X = np.repeat(p.x0.coeffs[None], len(U), axis=0)
@@ -74,8 +84,8 @@ def _state_rows(p: ControlProblem, U: np.ndarray):
         yield X
         d, f, g = p.coefficient_rows(k, X, U[:, k])
         for val, tag in ((d, "drift"), (f, "left diffusion"), (g, "right diffusion")):
-            leak = np.abs(val[:, 1 << k:])
-            if leak.size and not np.all(leak.max(axis=1) <= 1e-12 * (1.0 + _row_norms(val))):
+            leak = np.abs(val[:, 1 << k:]).max(axis=1)
+            if leak.any() and not np.all((leak == 0) | (leak <= 1e-12 * (1 + _row_norms(val)))):
                 raise AdaptednessError(f"{tag} produced a non-adapted element at step {k}")
         X = X + alg.dt * d + _mul_dw(alg, f, k + 1, "right") + _mul_dw(alg, g, k + 1, "left")
     yield X
@@ -84,16 +94,17 @@ def _state_rows(p: ControlProblem, U: np.ndarray):
 def solve_state(p: ControlProblem, u: np.ndarray) -> Trajectory:
     """Solve the controlled state equation for an admissible control path."""
     u = p.check_control_path(u)
-    xs = [CliffordElement(p.algebra, X[0]) for X in _state_rows(p, u[None])]
-    return Trajectory(AdaptedProcess(p.algebra, xs, tol=1e-9), u)
+    return Trajectory.from_rows(p.algebra, [X[0] for X in _state_rows(p, u[None])], u)
 
 
-def stacked_costs(p: ControlProblem, U: np.ndarray) -> np.ndarray:
-    """Costs of a block of control paths, shape (B, N, m), from one state solve.
+def stacked_paths(p: ControlProblem, U: np.ndarray) -> tuple[np.ndarray, list]:
+    """Costs and states of a block of control paths, shape (B, N, m), from one state solve.
 
-    No path is stored.  Row i equals ``cost(p, U[i], solve_state(p, U[i]))``
-    bit for bit whenever ``L`` and ``g`` are one-row views of ``cost_rows``,
-    as in the gallery, or ``cost_rows`` is derived from them.
+    Returns the (B,) costs and the (B, dim) state stacks X_0 .. X_N.  Row i
+    of the states is the path of ``solve_state(p, U[i])`` bit for bit, and
+    cost i equals ``cost(p, U[i], solve_state(p, U[i]))`` bit for bit
+    whenever ``L`` and ``g`` are one-row views of ``cost_rows``, as in the
+    gallery, or ``cost_rows`` is derived from them.
     """
     alg = p.algebra
     U = np.asarray(U, dtype=float)
@@ -102,10 +113,15 @@ def stacked_costs(p: ControlProblem, U: np.ndarray) -> np.ndarray:
     if not p.control_set.contains(U):
         raise ValueError("control block leaves the admissible box")
     costs = np.zeros(len(U))
-    for k, X in enumerate(_state_rows(p, U)):
-        if k < alg.n:
-            costs += p.cost_rows(k, X, U[:, k]) * alg.dt
-    return costs + p.cost_rows(alg.n, X, None)
+    states = list(_state_rows(p, U))
+    for k, X in enumerate(states[:-1]):
+        costs += p.cost_rows(k, X, U[:, k]) * alg.dt
+    return costs + p.cost_rows(alg.n, states[-1], None), states
+
+
+def stacked_costs(p: ControlProblem, U: np.ndarray) -> np.ndarray:
+    """The costs of :func:`stacked_paths`, without keeping its states."""
+    return stacked_paths(p, U)[0]
 
 
 def _response(p: ControlProblem, xbar: Trajectory, drivers) -> AdaptedProcess:

@@ -8,9 +8,10 @@ Newton steps to a KKT point of the box.  Brute force enumerates a product
 grid over the box and certifies tiny instances independently of any gradient
 information.
 
-The brute force evaluates the grid in blocks through
-:func:`~qsoc.forward.stacked_costs`, whose rows are the per-path costs
-``cost(p, u, solve_state(p, u))`` bit for bit.
+The brute force evaluates the grid, and the projected gradient its
+line-search candidates, in blocks through :func:`~qsoc.forward.stacked_paths`,
+whose rows are the per-path costs ``cost(p, u, solve_state(p, u))`` and
+states bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .adjoint import compute_P, hu_field, solve_first_adjoint
 from .conditions import kkt_residual, reduced_hessians
 from .errors import BudgetError, QsocError, StepSizeError
-from .forward import solve_state, stacked_costs
+from .forward import Trajectory, solve_state, stacked_costs, stacked_paths
 from .problems import ControlProblem, cost
 
 __all__ = ["projected_gradient", "kkt_point", "brute_force_search", "GradientTrace",
@@ -31,7 +32,8 @@ __all__ = ["projected_gradient", "kkt_point", "brute_force_search", "GradientTra
 BRUTE_FORCE_BUDGET = 10 ** 6
 GRID_POINTS = 5  # per control dimension, on the grid of the optimize suite
 COST_SLACK = 1e-14  # a step may raise the cost by this much (rounding) and still count
-# State entries (rows x dim) per block of the brute force: bounds the block's memory.
+# State entries (rows x dim) per block of the brute force and of the line search:
+# bounds the block's memory.
 SCREEN_BLOCK_ENTRIES = 1 << 12
 
 
@@ -55,14 +57,22 @@ def projected_gradient(p: ControlProblem, u0: np.ndarray, step: float = 0.5,
 
     A proposed step is halved (up to 20 times) whenever it fails to keep the
     cost finite and non-increasing, so the recorded cost trace is monotone.
-    Stops when the projected-gradient norm falls below ``grad_tol``.  A
-    non-finite cost at ``u0`` or gradient raises :class:`StepSizeError`.
+    The 21 candidate steps go through :func:`stacked_paths` in blocks of
+    ``max(1, SCREEN_BLOCK_ENTRIES // dim)`` rows, and the first finite,
+    non-increasing one is taken: the trace and the halving count are those of
+    trying one step at a time whenever those costs equal ``cost`` (see there).
+    The accepted control's trajectory is taken from its block and carried
+    into the next iteration.  Stops when the projected-gradient norm
+    falls below ``grad_tol``.  A non-finite cost at ``u0`` or gradient, or a
+    cost that stays non-finite at every step size, raises
+    :class:`StepSizeError`.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     u = p.check_control_path(np.asarray(u0, dtype=float)).copy()
     dt = p.algebra.dt
-    j_curr = cost(p, u, solve_state(p, u))
+    xbar = solve_state(p, u)
+    j_curr = cost(p, u, xbar)
     if not np.isfinite(j_curr):
         raise StepSizeError(f"cost {j_curr} at the initial control is not finite")
     costs = [j_curr]
@@ -70,8 +80,9 @@ def projected_gradient(p: ControlProblem, u0: np.ndarray, step: float = 0.5,
     halvings_total = 0
     converged = False
     stalled = False
+    scales = step * 0.5 ** np.arange(21)
+    rows = max(1, SCREEN_BLOCK_ENTRIES // p.algebra.dim)
     for _ in range(max_iter):
-        xbar = solve_state(p, u)
         adj = solve_first_adjoint(p, xbar, u)
         grad = hu_field(p, adj)
         if not np.all(np.isfinite(grad)):
@@ -82,27 +93,28 @@ def projected_gradient(p: ControlProblem, u0: np.ndarray, step: float = 0.5,
         if pg_norm <= grad_tol:
             converged = True
             break
-        s = step
-        accepted = False
+        taken = None
         saw_nonfinite = False
-        for _halving in range(21):
-            cand = p.control_set.project(u + s * grad)
-            j_cand = cost(p, cand, solve_state(p, cand))
-            if not np.isfinite(j_cand):
-                saw_nonfinite = True
-            elif j_cand <= j_curr:
-                accepted = True
+        for start in range(0, len(scales), rows):
+            cands = p.control_set.project(u + scales[start:start + rows, None, None] * grad)
+            j_cands, states = stacked_paths(p, cands)
+            finite = np.isfinite(j_cands)
+            ok = finite & (j_cands <= j_curr)
+            if ok.any():
+                taken = int(np.argmax(ok))
                 break
-            s *= 0.5
-            halvings_total += 1
-        if not accepted:
+            saw_nonfinite = saw_nonfinite or not finite.all()
+        if taken is None:
+            halvings_total += len(scales)
             if saw_nonfinite:
                 raise StepSizeError("cost stayed non-finite after 20 halvings")
             # finite but no decrease at machine precision: stationary for
             # this arithmetic, stop here rather than fail
             stalled = True
             break
-        u, j_curr = cand, j_cand
+        halvings_total += start + taken
+        u, j_curr = cands[taken], float(j_cands[taken])
+        xbar = Trajectory.from_rows(p.algebra, [X[taken] for X in states], u)
         costs.append(j_curr)
     return u, GradientTrace(costs=costs, grad_norms=grad_norms,
                             step_halvings=halvings_total, converged=converged,

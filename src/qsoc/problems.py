@@ -205,6 +205,14 @@ class ProblemSpec:
         return ProblemSpec(name=name, **base)
 
 
+def _square_rows(alg: CliffordAlgebra, k: int, X: np.ndarray) -> np.ndarray:
+    """X X row by row for a (B, dim) stack of states adapted at step k."""
+    if np.any(X[:, 1 << k:]):
+        raise SupportError(f"state not adapted at step {k}")
+    live = np.arange(1 << k)
+    return _product(alg, X, X, live, live)
+
+
 class _Channel:
     """One coefficient channel: rate*x + sum u_i b_i + sum u_i^2 c_i + q x x.
 
@@ -232,13 +240,16 @@ class _Channel:
         return (self.rate == 0.0 and not self.lin_u and not self.sq_u
                 and self.quad_x is None)
 
-    def value_rows(self, k: int, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    def value_rows(self, k: int, X: np.ndarray, U: np.ndarray,
+                   xx: np.ndarray | None = None) -> np.ndarray:
         """The channel on row stacks: X (B, dim) states, U (B, m) controls.
 
-        The states must be adapted at step k.  The quad term multiplies
-        through :func:`_product` on the first 2^k blade columns, not on the
-        columns the stack happens to fill, so a row's value does not depend
-        on the rows stacked with it.
+        The states must be adapted at step k.  ``xx`` is X X from
+        :func:`_square_rows`, shared by the channels of a step; it is
+        computed here when not given.  The quad term multiplies through
+        :func:`_product` on the first 2^k blade columns, not on the columns
+        the stack happens to fill, so a row's value does not depend on the
+        rows stacked with it.
         """
         out = self.rate * X if self.rate != 0.0 else np.zeros(X.shape, dtype=np.complex128)
         for i, e in enumerate(self.lin[k]):
@@ -246,13 +257,11 @@ class _Channel:
         for i, e in enumerate(self.sq[k]):
             out = out + U[:, i, None] ** 2 * e.coeffs
         if self.quad is not None:
-            if np.any(X[:, 1 << k:]):
-                raise SupportError(f"state not adapted at step {k}")
-            live = np.arange(1 << k)
-            xx = _product(self.alg, X, X, live, live)
+            if xx is None:
+                xx = _square_rows(self.alg, k, X)
             c = self.quad[k].coeffs
             out = out + _product(self.alg, np.broadcast_to(c, X.shape), xx,
-                                 np.nonzero(c)[0], live)
+                                 np.nonzero(c)[0], np.arange(1 << k))
         return out
 
     def value(self, k, x, u):
@@ -505,9 +514,12 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
         anti = sum(ch.curvature_block(k, weight) for ch, weight in quads) if quads else None
         return SuperOperator(algebra, lin, anti)
 
+    channels = (chD, chF, chG)
+    squares = any(ch.quad is not None for ch in channels)
+
     def state_derivatives(k, x, u):
         sym_x = None
-        if any(ch.quad is not None for ch in (chD, chF, chG)):
+        if squares:
             left_x, right_x = _multiplication_blocks(x, k)
             sym_x = left_x + right_x
         parity_signs = algebra.parity_signs[:1 << k, None]
@@ -515,7 +527,8 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
                 chF.dx_block(k, sym_x) + parity_signs * chG.dx_block(k, sym_x))
 
     def coefficient_rows(k, X, U):
-        return chD.value_rows(k, X, U), chF.value_rows(k, X, U), chG.value_rows(k, X, U)
+        xx = _square_rows(algebra, k, X) if squares else None
+        return tuple(ch.value_rows(k, X, U, xx) for ch in channels)
 
     return ControlProblem(
         algebra=algebra, control_set=cset, x0=x0,

@@ -321,13 +321,21 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
         c = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
         return CliffordElement(alg, np.where(keep, c, 0))
 
+    # Each pair draws its (tuple, zeta/mu_k../nu_k.., re/im, blade) normals in
+    # one call, the order in which one element at a time would draw them.
     tuples = []
-    for i in range(pairs_n):
+    for _ in range(pairs_n):
         k = int(rng.integers(0, alg.n))
-        mk = lambda: TestTuple(k=k, zeta=rand_adapted(k),
-                               mu=[rand_adapted(j) for j in range(k, alg.n)],
-                               nu=[rand_adapted(j) for j in range(k, alg.n)])
-        tuples.append((mk(), mk()))
+        span = alg.n - k
+        z = rng.standard_normal((2, 1 + 2 * span, 2, alg.dim))
+        steps = [k, *range(k, alg.n), *range(k, alg.n)]
+        keep = np.array([alg.adapted_mask(j) for j in steps])
+        rows = np.where(keep, z[:, :, 0] + 1j * z[:, :, 1], 0)
+        t1, t2 = (TestTuple(k=k, zeta=CliffordElement(alg, c[0]),
+                            mu=[CliffordElement(alg, v) for v in c[1:1 + span]],
+                            nu=[CliffordElement(alg, v) for v in c[1 + span:]])
+                  for c in rows)
+        tuples.append((t1, t2))
     trans_res = transposition_residual(p, sa, tuples)
 
     # closed form on an auxiliary zero-dynamics running-cost instance

@@ -6,9 +6,12 @@ the problem's raw callbacks, for a quantity the library computes another way.
 
 import numpy as np
 
-from qsoc.clifford import CliffordElement, inner, parity
-from qsoc.forward import quadratic_drivers
-from qsoc.optimize import _grid_blocks
+from qsoc.adjoint import _step_pairings, hu_field, solve_first_adjoint
+from qsoc.clifford import CliffordElement, inner, mul_dw_right, parity
+from qsoc.errors import StepSizeError
+from qsoc.forward import quadratic_drivers, solve_state
+from qsoc.optimize import GradientTrace, _grid_blocks
+from qsoc.problems import cost, hxx_pairing
 
 STEP = 1e-5  # central-difference step
 
@@ -116,3 +119,90 @@ def derivative_errors(p, trials: int, seed: int) -> dict:
         record("g_xx", abs(diff(lambda y: inner(p.g_x(y), h1).real,
                                 xN + STEP * h2, xN - STEP * h2) - want) / scale)
     return errors
+
+
+def tuple_path(lin, t):
+    """One test tuple's path phi and noise parts nu_j dW_{j+1}, one element per step.
+
+    T_j v = v + dt Dx_j v + (Bt_j v) dW_{j+1} is applied as two matrix-vector
+    products on the step-j block, apart from the library's row stepping.
+    """
+    alg = lin.algebra
+    phi, noise = [t.zeta], []
+    for j in range(t.k, alg.n):
+        b = 1 << j
+        v = phi[-1].coeffs
+        dx = np.zeros(alg.dim, dtype=np.complex128)
+        bt = np.zeros(alg.dim, dtype=np.complex128)
+        dx[:b] = lin.Dx[j] @ v[:b]
+        bt[:b] = lin.Bt[j] @ v[:b]
+        step = phi[-1] + alg.dt * CliffordElement(alg, dx) \
+            + mul_dw_right(CliffordElement(alg, bt), j + 1)
+        n_j = CliffordElement.zero(alg) if t.nu is None else mul_dw_right(t.nu[j - t.k], j + 1)
+        noise.append(n_j)
+        phi.append(step + alg.dt * t.mu[j - t.k] + n_j)
+    return phi, noise
+
+
+def transposition_defects(p, sa, tuples) -> list:
+    """|lhs - rhs| of the transposition identity for each pair, one pair at a time."""
+    alg, dt = p.algebra, p.algebra.dt
+    out = []
+    for t1, t2 in tuples:
+        k = t1.k
+        phi1, n1 = tuple_path(sa.lin, t1)
+        phi2, n2 = tuple_path(sa.lin, t2)
+        lhs = 0.0 + 0.0j if p.g_xx is None else -p.g_xx(sa.xbar.terminal)(phi2[-1], phi1[-1])
+        for j in range(k, alg.n):
+            pair = hxx_pairing(p, j, sa.xbar[j], sa.ubar[j], sa.adj.yhat[j], sa.adj.Y[j])
+            if pair is not None:
+                lhs += dt * pair(phi2[j - k], phi1[j - k])
+        rhs = sa.P[k].pair(t2.zeta, t1.zeta)
+        for i in range(alg.n - k):
+            rows = [v.coeffs[None] for v in (phi2[i + 1], t2.mu[i], n2[i],
+                                             phi1[i + 1], t1.mu[i], n1[i])]
+            rhs += _step_pairings(sa.P[k + i + 1], dt, *rows)[0, 0]
+        out.append(abs(lhs - rhs))
+    return out
+
+
+def sequential_projected_gradient(p, u0, step=0.5, max_iter=200, grad_tol=1e-9):
+    """Projected gradient with its line search one candidate path at a time.
+
+    Every iteration solves the state afresh and tries step, step/2, ...,
+    step/2^20 in turn until a cost is finite and non-increasing.
+    """
+    u = p.check_control_path(np.asarray(u0, dtype=float)).copy()
+    dt = p.algebra.dt
+    j_curr = cost(p, u, solve_state(p, u))
+    if not np.isfinite(j_curr):
+        raise StepSizeError(f"cost {j_curr} at the initial control is not finite")
+    trace = GradientTrace(costs=[j_curr], grad_norms=[], step_halvings=0, converged=False)
+    for _ in range(max_iter):
+        grad = hu_field(p, solve_first_adjoint(p, solve_state(p, u), u))
+        if not np.all(np.isfinite(grad)):
+            raise StepSizeError(f"gradient not finite at iteration {len(trace.grad_norms)}")
+        moved = (p.control_set.project(u + step * grad) - u) / step
+        trace.grad_norms.append(float(np.sqrt(dt * np.sum(moved * moved))))
+        if trace.grad_norms[-1] <= grad_tol:
+            trace.converged = True
+            break
+        s, accepted, saw_nonfinite = step, False, False
+        for _halving in range(21):
+            cand = p.control_set.project(u + s * grad)
+            j_cand = cost(p, cand, solve_state(p, cand))
+            if not np.isfinite(j_cand):
+                saw_nonfinite = True
+            elif j_cand <= j_curr:
+                accepted = True
+                break
+            s *= 0.5
+            trace.step_halvings += 1
+        if not accepted:
+            if saw_nonfinite:
+                raise StepSizeError("cost stayed non-finite after 20 halvings")
+            trace.stalled = True
+            break
+        u, j_curr = cand, j_cand
+        trace.costs.append(j_curr)
+    return u, trace

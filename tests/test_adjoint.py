@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qsoc import adjoint
 from qsoc.adjoint import (
     Linearization,
     TestTuple,
@@ -13,10 +14,10 @@ from qsoc.adjoint import (
 )
 from qsoc.clifford import CliffordElement, SuperOperator, make_algebra, mul_dw_right
 from qsoc.conditions import _forms_along, _routes_agree
-from qsoc.errors import CapacityError, ContractError
+from qsoc.errors import CapacityError, ContractError, SupportError
 from qsoc.forward import solve_first_variation, solve_second_variation, solve_state
 from qsoc.problems import ProblemSpec, hxx_pairing, make_problem
-from reference import second_duality_residual
+from reference import second_duality_residual, transposition_defects
 
 GALLERY = ("free", "lq", "quadratic_control", "quadratic_state")
 
@@ -397,6 +398,82 @@ def test_transposition_distinct_nu_tuples():
         _, _, sa = solve_stack(p, ubar)
         pairs = [(rand_tuple(alg, rng, k), rand_tuple(alg, rng, k)) for k in (0, 1, 3, 4)]
         assert transposition_residual(p, sa, pairs) <= 1e-9
+
+
+def mixed_pairs(alg, rng):
+    """Pairs at every start index, some with a nu-free tuple, one with both nu-free."""
+    pairs = []
+    for k in [*range(alg.n), 0, 2, alg.n - 1, 2]:
+        t1, t2 = rand_tuple(alg, rng, k), rand_tuple(alg, rng, k)
+        if len(pairs) % 3 == 1:
+            t1 = dataclasses.replace(t1, nu=None)
+        if len(pairs) % 4 == 2:
+            t1, t2 = dataclasses.replace(t1, nu=None), dataclasses.replace(t2, nu=None)
+        pairs.append((t1, t2))
+    return pairs
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_stacked_transposition_check_matches_the_per_pair_reference(name):
+    # the row-stacked check against one pair at a time through element
+    # steps, on the clean P and on a corrupted one, where every defect is O(1)
+    alg, p = build(name, n=5)
+    rng = np.random.default_rng(12)
+    _, _, sa = solve_stack(p, rng.uniform(-0.5, 0.5, size=(alg.n, 1)))
+    pairs = mixed_pairs(alg, rng)
+    for plant in (None, 0, 2, alg.n):
+        if plant is not None:
+            corrupt_p(sa, plant)
+        want = transposition_defects(p, sa, pairs)
+        for pair, value in zip(pairs, want):
+            assert abs(transposition_residual(p, sa, [pair]) - value) <= 1e-12 * (1 + value)
+        got = transposition_residual(p, sa, pairs)
+        assert abs(got - max(want)) <= 1e-12 * (1 + max(want))
+        assert (got <= 1e-9) == (plant is None)
+
+
+def refusal_cases(alg, rng):
+    zero = CliffordElement.zero(alg)
+    late = CliffordElement.generator(alg, alg.n)  # adapted at step N only
+    good = rand_tuple(alg, rng, 1)
+    return [
+        ("initial condition", dataclasses.replace(good, zeta=late), SupportError),
+        ("mu driver not adapted at step 2",
+         dataclasses.replace(good, mu=[zero, late, zero, zero]), SupportError),
+        ("nu driver not adapted at step 3",
+         dataclasses.replace(good, nu=[zero, zero, late, zero]), SupportError),
+        ("cover", dataclasses.replace(good, mu=good.mu[:-1]), ValueError),
+        ("cover", dataclasses.replace(good, nu=good.nu[1:]), ValueError),
+        ("share their start index", rand_tuple(alg, rng, 2), ValueError),
+    ]
+
+
+def test_transposition_check_refuses_bad_tuples_before_any_compute(monkeypatch):
+    alg, p = build("quadratic_state", n=5)
+    rng = np.random.default_rng(13)
+    _, _, sa = solve_stack(p, np.zeros((alg.n, 1)))
+    good = [(rand_tuple(alg, rng, k), rand_tuple(alg, rng, k)) for k in (0, 1, 4)]
+    monkeypatch.setattr(Linearization, "t_rows", lambda *a: pytest.fail("stepped"))
+    monkeypatch.setattr(adjoint, "hxx_pairing", lambda *a: pytest.fail("paired"))
+    for match, bad, error in refusal_cases(alg, rng):
+        partner = rand_tuple(alg, rng, 1)
+        for pair in ((bad, partner), (partner, bad)):
+            with pytest.raises(error, match=match):
+                transposition_residual(p, sa, good + [pair])
+
+
+def test_t_apply_is_the_one_row_view_of_t_rows():
+    alg, p = build("quadratic_state", n=5)
+    rng = np.random.default_rng(14)
+    _, _, sa = solve_stack(p, rng.uniform(-0.5, 0.5, size=(alg.n, 1)))
+    for k in range(alg.n):
+        rows = np.array([rand_adapted(alg, rng, k, real=False).coeffs for _ in range(3)])
+        stacked = sa.lin.t_rows(k, rows)
+        for row, want in zip(rows, stacked):
+            one = sa.lin.t_rows(k, row[None])[0]
+            assert np.array_equal(sa.lin.t_apply(k, CliffordElement(alg, row)).coeffs, one)
+            assert np.allclose(one, want, rtol=1e-15, atol=1e-15)
+        assert not np.any(stacked[:, 2 << k:])  # T_k maps into the step-(k+1) subspace
 
 
 def s_parts(p, ubar, u, adj, sa, x1):

@@ -9,6 +9,7 @@ from qsoc.adjoint import Linearization, compute_P, hu_field, solve_first_adjoint
 from qsoc.clifford import (
     CliffordElement,
     SuperOperator,
+    _mul_dw,
     conditional_expectation,
     inner,
     make_algebra,
@@ -298,6 +299,25 @@ def test_transposition_check_catches_a_wrong_t_block_noise_half(monkeypatch):
     assert res.status == "fail"
     assert res.metrics["transposition_residual"] > 1e3 * res.metrics["transposition_tol"]
     assert res.metrics["closed_form_error"] == clean.metrics["closed_form_error"]
+
+
+def test_transposition_check_catches_a_wrong_noise_half_in_the_row_stepping(monkeypatch):
+    # the test equations step through t_rows: its noise half (Bt_k v) dW_{k+1}
+    # scaled by 1 + 1e-3 must fail the check, and pass once reverted
+    t_rows = Linearization.t_rows
+
+    def noisy(self, k, V):
+        bt = np.zeros(V.shape, dtype=np.complex128)
+        bt[:, :1 << k] = V[:, :1 << k] @ self.Bt[k].T
+        return t_rows(self, k, V) + 1e-3 * _mul_dw(self.algebra, bt, k + 1, "right")
+
+    cfg = suite_config()
+    monkeypatch.setattr(Linearization, "t_rows", noisy)
+    res = run_suite(cfg, "adjoint")
+    assert res.status == "fail"
+    assert res.metrics["transposition_residual"] > 1e3 * res.metrics["transposition_tol"]
+    monkeypatch.undo()
+    assert run_suite(cfg, "adjoint").passed
 
 
 def test_theorem_zero_direction_serializes_as_positive_zero():

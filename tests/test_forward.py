@@ -11,6 +11,7 @@ from qsoc.forward import (
     solve_second_variation,
     solve_state,
     stacked_costs,
+    stacked_paths,
 )
 from qsoc.problems import ProblemSpec, cost, make_problem
 from reference import control_grid
@@ -75,6 +76,32 @@ def test_non_adapted_callback_detected():
     p = dataclasses.replace(lq_like_custom(alg), D=lambda k, x, u: leaky)
     with pytest.raises(AdaptednessError, match="drift produced a non-adapted element at step 0"):
         solve_state(p, np.zeros((alg.n, 1)))
+
+
+def test_a_zero_leak_passes_whatever_the_row_norm():
+    # row 0 leaks 1e-14, within 1e-12 (1 + |row|); row 1 turns NaN on its
+    # adapted blades with an exactly-zero leak.  Neither is refused, and the
+    # NaN row's cost is NaN; a NaN leak is refused.
+    alg, p = build("lq", n=3)
+    rows = p.coefficient_rows
+
+    def planted(nan_leak):
+        def fn(k, X, U):
+            d, f, g = (v.copy() for v in rows(k, X, U))
+            d[0, -1] += 1e-14
+            d[1, :1 << k] = np.nan
+            if nan_leak:
+                d[2, -1] = np.nan
+            return d, f, g
+        return fn
+
+    p.coefficient_rows = planted(False)
+    with np.errstate(invalid="ignore"):
+        costs = stacked_costs(p, np.zeros((3, alg.n, 1)))
+    assert np.isfinite(costs[[0, 2]]).all() and np.isnan(costs[1])
+    p.coefficient_rows = planted(True)
+    with pytest.raises(AdaptednessError, match="drift produced a non-adapted element at step 0"):
+        stacked_costs(p, np.zeros((3, alg.n, 1)))
 
 
 def test_first_variation_zero_direction():
@@ -201,10 +228,16 @@ def test_order_slopes_validates_sweep():
 # -- row-stacked state solve ---------------------------------------------------
 
 def assert_rows_are_per_path_costs(p, U):
-    want = np.array([cost(p, u, solve_state(p, u)) for u in U])
+    # the states of every row too, bit for bit, and stacked_costs is the cost half
+    paths = [solve_state(p, u) for u in U]
+    want = np.array([cost(p, u, path) for u, path in zip(U, paths)])
     for rows in (1, 7, len(U)):
-        got = np.concatenate([stacked_costs(p, U[i:i + rows]) for i in range(0, len(U), rows)])
-        assert np.array_equal(got, want)
+        for i in range(0, len(U), rows):
+            costs, states = stacked_paths(p, U[i:i + rows])
+            assert np.array_equal(costs, want[i:i + rows])
+            for r, path in enumerate(paths[i:i + rows]):
+                assert np.array_equal([X[r] for X in states], [x.coeffs for x in path.process])
+    assert np.array_equal(stacked_costs(p, U), want)
 
 
 @pytest.mark.parametrize("m", (1, 2))

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qsoc import optimize
-from qsoc.clifford import make_algebra
+from qsoc.adjoint import hu_field, solve_first_adjoint
+from qsoc.clifford import CliffordElement, make_algebra
 from qsoc.config import parse_config
 from qsoc.errors import AdaptednessError, BudgetError, QsocError, StepSizeError
 from qsoc.forward import solve_state, stacked_costs
 from qsoc.optimize import brute_force_search, kkt_point, projected_gradient
 from qsoc.problems import ControlSet, ProblemSpec, cost, make_problem
 from qsoc.suites import run_suite
-from reference import control_grid
+from reference import control_grid, sequential_projected_gradient
 
 
 def build(name, n=3, m=1, **overrides):
@@ -263,6 +264,93 @@ def test_projected_gradient_refuses_a_non_finite_start_or_gradient():
     nan_lu = dataclasses.replace(p, L_u=lambda k, x, u: np.full(1, np.nan))
     with pytest.raises(StepSizeError, match="gradient not finite at iteration 0"):
         projected_gradient(nan_lu, u0)
+
+
+def assert_same_run(p, u0, **kwargs):
+    """projected_gradient and the sequential reference agree bit for bit."""
+    want_u, want = sequential_projected_gradient(p, u0, **kwargs)
+    got_u, got = projected_gradient(p, u0, **kwargs)
+    assert got_u.tobytes() == want_u.tobytes()
+    assert got == want  # costs, gradient norms, halvings and flags
+    return got
+
+
+LINE_SEARCH_CASES = [("lq", 4, 1, {}), ("quadratic_control", 3, 1, {}),
+                     ("quadratic_state", 4, 1, {}), ("quadratic_state", 2, 2, {}),
+                     ("lq", 3, 1, {"eta": ETA, "lower": (-0.5,), "upper": (0.3,)})]
+
+
+@pytest.mark.parametrize("name,n,m,overrides", LINE_SEARCH_CASES)
+@pytest.mark.parametrize("block", (None, 3))
+def test_stacked_line_search_matches_the_sequential_reference(name, n, m, overrides, block,
+                                                              monkeypatch):
+    alg, p = build(name, n=n, m=m, **overrides)
+    if block is not None:  # acceptance moves across blocks of 3 rows
+        monkeypatch.setattr(optimize, "SCREEN_BLOCK_ENTRIES", block * alg.dim)
+    u0 = p.control_set.project(np.random.default_rng(n).uniform(-0.9, 0.9, (alg.n, m)))
+    trace = assert_same_run(p, u0, step=6.0, max_iter=25, grad_tol=1e-12)
+    assert trace.step_halvings >= trace.iterations  # the long steps are refused
+
+
+def blow_up_beyond(p, bound):
+    """p with a drift that turns NaN (on its adapted blades) once |u| > bound."""
+    alg = p.algebra
+
+    def drift(k, x, u):
+        if np.all(np.abs(u) <= bound):
+            return p.D(k, x, u)
+        return CliffordElement(alg, np.where(alg.adapted_mask(k), np.nan, 0.0))
+    return dataclasses.replace(p, D=drift, coefficient_rows=None)
+
+
+@pytest.mark.parametrize("block", (None, 3))
+def test_line_search_takes_a_finite_step_below_non_finite_ones(block, monkeypatch):
+    # on an open box the long steps reach |u| > 1.5, where the state turns
+    # NaN; those rows are costed as non-finite, not refused, and a shorter
+    # step is taken
+    alg, p = build("lq", n=4, lower=(-np.inf,), upper=(np.inf,))
+    p = blow_up_beyond(p, 1.5)
+    if block is not None:
+        monkeypatch.setattr(optimize, "SCREEN_BLOCK_ENTRIES", block * alg.dim)
+    u0 = np.full((alg.n, 1), 0.4)
+    grad = hu_field(p, solve_first_adjoint(p, solve_state(p, u0), u0))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(stacked_costs(p, (u0 + 64.0 * grad)[None]))[0]
+        trace = assert_same_run(p, u0, step=64.0, max_iter=6, grad_tol=1e-12)
+    assert trace.iterations == 6 and trace.step_halvings >= 6
+
+
+def test_line_search_that_stays_non_finite_raises(monkeypatch):
+    alg, p = build("lq", n=4, lower=(-np.inf,), upper=(np.inf,))
+    p = blow_up_beyond(p, 0.0)  # every step away from u = 0 blows up
+    u0 = np.zeros((alg.n, 1))
+    for block in (None, 3):
+        if block is not None:
+            monkeypatch.setattr(optimize, "SCREEN_BLOCK_ENTRIES", block * alg.dim)
+        for run in (sequential_projected_gradient, projected_gradient):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(StepSizeError, match="non-finite after 20 halvings"):
+                run(p, u0, step=0.5, max_iter=5)
+
+
+def test_line_search_carries_the_accepted_trajectory(monkeypatch):
+    # candidates go through stacked_paths, and the accepted control's
+    # trajectory comes from its block: only the start is solved on its own
+    alg, p = build("lq", n=4)
+    calls = count_solves(monkeypatch)
+    _, trace = projected_gradient(p, np.full((alg.n, 1), 0.8), step=4.0, max_iter=20,
+                                  grad_tol=1e-12)
+    assert trace.step_halvings > 0 and trace.iterations > 1
+    assert len(calls) == 1
+
+
+def test_overflowed_state_is_refused_as_non_finite_not_as_non_adapted():
+    # with rates of 1e308 the adapted state overflows by step 2, while every
+    # coefficient row stays exactly zero off its adapted blades
+    alg, p = build("lq", n=4, a=1e308, f0=1e308, g0=1e308)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(StepSizeError, match="initial control"):
+        projected_gradient(p, np.zeros((alg.n, 1)))
 
 
 # -- Newton polish -------------------------------------------------------------
