@@ -310,10 +310,10 @@ def _table_product(alg: CliffordAlgebra, A: np.ndarray, B: np.ndarray,
     """Row-wise product by the sign table: the reference implementation.
 
     Iterates over the live blade columns of the sparser factor (computed
-    when not given); blade S of ``A`` contributes ``A_S * sign(S, .) * B``
-    scattered to masks ``S ^ .``, and the scatter targets are distinct for
-    fixed S, so no accumulation conflicts arise.  Rows may hold any prefix
-    of 2^k blades: the prefix is closed under xor.
+    when not given); blade S of ``A`` adds ``A_S * sign(S, S ^ u) * B_{S ^ u}``
+    to every mask u, an in-place add of gathered columns (xor with S is a
+    permutation, so each target receives one term per S).  Rows may hold
+    any prefix of 2^k blades: the prefix is closed under xor.
     """
     width = A.shape[1]
     masks, table = alg._masks[:width], alg.sign_table[:width, :width]
@@ -325,10 +325,12 @@ def _table_product(alg: CliffordAlgebra, A: np.ndarray, B: np.ndarray,
     if live_b.size < live_a.size:
         # e_S e_T = sign(S,T) e_{S^T}; fold over T instead when B is sparser.
         for t in live_b:
-            out[:, masks ^ t] += (A * table[:, t]) * B[:, t][:, None]
+            src = masks ^ t
+            out += (A[:, src] * table[src, t]) * B[:, t, None]
         return out
     for s in live_a:
-        out[:, s ^ masks] += A[:, s][:, None] * (table[s] * B)
+        src = s ^ masks
+        out += A[:, s, None] * (table[s, src] * B[:, src])
     return out
 
 

@@ -32,8 +32,8 @@ __all__ = ["projected_gradient", "kkt_point", "brute_force_search", "GradientTra
 BRUTE_FORCE_BUDGET = 10 ** 6
 GRID_POINTS = 5  # per control dimension, on the grid of the optimize suite
 COST_SLACK = 1e-14  # a step may raise the cost by this much (rounding) and still count
-# State entries (rows x dim) per block of the brute force and of the line search:
-# bounds the block's memory.
+# State entries (rows x dim) per block of the brute force, of the line search and
+# of the algebra suite's products: bounds the block's memory.
 SCREEN_BLOCK_ENTRIES = 1 << 12
 
 

@@ -46,7 +46,13 @@ from .config import SUITE_ORDER, RunConfig
 from .errors import QsocError
 from .forward import order_estimate_slopes, solve_first_variation, solve_state
 from .matrices import realization_for
-from .optimize import GRID_POINTS, brute_force_search, kkt_point, projected_gradient
+from .optimize import (
+    GRID_POINTS,
+    SCREEN_BLOCK_ENTRIES,
+    brute_force_search,
+    kkt_point,
+    projected_gradient,
+)
 from .problems import ProblemSpec, cost, make_problem
 
 __all__ = ["SuiteResult", "run_suite", "run_all", "suite_rng"]
@@ -97,6 +103,24 @@ def _unit_rows_on_support(rng, count, dim, support):
 
 # -- algebra -----------------------------------------------------------------
 
+def _law_residuals(alg, A: np.ndarray, B: np.ndarray, C: np.ndarray) -> dict:
+    """Largest residual of each product law on one block of probe rows."""
+    ab = multiply_batch(alg, A, B)
+    out = {}
+    res = multiply_batch(alg, ab, C) - multiply_batch(alg, A, multiply_batch(alg, B, C))
+    out["assoc"] = float(np.abs(res).max())
+    res = np.conj(ab) * alg.reversal_signs \
+        - multiply_batch(alg, np.conj(B) * alg.reversal_signs,
+                         np.conj(A) * alg.reversal_signs)
+    out["star"] = float(np.abs(res).max())
+    res = ab * alg.parity_signs \
+        - multiply_batch(alg, A * alg.parity_signs, B * alg.parity_signs)
+    out["parity"] = float(np.abs(res).max())
+    ba = multiply_batch(alg, B, A)
+    out["trace"] = float(np.abs(ab[:, 0] - ba[:, 0]).max())
+    return out
+
+
 def run_algebra(cfg: RunConfig) -> SuiteResult:
     rng = suite_rng(cfg.seed, "algebra")
     alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
@@ -113,6 +137,7 @@ def run_algebra(cfg: RunConfig) -> SuiteResult:
     dense_tail = min(probes, max(50, probes // 100))
     sparse_end = probes - dense_tail
     support_width = min(alg.dim, 16)
+    rows = max(1, SCREEN_BLOCK_ENTRIES // alg.dim)
     done = 0
     while done < probes:
         if done < sparse_end:
@@ -125,26 +150,6 @@ def run_algebra(cfg: RunConfig) -> SuiteResult:
         else:
             b = min(chunk, probes - done)
             A, B, C = (_unit_rows(rng, b, alg.dim) for _ in range(3))
-        if done in (0, sparse_end):
-            # The laws also hold for a product carried through any invertible
-            # map (a wrong blade phase in the matrix form, say); only the
-            # sign table can tell the two apart.
-            kernel_err = max(kernel_err, float(np.abs(
-                _matrix_product(alg, A, B) - _table_product(alg, A, B)).max()))
-        ab = multiply_batch(alg, A, B)
-        res = multiply_batch(alg, ab, C) - multiply_batch(alg, A, multiply_batch(alg, B, C))
-        worst["assoc"] = max(worst["assoc"], float(np.abs(res).max()))
-        res = np.conj(ab) * alg.reversal_signs \
-            - multiply_batch(alg, np.conj(B) * alg.reversal_signs,
-                             np.conj(A) * alg.reversal_signs)
-        worst["star"] = max(worst["star"], float(np.abs(res).max()))
-        res = ab * alg.parity_signs \
-            - multiply_batch(alg, A * alg.parity_signs, B * alg.parity_signs)
-        worst["parity"] = max(worst["parity"], float(np.abs(res).max()))
-        ba = multiply_batch(alg, B, A)
-        res = np.abs(ab[:, 0] - ba[:, 0])
-        worst["trace"] = max(worst["trace"], float(res.max()))
-
         # generator relations by index arithmetic, blade orthonormality
         # m(star(e_s) e_t) = [s == t] through the product
         table = alg.sign_table
@@ -159,13 +164,29 @@ def run_algebra(cfg: RunConfig) -> SuiteResult:
             initial=0.0)))
         ss = rng.integers(0, alg.dim, size=b)
         tt = rng.integers(0, alg.dim, size=b)
-        es, et = np.zeros((2, b, alg.dim), dtype=np.complex128)
-        es[np.arange(b), ss] = 1.0
-        et[np.arange(b), tt] = 1.0
-        val = multiply_batch(alg, np.conj(es) * alg.reversal_signs, et)[:, 0]
-        worst["orthonormal"] = max(worst["orthonormal"],
-                                   float(np.abs(val - (ss == tt)).max()))
+
+        # The products run on row blocks; a product never mixes rows, so a
+        # block changes no bit of any residual, only what is held at once.
+        for r in range(0, b, rows):
+            blk = slice(r, r + rows)
+            if done in (0, sparse_end):
+                # The laws also hold for a product carried through any
+                # invertible map (a wrong blade phase in the matrix form,
+                # say); only the sign table can tell the two apart.
+                kernel_err = max(kernel_err, float(np.abs(
+                    _matrix_product(alg, A[blk], B[blk])
+                    - _table_product(alg, A[blk], B[blk])).max()))
+            for law, res in _law_residuals(alg, A[blk], B[blk], C[blk]).items():
+                worst[law] = max(worst[law], res)
+            s_blk, t_blk = ss[blk], tt[blk]
+            es, et = np.zeros((2, len(s_blk), alg.dim), dtype=np.complex128)
+            es[np.arange(len(s_blk)), s_blk] = 1.0
+            et[np.arange(len(t_blk)), t_blk] = 1.0
+            val = multiply_batch(alg, np.conj(es) * alg.reversal_signs, et)[:, 0]
+            worst["orthonormal"] = max(worst["orthonormal"],
+                                       float(np.abs(val - (s_blk == t_blk)).max()))
         done += b
+        del A, B, C  # before the next chunk is drawn
 
     # explicit matrix realization as an independent oracle
     n_or = min(alg.n, 6)
@@ -294,6 +315,43 @@ def run_gradient(cfg: RunConfig) -> SuiteResult:
 
 # -- adjoint (transposition) ---------------------------------------------------
 
+def _test_tuple_draws(rng, alg, pairs_n: int) -> list:
+    """The adjoint suite's test-tuple pairs, each element at its adapted width.
+
+    Each pair draws its (tuple, zeta/mu_k../nu_k.., re/im, blade) normals in
+    one call, the order in which one dense element at a time would draw
+    them, and keeps of an element issued at step j only its first 2^j
+    blades; the rest are zero.  Returns (k, rows) per pair, rows[t] the
+    1 + 2(N - k) compact rows of tuple t (t1, then t2): about 2^(N+2)
+    coefficients a pair instead of 2(1 + 2(N - k)) 2^N dense ones.
+    """
+    draws = []
+    for _ in range(pairs_n):
+        k = int(rng.integers(0, alg.n))
+        span = alg.n - k
+        z = rng.standard_normal((2, 1 + 2 * span, 2, alg.dim))
+        steps = [k, *range(k, alg.n), *range(k, alg.n)]
+        draws.append((k, [[z[t, r, 0, :1 << j] + 1j * z[t, r, 1, :1 << j]
+                           for r, j in enumerate(steps)] for t in range(2)]))
+    return draws
+
+
+def _test_pairs(alg, draws: list, k: int) -> list:
+    """Dense ``TestTuple`` pairs of the draws that start at step k, in draw order."""
+    span = alg.n - k
+
+    def element(c):
+        v = np.zeros(alg.dim, dtype=np.complex128)
+        v[:c.size] = c
+        return CliffordElement(alg, v)
+
+    def test_tuple(rows):
+        els = [element(c) for c in rows]
+        return TestTuple(k=k, zeta=els[0], mu=els[1:1 + span], nu=els[1 + span:])
+
+    return [(test_tuple(t1), test_tuple(t2)) for start, (t1, t2) in draws if start == k]
+
+
 def run_adjoint(cfg: RunConfig) -> SuiteResult:
     rng = suite_rng(cfg.seed, "adjoint")
     alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
@@ -321,22 +379,19 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
         c = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
         return CliffordElement(alg, np.where(keep, c, 0))
 
-    # Each pair draws its (tuple, zeta/mu_k../nu_k.., re/im, blade) normals in
-    # one call, the order in which one element at a time would draw them.
-    tuples = []
-    for _ in range(pairs_n):
-        k = int(rng.integers(0, alg.n))
-        span = alg.n - k
-        z = rng.standard_normal((2, 1 + 2 * span, 2, alg.dim))
-        steps = [k, *range(k, alg.n), *range(k, alg.n)]
-        keep = np.array([alg.adapted_mask(j) for j in steps])
-        rows = np.where(keep, z[:, :, 0] + 1j * z[:, :, 1], 0)
-        t1, t2 = (TestTuple(k=k, zeta=CliffordElement(alg, c[0]),
-                            mu=[CliffordElement(alg, v) for v in c[1:1 + span]],
-                            nu=[CliffordElement(alg, v) for v in c[1 + span:]])
-                  for c in rows)
-        tuples.append((t1, t2))
-    trans_res = transposition_residual(p, sa, tuples)
+    # One check per start index, its dense tuples built just before it: the
+    # check groups its pairs by k, so the max over the calls is its result.
+    draws = _test_tuple_draws(rng, alg, pairs_n)
+    trans_res = float(np.max([transposition_residual(p, sa, _test_pairs(alg, draws, k))
+                              for k in dict.fromkeys(k for k, _ in draws)], initial=0.0))
+    del draws
+
+    sym_err = 0.0
+    for k in range(alg.n + 1):
+        z1, z2 = rand_adapted(k), rand_adapted(k)
+        a, b = sa.P[k].pair(z2, z1), sa.P[k].pair(z1, z2)
+        sym_err = max(sym_err, abs(a.real - b.real) / (1 + abs(a)))
+    del sa, adj  # the auxiliary problem below draws nothing
 
     # closed form on an auxiliary zero-dynamics running-cost instance
     q_rate = 0.7
@@ -350,12 +405,6 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
     for k in range(alg.n + 1):
         want = -2.0 * q_rate * (alg.T - alg.time(k)) * np.eye(1 << k)
         closed_err = max(closed_err, float(np.max(np.abs(sa0.P[k].lin - want))))
-
-    sym_err = 0.0
-    for k in range(alg.n + 1):
-        z1, z2 = rand_adapted(k), rand_adapted(k)
-        a, b = sa.P[k].pair(z2, z1), sa.P[k].pair(z1, z2)
-        sym_err = max(sym_err, abs(a.real - b.real) / (1 + abs(a)))
 
     ok = (trans_res <= trans_tol and closed_err <= closed_tol
           and term_y <= 1e-14 and term_p <= 1e-12 and sym_err <= 1e-9)

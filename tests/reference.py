@@ -6,9 +6,9 @@ the problem's raw callbacks, for a quantity the library computes another way.
 
 import numpy as np
 
-from qsoc.adjoint import _step_pairings, hu_field, solve_first_adjoint
+from qsoc.adjoint import TestTuple, _step_pairings, hu_field, solve_first_adjoint
 from qsoc.clifford import CliffordElement, inner, mul_dw_right, parity
-from qsoc.errors import StepSizeError
+from qsoc.errors import StepSizeError, SupportError
 from qsoc.forward import quadratic_drivers, solve_state
 from qsoc.optimize import GradientTrace, _grid_blocks
 from qsoc.problems import cost, hxx_pairing
@@ -119,6 +119,70 @@ def derivative_errors(p, trials: int, seed: int) -> dict:
         record("g_xx", abs(diff(lambda y: inner(p.g_x(y), h1).real,
                                 xN + STEP * h2, xN - STEP * h2) - want) / scale)
     return errors
+
+
+def scatter_table_product(alg, A, B):
+    """Row-wise sign-table product with a fancy-index scatter per live blade.
+
+    Blade S of the sparser factor adds ``A_S * sign(S, .) * B`` at masks
+    ``S ^ .`` through ``out[:, S ^ masks] += ...`` (over T instead when B
+    is the sparser factor).
+    """
+    width = A.shape[1]
+    masks, table = alg._masks[:width], alg.sign_table[:width, :width]
+    out = np.zeros(A.shape, dtype=np.complex128)
+    live_a = np.nonzero(np.any(A, axis=0))[0]
+    live_b = np.nonzero(np.any(B, axis=0))[0]
+    if live_b.size < live_a.size:
+        for t in live_b:
+            out[:, masks ^ t] += (A * table[:, t]) * B[:, t][:, None]
+        return out
+    for s in live_a:
+        out[:, s ^ masks] += A[:, s][:, None] * (table[s] * B)
+    return out
+
+
+def dense_test_pairs(rng, alg, pairs_n):
+    """The adjoint suite's test-tuple pairs built dense, one pair at a time.
+
+    Each pair draws its (tuple, zeta/mu_k../nu_k.., re/im, blade) normals in
+    one call and zeroes the blades an element issued at step j may not hold.
+    """
+    pairs = []
+    for _ in range(pairs_n):
+        k = int(rng.integers(0, alg.n))
+        span = alg.n - k
+        z = rng.standard_normal((2, 1 + 2 * span, 2, alg.dim))
+        steps = [k, *range(k, alg.n), *range(k, alg.n)]
+        keep = np.array([alg.adapted_mask(j) for j in steps])
+        rows = np.where(keep, z[:, :, 0] + 1j * z[:, :, 1], 0)
+        pairs.append(tuple(TestTuple(k=k, zeta=CliffordElement(alg, c[0]),
+                                     mu=[CliffordElement(alg, v) for v in c[1:1 + span]],
+                                     nu=[CliffordElement(alg, v) for v in c[1 + span:]])
+                           for c in rows))
+    return pairs
+
+
+def check_tuple_pairs(pairs, n):
+    """Refuse the first bad test-tuple pair, one element at a time.
+
+    Pairs in order: a start-index mismatch, then t1 and t2, each as zeta,
+    driver count, then mu_j and nu_j step by step.
+    """
+    for t1, t2 in pairs:
+        if t1.k != t2.k:
+            raise ValueError("tuple pairs must share their start index")
+        for t in (t1, t2):
+            if not t.zeta.is_adapted(t.k):
+                raise SupportError("test tuple initial condition not adapted at its start index")
+            span = n - t.k
+            if len(t.mu) != span or (t.nu is not None and len(t.nu) != span):
+                raise ValueError("test tuple drivers must cover start index .. N-1")
+            for j in range(t.k, n):
+                if not t.mu[j - t.k].is_adapted(j):
+                    raise SupportError(f"mu driver not adapted at step {j}")
+                if t.nu is not None and not t.nu[j - t.k].is_adapted(j):
+                    raise SupportError(f"nu driver not adapted at step {j}")
 
 
 def tuple_path(lin, t):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qsoc.conditions import _forms_along, _routes_agree
 from qsoc.errors import CapacityError, ContractError, SupportError
 from qsoc.forward import solve_first_variation, solve_second_variation, solve_state
 from qsoc.problems import ProblemSpec, hxx_pairing, make_problem
-from reference import second_duality_residual, transposition_defects
+from reference import check_tuple_pairs, second_duality_residual, transposition_defects
 
 GALLERY = ("free", "lq", "quadratic_control", "quadratic_state")
 
@@ -460,6 +461,69 @@ def test_transposition_check_refuses_bad_tuples_before_any_compute(monkeypatch):
         for pair in ((bad, partner), (partner, bad)):
             with pytest.raises(error, match=match):
                 transposition_residual(p, sa, good + [pair])
+
+
+def test_stacked_tuple_check_raises_the_first_failure_of_the_per_element_check():
+    alg, p = build("quadratic_state", n=5)
+    rng = np.random.default_rng(15)
+    _, _, sa = solve_stack(p, np.zeros((alg.n, 1)))
+    late = CliffordElement.generator(alg, alg.n)  # adapted at step N only
+
+    def plant(t, kind, j):
+        if kind in ("mu", "nu"):
+            drivers = list(getattr(t, kind))
+            drivers[j] = late
+            return dataclasses.replace(t, **{kind: drivers})
+        return {"zeta": lambda: dataclasses.replace(t, zeta=late),
+                "short": lambda: dataclasses.replace(t, mu=t.mu[:-1]),
+                "range": lambda: dataclasses.replace(t, k=alg.n + 1)}[kind]()
+
+    raised = set()
+    for _ in range(60):
+        pairs = [[rand_tuple(alg, rng, 1), rand_tuple(alg, rng, 1)] for _ in range(4)]
+        for _ in range(int(rng.integers(1, 5))):
+            pair = pairs[rng.integers(len(pairs))]
+            side = int(rng.integers(2))
+            kind = ("zeta", "mu", "nu", "short", "range")[rng.integers(5)]
+            pair[side] = plant(pair[side], kind, int(rng.integers(alg.n - 1)))
+            if kind == "range" and rng.random() < 0.5:
+                pair[1 - side] = plant(pair[1 - side], kind, 0)
+        pairs = [tuple(pair) for pair in pairs]
+        with pytest.raises((ValueError, SupportError)) as want:
+            check_tuple_pairs(pairs, alg.n)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            transposition_residual(p, sa, pairs)
+        raised.add(str(want.value))
+    assert len(raised) >= 8  # every kind of refusal, at several steps
+
+
+def test_one_check_over_all_pairs_is_the_max_over_start_indices():
+    alg, p = build("quadratic_state", n=5)
+    rng = np.random.default_rng(16)
+    _, _, sa = solve_stack(p, rng.uniform(-0.5, 0.5, size=(alg.n, 1)))
+    pairs = [(rand_tuple(alg, rng, k), rand_tuple(alg, rng, k))
+             for k in map(int, rng.integers(0, alg.n, size=16))]
+
+    def per_start():
+        starts = dict.fromkeys(t1.k for t1, _ in pairs)
+        return max(transposition_residual(p, sa, [q for q in pairs if q[0].k == k])
+                   for k in starts)
+
+    clean = transposition_residual(p, sa, pairs)
+    assert clean == per_start() and clean <= 1e-9
+    corrupt_p(sa, 2)
+    corrupted = transposition_residual(p, sa, pairs)
+    assert corrupted == per_start() and corrupted > 1e-3
+
+
+def test_a_nan_defect_at_one_start_index_is_not_dropped():
+    alg, p = build("quadratic_state", n=5)
+    rng = np.random.default_rng(17)
+    _, _, sa = solve_stack(p, rng.uniform(-0.5, 0.5, size=(alg.n, 1)))
+    pairs = [(rand_tuple(alg, rng, k), rand_tuple(alg, rng, k)) for k in range(alg.n)]
+    sa.P[3] = SuperOperator(alg, np.full((8, 8), np.nan))  # reaches start indices 0..3 only
+    assert np.isfinite(transposition_residual(p, sa, pairs[4:]))
+    assert np.isnan(transposition_residual(p, sa, pairs))
 
 
 def test_t_apply_is_the_one_row_view_of_t_rows():

@@ -28,6 +28,7 @@ from qsoc.clifford import (
 )
 from qsoc.errors import AlgebraMismatchError, CapacityError, SupportError
 from qsoc.matrices import realization_for
+from reference import scatter_table_product
 
 
 def rand_element(alg, rng, adapted_at=None):
@@ -357,6 +358,18 @@ def test_matrix_form_matches_sign_table(n):
         assert np.abs(multiply_batch(alg, A, B) - want).max() <= tol, kind
         single = multiply(CliffordElement(alg, A[0]), CliffordElement(alg, B[0]))
         assert np.abs(single.coeffs - want[0]).max() <= tol, kind
+
+
+@pytest.mark.parametrize("n", (1, 3, 4, 8))
+def test_gathered_table_product_is_the_scatter_form_bit_for_bit(n):
+    # both branches (fold over A's blades, fold over B's) and a 2^k prefix
+    alg = make_algebra(n, 0.0, 1.0)
+    rng = np.random.default_rng(300 + n)
+    for kind, (A, B) in _kernel_pairs(alg, rng, rows=5).items():
+        for width in {alg.dim, max(1, alg.dim // 2)}:
+            X, Y = A[:, :width], B[:, :width]
+            assert np.array_equal(_table_product(alg, X, Y),
+                                  scatter_table_product(alg, X, Y)), (kind, width)
 
 
 def test_adapted_products_stay_exactly_adapted():
