@@ -4,7 +4,7 @@ Schema (all keys except ``problem`` and ``grid`` optional)::
 
     {
       "problem": {
-        "name": "lq",                  # free | lq | quadratic_control | quadratic_state
+        "name": "lq",                  # lq | quadratic_control | quadratic_state
         "m": 1,
         "lower": [-1.0], "upper": [1.0],
         "rates": {"a":0.5,"f0":0.3,"g0":0.25,"q":0.4,"r":0.3,"s":0.5},
@@ -25,8 +25,9 @@ Schema (all keys except ``problem`` and ``grid`` optional)::
 
 Omitted gallery fields fall back to the canonical instance for the problem
 name; a default control blade beyond the grid's algebra (blade 2 at N = 1)
-is dropped.  Unknown keys anywhere are rejected so typos cannot silently
-change a run.  Numbers must be finite, except that a box bound may be +-inf
+is dropped.  An ``lq`` with rates a = f0 = g0 = 0 and elements
+``"b": [[]], "f": [[]], "g": [[]]`` has no dynamics: its state stays at x0.
+Unknown keys anywhere are rejected so typos cannot silently change a run.  Numbers must be finite, except that a box bound may be +-inf
 (JSON ``1e400``) to leave that side open; NaN is refused everywhere.  Blade
 masks set in the config lie in 0..2^N-1, and ``x0`` takes mask 0 only.  Suite bounds are fixed in
 :mod:`qsoc.suites` and reported per suite; ``tolerances`` sets only the probe
@@ -52,7 +53,7 @@ SUITE_ORDER = ("algebra", "isometry", "orders", "gradient", "adjoint",
                "second_order", "theorem", "optimize")
 EMIT_FORMATS = ("json", "csv", "plotdata")
 
-_P_SUITES = ("adjoint", "second_order", "theorem")  # suites that materialize P
+_P_SUITES = ("adjoint", "second_order", "theorem", "optimize")  # suites that materialize P
 _RATE_KEYS = ("a", "f0", "g0", "q", "r", "s")
 _PER_DIM_ELEMENT_KEYS = ("b", "f", "g", "cd", "cf", "cg")
 _SINGLE_ELEMENT_KEYS = ("qd", "qf", "qg", "x_tgt", "eta", "x0")
@@ -238,17 +239,6 @@ def _parse_problem(raw: dict, check: _Checker, dim: int | None) -> ProblemSpec |
                 t = check.terms(elements[key], f"problem.elements.{key}")
                 if t is not None:
                     overrides[key] = t
-
-    if name == "free":
-        # the free instance carries no dynamics at all; reject rather than drop
-        for key in ("a", "f0", "g0"):
-            if overrides.get(key):
-                check.fail(f"problem.rates.{key}", "free problems have no dynamics")
-            overrides.pop(key, None)
-        for key in _PER_DIM_ELEMENT_KEYS + ("qd", "qf", "qg"):
-            if overrides.get(key):
-                check.fail(f"problem.elements.{key}", "free problems have no dynamics")
-            overrides.pop(key, None)
 
     if check.errors:
         return None

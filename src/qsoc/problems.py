@@ -95,7 +95,7 @@ __all__ = [
     "huu_matrix",
 ]
 
-GALLERY_NAMES = ("free", "lq", "quadratic_control", "quadratic_state")
+GALLERY_NAMES = ("lq", "quadratic_control", "quadratic_state")
 
 Terms = Sequence[Sequence[float]]  # [[mask, re, im], ...]
 
@@ -181,20 +181,16 @@ class ProblemSpec:
         """
         if name not in GALLERY_NAMES:
             raise ValueError(f"unknown gallery problem {name!r}")
-        base = dict(m=m, lower=tuple([-1.0] * m), upper=tuple([1.0] * m),
-                    q=0.4, r=0.3, s=0.5,
-                    x_tgt=((0, 0.5, 0.0), (1, 0.25, 0.0)))
-        if name != "free":
-            def live(*terms):
-                return tuple(t for t in terms if dim is None or t[0] < dim)
 
-            ctrl_b, ctrl_f, ctrl_g = [], [], []
-            for i in range(m):
-                ctrl_b.append(live((0, 1.0, 0.0), (1 << (i % 2), 0.5, 0.0)))
-                ctrl_f.append(live((0, 0.8, 0.0), (1, 0.3, 0.0)))
-                ctrl_g.append(live((0, 0.6, 0.0), (2, 0.4, 0.0)))
-            base.update(a=0.5, f0=0.3, g0=0.25,
-                        b=tuple(ctrl_b), f=tuple(ctrl_f), g=tuple(ctrl_g))
+        def live(*terms):
+            return tuple(t for t in terms if dim is None or t[0] < dim)
+
+        base = dict(m=m, lower=tuple([-1.0] * m), upper=tuple([1.0] * m),
+                    a=0.5, f0=0.3, g0=0.25, q=0.4, r=0.3, s=0.5,
+                    b=tuple(live((0, 1.0, 0.0), (1 << (i % 2), 0.5, 0.0)) for i in range(m)),
+                    f=tuple(live((0, 0.8, 0.0), (1, 0.3, 0.0)) for _ in range(m)),
+                    g=tuple(live((0, 0.6, 0.0), (2, 0.4, 0.0)) for _ in range(m)),
+                    x_tgt=((0, 0.5, 0.0), (1, 0.25, 0.0)))
         if name == "quadratic_control":
             base.update(cd=tuple(((0, 0.4, 0.0),) for _ in range(m)),
                         cf=tuple(((0, 0.3, 0.0),) for _ in range(m)),
@@ -234,11 +230,6 @@ class _Channel:
         self.sq = [[conditional_expectation(e, k) for e in self.sq_u] for k in steps]
         self.quad = None if quad_x is None else \
             [conditional_expectation(quad_x, k) for k in steps]
-
-    @property
-    def is_zero(self) -> bool:
-        return (self.rate == 0.0 and not self.lin_u and not self.sq_u
-                and self.quad_x is None)
 
     def value_rows(self, k: int, X: np.ndarray, U: np.ndarray,
                    xx: np.ndarray | None = None) -> np.ndarray:
@@ -451,8 +442,6 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
                    _terms_to_element(algebra, spec.qf))
     chG = _Channel(algebra, spec.g0, elems(spec.g), elems(spec.cg),
                    _terms_to_element(algebra, spec.qg))
-    if spec.name == "free" and not (chD.is_zero and chF.is_zero and chG.is_zero):
-        raise ValueError("'free' problems cannot carry dynamics coefficients")
 
     q, r, s = float(spec.q), float(spec.r), float(spec.s)
     x_tgt = _terms_to_element(algebra, spec.x_tgt) or CliffordElement.zero(algebra)

@@ -79,6 +79,11 @@ def suite_rng(seed: int, suite: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
 
 
+def _worst(*values) -> float:
+    """The largest value, NaN if any is NaN (Python ``max`` can drop a NaN)."""
+    return float(np.max(values))
+
+
 def _interior_control(p, rng, shape, span=0.6):
     lower, upper = p.control_set.lower, p.control_set.upper
     lo = np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper - 2.0, -1.0))
@@ -157,11 +162,11 @@ def run_algebra(cfg: RunConfig) -> SuiteResult:
         gj = rng.integers(1, alg.n + 1, size=b)
         si, sj = 1 << (gi - 1), 1 << (gj - 1)
         same = gi == gj
-        worst["square"] = max(worst["square"], float(np.max(
-            np.abs(table[si[same], si[same]] - 1.0), initial=0.0)))
-        worst["anticommute"] = max(worst["anticommute"], float(np.max(
+        worst["square"] = _worst(worst["square"], np.max(
+            np.abs(table[si[same], si[same]] - 1.0), initial=0.0))
+        worst["anticommute"] = _worst(worst["anticommute"], np.max(
             np.abs(table[si[~same], sj[~same]] + table[sj[~same], si[~same]]),
-            initial=0.0)))
+            initial=0.0))
         ss = rng.integers(0, alg.dim, size=b)
         tt = rng.integers(0, alg.dim, size=b)
 
@@ -173,18 +178,18 @@ def run_algebra(cfg: RunConfig) -> SuiteResult:
                 # The laws also hold for a product carried through any
                 # invertible map (a wrong blade phase in the matrix form,
                 # say); only the sign table can tell the two apart.
-                kernel_err = max(kernel_err, float(np.abs(
+                kernel_err = _worst(kernel_err, np.abs(
                     _matrix_product(alg, A[blk], B[blk])
-                    - _table_product(alg, A[blk], B[blk])).max()))
+                    - _table_product(alg, A[blk], B[blk])).max())
             for law, res in _law_residuals(alg, A[blk], B[blk], C[blk]).items():
-                worst[law] = max(worst[law], res)
+                worst[law] = _worst(worst[law], res)
             s_blk, t_blk = ss[blk], tt[blk]
             es, et = np.zeros((2, len(s_blk), alg.dim), dtype=np.complex128)
             es[np.arange(len(s_blk)), s_blk] = 1.0
             et[np.arange(len(t_blk)), t_blk] = 1.0
             val = multiply_batch(alg, np.conj(es) * alg.reversal_signs, et)[:, 0]
-            worst["orthonormal"] = max(worst["orthonormal"],
-                                       float(np.abs(val - (s_blk == t_blk)).max()))
+            worst["orthonormal"] = _worst(worst["orthonormal"],
+                                          np.abs(val - (s_blk == t_blk)).max())
         done += b
         del A, B, C  # before the next chunk is drawn
 
@@ -197,16 +202,16 @@ def run_algebra(cfg: RunConfig) -> SuiteResult:
         a = CliffordElement(alg_or, _unit_rows(rng, 1, alg_or.dim)[0])
         b = CliffordElement(alg_or, _unit_rows(rng, 1, alg_or.dim)[0])
         am, bm = mr.to_matrix(a), mr.to_matrix(b)
-        oracle_err = max(oracle_err, float(np.max(np.abs(
-            (a * b).coeffs - mr.from_matrix(alg_or, am @ bm).coeffs))))
-        oracle_err = max(oracle_err, float(np.max(np.abs(
-            star(a).coeffs - mr.from_matrix(alg_or, am.conj().T).coeffs))))
-        oracle_err = max(oracle_err, abs(state_m(a) - mr.state(am)))
-        oracle_err = max(oracle_err, abs(inner(a, b) - mr.inner(am, bm)))
+        oracle_err = _worst(
+            oracle_err,
+            np.max(np.abs((a * b).coeffs - mr.from_matrix(alg_or, am @ bm).coeffs)),
+            np.max(np.abs(star(a).coeffs - mr.from_matrix(alg_or, am.conj().T).coeffs)),
+            abs(state_m(a) - mr.state(am)), abs(inner(a, b) - mr.inner(am, bm)))
 
-    ok = max(worst.values()) <= law_tol and max(oracle_err, kernel_err) <= oracle_tol
+    max_law = _worst(*worst.values())
+    ok = max_law <= law_tol and _worst(oracle_err, kernel_err) <= oracle_tol
     metrics = {"probes": probes, "law_tol": law_tol,
-               "max_law_residual": max(worst.values()), **worst,
+               "max_law_residual": max_law, **worst,
                "oracle_n": n_or, "oracle_tol": oracle_tol, "oracle_residual": oracle_err,
                "kernel_residual": kernel_err}
     return SuiteResult("algebra", "pass" if ok else "fail", metrics)
@@ -240,13 +245,13 @@ def run_isometry(cfg: RunConfig) -> SuiteResult:
             reduced = f + g * alg.parity_signs
             red = _mul_dw(alg, reduced, k + 1, "right")
             scale = np.maximum(_row_norms(lhs), 1.0)
-            worst_parity = max(worst_parity, float(np.max(
-                np.max(np.abs(lhs - red), axis=1) / scale)))
+            worst_parity = _worst(worst_parity,
+                                  np.max(np.max(np.abs(lhs - red), axis=1) / scale))
             total += lhs
             acc += alg.dt * _row_norms(reduced) ** 2
         nrm = _row_norms(total) ** 2
-        worst_iso = max(worst_iso, float(np.max(
-            np.abs(nrm - acc) / np.maximum(np.maximum(nrm, acc), 1.0))))
+        worst_iso = _worst(worst_iso, np.max(
+            np.abs(nrm - acc) / np.maximum(np.maximum(nrm, acc), 1.0)))
         done += b
 
     ok = worst_iso <= tol and worst_parity <= tol
@@ -299,12 +304,12 @@ def run_gradient(cfg: RunConfig) -> SuiteResult:
     for _ in range(trials):
         du = rng.uniform(-0.3, 0.3, size=(alg.n, p.m))
         x1 = solve_first_variation(p, xbar, du)
-        worst_dual = max(worst_dual, first_duality_residual(p, adj, x1, du))
+        worst_dual = _worst(worst_dual, first_duality_residual(p, adj, x1, du))
         fo = first_order_integral(p, ubar, ubar + du, adj)
         jp = cost(p, ubar + h * du, solve_state(p, ubar + h * du))
         jm = cost(p, ubar - h * du, solve_state(p, ubar - h * du))
         dj = (jp - jm) / (2 * h)
-        worst_fd = max(worst_fd, abs(dj + fo) / max(abs(fo), abs(dj), 1e-8))
+        worst_fd = _worst(worst_fd, abs(dj + fo) / max(abs(fo), abs(dj), 1e-8))
 
     ok = worst_dual <= dual_tol and worst_fd <= fd_tol
     return SuiteResult("gradient", "pass" if ok else "fail",
@@ -370,7 +375,7 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
         for _ in range(8):
             v = CliffordElement(alg, _unit_rows(rng, 1, alg.dim)[0])
             w = CliffordElement(alg, _unit_rows(rng, 1, alg.dim)[0])
-            term_p = max(term_p, abs(sa.P[alg.n].pair(v, w) + gxx(v, w)))
+            term_p = _worst(term_p, abs(sa.P[alg.n].pair(v, w) + gxx(v, w)))
     else:
         term_p = float(np.max(np.abs(sa.P[alg.n].lin)))
 
@@ -390,21 +395,31 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
     for k in range(alg.n + 1):
         z1, z2 = rand_adapted(k), rand_adapted(k)
         a, b = sa.P[k].pair(z2, z1), sa.P[k].pair(z1, z2)
-        sym_err = max(sym_err, abs(a.real - b.real) / (1 + abs(a)))
-    del sa, adj  # the auxiliary problem below draws nothing
+        sym_err = _worst(sym_err, abs(a.real - b.real) / (1 + abs(a)))
+    del sa, adj  # the problem below draws nothing
 
-    # closed form on an auxiliary zero-dynamics running-cost instance
-    q_rate = 0.7
-    p_free = make_problem(alg, ProblemSpec.gallery("free", q=q_rate, r=0.0, s=0.0,
-                                                   x_tgt=None))
-    u0 = np.zeros((alg.n, p_free.m))
-    x0t = solve_state(p_free, u0)
-    adj0 = solve_first_adjoint(p_free, x0t, u0)
-    sa0 = compute_P(p_free, x0t, u0, adj0)
-    closed_err = 0.0
-    for k in range(alg.n + 1):
-        want = -2.0 * q_rate * (alg.T - alg.time(k)) * np.eye(1 << k)
-        closed_err = max(closed_err, float(np.max(np.abs(sa0.P[k].lin - want))))
+    # Closed form: without its quadratic-state terms the problem has D = a x,
+    # F = f0 x and G = g0 x in the state, so P_k = alpha_k on even blades and
+    # beta_k on odd ones; the noise half moves a blade by e_{k+1}, which
+    # flips its parity.  Compared relative to the size of the diagonal.
+    spec = dataclasses.replace(cfg.problem, qd=None, qf=None, qg=None)
+    p_lin = make_problem(alg, spec)
+    x_lin = solve_state(p_lin, ubar)
+    sa_lin = compute_P(p_lin, x_lin, ubar, solve_first_adjoint(p_lin, x_lin, ubar))
+    dt, grow = alg.dt, (1.0 + spec.a * alg.dt) ** 2
+    even = alg.parity_signs > 0
+    alpha = beta = -2.0 * spec.s
+    closed = []
+    for k in range(alg.n, -1, -1):
+        if k < alg.n:
+            alpha, beta = (
+                grow * alpha + dt * (spec.f0 + spec.g0) ** 2 * beta - 2.0 * spec.q * dt,
+                grow * beta + dt * (spec.f0 - spec.g0) ** 2 * alpha - 2.0 * spec.q * dt)
+        pk = sa_lin.P[k]
+        want = np.diag(np.where(even[:1 << k], alpha, beta))
+        closed.append(np.inf if pk.antilin is not None else
+                      np.max(np.abs(pk.lin - want)) / (1.0 + max(abs(alpha), abs(beta))))
+    closed_err = _worst(*closed)
 
     ok = (trans_res <= trans_tol and closed_err <= closed_tol
           and term_y <= 1e-14 and term_p <= 1e-12 and sym_err <= 1e-9)
@@ -451,16 +466,18 @@ def run_theorem(cfg: RunConfig) -> SuiteResult:
     ubar, polish = kkt_point(p, np.tile(mid, (alg.n, 1)), KKT_TOL, NEWTON_STEPS)
     report = verify_theorem(p, ubar, s_tol=s_tol)
 
-    # analytic companion: pure control cost, so H = -2r dt I and S = -2r dt ||du||^2
+    # analytic companion: no dynamics and a pure control cost, so H = -2r dt I
+    # and S = -2r dt ||du||^2
     r_rate = 0.5
-    p_free = make_problem(alg, ProblemSpec.gallery("free", m=p.m, q=0.0, r=r_rate, s=0.0,
-                                                   x_tgt=None))
+    p_zero = make_problem(alg, ProblemSpec.gallery(
+        "lq", m=p.m, a=0.0, f0=0.0, g0=0.0, b=None, f=None, g=None,
+        q=0.0, r=r_rate, s=0.0, x_tgt=None))
     u0 = np.zeros((alg.n, p.m))
-    x0t = solve_state(p_free, u0)
-    adj0 = solve_first_adjoint(p_free, x0t, u0)
-    h_free, _ = reduced_hessians(p_free, adj0, compute_P(p_free, x0t, u0, adj0))
+    x0t = solve_state(p_zero, u0)
+    adj0 = solve_first_adjoint(p_zero, x0t, u0)
+    h_zero, _ = reduced_hessians(p_zero, adj0, compute_P(p_zero, x0t, u0, adj0))
     want = -2.0 * r_rate * alg.dt * np.eye(alg.n * p.m)
-    analytic_err = float(np.max(np.abs(h_free - want)))
+    analytic_err = float(np.max(np.abs(h_zero - want)))
 
     ok = report.verdict_ok and report.kkt_residual <= KKT_TOL and analytic_err <= analytic_tol
     metrics = {"kkt_tol": KKT_TOL, "s_tol": s_tol, "newton_steps": polish.newton_steps,

@@ -11,9 +11,27 @@ from qsoc.clifford import CliffordElement, inner, mul_dw_right, parity
 from qsoc.errors import StepSizeError, SupportError
 from qsoc.forward import quadratic_drivers, solve_state
 from qsoc.optimize import GradientTrace, _grid_blocks
-from qsoc.problems import cost, hxx_pairing
+from qsoc.problems import ProblemSpec, cost, hxx_pairing
 
 STEP = 1e-5  # central-difference step
+
+# lq with no dynamics: D = F = G = 0, so the state stays at x0 and P_k holds
+# only the cost curvature.  Build it as ProblemSpec.gallery("lq", **ZERO_DYNAMICS).
+ZERO_DYNAMICS = dict(a=0.0, f0=0.0, g0=0.0, b=None, f=None, g=None)
+# the same problem as the "problem" block of a run config with m = 1
+ZERO_DYNAMICS_PROBLEM = {"name": "lq", "rates": {"a": 0.0, "f0": 0.0, "g0": 0.0},
+                         "elements": {"b": [[]], "f": [[]], "g": [[]]}}
+
+# The cases of the tests' gallery sweeps: lq with ZERO_DYNAMICS, named "free",
+# and the three gallery problems.
+GALLERY = ("free", "lq", "quadratic_control", "quadratic_state")
+
+
+def gallery_spec(case: str, **overrides) -> ProblemSpec:
+    """ProblemSpec.gallery for a case of GALLERY."""
+    if case == "free":
+        return ProblemSpec.gallery("lq", **{**ZERO_DYNAMICS, **overrides})
+    return ProblemSpec.gallery(case, **overrides)
 
 
 def control_grid(p, grid_points_per_dim: int):

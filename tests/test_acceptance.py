@@ -31,8 +31,7 @@ from qsoc.forward import order_estimate_slopes, solve_first_variation, solve_sta
 from qsoc.optimize import brute_force_search
 from qsoc.problems import ProblemSpec, cost, make_problem
 from qsoc.suites import run_suite
-
-GALLERY = ("free", "lq", "quadratic_control", "quadratic_state")
+from reference import GALLERY, ZERO_DYNAMICS, ZERO_DYNAMICS_PROBLEM, gallery_spec
 
 
 def _announce(name, detail=""):
@@ -42,7 +41,7 @@ def _announce(name, detail=""):
 def test_criterion_1_algebra_laws():
     started = time.perf_counter()
     cfg = parse_config({
-        "problem": {"name": "free"},
+        "problem": ZERO_DYNAMICS_PROBLEM,
         "grid": {"t0": 0.0, "T": 1.0, "N": 8},
         "suites": ["algebra"],
         "tolerances": {"algebra": {"probes": 10000}},
@@ -61,7 +60,7 @@ def test_criterion_1_algebra_laws():
 
 def test_criterion_2_ito_isometry():
     cfg = parse_config({
-        "problem": {"name": "free"},
+        "problem": ZERO_DYNAMICS_PROBLEM,
         "grid": {"t0": 0.0, "T": 1.0, "N": 10},
         "suites": ["isometry"],
         "tolerances": {"isometry": {"probes": 1000}},
@@ -100,7 +99,7 @@ def test_criterion_4_first_order_duality_and_gradient():
     worst_fd = 0.0
     for name in GALLERY:
         alg = make_algebra(6, 0.0, 1.0)
-        p = make_problem(alg, ProblemSpec.gallery(name))
+        p = make_problem(alg, gallery_spec(name))
         ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
         xbar = solve_state(p, ubar)
         adj = solve_first_adjoint(p, xbar, ubar)
@@ -125,7 +124,7 @@ def test_criterion_5_transposition_identity():
     worst = 0.0
     for name in GALLERY:
         alg = make_algebra(5, 0.0, 1.0)
-        p = make_problem(alg, ProblemSpec.gallery(name))
+        p = make_problem(alg, gallery_spec(name))
         ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
         xbar = solve_state(p, ubar)
         adj = solve_first_adjoint(p, xbar, ubar)
@@ -161,7 +160,8 @@ def test_criterion_5_transposition_identity():
     # closed form: zero dynamics with running state cost only
     alg = make_algebra(5, 0.0, 2.0)
     q_rate = 0.6
-    p = make_problem(alg, ProblemSpec.gallery("free", q=q_rate, r=0.0, s=0.0, x_tgt=None))
+    p = make_problem(alg, ProblemSpec.gallery("lq", **ZERO_DYNAMICS, q=q_rate, r=0.0, s=0.0,
+                                              x_tgt=None))
     u0 = np.zeros((alg.n, 1))
     x0t = solve_state(p, u0)
     adj0 = solve_first_adjoint(p, x0t, u0)
@@ -236,8 +236,8 @@ def test_criterion_7_theorem_verdict():
 
     # analytic companion: zero dynamics, pure control cost
     r_rate = 0.45
-    p_free = make_problem(alg, ProblemSpec.gallery("free", q=0.0, r=r_rate, s=0.0,
-                                                   x_tgt=None))
+    p_free = make_problem(alg, ProblemSpec.gallery("lq", **ZERO_DYNAMICS, q=0.0, r=r_rate,
+                                                   s=0.0, x_tgt=None))
     u0 = np.zeros((alg.n, 1))
     x0t = solve_state(p_free, u0)
     adj0 = solve_first_adjoint(p_free, x0t, u0)

@@ -18,14 +18,19 @@ from qsoc.conditions import _forms_along, _routes_agree
 from qsoc.errors import CapacityError, ContractError, SupportError
 from qsoc.forward import solve_first_variation, solve_second_variation, solve_state
 from qsoc.problems import ProblemSpec, hxx_pairing, make_problem
-from reference import check_tuple_pairs, second_duality_residual, transposition_defects
-
-GALLERY = ("free", "lq", "quadratic_control", "quadratic_state")
+from reference import (
+    GALLERY,
+    ZERO_DYNAMICS,
+    check_tuple_pairs,
+    gallery_spec,
+    second_duality_residual,
+    transposition_defects,
+)
 
 
 def build(name, n=4, m=1, T=1.0, **overrides):
     alg = make_algebra(n, 0.0, T)
-    return alg, make_problem(alg, ProblemSpec.gallery(name, m=m, **overrides))
+    return alg, make_problem(alg, gallery_spec(name, m=m, **overrides))
 
 
 def solve_stack(p, ubar):
@@ -59,7 +64,7 @@ def test_terminal_condition_exact():
 def test_constant_terminal_gradient_and_zero_drivers():
     # no dynamics-in-x, no running cost: y is frozen at -g_x, Y vanishes
     alg = make_algebra(4, 0.0, 1.0)
-    spec = ProblemSpec.gallery("free", q=0.0, r=0.0, s=0.0, x_tgt=None,
+    spec = ProblemSpec.gallery("lq", **ZERO_DYNAMICS, q=0.0, r=0.0, s=0.0, x_tgt=None,
                                eta=((0, 0.7, 0.0),))
     p = make_problem(alg, spec)
     ubar = np.zeros((alg.n, 1))
@@ -76,7 +81,8 @@ def test_adjoint_frozen_at_terminal_gradient_for_scalar_data():
     # zero dynamics, no running cost, scalar terminal data: the terminal
     # gradient is already adapted at step 0,so the backward sweep never moves
     alg = make_algebra(4, 0.0, 1.0)
-    spec = ProblemSpec.gallery("free", q=0.0, r=0.0, s=0.6, x_tgt=((0, 0.25, 0.0),))
+    spec = ProblemSpec.gallery("lq", **ZERO_DYNAMICS, q=0.0, r=0.0, s=0.6,
+                               x_tgt=((0, 0.25, 0.0),))
     p = make_problem(alg, spec)
     ubar = np.zeros((alg.n, 1))
     xbar = solve_state(p, ubar)
@@ -126,7 +132,7 @@ def test_compute_p_budget():
 def test_p_constant_when_no_dynamics_and_no_running_curvature():
     # zero dynamics, running cost without state curvature: P_k = -g_xx on C_k
     alg = make_algebra(4, 0.0, 1.0)
-    spec = ProblemSpec.gallery("free", q=0.0, r=0.4, s=0.8)
+    spec = ProblemSpec.gallery("lq", **ZERO_DYNAMICS, q=0.0, r=0.4, s=0.8)
     p = make_problem(alg, spec)
     ubar = np.zeros((alg.n, 1))
     _, _, sa = solve_stack(p, ubar)
@@ -139,7 +145,7 @@ def test_p_constant_when_no_dynamics_and_no_running_curvature():
 def test_p_closed_form_running_state_cost():
     # zero dynamics, L = q ||x||^2, g = 0: P_k = -2q (T - t_k) id on C_k
     alg = make_algebra(5, 0.0, 2.0)
-    spec = ProblemSpec.gallery("free", q=0.7, r=0.0, s=0.0, x_tgt=None)
+    spec = ProblemSpec.gallery("lq", **ZERO_DYNAMICS, q=0.7, r=0.0, s=0.0, x_tgt=None)
     p = make_problem(alg, spec)
     ubar = np.zeros((alg.n, 1))
     _, _, sa = solve_stack(p, ubar)

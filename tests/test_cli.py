@@ -18,6 +18,7 @@ from qsoc.errors import ConfigError, QsocError
 from qsoc.problems import ProblemSpec
 from qsoc.report import canonical_json, flatten_metrics, format_number, render_csv
 from qsoc.suites import run_suite
+from reference import ZERO_DYNAMICS_PROBLEM
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -87,7 +88,7 @@ def test_validate_rejects_p_suites_above_superop_budget(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
-    for suite in ("second_order", "theorem"):
+    for suite in ("second_order", "theorem", "optimize"):
         with pytest.raises(ConfigError) as exc:
             parse_config(dict(cfg, suites=[suite]))
         assert [p for p, _ in exc.value.errors] == ["grid.N"]
@@ -144,16 +145,14 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "absent.json")
 
 
-def test_free_problem_rejects_dynamics_fields():
-    bad = base_config()
-    bad["problem"] = {"name": "free", "rates": {"a": 0.5, "r": 0.3}}
+def test_validate_refuses_the_retired_free_problem_at_its_name(tmp_path, capsys):
+    # a zero-dynamics lq is the same problem (ZERO_DYNAMICS_PROBLEM in the tests)
+    cfg = base_config(problem={"name": "free", "rates": {"r": 0.3}})
     with pytest.raises(ConfigError) as err:
-        parse_config(bad)
-    assert any(p == "problem.rates.a" for p, _ in err.value.errors)
-    ok = base_config()
-    ok["problem"] = {"name": "free", "rates": {"r": 0.3}}
-    cfg = parse_config(ok)
-    assert cfg.problem.r == 0.3
+        parse_config(cfg)
+    assert [p for p, _ in err.value.errors] == ["problem.name"]
+    assert main(["validate", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert "config error: problem.name: " in capsys.readouterr().err
 
 
 def test_format_number_17_digits_roundtrip():
@@ -277,6 +276,15 @@ def test_readme_config_at_n_8_passes_theorem_within_15_s(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
                  "--suite", "theorem"]) == 0
     assert time.perf_counter() - started < 15.0
+
+
+def test_readme_zero_dynamics_problem_has_no_dynamics():
+    (block,) = re.findall(r"```\n(\"problem\".*?)```", README.read_text(), re.S)
+    problem = json.loads("{" + block + "}")["problem"]
+    assert problem == ZERO_DYNAMICS_PROBLEM
+    spec = parse_config(base_config(problem=problem)).problem
+    assert (spec.name, spec.a, spec.f0, spec.g0) == ("lq", 0.0, 0.0, 0.0)
+    assert spec.b == spec.f == spec.g == ((),)
 
 
 def test_run_plotdata_files(tmp_path):
@@ -476,6 +484,7 @@ def test_a_non_finite_cost_ends_the_run_with_one_error_line(tmp_path, capsys, su
     # s * |x - x_tgt|^2 overflows to inf for every control: the config is valid,
     # but neither the Newton search of theorem nor projected gradient has a
     # finite start; that suite reports an error, the others keep their results
+    # (gradient fails: its difference quotient of two infinite costs is NaN)
     cfg = base_config(problem={"name": "lq", "rates": {"s": 1e308},
                                "elements": {"x_tgt": [[0, 100.0, 0.0]]}},
                       suites=["gradient", "theorem"])
@@ -491,7 +500,9 @@ def test_a_non_finite_cost_ends_the_run_with_one_error_line(tmp_path, capsys, su
     report = json.loads((out / "report.json").read_text())
     statuses = {s["name"]: s["status"] for s in report["suites"]}
     assert statuses == ({"optimize": "error"} if suite_args
-                        else {"gradient": "pass", "theorem": "error"})
+                        else {"gradient": "fail", "theorem": "error"})
+    if not suite_args:
+        assert report["suites"][0]["metrics"]["fd_residual"] == "nan"
     assert report["verdict"] == "fail"
     (failed,) = [s for s in report["suites"] if s["status"] == "error"]
     assert failed["metrics"] == {"reason": "cost inf at the initial control is not finite"}

@@ -30,14 +30,12 @@ from qsoc.config import parse_config
 from qsoc.optimize import kkt_point
 from qsoc.problems import ControlProblem, ControlSet, ProblemSpec, cost, make_problem
 from qsoc.suites import run_all, run_suite
-from reference import quadratic_scores
-
-GALLERY = ("free", "lq", "quadratic_control", "quadratic_state")
+from reference import GALLERY, ZERO_DYNAMICS, gallery_spec, quadratic_scores
 
 
 def build(name, n=4, m=1, T=1.0, **overrides):
     alg = make_algebra(n, 0.0, T)
-    return alg, make_problem(alg, ProblemSpec.gallery(name, m=m, **overrides))
+    return alg, make_problem(alg, gallery_spec(name, m=m, **overrides))
 
 
 def stack(p, ubar):
@@ -57,9 +55,9 @@ def test_first_order_zero_at_same_control():
 
 
 def test_first_order_zero_at_interior_stationary_point():
-    # free problem, L = r u^2: the origin is stationary, so the gate holds
+    # zero dynamics, L = r u^2: the origin is stationary, so the gate holds
     # for every direction
-    alg, p = build("free", r=0.8, q=0.0, s=0.0, x_tgt=None)
+    alg, p = build("lq", **ZERO_DYNAMICS, r=0.8, q=0.0, s=0.0, x_tgt=None)
     ubar = np.zeros((alg.n, 1))
     xbar = solve_state(p, ubar)
     adj = solve_first_adjoint(p, xbar, ubar)
@@ -104,7 +102,7 @@ def test_second_order_zero_at_same_control():
 
 def test_second_order_closed_form_zero_dynamics():
     # only the control curvature survives: S = -2r sum dt |du|^2
-    alg, p = build("free", r=0.45, q=0.0, s=0.0, x_tgt=None)
+    alg, p = build("lq", **ZERO_DYNAMICS, r=0.45, q=0.0, s=0.0, x_tgt=None)
     ubar = np.zeros((alg.n, 1))
     xbar, adj, sa = stack(p, ubar)
     rng = np.random.default_rng(4)
@@ -156,8 +154,8 @@ def test_taylor_chain(name):
 
 
 def test_taylor_exact_quadratic_fit():
-    # free quadratic problem: the cost gap is an exact quadratic polynomial
-    alg, p = build("free", r=0.5, q=0.0, s=0.0, x_tgt=None)
+    # zero dynamics, quadratic cost: the cost gap is an exact quadratic polynomial
+    alg, p = build("lq", **ZERO_DYNAMICS, r=0.5, q=0.0, s=0.0, x_tgt=None)
     ubar = np.zeros((alg.n, 1))
     u = 0.8 * np.ones((alg.n, 1))
     report = taylor_consistency(p, ubar, u, [2.0 ** -e for e in range(2, 7)])
@@ -168,7 +166,7 @@ def test_taylor_exact_quadratic_fit():
 
 def test_taylor_at_stationary_base_control():
     # gate integral is exactly zero here; error scales must not blow up
-    alg, p = build("free", r=0.5, q=0.0, s=0.0, x_tgt=None)
+    alg, p = build("lq", **ZERO_DYNAMICS, r=0.5, q=0.0, s=0.0, x_tgt=None)
     ubar = np.zeros((alg.n, 1))
     u = 0.7 * np.ones((alg.n, 1))
     report = taylor_consistency(p, ubar, u, [2.0 ** -e for e in range(3, 8)])
@@ -192,7 +190,7 @@ def test_verify_theorem_gate_semantics():
 
 def test_verify_theorem_stationary_free_instance():
     # exact stationary optimum: every coordinate is free and H_P = -2r dt I
-    alg, p = build("free", n=3, r=0.5, q=0.0, s=0.0, x_tgt=None)
+    alg, p = build("lq", **ZERO_DYNAMICS, n=3, r=0.5, q=0.0, s=0.0, x_tgt=None)
     report = verify_theorem(p, np.zeros((alg.n, 1)), s_tol=1e-10)
     assert (report.free, report.strongly_active, report.weakly_active) == (3, 0, 0)
     assert report.kkt_residual == 0.0
@@ -283,7 +281,8 @@ def test_gram_one_column_short_fails_adjoint_and_second_order(monkeypatch):
 
 def test_transposition_check_catches_a_wrong_t_block_noise_half(monkeypatch):
     # compute_P conjugates with t_block while the test equations step through
-    # t_apply, so a defect in t_block cannot cancel out of the identity
+    # t_apply, so a defect in t_block cannot cancel out of the identity; the
+    # closed form of P on the configured rates sees both halves of t_block
     t_block = Linearization.t_block
 
     def noisy(self, k):
@@ -291,14 +290,24 @@ def test_transposition_check_catches_a_wrong_t_block_noise_half(monkeypatch):
         out[1 << k:] *= 1.0 + 1e-3
         return out
 
-    cfg = suite_config()
-    clean = run_suite(cfg, "adjoint")
-    assert clean.passed
-    monkeypatch.setattr(Linearization, "t_block", noisy)
-    res = run_suite(cfg, "adjoint")
-    assert res.status == "fail"
-    assert res.metrics["transposition_residual"] > 1e3 * res.metrics["transposition_tol"]
-    assert res.metrics["closed_form_error"] == clean.metrics["closed_form_error"]
+    def drifting(self, k):
+        out = t_block(self, k)
+        out[:1 << k] += 1e-3 * self.algebra.dt * self.Dx[k]
+        return out
+
+    # quadratic_state's closed form runs on the problem without its quad elements
+    stripped = parse_config({"problem": {"name": "quadratic_state"},
+                             "grid": {"t0": 0.0, "T": 1.0, "N": 5}, "suites": ["adjoint"]})
+    for cfg in (suite_config(), stripped):
+        clean = run_suite(cfg, "adjoint")
+        assert clean.passed
+        for plant in (noisy, drifting):
+            monkeypatch.setattr(Linearization, "t_block", plant)
+            res = run_suite(cfg, "adjoint")
+            assert res.status == "fail"
+            assert res.metrics["transposition_residual"] > 1e3 * res.metrics["transposition_tol"]
+            assert res.metrics["closed_form_error"] > 1e-10  # the suite's closed_tol
+            monkeypatch.undo()
 
 
 def test_transposition_check_catches_a_wrong_noise_half_in_the_row_stepping(monkeypatch):

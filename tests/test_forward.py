@@ -14,17 +14,17 @@ from qsoc.forward import (
     stacked_paths,
 )
 from qsoc.problems import ProblemSpec, cost, make_problem
-from reference import control_grid
+from reference import GALLERY, ZERO_DYNAMICS, control_grid, gallery_spec
 from test_custom_problem import lq_like_custom
 
 
 def build(name, n=4, m=1, T=1.0, **overrides):
     alg = make_algebra(n, 0.0, T)
-    return alg, make_problem(alg, ProblemSpec.gallery(name, m=m, **overrides))
+    return alg, make_problem(alg, gallery_spec(name, m=m, **overrides))
 
 
 def test_zero_dynamics_constant_state():
-    alg, p = build("free", r=1.0)
+    alg, p = build("lq", **ZERO_DYNAMICS, r=1.0)
     traj = solve_state(p, np.zeros((alg.n, 1)))
     for k in range(alg.n + 1):
         assert traj[k] == p.x0
@@ -183,7 +183,7 @@ def test_second_variation_quadratic_homogeneity_exact():
 
 
 def test_order_slopes_free_problem_flagged_exact():
-    alg, p = build("free", r=1.0)
+    alg, p = build("lq", **ZERO_DYNAMICS, r=1.0)
     ubar = np.zeros((alg.n, 1))
     u = 0.5 * np.ones((alg.n, 1))
     report = order_estimate_slopes(p, ubar, u, [2.0 ** -e for e in range(3, 8)])
@@ -241,7 +241,7 @@ def assert_rows_are_per_path_costs(p, U):
 
 
 @pytest.mark.parametrize("m", (1, 2))
-@pytest.mark.parametrize("name", ("free", "lq", "quadratic_control", "quadratic_state"))
+@pytest.mark.parametrize("name", GALLERY)
 def test_stacked_costs_rows_are_the_per_path_costs(name, m):
     # bit for bit, whatever block a row is solved in; every third row has
     # zero control

@@ -13,7 +13,7 @@ from qsoc.forward import solve_state, stacked_costs
 from qsoc.optimize import brute_force_search, kkt_point, projected_gradient
 from qsoc.problems import ControlSet, ProblemSpec, cost, make_problem
 from qsoc.suites import run_suite
-from reference import control_grid, sequential_projected_gradient
+from reference import ZERO_DYNAMICS, control_grid, sequential_projected_gradient
 
 
 def build(name, n=3, m=1, **overrides):
@@ -22,7 +22,7 @@ def build(name, n=3, m=1, **overrides):
 
 
 def test_free_quadratic_converges_to_origin():
-    alg, p = build("free", r=0.5, q=0.0, s=0.0, x_tgt=None)
+    alg, p = build("lq", **ZERO_DYNAMICS, r=0.5, q=0.0, s=0.0, x_tgt=None)
     rng = np.random.default_rng(0)
     u0 = rng.uniform(-1, 1, size=(alg.n, 1))
     u, trace = projected_gradient(p, u0, step=0.8, max_iter=300, grad_tol=1e-10)
@@ -62,7 +62,7 @@ def test_gradient_matches_brute_force_on_tiny_instance():
 
 
 def test_brute_force_free_quadratic_returns_zero():
-    alg, p = build("free", r=0.5, q=0.0, s=0.0, x_tgt=None)
+    alg, p = build("lq", **ZERO_DYNAMICS, r=0.5, q=0.0, s=0.0, x_tgt=None)
     u, val = brute_force_search(p, 5)
     assert np.allclose(u, 0.0)
     assert val == 0.0
@@ -176,7 +176,7 @@ def test_stacked_brute_force_matches_per_path_loop(name, n, m, overrides, monkey
 def test_stacked_brute_force_exact_tie_keeps_the_first_control(monkeypatch):
     # pure control cost r dt |u|^2 on the grid -3, -1, 1, 3: the 2^N
     # controls with entries +-1 tie exactly
-    alg, p = build("free", n=3, r=0.5, q=0.0, s=0.0, x_tgt=None,
+    alg, p = build("lq", **ZERO_DYNAMICS, n=3, r=0.5, q=0.0, s=0.0, x_tgt=None,
                    lower=(-3.0,), upper=(3.0,))
     assert np.array_equal(next(iter(control_grid(p, 4)))[0], [-3.0])
     grid = np.array(list(control_grid(p, 4)))

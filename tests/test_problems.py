@@ -7,14 +7,12 @@ from qsoc.errors import SupportError
 from qsoc.forward import solve_state
 from qsoc.problems import (ControlSet, ProblemSpec, cost, huu_matrix, hxu_pairing, hxx_pairing,
                            make_problem)
-from reference import derivative_errors, hamiltonian
-
-GALLERY = ("free", "lq", "quadratic_control", "quadratic_state")
+from reference import GALLERY, ZERO_DYNAMICS, derivative_errors, gallery_spec, hamiltonian
 
 
 def build(name, n=4, m=1, t0=0.0, T=1.0, **overrides):
     alg = make_algebra(n, t0, T)
-    return alg, make_problem(alg, ProblemSpec.gallery(name, m=m, **overrides))
+    return alg, make_problem(alg, gallery_spec(name, m=m, **overrides))
 
 
 def test_control_set_basics():
@@ -42,7 +40,7 @@ def test_check_control_path_names_first_step_outside_box():
 
 
 def test_free_problem_wiring():
-    alg, p = build("free", r=1.0, q=0.0, s=0.0, x_tgt=None)
+    alg, p = build("lq", **ZERO_DYNAMICS, r=1.0, q=0.0, s=0.0, x_tgt=None)
     x = CliffordElement.unit(alg)
     u = np.array([0.3])
     assert p.D(0, x, u).norm() == 0.0
@@ -133,7 +131,7 @@ def test_audit_adaptedness_gallery(name):
 
 
 def test_hamiltonian_values():
-    alg, p = build("free", r=1.0, q=0.0, s=0.0, x_tgt=None)
+    alg, p = build("lq", **ZERO_DYNAMICS, r=1.0, q=0.0, s=0.0, x_tgt=None)
     x = CliffordElement.unit(alg)
     zero = np.zeros(1)
     y = CliffordElement.zero(alg)
@@ -182,7 +180,7 @@ def test_hamiltonian_real_scaling_in_y():
 
 
 def test_hamiltonian_derivatives_free_quadratic():
-    alg, p = build("free", r=0.7, q=0.0, s=0.0, x_tgt=None)
+    alg, p = build("lq", **ZERO_DYNAMICS, r=0.7, q=0.0, s=0.0, x_tgt=None)
     u = np.full((alg.n, 1), 0.3)
     xbar = solve_state(p, u)
     adj = solve_first_adjoint(p, xbar, u)
@@ -249,13 +247,13 @@ def test_hamiltonian_derivatives_match_finite_differences():
 
 
 def test_cost_examples():
-    alg, p = build("free", r=1.0, q=0.0, s=0.0, x_tgt=None)
+    alg, p = build("lq", **ZERO_DYNAMICS, r=1.0, q=0.0, s=0.0, x_tgt=None)
     u = np.zeros((alg.n, 1))
     x = solve_state(p, u)
     assert cost(p, u, x) == 0.0
 
     # constant running cost integrates to T - t0: use q=0, r=0 and L == 1 via custom
-    alg2, p2 = build("free", r=1.0, q=0.0, s=0.0, x_tgt=None, T=2.0)
+    alg2, p2 = build("lq", **ZERO_DYNAMICS, r=1.0, q=0.0, s=0.0, x_tgt=None, T=2.0)
     const = p2.L
     p2.L = lambda k, x_, u_: 1.0
     u2 = np.zeros((alg2.n, 1))
