@@ -80,6 +80,7 @@ from .clifford import (
     martingale_coefficient,
     parity,
 )
+from .config import SUPEROP_BUDGET
 from .errors import CapacityError, ContractError, SupportError
 from .forward import Trajectory
 from .problems import ControlProblem, hxx_pairing
@@ -95,8 +96,6 @@ __all__ = [
     "first_duality_residual",
     "hu_field",
 ]
-
-SUPEROP_BUDGET = 256  # largest coefficient-space dimension materialized as matrices
 
 
 class Linearization:

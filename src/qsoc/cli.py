@@ -18,8 +18,6 @@ import time
 from . import __version__
 from .config import SUITE_ORDER, budget_error, load_config
 from .errors import ConfigError
-from .report import write_report_files
-from .suites import run_all
 
 __all__ = ["main", "build_report"]
 
@@ -70,6 +68,10 @@ def main(argv=None) -> int:
             if err:
                 raise ConfigError([err])
         outdir = args.out or cfg.output or "qsoc-out"
+
+        # the numeric layers load only once the config has passed
+        from .report import write_report_files
+        from .suites import run_all
 
         results = []
         timings = {}

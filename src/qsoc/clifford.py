@@ -42,9 +42,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .config import DEFAULT_GENERATOR_CAP
 from .errors import AlgebraMismatchError, CapacityError, SupportError
-
-DEFAULT_GENERATOR_CAP = 12
 
 __all__ = [
     "CliffordAlgebra",

@@ -32,23 +32,29 @@ Unknown keys anywhere are rejected so typos cannot silently change a run.  Numbe
 masks set in the config lie in 0..2^N-1, and ``x0`` takes mask 0 only.  Suite bounds are fixed in
 :mod:`qsoc.suites` and reported per suite; ``tolerances`` sets only the probe
 counts of ``algebra`` and ``isometry``.
+
+This module imports no numeric module, so ``qsoc validate`` runs without
+numpy.  It owns what it validates: :class:`ProblemSpec` (re-exported by
+:mod:`qsoc.problems`), the gallery names, and the two limits checked before
+any compute, ``DEFAULT_GENERATOR_CAP`` and ``SUPEROP_BUDGET``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .adjoint import SUPEROP_BUDGET
-from .clifford import DEFAULT_GENERATOR_CAP
 from .errors import ConfigError
-from .problems import GALLERY_NAMES, ProblemSpec
 
-__all__ = ["RunConfig", "parse_config", "load_config", "budget_error", "SUITE_ORDER",
-           "EMIT_FORMATS"]
+__all__ = ["RunConfig", "ProblemSpec", "parse_config", "load_config", "budget_error",
+           "SUITE_ORDER", "EMIT_FORMATS"]
 
+DEFAULT_GENERATOR_CAP = 12  # most noise generators (grid steps) an algebra may have
+SUPEROP_BUDGET = 256  # largest coefficient-space dimension materialized as matrices
+GALLERY_NAMES = ("lq", "quadratic_control", "quadratic_state")
 SUITE_ORDER = ("algebra", "isometry", "orders", "gradient", "adjoint",
                "second_order", "theorem", "optimize")
 EMIT_FORMATS = ("json", "csv", "plotdata")
@@ -57,6 +63,70 @@ _P_SUITES = ("adjoint", "second_order", "theorem", "optimize")  # suites that ma
 _RATE_KEYS = ("a", "f0", "g0", "q", "r", "s")
 _PER_DIM_ELEMENT_KEYS = ("b", "f", "g", "cd", "cf", "cg")
 _SINGLE_ELEMENT_KEYS = ("qd", "qf", "qg", "x_tgt", "eta", "x0")
+
+Terms = Sequence[Sequence[float]]  # [[mask, re, im], ...]
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    """Algebra-independent description of a gallery problem.
+
+    Elements are sparse blade-term lists ``[[mask, re, im], ...]`` and are
+    materialized against a concrete algebra by
+    :func:`qsoc.problems.make_problem`.
+    """
+
+    name: str
+    m: int = 1
+    lower: tuple = (-1.0,)
+    upper: tuple = (1.0,)
+    a: float = 0.0       # drift rate on x
+    f0: float = 0.0      # left-diffusion rate on x
+    g0: float = 0.0      # right-diffusion rate on x
+    q: float = 0.0       # running state cost weight
+    r: float = 0.0       # running control cost weight
+    s: float = 0.0       # terminal cost weight
+    b: tuple | None = None   # drift control elements, one term list per control dim
+    f: tuple | None = None   # left-diffusion control elements
+    g: tuple | None = None   # right-diffusion control elements
+    cd: tuple | None = None  # squared-control drift elements
+    cf: tuple | None = None
+    cg: tuple | None = None
+    qd: Terms | None = None  # quadratic-state multipliers
+    qf: Terms | None = None
+    qg: Terms | None = None
+    x_tgt: Terms | None = None
+    eta: Terms | None = None  # linear terminal cost element
+    x0: Terms = ((0, 1.0, 0.0),)
+
+    @staticmethod
+    def gallery(name: str, m: int = 1, dim: int | None = None,
+                **overrides) -> "ProblemSpec":
+        """Canonical test instances with real data and modest rates.
+
+        With ``dim``, the default control blades an algebra of that dimension
+        lacks are dropped: no step reaches them.  Overrides are kept as given.
+        """
+        if name not in GALLERY_NAMES:
+            raise ValueError(f"unknown gallery problem {name!r}")
+
+        def live(*terms):
+            return tuple(t for t in terms if dim is None or t[0] < dim)
+
+        base = dict(m=m, lower=tuple([-1.0] * m), upper=tuple([1.0] * m),
+                    a=0.5, f0=0.3, g0=0.25, q=0.4, r=0.3, s=0.5,
+                    b=tuple(live((0, 1.0, 0.0), (1 << (i % 2), 0.5, 0.0)) for i in range(m)),
+                    f=tuple(live((0, 0.8, 0.0), (1, 0.3, 0.0)) for _ in range(m)),
+                    g=tuple(live((0, 0.6, 0.0), (2, 0.4, 0.0)) for _ in range(m)),
+                    x_tgt=((0, 0.5, 0.0), (1, 0.25, 0.0)))
+        if name == "quadratic_control":
+            base.update(cd=tuple(((0, 0.4, 0.0),) for _ in range(m)),
+                        cf=tuple(((0, 0.3, 0.0),) for _ in range(m)),
+                        cg=tuple(((0, 0.2, 0.0),) for _ in range(m)))
+        if name == "quadratic_state":
+            base.update(qd=((0, 0.35, 0.0),), qf=((0, 0.25, 0.0),), qg=((0, 0.2, 0.0),))
+        base.update(overrides)
+        return ProblemSpec(name=name, **base)
 
 
 @dataclass

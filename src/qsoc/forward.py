@@ -200,6 +200,8 @@ class OrderReport:
 
 
 def _fit(points: list[tuple[float, float]]) -> SlopeFit:
+    if np.isnan([v for _, v in points]).any():  # not an underflow: no rate can be read
+        return SlopeFit(slope=float("nan"), exact=False, points=points)
     kept = [(e, v) for e, v in points if v > UNDERFLOW_FLOOR]
     if len(kept) < 2:
         return SlopeFit(slope=None, exact=True, points=points)
@@ -236,12 +238,12 @@ def order_estimate_slopes(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     for eps in eps_list:
         ueps = ubar + eps * du
         xeps = solve_state(p, ueps)
-        d0 = d1 = d2 = 0.0
+        worst = np.zeros(3)  # np.maximum keeps a NaN that Python max would drop
         for k in range(p.algebra.n + 1):
             delta = xeps[k] - xbar[k]
-            d0 = max(d0, delta.norm())
-            d1 = max(d1, (delta - eps * x1[k]).norm())
-            d2 = max(d2, (delta - eps * x1[k] - 0.5 * eps * eps * x2[k]).norm())
+            worst = np.maximum(worst, [delta.norm(), (delta - eps * x1[k]).norm(),
+                                       (delta - eps * x1[k] - 0.5 * eps * eps * x2[k]).norm()])
+        d0, d1, d2 = worst.tolist()
         pts0.append((eps, d0))
         pts1.append((eps, d1))
         pts2.append((eps, d2))

@@ -65,7 +65,7 @@ one-row views; derived ones make one callback call per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -82,6 +82,7 @@ from .clifford import (
     star,
     superop_from_pairing,
 )
+from .config import GALLERY_NAMES, ProblemSpec, Terms
 from .errors import SupportError
 
 __all__ = [
@@ -94,10 +95,6 @@ __all__ = [
     "hxu_pairing",
     "huu_matrix",
 ]
-
-GALLERY_NAMES = ("lq", "quadratic_control", "quadratic_state")
-
-Terms = Sequence[Sequence[float]]  # [[mask, re, im], ...]
 
 
 @dataclass(frozen=True)
@@ -138,67 +135,6 @@ def _terms_to_element(alg: CliffordAlgebra, terms: Terms | None) -> CliffordElem
     if terms is None:
         return None
     return CliffordElement.from_terms(alg, [(mask, re + 1j * im) for mask, re, im in terms])
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Algebra-independent description of a gallery problem.
-
-    Elements are sparse blade-term lists ``[[mask, re, im], ...]`` and are
-    materialized against a concrete algebra by :func:`make_problem`.
-    """
-
-    name: str
-    m: int = 1
-    lower: tuple = (-1.0,)
-    upper: tuple = (1.0,)
-    a: float = 0.0       # drift rate on x
-    f0: float = 0.0      # left-diffusion rate on x
-    g0: float = 0.0      # right-diffusion rate on x
-    q: float = 0.0       # running state cost weight
-    r: float = 0.0       # running control cost weight
-    s: float = 0.0       # terminal cost weight
-    b: tuple | None = None   # drift control elements, one term list per control dim
-    f: tuple | None = None   # left-diffusion control elements
-    g: tuple | None = None   # right-diffusion control elements
-    cd: tuple | None = None  # squared-control drift elements
-    cf: tuple | None = None
-    cg: tuple | None = None
-    qd: Terms | None = None  # quadratic-state multipliers
-    qf: Terms | None = None
-    qg: Terms | None = None
-    x_tgt: Terms | None = None
-    eta: Terms | None = None  # linear terminal cost element
-    x0: Terms = ((0, 1.0, 0.0),)
-
-    @staticmethod
-    def gallery(name: str, m: int = 1, dim: int | None = None,
-                **overrides) -> "ProblemSpec":
-        """Canonical test instances with real data and modest rates.
-
-        With ``dim``, the default control blades an algebra of that dimension
-        lacks are dropped: no step reaches them.  Overrides are kept as given.
-        """
-        if name not in GALLERY_NAMES:
-            raise ValueError(f"unknown gallery problem {name!r}")
-
-        def live(*terms):
-            return tuple(t for t in terms if dim is None or t[0] < dim)
-
-        base = dict(m=m, lower=tuple([-1.0] * m), upper=tuple([1.0] * m),
-                    a=0.5, f0=0.3, g0=0.25, q=0.4, r=0.3, s=0.5,
-                    b=tuple(live((0, 1.0, 0.0), (1 << (i % 2), 0.5, 0.0)) for i in range(m)),
-                    f=tuple(live((0, 0.8, 0.0), (1, 0.3, 0.0)) for _ in range(m)),
-                    g=tuple(live((0, 0.6, 0.0), (2, 0.4, 0.0)) for _ in range(m)),
-                    x_tgt=((0, 0.5, 0.0), (1, 0.25, 0.0)))
-        if name == "quadratic_control":
-            base.update(cd=tuple(((0, 0.4, 0.0),) for _ in range(m)),
-                        cf=tuple(((0, 0.3, 0.0),) for _ in range(m)),
-                        cg=tuple(((0, 0.2, 0.0),) for _ in range(m)))
-        if name == "quadratic_state":
-            base.update(qd=((0, 0.35, 0.0),), qf=((0, 0.25, 0.0),), qg=((0, 0.2, 0.0),))
-        base.update(overrides)
-        return ProblemSpec(name=name, **base)
 
 
 def _square_rows(alg: CliffordAlgebra, k: int, X: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ from .conditions import (
     taylor_consistency,
     verify_theorem,
 )
-from .config import SUITE_ORDER, RunConfig
+from .config import SUITE_ORDER, ProblemSpec, RunConfig
 from .errors import QsocError
 from .forward import order_estimate_slopes, solve_first_variation, solve_state
 from .matrices import realization_for
@@ -53,7 +53,7 @@ from .optimize import (
     kkt_point,
     projected_gradient,
 )
-from .problems import ProblemSpec, cost, make_problem
+from .problems import cost, make_problem
 
 __all__ = ["SuiteResult", "run_suite", "run_all", "suite_rng"]
 

@@ -54,6 +54,46 @@ def test_a_stale_export_is_caught():
     assert unlisted_reexports(package) == ["unlisted"]
 
 
+# The package's exports, by the home module each was first imported from.
+EXPORTS = {
+    "clifford": ["AdaptedProcess", "CliffordAlgebra", "CliffordElement", "SuperOperator",
+                 "brownian_increment", "conditional_expectation", "inner", "make_algebra",
+                 "martingale_coefficient", "multiply", "parity", "star", "state_m"],
+    "problems": ["ControlProblem", "ControlSet", "ProblemSpec", "cost", "make_problem"],
+    "forward": ["Trajectory", "order_estimate_slopes", "solve_first_variation",
+                "solve_second_variation", "solve_state"],
+    "adjoint": ["AdjointPair", "SecondAdjoint", "TestTuple", "compute_P",
+                "solve_first_adjoint", "transposition_residual"],
+    "conditions": ["first_order_integral", "second_order_functional", "taylor_consistency",
+                   "verify_theorem"],
+    "optimize": ["brute_force_search", "projected_gradient"],
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items()
+                                          for n in names])
+def test_each_export_is_its_home_module_object(module, name):
+    assert getattr(qsoc, name) is getattr(importlib.import_module(f"qsoc.{module}"), name)
+
+
+def test_star_import_binds_every_export():
+    assert sorted(qsoc.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    scope: dict = {}
+    exec("from qsoc import *", scope)
+    assert all(scope[name] is getattr(qsoc, name) for name in qsoc.__all__)
+
+
+def test_problem_spec_lives_in_the_config_layer():
+    assert qsoc.problems.ProblemSpec is qsoc.config.ProblemSpec
+    assert qsoc.ProblemSpec.__module__ == "qsoc.config"
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_export"):
+        getattr(qsoc, "no_such_export")
+    assert not hasattr(qsoc, "no_such_export")
+
+
 def test_readme_library_sketch_runs():
     text = README.read_text()
     section = text[text.index("## Library sketch"):]

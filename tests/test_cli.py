@@ -22,6 +22,7 @@ from reference import ZERO_DYNAMICS_PROBLEM
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
 
 def base_config(**overrides):
@@ -181,6 +182,49 @@ def test_validate_subcommand(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "config ok" in out
+
+
+# -- the config layer loads no numeric module ------------------------------------
+
+CONFIG_LAYER = ("qsoc", "qsoc.cli", "qsoc.config", "qsoc.errors")
+
+
+def main_in_a_fresh_process(argv) -> tuple[int, list[str], str]:
+    """Exit code of ``main(argv)``, the numpy and qsoc modules it loaded, and its stderr."""
+    script = ("import json, sys\n"
+              "from qsoc.cli import main\n"
+              "code = main(json.loads(sys.argv[1]))\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules\n"
+              "                         if m.split('.')[0] in ('numpy', 'qsoc'))]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                          text=True, timeout=60)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, modules, proc.stderr
+
+
+@pytest.mark.parametrize("name", ["readme-n4", "dense-n8", "README"])
+def test_validate_loads_only_the_config_layer(tmp_path, name):
+    if name == "README":
+        (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+        path = write_config(tmp_path, json.loads(block))
+    else:
+        path = WORKLOADS / f"{name}.json"
+    code, modules, err = main_in_a_fresh_process(["validate", "--config", str(path)])
+    assert code == 0, err
+    assert [m for m in modules if m not in CONFIG_LAYER] == []
+
+
+def test_a_refused_run_exits_before_the_numeric_layers_load(tmp_path):
+    cfg = base_config()
+    cfg["problem"]["rates"] = {"a": "fast"}
+    out = tmp_path / "out"
+    code, modules, err = main_in_a_fresh_process(
+        ["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    assert "config error: problem.rates.a: expected number, got str" in err
+    assert [m for m in modules if m not in CONFIG_LAYER] == []
+    assert not out.exists()
 
 
 def test_validate_bad_config_exit_2(tmp_path, capsys):

@@ -5,7 +5,8 @@ one start index at a time; the algebra suite runs its products on row
 blocks of ``max(1, SCREEN_BLOCK_ENTRIES // dim)`` rows.  Neither changes a
 bit.  The adjoint suite checks every P_k of the configured problem, stripped
 of its quadratic-state terms, against the scalar-rate recursion.  A NaN in
-any residual a suite folds must reach its metric and fail the suite.
+any residual a suite folds, or in a deviation the order sweep folds, must
+reach its metric and fail the suite.
 """
 
 import math
@@ -165,3 +166,13 @@ def test_a_nan_in_p_fails_adjoint(monkeypatch):
     assert res.status == "fail"
     assert math.isnan(res.metrics["closed_form_error"])
     assert math.isnan(res.metrics["real_symmetry_error"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_state_overflowing_to_nan_in_a_later_step_fails_orders():
+    # at a = 1e150 the deviations overflow: finite in the early steps, NaN later
+    res = suites.run_suite(config({"name": "lq", "rates": {"a": 1e150}}, 6, "orders"),
+                           "orders")
+    assert res.status == "fail"
+    assert all(math.isnan(fit["slope"]) for fit in res.metrics.values())
+    assert all(math.isnan(v) for row in res.plotdata["orders_sweep"] for v in row[1:])
