@@ -83,7 +83,7 @@ from .clifford import (
 from .config import SUPEROP_BUDGET
 from .errors import CapacityError, ContractError, SupportError
 from .forward import Trajectory
-from .problems import ControlProblem, hxx_pairing
+from .problems import ControlProblem
 
 __all__ = [
     "Linearization",
@@ -379,17 +379,19 @@ def transposition_residual(p: ControlProblem, sa: SecondAdjoint,
                            tuples: list) -> float:
     """Max absolute defect of the transposition identity over test-tuple pairs.
 
-    The left side is evaluated through the raw curvature callbacks, one pair
-    at a time, along fresh forward solves; the right side through the
-    materialized P family.  The identity closes to rounding for any two
-    tuples sharing a start index, with or without nu drivers.  Every tuple
-    is checked before anything is computed (:func:`_check_test_tuples`).
-    The pairs are grouped by start index k, and each group steps its 2B
-    test equations as one (2B, dim) stack through
-    :meth:`Linearization.t_rows`, keeping only the current step; its P side
-    is the diagonal of one ``P_k.gram`` and of one :func:`_step_pairings`
-    per step.  Groups never mix, so the result is the max over per-group
-    calls, bit for bit; a NaN defect in any group makes it NaN.
+    The left side pairs fresh forward solves through the curvature operators
+    M_j that built P (the suite checks M_j against the raw callbacks) and
+    the terminal cost through ``g_xx``, one pair at a time; the right side
+    goes through the materialized P family.  The identity closes to rounding
+    for any two tuples sharing a start index, with or without nu drivers.
+    Every tuple is checked before anything is computed
+    (:func:`_check_test_tuples`).  The pairs are grouped by start index k,
+    and each group steps its 2B test equations as one (2B, dim) stack
+    through :meth:`Linearization.t_rows`, keeping only the current step;
+    per step, its curvature side is the diagonal of one ``M_j.gram`` and its
+    P side of one :func:`_step_pairings`.  Groups never mix, so the result
+    is the max over per-group calls, bit for bit; a NaN defect in any group
+    makes it NaN.
     """
     alg = p.algebra
     dt, n = alg.dt, alg.n
@@ -398,14 +400,6 @@ def transposition_residual(p: ControlProblem, sa: SecondAdjoint,
     for t1, t2 in tuples:
         groups.setdefault(t1.k, []).append((t1, t2))
     gxx = None if p.g_xx is None else p.g_xx(sa.xbar.terminal)
-    pairings = {j: hxx_pairing(p, j, sa.xbar[j], sa.ubar[j], sa.adj.yhat[j], sa.adj.Y[j])
-                for j in range(min(groups, default=n), n)}
-
-    def callback_pairs(form, phi):
-        """form(row a, row B + a) of a (2B, dim) stack, one element pair at a time."""
-        half = len(phi) // 2
-        return np.array([form(CliffordElement(alg, v2), CliffordElement(alg, v1))
-                         for v2, v1 in zip(phi[:half], phi[half:])])
 
     worst = []
     for k, pairs in groups.items():
@@ -414,10 +408,10 @@ def transposition_residual(p: ControlProblem, sa: SecondAdjoint,
         tests = [t2 for _, t2 in pairs] + [t1 for t1, _ in pairs]
         phi = np.array([t.zeta.coeffs for t in tests])
         rhs = np.diagonal(sa.P[k].gram(phi[:b], phi[b:])).copy()  # P side
-        lhs = np.zeros(b, dtype=np.complex128)  # callback side
+        lhs = np.zeros(b, dtype=np.complex128)  # curvature side
         for j in range(k, n):
-            if pairings[j] is not None:
-                lhs += dt * callback_pairs(pairings[j], phi)
+            if sa.M[j] is not None:
+                lhs += dt * np.diagonal(sa.M[j].gram(phi[:b], phi[b:]))
             mu = np.array([t.mu[j - k].coeffs for t in tests])
             nu = np.array([np.zeros(alg.dim) if t.nu is None else t.nu[j - k].coeffs
                            for t in tests], dtype=np.complex128)
@@ -427,6 +421,7 @@ def transposition_residual(p: ControlProblem, sa: SecondAdjoint,
             rhs += np.diagonal(_step_pairings(sa.P[j + 1], dt, phi[:b], mu[:b], noise[:b],
                                               phi[b:], mu[b:], noise[b:]))
         if gxx is not None:
-            lhs -= callback_pairs(gxx, phi)
+            lhs -= [gxx(CliffordElement(alg, v2), CliffordElement(alg, v1))
+                    for v2, v1 in zip(phi[:b], phi[b:])]
         worst.append(np.max(np.abs(lhs - rhs)))
     return float(np.max(worst, initial=0.0))

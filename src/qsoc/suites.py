@@ -53,7 +53,7 @@ from .optimize import (
     kkt_point,
     projected_gradient,
 )
-from .problems import cost, make_problem
+from .problems import cost, hxx_pairing, make_problem
 
 __all__ = ["SuiteResult", "run_suite", "run_all", "suite_rng"]
 
@@ -225,22 +225,24 @@ def run_isometry(cfg: RunConfig) -> SuiteResult:
     probes = cfg.tolerances.get("isometry", {}).get("probes", 1000)
     tol = 1e-10
 
-    # Probes run in blocks through the row dW kernel.  Each block draws its
-    # (probe, step, re f / im f / re g / im g, blade) normals in one call, the
-    # order in which one probe at a time would draw them.
+    # Probes run in blocks through the row dW kernel.  Each block draws, in
+    # one call, only the normals it uses: per probe, step k's (re f / im f /
+    # re g / im g, blade) normals on its 2^k adapted blades, at offset
+    # 4 (2^k - 1); every blade from 2^k on is zero.
     block = 32
     worst_iso = 0.0
     worst_parity = 0.0
     done = 0
     while done < probes:
         b = min(block, probes - done)
-        z = rng.standard_normal((b, alg.n, 4, alg.dim))
+        z = rng.standard_normal((b, 4 * (alg.dim - 1)))
         total = np.zeros((b, alg.dim), dtype=np.complex128)
         acc = np.zeros(b)
         for k in range(alg.n):
-            keep = alg.adapted_mask(k)
-            f = np.where(keep, z[:, k, 0] + 1j * z[:, k, 1], 0)
-            g = np.where(keep, z[:, k, 2] + 1j * z[:, k, 3], 0)
+            w = 1 << k
+            zk = z[:, 4 * (w - 1):4 * (2 * w - 1)].reshape(b, 4, w)
+            f, g = np.zeros((2, b, alg.dim), dtype=np.complex128)
+            f[:, :w], g[:, :w] = zk[:, 0] + 1j * zk[:, 1], zk[:, 2] + 1j * zk[:, 3]
             lhs = _mul_dw(alg, f, k + 1, "right") + _mul_dw(alg, g, k + 1, "left")
             reduced = f + g * alg.parity_signs
             red = _mul_dw(alg, reduced, k + 1, "right")
@@ -396,6 +398,17 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
         z1, z2 = rand_adapted(k), rand_adapted(k)
         a, b = sa.P[k].pair(z2, z1), sa.P[k].pair(z1, z2)
         sym_err = _worst(sym_err, abs(a.real - b.real) / (1 + abs(a)))
+
+    # the curvature hook that built P against the raw callbacks, one pair a step
+    curv_err = 0.0
+    for k, mk in enumerate(sa.M):
+        if mk is not None:
+            rows = np.zeros((2, alg.dim), dtype=np.complex128)
+            rows[:, :1 << k] = _unit_rows(rng, 2, 1 << k)
+            v, w = CliffordElement(alg, rows[0]), CliffordElement(alg, rows[1])
+            form = hxx_pairing(p, k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k])
+            want = form(v, w)
+            curv_err = _worst(curv_err, abs(mk.pair(v, w) - want) / (1 + abs(want)))
     del sa, adj  # the problem below draws nothing
 
     # Closed form: without its quadratic-state terms the problem has D = a x,
@@ -421,12 +434,13 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
                       np.max(np.abs(pk.lin - want)) / (1.0 + max(abs(alpha), abs(beta))))
     closed_err = _worst(*closed)
 
-    ok = (trans_res <= trans_tol and closed_err <= closed_tol
-          and term_y <= 1e-14 and term_p <= 1e-12 and sym_err <= 1e-9)
+    ok = (trans_res <= trans_tol and closed_err <= closed_tol and term_y <= 1e-14
+          and term_p <= 1e-12 and curv_err <= 1e-12 and sym_err <= 1e-9)
     return SuiteResult("adjoint", "pass" if ok else "fail",
                        {"pairs": pairs_n, "transposition_tol": trans_tol,
                         "transposition_residual": trans_res,
                         "terminal_y_error": term_y, "terminal_p_error": term_p,
+                        "curvature_error": curv_err,
                         "closed_form_error": closed_err,
                         "real_symmetry_error": sym_err})
 

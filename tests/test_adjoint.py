@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from qsoc import adjoint
+from qsoc import problems
 from qsoc.adjoint import (
     Linearization,
     TestTuple,
@@ -461,12 +461,27 @@ def test_transposition_check_refuses_bad_tuples_before_any_compute(monkeypatch):
     _, _, sa = solve_stack(p, np.zeros((alg.n, 1)))
     good = [(rand_tuple(alg, rng, k), rand_tuple(alg, rng, k)) for k in (0, 1, 4)]
     monkeypatch.setattr(Linearization, "t_rows", lambda *a: pytest.fail("stepped"))
-    monkeypatch.setattr(adjoint, "hxx_pairing", lambda *a: pytest.fail("paired"))
+    monkeypatch.setattr(SuperOperator, "gram", lambda *a: pytest.fail("paired"))
     for match, bad, error in refusal_cases(alg, rng):
         partner = rand_tuple(alg, rng, 1)
         for pair in ((bad, partner), (partner, bad)):
             with pytest.raises(error, match=match):
                 transposition_residual(p, sa, good + [pair])
+
+
+def test_transposition_check_pairs_through_m_and_calls_no_curvature_callback(monkeypatch):
+    # the curvature side goes through the M_k that built P; the suite checks
+    # those against the raw callbacks (curvature_error)
+    alg, p = build("quadratic_state", n=5)
+    rng = np.random.default_rng(14)
+    _, _, sa = solve_stack(p, rng.uniform(-0.5, 0.5, size=(alg.n, 1)))
+    pairs = mixed_pairs(alg, rng)
+    clean = transposition_residual(p, sa, pairs)
+    monkeypatch.setattr(problems, "hxx_pairing", lambda *a: pytest.fail("hxx_pairing"))
+    for name in ("D_xx", "F_xx", "G_xx", "L_xx"):
+        assert getattr(p, name) is not None
+        monkeypatch.setattr(p, name, lambda *a, name=name: pytest.fail(name))
+    assert transposition_residual(p, sa, pairs) == clean <= 1e-9
 
 
 def test_stacked_tuple_check_raises_the_first_failure_of_the_per_element_check():

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from qsoc import optimize
+from qsoc import optimize, suites
 from qsoc.adjoint import compute_P, solve_first_adjoint
 from qsoc.clifford import CliffordElement, conditional_expectation, inner, make_algebra
 from qsoc.conditions import first_order_integral, second_order_functional
+from qsoc.config import parse_config
 from qsoc.forward import solve_first_variation, solve_state
 from qsoc.optimize import brute_force_search
 from qsoc.problems import ControlProblem, ControlSet, ProblemSpec, cost, make_problem
@@ -128,3 +129,14 @@ def test_custom_problem_step_operators_live_on_their_blocks():
             assert op.size == side and op.lin.shape == (side, side)
             assert op.antilin is None
     assert sa.P[alg.n].size == alg.dim
+
+
+def test_adjoint_suite_on_the_callback_only_copy_keeps_curvature_error_at_rounding(monkeypatch):
+    # every problem the suite builds wired from callbacks: its curvature hook
+    # is probed from the same callbacks that curvature_error pairs with
+    monkeypatch.setattr(suites, "make_problem", lambda alg, spec: lq_like_custom(alg))
+    cfg = parse_config({"problem": {"name": "lq"}, "grid": {"t0": 0.0, "T": 1.0, "N": 4},
+                        "suites": ["adjoint"], "seed": 3})
+    res = suites.run_suite(cfg, "adjoint")
+    assert res.passed, res.metrics
+    assert res.metrics["curvature_error"] <= 1e-15

@@ -3,10 +3,12 @@
 The adjoint suite keeps its test tuples at their adapted widths and checks
 one start index at a time; the algebra suite runs its products on row
 blocks of ``max(1, SCREEN_BLOCK_ENTRIES // dim)`` rows.  Neither changes a
-bit.  The adjoint suite checks every P_k of the configured problem, stripped
-of its quadratic-state terms, against the scalar-rate recursion.  A NaN in
-any residual a suite folds, or in a deviation the order sweep folds, must
-reach its metric and fail the suite.
+bit.  The isometry suite draws only the adapted blades it uses.  The adjoint
+suite checks each curvature operator M_k against the raw Hessian callbacks,
+and every P_k of the configured problem, stripped of its quadratic-state
+terms, against the scalar-rate recursion.  A NaN in any residual a suite
+folds, or in a deviation the order sweep folds, must reach its metric and
+fail the suite.
 """
 
 import math
@@ -14,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from qsoc import suites
+from qsoc import problems, suites
 from qsoc.clifford import SuperOperator, make_algebra
 from qsoc.config import parse_config
 from qsoc.optimize import SCREEN_BLOCK_ENTRIES
@@ -83,6 +85,118 @@ def test_algebra_row_blocks_are_invisible(monkeypatch, n):
         metrics.append(suites.run_suite(cfg, "algebra").metrics)
     assert metrics[0]["assoc"] > 0.0  # rounding shows, so equality is not vacuous
     assert metrics[0] == metrics[1] == metrics[2]
+
+
+def test_isometry_draws_only_the_adapted_blades_in_one_call_per_block(monkeypatch):
+    n, probes = 5, 32  # one block
+    dim = 1 << n
+    rngs, rows = [], []
+    suite_rng, mul_dw = suites.suite_rng, suites._mul_dw
+
+    def spy_rng(seed, suite):
+        rngs.append(suite_rng(seed, suite))
+        return rngs[-1]
+
+    def spy_mul_dw(alg, r, k, side):
+        rows.append(r.copy())
+        return mul_dw(alg, r, k, side)
+
+    monkeypatch.setattr(suites, "suite_rng", spy_rng)
+    monkeypatch.setattr(suites, "_mul_dw", spy_mul_dw)
+    cfg = config("lq", n, "isometry", isometry={"probes": probes})
+    assert suites.run_suite(cfg, "isometry").passed
+    want = suite_rng(cfg.seed, "isometry")
+    z = want.standard_normal((probes, 4 * (dim - 1)))
+    assert rngs[0].bit_generator.state == want.bit_generator.state
+    for k in range(n):  # f dW, dW g and the reduced product per step
+        w = 1 << k
+        zk = z[:, 4 * (w - 1):4 * (2 * w - 1)].reshape(probes, 4, w)
+        for row, (re, im) in zip(rows[3 * k:3 * k + 2], ((0, 1), (2, 3))):
+            assert not row[:, w:].any()
+            assert row[:, :w].tobytes() == (zk[:, re] + 1j * zk[:, im]).tobytes()
+
+
+# -- the curvature operators M_k against the raw callbacks ---------------------
+
+@pytest.mark.parametrize("problem", ("quadratic_state", {"name": "lq", "rates": {"q": 0.0}}),
+                         ids=("quadratic_state", "lq_without_state_curvature"))
+def test_adjoint_suite_pairs_the_callbacks_once_per_curvature_step(monkeypatch, problem):
+    steps, built = [], []
+    hxx_pairing, compute_P = suites.hxx_pairing, suites.compute_P
+
+    def spy_pairing(p, k, *args):
+        steps.append(k)
+        return hxx_pairing(p, k, *args)
+
+    def spy_compute_P(*args, **kwargs):
+        built.append(compute_P(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(suites, "hxx_pairing", spy_pairing)
+    monkeypatch.setattr(suites, "compute_P", spy_compute_P)
+    res = suites.run_suite(config(problem, 4, "adjoint"), "adjoint")
+    assert res.passed, res.metrics
+    assert steps == [k for k, mk in enumerate(built[0].M) if mk is not None]
+    assert steps == ([0, 1, 2, 3] if problem == "quadratic_state" else [])
+
+
+def scaled_form(form):
+    return None if form is None else lambda *args: (1.0 + 1e-3) * form(*args)
+
+
+def plant_curvature_block(monkeypatch):
+    block = problems._Channel.curvature_block
+    monkeypatch.setattr(problems._Channel, "curvature_block",
+                        lambda self, k, weight: (1.0 + 1e-3) * block(self, k, weight))
+
+
+def plant_dxx(monkeypatch):
+    dxx = problems._Channel.dxx
+    monkeypatch.setattr(problems._Channel, "dxx", lambda self, *args: scaled_form(dxx(self, *args)))
+
+
+def plant_in_problem(monkeypatch, name, wrap):
+    make_problem = suites.make_problem
+
+    def planted(alg, spec):
+        p = make_problem(alg, spec)
+        setattr(p, name, wrap(alg, getattr(p, name)))
+        return p
+    monkeypatch.setattr(suites, "make_problem", planted)
+
+
+def scaled_lin(alg, hook):
+    def planted(k, *args):
+        op = hook(k, *args)
+        return op if k == alg.n else SuperOperator(alg, (1.0 + 1e-3) * op.lin, op.antilin)
+    return planted
+
+
+CURVATURE_PLANTS = {
+    "quadratic_state-curvature_block": ("quadratic_state", plant_curvature_block),
+    "quadratic_state-D_xx": ("quadratic_state", plant_dxx),
+    "lq-L_xx": ("lq", lambda mp: plant_in_problem(
+        mp, "L_xx", lambda alg, lxx: lambda *args: scaled_form(lxx(*args)))),
+    "lq-curvature_lin": ("lq", lambda mp: plant_in_problem(mp, "curvature", scaled_lin)),
+}
+
+
+@pytest.mark.parametrize("case", CURVATURE_PLANTS)
+def test_a_wrong_curvature_hook_or_callback_fails_adjoint_through_curvature_error(
+        monkeypatch, case):
+    # the identity pairs through the M_k that built P and never calls the
+    # callbacks, so it closes under every plant here; only curvature_error
+    # compares the hook with the callbacks
+    problem, plant = CURVATURE_PLANTS[case]
+    cfg = config(problem, 4, "adjoint")
+    clean = suites.run_suite(cfg, "adjoint")
+    assert clean.passed and clean.metrics["curvature_error"] <= 1e-14
+    plant(monkeypatch)
+    res = suites.run_suite(cfg, "adjoint")
+    assert res.status == "fail" and res.metrics["curvature_error"] > 1e-6
+    assert res.metrics["transposition_residual"] <= res.metrics["transposition_tol"]
+    monkeypatch.undo()
+    assert suites.run_suite(cfg, "adjoint").metrics == clean.metrics
 
 
 # -- the closed form of P ------------------------------------------------------
