@@ -32,7 +32,9 @@ Every step operator is therefore stored as its leading block: Dx_k, Bt_k,
 M_k and P_k are (2^k, 2^k), and T_k is a (2^{k+1}, 2^k) transition block
 whose dW_{k+1} half is a signed row shift; only P_N is dim x dim.
 ``SuperOperator`` pairings read the leading columns of their rows, so no
-consumer pads or slices.  The derivative blocks and the curvature
+consumer pads or slices.  The derivative blocks live in the
+:class:`~qsoc.forward.Linearization` of the trajectory (re-exported here),
+which also steps every forward test equation; they and the curvature
 operators come from the problem's ``state_derivatives`` and ``curvature``
 hooks, which every problem carries (see :mod:`qsoc.problems`).
 
@@ -55,9 +57,11 @@ identity
     -g_xx(phi2_N, phi1_N) + sum_j dt <M_j phi2_j, phi1_j>
         = <P_k zeta2, zeta1> + sum_j [P_{j+1}-pairings of the step parts]
 
-exactly, for any two test tuples and with or without nu; the discrete identity
-has no martingale component to solve for.  The optimality functional takes the
-same pairings along the first variation (zeta = 0, mu = Du du, nu = Bu du).
+exactly, for any two test tuples sharing a start index and with or without
+nu; the discrete identity has no martingale component to solve for.  The
+optimality functional takes the same pairings along the first variation
+(zeta = 0, mu = Du du, nu = Bu du), which is stepped by the same
+:meth:`~qsoc.forward.Linearization.step_rows`.
 
 Discrete displays keep the summation-by-parts staggering (P_{j+1} paired
 against T_j phi_j, dW terms kept explicit); this is the discrete realization
@@ -78,89 +82,22 @@ from .clifford import (
     conditional_expectation,
     inner,
     martingale_coefficient,
-    parity,
 )
 from .config import SUPEROP_BUDGET
 from .errors import CapacityError, ContractError, SupportError
-from .forward import Trajectory
+from .forward import Linearization, Trajectory
 from .problems import ControlProblem
 
 __all__ = [
     "Linearization",
     "AdjointPair",
     "SecondAdjoint",
-    "TestTuple",
     "solve_first_adjoint",
     "compute_P",
     "transposition_residual",
     "first_duality_residual",
     "hu_field",
 ]
-
-
-class Linearization:
-    """Derivative operators of the dynamics frozen along one trajectory.
-
-    Dx[k] and Bt[k] are (2^k, 2^k), the maps on the step-k subspace, from
-    the problem's ``state_derivatives`` hook.  Du[k] and Bu[k] are (dim, m).
-    """
-
-    def __init__(self, p: ControlProblem, xbar: Trajectory):
-        alg = p.algebra
-        self.p = p
-        self.algebra = alg
-        self.xbar = xbar
-        n, dim, m = alg.n, alg.dim, p.m
-        self.Dx = []
-        self.Bt = []
-        self.Du = [np.zeros((dim, m), dtype=np.complex128) for _ in range(n)]
-        self.Bu = [np.zeros((dim, m), dtype=np.complex128) for _ in range(n)]
-        self.Lx = []
-        self.Lu = []
-        basis = np.eye(m)
-        for k in range(n):
-            xk, uk = xbar[k], xbar.control[k]
-            dx, bt = p.state_derivatives(k, xk, uk)
-            self.Dx.append(dx)
-            self.Bt.append(bt)
-            du_op, fu_op, gu_op = p.D_u(k, xk, uk), p.F_u(k, xk, uk), p.G_u(k, xk, uk)
-            for i in range(m):
-                self.Du[k][:, i] = du_op(basis[i]).coeffs
-                self.Bu[k][:, i] = fu_op(basis[i]).coeffs + parity(gu_op(basis[i])).coeffs
-            self.Lx.append(p.L_x(k, xk, uk))
-            self.Lu.append(np.asarray(p.L_u(k, xk, uk), dtype=float))
-        self.gx = p.g_x(xbar.terminal)
-
-    def t_block(self, k: int) -> np.ndarray:
-        """One-step homogeneous transition T_k as a (2^{k+1}, 2^k) block.
-
-        E_k + dt Dx_k fills the top half; Bt_k moved by dW_{k+1} (a signed
-        row shift by 2^k) fills the bottom half.
-        """
-        alg, b = self.algebra, 1 << k
-        out = np.empty((2 * b, b), dtype=np.complex128)
-        out[:b] = np.eye(b) + alg.dt * self.Dx[k]
-        out[b:] = (alg._gen_signs("right", k + 1)[:b] * np.sqrt(alg.dt))[:, None] * self.Bt[k]
-        return out
-
-    def t_rows(self, k: int, V: np.ndarray) -> np.ndarray:
-        """T_k on a (B, dim) stack of rows adapted at step k: v + dt Dx_k v + (Bt_k v) dW_{k+1}.
-
-        Kept apart from :meth:`t_block` on purpose: the transposition check
-        steps its test equations here and pairs them with the P_k that
-        :func:`compute_P` conjugates through ``t_block``; on one shared T_k a
-        defect in it would cancel out of the identity.
-        """
-        b = 1 << k
-        dx = np.zeros(V.shape, dtype=np.complex128)
-        bt = np.zeros(V.shape, dtype=np.complex128)
-        dx[:, :b] = V[:, :b] @ self.Dx[k].T
-        bt[:, :b] = V[:, :b] @ self.Bt[k].T
-        return V + self.algebra.dt * dx + _mul_dw(self.algebra, bt, k + 1, "right")
-
-    def t_apply(self, k: int, v: CliffordElement) -> CliffordElement:
-        """T_k v on one element: the one-row view of :meth:`t_rows`."""
-        return CliffordElement(self.algebra, self.t_rows(k, v.coeffs[None])[0])
 
 
 @dataclass
@@ -285,20 +222,18 @@ def compute_P(p: ControlProblem, xbar: Trajectory, ubar: np.ndarray,
     return SecondAdjoint(P=P, M=M, lin=lin, adj=adj, xbar=xbar, ubar=ubar)
 
 
-def _step_pairings(pj: SuperOperator, dt: float, phi2, mu2, n2, phi1, mu1, n1) -> np.ndarray:
-    """P_{j+1}-pairings of two stacks of test steps phi_{j+1} = T_j phi_j + dt mu_j + n_j.
+def _step_pairings(pj: SuperOperator, phi2, d2, phi1, d1) -> np.ndarray:
+    """P_{j+1}-pairings of two stacks of test steps phi_{j+1} = T_j phi_j + d_j.
 
     Arguments are coefficient stacks (rows): phi the step results phi_{j+1},
-    n_j = nu_j dW_{j+1} the noise parts.  Entry (a, b) pairs row a of the
-    (phi2, mu2, n2) steps against row b of the (phi1, mu1, n1) steps: every
-    pairing of the parts T_j phi_j and d_j = dt mu_j + n_j except T_j phi_j
-    against T_j phi_j, i.e. <P d2, phi1> + <P phi2, d1> - <P d2, d1>, summed
-    as two gram calls (P is real-linear and dt real).  Under the real
-    symmetry of P the real part of a diagonal entry collapses to the
-    familiar display with three distinct quadratic/cross terms.
+    d_j = dt mu_j + nu_j dW_{j+1} the driven parts.  Entry (a, b) pairs row a
+    of the (phi2, d2) steps against row b of the (phi1, d1) steps: every
+    pairing of the parts T_j phi_j and d_j except T_j phi_j against T_j
+    phi_j, i.e. <P d2, phi1> + <P phi2, d1> - <P d2, d1>, summed as two gram
+    calls (P is real-linear).  Under the real symmetry of P the real part of
+    a diagonal entry collapses to the familiar display with three distinct
+    quadratic/cross terms.
     """
-    d2 = dt * mu2 + n2
-    d1 = dt * mu1 + n1
     return pj.gram(phi2, d1) + pj.gram(d2, phi1 - d1)
 
 
@@ -313,115 +248,75 @@ def _p_block_terms(sa: SecondAdjoint, X: np.ndarray, dus: np.ndarray) -> np.ndar
     lin = sa.lin
     total = np.zeros((len(X), len(X)), dtype=np.complex128)
     for j in range(lin.algebra.n):
-        mu = dus[:, j] @ lin.Du[j].T
-        noise = _mul_dw(lin.algebra, dus[:, j] @ lin.Bu[j].T, j + 1, "right")
-        total += _step_pairings(sa.P[j + 1], lin.algebra.dt, X[:, j + 1], mu, noise,
-                                X[:, j + 1], mu, noise)
+        d = lin.algebra.dt * (dus[:, j] @ lin.Du[j].T) \
+            + _mul_dw(lin.algebra, dus[:, j] @ lin.Bu[j].T, j + 1, "right")
+        total += _step_pairings(sa.P[j + 1], X[:, j + 1], d, X[:, j + 1], d)
     return total
 
 
 # -- transposition identity --------------------------------------------------
 
-@dataclass
-class TestTuple:
-    """Forward test data (zeta, mu, nu) issued at step k."""
+def _check_test_equations(alg, k: int, zeta: np.ndarray, mu: np.ndarray,
+                          nu: np.ndarray) -> None:
+    """Refuse test equations that do not start at step k or are not adapted.
 
-    __test__ = False  # bare "Test" prefix, not a pytest class
-
-    k: int
-    zeta: CliffordElement
-    mu: list
-    nu: list | None = None
-
-
-def _check_test_tuples(pairs: list, n: int) -> None:
-    """Refuse the first pair whose tuples disagree on k, are not adapted or
-    do not cover k .. N-1.
-
-    Pairs are checked in order, t1 before t2, and each tuple in the order
-    start index, zeta, driver count, then mu_j and nu_j step by step.  The
-    adaptation tests run once per step j and kind, on the stacked (B, dim)
-    rows of the zetas issued at j or of the j-th drivers; the order above
-    only picks which failure is raised.
+    Checked in the order start index, zeta, driver count, then mu_j before
+    nu_j step by step; each test runs on every row of the pair stack at once.
     """
-    tuples = [t for pair in pairs for t in pair]
-    covers = [0 <= t.k <= n and len(t.mu) == n - t.k and (t.nu is None or len(t.nu) == n - t.k)
-              for t in tuples]
-    stacks: dict = {}  # (step, kind) -> (tuple index, coefficients) of each row
-    for i, t in enumerate(tuples):
-        if 0 <= t.k <= n:
-            stacks.setdefault((t.k, "zeta"), []).append((i, t.zeta.coeffs))
-        if covers[i]:
-            for kind in ("mu", "nu"):
-                for j, v in enumerate(getattr(t, kind) or (), t.k):
-                    stacks.setdefault((j, kind), []).append((i, v.coeffs))
-    failed: dict = {}  # tuple index -> its non-adapted (step, kind) entries
-    for (j, kind), entries in stacks.items():
-        index, rows = zip(*entries)
-        for i in np.asarray(index)[np.any(np.array(rows)[:, 1 << j:], axis=1)]:
-            failed.setdefault(int(i), []).append((j, kind))
-    for i, t in enumerate(tuples):
-        if i % 2 == 0 and t.k != tuples[i + 1].k:
-            raise ValueError("tuple pairs must share their start index")
-        if not 0 <= t.k <= n:
-            raise ValueError(f"step index {t.k} outside 0..{n}")
-        bad = failed.get(i, [])
-        if (t.k, "zeta") in bad:
-            raise SupportError("test tuple initial condition not adapted at its start index")
-        if not covers[i]:
-            raise ValueError("test tuple drivers must cover start index .. N-1")
-        if bad:
-            j, kind = min(bad, key=lambda entry: (entry[0], entry[1] == "nu"))
-            raise SupportError(f"{kind} driver not adapted at step {j}")
+    n = alg.n
+    if not 0 <= k <= n:
+        raise ValueError(f"step index {k} outside 0..{n}")
+    if zeta.ndim != 3 or zeta.shape[::2] != (2, alg.dim):
+        raise ValueError(f"test equation initial conditions must have shape (2, B, {alg.dim})")
+    if np.any(zeta[..., 1 << k:]):
+        raise SupportError("test tuple initial condition not adapted at its start index")
+    if not mu.shape == nu.shape == zeta.shape[:2] + (n - k, alg.dim):
+        raise ValueError("test tuple drivers must cover start index .. N-1")
+    for j in range(k, n):
+        for kind, drivers in (("mu", mu), ("nu", nu)):
+            if np.any(drivers[:, :, j - k, 1 << j:]):
+                raise SupportError(f"{kind} driver not adapted at step {j}")
 
 
-def transposition_residual(p: ControlProblem, sa: SecondAdjoint,
-                           tuples: list) -> float:
-    """Max absolute defect of the transposition identity over test-tuple pairs.
+def transposition_residual(p: ControlProblem, sa: SecondAdjoint, k: int, zeta: np.ndarray,
+                           mu: np.ndarray, nu: np.ndarray) -> float:
+    """Max absolute defect of the transposition identity over B pairs of test equations.
 
-    The left side pairs fresh forward solves through the curvature operators
-    M_j that built P (the suite checks M_j against the raw callbacks) and
-    the terminal cost through ``g_xx``, one pair at a time; the right side
-    goes through the materialized P family.  The identity closes to rounding
-    for any two tuples sharing a start index, with or without nu drivers.
-    Every tuple is checked before anything is computed
-    (:func:`_check_test_tuples`).  The pairs are grouped by start index k,
-    and each group steps its 2B test equations as one (2B, dim) stack
-    through :meth:`Linearization.t_rows`, keeping only the current step;
-    per step, its curvature side is the diagonal of one ``M_j.gram`` and its
-    P side of one :func:`_step_pairings`.  Groups never mix, so the result
-    is the max over per-group calls, bit for bit; a NaN defect in any group
-    makes it NaN.
+    ``zeta`` (2, B, dim) holds the initial conditions at step k of each
+    pair's first and second equation, ``mu`` and ``nu`` (2, B, N - k, dim)
+    their drivers at steps k .. N-1; an equation without noise drivers has
+    zero ``nu``.  Everything is checked before anything is computed
+    (:func:`_check_test_equations`).  The left side pairs the equations
+    through the curvature operators M_j that built P (the suite checks M_j
+    against the raw callbacks) and the terminal cost through ``g_xx``, one
+    pair at a time; the right side goes through the materialized P family.
+    The identity closes to rounding for any two equations sharing a start
+    index, with or without nu drivers.  The 2B equations step as one
+    (2B, dim) stack through :meth:`Linearization.step_rows`, keeping only
+    the current step; per step, the curvature side is the diagonal of one
+    ``M_j.gram`` and the P side of one :func:`_step_pairings`.  A NaN defect
+    makes the result NaN.
     """
     alg = p.algebra
-    dt, n = alg.dt, alg.n
-    _check_test_tuples(tuples, n)
-    groups: dict = {}
-    for t1, t2 in tuples:
-        groups.setdefault(t1.k, []).append((t1, t2))
-    gxx = None if p.g_xx is None else p.g_xx(sa.xbar.terminal)
+    dt = alg.dt
+    zeta, mu, nu = (np.asarray(a, dtype=np.complex128) for a in (zeta, mu, nu))
+    _check_test_equations(alg, k, zeta, mu, nu)
 
-    worst = []
-    for k, pairs in groups.items():
-        # rows :b hold the t2 paths, rows b: the t1 paths of the same pairs
-        b = len(pairs)
-        tests = [t2 for _, t2 in pairs] + [t1 for t1, _ in pairs]
-        phi = np.array([t.zeta.coeffs for t in tests])
-        rhs = np.diagonal(sa.P[k].gram(phi[:b], phi[b:])).copy()  # P side
-        lhs = np.zeros(b, dtype=np.complex128)  # curvature side
-        for j in range(k, n):
-            if sa.M[j] is not None:
-                lhs += dt * np.diagonal(sa.M[j].gram(phi[:b], phi[b:]))
-            mu = np.array([t.mu[j - k].coeffs for t in tests])
-            nu = np.array([np.zeros(alg.dim) if t.nu is None else t.nu[j - k].coeffs
-                           for t in tests], dtype=np.complex128)
-            noise = _mul_dw(alg, nu, j + 1, "right")
-            phi = sa.lin.t_rows(j, phi) + dt * mu + noise
-            # summation-by-parts staggering: P_{j+1} against the step parts
-            rhs += np.diagonal(_step_pairings(sa.P[j + 1], dt, phi[:b], mu[:b], noise[:b],
-                                              phi[b:], mu[b:], noise[b:]))
-        if gxx is not None:
-            lhs -= [gxx(CliffordElement(alg, v2), CliffordElement(alg, v1))
-                    for v2, v1 in zip(phi[:b], phi[b:])]
-        worst.append(np.max(np.abs(lhs - rhs)))
-    return float(np.max(worst, initial=0.0))
+    # rows :b hold the second equations, rows b: the first of the same pairs
+    b = zeta.shape[1]
+    phi = zeta[::-1].reshape(2 * b, alg.dim)
+    rhs = np.diagonal(sa.P[k].gram(phi[:b], phi[b:])).copy()  # P side
+    lhs = np.zeros(b, dtype=np.complex128)  # curvature side
+    for j in range(k, alg.n):
+        if sa.M[j] is not None:
+            lhs += dt * np.diagonal(sa.M[j].gram(phi[:b], phi[b:]))
+        mu_j, nu_j = (v[::-1, :, j - k].reshape(2 * b, alg.dim) for v in (mu, nu))
+        phi = sa.lin.step_rows(j, phi, mu_j, nu_j)
+        # summation-by-parts staggering: P_{j+1} against the step parts
+        d = dt * mu_j + _mul_dw(alg, nu_j, j + 1, "right")
+        rhs += np.diagonal(_step_pairings(sa.P[j + 1], phi[:b], d[:b], phi[b:], d[b:]))
+    if p.g_xx is not None:
+        gxx = p.g_xx(sa.xbar.terminal)
+        lhs -= [gxx(CliffordElement(alg, v2), CliffordElement(alg, v1))
+                for v2, v1 in zip(phi[:b], phi[b:])]
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))

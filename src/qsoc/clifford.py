@@ -488,16 +488,6 @@ def _mul_dw(alg: CliffordAlgebra, rows: np.ndarray, k: int, side: str) -> np.nda
     return out.reshape(rows.shape) * np.sqrt(alg.dt)
 
 
-def mul_dw_right(a: CliffordElement, k: int) -> CliffordElement:
-    """a * dW_k: the one-row case of :func:`_mul_dw`."""
-    return CliffordElement(a.algebra, _mul_dw(a.algebra, a.coeffs[None], k, "right")[0])
-
-
-def mul_dw_left(a: CliffordElement, k: int) -> CliffordElement:
-    """dW_k * a: the one-row case of :func:`_mul_dw`."""
-    return CliffordElement(a.algebra, _mul_dw(a.algebra, a.coeffs[None], k, "left")[0])
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """L2 norm of each coefficient row, equal bit for bit to ``CliffordElement.norm``.
 

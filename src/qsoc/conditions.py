@@ -51,8 +51,9 @@ from .adjoint import (
     hu_field,
     solve_first_adjoint,
 )
+from .clifford import CliffordElement
 from .errors import BudgetError, ContractError
-from .forward import solve_first_variation, solve_state
+from .forward import solve_first_variation, solve_state, stacked_costs
 from .problems import ControlProblem, cost, huu_matrix, hxu_pairing
 
 __all__ = [
@@ -67,9 +68,11 @@ __all__ = [
     "reduced_hessians",
     "kkt_residual",
     "ROUTE_GAP_TOL",
+    "TAYLOR_TOL",
 ]
 
 ROUTE_GAP_TOL = 1e-10  # bound on the route gap, relative to 1 + |S|
+TAYLOR_TOL = 1e-3  # bound on the cost sweep's relative errors against -FO and S
 WEAK_SUPPORT_BUDGET = 1 << 12  # supports of the weakly active coordinates enumerated
 TAYLOR_EPS = [2.0 ** -e for e in range(4, 9)]  # cost sweep along the top cone direction
 
@@ -86,11 +89,12 @@ def _routes_agree(route_gap: float, s: float) -> bool:
     return route_gap <= ROUTE_GAP_TOL * (1.0 + abs(s))
 
 
-def _forms(p: ControlProblem, adj: AdjointPair, sa: SecondAdjoint, x1s,
+def _forms(p: ControlProblem, adj: AdjointPair, sa: SecondAdjoint, X: np.ndarray,
            dus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The parts of S as complex (B, B) forms on a stack of directions.
 
-    ``dus`` (B, N, m) are the directions, ``x1s`` their first variations.
+    ``dus`` (B, N, m) are the directions, ``X`` (B, N+1, dim) their first
+    variations.
     Returns the curvature terms shared by both routes, the P-pairings and the
     direct route (curvature terms plus x1 paired with P_N and the M_j only).
     S through P is Re(curvature + P-pairings), its oracle Re(direct); the
@@ -100,7 +104,6 @@ def _forms(p: ControlProblem, adj: AdjointPair, sa: SecondAdjoint, x1s,
         raise ContractError("second adjoint was built from a different first adjoint")
     alg = p.algebra
     dt = alg.dt
-    X = np.array([[v.coeffs for v in x1] for x1 in x1s])
     units = np.eye(p.m)
     curvature = np.zeros((len(dus), len(dus)), dtype=np.complex128)
     for k in range(alg.n):
@@ -109,7 +112,8 @@ def _forms(p: ControlProblem, adj: AdjointPair, sa: SecondAdjoint, x1s,
         xu = hxu_pairing(*args)
         if xu is not None:
             # linear in the control slot: entry (a, b) pairs x1 of a with du of b
-            cross = np.array([[xu(x1[k], e) for e in units] for x1 in x1s]) @ dus[:, k].T
+            cross = np.array([[xu(CliffordElement(alg, x[k]), e) for e in units]
+                              for x in X]) @ dus[:, k].T
             curvature += dt * (cross + cross.T)
     direct = curvature + sa.P[alg.n].gram(X[:, alg.n], X[:, alg.n])
     for j, mj in enumerate(sa.M):
@@ -125,7 +129,7 @@ def _forms_along(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     u = p.check_control_path(u)
     if not np.array_equal(ubar, sa.ubar):
         raise ContractError("functional must be evaluated at the adjoint's base control")
-    forms = _forms(p, adj, sa, [x1], (u - ubar)[None])
+    forms = _forms(p, adj, sa, np.array([[v.coeffs for v in x1]]), (u - ubar)[None])
     return tuple(complex(f[0, 0]) for f in forms)
 
 
@@ -152,13 +156,12 @@ def reduced_hessians(p: ControlProblem, adj: AdjointPair,
 
     v = du.reshape(-1), so column a = k*m + i is the unit direction of control
     i at step k.  x1 is real-linear in du and every part of S is real-bilinear
-    in (x1, du), so one first-variation solve per column and the forms on the
-    stack of columns give both quadratic forms exactly.
+    in (x1, du), so the first variations of the columns, solved as one
+    stack, and the forms on that stack give both quadratic forms exactly.
     """
     size = p.algebra.n * p.m
     basis = np.eye(size).reshape(size, p.algebra.n, p.m)
-    x1s = [solve_first_variation(p, sa.xbar, e) for e in basis]
-    curvature, p_pairs, direct = _forms(p, adj, sa, x1s, basis)
+    curvature, p_pairs, direct = _forms(p, adj, sa, sa.lin.variation_rows(basis), basis)
     real = np.stack([(curvature + p_pairs).real, direct.real])
     sym = 0.5 * (real + real.transpose(0, 2, 1))
     return sym[0], sym[1]
@@ -185,13 +188,15 @@ class TaylorReport:
 
 
 def taylor_consistency(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
-                       eps_list, tol: float = 1e-3) -> TaylorReport:
+                       eps_list) -> TaylorReport:
     """Cost-sweep cross-check of both functionals.
 
     Fits J(u^eps) - J(ubar) = a eps + b eps^2 (+ higher order); the duality
     identities force a = -FO and b = -S/2.  Estimates use two Richardson
     levels over a halving sweep, so smooth higher-order terms drop to O(eps^2)
-    of the finest point.  Passing also requires the two routes to S to agree.
+    of the finest point; both must be within ``TAYLOR_TOL``.  The sweep's
+    costs come from one row-stacked solve.  Passing also requires the two
+    routes to S to agree.
     """
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
     if len(eps_list) < 3:
@@ -203,18 +208,16 @@ def taylor_consistency(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     xbar = solve_state(p, ubar)
     adj = solve_first_adjoint(p, xbar, ubar)
     sa = compute_P(p, xbar, ubar, adj)
-    x1 = solve_first_variation(p, xbar, du)
+    x1 = solve_first_variation(adj.lin, du)
     fo = first_order_integral(p, ubar, u, adj)
     s = second_order_functional(p, ubar, u, adj, sa, x1)
     route_gap = abs(s - second_order_direct(p, ubar, u, adj, sa, x1))
 
-    j0 = cost(p, ubar, xbar)
-    gaps = []
-    for eps in eps_list:
-        ueps = ubar + eps * du
+    sweep = ubar + np.array(eps_list)[:, None, None] * du
+    for eps, ueps in zip(eps_list, sweep):
         if not p.control_set.contains(ueps):
             raise ValueError(f"perturbed control at eps={eps} leaves the admissible box")
-        gaps.append(cost(p, ueps, solve_state(p, ueps)) - j0)
+    gaps = (stacked_costs(p, sweep) - cost(p, ubar, xbar)).tolist()
 
     a_vals = [g / e for g, e in zip(gaps, eps_list)]
     a_est = _richardson(_richardson(a_vals, 1), 2)[-1]
@@ -236,7 +239,7 @@ def taylor_consistency(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
                         rel_err_a=rel_a, rel_err_s=rel_s,
                         fit_residual=fit_res, route_gap=route_gap,
                         eps=eps_list, gaps=gaps,
-                        passed=bool(rel_a <= tol and rel_s <= tol
+                        passed=bool(rel_a <= TAYLOR_TOL and rel_s <= TAYLOR_TOL
                                     and _routes_agree(route_gap, s)))
 
 
@@ -332,7 +335,7 @@ def verify_theorem(p: ControlProblem, ubar: np.ndarray, fo_tol: float | None = N
     taylor_ok = True
     if moves.any() and step > 0:
         du = step * top
-        x1 = solve_first_variation(p, xbar, du)
+        x1 = solve_first_variation(adj.lin, du)
         oracle_gap = abs(second_order_functional(p, ubar, ubar + du, adj, sa, x1) / step ** 2
                          - max_s)
         sweep = taylor_consistency(p, ubar, ubar + du, TAYLOR_EPS)

@@ -1,4 +1,4 @@
-"""Forward solvers: state equation, first/second variations, order sweeps.
+"""Forward solvers: state equation, linearization, variations, order sweeps.
 
 The state scheme is explicit with coefficients frozen at the left endpoint,
 
@@ -14,6 +14,13 @@ array per step through the problem's ``coefficient_rows`` hook, with the
 adaptedness check applied to every row at every step.  :func:`solve_state`
 is its one-row case; :func:`stacked_paths` sums the problem's ``cost_rows``
 along the block and keeps its states, :func:`stacked_costs` only its costs.
+
+:class:`Linearization` freezes the derivative blocks of the dynamics along
+one trajectory, and :meth:`Linearization.step_rows` steps every forward test
+equation phi_{k+1} = T_k phi_k + dt mu_k + nu_k dW_{k+1} on (B, dim) row
+stacks (T_k as in :mod:`qsoc.adjoint`).  Both variations are such equations
+with zeta = 0: x1 with mu = Du du and nu = Bu du, x2 with the
+quadratic-response drivers; so are the transposition check's.
 """
 
 from __future__ import annotations
@@ -27,8 +34,7 @@ from .clifford import (
     CliffordElement,
     _mul_dw,
     _row_norms,
-    mul_dw_left,
-    mul_dw_right,
+    parity,
 )
 from .errors import AdaptednessError
 from .problems import ControlProblem
@@ -38,6 +44,7 @@ __all__ = [
     "solve_state",
     "stacked_costs",
     "stacked_paths",
+    "Linearization",
     "solve_first_variation",
     "solve_second_variation",
     "quadratic_drivers",
@@ -66,8 +73,7 @@ class Trajectory:
     @classmethod
     def from_rows(cls, alg, rows, control: np.ndarray) -> "Trajectory":
         """The trajectory of ``control`` from its state coefficient rows X_0 .. X_N."""
-        return cls(AdaptedProcess(alg, [CliffordElement(alg, x) for x in rows], tol=1e-9),
-                   control)
+        return cls(_process(alg, rows), control)
 
 
 def _state_rows(p: ControlProblem, U: np.ndarray):
@@ -124,29 +130,96 @@ def stacked_costs(p: ControlProblem, U: np.ndarray) -> np.ndarray:
     return stacked_paths(p, U)[0]
 
 
-def _response(p: ControlProblem, xbar: Trajectory, drivers) -> AdaptedProcess:
-    """z_{k+1} = z_k + dt (D_x z_k + d) + (F_x z_k + f) dW + dW (G_x z_k + g), z_0 = 0,
-    along xbar, with ``(d, f, g) = drivers(k, x_k, u_k)``."""
-    alg = p.algebra
-    zs = [CliffordElement.zero(alg)]
-    for k in range(alg.n):
-        xk, uk, zk = xbar[k], xbar.control[k], zs[k]
-        d, f, g = drivers(k, xk, uk)
-        drift = p.D_x(k, xk, uk)(zk) + d
-        left = p.F_x(k, xk, uk)(zk) + f
-        right = p.G_x(k, xk, uk)(zk) + g
-        zs.append(zk + alg.dt * drift + mul_dw_right(left, k + 1) + mul_dw_left(right, k + 1))
-    return AdaptedProcess(alg, zs, tol=1e-9)
+class Linearization:
+    """Derivative operators of the dynamics frozen along one trajectory.
+
+    Dx[k] and Bt[k] are (2^k, 2^k), the maps on the step-k subspace, from
+    the problem's ``state_derivatives`` hook.  Du[k] and Bu[k] are (dim, m).
+    """
+
+    def __init__(self, p: ControlProblem, xbar: Trajectory):
+        alg = p.algebra
+        self.p = p
+        self.algebra = alg
+        self.xbar = xbar
+        n, dim, m = alg.n, alg.dim, p.m
+        self.Dx, self.Bt, self.Lx, self.Lu = [], [], [], []
+        self.Du = [np.zeros((dim, m), dtype=np.complex128) for _ in range(n)]
+        self.Bu = [np.zeros((dim, m), dtype=np.complex128) for _ in range(n)]
+        basis = np.eye(m)
+        for k in range(n):
+            xk, uk = xbar[k], xbar.control[k]
+            dx, bt = p.state_derivatives(k, xk, uk)
+            self.Dx.append(dx)
+            self.Bt.append(bt)
+            du_op, fu_op, gu_op = p.D_u(k, xk, uk), p.F_u(k, xk, uk), p.G_u(k, xk, uk)
+            for i in range(m):
+                self.Du[k][:, i] = du_op(basis[i]).coeffs
+                self.Bu[k][:, i] = fu_op(basis[i]).coeffs + parity(gu_op(basis[i])).coeffs
+            self.Lx.append(p.L_x(k, xk, uk))
+            self.Lu.append(np.asarray(p.L_u(k, xk, uk), dtype=float))
+        self.gx = p.g_x(xbar.terminal)
+
+    def t_block(self, k: int) -> np.ndarray:
+        """One-step homogeneous transition T_k as a (2^{k+1}, 2^k) block.
+
+        E_k + dt Dx_k fills the top half; Bt_k moved by dW_{k+1} (a signed
+        row shift by 2^k) fills the bottom half.
+        """
+        alg, b = self.algebra, 1 << k
+        out = np.empty((2 * b, b), dtype=np.complex128)
+        out[:b] = np.eye(b) + alg.dt * self.Dx[k]
+        out[b:] = (alg._gen_signs("right", k + 1)[:b] * np.sqrt(alg.dt))[:, None] * self.Bt[k]
+        return out
+
+    def t_rows(self, k: int, V: np.ndarray) -> np.ndarray:
+        """T_k on a (B, dim) stack of rows adapted at step k: v + dt Dx_k v + (Bt_k v) dW_{k+1}.
+
+        Kept apart from :meth:`t_block` on purpose: every test equation,
+        the variations included, steps here, and the transposition check pairs
+        them with the P_k that :func:`~qsoc.adjoint.compute_P` conjugates
+        through ``t_block``; on one shared T_k a defect in it would cancel out
+        of the identity.
+        """
+        b = 1 << k
+        dx = np.zeros(V.shape, dtype=np.complex128)
+        bt = np.zeros(V.shape, dtype=np.complex128)
+        dx[:, :b] = V[:, :b] @ self.Dx[k].T
+        bt[:, :b] = V[:, :b] @ self.Bt[k].T
+        return V + self.algebra.dt * dx + _mul_dw(self.algebra, bt, k + 1, "right")
+
+    def step_rows(self, k: int, phi: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        """One step of the test equation phi_{k+1} = T_k phi_k + dt mu_k + nu_k dW_{k+1}.
+
+        Every argument is a (B, dim) stack of rows adapted at step k.
+        """
+        alg = self.algebra
+        return self.t_rows(k, phi) + alg.dt * mu + _mul_dw(alg, nu, k + 1, "right")
+
+    def variation_rows(self, dus: np.ndarray) -> np.ndarray:
+        """First variations of a (B, N, m) stack of directions, shape (B, N+1, dim).
+
+        The test equation with zeta = 0, mu_k = Du_k du_k and nu_k = Bu_k du_k.
+        """
+        alg = self.algebra
+        X = np.zeros((len(dus), alg.n + 1, alg.dim), dtype=np.complex128)
+        for k in range(alg.n):
+            X[:, k + 1] = self.step_rows(k, X[:, k], dus[:, k] @ self.Du[k].T,
+                                         dus[:, k] @ self.Bu[k].T)
+        return X
 
 
-def solve_first_variation(p: ControlProblem, xbar: Trajectory,
-                          du: np.ndarray) -> AdaptedProcess:
+def _process(alg, rows) -> AdaptedProcess:
+    """The adapted process of coefficient rows X_0 .. X_N."""
+    return AdaptedProcess(alg, [CliffordElement(alg, x) for x in rows], tol=1e-9)
+
+
+def solve_first_variation(lin: Linearization, du: np.ndarray) -> AdaptedProcess:
     """Linear response of the state to a control perturbation direction."""
     du = np.asarray(du, dtype=float)
-    if du.shape != xbar.control.shape:
+    if du.shape != lin.xbar.control.shape:
         raise ValueError("perturbation must match the control path shape")
-    return _response(p, xbar, lambda k, x, u: tuple(
-        fn(k, x, u)(du[k]) for fn in (p.D_u, p.F_u, p.G_u)))
+    return _process(lin.algebra, lin.variation_rows(du[None])[0])
 
 
 def quadratic_drivers(p: ControlProblem, k: int, x, u, h, v) -> tuple:
@@ -168,13 +241,23 @@ def quadratic_drivers(p: ControlProblem, k: int, x, u, h, v) -> tuple:
     return tuple(out)
 
 
-def solve_second_variation(p: ControlProblem, xbar: Trajectory, x1: AdaptedProcess,
+def solve_second_variation(lin: Linearization, x1: AdaptedProcess,
                            du: np.ndarray) -> AdaptedProcess:
-    """Quadratic response; drivers are the frozen second derivatives at xbar."""
+    """Quadratic response; drivers are the frozen second derivatives at xbar.
+
+    The test equation with zeta = 0, mu_k = d_k and nu_k = f_k + parity(g_k),
+    where (d, f, g) are the :func:`quadratic_drivers` along x1.
+    """
     du = np.asarray(du, dtype=float)
-    if du.shape != xbar.control.shape or len(x1) != p.algebra.n + 1:
+    alg, xbar = lin.algebra, lin.xbar
+    if du.shape != xbar.control.shape or len(x1) != alg.n + 1:
         raise ValueError("inputs must match the trajectory grid")
-    return _response(p, xbar, lambda k, x, u: quadratic_drivers(p, k, x, u, x1[k], du[k]))
+    rows = [np.zeros(alg.dim, dtype=np.complex128)]
+    for k in range(alg.n):
+        d, f, g = quadratic_drivers(lin.p, k, xbar[k], xbar.control[k], x1[k], du[k])
+        rows.append(lin.step_rows(k, rows[-1][None], d.coeffs[None],
+                                  (f + parity(g)).coeffs[None])[0])
+    return _process(alg, rows)
 
 
 @dataclass
@@ -216,10 +299,11 @@ def order_estimate_slopes(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     """Contraction-rate sweep of the pathwise variation remainders.
 
     For each epsilon the perturbed control is (1-eps) ubar + eps u, which is
-    admissible by convexity of the box.  Expected rates: the raw deviation is
-    first order, the deviation net of the linear response is second order, and
-    net of half the quadratic response it is super-quadratic.  Problems with
-    (sub)linear dynamics hit the remainders exactly and are flagged `exact`.
+    admissible by convexity of the box; the sweep is one stacked state solve.
+    Expected rates: the raw deviation is first order, the deviation net of the
+    linear response is second order, and net of half the quadratic response
+    it is super-quadratic.  Problems with (sub)linear dynamics hit the
+    remainders exactly and are flagged `exact`.
     """
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
     if len(eps_list) < 4:
@@ -231,25 +315,16 @@ def order_estimate_slopes(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     du = u - ubar
 
     xbar = solve_state(p, ubar)
-    x1 = solve_first_variation(p, xbar, du)
-    x2 = solve_second_variation(p, xbar, x1, du)
+    lin = Linearization(p, xbar)
+    x1 = solve_first_variation(lin, du)
+    x2 = solve_second_variation(lin, x1, du)
 
-    pts0, pts1, pts2 = [], [], []
-    for eps in eps_list:
-        ueps = ubar + eps * du
-        xeps = solve_state(p, ueps)
-        worst = np.zeros(3)  # np.maximum keeps a NaN that Python max would drop
-        for k in range(p.algebra.n + 1):
-            delta = xeps[k] - xbar[k]
-            worst = np.maximum(worst, [delta.norm(), (delta - eps * x1[k]).norm(),
-                                       (delta - eps * x1[k] - 0.5 * eps * eps * x2[k]).norm()])
-        d0, d1, d2 = worst.tolist()
-        pts0.append((eps, d0))
-        pts1.append((eps, d1))
-        pts2.append((eps, d2))
-
-    return OrderReport(
-        dx=_fit(pts0),
-        dx_minus_x1=_fit(pts1),
-        dx_minus_x1_x2=_fit(pts2),
-    )
+    eps = np.array(eps_list)
+    _, states = stacked_paths(p, ubar + eps[:, None, None] * du)
+    worst = np.zeros((3, len(eps)))  # np.maximum keeps a NaN that Python max would drop
+    for k, xeps in enumerate(states):
+        delta = xeps - xbar[k].coeffs
+        net1 = delta - eps[:, None] * x1[k].coeffs
+        net2 = net1 - (0.5 * eps * eps)[:, None] * x2[k].coeffs
+        worst = np.maximum(worst, [_row_norms(delta), _row_norms(net1), _row_norms(net2)])
+    return OrderReport(*(_fit(list(zip(eps_list, row))) for row in worst.tolist()))

@@ -18,7 +18,6 @@ from collections.abc import Iterator
 import numpy as np
 
 from .adjoint import (
-    TestTuple,
     compute_P,
     first_duality_residual,
     solve_first_adjoint,
@@ -37,6 +36,7 @@ from .clifford import (
     state_m,
 )
 from .conditions import (
+    TAYLOR_TOL,
     first_order_integral,
     reduced_hessians,
     taylor_consistency,
@@ -305,7 +305,7 @@ def run_gradient(cfg: RunConfig) -> SuiteResult:
     worst_fd = 0.0
     for _ in range(trials):
         du = rng.uniform(-0.3, 0.3, size=(alg.n, p.m))
-        x1 = solve_first_variation(p, xbar, du)
+        x1 = solve_first_variation(adj.lin, du)
         worst_dual = _worst(worst_dual, first_duality_residual(p, adj, x1, du))
         fo = first_order_integral(p, ubar, ubar + du, adj)
         jp = cost(p, ubar + h * du, solve_state(p, ubar + h * du))
@@ -343,20 +343,17 @@ def _test_tuple_draws(rng, alg, pairs_n: int) -> list:
     return draws
 
 
-def _test_pairs(alg, draws: list, k: int) -> list:
-    """Dense ``TestTuple`` pairs of the draws that start at step k, in draw order."""
+def _test_equations(alg, draws: list, k: int) -> tuple:
+    """The draws that start at step k, in draw order, as the zero-padded
+    (zeta, mu, nu) arrays of :func:`transposition_residual`."""
+    pairs = [rows for start, rows in draws if start == k]
     span = alg.n - k
-
-    def element(c):
-        v = np.zeros(alg.dim, dtype=np.complex128)
-        v[:c.size] = c
-        return CliffordElement(alg, v)
-
-    def test_tuple(rows):
-        els = [element(c) for c in rows]
-        return TestTuple(k=k, zeta=els[0], mu=els[1:1 + span], nu=els[1 + span:])
-
-    return [(test_tuple(t1), test_tuple(t2)) for start, (t1, t2) in draws if start == k]
+    out = np.zeros((2, len(pairs), 1 + 2 * span, alg.dim), dtype=np.complex128)
+    for i, rows in enumerate(pairs):
+        for t, tuple_rows in enumerate(rows):
+            for r, c in enumerate(tuple_rows):
+                out[t, i, r, :c.size] = c
+    return out[:, :, 0], out[:, :, 1:1 + span], out[:, :, 1 + span:]
 
 
 def run_adjoint(cfg: RunConfig) -> SuiteResult:
@@ -386,10 +383,9 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
         c = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
         return CliffordElement(alg, np.where(keep, c, 0))
 
-    # One check per start index, its dense tuples built just before it: the
-    # check groups its pairs by k, so the max over the calls is its result.
+    # one check per start index, its arrays built just before it
     draws = _test_tuple_draws(rng, alg, pairs_n)
-    trans_res = float(np.max([transposition_residual(p, sa, _test_pairs(alg, draws, k))
+    trans_res = float(np.max([transposition_residual(p, sa, k, *_test_equations(alg, draws, k))
                               for k in dict.fromkeys(k for k, _ in draws)], initial=0.0))
     del draws
 
@@ -451,14 +447,13 @@ def run_second_order(cfg: RunConfig) -> SuiteResult:
     rng = suite_rng(cfg.seed, "second_order")
     alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
     p = make_problem(alg, cfg.problem)
-    tol = 1e-3
     eps = [2.0 ** -e for e in range(4, 9)]
     ubar = _interior_control(p, rng, (alg.n, p.m), span=0.4)
     u = _interior_control(p, rng, (alg.n, p.m), span=0.9)
-    rep = taylor_consistency(p, ubar, u, eps, tol=tol)
+    rep = taylor_consistency(p, ubar, u, eps)
     plot = {"taylor_sweep": [(e, g) for e, g in zip(rep.eps, rep.gaps)]}
     return SuiteResult("second_order", "pass" if rep.passed else "fail",
-                       {"tol": tol, "fo": rep.fo, "s": rep.s,
+                       {"tol": TAYLOR_TOL, "fo": rep.fo, "s": rep.s,
                         "a_est": rep.a_est, "s_est": rep.s_est,
                         "rel_err_first_order": rep.rel_err_a,
                         "rel_err_second_order": rep.rel_err_s,

@@ -4,10 +4,12 @@ None of these runs inside ``qsoc``: each is an independent oracle, built from
 the problem's raw callbacks, for a quantity the library computes another way.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from qsoc.adjoint import TestTuple, _step_pairings, hu_field, solve_first_adjoint
-from qsoc.clifford import CliffordElement, inner, mul_dw_right, parity
+from qsoc.adjoint import _step_pairings, hu_field, solve_first_adjoint
+from qsoc.clifford import AdaptedProcess, CliffordElement, _mul_dw, inner, parity
 from qsoc.errors import StepSizeError, SupportError
 from qsoc.forward import quadratic_drivers, solve_state
 from qsoc.optimize import GradientTrace, _grid_blocks
@@ -61,6 +63,36 @@ def second_duality_residual(p, adj, xbar, x1, x2, du) -> float:
         rhs += alg.dt * (inner(adj.yhat[k], mu) + inner(lin.Lx[k], x2[k])
                          + inner(adj.Y[k], f2 + parity(g2)))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+
+
+def _response(p, xbar, drivers):
+    """z_{k+1} = z_k + dt (D_x z_k + d) + (F_x z_k + f) dW + dW (G_x z_k + g), z_0 = 0,
+    along xbar, with ``(d, f, g) = drivers(k, x_k, u_k)``.
+
+    Steps through the raw element callbacks, one element at a time, apart
+    from the library's row stepping through the ``state_derivatives`` blocks.
+    """
+    alg = p.algebra
+    zs = [CliffordElement.zero(alg)]
+    for k in range(alg.n):
+        xk, uk, zk = xbar[k], xbar.control[k], zs[k]
+        d, f, g = drivers(k, xk, uk)
+        drift = p.D_x(k, xk, uk)(zk) + d
+        left = p.F_x(k, xk, uk)(zk) + f
+        right = p.G_x(k, xk, uk)(zk) + g
+        zs.append(zk + alg.dt * drift + mul_dw(left, k + 1) + mul_dw(right, k + 1, "left"))
+    return AdaptedProcess(alg, zs, tol=1e-9)
+
+
+def first_variation(p, xbar, du):
+    """The first variation along xbar through the element callbacks."""
+    return _response(p, xbar, lambda k, x, u: tuple(
+        fn(k, x, u)(du[k]) for fn in (p.D_u, p.F_u, p.G_u)))
+
+
+def second_variation(p, xbar, x1, du):
+    """The second variation along xbar through the element callbacks."""
+    return _response(p, xbar, lambda k, x, u: quadratic_drivers(p, k, x, u, x1[k], du[k]))
 
 
 def derivative_errors(p, trials: int, seed: int) -> dict:
@@ -160,6 +192,53 @@ def scatter_table_product(alg, A, B):
     return out
 
 
+def mul_dw(a, k, side="right"):
+    """a dW_k (``side="right"``) or dW_k a on one element: one row of ``_mul_dw``."""
+    return CliffordElement(a.algebra, _mul_dw(a.algebra, a.coeffs[None], k, side)[0])
+
+
+@dataclass
+class RefTuple:
+    """Forward test data (zeta, mu, nu) issued at step k, one element each."""
+
+    k: int
+    zeta: CliffordElement
+    mu: list
+    nu: list | None = None
+
+
+def stack_pairs(pairs):
+    """Pairs of RefTuples sharing a start index k as the (k, zeta, mu, nu)
+    arguments of ``transposition_residual``; a missing nu is zero."""
+    k = pairs[0][0].k
+    alg = pairs[0][0].zeta.algebra
+    span = len(pairs[0][0].mu)
+
+    def rows(t):
+        nu = t.nu if t.nu is not None else [CliffordElement.zero(alg)] * span
+        return [t.zeta.coeffs, *(v.coeffs for v in t.mu), *(v.coeffs for v in nu)]
+
+    out = np.array([[rows(t) for t in pair] for pair in pairs], dtype=np.complex128)
+    out = out.transpose(1, 0, 2, 3)  # (equation, pair, row, blade)
+    return k, out[:, :, 0], out[:, :, 1:1 + span], out[:, :, 1 + span:]
+
+
+def by_start(pairs):
+    """``stack_pairs`` of the pairs at each start index, in order of first appearance."""
+    starts = dict.fromkeys(t1.k for t1, _ in pairs)
+    return [stack_pairs([q for q in pairs if q[0].k == k]) for k in starts]
+
+
+def unstack(alg, k, zeta, mu, nu):
+    """The RefTuple pairs of ``transposition_residual`` arguments."""
+    def elements(rows):
+        return [CliffordElement(alg, row) for row in rows]
+
+    return [tuple(RefTuple(k=k, zeta=CliffordElement(alg, zeta[t, i]), mu=elements(mu[t, i]),
+                           nu=elements(nu[t, i])) for t in range(2))
+            for i in range(zeta.shape[1])]
+
+
 def dense_test_pairs(rng, alg, pairs_n):
     """The adjoint suite's test-tuple pairs built dense, one pair at a time.
 
@@ -174,43 +253,47 @@ def dense_test_pairs(rng, alg, pairs_n):
         steps = [k, *range(k, alg.n), *range(k, alg.n)]
         keep = np.array([alg.adapted_mask(j) for j in steps])
         rows = np.where(keep, z[:, :, 0] + 1j * z[:, :, 1], 0)
-        pairs.append(tuple(TestTuple(k=k, zeta=CliffordElement(alg, c[0]),
-                                     mu=[CliffordElement(alg, v) for v in c[1:1 + span]],
-                                     nu=[CliffordElement(alg, v) for v in c[1 + span:]])
+        pairs.append(tuple(RefTuple(k=k, zeta=CliffordElement(alg, c[0]),
+                                    mu=[CliffordElement(alg, v) for v in c[1:1 + span]],
+                                    nu=[CliffordElement(alg, v) for v in c[1 + span:]])
                            for c in rows))
     return pairs
 
 
 def check_tuple_pairs(pairs, n):
-    """Refuse the first bad test-tuple pair, one element at a time.
+    """Refuse the first bad test tuple, one element at a time.
 
-    Pairs in order: a start-index mismatch, then t1 and t2, each as zeta,
-    driver count, then mu_j and nu_j step by step.
+    In the stacked check's order: every start index, every zeta, every
+    driver count, then step by step every mu_j before every nu_j; tuples in
+    order, t1 before t2 of each pair.
     """
-    for t1, t2 in pairs:
-        if t1.k != t2.k:
-            raise ValueError("tuple pairs must share their start index")
-        for t in (t1, t2):
-            if not t.zeta.is_adapted(t.k):
-                raise SupportError("test tuple initial condition not adapted at its start index")
-            span = n - t.k
-            if len(t.mu) != span or (t.nu is not None and len(t.nu) != span):
-                raise ValueError("test tuple drivers must cover start index .. N-1")
-            for j in range(t.k, n):
-                if not t.mu[j - t.k].is_adapted(j):
-                    raise SupportError(f"mu driver not adapted at step {j}")
-                if t.nu is not None and not t.nu[j - t.k].is_adapted(j):
-                    raise SupportError(f"nu driver not adapted at step {j}")
+    tuples = [t for pair in pairs for t in pair]
+    for t in tuples:
+        if not 0 <= t.k <= n:
+            raise ValueError(f"step index {t.k} outside 0..{n}")
+    for t in tuples:
+        if not t.zeta.is_adapted(t.k):
+            raise SupportError("test tuple initial condition not adapted at its start index")
+    for t in tuples:
+        span = n - t.k
+        if len(t.mu) != span or (t.nu is not None and len(t.nu) != span):
+            raise ValueError("test tuple drivers must cover start index .. N-1")
+    for j in range(min(t.k for t in tuples), n):
+        for kind in ("mu", "nu"):
+            for t in tuples:
+                drivers = getattr(t, kind)
+                if j >= t.k and drivers is not None and not drivers[j - t.k].is_adapted(j):
+                    raise SupportError(f"{kind} driver not adapted at step {j}")
 
 
 def tuple_path(lin, t):
-    """One test tuple's path phi and noise parts nu_j dW_{j+1}, one element per step.
+    """One test tuple's path phi and driven parts dt mu_j + nu_j dW_{j+1}, one element a step.
 
     T_j v = v + dt Dx_j v + (Bt_j v) dW_{j+1} is applied as two matrix-vector
     products on the step-j block, apart from the library's row stepping.
     """
     alg = lin.algebra
-    phi, noise = [t.zeta], []
+    phi, drive = [t.zeta], []
     for j in range(t.k, alg.n):
         b = 1 << j
         v = phi[-1].coeffs
@@ -218,12 +301,13 @@ def tuple_path(lin, t):
         bt = np.zeros(alg.dim, dtype=np.complex128)
         dx[:b] = lin.Dx[j] @ v[:b]
         bt[:b] = lin.Bt[j] @ v[:b]
-        step = phi[-1] + alg.dt * CliffordElement(alg, dx) \
-            + mul_dw_right(CliffordElement(alg, bt), j + 1)
-        n_j = CliffordElement.zero(alg) if t.nu is None else mul_dw_right(t.nu[j - t.k], j + 1)
-        noise.append(n_j)
-        phi.append(step + alg.dt * t.mu[j - t.k] + n_j)
-    return phi, noise
+        step = phi[-1] + alg.dt * CliffordElement(alg, dx) + mul_dw(CliffordElement(alg, bt), j + 1)
+        d_j = alg.dt * t.mu[j - t.k]
+        if t.nu is not None:
+            d_j = d_j + mul_dw(t.nu[j - t.k], j + 1)
+        drive.append(d_j)
+        phi.append(step + d_j)
+    return phi, drive
 
 
 def transposition_defects(p, sa, tuples) -> list:
@@ -232,8 +316,8 @@ def transposition_defects(p, sa, tuples) -> list:
     out = []
     for t1, t2 in tuples:
         k = t1.k
-        phi1, n1 = tuple_path(sa.lin, t1)
-        phi2, n2 = tuple_path(sa.lin, t2)
+        phi1, d1 = tuple_path(sa.lin, t1)
+        phi2, d2 = tuple_path(sa.lin, t2)
         lhs = 0.0 + 0.0j if p.g_xx is None else -p.g_xx(sa.xbar.terminal)(phi2[-1], phi1[-1])
         for j in range(k, alg.n):
             pair = hxx_pairing(p, j, sa.xbar[j], sa.ubar[j], sa.adj.yhat[j], sa.adj.Y[j])
@@ -241,9 +325,8 @@ def transposition_defects(p, sa, tuples) -> list:
                 lhs += dt * pair(phi2[j - k], phi1[j - k])
         rhs = sa.P[k].pair(t2.zeta, t1.zeta)
         for i in range(alg.n - k):
-            rows = [v.coeffs[None] for v in (phi2[i + 1], t2.mu[i], n2[i],
-                                             phi1[i + 1], t1.mu[i], n1[i])]
-            rhs += _step_pairings(sa.P[k + i + 1], dt, *rows)[0, 0]
+            rows = [v.coeffs[None] for v in (phi2[i + 1], d2[i], phi1[i + 1], d1[i])]
+            rhs += _step_pairings(sa.P[k + i + 1], *rows)[0, 0]
         out.append(abs(lhs - rhs))
     return out
 

@@ -7,13 +7,12 @@ import pytest
 from qsoc import problems
 from qsoc.adjoint import (
     Linearization,
-    TestTuple,
     compute_P,
     first_duality_residual,
     solve_first_adjoint,
     transposition_residual,
 )
-from qsoc.clifford import CliffordElement, SuperOperator, make_algebra, mul_dw_right
+from qsoc.clifford import CliffordElement, SuperOperator, make_algebra
 from qsoc.conditions import _forms_along, _routes_agree
 from qsoc.errors import CapacityError, ContractError, SupportError
 from qsoc.forward import solve_first_variation, solve_second_variation, solve_state
@@ -21,10 +20,15 @@ from qsoc.problems import ProblemSpec, hxx_pairing, make_problem
 from reference import (
     GALLERY,
     ZERO_DYNAMICS,
+    RefTuple,
+    by_start,
     check_tuple_pairs,
     gallery_spec,
+    mul_dw,
     second_duality_residual,
+    stack_pairs,
     transposition_defects,
+    unstack,
 )
 
 
@@ -102,7 +106,7 @@ def test_first_duality_identity_all_gallery():
         adj = solve_first_adjoint(p, xbar, ubar)
         for _ in range(3):
             du = rng.uniform(-1, 1, size=(alg.n, 1))
-            x1 = solve_first_variation(p, xbar, du)
+            x1 = solve_first_variation(adj.lin, du)
             assert first_duality_residual(p, adj, x1, du) <= 1e-10
 
 
@@ -114,8 +118,8 @@ def test_second_duality_identity_all_gallery():
         xbar = solve_state(p, ubar)
         adj = solve_first_adjoint(p, xbar, ubar)
         du = rng.uniform(-1, 1, size=(alg.n, 1))
-        x1 = solve_first_variation(p, xbar, du)
-        x2 = solve_second_variation(p, xbar, x1, du)
+        x1 = solve_first_variation(adj.lin, du)
+        x2 = solve_second_variation(adj.lin, x1, du)
         assert second_duality_residual(p, adj, xbar, x1, x2, du) <= 1e-9
 
 
@@ -169,8 +173,8 @@ def test_p_duality_formula_oracle():
             z2 = rand_adapted(alg, rng, k)
             phi1, phi2 = [z1], [z2]
             for j in range(k, alg.n):
-                phi1.append(sa.lin.t_apply(j, phi1[-1]))
-                phi2.append(sa.lin.t_apply(j, phi2[-1]))
+                for phi in (phi1, phi2):
+                    phi.append(CliffordElement(alg, sa.lin.t_rows(j, phi[-1].coeffs[None])[0]))
             val = 0.0 + 0.0j
             if p.g_xx is not None:
                 val -= p.g_xx(xbar.terminal)(phi2[-1], phi1[-1])
@@ -339,7 +343,7 @@ def test_blocked_p_matches_full_matrix_recursion():
         generic.curvature(alg.n, xbar.terminal, None, None, None)))
     for k in range(alg.n - 1, -1, -1):
         keep = np.diag(alg.adapted_mask(k).astype(np.complex128))
-        dw = np.array([mul_dw_right(CliffordElement.blade(alg, s), k + 1).coeffs
+        dw = np.array([mul_dw(CliffordElement.blade(alg, s), k + 1).coeffs
                        for s in range(dim)]).T
         t = keep + dt * padded(lin.Dx[k]) + dw @ padded(lin.Bt[k])
         m_lin, m_anti = blocks(generic.curvature(k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k]))
@@ -360,12 +364,13 @@ def test_transposition_identity_nu_zero():
         _, _, sa = solve_stack(p, ubar)
         pairs = []
         for k in (0, 1, 3):
-            t1 = TestTuple(k=k, zeta=rand_adapted(alg, rng, k),
-                           mu=[rand_adapted(alg, rng, j) for j in range(k, alg.n)])
-            t2 = TestTuple(k=k, zeta=rand_adapted(alg, rng, k),
-                           mu=[rand_adapted(alg, rng, j) for j in range(k, alg.n)])
+            t1 = RefTuple(k=k, zeta=rand_adapted(alg, rng, k),
+                          mu=[rand_adapted(alg, rng, j) for j in range(k, alg.n)])
+            t2 = RefTuple(k=k, zeta=rand_adapted(alg, rng, k),
+                          mu=[rand_adapted(alg, rng, j) for j in range(k, alg.n)])
             pairs.append((t1, t2))
-        assert transposition_residual(p, sa, pairs) <= 1e-9
+        for args in by_start(pairs):
+            assert transposition_residual(p, sa, *args) <= 1e-9
 
 
 def test_transposition_trivial_cases():
@@ -374,19 +379,19 @@ def test_transposition_trivial_cases():
     _, _, sa = solve_stack(p, ubar)
     zero = CliffordElement.zero(alg)
     k = 1
-    t_zero = TestTuple(k=k, zeta=zero, mu=[zero] * (alg.n - k))
-    assert transposition_residual(p, sa, [(t_zero, t_zero)]) <= 1e-14
+    t_zero = RefTuple(k=k, zeta=zero, mu=[zero] * (alg.n - k))
+    assert transposition_residual(p, sa, *stack_pairs([(t_zero, t_zero)])) <= 1e-14
 
     e1 = CliffordElement.generator(alg, 1)
-    t_blade = TestTuple(k=k, zeta=e1, mu=[zero] * (alg.n - k))
-    res = transposition_residual(p, sa, [(t_blade, t_blade)])
+    t_blade = RefTuple(k=k, zeta=e1, mu=[zero] * (alg.n - k))
+    res = transposition_residual(p, sa, *stack_pairs([(t_blade, t_blade)]))
     assert res <= 1e-10
 
 
 def rand_tuple(alg, rng, k):
-    return TestTuple(k=k, zeta=rand_adapted(alg, rng, k),
-                     mu=[rand_adapted(alg, rng, j) for j in range(k, alg.n)],
-                     nu=[rand_adapted(alg, rng, j) for j in range(k, alg.n)])
+    return RefTuple(k=k, zeta=rand_adapted(alg, rng, k),
+                    mu=[rand_adapted(alg, rng, j) for j in range(k, alg.n)],
+                    nu=[rand_adapted(alg, rng, j) for j in range(k, alg.n)])
 
 
 def corrupt_p(sa, k):
@@ -404,7 +409,8 @@ def test_transposition_distinct_nu_tuples():
         ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
         _, _, sa = solve_stack(p, ubar)
         pairs = [(rand_tuple(alg, rng, k), rand_tuple(alg, rng, k)) for k in (0, 1, 3, 4)]
-        assert transposition_residual(p, sa, pairs) <= 1e-9
+        for args in by_start(pairs):
+            assert transposition_residual(p, sa, *args) <= 1e-9
 
 
 def mixed_pairs(alg, rng):
@@ -420,6 +426,11 @@ def mixed_pairs(alg, rng):
     return pairs
 
 
+def checks_by_start(p, sa, pairs):
+    """One stacked check per start index of the pairs, in order of first appearance."""
+    return [transposition_residual(p, sa, *args) for args in by_start(pairs)]
+
+
 @pytest.mark.parametrize("name", GALLERY)
 def test_stacked_transposition_check_matches_the_per_pair_reference(name):
     # the row-stacked check against one pair at a time through element
@@ -433,25 +444,31 @@ def test_stacked_transposition_check_matches_the_per_pair_reference(name):
             corrupt_p(sa, plant)
         want = transposition_defects(p, sa, pairs)
         for pair, value in zip(pairs, want):
-            assert abs(transposition_residual(p, sa, [pair]) - value) <= 1e-12 * (1 + value)
-        got = transposition_residual(p, sa, pairs)
+            got = transposition_residual(p, sa, *stack_pairs([pair]))
+            assert abs(got - value) <= 1e-12 * (1 + value)
+        got = max(checks_by_start(p, sa, pairs))
         assert abs(got - max(want)) <= 1e-12 * (1 + max(want))
         assert (got <= 1e-9) == (plant is None)
 
 
-def refusal_cases(alg, rng):
-    zero = CliffordElement.zero(alg)
-    late = CliffordElement.generator(alg, alg.n)  # adapted at step N only
-    good = rand_tuple(alg, rng, 1)
+def refusal_cases(alg, k):
+    """(message, plant) pairs; each plant spoils row ``i`` of equation ``t``
+    of the (zeta, mu, nu) arrays of start index k."""
+    late = np.zeros(alg.dim)
+    late[1 << (alg.n - 1)] = 1.0  # the blade e_N: adapted at step N only
+
+    def at(which, *index):
+        def plant(t, i, arrays):
+            arrays[which][(t, i) + index] = late
+            return arrays
+        return plant
+
     return [
-        ("initial condition", dataclasses.replace(good, zeta=late), SupportError),
-        ("mu driver not adapted at step 2",
-         dataclasses.replace(good, mu=[zero, late, zero, zero]), SupportError),
-        ("nu driver not adapted at step 3",
-         dataclasses.replace(good, nu=[zero, zero, late, zero]), SupportError),
-        ("cover", dataclasses.replace(good, mu=good.mu[:-1]), ValueError),
-        ("cover", dataclasses.replace(good, nu=good.nu[1:]), ValueError),
-        ("share their start index", rand_tuple(alg, rng, 2), ValueError),
+        ("initial condition", at(0)),
+        (f"mu driver not adapted at step {k + 1}", at(1, 1)),
+        (f"nu driver not adapted at step {k + 2}", at(2, 2)),
+        ("cover", lambda t, i, arrays: [arrays[0], arrays[1][:, :, :-1], arrays[2]]),
+        ("cover", lambda t, i, arrays: [arrays[0], arrays[1], arrays[2][:, :, 1:]]),
     ]
 
 
@@ -459,14 +476,20 @@ def test_transposition_check_refuses_bad_tuples_before_any_compute(monkeypatch):
     alg, p = build("quadratic_state", n=5)
     rng = np.random.default_rng(13)
     _, _, sa = solve_stack(p, np.zeros((alg.n, 1)))
-    good = [(rand_tuple(alg, rng, k), rand_tuple(alg, rng, k)) for k in (0, 1, 4)]
+    k, *good = stack_pairs([(rand_tuple(alg, rng, 1), rand_tuple(alg, rng, 1))
+                            for _ in range(3)])
     monkeypatch.setattr(Linearization, "t_rows", lambda *a: pytest.fail("stepped"))
     monkeypatch.setattr(SuperOperator, "gram", lambda *a: pytest.fail("paired"))
-    for match, bad, error in refusal_cases(alg, rng):
-        partner = rand_tuple(alg, rng, 1)
-        for pair in ((bad, partner), (partner, bad)):
+    for match, plant in refusal_cases(alg, k):
+        for t in (0, 1):
+            bad = plant(t, 2, [a.copy() for a in good])
+            error = ValueError if match == "cover" else SupportError
             with pytest.raises(error, match=match):
-                transposition_residual(p, sa, good + [pair])
+                transposition_residual(p, sa, k, *bad)
+    with pytest.raises(ValueError, match="outside 0..5"):
+        transposition_residual(p, sa, alg.n + 1, *good)
+    with pytest.raises(ValueError, match="initial conditions must have shape"):
+        transposition_residual(p, sa, k, good[0][:, :, :-1], *good[1:])
 
 
 def test_transposition_check_pairs_through_m_and_calls_no_curvature_callback(monkeypatch):
@@ -476,89 +499,82 @@ def test_transposition_check_pairs_through_m_and_calls_no_curvature_callback(mon
     rng = np.random.default_rng(14)
     _, _, sa = solve_stack(p, rng.uniform(-0.5, 0.5, size=(alg.n, 1)))
     pairs = mixed_pairs(alg, rng)
-    clean = transposition_residual(p, sa, pairs)
+    clean = checks_by_start(p, sa, pairs)
     monkeypatch.setattr(problems, "hxx_pairing", lambda *a: pytest.fail("hxx_pairing"))
     for name in ("D_xx", "F_xx", "G_xx", "L_xx"):
         assert getattr(p, name) is not None
         monkeypatch.setattr(p, name, lambda *a, name=name: pytest.fail(name))
-    assert transposition_residual(p, sa, pairs) == clean <= 1e-9
+    assert checks_by_start(p, sa, pairs) == clean and max(clean) <= 1e-9
 
 
 def test_stacked_tuple_check_raises_the_first_failure_of_the_per_element_check():
     alg, p = build("quadratic_state", n=5)
     rng = np.random.default_rng(15)
     _, _, sa = solve_stack(p, np.zeros((alg.n, 1)))
-    late = CliffordElement.generator(alg, alg.n)  # adapted at step N only
+    late = CliffordElement.generator(alg, alg.n).coeffs  # adapted at step N only
 
-    def plant(t, kind, j):
+    def plant(k, arrays, kind, t, i, j):
         if kind in ("mu", "nu"):
-            drivers = list(getattr(t, kind))
-            drivers[j] = late
-            return dataclasses.replace(t, **{kind: drivers})
-        return {"zeta": lambda: dataclasses.replace(t, zeta=late),
-                "short": lambda: dataclasses.replace(t, mu=t.mu[:-1]),
-                "range": lambda: dataclasses.replace(t, k=alg.n + 1)}[kind]()
+            drivers = arrays[1 if kind == "mu" else 2]
+            drivers[t, i, j % drivers.shape[2]] = late  # a short stack keeps 3 steps
+        elif kind == "zeta":
+            arrays[0][t, i] = late
+        elif kind == "short":
+            which = 1 + int(rng.integers(2))
+            arrays[which] = arrays[which][:, :, :-1]
+        else:  # range
+            k = alg.n + 1
+        return k, arrays
 
     raised = set()
     for _ in range(60):
-        pairs = [[rand_tuple(alg, rng, 1), rand_tuple(alg, rng, 1)] for _ in range(4)]
+        k, *arrays = stack_pairs([(rand_tuple(alg, rng, 1), rand_tuple(alg, rng, 1))
+                                  for _ in range(4)])
         for _ in range(int(rng.integers(1, 5))):
-            pair = pairs[rng.integers(len(pairs))]
-            side = int(rng.integers(2))
             kind = ("zeta", "mu", "nu", "short", "range")[rng.integers(5)]
-            pair[side] = plant(pair[side], kind, int(rng.integers(alg.n - 1)))
-            if kind == "range" and rng.random() < 0.5:
-                pair[1 - side] = plant(pair[1 - side], kind, 0)
-        pairs = [tuple(pair) for pair in pairs]
+            k, arrays = plant(k, arrays, kind, int(rng.integers(2)), int(rng.integers(4)),
+                              int(rng.integers(alg.n - 1)))
         with pytest.raises((ValueError, SupportError)) as want:
-            check_tuple_pairs(pairs, alg.n)
+            check_tuple_pairs(unstack(alg, k, *arrays), alg.n)
         with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-            transposition_residual(p, sa, pairs)
+            transposition_residual(p, sa, k, *arrays)
         raised.add(str(want.value))
     assert len(raised) >= 8  # every kind of refusal, at several steps
 
 
 def test_one_check_over_all_pairs_is_the_max_over_start_indices():
+    # the suite folds one stacked check per start index with max: that is
+    # the largest defect of any pair, one pair at a time
     alg, p = build("quadratic_state", n=5)
     rng = np.random.default_rng(16)
     _, _, sa = solve_stack(p, rng.uniform(-0.5, 0.5, size=(alg.n, 1)))
     pairs = [(rand_tuple(alg, rng, k), rand_tuple(alg, rng, k))
              for k in map(int, rng.integers(0, alg.n, size=16))]
 
-    def per_start():
-        starts = dict.fromkeys(t1.k for t1, _ in pairs)
-        return max(transposition_residual(p, sa, [q for q in pairs if q[0].k == k])
-                   for k in starts)
+    def per_pair():
+        want = max(transposition_defects(p, sa, pairs))
+        got = max(checks_by_start(p, sa, pairs))
+        assert abs(got - want) <= 1e-12 * (1 + want)
+        return got
 
-    clean = transposition_residual(p, sa, pairs)
-    assert clean == per_start() and clean <= 1e-9
+    assert per_pair() <= 1e-9
     corrupt_p(sa, 2)
-    corrupted = transposition_residual(p, sa, pairs)
-    assert corrupted == per_start() and corrupted > 1e-3
+    assert per_pair() > 1e-3
 
 
 def test_a_nan_defect_at_one_start_index_is_not_dropped():
     alg, p = build("quadratic_state", n=5)
     rng = np.random.default_rng(17)
     _, _, sa = solve_stack(p, rng.uniform(-0.5, 0.5, size=(alg.n, 1)))
-    pairs = [(rand_tuple(alg, rng, k), rand_tuple(alg, rng, k)) for k in range(alg.n)]
+    pairs = [(rand_tuple(alg, rng, k), rand_tuple(alg, rng, k))
+             for k in range(alg.n) for _ in range(2)]
     sa.P[3] = SuperOperator(alg, np.full((8, 8), np.nan))  # reaches start indices 0..3 only
-    assert np.isfinite(transposition_residual(p, sa, pairs[4:]))
-    assert np.isnan(transposition_residual(p, sa, pairs))
-
-
-def test_t_apply_is_the_one_row_view_of_t_rows():
-    alg, p = build("quadratic_state", n=5)
-    rng = np.random.default_rng(14)
-    _, _, sa = solve_stack(p, rng.uniform(-0.5, 0.5, size=(alg.n, 1)))
-    for k in range(alg.n):
-        rows = np.array([rand_adapted(alg, rng, k, real=False).coeffs for _ in range(3)])
-        stacked = sa.lin.t_rows(k, rows)
-        for row, want in zip(rows, stacked):
-            one = sa.lin.t_rows(k, row[None])[0]
-            assert np.array_equal(sa.lin.t_apply(k, CliffordElement(alg, row)).coeffs, one)
-            assert np.allclose(one, want, rtol=1e-15, atol=1e-15)
-        assert not np.any(stacked[:, 2 << k:])  # T_k maps into the step-(k+1) subspace
+    assert np.isnan(checks_by_start(p, sa, pairs)).tolist() == [True] * 4 + [False]
+    # one NaN row of a stack makes the stack's defect NaN
+    sa.P[3] = SuperOperator(alg, np.zeros((8, 8)))
+    k, zeta, mu, nu = stack_pairs(pairs[:2])
+    mu[1, 1, 1, 0] = np.nan
+    assert np.isnan(transposition_residual(p, sa, k, zeta, mu, nu))
 
 
 def s_parts(p, ubar, u, adj, sa, x1):
@@ -580,7 +596,7 @@ def functional_case(name, seed, n=5):
 @pytest.mark.parametrize("name", ("lq", "quadratic_control", "quadratic_state"))
 def test_second_order_routes_agree(name):
     alg, p, _, ubar, xbar, adj, sa, du = functional_case(name, 9)
-    x1 = solve_first_variation(p, xbar, du)
+    x1 = solve_first_variation(adj.lin, du)
     value, p_part, gap = s_parts(p, ubar, ubar + du, adj, sa, x1)
     assert gap <= 1e-12 * (1.0 + abs(value))
     assert _routes_agree(gap, value)
@@ -590,26 +606,26 @@ def test_second_order_routes_agree(name):
 @pytest.mark.parametrize("name", ("lq", "quadratic_control", "quadratic_state"))
 def test_corrupted_p_is_detected(name):
     alg, p, rng, ubar, xbar, adj, sa, du = functional_case(name, 10)
-    x1 = solve_first_variation(p, xbar, du)
+    x1 = solve_first_variation(adj.lin, du)
     clean, _, _ = s_parts(p, ubar, ubar + du, adj, sa, x1)
-    pairs = [(rand_tuple(alg, rng, 0), rand_tuple(alg, rng, 0)) for _ in range(2)]
-    assert transposition_residual(p, sa, pairs) <= 1e-9
+    pairs = stack_pairs([(rand_tuple(alg, rng, 0), rand_tuple(alg, rng, 0)) for _ in range(2)])
+    assert transposition_residual(p, sa, *pairs) <= 1e-9
     for k in range(1, alg.n):  # x1_0 = 0, so P_0 only enters the transposition check
         saved = sa.P[k]
         corrupt_p(sa, k)
         value, _, gap = s_parts(p, ubar, ubar + du, adj, sa, x1)
         assert abs(value - clean) > 1e-3
         assert gap > 1e-3 and not _routes_agree(gap, value)
-        assert transposition_residual(p, sa, pairs) > 1.0
+        assert transposition_residual(p, sa, *pairs) > 1.0
         sa.P[k] = saved
     corrupt_p(sa, 0)
-    assert transposition_residual(p, sa, pairs) > 1.0
+    assert transposition_residual(p, sa, *pairs) > 1.0
 
 
 def test_route_gap_flags_wrong_direction_variation():
     for name in ("lq", "quadratic_control", "quadratic_state"):
         alg, p, _, ubar, xbar, adj, sa, du = functional_case(name, 11)
-        x1 = solve_first_variation(p, xbar, 2.0 * du)  # wrong direction
+        x1 = solve_first_variation(adj.lin, 2.0 * du)  # wrong direction
         value, _, gap = s_parts(p, ubar, ubar + du, adj, sa, x1)
         assert gap >= 0.1
         assert not _routes_agree(gap, value)
@@ -618,7 +634,7 @@ def test_route_gap_flags_wrong_direction_variation():
 def test_second_order_zero_direction():
     alg, p, _, ubar, xbar, adj, sa, _ = functional_case("lq", 12, n=4)
     du = np.zeros((alg.n, 1))
-    x1 = solve_first_variation(p, xbar, du)
+    x1 = solve_first_variation(adj.lin, du)
     value, _, gap = s_parts(p, ubar, ubar, adj, sa, x1)
     assert value == 0.0
     assert gap == 0.0
@@ -628,9 +644,9 @@ def test_second_order_routes_quadratic_homogeneity():
     alg, p, _, ubar, xbar, adj, sa, du = functional_case("quadratic_control", 13, n=4)
     du *= 0.5  # keep ubar + 2 du inside the box
     base, base_p, base_gap = s_parts(p, ubar, ubar + du, adj, sa,
-                                     solve_first_variation(p, xbar, du))
+                                     solve_first_variation(adj.lin, du))
     scaled, scaled_p, scaled_gap = s_parts(p, ubar, ubar + 2.0 * du, adj, sa,
-                                           solve_first_variation(p, xbar, 2.0 * du))
+                                           solve_first_variation(adj.lin, 2.0 * du))
     assert scaled == pytest.approx(4.0 * base, rel=1e-10, abs=1e-12)
     assert scaled_p == pytest.approx(4.0 * base_p, rel=1e-10, abs=1e-12)
     assert _routes_agree(scaled_gap, scaled) and _routes_agree(base_gap, base)
@@ -645,7 +661,7 @@ def test_second_order_zero_dynamics_term_cancellation():
     ubar = np.zeros((alg.n, 1))
     xbar, adj, sa = solve_stack(p, ubar)
     du = np.array([[0.5], [-0.5], [0.25], [1.0]])
-    x1 = solve_first_variation(p, xbar, du)
+    x1 = solve_first_variation(adj.lin, du)
     assert all(np.max(np.abs(op.lin)) == 0.0 for op in sa.P)
     value, p_part, gap = s_parts(p, ubar, ubar + du, adj, sa, x1)
     assert p_part == 0.0
@@ -661,14 +677,14 @@ def test_p_block_collapses_under_real_symmetry():
         ubar = rng.uniform(-0.4, 0.4, size=(alg.n, 1))
         xbar, adj, sa = solve_stack(p, ubar)
         du = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
-        x1 = solve_first_variation(p, xbar, du)
+        x1 = solve_first_variation(adj.lin, du)
         full = s_parts(p, ubar, ubar + du, adj, sa, x1)[1].real
         dt = alg.dt
         collapsed = 0.0
         for j in range(alg.n):
             pj = sa.P[j + 1]
             a = CliffordElement(alg, sa.lin.Du[j] @ du[j])
-            bn = mul_dw_right(CliffordElement(alg, sa.lin.Bu[j] @ du[j]), j + 1)
+            bn = mul_dw(CliffordElement(alg, sa.lin.Bu[j] @ du[j]), j + 1)
             tx = x1[j + 1] - dt * a - bn
             collapsed += 2 * dt * pj.pair(tx, a).real + dt * dt * pj.pair(a, a).real
             collapsed += 2 * pj.pair(tx, bn).real + 2 * dt * pj.pair(a, bn).real

@@ -62,8 +62,8 @@ EXPORTS = {
     "problems": ["ControlProblem", "ControlSet", "ProblemSpec", "cost", "make_problem"],
     "forward": ["Trajectory", "order_estimate_slopes", "solve_first_variation",
                 "solve_second_variation", "solve_state"],
-    "adjoint": ["AdjointPair", "SecondAdjoint", "TestTuple", "compute_P",
-                "solve_first_adjoint", "transposition_residual"],
+    "adjoint": ["AdjointPair", "SecondAdjoint", "compute_P", "solve_first_adjoint",
+                "transposition_residual"],
     "conditions": ["first_order_integral", "second_order_functional", "taylor_consistency",
                    "verify_theorem"],
     "optimize": ["brute_force_search", "projected_gradient"],

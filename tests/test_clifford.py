@@ -18,8 +18,6 @@ from qsoc.clifford import (
     inner,
     make_algebra,
     martingale_coefficient,
-    mul_dw_left,
-    mul_dw_right,
     multiply,
     multiply_batch,
     parity,
@@ -28,7 +26,7 @@ from qsoc.clifford import (
 )
 from qsoc.errors import AlgebraMismatchError, CapacityError, SupportError
 from qsoc.matrices import realization_for
-from reference import scatter_table_product
+from reference import mul_dw, scatter_table_product
 
 
 def rand_element(alg, rng, adapted_at=None):
@@ -198,8 +196,8 @@ def test_parity_commutation_rule_random():
     for k in range(alg.n):
         f = rand_element(alg, rng, adapted_at=k)
         g = rand_element(alg, rng, adapted_at=k)
-        lhs = mul_dw_right(f, k + 1) + mul_dw_left(g, k + 1)
-        rhs = mul_dw_right(f + parity(g), k + 1)
+        lhs = mul_dw(f, k + 1) + mul_dw(g, k + 1, "left")
+        rhs = mul_dw(f + parity(g), k + 1)
         assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
 
 
@@ -234,7 +232,7 @@ def test_martingale_representation_random():
         f = rand_element(alg, rng, adapted_at=k + 1)
         y = martingale_coefficient(f, k)
         assert y.is_adapted(k)
-        recon = conditional_expectation(f, k) + mul_dw_right(y, k + 1)
+        recon = conditional_expectation(f, k) + mul_dw(y, k + 1)
         assert np.max(np.abs(recon.coeffs - f.coeffs)) <= 1e-14 * max(1.0, f.norm())
 
 
@@ -249,7 +247,7 @@ def test_martingale_representation_property(data):
     f = CliffordElement.from_terms(alg, {m: re + 1j * im for m, (re, im) in terms.items()})
     y = martingale_coefficient(f, k)
     assert y.is_adapted(k)
-    recon = conditional_expectation(f, k) + mul_dw_right(y, k + 1)
+    recon = conditional_expectation(f, k) + mul_dw(y, k + 1)
     assert np.max(np.abs(recon.coeffs - f.coeffs)) <= 1e-14 * (1 + f.norm())
 
 
@@ -445,8 +443,8 @@ def test_table_product_on_a_prefix_matches_multiplication_matrix(n):
 
 
 def test_row_dw_kernel_is_the_element_product():
-    # rows times dW_k equal mul_dw_* of each row bit for bit, and the
-    # product with the increment element
+    # rows times dW_k equal the kernel on each row alone bit for bit, and
+    # the product with the increment element
     alg = make_algebra(5, 0.0, 2.0)
     rng = np.random.default_rng(31)
     rows = rng.standard_normal((7, alg.dim)) + 1j * rng.standard_normal((7, alg.dim))
@@ -455,8 +453,8 @@ def test_row_dw_kernel_is_the_element_product():
         right, left = _mul_dw(alg, rows, k, "right"), _mul_dw(alg, rows, k, "left")
         for i, row in enumerate(rows):
             a = CliffordElement(alg, row)
-            assert np.array_equal(right[i], mul_dw_right(a, k).coeffs)
-            assert np.array_equal(left[i], mul_dw_left(a, k).coeffs)
+            assert np.array_equal(right[i], _mul_dw(alg, row[None], k, "right")[0])
+            assert np.array_equal(left[i], _mul_dw(alg, row[None], k, "left")[0])
             assert np.allclose(right[i], (a * dw).coeffs, atol=1e-14)
             assert np.allclose(left[i], (dw * a).coeffs, atol=1e-14)
     with pytest.raises(ValueError):
@@ -491,7 +489,7 @@ def test_two_sided_ito_isometry():
     for k in range(alg.n):
         f = rand_element(alg, rng, adapted_at=k)
         g = rand_element(alg, rng, adapted_at=k)
-        total = total + mul_dw_right(f, k + 1) + mul_dw_left(g, k + 1)
+        total = total + mul_dw(f, k + 1) + mul_dw(g, k + 1, "left")
         acc += alg.dt * (f + parity(g)).norm() ** 2
     assert total.norm() ** 2 == pytest.approx(acc, rel=1e-12)
 
@@ -514,7 +512,7 @@ def test_cap_boundary_algebra_operations():
     rng = np.random.default_rng(99)
     a = rand_element(alg, rng, adapted_at=6)
     dw = brownian_increment(alg, 7)
-    left = mul_dw_right(a, 7)
+    left = mul_dw(a, 7)
     assert np.allclose(left.coeffs, (a * dw).coeffs, atol=1e-12)
     assert conditional_expectation(left, 6).norm() == 0.0
     y = martingale_coefficient(left, 6)

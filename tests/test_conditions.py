@@ -96,7 +96,7 @@ def test_second_order_zero_at_same_control():
     rng = np.random.default_rng(3)
     ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
     xbar, adj, sa = stack(p, ubar)
-    x1 = solve_first_variation(p, xbar, np.zeros((alg.n, 1)))
+    x1 = solve_first_variation(adj.lin, np.zeros((alg.n, 1)))
     assert second_order_functional(p, ubar, ubar, adj, sa, x1) == 0.0
 
 
@@ -108,7 +108,7 @@ def test_second_order_closed_form_zero_dynamics():
     rng = np.random.default_rng(4)
     for _ in range(3):
         u = rng.uniform(-1, 1, size=(alg.n, 1))
-        x1 = solve_first_variation(p, xbar, u - ubar)
+        x1 = solve_first_variation(adj.lin, u - ubar)
         s_val = second_order_functional(p, ubar, u, adj, sa, x1)
         want = -2.0 * 0.45 * alg.dt * float(np.sum((u - ubar) ** 2))
         assert s_val == pytest.approx(want, abs=1e-10)
@@ -121,9 +121,9 @@ def test_second_order_quadratic_homogeneity():
     ubar = rng.uniform(-0.3, 0.3, size=(alg.n, 1))
     xbar, adj, sa = stack(p, ubar)
     du = rng.uniform(-0.3, 0.3, size=(alg.n, 1))
-    x1 = solve_first_variation(p, xbar, du)
+    x1 = solve_first_variation(adj.lin, du)
     s1 = second_order_functional(p, ubar, ubar + du, adj, sa, x1)
-    x1h = solve_first_variation(p, xbar, 0.5 * du)
+    x1h = solve_first_variation(adj.lin, 0.5 * du)
     s_half = second_order_functional(p, ubar, ubar + 0.5 * du, adj, sa, x1h)
     assert s_half == pytest.approx(0.25 * s1, rel=1e-9, abs=1e-13)
 
@@ -135,7 +135,7 @@ def test_second_order_imaginary_part_small_on_real_data():
         ubar = rng.uniform(-0.4, 0.4, size=(alg.n, 1))
         xbar, adj, sa = stack(p, ubar)
         du = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
-        x1 = solve_first_variation(p, xbar, du)
+        x1 = solve_first_variation(adj.lin, du)
         curvature, p_part, _ = conditions._forms_along(p, ubar, ubar + du, adj, sa, x1)
         s = curvature + p_part
         assert abs(s.imag) <= 1e-10 * (1.0 + abs(s.real))
@@ -281,7 +281,7 @@ def test_gram_one_column_short_fails_adjoint_and_second_order(monkeypatch):
 
 def test_transposition_check_catches_a_wrong_t_block_noise_half(monkeypatch):
     # compute_P conjugates with t_block while the test equations step through
-    # t_apply, so a defect in t_block cannot cancel out of the identity; the
+    # t_rows, so a defect in t_block cannot cancel out of the identity; the
     # closed form of P on the configured rates sees both halves of t_block
     t_block = Linearization.t_block
 
@@ -414,7 +414,7 @@ def test_reduced_hessian_scores_match_per_candidate_functional(name, m):
     scored_p = quadratic_scores(h_p, np.array([du.reshape(-1) for du in dus]))
     scored_d = quadratic_scores(h_d, np.array([du.reshape(-1) for du in dus]))
     for du, sp, sd in zip(dus, scored_p, scored_d):
-        x1 = solve_first_variation(p, xbar, du)
+        x1 = solve_first_variation(adj.lin, du)
         want_p = second_order_functional(p, ubar, ubar + du, adj, sa, x1)
         want_d = second_order_direct(p, ubar, ubar + du, adj, sa, x1)
         assert abs(sp - want_p) <= 1e-12 * (1.0 + abs(want_p))
@@ -474,7 +474,14 @@ def test_planted_hessian_defect_fails_analytic_companion(monkeypatch):
 
 
 def test_theorem_work_is_bounded_by_the_column_count(monkeypatch):
-    calls = {"solve_first_variation": 0, "second_order_functional": 0}
+    rows = {"first_variation": 0}
+    calls = {"second_order_functional": 0}
+    variation_rows = Linearization.variation_rows
+
+    def counted_rows(self, dus):
+        rows["first_variation"] += len(dus)
+        return variation_rows(self, dus)
+    monkeypatch.setattr(Linearization, "variation_rows", counted_rows)
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -492,8 +499,9 @@ def test_theorem_work_is_bounded_by_the_column_count(monkeypatch):
     assert res.passed and res.metrics["newton_steps"] == 1
     columns = 4  # N * m, for the problem and for the analytic companion
     # one reduced Hessian per Newton step, one for the cone and one for the
-    # companion; one solve each for S along the top direction and its sweep
-    assert calls["solve_first_variation"] == 3 * columns + 2
+    # companion; one first variation each for S along the top direction and
+    # its sweep
+    assert rows["first_variation"] == 3 * columns + 2
     assert calls["second_order_functional"] == 2
 
 

@@ -15,11 +15,18 @@ from reference import derivative_errors
 
 
 def lq_like_custom(alg, a=0.5, q=0.4, r=0.3, s=0.5):
-    """Hand-wired copy of a one-control lq instance (drift element I + e1/2)."""
-    b_raw = CliffordElement.from_terms(alg, {0: 1.0, 1: 0.5})
-    f_raw = CliffordElement.from_terms(alg, {0: 0.8, 1: 0.3})
-    g_raw = CliffordElement.from_terms(alg, {0: 0.6, 2: 0.4})
-    tgt = CliffordElement.from_terms(alg, {0: 0.5, 1: 0.25})
+    """Hand-wired copy of a one-control lq instance (drift element I + e1/2).
+
+    Like ``ProblemSpec.gallery(..., dim=alg.dim)``, it drops the blades its
+    algebra lacks (blade 2 of the right-diffusion element at N = 1).
+    """
+    def element(terms):
+        return CliffordElement.from_terms(alg, {m: v for m, v in terms.items() if m < alg.dim})
+
+    b_raw = element({0: 1.0, 1: 0.5})
+    f_raw = element({0: 0.8, 1: 0.3})
+    g_raw = element({0: 0.6, 2: 0.4})
+    tgt = element({0: 0.5, 1: 0.25})
     f0, g0 = 0.3, 0.25
 
     def mask(e, k):
@@ -79,7 +86,7 @@ def test_custom_problem_reproduces_gallery_end_to_end():
         xbar = solve_state(p, ubar)
         adj = solve_first_adjoint(p, xbar, ubar)
         sa = compute_P(p, xbar, ubar, adj)
-        x1 = solve_first_variation(p, xbar, u - ubar)
+        x1 = solve_first_variation(adj.lin, u - ubar)
         results.append((
             cost(p, ubar, xbar),
             first_order_integral(p, ubar, u, adj),

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qsoc.clifford import CliffordElement, make_algebra, mul_dw_left, mul_dw_right, parity
+from qsoc.clifford import CliffordElement, make_algebra, parity
 from qsoc.errors import AdaptednessError
 from qsoc.forward import (
+    Linearization,
     order_estimate_slopes,
     solve_first_variation,
     solve_second_variation,
@@ -14,7 +15,14 @@ from qsoc.forward import (
     stacked_paths,
 )
 from qsoc.problems import ProblemSpec, cost, make_problem
-from reference import GALLERY, ZERO_DYNAMICS, control_grid, gallery_spec
+from reference import (
+    GALLERY,
+    ZERO_DYNAMICS,
+    control_grid,
+    first_variation,
+    gallery_spec,
+    second_variation,
+)
 from test_custom_problem import lq_like_custom
 
 
@@ -107,7 +115,8 @@ def test_a_zero_leak_passes_whatever_the_row_norm():
 def test_first_variation_zero_direction():
     alg, p = build("lq")
     traj = solve_state(p, np.zeros((alg.n, 1)))
-    x1 = solve_first_variation(p, traj, np.zeros((alg.n, 1)))
+    lin = Linearization(p, traj)
+    x1 = solve_first_variation(lin, np.zeros((alg.n, 1)))
     assert all(v.norm() == 0.0 for v in x1)
 
 
@@ -119,8 +128,9 @@ def test_first_variation_pure_control_drift():
                                g=(((0, 0.0, 0.0),),))
     p = make_problem(alg, spec)
     traj = solve_state(p, np.zeros((alg.n, 1)))
+    lin = Linearization(p, traj)
     du = np.array([[0.1], [0.2], [-0.3], [0.4]])
-    x1 = solve_first_variation(p, traj, du)
+    x1 = solve_first_variation(lin, du)
     acc = 0.0
     for k in range(alg.n):
         got = x1[k].coeffs[0].real
@@ -133,9 +143,10 @@ def test_first_variation_linearity_exact():
     rng = np.random.default_rng(3)
     ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
     traj = solve_state(p, ubar)
+    lin = Linearization(p, traj)
     du = rng.uniform(-1, 1, size=(alg.n, 1))
-    x1 = solve_first_variation(p, traj, du)
-    x1_twice = solve_first_variation(p, traj, 2.0 * du)
+    x1 = solve_first_variation(lin, du)
+    x1_twice = solve_first_variation(lin, 2.0 * du)
     for k in range(alg.n + 1):
         assert np.array_equal(x1_twice[k].coeffs, 2.0 * x1[k].coeffs)
 
@@ -143,9 +154,10 @@ def test_first_variation_linearity_exact():
 def test_second_variation_zero_when_no_curvature():
     alg, p = build("lq")
     traj = solve_state(p, np.zeros((alg.n, 1)))
+    lin = Linearization(p, traj)
     du = np.ones((alg.n, 1)) * 0.3
-    x1 = solve_first_variation(p, traj, du)
-    x2 = solve_second_variation(p, traj, x1, du)
+    x1 = solve_first_variation(lin, du)
+    x2 = solve_second_variation(lin, x1, du)
     assert all(v.norm() == 0.0 for v in x2)
 
 
@@ -159,9 +171,10 @@ def test_second_variation_squared_control_accumulation():
                                cf=(((0, 0.0, 0.0),),), cg=(((0, 0.0, 0.0),),))
     p = make_problem(alg, spec)
     traj = solve_state(p, np.zeros((alg.n, 1)))
+    lin = Linearization(p, traj)
     du = np.array([[0.5], [-0.25], [1.0], [0.75]])
-    x1 = solve_first_variation(p, traj, du)
-    x2 = solve_second_variation(p, traj, x1, du)
+    x1 = solve_first_variation(lin, du)
+    x2 = solve_second_variation(lin, x1, du)
     acc = 0.0
     for k in range(alg.n):
         assert x2[k].coeffs[0].real == pytest.approx(2.0 * acc, abs=1e-14)
@@ -173,13 +186,43 @@ def test_second_variation_quadratic_homogeneity_exact():
     rng = np.random.default_rng(4)
     ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
     traj = solve_state(p, ubar)
+    lin = Linearization(p, traj)
     du = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
-    x1 = solve_first_variation(p, traj, du)
-    x2 = solve_second_variation(p, traj, x1, du)
-    x1_scaled = solve_first_variation(p, traj, 3.0 * du)
-    x2_scaled = solve_second_variation(p, traj, x1_scaled, 3.0 * du)
+    x1 = solve_first_variation(lin, du)
+    x2 = solve_second_variation(lin, x1, du)
+    x1_scaled = solve_first_variation(lin, 3.0 * du)
+    x2_scaled = solve_second_variation(lin, x1_scaled, 3.0 * du)
     for k in range(alg.n + 1):
         assert np.allclose(x2_scaled[k].coeffs, 9.0 * x2[k].coeffs, atol=1e-13)
+
+
+def assert_processes_match(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert (g - w).norm() <= 1e-12 * (1.0 + w.norm())
+
+
+@pytest.mark.parametrize("n", (1, 4, 8))
+@pytest.mark.parametrize("case", (*GALLERY, "custom"))
+def test_variations_match_the_element_callback_reference(case, n):
+    # the row stepping through the state_derivatives blocks against the
+    # response loop through the raw D_x/F_x/G_x callbacks, one element a step
+    alg = make_algebra(n, 0.0, 1.0)
+    if case == "custom":
+        p = lq_like_custom(alg)
+    else:
+        p = make_problem(alg, gallery_spec(case, dim=alg.dim))
+    rng = np.random.default_rng(50 + n)
+    traj = solve_state(p, rng.uniform(-0.5, 0.5, size=(alg.n, p.m)))
+    lin = Linearization(p, traj)
+    for _ in range(2):
+        du = rng.uniform(-1.0, 1.0, size=(alg.n, p.m))
+        x1 = solve_first_variation(lin, du)
+        want = first_variation(p, traj, du)
+        assert_processes_match(x1, want)
+        assert_processes_match(solve_second_variation(lin, x1, du),
+                               second_variation(p, traj, want, du))
+    if case in ("quadratic_control", "quadratic_state") and n > 1:  # x1_0 = 0 at N = 1
+        assert max(v.norm() for v in second_variation(p, traj, want, du)) > 1e-3
 
 
 def test_order_slopes_free_problem_flagged_exact():

@@ -1,7 +1,7 @@
 """Suite internals: working sets, the closed form of P, NaN-keeping folds.
 
-The adjoint suite keeps its test tuples at their adapted widths and checks
-one start index at a time; the algebra suite runs its products on row
+The adjoint suite draws its test tuples at their adapted widths and checks
+one start index at a time, as zero-padded arrays; the algebra suite runs its products on row
 blocks of ``max(1, SCREEN_BLOCK_ENTRIES // dim)`` rows.  Neither changes a
 bit.  The isometry suite draws only the adapted blades it uses.  The adjoint
 suite checks each curvature operator M_k against the raw Hessian callbacks,
@@ -12,15 +12,16 @@ fail the suite.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qsoc import problems, suites
 from qsoc.clifford import SuperOperator, make_algebra
-from qsoc.config import parse_config
+from qsoc.config import load_config, parse_config
 from qsoc.optimize import SCREEN_BLOCK_ENTRIES
-from reference import dense_test_pairs
+from reference import dense_test_pairs, stack_pairs
 
 
 def config(problem, n, suite, **tolerances):
@@ -39,29 +40,27 @@ def test_compact_test_tuple_draws_expand_to_the_dense_construction(n):
     for k, rows in draws:  # each element at its adapted width 2^j
         steps = [k, *range(k, n), *range(k, n)]
         assert [[r.size for r in t] for t in rows] == [[1 << j for j in steps]] * 2
-    got = {k: iter(suites._test_pairs(alg, draws, k)) for k, _ in draws}
-    for ref_pair in want:
-        for g, r in zip(next(got[ref_pair[0].k]), ref_pair):
-            assert (g.k, len(g.mu), len(g.nu)) == (r.k, len(r.mu), len(r.nu))
-            for a, b in zip([g.zeta, *g.mu, *g.nu], [r.zeta, *r.mu, *r.nu]):
-                assert a.coeffs.dtype == b.coeffs.dtype
-                assert a.coeffs.tobytes() == b.coeffs.tobytes()
-    assert all(next(rest, None) is None for rest in got.values())
+    for k in dict.fromkeys(k for k, _ in draws):
+        got = suites._test_equations(alg, draws, k)
+        ref = stack_pairs([pair for pair in want if pair[0].k == k])
+        assert ref[0] == k
+        for a, b in zip(got, ref[1:]):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
 
 
 def test_adjoint_suite_checks_one_start_index_per_call(monkeypatch):
     starts = []
     check = suites.transposition_residual
 
-    def spy(p, sa, tuples):
-        starts.append({t.k for pair in tuples for t in pair})
-        return check(p, sa, tuples)
+    def spy(p, sa, k, zeta, mu, nu):
+        starts.append(k)
+        return check(p, sa, k, zeta, mu, nu)
 
     monkeypatch.setattr(suites, "transposition_residual", spy)
     res = suites.run_suite(config("quadratic_state", 4, "adjoint"), "adjoint")
     assert res.passed, res.metrics
-    assert all(len(s) == 1 for s in starts)
-    assert sorted(k for s in starts for k in s) == [0, 1, 2, 3]  # 100 pairs hit every k
+    assert sorted(starts) == [0, 1, 2, 3]  # 100 pairs hit every k, each once
 
 
 def test_algebra_suite_products_stay_within_row_blocks(monkeypatch):
@@ -197,6 +196,43 @@ def test_a_wrong_curvature_hook_or_callback_fails_adjoint_through_curvature_erro
     assert res.metrics["transposition_residual"] <= res.metrics["transposition_tol"]
     monkeypatch.undo()
     assert suites.run_suite(cfg, "adjoint").metrics == clean.metrics
+
+
+# -- a state-derivative hook that disagrees with the callbacks ------------------
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+
+
+def scaled_state_derivatives(which):
+    """Wrap a ``state_derivatives`` hook so that its Dx (0) or Bt (1) block is x(1+1e-3)."""
+    def wrap(alg, hook):
+        def planted(k, x, u):
+            blocks = list(hook(k, x, u))
+            blocks[which] = (1.0 + 1e-3) * blocks[which]
+            return tuple(blocks)
+        return planted
+    return wrap
+
+
+@pytest.mark.parametrize("which", (0, 1), ids=("Dx", "Bt"))
+@pytest.mark.parametrize("workload", ("readme-n4", "dense-n8"))
+def test_a_wrong_state_derivative_hook_fails_orders_and_gradient(monkeypatch, workload, which):
+    # x1, x2, the adjoint and P all step through the hook, so the duality
+    # residual and the route gaps cannot see it; the order sweep and the
+    # finite difference of the cost solve the state through the callbacks
+    cfg = load_config(WORKLOADS / f"{workload}.json")
+    clean = {name: suites.run_suite(cfg, name) for name in ("orders", "gradient")}
+    assert all(res.passed for res in clean.values())
+    plant_in_problem(monkeypatch, "state_derivatives", scaled_state_derivatives(which))
+    orders = suites.run_suite(cfg, "orders")
+    assert orders.status == "fail"  # through the net deviations: the raw one has no x1
+    assert orders.metrics["deviation"] == clean["orders"].metrics["deviation"]
+    gradient = suites.run_suite(cfg, "gradient")
+    assert gradient.status == "fail"
+    assert gradient.metrics["fd_residual"] > 1e2 * gradient.metrics["fd_tol"]
+    assert gradient.metrics["duality_residual"] <= gradient.metrics["duality_tol"]
+    monkeypatch.undo()
+    assert suites.run_suite(cfg, "orders").metrics == clean["orders"].metrics
 
 
 # -- the closed form of P ------------------------------------------------------
