@@ -424,9 +424,10 @@ def multiply(a: CliffordElement, b: CliffordElement) -> CliffordElement:
 def multiply_batch(alg: CliffordAlgebra, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row-wise Clifford product of coefficient batches, shape (batch, dim).
 
-    Used by the bulk law-verification suites; semantically identical to
-    ``multiply`` row by row, with the same dispatch (:func:`_product`) on the
-    live blade columns of the two batches.
+    The kernel that the algebra suite compares with the sign-table product
+    on random rows; semantically identical to ``multiply`` row by row, with
+    the same dispatch (:func:`_product`) on the live blade columns of the two
+    batches.
     """
     A = np.asarray(A, dtype=np.complex128)
     B = np.asarray(B, dtype=np.complex128)

@@ -81,6 +81,8 @@ def first_order_integral(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
                          adj: AdjointPair) -> float:
     """Gate integral sum_k dt <H_u(k), u_k - ubar_k>; equals -dJ/deps at 0."""
     ubar = p.check_control_path(ubar)
+    if not np.array_equal(ubar, adj.lin.xbar.control):
+        raise ContractError("functional must be evaluated at the adjoint's base control")
     du = p.check_control_path(u) - ubar
     return float(p.algebra.dt * np.sum(hu_field(p, adj) * du))
 

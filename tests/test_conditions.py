@@ -24,7 +24,7 @@ from qsoc.conditions import (
     taylor_consistency,
     verify_theorem,
 )
-from qsoc.errors import BudgetError
+from qsoc.errors import BudgetError, ContractError
 from qsoc.forward import solve_first_variation, solve_state
 from qsoc.config import parse_config
 from qsoc.optimize import kkt_point
@@ -126,6 +126,20 @@ def test_second_order_quadratic_homogeneity():
     x1h = solve_first_variation(adj.lin, 0.5 * du)
     s_half = second_order_functional(p, ubar, ubar + 0.5 * du, adj, sa, x1h)
     assert s_half == pytest.approx(0.25 * s1, rel=1e-9, abs=1e-13)
+
+
+def test_both_functionals_refuse_a_base_control_that_is_not_the_adjoints():
+    alg, p = build("lq")
+    rng = np.random.default_rng(6)
+    ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
+    xbar, adj, sa = stack(p, ubar)
+    shifted = ubar + 0.1
+    u = rng.uniform(-1, 1, size=(alg.n, 1))
+    x1 = solve_first_variation(adj.lin, u - shifted)
+    with pytest.raises(ContractError, match="adjoint's base control"):
+        first_order_integral(p, shifted, u, adj)
+    with pytest.raises(ContractError, match="adjoint's base control"):
+        second_order_functional(p, shifted, u, adj, sa, x1)
 
 
 def test_second_order_imaginary_part_small_on_real_data():

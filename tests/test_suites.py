@@ -1,9 +1,11 @@
 """Suite internals: working sets, the closed form of P, NaN-keeping folds.
 
 The adjoint suite draws its test tuples at their adapted widths and checks
-one start index at a time, as zero-padded arrays; the algebra suite runs its products on row
-blocks of ``max(1, SCREEN_BLOCK_ENTRIES // dim)`` rows.  Neither changes a
-bit.  The isometry suite draws only the adapted blades it uses.  The adjoint
+one start index at a time, as zero-padded arrays; the algebra suite runs its
+kernel products on row blocks of ``max(1, SCREEN_BLOCK_ENTRIES // dim)`` rows.
+Neither changes a bit.  The algebra suite checks the product laws exactly on
+the sign table, and a single wrong sign in the table or in a grading fails its
+law.  The isometry suite draws only the adapted blades it uses.  The adjoint
 suite checks each curvature operator M_k against the raw Hessian callbacks,
 and every P_k of the configured problem, stripped of its quadratic-state
 terms, against the scalar-rate recursion.  A NaN in any residual a suite
@@ -65,7 +67,7 @@ def test_adjoint_suite_checks_one_start_index_per_call(monkeypatch):
 
 def test_algebra_suite_products_stay_within_row_blocks(monkeypatch):
     rows = []
-    for name in ("multiply_batch", "_matrix_product", "_table_product"):
+    for name in ("multiply_batch", "_table_product"):
         def spy(alg, A, B, *rest, _product=getattr(suites, name)):
             rows.append(len(A))
             return _product(alg, A, B, *rest)
@@ -82,8 +84,67 @@ def test_algebra_row_blocks_are_invisible(monkeypatch, n):
     for rows in (1, 3, 250):  # 250: a whole chunk per product
         monkeypatch.setattr(suites, "SCREEN_BLOCK_ENTRIES", rows << n)
         metrics.append(suites.run_suite(cfg, "algebra").metrics)
-    assert metrics[0]["assoc"] > 0.0  # rounding shows, so equality is not vacuous
+    assert metrics[0]["kernel_residual"] > 0.0  # rounding shows, so equality is not vacuous
     assert metrics[0] == metrics[1] == metrics[2]
+
+
+# -- the product laws, exactly, on the sign table --------------------------------
+
+LAWS = ("assoc", "anticommute", "star", "parity", "orthonormal", "square")
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_every_product_law_reads_exactly_zero_on_the_sign_table(n):
+    assert suites._blade_laws(make_algebra(n, 0.0, 1.0)) == dict.fromkeys(LAWS, 0.0)
+
+
+def flip_entry(alg, s, t):
+    alg._sign_table = alg.sign_table.copy()
+    alg._sign_table[s, t] = -alg._sign_table[s, t]
+
+
+def flip_grade(alg, field, grade):
+    signs = getattr(alg, field)
+    setattr(alg, field, np.where(alg.grades == grade, -signs, signs))
+
+
+def test_associativity_catches_every_single_flipped_sign_table_entry():
+    for s, t in np.random.default_rng(5).integers(0, 256, size=(50, 2)):
+        alg = make_algebra(8, 0.0, 1.0)
+        flip_entry(alg, s, t)
+        assert suites._blade_laws(alg)["assoc"] == 2.0, (s, t)
+
+
+@pytest.mark.parametrize("law,field", (("star", "reversal_signs"), ("parity", "parity_signs")))
+def test_a_flipped_grade_sign_breaks_its_law_at_every_grade(law, field):
+    for grade in range(1, 9):
+        alg = make_algebra(8, 0.0, 1.0)
+        flip_grade(alg, field, grade)
+        assert suites._blade_laws(alg)[law] == 2.0, grade
+
+
+@pytest.mark.parametrize("law,plant", (
+    ("assoc", lambda alg: flip_entry(alg, 5, 6)),
+    ("star", lambda alg: flip_grade(alg, "reversal_signs", 3)),
+    ("parity", lambda alg: flip_grade(alg, "parity_signs", 2)),
+), ids=("sign-table-entry", "reversal-grade", "parity-grade"))
+def test_a_planted_sign_fails_algebra_and_passes_once_reverted(monkeypatch, law, plant):
+    n = 7  # the matrix oracle runs on its own 6-generator algebra, left as it is
+    make = suites.make_algebra
+
+    def make_planted(m, *args):
+        alg = make(m, *args)
+        if m == n:
+            plant(alg)
+        return alg
+
+    cfg = config("lq", n, "algebra", algebra={"probes": 100})
+    monkeypatch.setattr(suites, "make_algebra", make_planted)
+    res = suites.run_suite(cfg, "algebra")
+    assert res.status == "fail" and res.metrics[law] == 2.0
+    monkeypatch.undo()
+    res = suites.run_suite(cfg, "algebra")
+    assert res.passed and res.metrics["max_law_residual"] == 0.0
 
 
 def test_isometry_draws_only_the_adapted_blades_in_one_call_per_block(monkeypatch):
@@ -278,12 +339,12 @@ def nan_after(fn, calls, poison):
     return wrapped
 
 
-def test_a_nan_law_residual_in_a_later_chunk_fails_algebra(monkeypatch):
-    monkeypatch.setattr(suites, "_law_residuals", nan_after(
-        suites._law_residuals, 1, lambda out: {**out, "assoc": math.nan}))
+def test_a_nan_kernel_product_in_a_later_block_fails_algebra(monkeypatch):
+    monkeypatch.setattr(suites, "multiply_batch", nan_after(
+        suites.multiply_batch, 1, lambda out: np.full_like(out, np.nan)))
     res = suites.run_suite(config("lq", 3, "algebra", algebra={"probes": 600}), "algebra")
     assert res.status == "fail"
-    assert math.isnan(res.metrics["assoc"]) and math.isnan(res.metrics["max_law_residual"])
+    assert math.isnan(res.metrics["kernel_residual"]) and res.metrics["max_law_residual"] == 0.0
 
 
 def test_a_nan_stochastic_integral_in_a_later_block_fails_isometry(monkeypatch):
