@@ -18,9 +18,10 @@ Conventions used throughout:
 - inner product ``<a, b> = m(star(a) b)``, conjugate-linear in the first slot;
 - an element is adapted at step k iff every blade mask is ``< 2**k``.
 
-Products have two routes.  The sign-table loop (``_table_product``) passes
-once over one factor per live blade of the other; it is the reference that
-tests compare against.  The matrix form (``_matrix_product``) uses the
+Products have two routes.  The sign-table product (``_table_product``)
+folds each live blade of the sparser factor over the live columns of the
+other, and only those; it is the reference that tests compare against.
+The matrix form (``_matrix_product``) uses the
 Jordan-Wigner realization on ceil(n/2) qubits, generator 2j+1 as
 ``Z^{<j} X_j`` and 2j+2 as ``Z^{<j} Y_j``: coefficients become 2^q x 2^q
 matrices through O(2^n) tables and one Walsh-Hadamard matmul, the matrices
@@ -303,16 +304,27 @@ class CliffordElement:
 
 # -- algebra operations ----------------------------------------------------
 
+# Terms the sign-table product's sparse path forms per chunk (1 MB complex).
+_PAIR_ENTRIES = 1 << 16
+
+
 def _table_product(alg: CliffordAlgebra, A: np.ndarray, B: np.ndarray,
                    live_a: np.ndarray | None = None,
                    live_b: np.ndarray | None = None) -> np.ndarray:
     """Row-wise product by the sign table: the reference implementation.
 
-    Iterates over the live blade columns of the sparser factor (computed
-    when not given); blade S of ``A`` adds ``A_S * sign(S, S ^ u) * B_{S ^ u}``
-    to every mask u, an in-place add of gathered columns (xor with S is a
-    permutation, so each target receives one term per S).  Rows may hold
-    any prefix of 2^k blades: the prefix is closed under xor.
+    Folds the live blades of the sparser factor (computed when not given)
+    over the live columns of the other: blade S of ``A`` adds
+    ``A_S * (sign(S, T) * B_T)`` at mask S ^ T, and blade T of ``B``, when
+    B is the sparser, ``(A_S * sign(S, T)) * B_T``.  A dense other factor is
+    gathered (``.take``) at S ^ u and added in place over all masks u, one
+    folded blade at a time.  A sparse one is met only at its live columns:
+    the terms of every pair of live blades are formed at once (in chunks of
+    folded blades) and ``np.add.at`` adds them in order, so each target
+    still sums its terms in blade order.  Either way the result is the same
+    bits as one scatter per folded blade over all columns, on finite rows
+    (the skipped terms are zeros).  Rows may hold any prefix of 2^k blades:
+    the prefix is closed under xor.
     """
     width = A.shape[1]
     masks, table = alg._masks[:width], alg.sign_table[:width, :width]
@@ -321,15 +333,30 @@ def _table_product(alg: CliffordAlgebra, A: np.ndarray, B: np.ndarray,
         live_a = np.nonzero(np.any(A, axis=0))[0]
     if live_b is None:
         live_b = np.nonzero(np.any(B, axis=0))[0]
-    if live_b.size < live_a.size:
-        # e_S e_T = sign(S,T) e_{S^T}; fold over T instead when B is sparser.
-        for t in live_b:
-            src = masks ^ t
-            out += (A[:, src] * table[src, t]) * B[:, t, None]
+    # e_S e_T = sign(S,T) e_{S^T}; fold over T instead when B is sparser.
+    fold_b = live_b.size < live_a.size
+    live, other = (live_b, live_a) if fold_b else (live_a, live_b)
+    if other.size == width:
+        for x in live:
+            src = x ^ masks
+            if fold_b:
+                out += (A.take(src, axis=1) * table[src, x]) * B[:, x, None]
+            else:
+                out += A[:, x, None] * (table[x, src] * B.take(src, axis=1))
         return out
-    for s in live_a:
-        src = s ^ masks
-        out += A[:, s, None] * (table[s, src] * B[:, src])
+    flat, row_start = out.reshape(-1), np.arange(0, out.size, width)[:, None]
+    step = max(1, _PAIR_ENTRIES // max(1, len(A) * other.size))
+    for c in range(0, live.size, step):
+        xs = live[c:c + step, None]
+        if fold_b:
+            terms = ((A.take(other, axis=1)[:, None] * table[other, xs])
+                     * B.take(xs[:, 0], axis=1)[:, :, None])
+        else:
+            terms = (A.take(xs[:, 0], axis=1)[:, :, None]
+                     * (table[xs, other] * B.take(other, axis=1)[:, None]))
+        # pair (x, y) lands on x ^ y: rows outer, then x, so each target's
+        # terms arrive in blade order of x
+        np.add.at(flat, (row_start + (xs ^ other).ravel()).ravel(), terms.ravel())
     return out
 
 
@@ -378,12 +405,13 @@ def _product(alg: CliffordAlgebra, A: np.ndarray, B: np.ndarray,
              live_a: np.ndarray, live_b: np.ndarray) -> np.ndarray:
     """Row-wise product given the sorted live blade columns of both factors.
 
-    The sign-table loop makes one pass over the other factor per live blade
-    of the sparser one; the matrix form costs about two dozen array
-    operations per row block plus one 2^q x 2^q matmul per row.  It is used
-    when the sparser factor has more than 6 live blades.  On a 2-core Xeon
-    the two break even at 3-7 live blades for one row (10-20 at n = 11) and
-    at 2-7 for 250 rows, 4 <= n <= 12; a lower threshold changes rounding.
+    The sign-table product makes one pass over the other factor's live
+    columns per live blade of the sparser one; the matrix form costs about
+    two dozen array operations per row block plus one 2^q x 2^q matmul per
+    row.  It is used when the sparser factor has more than 6 live blades.
+    On a 2-core Xeon the two broke even at 3-7 live blades for one row
+    (10-20 at n = 11) and at 2-7 for 250 rows, 4 <= n <= 12, against a
+    dense other factor; a different threshold changes rounding.
     """
     if min(live_a.size, live_b.size) <= 6:
         return _table_product(alg, A, B, live_a, live_b)

@@ -2,7 +2,7 @@
 
 Generators map to Pauli strings Z^(g-1) (x) X (x) I^(n-g); the trace state is
 the normalized matrix trace.  This gives a second, independent route to every
-algebra operation and backs the oracle-equivalence checks.  Dense matrices are
+algebra operation and backs the oracle-equivalence checks.  Matrices are
 2^n x 2^n, so the oracle is only used at small n.
 """
 
@@ -16,50 +16,45 @@ ORACLE_MAX_GENERATORS = 8
 
 
 class MatrixRealization:
-    """Cacheable blade matrices for one algebra size."""
+    """The blade matrices of one algebra size, as signed permutations.
+
+    Each generator is a Kronecker product of one-site factors, so a blade,
+    the ascending product of its generators, is one too: on site g an X if
+    g is in the mask, times one Z per member above g.  That is ``X^x Z^z``,
+    with entry ``(-1)**|z & i|`` at ``(i ^ x, i)`` and zeros elsewhere (site
+    1 being the top index bit).  ``rows[S, i] = i ^ x_S`` and
+    ``signs[S, i] = (-1)**|z_S & i|`` hold blade S per column; x_S is S with
+    its bits reversed, so every matrix entry belongs to exactly one blade.
+    """
 
     def __init__(self, n: int):
         if n > ORACLE_MAX_GENERATORS:
             raise ValueError(f"matrix oracle limited to n <= {ORACLE_MAX_GENERATORS}")
         self.n = n
         self.size = 1 << n
-        self._blades: dict[int, np.ndarray] = {}
-
-    def blade(self, mask: int) -> np.ndarray:
-        """Ascending product of the generators in ``mask``.
-
-        Each generator is a Kronecker product of one-site factors, so the
-        blade is one too: on site g an X if g is in the mask, times one Z per
-        member above g.  That is the signed permutation ``X^x Z^z`` with
-        entries ``(-1)**|z & i|`` at ``(i ^ x, i)``, site 1 being the top
-        index bit.
-        """
-        cached = self._blades.get(mask)
-        if cached is not None:
-            return cached
-        x = z = 0
-        for site in range(self.n):
-            bit = 1 << (self.n - 1 - site)
-            if mask >> site & 1:
-                x |= bit
-            if (mask >> (site + 1)).bit_count() & 1:
-                z |= bit
         idx = np.arange(self.size)
-        out = np.zeros((self.size, self.size), dtype=np.complex128)
-        out[idx ^ x, idx] = np.where(np.bitwise_count(idx & z) & 1, -1.0, 1.0)
-        self._blades[mask] = out
-        return out
+        sites = np.arange(n)
+        bits = 1 << (n - 1 - sites)  # matrix-index bit of each site
+        x = ((idx[:, None] >> sites) & 1) @ bits
+        z = (np.bitwise_count(idx[:, None] >> (sites + 1)) & 1) @ bits
+        self.rows = x[:, None] ^ idx
+        self.signs = np.where(np.bitwise_count(z[:, None] & idx) & 1, -1.0, 1.0)
+        for arr in (self.rows, self.signs):
+            arr.flags.writeable = False
 
     def to_matrix(self, a: CliffordElement) -> np.ndarray:
+        """Sum of a_S times the blade matrix of S: a scatter of the live blades,
+        since no two blades share an entry."""
         out = np.zeros((self.size, self.size), dtype=np.complex128)
-        for mask in np.nonzero(a.coeffs)[0]:
-            out += a.coeffs[mask] * self.blade(int(mask))
+        live = np.nonzero(a.coeffs)[0]
+        out[self.rows[live], np.arange(self.size)] = a.coeffs[live, None] * self.signs[live]
         return out
 
     def from_matrix(self, alg: CliffordAlgebra, mat: np.ndarray) -> CliffordElement:
-        """Invert to_matrix using blade orthonormality under the trace."""
-        coeffs = [np.vdot(self.blade(mask), mat) for mask in range(alg.dim)]
-        return CliffordElement(alg, np.array(coeffs) / self.size)
+        """Invert to_matrix using blade orthonormality under the trace: the
+        coefficient of S gathers each column's entry at S's row."""
+        picked = mat[self.rows, np.arange(self.size)] * self.signs
+        return CliffordElement(alg, picked.sum(axis=1) / self.size)
 
     def state(self, mat: np.ndarray) -> complex:
         return complex(np.trace(mat) / self.size)

@@ -97,12 +97,14 @@ def _unit_rows(rng, count, dim):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _unit_rows_on_support(rng, count, dim, support):
-    """Unit-norm rows living on a shared random blade support."""
+def _unit_rows_on_support(rng, count, dim, width):
+    """Unit-norm rows living on a shared random support of ``width`` blades,
+    and that support (sorted)."""
+    support = np.sort(rng.choice(dim, size=width, replace=False))
     z = np.zeros((count, dim), dtype=np.complex128)
     z[:, support] = rng.standard_normal((count, support.size)) \
         + 1j * rng.standard_normal((count, support.size))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    return support, z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 # -- algebra -----------------------------------------------------------------
@@ -166,20 +168,20 @@ def run_algebra(cfg: RunConfig) -> SuiteResult:
     while done < probes:
         if done < sparse_end:
             b = min(chunk, sparse_end - done)
-            A, B = (
-                _unit_rows_on_support(
-                    rng, b, alg.dim,
-                    np.sort(rng.choice(alg.dim, size=support_width, replace=False)))
-                for _ in range(2))
+            (live_a, A), (live_b, B) = (
+                _unit_rows_on_support(rng, b, alg.dim, support_width) for _ in range(2))
         else:
             b = min(chunk, probes - done)
             A, B = (_unit_rows(rng, b, alg.dim) for _ in range(2))
+            live_a = live_b = None
         # The products run on row blocks; a product never mixes rows, so a
         # block changes no bit of the residual, only what is held at once.
+        # The reference meets a sparse chunk only at its shared supports.
         for r in range(0, b, rows):
             blk = slice(r, r + rows)
             kernel_err = _worst(kernel_err, np.abs(
-                multiply_batch(alg, A[blk], B[blk]) - _table_product(alg, A[blk], B[blk])).max())
+                multiply_batch(alg, A[blk], B[blk])
+                - _table_product(alg, A[blk], B[blk], live_a, live_b)).max())
         done += b
         del A, B  # before the next chunk is drawn
 
@@ -312,38 +314,55 @@ def run_gradient(cfg: RunConfig) -> SuiteResult:
 
 # -- adjoint (transposition) ---------------------------------------------------
 
-def _test_tuple_draws(rng, alg, pairs_n: int) -> list:
-    """The adjoint suite's test-tuple pairs, each element at its adapted width.
+def _tuple_widths(n: int, k: int) -> list:
+    """Widths 2^j of a test tuple's elements issued at step j: zeta at k,
+    then mu_k .. mu_{N-1}, then nu_k .. nu_{N-1}."""
+    return [1 << j for j in (k, *range(k, n), *range(k, n))]
 
-    Each pair draws its (tuple, zeta/mu_k../nu_k.., re/im, blade) normals in
-    one call, the order in which one dense element at a time would draw
-    them, and keeps of an element issued at step j only its first 2^j
-    blades; the rest are zero.  Returns (k, rows) per pair, rows[t] the
-    1 + 2(N - k) compact rows of tuple t (t1, then t2): about 2^(N+2)
-    coefficients a pair instead of 2(1 + 2(N - k)) 2^N dense ones.
+
+def _test_tuple_draws(rng, alg, pairs_n: int) -> list:
+    """Start indices of the adjoint suite's test-tuple pairs, with the
+    generator state each pair's normals are drawn from.
+
+    Each pair draws its start index k, then in one call exactly the normals
+    it keeps: per tuple (t1, then t2) and element, the (blade, re/im)
+    normals of the element's first 2^j blades; the rest are zero.  The
+    normals only move the stream on here; :func:`_test_equations` draws them
+    again from the saved state, so no pair's normals (about 2^(N+2)) stay
+    allocated across the checks.  Returns (k, state) per pair.
     """
     draws = []
     for _ in range(pairs_n):
         k = int(rng.integers(0, alg.n))
-        span = alg.n - k
-        z = rng.standard_normal((2, 1 + 2 * span, 2, alg.dim))
-        steps = [k, *range(k, alg.n), *range(k, alg.n)]
-        draws.append((k, [[z[t, r, 0, :1 << j] + 1j * z[t, r, 1, :1 << j]
-                           for r, j in enumerate(steps)] for t in range(2)]))
+        draws.append((k, rng.bit_generator.state))
+        rng.standard_normal(4 * sum(_tuple_widths(alg.n, k)))
     return draws
 
 
 def _test_equations(alg, draws: list, k: int) -> tuple:
     """The draws that start at step k, in draw order, as the zero-padded
-    (zeta, mu, nu) arrays of :func:`transposition_residual`."""
-    pairs = [rows for start, rows in draws if start == k]
+    (zeta, mu, nu) arrays of :func:`transposition_residual`.
+
+    The three are allocated apart: at N = 8 their sum can reach 2.4 MB,
+    which as one block the allocator maps afresh rather than reusing freed
+    heap.
+    """
+    states = [state for start, state in draws if start == k]
+    widths = _tuple_widths(alg.n, k)
     span = alg.n - k
-    out = np.zeros((2, len(pairs), 1 + 2 * span, alg.dim), dtype=np.complex128)
-    for i, rows in enumerate(pairs):
-        for t, tuple_rows in enumerate(rows):
-            for r, c in enumerate(tuple_rows):
-                out[t, i, r, :c.size] = c
-    return out[:, :, 0], out[:, :, 1:1 + span], out[:, :, 1 + span:]
+    # (step, blade) of each kept coefficient of a tuple's mu (and nu) drivers
+    steps = np.repeat(np.arange(span), widths[1:1 + span])
+    blades = np.concatenate([np.arange(w) for w in widths[1:1 + span]])
+    zeta = np.zeros((2, len(states), alg.dim), dtype=np.complex128)
+    mu, nu = (np.zeros((2, len(states), span, alg.dim), dtype=np.complex128) for _ in range(2))
+    replay = np.random.Generator(np.random.PCG64())  # each pair's state is set below
+    for i, state in enumerate(states):
+        replay.bit_generator.state = state
+        z = replay.standard_normal(4 * sum(widths)).view(np.complex128).reshape(2, -1)
+        zeta[:, i, :widths[0]] = z[:, :widths[0]]
+        mu[:, i, steps, blades] = z[:, widths[0]:widths[0] + steps.size]
+        nu[:, i, steps, blades] = z[:, widths[0] + steps.size:]
+    return zeta, mu, nu
 
 
 def run_adjoint(cfg: RunConfig) -> SuiteResult:
@@ -377,7 +396,6 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
     draws = _test_tuple_draws(rng, alg, pairs_n)
     trans_res = float(np.max([transposition_residual(p, sa, k, *_test_equations(alg, draws, k))
                               for k in dict.fromkeys(k for k, _ in draws)], initial=0.0))
-    del draws
 
     sym_err = 0.0
     for k in range(alg.n + 1):

@@ -4,6 +4,7 @@ None of these runs inside ``qsoc``: each is an independent oracle, built from
 the problem's raw callbacks, for a quantity the library computes another way.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +193,18 @@ def scatter_table_product(alg, A, B):
     return out
 
 
+def pauli_blade(n, mask):
+    """Dense matrix of a blade: the ascending product of its generators, each
+    the Kronecker product Z^(g-1) (x) X (x) I^(n-g) (generator 1 on the first
+    factor, the top index bit)."""
+    x, z, i2 = np.array([[0, 1], [1, 0]]), np.diag([1, -1]), np.eye(2)
+    out = np.eye(1 << n, dtype=np.complex128)
+    for g in range(1, n + 1):
+        if mask >> (g - 1) & 1:
+            out = out @ functools.reduce(np.kron, [z] * (g - 1) + [x] + [i2] * (n - g), np.eye(1))
+    return out
+
+
 def mul_dw(a, k, side="right"):
     """a dW_k (``side="right"``) or dW_k a on one element: one row of ``_mul_dw``."""
     return CliffordElement(a.algebra, _mul_dw(a.algebra, a.coeffs[None], k, side)[0])
@@ -239,24 +252,33 @@ def unstack(alg, k, zeta, mu, nu):
             for i in range(zeta.shape[1])]
 
 
-def dense_test_pairs(rng, alg, pairs_n):
-    """The adjoint suite's test-tuple pairs built dense, one pair at a time.
+def compact_test_pairs(rng, alg, pairs_n):
+    """The adjoint suite's test-tuple pairs, drawn one pair at a time.
 
-    Each pair draws its (tuple, zeta/mu_k../nu_k.., re/im, blade) normals in
-    one call and zeroes the blades an element issued at step j may not hold.
+    Each pair takes one ``integers`` draw for its start index k, then one
+    ``standard_normal(4 * sum(2^j))`` over the widths 2^j of its elements
+    (zeta issued at k, mu_j and nu_j at j = k..N-1), per tuple t1 then t2:
+    each element's first 2^j blades in turn, a real and an imaginary
+    normal per blade.  Every other blade is zero.
     """
     pairs = []
     for _ in range(pairs_n):
         k = int(rng.integers(0, alg.n))
         span = alg.n - k
-        z = rng.standard_normal((2, 1 + 2 * span, 2, alg.dim))
         steps = [k, *range(k, alg.n), *range(k, alg.n)]
-        keep = np.array([alg.adapted_mask(j) for j in steps])
-        rows = np.where(keep, z[:, :, 0] + 1j * z[:, :, 1], 0)
-        pairs.append(tuple(RefTuple(k=k, zeta=CliffordElement(alg, c[0]),
-                                    mu=[CliffordElement(alg, v) for v in c[1:1 + span]],
-                                    nu=[CliffordElement(alg, v) for v in c[1 + span:]])
-                           for c in rows))
+        z = rng.standard_normal(4 * sum(1 << j for j in steps))
+        at, tuples = 0, []
+        for _t in range(2):
+            elements = []
+            for j in steps:
+                c = np.zeros(alg.dim, dtype=np.complex128)
+                w = 1 << j
+                c[:w] = z[at:at + 2 * w:2] + 1j * z[at + 1:at + 2 * w:2]
+                elements.append(CliffordElement(alg, c))
+                at += 2 * w
+            tuples.append(RefTuple(k=k, zeta=elements[0], mu=elements[1:1 + span],
+                                   nu=elements[1 + span:]))
+        pairs.append(tuple(tuples))
     return pairs
 
 

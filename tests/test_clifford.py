@@ -1,9 +1,11 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qsoc import clifford
 from qsoc.clifford import (
     AdaptedProcess,
     CliffordElement,
@@ -25,8 +27,8 @@ from qsoc.clifford import (
     state_m,
 )
 from qsoc.errors import AlgebraMismatchError, CapacityError, SupportError
-from qsoc.matrices import realization_for
-from reference import mul_dw, scatter_table_product
+from qsoc.matrices import MatrixRealization, realization_for
+from reference import mul_dw, pauli_blade, scatter_table_product
 
 
 def rand_element(alg, rng, adapted_at=None):
@@ -370,6 +372,27 @@ def test_gathered_table_product_is_the_scatter_form_bit_for_bit(n):
                                   scatter_table_product(alg, X, Y)), (kind, width)
 
 
+@pytest.mark.parametrize("n", (3, 8, 10))
+def test_sparse_table_product_is_the_scatter_form_bit_for_bit(n, monkeypatch):
+    # two distinct sparse supports of 1..200 blades, either factor the
+    # sparser (both fold orders), on all blades and on half of them; one
+    # folded blade per np.add.at chunk as well as the default chunks
+    alg = make_algebra(n, 0.0, 1.0)
+    rng = np.random.default_rng(500 + n)
+    for entries in (clifford._PAIR_ENTRIES, 1):
+        monkeypatch.setattr(clifford, "_PAIR_ENTRIES", entries)
+        for width in (alg.dim, alg.dim // 2):
+            sizes = sorted({min(s, width - 1) for s in (1, 2, 7, 16, 60, 200)})
+            for size_a, size_b in zip(sizes, sizes[1:] + sizes[:1]):
+                A, B = np.zeros((2, 4, width), dtype=np.complex128)
+                for X, size in ((A, size_a), (B, size_b)):
+                    cols = rng.choice(width, size=size, replace=False)
+                    X[:, cols] = rng.standard_normal((4, size)) + 1j * rng.standard_normal((4, size))
+                for X, Y in ((A, B), (B, A)):
+                    assert np.array_equal(_table_product(alg, X, Y),
+                                          scatter_table_product(alg, X, Y)), (width, size_a, size_b)
+
+
 def test_adapted_products_stay_exactly_adapted():
     # the matrix form runs on the prefix subalgebra that holds both factors
     alg = make_algebra(8, 0.0, 1.0)
@@ -594,6 +617,40 @@ def test_superop_block_materialization_roundtrip():
         assert probe.size == b
         assert np.allclose(probe.lin, op.lin, atol=1e-12)
         assert np.allclose(probe.antilin, op.antilin, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_signed_permutation_oracle_is_the_dense_blade_sum(n):
+    # to_matrix is sum_S a_S blade(S) to the bit, from_matrix the trace
+    # pairing vdot(blade(S), M) / 2^n up to rounding
+    alg = make_algebra(n, 0.0, 1.0)
+    mr = realization_for(alg)
+    blades = [pauli_blade(n, s) for s in range(alg.dim)]
+    rng = np.random.default_rng(60 + n)
+    for _ in range(3):
+        a, b = rand_element(alg, rng), rand_element(alg, rng)
+        a = CliffordElement(alg, np.where(rng.random(alg.dim) < 0.3, 0.0, a.coeffs))
+        want = np.zeros((alg.dim, alg.dim), dtype=np.complex128)
+        for s in np.nonzero(a.coeffs)[0]:
+            want += a.coeffs[s] * blades[s]
+        assert np.array_equal(mr.to_matrix(a), want)
+        unit = [CliffordElement(alg, c.coeffs / c.norm()) for c in (a, b)]
+        mat = mr.to_matrix(unit[0]) @ mr.to_matrix(unit[1])
+        got = mr.from_matrix(alg, mat).coeffs
+        assert np.abs(got - [np.vdot(e, mat) / alg.dim for e in blades]).max() <= 1e-15
+
+
+def test_matrix_oracle_at_its_cap_holds_no_dense_blades():
+    alg = make_algebra(8, 0.0, 1.0)
+    mr = MatrixRealization(8)
+    mat = mr.to_matrix(rand_element(alg, np.random.default_rng(8)))
+    tracemalloc.start()
+    try:
+        mr.from_matrix(alg, mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_matrix_oracle_equivalence():

@@ -23,7 +23,7 @@ from qsoc import problems, suites
 from qsoc.clifford import SuperOperator, make_algebra
 from qsoc.config import load_config, parse_config
 from qsoc.optimize import SCREEN_BLOCK_ENTRIES
-from reference import dense_test_pairs, stack_pairs
+from reference import compact_test_pairs, stack_pairs
 
 
 def config(problem, n, suite, **tolerances):
@@ -33,17 +33,22 @@ def config(problem, n, suite, **tolerances):
 
 
 @pytest.mark.parametrize("n", (1, 3, 4, 8))
-def test_compact_test_tuple_draws_expand_to_the_dense_construction(n):
+def test_test_tuple_draws_are_the_compact_stream(n):
+    # one integers draw and one standard_normal(4 sum 2^j) a pair, nothing more
     alg = make_algebra(n, 0.0, 1.0)
     want_rng, got_rng = np.random.default_rng(40 + n), np.random.default_rng(40 + n)
-    want = dense_test_pairs(want_rng, alg, 30)
+    want = compact_test_pairs(want_rng, alg, 30)
     draws = suites._test_tuple_draws(got_rng, alg, 30)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    for k, rows in draws:  # each element at its adapted width 2^j
-        steps = [k, *range(k, n), *range(k, n)]
-        assert [[r.size for r in t] for t in rows] == [[1 << j for j in steps]] * 2
     for k in dict.fromkeys(k for k, _ in draws):
         got = suites._test_equations(alg, draws, k)
+        # each element at its adapted width 2^j: normals there, zeros beyond
+        steps = [k, *range(k, n), *range(k, n)]
+        for t in range(2):
+            rows = np.concatenate([got[0][t, :, None], got[1][t], got[2][t]], axis=1)
+            assert [list(np.count_nonzero(r, axis=1)) for r in rows] \
+                == [[1 << j for j in steps]] * len(rows)
+            assert all(not r[i, 1 << j:].any() for r in rows for i, j in enumerate(steps))
         ref = stack_pairs([pair for pair in want if pair[0].k == k])
         assert ref[0] == k
         for a, b in zip(got, ref[1:]):
@@ -145,6 +150,37 @@ def test_a_planted_sign_fails_algebra_and_passes_once_reverted(monkeypatch, law,
     monkeypatch.undo()
     res = suites.run_suite(cfg, "algebra")
     assert res.passed and res.metrics["max_law_residual"] == 0.0
+
+
+def test_a_reference_missing_one_live_column_fails_algebra_by_the_kernel(monkeypatch):
+    table_product = suites._table_product
+
+    def dropping(alg, A, B, live_a=None, live_b=None):
+        if live_b is None:
+            live_b = np.nonzero(np.any(B, axis=0))[0]
+        return table_product(alg, A, B, live_a, live_b[1:])
+
+    monkeypatch.setattr(suites, "_table_product", dropping)
+    res = suites.run_suite(config("lq", 8, "algebra", algebra={"probes": 300}), "algebra")
+    m = res.metrics
+    assert res.status == "fail" and m["kernel_residual"] > m["oracle_tol"]
+    assert m["oracle_residual"] <= m["oracle_tol"] and m["max_law_residual"] == 0.0
+
+
+def test_one_flipped_oracle_sign_fails_algebra_by_the_oracle(monkeypatch):
+    realization_for = suites.realization_for
+
+    def planted(alg):
+        mr = realization_for(alg)
+        mr.signs = mr.signs.copy()
+        mr.signs[5, 3] = -mr.signs[5, 3]
+        return mr
+
+    monkeypatch.setattr(suites, "realization_for", planted)
+    res = suites.run_suite(config("lq", 8, "algebra", algebra={"probes": 300}), "algebra")
+    m = res.metrics
+    assert res.status == "fail" and m["oracle_residual"] > m["oracle_tol"]
+    assert m["kernel_residual"] <= m["oracle_tol"] and m["max_law_residual"] == 0.0
 
 
 def test_isometry_draws_only_the_adapted_blades_in_one_call_per_block(monkeypatch):
