@@ -66,6 +66,12 @@ optimality functional takes the same pairings along the first variation
 Discrete displays keep the summation-by-parts staggering (P_{j+1} paired
 against T_j phi_j, dW terms kept explicit); this is the discrete realization
 of the continuum integrals and is what makes the residual checks exact.
+
+Everything here is built at one base point (xbar, ubar), as in the paper.
+:class:`AdjointPair` holds its :class:`~qsoc.forward.Linearization`, which
+holds the problem, the trajectory and its control; :func:`compute_P` takes
+that pair and :class:`SecondAdjoint` keeps it.  Every later function takes
+the one object, so no call can pair an adjoint with another base point.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ from .clifford import (
 )
 from .config import SUPEROP_BUDGET
 from .errors import CapacityError, ContractError, SupportError
-from .forward import Linearization, Trajectory
+from .forward import Linearization, Trajectory, solve_first_variation
 from .problems import ControlProblem
 
 __all__ = [
@@ -110,12 +116,9 @@ class AdjointPair:
     lin: Linearization
 
 
-def solve_first_adjoint(p: ControlProblem, xbar: Trajectory,
-                        ubar: np.ndarray | None = None) -> AdjointPair:
+def solve_first_adjoint(p: ControlProblem, xbar: Trajectory) -> AdjointPair:
     """Backward sweep producing the exact discrete adjoint of the linearization."""
     alg = p.algebra
-    if ubar is not None and not np.array_equal(np.asarray(ubar, float), xbar.control):
-        raise ContractError("trajectory was produced by a different control")
     lin = Linearization(p, xbar)
     n = alg.n
     y: list = [None] * (n + 1)
@@ -139,11 +142,14 @@ def solve_first_adjoint(p: ControlProblem, xbar: Trajectory,
         yhat=yhat, lin=lin)
 
 
-def first_duality_residual(p: ControlProblem, adj: AdjointPair, x1: AdaptedProcess,
-                           du: np.ndarray) -> float:
-    """Relative residual of the first-order duality identity (exact by design)."""
-    alg = p.algebra
+def first_duality_residual(adj: AdjointPair, du: np.ndarray) -> float:
+    """Relative residual of the first-order duality identity along the direction du.
+
+    Exact by design; the first variation x1 of du is solved along ``adj.lin``.
+    """
     lin = adj.lin
+    alg = lin.algebra
+    x1 = solve_first_variation(lin, du)
     lhs = -inner(lin.gx, x1[alg.n])
     rhs = 0.0 + 0.0j
     for k in range(alg.n):
@@ -155,14 +161,14 @@ def first_duality_residual(p: ControlProblem, adj: AdjointPair, x1: AdaptedProce
 
 # -- Hamiltonian gradient ------------------------------------------------------
 
-def hu_field(p: ControlProblem, adj: AdjointPair) -> np.ndarray:
+def hu_field(adj: AdjointPair) -> np.ndarray:
     """Riesz representatives of the control derivative of the Hamiltonian, (N, m)."""
-    alg = p.algebra
-    out = np.zeros((alg.n, p.m))
-    for k in range(alg.n):
+    lin = adj.lin
+    out = np.zeros((lin.algebra.n, lin.p.m))
+    for k in range(lin.algebra.n):
         yh, yk = adj.yhat[k], adj.Y[k]
-        out[k] = (np.conj(yh.coeffs) @ adj.lin.Du[k]).real \
-            + (np.conj(yk.coeffs) @ adj.lin.Bu[k]).real - adj.lin.Lu[k]
+        out[k] = (np.conj(yh.coeffs) @ lin.Du[k]).real \
+            + (np.conj(yk.coeffs) @ lin.Bu[k]).real - lin.Lu[k]
     return out
 
 
@@ -170,14 +176,15 @@ def hu_field(p: ControlProblem, adj: AdjointPair) -> np.ndarray:
 
 @dataclass
 class SecondAdjoint:
-    """Materialized P_k family plus the curvature operators that built it."""
+    """Materialized P_k family plus the curvature operators that built it.
+
+    ``adj`` is the first adjoint it was built from; ``adj.lin`` holds the
+    problem, the trajectory and its control.
+    """
 
     P: list
     M: list
-    lin: Linearization
-    adj: "AdjointPair"
-    xbar: Trajectory
-    ubar: np.ndarray
+    adj: AdjointPair
 
 
 def _checked_curvature(p: ControlProblem, k: int, *args) -> SuperOperator | None:
@@ -188,9 +195,8 @@ def _checked_curvature(p: ControlProblem, k: int, *args) -> SuperOperator | None
     return op
 
 
-def compute_P(p: ControlProblem, xbar: Trajectory, ubar: np.ndarray,
-              adj: AdjointPair, budget: int = SUPEROP_BUDGET) -> SecondAdjoint:
-    """Backward sweep for the second adjoint operator family.
+def compute_P(adj: AdjointPair) -> SecondAdjoint:
+    """Backward sweep for the second adjoint operator family along ``adj.lin``.
 
     Each P_k maps the step-k adapted subspace into itself and satisfies the
     transposition identity against the forward test equations exactly; see
@@ -198,20 +204,17 @@ def compute_P(p: ControlProblem, xbar: Trajectory, ubar: np.ndarray,
     P_k = T^H P_{k+1} T + dt M_k with T = :meth:`Linearization.t_block`, so
     E_k needs no mask; P_N is dim x dim.
     """
-    alg = p.algebra
-    if alg.dim > budget:
-        raise CapacityError(
-            f"coefficient dimension {alg.dim} exceeds superoperator budget {budget}")
-    ubar = p.check_control_path(ubar)
-    if not np.array_equal(ubar, xbar.control):
-        raise ContractError("trajectory was produced by a different control")
     lin = adj.lin
+    p, xbar, alg = lin.p, lin.xbar, lin.algebra
+    if alg.dim > SUPEROP_BUDGET:
+        raise CapacityError(
+            f"coefficient dimension {alg.dim} exceeds superoperator budget {SUPEROP_BUDGET}")
     n = alg.n
     P: list = [None] * (n + 1)
     M: list = [None] * n
     P[n] = _checked_curvature(p, n, xbar.terminal, None, None, None).scaled(-1.0)
     for k in range(n - 1, -1, -1):
-        M[k] = _checked_curvature(p, k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k])
+        M[k] = _checked_curvature(p, k, xbar[k], xbar.control[k], adj.yhat[k], adj.Y[k])
         t = lin.t_block(k)
         td = t.conj().T
         nxt = P[k + 1]
@@ -219,7 +222,7 @@ def compute_P(p: ControlProblem, xbar: Trajectory, ubar: np.ndarray,
                              None if nxt.antilin is None else td @ nxt.antilin @ np.conj(t))
         if M[k] is not None:
             P[k] = P[k] + M[k].scaled(alg.dt)
-    return SecondAdjoint(P=P, M=M, lin=lin, adj=adj, xbar=xbar, ubar=ubar)
+    return SecondAdjoint(P=P, M=M, adj=adj)
 
 
 def _step_pairings(pj: SuperOperator, phi2, d2, phi1, d1) -> np.ndarray:
@@ -245,7 +248,7 @@ def _p_block_terms(sa: SecondAdjoint, X: np.ndarray, dus: np.ndarray) -> np.ndar
     and nu_j = Bu_j du_j, so P_0 never enters; entry (a, b) is real-bilinear
     in the two test paths, and the diagonal is the P block along each direction.
     """
-    lin = sa.lin
+    lin = sa.adj.lin
     total = np.zeros((len(X), len(X)), dtype=np.complex128)
     for j in range(lin.algebra.n):
         d = lin.algebra.dt * (dus[:, j] @ lin.Du[j].T) \
@@ -278,7 +281,7 @@ def _check_test_equations(alg, k: int, zeta: np.ndarray, mu: np.ndarray,
                 raise SupportError(f"{kind} driver not adapted at step {j}")
 
 
-def transposition_residual(p: ControlProblem, sa: SecondAdjoint, k: int, zeta: np.ndarray,
+def transposition_residual(sa: SecondAdjoint, k: int, zeta: np.ndarray,
                            mu: np.ndarray, nu: np.ndarray) -> float:
     """Max absolute defect of the transposition identity over B pairs of test equations.
 
@@ -297,7 +300,8 @@ def transposition_residual(p: ControlProblem, sa: SecondAdjoint, k: int, zeta: n
     ``M_j.gram`` and the P side of one :func:`_step_pairings`.  A NaN defect
     makes the result NaN.
     """
-    alg = p.algebra
+    lin = sa.adj.lin
+    p, alg = lin.p, lin.algebra
     dt = alg.dt
     zeta, mu, nu = (np.asarray(a, dtype=np.complex128) for a in (zeta, mu, nu))
     _check_test_equations(alg, k, zeta, mu, nu)
@@ -311,12 +315,12 @@ def transposition_residual(p: ControlProblem, sa: SecondAdjoint, k: int, zeta: n
         if sa.M[j] is not None:
             lhs += dt * np.diagonal(sa.M[j].gram(phi[:b], phi[b:]))
         mu_j, nu_j = (v[::-1, :, j - k].reshape(2 * b, alg.dim) for v in (mu, nu))
-        phi = sa.lin.step_rows(j, phi, mu_j, nu_j)
+        phi = lin.step_rows(j, phi, mu_j, nu_j)
         # summation-by-parts staggering: P_{j+1} against the step parts
         d = dt * mu_j + _mul_dw(alg, nu_j, j + 1, "right")
         rhs += np.diagonal(_step_pairings(sa.P[j + 1], phi[:b], d[:b], phi[b:], d[b:]))
     if p.g_xx is not None:
-        gxx = p.g_xx(sa.xbar.terminal)
+        gxx = p.g_xx(lin.xbar.terminal)
         lhs -= [gxx(CliffordElement(alg, v2), CliffordElement(alg, v1))
                 for v2, v1 in zip(phi[:b], phi[b:])]
     return float(np.max(np.abs(lhs - rhs), initial=0.0))

@@ -1,5 +1,11 @@
 """First- and second-order optimality functionals and their consistency checks.
 
+Every functional here works at the base point of the adjoint it is given:
+``first_order_integral(adj, u)`` along u - ubar with ubar the control of
+``adj.lin``, the second-order functions on a :class:`SecondAdjoint`, whose
+``sa.adj`` is the first adjoint that built P.  The direction u must lie in
+the box; each function solves the first variations it needs itself.
+
 ``first_order_integral`` is the gating integral: by the exact discrete duality
 it equals minus the derivative of the cost along the convex perturbation, so a
 difference quotient of the cost must reproduce it to rounding.
@@ -18,16 +24,17 @@ dt <H_u, du>, and S is an exact real quadratic form in du: the first
 variation is real-linear in du, and each part of S (the curvature terms, the
 P-pairings, the direct terms) is real-bilinear in (x1, du).  Every part is
 implemented once, in ``_forms``, as a (B, B) form on a stack of B directions
-and their first variations; the diagonal holds each direction's own value.
-The per-direction functionals read a 1x1 stack.  ``reduced_hessians`` reads
-the stack of the N*m unit directions and returns S and its direct oracle as
-real symmetric matrices H_P and H_D.
+and their first variations, solved there as one stack; the diagonal holds
+each direction's own value.  The per-direction functionals read a 1x1
+stack.  ``reduced_hessians`` reads the stack of the N*m unit directions and
+returns S and its direct oracle as real symmetric matrices H_P and H_D.
 
 ``verify_theorem`` checks the condition at a KKT point of the box: S =
 du.H_P.du must be <= s_tol on the unit directions of the critical cone.  The
 maximum is an eigenvalue of H_P on the free coordinates and a support of
 the weakly active ones; the route gap H_P - H_D on the cone, S along the top
-cone direction and the cost sweep along it must agree with it.
+cone direction and the cost sweep along it must agree with it.  The state,
+the adjoint and P at ubar are built once, and the sweep reuses them.
 
 A note on the assembled display: a variant that applies the state-direction
 diffusion operator to control directions is dimensionally inconsistent (those
@@ -52,8 +59,8 @@ from .adjoint import (
     solve_first_adjoint,
 )
 from .clifford import CliffordElement
-from .errors import BudgetError, ContractError
-from .forward import solve_first_variation, solve_state, stacked_costs
+from .errors import BudgetError
+from .forward import solve_state, stacked_costs
 from .problems import ControlProblem, cost, huu_matrix, hxu_pairing
 
 __all__ = [
@@ -77,39 +84,39 @@ WEAK_SUPPORT_BUDGET = 1 << 12  # supports of the weakly active coordinates enume
 TAYLOR_EPS = [2.0 ** -e for e in range(4, 9)]  # cost sweep along the top cone direction
 
 
-def first_order_integral(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
-                         adj: AdjointPair) -> float:
+def _direction(adj: AdjointPair, u: np.ndarray) -> np.ndarray:
+    """u - ubar for an admissible u, ubar the control of the adjoint's trajectory."""
+    return adj.lin.p.check_control_path(u) - adj.lin.xbar.control
+
+
+def first_order_integral(adj: AdjointPair, u: np.ndarray) -> float:
     """Gate integral sum_k dt <H_u(k), u_k - ubar_k>; equals -dJ/deps at 0."""
-    ubar = p.check_control_path(ubar)
-    if not np.array_equal(ubar, adj.lin.xbar.control):
-        raise ContractError("functional must be evaluated at the adjoint's base control")
-    du = p.check_control_path(u) - ubar
-    return float(p.algebra.dt * np.sum(hu_field(p, adj) * du))
+    return float(adj.lin.algebra.dt * np.sum(hu_field(adj) * _direction(adj, u)))
 
 
 def _routes_agree(route_gap: float, s: float) -> bool:
     return route_gap <= ROUTE_GAP_TOL * (1.0 + abs(s))
 
 
-def _forms(p: ControlProblem, adj: AdjointPair, sa: SecondAdjoint, X: np.ndarray,
-           dus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _forms(sa: SecondAdjoint, dus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The parts of S as complex (B, B) forms on a stack of directions.
 
-    ``dus`` (B, N, m) are the directions, ``X`` (B, N+1, dim) their first
-    variations.
+    ``dus`` (B, N, m) are the directions; their first variations X
+    (B, N+1, dim) are solved as one stack along ``sa.adj.lin``.
     Returns the curvature terms shared by both routes, the P-pairings and the
     direct route (curvature terms plus x1 paired with P_N and the M_j only).
     S through P is Re(curvature + P-pairings), its oracle Re(direct); the
     diagonal of each form is each direction's own value.
     """
-    if sa.adj is not adj:
-        raise ContractError("second adjoint was built from a different first adjoint")
-    alg = p.algebra
+    adj = sa.adj
+    lin = adj.lin
+    p, xbar, alg = lin.p, lin.xbar, lin.algebra
     dt = alg.dt
+    X = lin.variation_rows(dus)
     units = np.eye(p.m)
     curvature = np.zeros((len(dus), len(dus)), dtype=np.complex128)
     for k in range(alg.n):
-        args = (p, k, sa.xbar[k], sa.ubar[k], adj.yhat[k], adj.Y[k])
+        args = (p, k, xbar[k], xbar.control[k], adj.yhat[k], adj.Y[k])
         curvature += dt * (dus[:, k] @ huu_matrix(*args) @ dus[:, k].T)
         xu = hxu_pairing(*args)
         if xu is not None:
@@ -124,36 +131,22 @@ def _forms(p: ControlProblem, adj: AdjointPair, sa: SecondAdjoint, X: np.ndarray
     return curvature, _p_block_terms(sa, X, dus), direct
 
 
-def _forms_along(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
-                 adj: AdjointPair, sa: SecondAdjoint, x1) -> tuple[complex, complex, complex]:
-    """Curvature terms, P-pairings and direct route along the one direction u - ubar."""
-    ubar = p.check_control_path(ubar)
-    u = p.check_control_path(u)
-    if not np.array_equal(ubar, sa.ubar):
-        raise ContractError("functional must be evaluated at the adjoint's base control")
-    forms = _forms(p, adj, sa, np.array([[v.coeffs for v in x1]]), (u - ubar)[None])
-    return tuple(complex(f[0, 0]) for f in forms)
-
-
-def second_order_functional(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
-                            adj: AdjointPair, sa: SecondAdjoint, x1) -> float:
+def second_order_functional(sa: SecondAdjoint, u: np.ndarray) -> float:
     """Curvature functional S through P; equals -d2J/deps2 at 0 along u - ubar."""
-    curix, pb, _ = _forms_along(p, ubar, u, adj, sa, x1)
-    return float((curix + pb).real)
+    curvature, p_pairs, _ = _forms(sa, _direction(sa.adj, u)[None])
+    return float((curvature + p_pairs)[0, 0].real)
 
 
-def second_order_direct(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
-                        adj: AdjointPair, sa: SecondAdjoint, x1) -> float:
+def second_order_direct(sa: SecondAdjoint, u: np.ndarray) -> float:
     """Oracle for S: x1 paired with P_N and the curvature operators M_j only.
 
     Agrees with :func:`second_order_functional` to rounding exactly when the
     P_k with 0 < k < N and the first variation are consistent.
     """
-    return float(_forms_along(p, ubar, u, adj, sa, x1)[2].real)
+    return float(_forms(sa, _direction(sa.adj, u)[None])[2][0, 0].real)
 
 
-def reduced_hessians(p: ControlProblem, adj: AdjointPair,
-                     sa: SecondAdjoint) -> tuple[np.ndarray, np.ndarray]:
+def reduced_hessians(sa: SecondAdjoint) -> tuple[np.ndarray, np.ndarray]:
     """S at ubar as real symmetric matrices: S(du) = v . H_P v, direct S = v . H_D v.
 
     v = du.reshape(-1), so column a = k*m + i is the unit direction of control
@@ -161,9 +154,9 @@ def reduced_hessians(p: ControlProblem, adj: AdjointPair,
     in (x1, du), so the first variations of the columns, solved as one
     stack, and the forms on that stack give both quadratic forms exactly.
     """
-    size = p.algebra.n * p.m
-    basis = np.eye(size).reshape(size, p.algebra.n, p.m)
-    curvature, p_pairs, direct = _forms(p, adj, sa, sa.lin.variation_rows(basis), basis)
+    n, m = sa.adj.lin.algebra.n, sa.adj.lin.p.m
+    basis = np.eye(n * m).reshape(n * m, n, m)
+    curvature, p_pairs, direct = _forms(sa, basis)
     real = np.stack([(curvature + p_pairs).real, direct.real])
     sym = 0.5 * (real + real.transpose(0, 2, 1))
     return sym[0], sym[1]
@@ -189,9 +182,8 @@ class TaylorReport:
     passed: bool
 
 
-def taylor_consistency(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
-                       eps_list) -> TaylorReport:
-    """Cost-sweep cross-check of both functionals.
+def taylor_consistency(sa: SecondAdjoint, u: np.ndarray, eps_list) -> TaylorReport:
+    """Cost-sweep cross-check of both functionals at the base point of ``sa``.
 
     Fits J(u^eps) - J(ubar) = a eps + b eps^2 (+ higher order); the duality
     identities force a = -FO and b = -S/2.  Estimates use two Richardson
@@ -203,17 +195,13 @@ def taylor_consistency(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
     if len(eps_list) < 3:
         raise ValueError("need at least three sweep points")
-    ubar = p.check_control_path(ubar)
-    u = p.check_control_path(u)
-    du = u - ubar
+    p, xbar = sa.adj.lin.p, sa.adj.lin.xbar
+    ubar = xbar.control
+    du = _direction(sa.adj, u)
 
-    xbar = solve_state(p, ubar)
-    adj = solve_first_adjoint(p, xbar, ubar)
-    sa = compute_P(p, xbar, ubar, adj)
-    x1 = solve_first_variation(adj.lin, du)
-    fo = first_order_integral(p, ubar, u, adj)
-    s = second_order_functional(p, ubar, u, adj, sa, x1)
-    route_gap = abs(s - second_order_direct(p, ubar, u, adj, sa, x1))
+    fo = first_order_integral(sa.adj, u)
+    s = second_order_functional(sa, u)
+    route_gap = abs(s - second_order_direct(sa, u))
 
     sweep = ubar + np.array(eps_list)[:, None, None] * du
     for eps, ueps in zip(eps_list, sweep):
@@ -245,10 +233,10 @@ def taylor_consistency(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
                                     and _routes_agree(route_gap, s)))
 
 
-def default_gate_tolerance(p: ControlProblem, adj: AdjointPair) -> float:
+def default_gate_tolerance(adj: AdjointPair) -> float:
     """1e-8 scaled by the size of the control-derivative field."""
-    hu = hu_field(p, adj)
-    scale = 1.0 + p.algebra.dt * float(np.sum(np.linalg.norm(hu, axis=1)))
+    hu = hu_field(adj)
+    scale = 1.0 + adj.lin.algebra.dt * float(np.sum(np.linalg.norm(hu, axis=1)))
     return 1e-8 * scale
 
 
@@ -310,12 +298,11 @@ def verify_theorem(p: ControlProblem, ubar: np.ndarray, fo_tol: float | None = N
     only); the others are free.
     """
     ubar = p.check_control_path(ubar)
-    xbar = solve_state(p, ubar)
-    adj = solve_first_adjoint(p, xbar, ubar)
-    sa = compute_P(p, xbar, ubar, adj)
+    adj = solve_first_adjoint(p, solve_state(p, ubar))
+    sa = compute_P(adj)
     if fo_tol is None:
-        fo_tol = default_gate_tolerance(p, adj)
-    g = p.algebra.dt * hu_field(p, adj)
+        fo_tol = default_gate_tolerance(adj)
+    g = p.algebra.dt * hu_field(adj)
     residual = kkt_residual(p, ubar, g)
     at_lo, at_hi = (ubar <= p.control_set.lower).ravel(), (ubar >= p.control_set.upper).ravel()
     inward = np.where(at_lo, 1.0, np.where(at_hi, -1.0, 0.0))
@@ -323,7 +310,7 @@ def verify_theorem(p: ControlProblem, ubar: np.ndarray, fo_tol: float | None = N
     movable = ~(at_lo & at_hi)
     free = (inward == 0) | ((push > fo_tol) & movable)
     weak = ~free & (push >= -fo_tol) & movable
-    h_p, h_d = reduced_hessians(p, adj, sa)
+    h_p, h_d = reduced_hessians(sa)
     max_s, top = _cone_max(h_p, free, weak, inward)
     span = np.ix_(free | weak, free | weak)
     route_gap = float(np.abs(np.linalg.eigvalsh((h_p - h_d)[span])).max(initial=0.0))
@@ -336,11 +323,8 @@ def verify_theorem(p: ControlProblem, ubar: np.ndarray, fo_tol: float | None = N
     oracle_gap = taylor_rel_err = 0.0
     taylor_ok = True
     if moves.any() and step > 0:
-        du = step * top
-        x1 = solve_first_variation(adj.lin, du)
-        oracle_gap = abs(second_order_functional(p, ubar, ubar + du, adj, sa, x1) / step ** 2
-                         - max_s)
-        sweep = taylor_consistency(p, ubar, ubar + du, TAYLOR_EPS)
+        sweep = taylor_consistency(sa, ubar + step * top, TAYLOR_EPS)
+        oracle_gap = abs(sweep.s / step ** 2 - max_s)
         taylor_rel_err, taylor_ok = sweep.rel_err_s, sweep.passed
     verdict = (residual <= fo_tol and max_s <= s_tol and taylor_ok
                and _routes_agree(route_gap, max_s) and _routes_agree(oracle_gap, max_s))

@@ -29,12 +29,15 @@ from .problems import ControlProblem, cost
 __all__ = ["projected_gradient", "kkt_point", "brute_force_search", "GradientTrace",
            "NewtonTrace"]
 
-BRUTE_FORCE_BUDGET = 10 ** 6
+BRUTE_FORCE_BUDGET = 10 ** 5  # grid controls; the optimize suite certifies only within it
 GRID_POINTS = 5  # per control dimension, on the grid of the optimize suite
 COST_SLACK = 1e-14  # a step may raise the cost by this much (rounding) and still count
 # State entries (rows x dim) per block of the brute force, of the line search and
 # of the algebra suite's products: bounds the block's memory.
 SCREEN_BLOCK_ENTRIES = 1 << 12
+# KKT points of the theorem and optimize suites: Newton polish until the largest
+# move of the projected step u -> proj(u + dt H_u) is at most KKT_TOL
+KKT_TOL, NEWTON_STEPS = 1e-12, 20
 
 
 @dataclass
@@ -83,8 +86,7 @@ def projected_gradient(p: ControlProblem, u0: np.ndarray, step: float = 0.5,
     scales = step * 0.5 ** np.arange(21)
     rows = max(1, SCREEN_BLOCK_ENTRIES // p.algebra.dim)
     for _ in range(max_iter):
-        adj = solve_first_adjoint(p, xbar, u)
-        grad = hu_field(p, adj)
+        grad = hu_field(solve_first_adjoint(p, xbar))
         if not np.all(np.isfinite(grad)):
             raise StepSizeError(f"gradient not finite at iteration {len(grad_norms)}")
         moved = (p.control_set.project(u + step * grad) - u) / step
@@ -129,16 +131,15 @@ class NewtonTrace:
     kkt_residual: float  # at the returned control
 
 
-def kkt_point(p: ControlProblem, u0: np.ndarray, tol: float,
-              max_steps: int) -> tuple[np.ndarray, NewtonTrace]:
-    """Newton steps on the free coordinates until the KKT residual is <= ``tol``.
+def kkt_point(p: ControlProblem, u0: np.ndarray) -> tuple[np.ndarray, NewtonTrace]:
+    """Newton steps on the free coordinates until the KKT residual is <= ``KKT_TOL``.
 
     A step is u_F <- u_F - H_P[F, F]^-1 g_F, projected onto the box, where
     g = dt * H_u, H_P is the reduced Hessian of S (minus the cost's Hessian)
     and F holds the coordinates inside the box or moved off their bound by g.
     (A singular block takes its least-squares step.)  A step that raises the
     cost beyond rounding gives way to one :func:`projected_gradient` step;
-    the search stops when that stalls too, or after ``max_steps`` steps.
+    the search stops when that stalls too, or after ``NEWTON_STEPS`` steps.
     """
     u = p.check_control_path(np.asarray(u0, dtype=float))
     lo, hi = p.control_set.lower, p.control_set.upper
@@ -148,15 +149,15 @@ def kkt_point(p: ControlProblem, u0: np.ndarray, tol: float,
     if not np.isfinite(trace.costs[0]):
         raise StepSizeError(f"cost {trace.costs[0]} at the initial control is not finite")
     while True:
-        adj = solve_first_adjoint(p, xbar, u)
-        g = p.algebra.dt * hu_field(p, adj)
+        adj = solve_first_adjoint(p, xbar)
+        g = p.algebra.dt * hu_field(adj)
         if not np.all(np.isfinite(g)):
             raise StepSizeError(f"gradient not finite after {len(trace.costs) - 1} steps")
         trace.kkt_residual = kkt_residual(p, u, g)
-        if trace.kkt_residual <= tol or len(trace.costs) > max_steps:
+        if trace.kkt_residual <= KKT_TOL or len(trace.costs) > NEWTON_STEPS:
             return u, trace
         free = (((lo < u) & (u < hi)) | (p.control_set.project(u + g) != u)).ravel()
-        h_p = reduced_hessians(p, adj, compute_P(p, xbar, u, adj))[0][np.ix_(free, free)]
+        h_p = reduced_hessians(compute_P(adj))[0][np.ix_(free, free)]
         cand = u.copy()
         cand.reshape(-1)[free] -= np.linalg.lstsq(h_p, g.ravel()[free], rcond=None)[0]
         cand = p.control_set.project(cand)

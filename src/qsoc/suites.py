@@ -43,10 +43,12 @@ from .conditions import (
 )
 from .config import SUITE_ORDER, ProblemSpec, RunConfig
 from .errors import QsocError
-from .forward import order_estimate_slopes, solve_first_variation, solve_state
+from .forward import order_estimate_slopes, solve_state
 from .matrices import realization_for
 from .optimize import (
+    BRUTE_FORCE_BUDGET,
     GRID_POINTS,
+    KKT_TOL,
     SCREEN_BLOCK_ENTRIES,
     brute_force_search,
     kkt_point,
@@ -55,10 +57,6 @@ from .optimize import (
 from .problems import cost, hxx_pairing, make_problem
 
 __all__ = ["SuiteResult", "run_suite", "run_all", "suite_rng"]
-
-# KKT points of theorem and optimize: Newton polish until the largest move of
-# the projected step u -> proj(u + dt H_u) is at most KKT_TOL
-KKT_TOL, NEWTON_STEPS = 1e-12, 20
 
 
 @dataclasses.dataclass
@@ -290,16 +288,15 @@ def run_gradient(cfg: RunConfig) -> SuiteResult:
 
     ubar = _interior_control(p, rng, (alg.n, p.m), span=0.5)
     xbar = solve_state(p, ubar)
-    adj = solve_first_adjoint(p, xbar, ubar)
+    adj = solve_first_adjoint(p, xbar)
     j0 = cost(p, ubar, xbar)
 
     worst_dual = 0.0
     worst_fd = 0.0
     for _ in range(trials):
         du = rng.uniform(-0.3, 0.3, size=(alg.n, p.m))
-        x1 = solve_first_variation(adj.lin, du)
-        worst_dual = _worst(worst_dual, first_duality_residual(p, adj, x1, du))
-        fo = first_order_integral(p, ubar, ubar + du, adj)
+        worst_dual = _worst(worst_dual, first_duality_residual(adj, du))
+        fo = first_order_integral(adj, ubar + du)
         jp = cost(p, ubar + h * du, solve_state(p, ubar + h * du))
         jm = cost(p, ubar - h * du, solve_state(p, ubar - h * du))
         dj = (jp - jm) / (2 * h)
@@ -373,8 +370,8 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
 
     ubar = _interior_control(p, rng, (alg.n, p.m), span=0.5)
     xbar = solve_state(p, ubar)
-    adj = solve_first_adjoint(p, xbar, ubar)
-    sa = compute_P(p, xbar, ubar, adj)
+    adj = solve_first_adjoint(p, xbar)
+    sa = compute_P(adj)
 
     term_y = float(np.max(np.abs((adj.y[alg.n] + p.g_x(xbar.terminal)).coeffs)))
     term_p = 0.0
@@ -394,7 +391,7 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
 
     # one check per start index, its arrays built just before it
     draws = _test_tuple_draws(rng, alg, pairs_n)
-    trans_res = float(np.max([transposition_residual(p, sa, k, *_test_equations(alg, draws, k))
+    trans_res = float(np.max([transposition_residual(sa, k, *_test_equations(alg, draws, k))
                               for k in dict.fromkeys(k for k, _ in draws)], initial=0.0))
 
     sym_err = 0.0
@@ -421,8 +418,7 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
     # flips its parity.  Compared relative to the size of the diagonal.
     spec = dataclasses.replace(cfg.problem, qd=None, qf=None, qg=None)
     p_lin = make_problem(alg, spec)
-    x_lin = solve_state(p_lin, ubar)
-    sa_lin = compute_P(p_lin, x_lin, ubar, solve_first_adjoint(p_lin, x_lin, ubar))
+    sa_lin = compute_P(solve_first_adjoint(p_lin, solve_state(p_lin, ubar)))
     dt, grow = alg.dt, (1.0 + spec.a * alg.dt) ** 2
     even = alg.parity_signs > 0
     alpha = beta = -2.0 * spec.s
@@ -458,7 +454,8 @@ def run_second_order(cfg: RunConfig) -> SuiteResult:
     eps = [2.0 ** -e for e in range(4, 9)]
     ubar = _interior_control(p, rng, (alg.n, p.m), span=0.4)
     u = _interior_control(p, rng, (alg.n, p.m), span=0.9)
-    rep = taylor_consistency(p, ubar, u, eps)
+    sa = compute_P(solve_first_adjoint(p, solve_state(p, ubar)))
+    rep = taylor_consistency(sa, u, eps)
     plot = {"taylor_sweep": [(e, g) for e, g in zip(rep.eps, rep.gaps)]}
     return SuiteResult("second_order", "pass" if rep.passed else "fail",
                        {"tol": TAYLOR_TOL, "fo": rep.fo, "s": rep.s,
@@ -480,7 +477,7 @@ def run_theorem(cfg: RunConfig) -> SuiteResult:
     # Newton from the box midpoint, an open side counting as 0
     bounds = np.array([p.control_set.lower, p.control_set.upper])
     mid = p.control_set.project(np.where(np.isfinite(bounds), bounds, 0.0).mean(axis=0))
-    ubar, polish = kkt_point(p, np.tile(mid, (alg.n, 1)), KKT_TOL, NEWTON_STEPS)
+    ubar, polish = kkt_point(p, np.tile(mid, (alg.n, 1)))
     report = verify_theorem(p, ubar, s_tol=s_tol)
 
     # analytic companion: no dynamics and a pure control cost, so H = -2r dt I
@@ -490,9 +487,7 @@ def run_theorem(cfg: RunConfig) -> SuiteResult:
         "lq", m=p.m, a=0.0, f0=0.0, g0=0.0, b=None, f=None, g=None,
         q=0.0, r=r_rate, s=0.0, x_tgt=None))
     u0 = np.zeros((alg.n, p.m))
-    x0t = solve_state(p_zero, u0)
-    adj0 = solve_first_adjoint(p_zero, x0t, u0)
-    h_zero, _ = reduced_hessians(p_zero, adj0, compute_P(p_zero, x0t, u0, adj0))
+    h_zero, _ = reduced_hessians(compute_P(solve_first_adjoint(p_zero, solve_state(p_zero, u0))))
     want = -2.0 * r_rate * alg.dt * np.eye(alg.n * p.m)
     analytic_err = float(np.max(np.abs(h_zero - want)))
 
@@ -512,7 +507,7 @@ def run_optimize(cfg: RunConfig) -> SuiteResult:
     p = make_problem(alg, cfg.problem)
     u0 = _interior_control(p, rng, (alg.n, p.m), span=0.8)
     u, trace = projected_gradient(p, u0, step=0.5, max_iter=300, grad_tol=1e-9)
-    u, polish = kkt_point(p, u, KKT_TOL, NEWTON_STEPS)
+    u, polish = kkt_point(p, u)
     costs = trace.costs + polish.costs[1:]
     metrics = {"iterations": trace.iterations, "final_cost": costs[-1],
                "final_grad_norm": trace.grad_norms[-1] if trace.grad_norms else 0.0,
@@ -521,7 +516,7 @@ def run_optimize(cfg: RunConfig) -> SuiteResult:
                "newton_steps": polish.newton_steps, "gradient_steps": polish.gradient_steps,
                "kkt_tol": KKT_TOL, "kkt_residual": polish.kkt_residual}
     ok = polish.kkt_residual <= KKT_TOL
-    if p.control_set.is_bounded() and GRID_POINTS ** (alg.n * p.m) <= 10 ** 5:
+    if p.control_set.is_bounded() and GRID_POINTS ** (alg.n * p.m) <= BRUTE_FORCE_BUDGET:
         _, j_bf = brute_force_search(p, GRID_POINTS)
         metrics["brute_force_value"] = j_bf
         ok = ok and costs[-1] <= j_bf + 1e-9

@@ -54,9 +54,10 @@ def hamiltonian(p, k, x, u, y, Y) -> complex:
             - p.L(k, x, u))
 
 
-def second_duality_residual(p, adj, xbar, x1, x2, du) -> float:
+def second_duality_residual(adj, x1, x2, du) -> float:
     """Residual of the first-adjoint duality against the quadratic-response drivers."""
-    alg, lin = p.algebra, adj.lin
+    lin = adj.lin
+    p, xbar, alg = lin.p, lin.xbar, lin.algebra
     lhs = -inner(lin.gx, x2[alg.n])
     rhs = 0.0 + 0.0j
     for k in range(alg.n):
@@ -332,17 +333,18 @@ def tuple_path(lin, t):
     return phi, drive
 
 
-def transposition_defects(p, sa, tuples) -> list:
+def transposition_defects(sa, tuples) -> list:
     """|lhs - rhs| of the transposition identity for each pair, one pair at a time."""
-    alg, dt = p.algebra, p.algebra.dt
+    lin = sa.adj.lin
+    p, xbar, alg, dt = lin.p, lin.xbar, lin.algebra, lin.algebra.dt
     out = []
     for t1, t2 in tuples:
         k = t1.k
-        phi1, d1 = tuple_path(sa.lin, t1)
-        phi2, d2 = tuple_path(sa.lin, t2)
-        lhs = 0.0 + 0.0j if p.g_xx is None else -p.g_xx(sa.xbar.terminal)(phi2[-1], phi1[-1])
+        phi1, d1 = tuple_path(lin, t1)
+        phi2, d2 = tuple_path(lin, t2)
+        lhs = 0.0 + 0.0j if p.g_xx is None else -p.g_xx(xbar.terminal)(phi2[-1], phi1[-1])
         for j in range(k, alg.n):
-            pair = hxx_pairing(p, j, sa.xbar[j], sa.ubar[j], sa.adj.yhat[j], sa.adj.Y[j])
+            pair = hxx_pairing(p, j, xbar[j], xbar.control[j], sa.adj.yhat[j], sa.adj.Y[j])
             if pair is not None:
                 lhs += dt * pair(phi2[j - k], phi1[j - k])
         rhs = sa.P[k].pair(t2.zeta, t1.zeta)
@@ -366,7 +368,7 @@ def sequential_projected_gradient(p, u0, step=0.5, max_iter=200, grad_tol=1e-9):
         raise StepSizeError(f"cost {j_curr} at the initial control is not finite")
     trace = GradientTrace(costs=[j_curr], grad_norms=[], step_halvings=0, converged=False)
     for _ in range(max_iter):
-        grad = hu_field(p, solve_first_adjoint(p, solve_state(p, u), u))
+        grad = hu_field(solve_first_adjoint(p, solve_state(p, u)))
         if not np.all(np.isfinite(grad)):
             raise StepSizeError(f"gradient not finite at iteration {len(trace.grad_norms)}")
         moved = (p.control_set.project(u + step * grad) - u) / step

@@ -13,7 +13,7 @@ from qsoc.adjoint import (
     transposition_residual,
 )
 from qsoc.clifford import CliffordElement, SuperOperator, make_algebra
-from qsoc.conditions import _forms_along, _routes_agree
+from qsoc.conditions import _direction, _forms, _routes_agree
 from qsoc.errors import CapacityError, ContractError, SupportError
 from qsoc.forward import solve_first_variation, solve_second_variation, solve_state
 from qsoc.problems import ProblemSpec, hxx_pairing, make_problem
@@ -39,8 +39,8 @@ def build(name, n=4, m=1, T=1.0, **overrides):
 
 def solve_stack(p, ubar):
     xbar = solve_state(p, ubar)
-    adj = solve_first_adjoint(p, xbar, ubar)
-    sa = compute_P(p, xbar, ubar, adj)
+    adj = solve_first_adjoint(p, xbar)
+    sa = compute_P(adj)
     return xbar, adj, sa
 
 
@@ -73,7 +73,7 @@ def test_constant_terminal_gradient_and_zero_drivers():
     p = make_problem(alg, spec)
     ubar = np.zeros((alg.n, 1))
     xbar = solve_state(p, ubar)
-    adj = solve_first_adjoint(p, xbar, ubar)
+    adj = solve_first_adjoint(p, xbar)
     eta = CliffordElement.from_terms(alg, {0: 0.7})
     for k in range(alg.n + 1):
         assert np.allclose(adj.y[k].coeffs, (-1.0 * eta).coeffs, atol=1e-14)
@@ -90,7 +90,7 @@ def test_adjoint_frozen_at_terminal_gradient_for_scalar_data():
     p = make_problem(alg, spec)
     ubar = np.zeros((alg.n, 1))
     xbar = solve_state(p, ubar)
-    adj = solve_first_adjoint(p, xbar, ubar)
+    adj = solve_first_adjoint(p, xbar)
     gx = p.g_x(xbar.terminal)
     for k in range(alg.n + 1):
         assert np.allclose(adj.y[k].coeffs, (-1.0 * gx).coeffs, atol=1e-14)
@@ -103,11 +103,10 @@ def test_first_duality_identity_all_gallery():
         alg, p = build(name, n=5)
         ubar = rng.uniform(-0.6, 0.6, size=(alg.n, 1))
         xbar = solve_state(p, ubar)
-        adj = solve_first_adjoint(p, xbar, ubar)
+        adj = solve_first_adjoint(p, xbar)
         for _ in range(3):
             du = rng.uniform(-1, 1, size=(alg.n, 1))
-            x1 = solve_first_variation(adj.lin, du)
-            assert first_duality_residual(p, adj, x1, du) <= 1e-10
+            assert first_duality_residual(adj, du) <= 1e-10
 
 
 def test_second_duality_identity_all_gallery():
@@ -116,11 +115,11 @@ def test_second_duality_identity_all_gallery():
         alg, p = build(name, n=5)
         ubar = rng.uniform(-0.6, 0.6, size=(alg.n, 1))
         xbar = solve_state(p, ubar)
-        adj = solve_first_adjoint(p, xbar, ubar)
+        adj = solve_first_adjoint(p, xbar)
         du = rng.uniform(-1, 1, size=(alg.n, 1))
         x1 = solve_first_variation(adj.lin, du)
         x2 = solve_second_variation(adj.lin, x1, du)
-        assert second_duality_residual(p, adj, xbar, x1, x2, du) <= 1e-9
+        assert second_duality_residual(adj, x1, x2, du) <= 1e-9
 
 
 def test_compute_p_budget():
@@ -128,9 +127,9 @@ def test_compute_p_budget():
     p = make_problem(alg, ProblemSpec.gallery("lq"))
     ubar = np.zeros((alg.n, 1))
     xbar = solve_state(p, ubar)
-    adj = solve_first_adjoint(p, xbar, ubar)
+    adj = solve_first_adjoint(p, xbar)
     with pytest.raises(CapacityError):
-        compute_P(p, xbar, ubar, adj, budget=256)
+        compute_P(adj)
 
 
 def test_p_constant_when_no_dynamics_and_no_running_curvature():
@@ -174,7 +173,7 @@ def test_p_duality_formula_oracle():
             phi1, phi2 = [z1], [z2]
             for j in range(k, alg.n):
                 for phi in (phi1, phi2):
-                    phi.append(CliffordElement(alg, sa.lin.t_rows(j, phi[-1].coeffs[None])[0]))
+                    phi.append(CliffordElement(alg, sa.adj.lin.t_rows(j, phi[-1].coeffs[None])[0]))
             val = 0.0 + 0.0j
             if p.g_xx is not None:
                 val -= p.g_xx(xbar.terminal)(phi2[-1], phi1[-1])
@@ -186,14 +185,14 @@ def test_p_duality_formula_oracle():
 
 def assert_step_operator_sides(sa):
     """P_k and M_k live on their (2^k, 2^k) block; P_N on all dim blades."""
-    n = sa.lin.algebra.n
+    n = sa.adj.lin.algebra.n
     for k, op in [*enumerate(sa.P), *enumerate(sa.M)]:
         if op is None:
             continue
         side = 1 << k
         assert op.size == side and op.lin.shape == (side, side), k
         assert op.antilin is None or op.antilin.shape == (side, side), k
-    assert sa.P[n].size == sa.lin.algebra.dim
+    assert sa.P[n].size == sa.adj.lin.algebra.dim
 
 
 def test_p_maps_adapted_subspace_into_itself():
@@ -261,7 +260,7 @@ def test_curvature_data_matches_generic_probing(name, m):
     rng = np.random.default_rng(6)
     ubar = rng.uniform(-0.5, 0.5, size=(alg.n, m))
     xbar = solve_state(p, ubar)
-    adj = solve_first_adjoint(p, xbar, ubar)
+    adj = solve_first_adjoint(p, xbar)
     for k in range(alg.n + 1):
         args = (k, xbar[k], None, None, None) if k == alg.n else \
             (k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k])
@@ -282,9 +281,9 @@ def test_curvature_hook_of_the_wrong_side_is_refused():
                                  SuperOperator.identity(alg))
     ubar = np.zeros((alg.n, 1))
     xbar = solve_state(padded, ubar)
-    adj = solve_first_adjoint(padded, xbar, ubar)
+    adj = solve_first_adjoint(padded, xbar)
     with pytest.raises(ContractError):
-        compute_P(padded, xbar, ubar, adj)
+        compute_P(adj)
 
 
 @pytest.mark.parametrize("m", (1, 2))
@@ -370,7 +369,7 @@ def test_transposition_identity_nu_zero():
                           mu=[rand_adapted(alg, rng, j) for j in range(k, alg.n)])
             pairs.append((t1, t2))
         for args in by_start(pairs):
-            assert transposition_residual(p, sa, *args) <= 1e-9
+            assert transposition_residual(sa, *args) <= 1e-9
 
 
 def test_transposition_trivial_cases():
@@ -380,11 +379,11 @@ def test_transposition_trivial_cases():
     zero = CliffordElement.zero(alg)
     k = 1
     t_zero = RefTuple(k=k, zeta=zero, mu=[zero] * (alg.n - k))
-    assert transposition_residual(p, sa, *stack_pairs([(t_zero, t_zero)])) <= 1e-14
+    assert transposition_residual(sa, *stack_pairs([(t_zero, t_zero)])) <= 1e-14
 
     e1 = CliffordElement.generator(alg, 1)
     t_blade = RefTuple(k=k, zeta=e1, mu=[zero] * (alg.n - k))
-    res = transposition_residual(p, sa, *stack_pairs([(t_blade, t_blade)]))
+    res = transposition_residual(sa, *stack_pairs([(t_blade, t_blade)]))
     assert res <= 1e-10
 
 
@@ -397,7 +396,7 @@ def rand_tuple(alg, rng, k):
 def corrupt_p(sa, k):
     """Plant a defect: P_k -> 3 P_k + I on its adapted subspace."""
     b = 1 << k
-    sa.P[k] = SuperOperator(sa.lin.algebra, 3.0 * sa.P[k].lin + np.eye(b),
+    sa.P[k] = SuperOperator(sa.adj.lin.algebra, 3.0 * sa.P[k].lin + np.eye(b),
                             None if sa.P[k].antilin is None else 3.0 * sa.P[k].antilin)
 
 
@@ -410,7 +409,7 @@ def test_transposition_distinct_nu_tuples():
         _, _, sa = solve_stack(p, ubar)
         pairs = [(rand_tuple(alg, rng, k), rand_tuple(alg, rng, k)) for k in (0, 1, 3, 4)]
         for args in by_start(pairs):
-            assert transposition_residual(p, sa, *args) <= 1e-9
+            assert transposition_residual(sa, *args) <= 1e-9
 
 
 def mixed_pairs(alg, rng):
@@ -426,9 +425,9 @@ def mixed_pairs(alg, rng):
     return pairs
 
 
-def checks_by_start(p, sa, pairs):
+def checks_by_start(sa, pairs):
     """One stacked check per start index of the pairs, in order of first appearance."""
-    return [transposition_residual(p, sa, *args) for args in by_start(pairs)]
+    return [transposition_residual(sa, *args) for args in by_start(pairs)]
 
 
 @pytest.mark.parametrize("name", GALLERY)
@@ -442,11 +441,11 @@ def test_stacked_transposition_check_matches_the_per_pair_reference(name):
     for plant in (None, 0, 2, alg.n):
         if plant is not None:
             corrupt_p(sa, plant)
-        want = transposition_defects(p, sa, pairs)
+        want = transposition_defects(sa, pairs)
         for pair, value in zip(pairs, want):
-            got = transposition_residual(p, sa, *stack_pairs([pair]))
+            got = transposition_residual(sa, *stack_pairs([pair]))
             assert abs(got - value) <= 1e-12 * (1 + value)
-        got = max(checks_by_start(p, sa, pairs))
+        got = max(checks_by_start(sa, pairs))
         assert abs(got - max(want)) <= 1e-12 * (1 + max(want))
         assert (got <= 1e-9) == (plant is None)
 
@@ -485,11 +484,11 @@ def test_transposition_check_refuses_bad_tuples_before_any_compute(monkeypatch):
             bad = plant(t, 2, [a.copy() for a in good])
             error = ValueError if match == "cover" else SupportError
             with pytest.raises(error, match=match):
-                transposition_residual(p, sa, k, *bad)
+                transposition_residual(sa, k, *bad)
     with pytest.raises(ValueError, match="outside 0..5"):
-        transposition_residual(p, sa, alg.n + 1, *good)
+        transposition_residual(sa, alg.n + 1, *good)
     with pytest.raises(ValueError, match="initial conditions must have shape"):
-        transposition_residual(p, sa, k, good[0][:, :, :-1], *good[1:])
+        transposition_residual(sa, k, good[0][:, :, :-1], *good[1:])
 
 
 def test_transposition_check_pairs_through_m_and_calls_no_curvature_callback(monkeypatch):
@@ -499,12 +498,12 @@ def test_transposition_check_pairs_through_m_and_calls_no_curvature_callback(mon
     rng = np.random.default_rng(14)
     _, _, sa = solve_stack(p, rng.uniform(-0.5, 0.5, size=(alg.n, 1)))
     pairs = mixed_pairs(alg, rng)
-    clean = checks_by_start(p, sa, pairs)
+    clean = checks_by_start(sa, pairs)
     monkeypatch.setattr(problems, "hxx_pairing", lambda *a: pytest.fail("hxx_pairing"))
     for name in ("D_xx", "F_xx", "G_xx", "L_xx"):
         assert getattr(p, name) is not None
         monkeypatch.setattr(p, name, lambda *a, name=name: pytest.fail(name))
-    assert checks_by_start(p, sa, pairs) == clean and max(clean) <= 1e-9
+    assert checks_by_start(sa, pairs) == clean and max(clean) <= 1e-9
 
 
 def test_stacked_tuple_check_raises_the_first_failure_of_the_per_element_check():
@@ -537,7 +536,7 @@ def test_stacked_tuple_check_raises_the_first_failure_of_the_per_element_check()
         with pytest.raises((ValueError, SupportError)) as want:
             check_tuple_pairs(unstack(alg, k, *arrays), alg.n)
         with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-            transposition_residual(p, sa, k, *arrays)
+            transposition_residual(sa, k, *arrays)
         raised.add(str(want.value))
     assert len(raised) >= 8  # every kind of refusal, at several steps
 
@@ -552,8 +551,8 @@ def test_one_check_over_all_pairs_is_the_max_over_start_indices():
              for k in map(int, rng.integers(0, alg.n, size=16))]
 
     def per_pair():
-        want = max(transposition_defects(p, sa, pairs))
-        got = max(checks_by_start(p, sa, pairs))
+        want = max(transposition_defects(sa, pairs))
+        got = max(checks_by_start(sa, pairs))
         assert abs(got - want) <= 1e-12 * (1 + want)
         return got
 
@@ -569,17 +568,17 @@ def test_a_nan_defect_at_one_start_index_is_not_dropped():
     pairs = [(rand_tuple(alg, rng, k), rand_tuple(alg, rng, k))
              for k in range(alg.n) for _ in range(2)]
     sa.P[3] = SuperOperator(alg, np.full((8, 8), np.nan))  # reaches start indices 0..3 only
-    assert np.isnan(checks_by_start(p, sa, pairs)).tolist() == [True] * 4 + [False]
+    assert np.isnan(checks_by_start(sa, pairs)).tolist() == [True] * 4 + [False]
     # one NaN row of a stack makes the stack's defect NaN
     sa.P[3] = SuperOperator(alg, np.zeros((8, 8)))
     k, zeta, mu, nu = stack_pairs(pairs[:2])
     mu[1, 1, 1, 0] = np.nan
-    assert np.isnan(transposition_residual(p, sa, k, zeta, mu, nu))
+    assert np.isnan(transposition_residual(sa, k, zeta, mu, nu))
 
 
-def s_parts(p, ubar, u, adj, sa, x1):
+def s_parts(sa, u):
     """S through P, its P-pairing part and its gap to the direct route."""
-    curvature, p_part, direct = _forms_along(p, ubar, u, adj, sa, x1)
+    curvature, p_part, direct = (complex(f[0, 0]) for f in _forms(sa, _direction(sa.adj, u)[None]))
     value = (curvature + p_part).real
     return value, p_part, abs(value - direct.real)
 
@@ -596,8 +595,7 @@ def functional_case(name, seed, n=5):
 @pytest.mark.parametrize("name", ("lq", "quadratic_control", "quadratic_state"))
 def test_second_order_routes_agree(name):
     alg, p, _, ubar, xbar, adj, sa, du = functional_case(name, 9)
-    x1 = solve_first_variation(adj.lin, du)
-    value, p_part, gap = s_parts(p, ubar, ubar + du, adj, sa, x1)
+    value, p_part, gap = s_parts(sa, ubar + du)
     assert gap <= 1e-12 * (1.0 + abs(value))
     assert _routes_agree(gap, value)
     assert abs(p_part) > 1e-3  # P carries a real share of S
@@ -606,36 +604,36 @@ def test_second_order_routes_agree(name):
 @pytest.mark.parametrize("name", ("lq", "quadratic_control", "quadratic_state"))
 def test_corrupted_p_is_detected(name):
     alg, p, rng, ubar, xbar, adj, sa, du = functional_case(name, 10)
-    x1 = solve_first_variation(adj.lin, du)
-    clean, _, _ = s_parts(p, ubar, ubar + du, adj, sa, x1)
+    clean, _, _ = s_parts(sa, ubar + du)
     pairs = stack_pairs([(rand_tuple(alg, rng, 0), rand_tuple(alg, rng, 0)) for _ in range(2)])
-    assert transposition_residual(p, sa, *pairs) <= 1e-9
+    assert transposition_residual(sa, *pairs) <= 1e-9
     for k in range(1, alg.n):  # x1_0 = 0, so P_0 only enters the transposition check
         saved = sa.P[k]
         corrupt_p(sa, k)
-        value, _, gap = s_parts(p, ubar, ubar + du, adj, sa, x1)
+        value, _, gap = s_parts(sa, ubar + du)
         assert abs(value - clean) > 1e-3
         assert gap > 1e-3 and not _routes_agree(gap, value)
-        assert transposition_residual(p, sa, *pairs) > 1.0
+        assert transposition_residual(sa, *pairs) > 1.0
         sa.P[k] = saved
     corrupt_p(sa, 0)
-    assert transposition_residual(p, sa, *pairs) > 1.0
+    assert transposition_residual(sa, *pairs) > 1.0
 
 
-def test_route_gap_flags_wrong_direction_variation():
+def test_route_gap_flags_wrong_direction_variation(monkeypatch):
+    # a variation solver that returns the variation of 2 du for du
+    variation_rows = Linearization.variation_rows
+    monkeypatch.setattr(Linearization, "variation_rows",
+                        lambda self, dus: variation_rows(self, 2.0 * dus))
     for name in ("lq", "quadratic_control", "quadratic_state"):
         alg, p, _, ubar, xbar, adj, sa, du = functional_case(name, 11)
-        x1 = solve_first_variation(adj.lin, 2.0 * du)  # wrong direction
-        value, _, gap = s_parts(p, ubar, ubar + du, adj, sa, x1)
+        value, _, gap = s_parts(sa, ubar + du)
         assert gap >= 0.1
         assert not _routes_agree(gap, value)
 
 
 def test_second_order_zero_direction():
     alg, p, _, ubar, xbar, adj, sa, _ = functional_case("lq", 12, n=4)
-    du = np.zeros((alg.n, 1))
-    x1 = solve_first_variation(adj.lin, du)
-    value, _, gap = s_parts(p, ubar, ubar, adj, sa, x1)
+    value, _, gap = s_parts(sa, ubar)
     assert value == 0.0
     assert gap == 0.0
 
@@ -643,10 +641,8 @@ def test_second_order_zero_direction():
 def test_second_order_routes_quadratic_homogeneity():
     alg, p, _, ubar, xbar, adj, sa, du = functional_case("quadratic_control", 13, n=4)
     du *= 0.5  # keep ubar + 2 du inside the box
-    base, base_p, base_gap = s_parts(p, ubar, ubar + du, adj, sa,
-                                     solve_first_variation(adj.lin, du))
-    scaled, scaled_p, scaled_gap = s_parts(p, ubar, ubar + 2.0 * du, adj, sa,
-                                           solve_first_variation(adj.lin, 2.0 * du))
+    base, base_p, base_gap = s_parts(sa, ubar + du)
+    scaled, scaled_p, scaled_gap = s_parts(sa, ubar + 2.0 * du)
     assert scaled == pytest.approx(4.0 * base, rel=1e-10, abs=1e-12)
     assert scaled_p == pytest.approx(4.0 * base_p, rel=1e-10, abs=1e-12)
     assert _routes_agree(scaled_gap, scaled) and _routes_agree(base_gap, base)
@@ -661,9 +657,8 @@ def test_second_order_zero_dynamics_term_cancellation():
     ubar = np.zeros((alg.n, 1))
     xbar, adj, sa = solve_stack(p, ubar)
     du = np.array([[0.5], [-0.5], [0.25], [1.0]])
-    x1 = solve_first_variation(adj.lin, du)
     assert all(np.max(np.abs(op.lin)) == 0.0 for op in sa.P)
-    value, p_part, gap = s_parts(p, ubar, ubar + du, adj, sa, x1)
+    value, p_part, gap = s_parts(sa, ubar + du)
     assert p_part == 0.0
     assert gap == 0.0
     assert value == pytest.approx(-2.0 * 0.5 * alg.dt * float(np.sum(du * du)), abs=1e-15)
@@ -678,13 +673,13 @@ def test_p_block_collapses_under_real_symmetry():
         xbar, adj, sa = solve_stack(p, ubar)
         du = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
         x1 = solve_first_variation(adj.lin, du)
-        full = s_parts(p, ubar, ubar + du, adj, sa, x1)[1].real
+        full = s_parts(sa, ubar + du)[1].real
         dt = alg.dt
         collapsed = 0.0
         for j in range(alg.n):
             pj = sa.P[j + 1]
-            a = CliffordElement(alg, sa.lin.Du[j] @ du[j])
-            bn = mul_dw(CliffordElement(alg, sa.lin.Bu[j] @ du[j]), j + 1)
+            a = CliffordElement(alg, sa.adj.lin.Du[j] @ du[j])
+            bn = mul_dw(CliffordElement(alg, sa.adj.lin.Bu[j] @ du[j]), j + 1)
             tx = x1[j + 1] - dt * a - bn
             collapsed += 2 * dt * pj.pair(tx, a).real + dt * dt * pj.pair(a, a).real
             collapsed += 2 * pj.pair(tx, bn).real + 2 * dt * pj.pair(a, bn).real

@@ -16,6 +16,7 @@ from qsoc.clifford import (
 )
 from qsoc.conditions import (
     ROUTE_GAP_TOL,
+    TAYLOR_EPS,
     default_gate_tolerance,
     first_order_integral,
     reduced_hessians,
@@ -24,8 +25,8 @@ from qsoc.conditions import (
     taylor_consistency,
     verify_theorem,
 )
-from qsoc.errors import BudgetError, ContractError
-from qsoc.forward import solve_first_variation, solve_state
+from qsoc.errors import BudgetError
+from qsoc.forward import solve_state
 from qsoc.config import parse_config
 from qsoc.optimize import kkt_point
 from qsoc.problems import ControlProblem, ControlSet, ProblemSpec, cost, make_problem
@@ -40,8 +41,8 @@ def build(name, n=4, m=1, T=1.0, **overrides):
 
 def stack(p, ubar):
     xbar = solve_state(p, ubar)
-    adj = solve_first_adjoint(p, xbar, ubar)
-    sa = compute_P(p, xbar, ubar, adj)
+    adj = solve_first_adjoint(p, xbar)
+    sa = compute_P(adj)
     return xbar, adj, sa
 
 
@@ -50,8 +51,8 @@ def test_first_order_zero_at_same_control():
     rng = np.random.default_rng(0)
     ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
     xbar = solve_state(p, ubar)
-    adj = solve_first_adjoint(p, xbar, ubar)
-    assert first_order_integral(p, ubar, ubar, adj) == 0.0
+    adj = solve_first_adjoint(p, xbar)
+    assert first_order_integral(adj, ubar) == 0.0
 
 
 def test_first_order_zero_at_interior_stationary_point():
@@ -60,11 +61,11 @@ def test_first_order_zero_at_interior_stationary_point():
     alg, p = build("lq", **ZERO_DYNAMICS, r=0.8, q=0.0, s=0.0, x_tgt=None)
     ubar = np.zeros((alg.n, 1))
     xbar = solve_state(p, ubar)
-    adj = solve_first_adjoint(p, xbar, ubar)
+    adj = solve_first_adjoint(p, xbar)
     rng = np.random.default_rng(1)
     for _ in range(4):
         u = rng.uniform(-1, 1, size=(alg.n, 1))
-        assert abs(first_order_integral(p, ubar, u, adj)) <= 1e-14
+        assert abs(first_order_integral(adj, u)) <= 1e-14
 
 
 @pytest.mark.parametrize("name", GALLERY)
@@ -74,8 +75,8 @@ def test_first_order_matches_cost_derivative(name):
     ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
     u = rng.uniform(-1, 1, size=(alg.n, 1))
     xbar = solve_state(p, ubar)
-    adj = solve_first_adjoint(p, xbar, ubar)
-    fo = first_order_integral(p, ubar, u, adj)
+    adj = solve_first_adjoint(p, xbar)
+    fo = first_order_integral(adj, u)
     j0 = cost(p, ubar, xbar)
     h = 1e-5
     up = ubar + h * (u - ubar)
@@ -96,8 +97,7 @@ def test_second_order_zero_at_same_control():
     rng = np.random.default_rng(3)
     ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
     xbar, adj, sa = stack(p, ubar)
-    x1 = solve_first_variation(adj.lin, np.zeros((alg.n, 1)))
-    assert second_order_functional(p, ubar, ubar, adj, sa, x1) == 0.0
+    assert second_order_functional(sa, ubar) == 0.0
 
 
 def test_second_order_closed_form_zero_dynamics():
@@ -108,8 +108,7 @@ def test_second_order_closed_form_zero_dynamics():
     rng = np.random.default_rng(4)
     for _ in range(3):
         u = rng.uniform(-1, 1, size=(alg.n, 1))
-        x1 = solve_first_variation(adj.lin, u - ubar)
-        s_val = second_order_functional(p, ubar, u, adj, sa, x1)
+        s_val = second_order_functional(sa, u)
         want = -2.0 * 0.45 * alg.dt * float(np.sum((u - ubar) ** 2))
         assert s_val == pytest.approx(want, abs=1e-10)
         assert s_val <= 0.0
@@ -121,25 +120,21 @@ def test_second_order_quadratic_homogeneity():
     ubar = rng.uniform(-0.3, 0.3, size=(alg.n, 1))
     xbar, adj, sa = stack(p, ubar)
     du = rng.uniform(-0.3, 0.3, size=(alg.n, 1))
-    x1 = solve_first_variation(adj.lin, du)
-    s1 = second_order_functional(p, ubar, ubar + du, adj, sa, x1)
-    x1h = solve_first_variation(adj.lin, 0.5 * du)
-    s_half = second_order_functional(p, ubar, ubar + 0.5 * du, adj, sa, x1h)
+    s1 = second_order_functional(sa, ubar + du)
+    s_half = second_order_functional(sa, ubar + 0.5 * du)
     assert s_half == pytest.approx(0.25 * s1, rel=1e-9, abs=1e-13)
 
 
-def test_both_functionals_refuse_a_base_control_that_is_not_the_adjoints():
+def test_functionals_refuse_a_direction_that_leaves_the_box():
     alg, p = build("lq")
-    rng = np.random.default_rng(6)
-    ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
+    ubar = np.zeros((alg.n, 1))
     xbar, adj, sa = stack(p, ubar)
-    shifted = ubar + 0.1
-    u = rng.uniform(-1, 1, size=(alg.n, 1))
-    x1 = solve_first_variation(adj.lin, u - shifted)
-    with pytest.raises(ContractError, match="adjoint's base control"):
-        first_order_integral(p, shifted, u, adj)
-    with pytest.raises(ContractError, match="adjoint's base control"):
-        second_order_functional(p, shifted, u, adj, sa, x1)
+    u = np.full((alg.n, 1), 1.5)
+    for check in (lambda: first_order_integral(adj, u), lambda: second_order_functional(sa, u),
+                  lambda: second_order_direct(sa, u),
+                  lambda: taylor_consistency(sa, u, TAYLOR_EPS)):
+        with pytest.raises(ValueError, match="outside the admissible box"):
+            check()
 
 
 def test_second_order_imaginary_part_small_on_real_data():
@@ -149,9 +144,8 @@ def test_second_order_imaginary_part_small_on_real_data():
         ubar = rng.uniform(-0.4, 0.4, size=(alg.n, 1))
         xbar, adj, sa = stack(p, ubar)
         du = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
-        x1 = solve_first_variation(adj.lin, du)
-        curvature, p_part, _ = conditions._forms_along(p, ubar, ubar + du, adj, sa, x1)
-        s = curvature + p_part
+        curvature, p_part, _ = conditions._forms(sa, du[None])
+        s = (curvature + p_part)[0, 0]
         assert abs(s.imag) <= 1e-10 * (1.0 + abs(s.real))
 
 
@@ -161,7 +155,7 @@ def test_taylor_chain(name):
     rng = np.random.default_rng(7)
     ubar = rng.uniform(-0.4, 0.4, size=(alg.n, 1))
     u = rng.uniform(-0.9, 0.9, size=(alg.n, 1))
-    report = taylor_consistency(p, ubar, u, [2.0 ** -e for e in range(4, 9)])
+    report = taylor_consistency(stack(p, ubar)[2], u, [2.0 ** -e for e in range(4, 9)])
     assert report.passed, (report.rel_err_a, report.rel_err_s)
     assert report.rel_err_a <= 1e-6
     assert report.rel_err_s <= 1e-3
@@ -172,7 +166,7 @@ def test_taylor_exact_quadratic_fit():
     alg, p = build("lq", **ZERO_DYNAMICS, r=0.5, q=0.0, s=0.0, x_tgt=None)
     ubar = np.zeros((alg.n, 1))
     u = 0.8 * np.ones((alg.n, 1))
-    report = taylor_consistency(p, ubar, u, [2.0 ** -e for e in range(2, 7)])
+    report = taylor_consistency(stack(p, ubar)[2], u, [2.0 ** -e for e in range(2, 7)])
     assert report.fit_residual <= 1e-12
     assert report.rel_err_a <= 1e-12
     assert report.rel_err_s <= 1e-10
@@ -183,7 +177,7 @@ def test_taylor_at_stationary_base_control():
     alg, p = build("lq", **ZERO_DYNAMICS, r=0.5, q=0.0, s=0.0, x_tgt=None)
     ubar = np.zeros((alg.n, 1))
     u = 0.7 * np.ones((alg.n, 1))
-    report = taylor_consistency(p, ubar, u, [2.0 ** -e for e in range(3, 8)])
+    report = taylor_consistency(stack(p, ubar)[2], u, [2.0 ** -e for e in range(3, 8)])
     assert report.fo == 0.0
     assert report.s < 0.0
     assert report.passed, (report.rel_err_a, report.rel_err_s)
@@ -198,7 +192,7 @@ def test_verify_theorem_gate_semantics():
     off = verify_theorem(p, ubar, fo_tol=1e-10, s_tol=1e-6)
     assert off.kkt_residual > off.fo_tol and not off.verdict_ok
     assert off.cone_max_s <= 1e-6  # the sign of S alone would pass
-    on = verify_theorem(p, kkt_point(p, ubar, 1e-12, 20)[0], fo_tol=1e-10, s_tol=1e-6)
+    on = verify_theorem(p, kkt_point(p, ubar)[0], fo_tol=1e-10, s_tol=1e-6)
     assert on.kkt_residual <= 1e-12 and on.verdict_ok
 
 
@@ -225,8 +219,8 @@ def test_default_gate_tolerance_scales():
     alg, p = build("lq", n=3)
     ubar = np.zeros((alg.n, 1))
     xbar = solve_state(p, ubar)
-    adj = solve_first_adjoint(p, xbar, ubar)
-    tol = default_gate_tolerance(p, adj)
+    adj = solve_first_adjoint(p, xbar)
+    tol = default_gate_tolerance(adj)
     assert tol >= 1e-8
     assert tol <= 1e-6
 
@@ -258,7 +252,9 @@ def test_corrupted_p_fails_second_order_and_theorem(monkeypatch):
                                 None if pk.antilin is None else 3.0 * pk.antilin)
         return sa
 
-    monkeypatch.setattr(conditions, "compute_P", corrupted_compute_P)
+    # P of the second_order suite is built in suites, the theorem's in conditions
+    for module in (suites, conditions):
+        monkeypatch.setattr(module, "compute_P", corrupted_compute_P)
     cfg = suite_config()
     second = run_suite(cfg, "second_order")
     assert second.status == "fail"
@@ -346,7 +342,7 @@ def test_transposition_check_catches_a_wrong_noise_half_in_the_row_stepping(monk
 def test_theorem_zero_direction_serializes_as_positive_zero():
     # every coordinate strongly active: the cone is {0}, and S on it is +0.0
     alg, p = build("lq", lower=(0.5,), upper=(1.0,))
-    ubar, _ = kkt_point(p, np.full((alg.n, 1), 0.75), 1e-12, 20)
+    ubar, _ = kkt_point(p, np.full((alg.n, 1), 0.75))
     report = verify_theorem(p, ubar)
     assert (report.strongly_active, report.cone_spectrum) == (alg.n, [])
     assert report.verdict_ok
@@ -417,7 +413,7 @@ def hessian_case(name, m, seed):
 def test_reduced_hessian_scores_match_per_candidate_functional(name, m):
     alg, p, rng, ubar = hessian_case(name, m, 20)
     xbar, adj, sa = stack(p, ubar)
-    h_p, h_d = reduced_hessians(p, adj, sa)
+    h_p, h_d = reduced_hessians(sa)
     size = alg.n * p.m
     assert h_p.shape == h_d.shape == (size, size)
     assert np.array_equal(h_p, h_p.T) and np.array_equal(h_d, h_d.T)
@@ -428,9 +424,8 @@ def test_reduced_hessian_scores_match_per_candidate_functional(name, m):
     scored_p = quadratic_scores(h_p, np.array([du.reshape(-1) for du in dus]))
     scored_d = quadratic_scores(h_d, np.array([du.reshape(-1) for du in dus]))
     for du, sp, sd in zip(dus, scored_p, scored_d):
-        x1 = solve_first_variation(adj.lin, du)
-        want_p = second_order_functional(p, ubar, ubar + du, adj, sa, x1)
-        want_d = second_order_direct(p, ubar, ubar + du, adj, sa, x1)
+        want_p = second_order_functional(sa, ubar + du)
+        want_d = second_order_direct(sa, ubar + du)
         assert abs(sp - want_p) <= 1e-12 * (1.0 + abs(want_p))
         assert abs(sd - want_d) <= 1e-12 * (1.0 + abs(want_d))
     assert np.max(np.abs(h_p - h_d)) <= 1e-12 * (1.0 + np.max(np.abs(h_p)))
@@ -440,12 +435,12 @@ def test_coupled_custom_problem_has_mixed_curvature_and_exact_s():
     # the mixed x-u term enters S, and S is still -d2J/deps2
     alg, p, rng, ubar = hessian_case("custom", 2, 21)
     u = np.clip(ubar + rng.uniform(-0.5, 0.5, size=ubar.shape), -1.0, 1.0)
-    report = taylor_consistency(p, ubar, u, [2.0 ** -e for e in range(4, 9)])
-    assert report.passed, (report.rel_err_a, report.rel_err_s)
     xbar, adj, sa = stack(p, ubar)
-    with_mixed = reduced_hessians(p, adj, sa)[0]
+    report = taylor_consistency(sa, u, [2.0 ** -e for e in range(4, 9)])
+    assert report.passed, (report.rel_err_a, report.rel_err_s)
+    with_mixed = reduced_hessians(sa)[0]
     p.D_xu = None
-    without = reduced_hessians(p, adj, sa)[0]
+    without = reduced_hessians(sa)[0]
     assert np.max(np.abs(with_mixed - without)) > 1e-3
 
 
@@ -462,7 +457,7 @@ def _perturbed_hessians(routes):
 def theorem_case():
     # an interior KKT point whose top cone direction has v0 * v1 = 0.016
     alg, p = build("lq", n=3)
-    ubar, _ = kkt_point(p, np.zeros((alg.n, 1)), 1e-12, 20)
+    ubar, _ = kkt_point(p, np.zeros((alg.n, 1)))
     return p, ubar
 
 
@@ -513,10 +508,33 @@ def test_theorem_work_is_bounded_by_the_column_count(monkeypatch):
     assert res.passed and res.metrics["newton_steps"] == 1
     columns = 4  # N * m, for the problem and for the analytic companion
     # one reduced Hessian per Newton step, one for the cone and one for the
-    # companion; one first variation each for S along the top direction and
-    # its sweep
+    # companion; one first variation each for the sweep's S along the top
+    # direction and its direct route
     assert rows["first_variation"] == 3 * columns + 2
-    assert calls["second_order_functional"] == 2
+    assert calls["second_order_functional"] == 1
+
+
+@pytest.mark.parametrize("n", (4, 8))
+def test_verify_theorem_builds_its_base_point_once(monkeypatch, n):
+    # the state, the first adjoint and P at ubar, shared by the cone check and
+    # the cost sweep along the top cone direction
+    calls = dict.fromkeys(("solve_state", "solve_first_adjoint", "compute_P"), 0)
+
+    def counted(name):
+        fn = getattr(conditions, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    _, p = build("lq", n=n, **README_LQ)
+    ubar, _ = kkt_point(p, np.zeros((n, 1)))
+    for name in calls:
+        monkeypatch.setattr(conditions, name, counted(name))
+    report = verify_theorem(p, ubar)
+    assert report.verdict_ok and report.taylor_rel_err > 0.0  # the sweep ran
+    assert calls == dict.fromkeys(calls, 1)
 
 
 # -- the critical cone ---------------------------------------------------------
@@ -544,8 +562,8 @@ def test_theorem_passes_at_a_kkt_point(name, n, overrides):
 def newton_step(p, u):
     """u - H_P^-1 dt H_u on every coordinate, with no cost check and no box."""
     xbar, adj, sa = stack(p, u)
-    g = p.algebra.dt * hu_field(p, adj)
-    h_p, _ = reduced_hessians(p, adj, sa)
+    g = p.algebra.dt * hu_field(adj)
+    h_p, _ = reduced_hessians(sa)
     return u - np.linalg.solve(h_p, g.reshape(-1)).reshape(u.shape)
 
 

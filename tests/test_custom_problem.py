@@ -8,7 +8,7 @@ from qsoc.adjoint import compute_P, solve_first_adjoint
 from qsoc.clifford import CliffordElement, conditional_expectation, inner, make_algebra
 from qsoc.conditions import first_order_integral, second_order_functional
 from qsoc.config import parse_config
-from qsoc.forward import solve_first_variation, solve_state
+from qsoc.forward import solve_state
 from qsoc.optimize import brute_force_search
 from qsoc.problems import ControlProblem, ControlSet, ProblemSpec, cost, make_problem
 from reference import derivative_errors
@@ -84,13 +84,12 @@ def test_custom_problem_reproduces_gallery_end_to_end():
     results = []
     for p in (p_custom, p_gallery):
         xbar = solve_state(p, ubar)
-        adj = solve_first_adjoint(p, xbar, ubar)
-        sa = compute_P(p, xbar, ubar, adj)
-        x1 = solve_first_variation(adj.lin, u - ubar)
+        adj = solve_first_adjoint(p, xbar)
+        sa = compute_P(adj)
         results.append((
             cost(p, ubar, xbar),
-            first_order_integral(p, ubar, u, adj),
-            second_order_functional(p, ubar, u, adj, sa, x1),
+            first_order_integral(adj, u),
+            second_order_functional(sa, u),
         ))
     for got, want in zip(results[0], results[1]):
         assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
@@ -126,8 +125,8 @@ def test_custom_problem_step_operators_live_on_their_blocks():
     assert p.state_derivatives.__func__ is ControlProblem._state_derivatives
     ubar = np.random.default_rng(2).uniform(-0.5, 0.5, size=(alg.n, 1))
     xbar = solve_state(p, ubar)
-    adj = solve_first_adjoint(p, xbar, ubar)
-    sa = compute_P(p, xbar, ubar, adj)
+    adj = solve_first_adjoint(p, xbar)
+    sa = compute_P(adj)
     for k in range(alg.n):
         side = 1 << k
         assert adj.lin.Dx[k].shape == adj.lin.Bt[k].shape == (side, side)

@@ -313,7 +313,7 @@ def test_line_search_takes_a_finite_step_below_non_finite_ones(block, monkeypatc
     if block is not None:
         monkeypatch.setattr(optimize, "SCREEN_BLOCK_ENTRIES", block * alg.dim)
     u0 = np.full((alg.n, 1), 0.4)
-    grad = hu_field(p, solve_first_adjoint(p, solve_state(p, u0), u0))
+    grad = hu_field(solve_first_adjoint(p, solve_state(p, u0)))
     with np.errstate(invalid="ignore"):
         assert np.isnan(stacked_costs(p, (u0 + 64.0 * grad)[None]))[0]
         trace = assert_same_run(p, u0, step=64.0, max_iter=6, grad_tol=1e-12)
@@ -358,7 +358,7 @@ def test_overflowed_state_is_refused_as_non_finite_not_as_non_adapted():
 def test_kkt_point_takes_one_newton_step_on_a_quadratic_cost():
     # lq is quadratic in u, so one step from the midpoint is exact
     alg, p = build("lq", n=4)
-    u, trace = kkt_point(p, np.zeros((alg.n, 1)), 1e-12, 20)
+    u, trace = kkt_point(p, np.zeros((alg.n, 1)))
     assert (trace.newton_steps, trace.gradient_steps) == (1, 0)
     assert trace.kkt_residual <= 1e-15
     assert trace.costs[1] < trace.costs[0]
@@ -367,7 +367,7 @@ def test_kkt_point_takes_one_newton_step_on_a_quadratic_cost():
 
 def test_kkt_point_fixes_the_coordinates_the_box_cuts_off():
     alg, p = build("lq", n=6, lower=(-1.0,), upper=(-0.45,))
-    u, trace = kkt_point(p, np.full((alg.n, 1), -0.725), 1e-12, 20)
+    u, trace = kkt_point(p, np.full((alg.n, 1), -0.725))
     assert trace.kkt_residual <= 1e-12
     at_bound = np.isin(u, (-1.0, -0.45))
     assert at_bound.any() and not at_bound.all()
@@ -376,7 +376,7 @@ def test_kkt_point_fixes_the_coordinates_the_box_cuts_off():
 def test_kkt_point_falls_back_to_gradient_steps_where_newton_climbs():
     # with q < 0 the stationary point Newton aims at is a saddle of higher cost
     alg, p = build("lq", n=4, q=-3.0, r=0.05, lower=(-2.5,), upper=(2.5,))
-    u, trace = kkt_point(p, np.zeros((alg.n, 1)), 1e-12, 20)
+    u, trace = kkt_point(p, np.zeros((alg.n, 1)))
     assert trace.gradient_steps >= 1
     assert all(b <= a for a, b in zip(trace.costs, trace.costs[1:]))
     assert trace.kkt_residual <= 1e-12
@@ -385,7 +385,7 @@ def test_kkt_point_falls_back_to_gradient_steps_where_newton_climbs():
 def test_kkt_point_refuses_a_non_finite_start():
     alg, p = overflowing_lq()
     with np.errstate(over="ignore"), pytest.raises(StepSizeError, match="initial control"):
-        kkt_point(p, np.zeros((alg.n, 1)), 1e-12, 20)
+        kkt_point(p, np.zeros((alg.n, 1)))
 
 
 def test_optimize_polishes_a_projected_gradient_run_that_hits_its_cap():

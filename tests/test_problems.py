@@ -183,8 +183,8 @@ def test_hamiltonian_derivatives_free_quadratic():
     alg, p = build("lq", **ZERO_DYNAMICS, r=0.7, q=0.0, s=0.0, x_tgt=None)
     u = np.full((alg.n, 1), 0.3)
     xbar = solve_state(p, u)
-    adj = solve_first_adjoint(p, xbar, u)
-    assert np.allclose(hu_field(p, adj), -2 * 0.7 * 0.3)
+    adj = solve_first_adjoint(p, xbar)
+    assert np.allclose(hu_field(adj), -2 * 0.7 * 0.3)
     x, zero = xbar[0], CliffordElement.zero(alg)
     assert np.allclose(huu_matrix(p, 0, x, u[0], zero, zero), -2 * 0.7 * np.eye(1))
     # no dynamics and no state cost: no state or mixed curvature term at all
@@ -211,8 +211,8 @@ def test_hamiltonian_derivatives_match_finite_differences():
     rng = np.random.default_rng(12)
     ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
     xbar = solve_state(p, ubar)
-    adj = solve_first_adjoint(p, xbar, ubar)
-    hu = hu_field(p, adj)
+    adj = solve_first_adjoint(p, xbar)
+    hu = hu_field(adj)
     step, ustep = 1e-5, 1e-2
 
     def H(k, x, u):

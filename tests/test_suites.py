@@ -60,9 +60,9 @@ def test_adjoint_suite_checks_one_start_index_per_call(monkeypatch):
     starts = []
     check = suites.transposition_residual
 
-    def spy(p, sa, k, zeta, mu, nu):
+    def spy(sa, k, zeta, mu, nu):
         starts.append(k)
-        return check(p, sa, k, zeta, mu, nu)
+        return check(sa, k, zeta, mu, nu)
 
     monkeypatch.setattr(suites, "transposition_residual", spy)
     res = suites.run_suite(config("quadratic_state", 4, "adjoint"), "adjoint")
