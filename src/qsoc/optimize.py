@@ -33,7 +33,7 @@ BRUTE_FORCE_BUDGET = 10 ** 5  # grid controls; the optimize suite certifies only
 GRID_POINTS = 5  # per control dimension, on the grid of the optimize suite
 COST_SLACK = 1e-14  # a step may raise the cost by this much (rounding) and still count
 # State entries (rows x dim) per block of the brute force, of the line search and
-# of the algebra suite's products: bounds the block's memory.
+# of the algebra and isometry suites' probes: bounds the block's memory.
 SCREEN_BLOCK_ENTRIES = 1 << 12
 # KKT points of the theorem and optimize suites: Newton polish until the largest
 # move of the projected step u -> proj(u + dt H_u) is at most KKT_TOL

@@ -26,7 +26,6 @@ from .adjoint import (
 from .clifford import (
     CliffordElement,
     _mul_dw,
-    _row_norms,
     _table_product,
     inner,
     make_algebra,
@@ -43,7 +42,7 @@ from .conditions import (
 )
 from .config import SUITE_ORDER, ProblemSpec, RunConfig
 from .errors import QsocError
-from .forward import order_estimate_slopes, solve_state
+from .forward import order_estimate_slopes, solve_state, stacked_costs
 from .matrices import realization_for
 from .optimize import (
     BRUTE_FORCE_BUDGET,
@@ -54,7 +53,7 @@ from .optimize import (
     kkt_point,
     projected_gradient,
 )
-from .problems import cost, hxx_pairing, make_problem
+from .problems import hxx_pairing, make_problem
 
 __all__ = ["SuiteResult", "run_suite", "run_all", "suite_rng"]
 
@@ -99,10 +98,9 @@ def _unit_rows_on_support(rng, count, dim, width):
     """Unit-norm rows living on a shared random support of ``width`` blades,
     and that support (sorted)."""
     support = np.sort(rng.choice(dim, size=width, replace=False))
-    z = np.zeros((count, dim), dtype=np.complex128)
-    z[:, support] = rng.standard_normal((count, support.size)) \
-        + 1j * rng.standard_normal((count, support.size))
-    return support, z / np.linalg.norm(z, axis=1, keepdims=True)
+    rows = np.zeros((count, dim), dtype=np.complex128)
+    rows[:, support] = _unit_rows(rng, count, width)
+    return support, rows
 
 
 # -- algebra -----------------------------------------------------------------
@@ -210,47 +208,50 @@ def run_algebra(cfg: RunConfig) -> SuiteResult:
 # -- isometry ----------------------------------------------------------------
 
 def run_isometry(cfg: RunConfig) -> SuiteResult:
+    """The dW kernel against the sign table: the Ito isometry on blades.
+
+    dW_{k+1} = sqrt(dt) e_{k+1} moves blade s < 2^k of an integrand adapted
+    at step k to s ^ 2^k, with sign(s, 2^k) on the right and sign(2^k, s) on
+    the left.  Exactly (int signs, 0 or 2): the kernel's signs are that column
+    and row, and left = parity * right, i.e. dW g = parity(g) dW.  In floats:
+    ``_mul_dw`` on both sides of every probe row cut to 2^k blades is that
+    signed permutation times sqrt(dt).  Step k's images lie in
+    [2^k, 2^(k+1)), so the steps are disjoint and the isometry follows.
+    """
     rng = suite_rng(cfg.seed, "isometry")
     alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
     probes = cfg.tolerances.get("isometry", {}).get("probes", 1000)
-    tol = 1e-10
+    law_tol, tol = 0.0, 1e-10
+    table, root = alg.sign_table, np.sqrt(alg.dt)
+    # per step k, the sign table's generator column and row on the 2^k adapted blades
+    signs = [(table[:1 << k, 1 << k], table[1 << k, :1 << k]) for k in range(alg.n)]
+    worst_table = worst_parity = worst_iso = 0.0
+    for k, (col, row) in enumerate(signs):
+        right, left = (alg._gen_signs(side, k + 1)[:1 << k] for side in ("right", "left"))
+        worst_table = _worst(worst_table, np.abs(right - col).max(), np.abs(left - row).max())
+        worst_parity = _worst(worst_parity, np.abs(left - alg.parity_signs[:1 << k] * right).max())
 
-    # Probes run in blocks through the row dW kernel.  Each block draws, in
-    # one call, only the normals it uses: per probe, step k's (re f / im f /
-    # re g / im g, blade) normals on its 2^k adapted blades, at offset
-    # 4 (2^k - 1); every blade from 2^k on is zero.
-    block = 32
-    worst_iso = 0.0
-    worst_parity = 0.0
-    done = 0
-    while done < probes:
-        b = min(block, probes - done)
-        z = rng.standard_normal((b, 4 * (alg.dim - 1)))
-        total = np.zeros((b, alg.dim), dtype=np.complex128)
-        acc = np.zeros(b)
-        for k in range(alg.n):
+    # Each block of probe rows draws its (re / im, blade) normals on the
+    # 2^(N-1) blades adapted at the last step in one call; step k cuts them.
+    block = max(1, SCREEN_BLOCK_ENTRIES // alg.dim)
+    for start in range(0, probes, block):
+        z = rng.standard_normal((min(block, probes - start), 2, alg.dim // 2))
+        rows = z[:, 0] + 1j * z[:, 1]
+        for k, step_signs in enumerate(signs):
             w = 1 << k
-            zk = z[:, 4 * (w - 1):4 * (2 * w - 1)].reshape(b, 4, w)
-            f, g = np.zeros((2, b, alg.dim), dtype=np.complex128)
-            f[:, :w], g[:, :w] = zk[:, 0] + 1j * zk[:, 1], zk[:, 2] + 1j * zk[:, 3]
-            lhs = _mul_dw(alg, f, k + 1, "right") + _mul_dw(alg, g, k + 1, "left")
-            reduced = f + g * alg.parity_signs
-            red = _mul_dw(alg, reduced, k + 1, "right")
-            scale = np.maximum(_row_norms(lhs), 1.0)
-            worst_parity = _worst(worst_parity,
-                                  np.max(np.max(np.abs(lhs - red), axis=1) / scale))
-            total += lhs
-            acc += alg.dt * _row_norms(reduced) ** 2
-        nrm = _row_norms(total) ** 2
-        worst_iso = _worst(worst_iso, np.max(
-            np.abs(nrm - acc) / np.maximum(np.maximum(nrm, acc), 1.0)))
-        done += b
+            x = np.zeros((len(rows), alg.dim), dtype=np.complex128)
+            x[:, :w] = rows[:, :w]
+            for side, sign in zip(("right", "left"), step_signs):
+                image = np.zeros_like(x)
+                image[:, w:2 * w] = rows[:, :w] * sign * root  # s -> s ^ 2^k
+                worst_iso = _worst(worst_iso, np.abs(_mul_dw(alg, x, k + 1, side) - image).max())
 
-    ok = worst_iso <= tol and worst_parity <= tol
+    ok = _worst(worst_table, worst_parity) <= law_tol and worst_iso <= tol
     return SuiteResult("isometry", "pass" if ok else "fail",
-                       {"probes": probes, "tol": tol,
-                        "isometry_residual": worst_iso,
-                        "parity_reduction_residual": worst_parity})
+                       {"probes": probes, "law_tol": law_tol, "tol": tol,
+                        "sign_table_residual": worst_table,
+                        "parity_reduction_residual": worst_parity,
+                        "isometry_residual": worst_iso})
 
 
 # -- orders ------------------------------------------------------------------
@@ -289,17 +290,15 @@ def run_gradient(cfg: RunConfig) -> SuiteResult:
     ubar = _interior_control(p, rng, (alg.n, p.m), span=0.5)
     xbar = solve_state(p, ubar)
     adj = solve_first_adjoint(p, xbar)
-    j0 = cost(p, ubar, xbar)
 
+    # the central-difference costs of every trial from one stacked solve
+    dus = rng.uniform(-0.3, 0.3, size=(trials, alg.n, p.m))
+    jp, jm = stacked_costs(p, np.concatenate([ubar + h * dus, ubar - h * dus])).reshape(2, trials)
     worst_dual = 0.0
     worst_fd = 0.0
-    for _ in range(trials):
-        du = rng.uniform(-0.3, 0.3, size=(alg.n, p.m))
+    for du, dj in zip(dus, (jp - jm) / (2 * h)):
         worst_dual = _worst(worst_dual, first_duality_residual(adj, du))
         fo = first_order_integral(adj, ubar + du)
-        jp = cost(p, ubar + h * du, solve_state(p, ubar + h * du))
-        jm = cost(p, ubar - h * du, solve_state(p, ubar - h * du))
-        dj = (jp - jm) / (2 * h)
         worst_fd = _worst(worst_fd, abs(dj + fo) / max(abs(fo), abs(dj), 1e-8))
 
     ok = worst_dual <= dual_tol and worst_fd <= fd_tol

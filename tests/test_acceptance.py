@@ -75,10 +75,11 @@ def test_criterion_2_ito_isometry():
     res = run_suite(cfg, "isometry")
     assert res.passed, res.metrics
     assert res.metrics["isometry_residual"] <= 1e-10
-    assert res.metrics["parity_reduction_residual"] <= 1e-10
+    assert res.metrics["parity_reduction_residual"] == res.metrics["sign_table_residual"] == 0.0
     _announce("2 ito isometry + parity reduction",
-              f"(residuals {res.metrics['isometry_residual']:.2e}, "
-              f"{res.metrics['parity_reduction_residual']:.2e})")
+              f"(kernel residual {res.metrics['isometry_residual']:.2e}, sign residuals "
+              f"{res.metrics['sign_table_residual']:.0f}, "
+              f"{res.metrics['parity_reduction_residual']:.0f})")
 
 
 def test_criterion_3_variation_order_estimates():

@@ -369,9 +369,9 @@ def test_run_seed_changes_numbers(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(out2), "--seed", "99"]) == 0
     r1 = json.loads((out1 / "report.json").read_text())
     r2 = json.loads((out2 / "report.json").read_text())
-    m1 = r1["suites"][0]["metrics"]["isometry_residual"]
-    m2 = r2["suites"][0]["metrics"]["isometry_residual"]
-    assert m1 != m2  # different probe draws
+    m1 = r1["suites"][1]["metrics"]["fd_residual"]
+    m2 = r2["suites"][1]["metrics"]["fd_residual"]
+    assert m1 != m2  # different gradient draws (isometry reads 0 on every draw)
     assert r1["verdict"] == r2["verdict"] == "pass"
 
 
@@ -407,25 +407,28 @@ def test_invalid_config_exit_code_and_no_partial_report(tmp_path, capsys):
     assert not out.exists()
 
 
-def flip_left_gen_sign(monkeypatch):
-    """Plant a sign error in the dW kernel: dW_k times the scalar blade flips sign."""
+def flip_gen_sign(monkeypatch, sides=("left",), blade=0):
+    """Plant a sign error in the dW kernel: dW_k times ``blade`` (the scalar
+    blade by default) flips sign on each of ``sides``."""
     original = CliffordAlgebra._gen_signs
 
     def flipped(self, side, g):
         signs = original(self, side, g).copy()
-        if side == "left":
-            signs[0] = -signs[0]
+        if side in sides:
+            signs[blade] = -signs[blade]
         return signs
     monkeypatch.setattr(CliffordAlgebra, "_gen_signs", flipped)
 
 
 def test_failing_suite_exit_code(tmp_path, monkeypatch):
-    flip_left_gen_sign(monkeypatch)  # forces a failure verdict
+    flip_gen_sign(monkeypatch)  # forces a failure verdict
     path = write_config(tmp_path, base_config(suites=["isometry"]))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())
     assert report["verdict"] == "fail"
+    metrics = report["suites"][0]["metrics"]
+    assert metrics["parity_reduction_residual"] == metrics["sign_table_residual"] == 2.0
 
 
 def test_algebra_suite_catches_a_wrong_matrix_form(monkeypatch):
@@ -455,10 +458,44 @@ def test_isometry_suite_catches_a_sign_error_in_the_dw_kernel(monkeypatch):
                                    tolerances={"isometry": {"probes": 40}}))
     clean = run_suite(cfg, "isometry")
     assert clean.passed
-    flip_left_gen_sign(monkeypatch)
+    assert clean.metrics["parity_reduction_residual"] == clean.metrics["sign_table_residual"] == 0.0
+    flip_gen_sign(monkeypatch)
     res = run_suite(cfg, "isometry")
     assert not res.passed
-    assert res.metrics["parity_reduction_residual"] > res.metrics["tol"]
+    assert res.metrics["parity_reduction_residual"] == res.metrics["sign_table_residual"] == 2.0
+    assert res.metrics["isometry_residual"] > res.metrics["tol"]
+
+
+def test_isometry_suite_catches_a_dw_sign_flipped_on_both_sides(monkeypatch):
+    # dW e_1 and e_1 dW both flip: still dW g = parity(g) dW and still a
+    # signed permutation, so norms and the parity law cannot see it
+    cfg = parse_config(base_config(grid={"t0": 0.0, "T": 1.0, "N": 5}, suites=["isometry"],
+                                   tolerances={"isometry": {"probes": 40}}))
+    flip_gen_sign(monkeypatch, sides=("left", "right"), blade=1)
+    res = run_suite(cfg, "isometry")
+    assert not res.passed
+    assert res.metrics["sign_table_residual"] == 2.0
+    assert res.metrics["parity_reduction_residual"] == 0.0
+    assert res.metrics["isometry_residual"] > res.metrics["tol"]
+
+
+@pytest.mark.parametrize("kernel", ["unmoved", "next_bit"])
+def test_isometry_suite_catches_a_dw_kernel_that_moves_blades_wrong(monkeypatch, kernel):
+    # right signs, wrong target columns: the exact sign checks never call the
+    # kernel, so only the float comparison with the permutation sees it
+    mul_dw = suites._mul_dw
+
+    def moved(alg, rows, k, side):
+        if kernel == "unmoved":  # the images stay in the lower half
+            return rows * alg._gen_signs(side, k) * np.sqrt(alg.dt)
+        return mul_dw(alg, rows, k % alg.n + 1, side)  # shifts by the next bit
+
+    cfg = parse_config(base_config(grid={"t0": 0.0, "T": 1.0, "N": 5}, suites=["isometry"],
+                                   tolerances={"isometry": {"probes": 40}}))
+    monkeypatch.setattr(suites, "_mul_dw", moved)
+    res = run_suite(cfg, "isometry")
+    assert not res.passed
+    assert res.metrics["parity_reduction_residual"] == res.metrics["sign_table_residual"] == 0.0
     assert res.metrics["isometry_residual"] > res.metrics["tol"]
 
 
