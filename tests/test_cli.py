@@ -453,9 +453,13 @@ def test_algebra_suite_catches_a_wrong_matrix_form(monkeypatch):
     assert res.metrics["max_law_residual"] <= res.metrics["law_tol"]
 
 
+def isometry_config():
+    return parse_config(base_config(grid={"t0": 0.0, "T": 1.0, "N": 5}, suites=["isometry"],
+                                    tolerances={"isometry": {"probes": 40}}))
+
+
 def test_isometry_suite_catches_a_sign_error_in_the_dw_kernel(monkeypatch):
-    cfg = parse_config(base_config(grid={"t0": 0.0, "T": 1.0, "N": 5}, suites=["isometry"],
-                                   tolerances={"isometry": {"probes": 40}}))
+    cfg = isometry_config()
     clean = run_suite(cfg, "isometry")
     assert clean.passed
     assert clean.metrics["parity_reduction_residual"] == clean.metrics["sign_table_residual"] == 0.0
@@ -469,10 +473,8 @@ def test_isometry_suite_catches_a_sign_error_in_the_dw_kernel(monkeypatch):
 def test_isometry_suite_catches_a_dw_sign_flipped_on_both_sides(monkeypatch):
     # dW e_1 and e_1 dW both flip: still dW g = parity(g) dW and still a
     # signed permutation, so norms and the parity law cannot see it
-    cfg = parse_config(base_config(grid={"t0": 0.0, "T": 1.0, "N": 5}, suites=["isometry"],
-                                   tolerances={"isometry": {"probes": 40}}))
     flip_gen_sign(monkeypatch, sides=("left", "right"), blade=1)
-    res = run_suite(cfg, "isometry")
+    res = run_suite(isometry_config(), "isometry")
     assert not res.passed
     assert res.metrics["sign_table_residual"] == 2.0
     assert res.metrics["parity_reduction_residual"] == 0.0
@@ -490,10 +492,8 @@ def test_isometry_suite_catches_a_dw_kernel_that_moves_blades_wrong(monkeypatch,
             return rows * alg._gen_signs(side, k) * np.sqrt(alg.dt)
         return mul_dw(alg, rows, k % alg.n + 1, side)  # shifts by the next bit
 
-    cfg = parse_config(base_config(grid={"t0": 0.0, "T": 1.0, "N": 5}, suites=["isometry"],
-                                   tolerances={"isometry": {"probes": 40}}))
     monkeypatch.setattr(suites, "_mul_dw", moved)
-    res = run_suite(cfg, "isometry")
+    res = run_suite(isometry_config(), "isometry")
     assert not res.passed
     assert res.metrics["parity_reduction_residual"] == res.metrics["sign_table_residual"] == 0.0
     assert res.metrics["isometry_residual"] > res.metrics["tol"]
