@@ -30,9 +30,9 @@ Every step operator lives on its adapted subspace, and a blade is adapted at
 step k iff its mask is < 2^k, so that subspace is the first 2^k coordinates.
 Every step operator is therefore stored as its leading block: Dx_k, Bt_k,
 M_k and P_k are (2^k, 2^k), and T_k is a (2^{k+1}, 2^k) transition block
-whose dW_{k+1} half is a signed row shift; only P_N is dim x dim.
-``SuperOperator`` pairings read the leading columns of their rows, so no
-consumer pads or slices.  The derivative blocks live in the
+whose dW_{k+1} half is a signed row shift; only P_N is dim x dim.  A
+forward row stack at step k is (B, 2^k) too, so a ``SuperOperator`` pairs
+the stacks of its step as they are.  The derivative blocks live in the
 :class:`~qsoc.forward.Linearization` of the trajectory (re-exported here),
 which also steps every forward test equation; they and the curvature
 operators come from the problem's ``state_derivatives`` and ``curvature``
@@ -84,13 +84,13 @@ from .clifford import (
     AdaptedProcess,
     CliffordElement,
     SuperOperator,
-    _mul_dw,
+    _padded,
     conditional_expectation,
     inner,
     martingale_coefficient,
 )
 from .config import SUPEROP_BUDGET
-from .errors import CapacityError, ContractError, SupportError
+from .errors import CapacityError, ContractError
 from .forward import Linearization, Trajectory, solve_first_variation
 from .problems import ControlProblem
 
@@ -133,9 +133,7 @@ def solve_first_adjoint(p: ControlProblem, xbar: Trajectory) -> AdjointPair:
         b = 1 << k
         driver = np.conj(np.conj(yh.coeffs[:b]) @ lin.Dx[k]) \
             + np.conj(np.conj(Y[k].coeffs[:b]) @ lin.Bt[k]) - lin.Lx[k].coeffs[:b]
-        yk = np.zeros(alg.dim, dtype=np.complex128)
-        yk[:b] = yh.coeffs[:b] + alg.dt * driver
-        y[k] = CliffordElement(alg, yk)
+        y[k] = CliffordElement(alg, _padded(alg, yh.coeffs[:b] + alg.dt * driver))
     return AdjointPair(
         y=AdaptedProcess(alg, y),
         Y=AdaptedProcess(alg, Y),
@@ -153,9 +151,10 @@ def first_duality_residual(adj: AdjointPair, du: np.ndarray) -> float:
     lhs = -inner(lin.gx, x1[alg.n])
     rhs = 0.0 + 0.0j
     for k in range(alg.n):
-        rhs += alg.dt * (np.vdot(adj.yhat[k].coeffs, lin.Du[k] @ du[k])
+        b = 1 << k
+        rhs += alg.dt * (np.vdot(adj.yhat[k].coeffs[:b], lin.Du[k] @ du[k])
                          + inner(lin.Lx[k], x1[k])
-                         + np.vdot(adj.Y[k].coeffs, lin.Bu[k] @ du[k]))
+                         + np.vdot(adj.Y[k].coeffs[:b], lin.Bu[k] @ du[k]))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -166,9 +165,9 @@ def hu_field(adj: AdjointPair) -> np.ndarray:
     lin = adj.lin
     out = np.zeros((lin.algebra.n, lin.p.m))
     for k in range(lin.algebra.n):
-        yh, yk = adj.yhat[k], adj.Y[k]
-        out[k] = (np.conj(yh.coeffs) @ lin.Du[k]).real \
-            + (np.conj(yk.coeffs) @ lin.Bu[k]).real - lin.Lu[k]
+        b = 1 << k
+        out[k] = (np.conj(adj.yhat[k].coeffs[:b]) @ lin.Du[k]).real \
+            + (np.conj(adj.Y[k].coeffs[:b]) @ lin.Bu[k]).real - lin.Lu[k]
     return out
 
 
@@ -243,81 +242,78 @@ def _step_pairings(pj: SuperOperator, phi2, d2, phi1, d1) -> np.ndarray:
 def _p_block_terms(sa: SecondAdjoint, X: np.ndarray, dus: np.ndarray) -> np.ndarray:
     """P-pairings of the functional as a (B, B) form on a stack of directions.
 
-    X (B, N+1, dim) holds the first variations of the directions dus
-    (B, N, m).  Each solves the test equation with zeta = 0, mu_j = Du_j du_j
-    and nu_j = Bu_j du_j, so P_0 never enters; entry (a, b) is real-bilinear
-    in the two test paths, and the diagonal is the P block along each direction.
+    X holds the first variations X_0 .. X_N, X_j of shape (B, 2^j), of the
+    directions dus (B, N, m).  Each solves the test equation with zeta = 0,
+    mu_j = Du_j du_j and nu_j = Bu_j du_j, so P_0 never enters; entry (a, b)
+    is real-bilinear in the two test paths, and the diagonal is the P block
+    along each direction.
     """
     lin = sa.adj.lin
-    total = np.zeros((len(X), len(X)), dtype=np.complex128)
+    total = np.zeros((len(dus), len(dus)), dtype=np.complex128)
     for j in range(lin.algebra.n):
-        d = lin.algebra.dt * (dus[:, j] @ lin.Du[j].T) \
-            + _mul_dw(lin.algebra, dus[:, j] @ lin.Bu[j].T, j + 1, "right")
-        total += _step_pairings(sa.P[j + 1], X[:, j + 1], d, X[:, j + 1], d)
+        d = lin.drive_rows(j, dus[:, j] @ lin.Du[j].T, dus[:, j] @ lin.Bu[j].T)
+        total += _step_pairings(sa.P[j + 1], X[j + 1], d, X[j + 1], d)
     return total
 
 
 # -- transposition identity --------------------------------------------------
 
-def _check_test_equations(alg, k: int, zeta: np.ndarray, mu: np.ndarray,
-                          nu: np.ndarray) -> None:
-    """Refuse test equations that do not start at step k or are not adapted.
+def _check_test_equations(alg, k: int, zeta: np.ndarray, mu: list, nu: list) -> None:
+    """Refuse test equations that do not start at step k or are not at their step widths.
 
     Checked in the order start index, zeta, driver count, then mu_j before
-    nu_j step by step; each test runs on every row of the pair stack at once.
+    nu_j step by step; each test is one shape test on the pair stack.
     """
     n = alg.n
     if not 0 <= k <= n:
         raise ValueError(f"step index {k} outside 0..{n}")
-    if zeta.ndim != 3 or zeta.shape[::2] != (2, alg.dim):
-        raise ValueError(f"test equation initial conditions must have shape (2, B, {alg.dim})")
-    if np.any(zeta[..., 1 << k:]):
-        raise SupportError("test tuple initial condition not adapted at its start index")
-    if not mu.shape == nu.shape == zeta.shape[:2] + (n - k, alg.dim):
+    if zeta.ndim != 3 or zeta.shape[::2] != (2, 1 << k):
+        raise ValueError(f"test equation initial conditions must have shape (2, B, {1 << k})")
+    if not len(mu) == len(nu) == n - k:
         raise ValueError("test tuple drivers must cover start index .. N-1")
     for j in range(k, n):
         for kind, drivers in (("mu", mu), ("nu", nu)):
-            if np.any(drivers[:, :, j - k, 1 << j:]):
-                raise SupportError(f"{kind} driver not adapted at step {j}")
+            if drivers[j - k].shape != zeta.shape[:2] + (1 << j,):
+                raise ValueError(f"{kind} driver at step {j} must have shape "
+                                 f"{zeta.shape[:2] + (1 << j,)}, got {drivers[j - k].shape}")
 
 
 def transposition_residual(sa: SecondAdjoint, k: int, zeta: np.ndarray,
-                           mu: np.ndarray, nu: np.ndarray) -> float:
+                           mu: list, nu: list) -> float:
     """Max absolute defect of the transposition identity over B pairs of test equations.
 
-    ``zeta`` (2, B, dim) holds the initial conditions at step k of each
-    pair's first and second equation, ``mu`` and ``nu`` (2, B, N - k, dim)
-    their drivers at steps k .. N-1; an equation without noise drivers has
-    zero ``nu``.  Everything is checked before anything is computed
-    (:func:`_check_test_equations`).  The left side pairs the equations
-    through the curvature operators M_j that built P (the suite checks M_j
-    against the raw callbacks) and the terminal cost through ``g_xx``, one
-    pair at a time; the right side goes through the materialized P family.
-    The identity closes to rounding for any two equations sharing a start
-    index, with or without nu drivers.  The 2B equations step as one
-    (2B, dim) stack through :meth:`Linearization.step_rows`, keeping only
-    the current step; per step, the curvature side is the diagonal of one
-    ``M_j.gram`` and the P side of one :func:`_step_pairings`.  A NaN defect
-    makes the result NaN.
+    ``zeta`` (2, B, 2^k) holds the initial conditions at step k of each
+    pair's first and second equation, ``mu`` and ``nu`` one (2, B, 2^j)
+    array of their drivers per step j = k .. N-1; an equation without noise
+    drivers has zero ``nu``.  Everything is checked before anything is
+    computed (:func:`_check_test_equations`).  The left side pairs the
+    equations through the curvature operators M_j that built P (the suite
+    checks M_j against the raw callbacks) and the terminal cost through
+    ``g_xx``, one pair at a time; the right side goes through the
+    materialized P family.  The identity closes to rounding for any two
+    equations sharing a start index, with or without nu drivers.  The 2B
+    equations step as one (2B, 2^j) stack through :meth:`Linearization.step_rows`;
+    per step, the curvature side is the diagonal of one ``M_j.gram`` and the
+    P side of one :func:`_step_pairings`.  A NaN defect makes the result NaN.
     """
     lin = sa.adj.lin
     p, alg = lin.p, lin.algebra
     dt = alg.dt
-    zeta, mu, nu = (np.asarray(a, dtype=np.complex128) for a in (zeta, mu, nu))
+    zeta = np.asarray(zeta, dtype=np.complex128)
     _check_test_equations(alg, k, zeta, mu, nu)
 
     # rows :b hold the second equations, rows b: the first of the same pairs
     b = zeta.shape[1]
-    phi = zeta[::-1].reshape(2 * b, alg.dim)
+    phi = zeta[::-1].reshape(2 * b, 1 << k)
     rhs = np.diagonal(sa.P[k].gram(phi[:b], phi[b:])).copy()  # P side
     lhs = np.zeros(b, dtype=np.complex128)  # curvature side
-    for j in range(k, alg.n):
+    for j, (mu_j, nu_j) in enumerate(zip(mu, nu), start=k):
         if sa.M[j] is not None:
             lhs += dt * np.diagonal(sa.M[j].gram(phi[:b], phi[b:]))
-        mu_j, nu_j = (v[::-1, :, j - k].reshape(2 * b, alg.dim) for v in (mu, nu))
+        mu_j, nu_j = (v[::-1].reshape(2 * b, 1 << j) for v in (mu_j, nu_j))
         phi = lin.step_rows(j, phi, mu_j, nu_j)
         # summation-by-parts staggering: P_{j+1} against the step parts
-        d = dt * mu_j + _mul_dw(alg, nu_j, j + 1, "right")
+        d = lin.drive_rows(j, mu_j, nu_j)
         rhs += np.diagonal(_step_pairings(sa.P[j + 1], phi[:b], d[:b], phi[b:], d[b:]))
     if p.g_xx is not None:
         gxx = p.g_xx(lin.xbar.terminal)

@@ -53,6 +53,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if getattr(args, "suite", None):
+            cfg.suites = [s for s in SUITE_ORDER if s in set(args.suite)]
+        err = budget_error(cfg.n_steps, cfg.suites)
+        if err:
+            raise ConfigError([err])
         if args.command == "validate":
             print(f"config ok: problem={cfg.problem.name} N={cfg.n_steps} "
                   f"suites={','.join(cfg.suites)}")
@@ -62,11 +67,6 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError([("--seed", "must be >= 0")])
             cfg.seed = args.seed
-        if args.suite:
-            cfg.suites = [s for s in SUITE_ORDER if s in set(args.suite)]
-            err = budget_error(cfg.n_steps, cfg.suites)
-            if err:
-                raise ConfigError([err])
         outdir = args.out or cfg.output or "qsoc-out"
 
         # the numeric layers load only once the config has passed

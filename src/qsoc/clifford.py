@@ -111,12 +111,14 @@ class CliffordAlgebra:
     def sign_table(self) -> np.ndarray:
         """Full (dim, dim) product sign table, sign_table[S, T] = sign(S, T)."""
         if self._sign_table is None:
-            bits = ((self._masks[:, None] >> np.arange(self.n)) & 1).astype(np.int16)
-            # above[S, b] = #{i in S : i > b+1-th generator} = popcount(S >> (b+1))
-            above = np.bitwise_count(
-                self._masks[:, None] >> (np.arange(self.n) + 1)).astype(np.int16)
-            swaps = above @ bits.T
-            table = np.where(swaps & 1, np.int8(-1), np.int8(1))
+            # sign(S, T) = (-1)**|odd(S) & T|, bit b of odd(S) the parity of
+            # #{i in S : i > b+1-th generator} = popcount(S >> (b+1)); in row blocks
+            gens = np.arange(self.n)
+            odd = (np.bitwise_count(self._masks[:, None] >> (gens + 1)) & 1) @ (1 << gens)
+            table, rows = np.empty((self.dim, self.dim), dtype=np.int8), max(1, 2**16 // self.dim)
+            for r in range(0, self.dim, rows):
+                flips = np.bitwise_count(odd[r:r + rows, None] & self._masks) & 1
+                table[r:r + rows] = 1 - 2 * flips.view(np.int8)
             table.flags.writeable = False
             self._sign_table = table
         return self._sign_table
@@ -284,14 +286,11 @@ class CliffordElement:
 
     # -- queries -----------------------------------------------------------
 
-    def is_adapted(self, k: int, tol: float = 0.0) -> bool:
-        """Whether every coefficient off the step-k blades, the first 2^k, is at most tol."""
+    def is_adapted(self, k: int) -> bool:
+        """Whether every coefficient off the step-k blades, the first 2^k, is zero."""
         if not 0 <= k <= self.algebra.n:
             raise ValueError(f"step index {k} outside 0..{self.algebra.n}")
-        outside = self.coeffs[1 << k:]
-        if outside.size == 0:
-            return True
-        return float(np.max(np.abs(outside))) <= tol
+        return not self.coeffs[1 << k:].any()
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -502,19 +501,27 @@ def brownian_increment(alg: CliffordAlgebra, k: int) -> CliffordElement:
 def _mul_dw(alg: CliffordAlgebra, rows: np.ndarray, k: int, side: str) -> np.ndarray:
     """Rows times dW_k (``side="right"``) or dW_k times rows (``"left"``).
 
-    One signed permutation of the coefficient columns, shape (B, dim) in and
-    out; the increment element is never materialized.  Column s moves to
-    s ^ bit, which swaps the two halves of every aligned run of 2 * bit
-    columns: two strided copies instead of a scatter.
+    The rows are adapted at step k-1, shape (B, 2^(k-1)); the images are
+    adapted at step k, shape (B, 2^k).  dW_k = sqrt(dt) e_k moves blade s to
+    s + 2^(k-1) with its sign, so the first half of every image is zero and
+    the second half is the signed rows; the increment element is never
+    materialized.  Rows of another width are refused.
     """
     if not 1 <= k <= alg.n:
         raise ValueError(f"generator index {k} outside 1..{alg.n}")
-    bit = 1 << (k - 1)
-    signed = (rows * alg._gen_signs(side, k)).reshape(len(rows), -1, 2, bit)
-    out = np.empty(signed.shape, dtype=np.complex128)
-    out[:, :, 0] = signed[:, :, 1]
-    out[:, :, 1] = signed[:, :, 0]
-    return out.reshape(rows.shape) * np.sqrt(alg.dt)
+    w = 1 << (k - 1)
+    if rows.ndim != 2 or rows.shape[1] != w:
+        raise ValueError(f"rows times dW_{k} must have shape (B, {w}), got {rows.shape}")
+    out = np.zeros((len(rows), 2 * w), dtype=np.complex128)
+    out[:, w:] = rows * alg._gen_signs(side, k)[:w] * np.sqrt(alg.dt)
+    return out
+
+
+def _padded(alg: CliffordAlgebra, rows: np.ndarray) -> np.ndarray:
+    """Rows of any prefix width with zeros to all dim columns (for callbacks)."""
+    out = np.zeros(rows.shape[:-1] + (alg.dim,), dtype=np.complex128)
+    out[..., :rows.shape[-1]] = rows
+    return out
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -538,10 +545,7 @@ def martingale_coefficient(f: CliffordElement, k: int) -> CliffordElement:
     if not f.is_adapted(k + 1):
         raise SupportError(f"element not supported in generators 1..{k + 1}")
     bit = 1 << k
-    out = np.zeros(alg.dim, dtype=np.complex128)
-    src = np.nonzero((alg._masks & bit) != 0)[0]
-    out[src ^ bit] = f.coeffs[src] / np.sqrt(alg.dt)
-    return CliffordElement(alg, out)
+    return CliffordElement(alg, _padded(alg, f.coeffs[bit:2 * bit] / np.sqrt(alg.dt)))
 
 
 # -- processes -------------------------------------------------------------
@@ -549,14 +553,13 @@ def martingale_coefficient(f: CliffordElement, k: int) -> CliffordElement:
 class AdaptedProcess:
     """Time-indexed element sequence with value at t_k adapted at step k."""
 
-    def __init__(self, algebra: CliffordAlgebra, values: Iterable[CliffordElement],
-                 tol: float = 0.0):
+    def __init__(self, algebra: CliffordAlgebra, values: Iterable[CliffordElement]):
         self.algebra = algebra
         self.values = list(values)
         for i, v in enumerate(self.values):
             if v.algebra is not algebra:
                 raise AlgebraMismatchError(f"value {i} on a different algebra")
-            if not v.is_adapted(min(i, algebra.n), tol):
+            if not v.is_adapted(min(i, algebra.n)):
                 raise SupportError(f"value {i} not adapted at step {i}")
 
     def __len__(self):
@@ -613,19 +616,18 @@ class SuperOperator:
         return SuperOperator(algebra, scale * np.eye(algebra.dim, dtype=np.complex128))
 
     def gram(self, V: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Pairings <P v_a, w_b> of two coefficient stacks (rows), shape (A, B).
-
-        Only the leading ``size`` columns of the rows enter.
-        """
-        V, W = V[:, :self.size], W[:, :self.size]
+        """Pairings <P v_a, w_b> of two stacks of ``size``-column rows, shape (A, B)."""
+        if V.shape[1:] != (self.size,) or W.shape[1:] != (self.size,):
+            raise ValueError(f"rows must have {self.size} columns, got {V.shape} and {W.shape}")
         pv = V @ self.lin.T
         if self.antilin is not None:
             pv = pv + np.conj(V) @ self.antilin.T
         return np.conj(pv) @ W.T
 
     def pair(self, v: CliffordElement, w: CliffordElement) -> complex:
-        """Complex pairing <P v, w>."""
-        return complex(self.gram(v.coeffs[None], w.coeffs[None])[0, 0])
+        """Complex pairing <P v, w>; P is zero beyond its first ``size`` blades."""
+        b = self.size
+        return complex(self.gram(v.coeffs[None, :b], w.coeffs[None, :b])[0, 0])
 
     def __add__(self, other: "SuperOperator") -> "SuperOperator":
         """Sum of two operators on nested blocks, on the larger block."""

@@ -58,7 +58,7 @@ from .adjoint import (
     hu_field,
     solve_first_adjoint,
 )
-from .clifford import CliffordElement
+from .clifford import CliffordElement, _padded
 from .errors import BudgetError
 from .forward import solve_state, stacked_costs
 from .problems import ControlProblem, cost, huu_matrix, hxu_pairing
@@ -101,8 +101,8 @@ def _routes_agree(route_gap: float, s: float) -> bool:
 def _forms(sa: SecondAdjoint, dus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The parts of S as complex (B, B) forms on a stack of directions.
 
-    ``dus`` (B, N, m) are the directions; their first variations X
-    (B, N+1, dim) are solved as one stack along ``sa.adj.lin``.
+    ``dus`` (B, N, m) are the directions; their first variations X_0 .. X_N,
+    X_k of shape (B, 2^k), are solved as one stack along ``sa.adj.lin``.
     Returns the curvature terms shared by both routes, the P-pairings and the
     direct route (curvature terms plus x1 paired with P_N and the M_j only).
     S through P is Re(curvature + P-pairings), its oracle Re(direct); the
@@ -121,13 +121,13 @@ def _forms(sa: SecondAdjoint, dus: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         xu = hxu_pairing(*args)
         if xu is not None:
             # linear in the control slot: entry (a, b) pairs x1 of a with du of b
-            cross = np.array([[xu(CliffordElement(alg, x[k]), e) for e in units]
-                              for x in X]) @ dus[:, k].T
+            cross = np.array([[xu(CliffordElement(alg, x), e) for e in units]
+                              for x in _padded(alg, X[k])]) @ dus[:, k].T
             curvature += dt * (cross + cross.T)
-    direct = curvature + sa.P[alg.n].gram(X[:, alg.n], X[:, alg.n])
+    direct = curvature + sa.P[alg.n].gram(X[alg.n], X[alg.n])
     for j, mj in enumerate(sa.M):
         if mj is not None:
-            direct += dt * mj.gram(X[:, j], X[:, j])
+            direct += dt * mj.gram(X[j], X[j])
     return curvature, _p_block_terms(sa, X, dus), direct
 
 

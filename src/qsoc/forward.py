@@ -9,17 +9,20 @@ exact first and second epsilon-derivatives of this discrete flow, so for
 polynomial coefficient maps the Taylor identities they feed are exact rather
 than O(dt)-approximate.
 
-One loop runs the scheme on a block of control paths, one (B, dim) state
-array per step through the problem's ``coefficient_rows`` hook, with the
-adaptedness check applied to every row at every step.  :func:`solve_state`
+A row adapted at step k holds its first 2^k blade coefficients, so every
+forward stack at step k is (B, 2^k), and a step appends the dW_{k+1} half:
+x_{k+1} = [x_k + dt D, F dW_{k+1} + dW_{k+1} G] (``clifford._mul_dw``).
+Full-width elements are built only for callbacks and adapted processes.
+One loop runs the scheme on a block of control paths, one state stack per
+step through the problem's ``coefficient_rows`` hook.  :func:`solve_state`
 is its one-row case; :func:`stacked_paths` sums the problem's ``cost_rows``
 along the block and keeps its states, :func:`stacked_costs` only its costs.
 
 :class:`Linearization` freezes the derivative blocks of the dynamics along
 one trajectory, and :meth:`Linearization.step_rows` steps every forward test
-equation phi_{k+1} = T_k phi_k + dt mu_k + nu_k dW_{k+1} on (B, dim) row
-stacks (T_k as in :mod:`qsoc.adjoint`).  Both variations are such equations
-with zeta = 0: x1 with mu = Du du and nu = Bu du, x2 with the
+equation phi_{k+1} = T_k phi_k + dt mu_k + nu_k dW_{k+1} from (B, 2^k) to
+(B, 2^{k+1}) stacks (T_k as in :mod:`qsoc.adjoint`).  Both variations are
+such equations with zeta = 0: x1 with mu = Du du and nu = Bu du, x2 with the
 quadratic-response drivers; so are the transposition check's.
 """
 
@@ -33,11 +36,12 @@ from .clifford import (
     AdaptedProcess,
     CliffordElement,
     _mul_dw,
+    _padded,
     _row_norms,
     parity,
 )
-from .errors import AdaptednessError
-from .problems import ControlProblem
+from .errors import ContractError
+from .problems import ControlProblem, _cut
 
 __all__ = [
     "Trajectory",
@@ -72,28 +76,23 @@ class Trajectory:
 
     @classmethod
     def from_rows(cls, alg, rows, control: np.ndarray) -> "Trajectory":
-        """The trajectory of ``control`` from its state coefficient rows X_0 .. X_N."""
+        """The trajectory of ``control`` from its state rows X_0 .. X_N, X_k of width 2^k."""
         return cls(_process(alg, rows), control)
 
 
 def _state_rows(p: ControlProblem, U: np.ndarray):
-    """The (B, dim) states X_0 .. X_N of a block of control paths U, shape (B, N, m).
-
-    Every coefficient row must be adapted at its step up to 1e-12 (1 + its
-    norm).  A row whose leak is exactly zero passes even when its norm has
-    overflowed, so overflow reaches the costs as non-finite instead of
-    raising for every row of its block.
-    """
+    """The states X_0 .. X_N, X_k of shape (B, 2^k), of control paths U (B, N, m)."""
     alg = p.algebra
-    X = np.repeat(p.x0.coeffs[None], len(U), axis=0)
+    X = np.repeat(p.x0.coeffs[None, :1], len(U), axis=0)
     for k in range(alg.n):
         yield X
         d, f, g = p.coefficient_rows(k, X, U[:, k])
-        for val, tag in ((d, "drift"), (f, "left diffusion"), (g, "right diffusion")):
-            leak = np.abs(val[:, 1 << k:]).max(axis=1)
-            if leak.any() and not np.all((leak == 0) | (leak <= 1e-12 * (1 + _row_norms(val)))):
-                raise AdaptednessError(f"{tag} produced a non-adapted element at step {k}")
-        X = X + alg.dt * d + _mul_dw(alg, f, k + 1, "right") + _mul_dw(alg, g, k + 1, "left")
+        if not d.shape == f.shape == g.shape == X.shape:
+            raise ContractError(f"coefficient_rows returned shapes {d.shape, f.shape, g.shape} "
+                                f"at step {k}, not {X.shape}")
+        nxt = _mul_dw(alg, f, k + 1, "right") + _mul_dw(alg, g, k + 1, "left")
+        nxt[:, :1 << k] = X + alg.dt * d
+        X = nxt
     yield X
 
 
@@ -106,11 +105,11 @@ def solve_state(p: ControlProblem, u: np.ndarray) -> Trajectory:
 def stacked_paths(p: ControlProblem, U: np.ndarray) -> tuple[np.ndarray, list]:
     """Costs and states of a block of control paths, shape (B, N, m), from one state solve.
 
-    Returns the (B,) costs and the (B, dim) state stacks X_0 .. X_N.  Row i
-    of the states is the path of ``solve_state(p, U[i])`` bit for bit, and
-    cost i equals ``cost(p, U[i], solve_state(p, U[i]))`` bit for bit
-    whenever ``L`` and ``g`` are one-row views of ``cost_rows``, as in the
-    gallery, or ``cost_rows`` is derived from them.
+    Returns the (B,) costs and the state stacks X_0 .. X_N, X_k of shape
+    (B, 2^k).  Row i of the states is the path of ``solve_state(p, U[i])``
+    bit for bit, and cost i equals ``cost(p, U[i], solve_state(p, U[i]))``
+    bit for bit whenever ``L`` and ``g`` are one-row views of ``cost_rows``,
+    as in the gallery, or ``cost_rows`` is derived from them.
     """
     alg = p.algebra
     U = np.asarray(U, dtype=float)
@@ -134,7 +133,7 @@ class Linearization:
     """Derivative operators of the dynamics frozen along one trajectory.
 
     Dx[k] and Bt[k] are (2^k, 2^k), the maps on the step-k subspace, from
-    the problem's ``state_derivatives`` hook.  Du[k] and Bu[k] are (dim, m).
+    the problem's ``state_derivatives`` hook.  Du[k] and Bu[k] are (2^k, m).
     """
 
     def __init__(self, p: ControlProblem, xbar: Trajectory):
@@ -142,20 +141,18 @@ class Linearization:
         self.p = p
         self.algebra = alg
         self.xbar = xbar
-        n, dim, m = alg.n, alg.dim, p.m
-        self.Dx, self.Bt, self.Lx, self.Lu = [], [], [], []
-        self.Du = [np.zeros((dim, m), dtype=np.complex128) for _ in range(n)]
-        self.Bu = [np.zeros((dim, m), dtype=np.complex128) for _ in range(n)]
-        basis = np.eye(m)
-        for k in range(n):
+        self.Dx, self.Bt, self.Du, self.Bu, self.Lx, self.Lu = [], [], [], [], [], []
+        basis = np.eye(p.m)
+        for k in range(alg.n):
             xk, uk = xbar[k], xbar.control[k]
             dx, bt = p.state_derivatives(k, xk, uk)
             self.Dx.append(dx)
             self.Bt.append(bt)
             du_op, fu_op, gu_op = p.D_u(k, xk, uk), p.F_u(k, xk, uk), p.G_u(k, xk, uk)
-            for i in range(m):
-                self.Du[k][:, i] = du_op(basis[i]).coeffs
-                self.Bu[k][:, i] = fu_op(basis[i]).coeffs + parity(gu_op(basis[i])).coeffs
+            du = np.array([du_op(e).coeffs for e in basis])
+            bu = np.array([(fu_op(e) + parity(gu_op(e))).coeffs for e in basis])
+            self.Du.append(_cut(k, du, "D_u").T)
+            self.Bu.append(_cut(k, bu, "F_u + parity o G_u").T)
             self.Lx.append(p.L_x(k, xk, uk))
             self.Lu.append(np.asarray(p.L_u(k, xk, uk), dtype=float))
         self.gx = p.g_x(xbar.terminal)
@@ -173,7 +170,7 @@ class Linearization:
         return out
 
     def t_rows(self, k: int, V: np.ndarray) -> np.ndarray:
-        """T_k on a (B, dim) stack of rows adapted at step k: v + dt Dx_k v + (Bt_k v) dW_{k+1}.
+        """T_k on a (B, 2^k) stack: [v + dt Dx_k v, (Bt_k v) dW_{k+1}], shape (B, 2^{k+1}).
 
         Kept apart from :meth:`t_block` on purpose: every test equation,
         the variations included, steps here, and the transposition check pairs
@@ -181,37 +178,37 @@ class Linearization:
         through ``t_block``; on one shared T_k a defect in it would cancel out
         of the identity.
         """
-        b = 1 << k
-        dx = np.zeros(V.shape, dtype=np.complex128)
-        bt = np.zeros(V.shape, dtype=np.complex128)
-        dx[:, :b] = V[:, :b] @ self.Dx[k].T
-        bt[:, :b] = V[:, :b] @ self.Bt[k].T
-        return V + self.algebra.dt * dx + _mul_dw(self.algebra, bt, k + 1, "right")
+        out = _mul_dw(self.algebra, V @ self.Bt[k].T, k + 1, "right")
+        out[:, :1 << k] = V + self.algebra.dt * (V @ self.Dx[k].T)
+        return out
+
+    def drive_rows(self, k: int, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        """The driven part dt mu_k + nu_k dW_{k+1} of a step: (B, 2^k) stacks to (B, 2^{k+1})."""
+        out = _mul_dw(self.algebra, nu, k + 1, "right")
+        out[:, :1 << k] = self.algebra.dt * mu
+        return out
 
     def step_rows(self, k: int, phi: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
         """One step of the test equation phi_{k+1} = T_k phi_k + dt mu_k + nu_k dW_{k+1}.
 
-        Every argument is a (B, dim) stack of rows adapted at step k.
+        Every argument is a (B, 2^k) stack; the step is (B, 2^{k+1}).
         """
-        alg = self.algebra
-        return self.t_rows(k, phi) + alg.dt * mu + _mul_dw(alg, nu, k + 1, "right")
+        return self.t_rows(k, phi) + self.drive_rows(k, mu, nu)
 
-    def variation_rows(self, dus: np.ndarray) -> np.ndarray:
-        """First variations of a (B, N, m) stack of directions, shape (B, N+1, dim).
+    def variation_rows(self, dus: np.ndarray) -> list:
+        """First variations of a (B, N, m) stack of directions: X_0 .. X_N, X_k (B, 2^k).
 
         The test equation with zeta = 0, mu_k = Du_k du_k and nu_k = Bu_k du_k.
         """
-        alg = self.algebra
-        X = np.zeros((len(dus), alg.n + 1, alg.dim), dtype=np.complex128)
-        for k in range(alg.n):
-            X[:, k + 1] = self.step_rows(k, X[:, k], dus[:, k] @ self.Du[k].T,
-                                         dus[:, k] @ self.Bu[k].T)
+        X = [np.zeros((len(dus), 1), dtype=np.complex128)]
+        for k in range(self.algebra.n):
+            X.append(self.step_rows(k, X[k], dus[:, k] @ self.Du[k].T, dus[:, k] @ self.Bu[k].T))
         return X
 
 
 def _process(alg, rows) -> AdaptedProcess:
-    """The adapted process of coefficient rows X_0 .. X_N."""
-    return AdaptedProcess(alg, [CliffordElement(alg, x) for x in rows], tol=1e-9)
+    """The adapted process of rows X_0 .. X_N, X_k of width 2^k."""
+    return AdaptedProcess(alg, [CliffordElement(alg, _padded(alg, x)) for x in rows])
 
 
 def solve_first_variation(lin: Linearization, du: np.ndarray) -> AdaptedProcess:
@@ -219,7 +216,7 @@ def solve_first_variation(lin: Linearization, du: np.ndarray) -> AdaptedProcess:
     du = np.asarray(du, dtype=float)
     if du.shape != lin.xbar.control.shape:
         raise ValueError("perturbation must match the control path shape")
-    return _process(lin.algebra, lin.variation_rows(du[None])[0])
+    return _process(lin.algebra, [x[0] for x in lin.variation_rows(du[None])])
 
 
 def quadratic_drivers(p: ControlProblem, k: int, x, u, h, v) -> tuple:
@@ -252,12 +249,12 @@ def solve_second_variation(lin: Linearization, x1: AdaptedProcess,
     alg, xbar = lin.algebra, lin.xbar
     if du.shape != xbar.control.shape or len(x1) != alg.n + 1:
         raise ValueError("inputs must match the trajectory grid")
-    rows = [np.zeros(alg.dim, dtype=np.complex128)]
+    rows = [np.zeros((1, 1), dtype=np.complex128)]
     for k in range(alg.n):
         d, f, g = quadratic_drivers(lin.p, k, xbar[k], xbar.control[k], x1[k], du[k])
-        rows.append(lin.step_rows(k, rows[-1][None], d.coeffs[None],
-                                  (f + parity(g)).coeffs[None])[0])
-    return _process(alg, rows)
+        rows.append(lin.step_rows(k, rows[-1], _cut(k, d.coeffs[None], "second-order drift"),
+                                  _cut(k, (f + parity(g)).coeffs[None], "second-order noise")))
+    return _process(alg, [x[0] for x in rows])
 
 
 @dataclass
@@ -323,8 +320,9 @@ def order_estimate_slopes(p: ControlProblem, ubar: np.ndarray, u: np.ndarray,
     _, states = stacked_paths(p, ubar + eps[:, None, None] * du)
     worst = np.zeros((3, len(eps)))  # np.maximum keeps a NaN that Python max would drop
     for k, xeps in enumerate(states):
-        delta = xeps - xbar[k].coeffs
-        net1 = delta - eps[:, None] * x1[k].coeffs
-        net2 = net1 - (0.5 * eps * eps)[:, None] * x2[k].coeffs
+        w = xeps.shape[1]
+        delta = xeps - xbar[k].coeffs[:w]
+        net1 = delta - eps[:, None] * x1[k].coeffs[:w]
+        net2 = net1 - (0.5 * eps * eps)[:, None] * x2[k].coeffs[:w]
         worst = np.maximum(worst, [_row_norms(delta), _row_norms(net1), _row_norms(net2)])
     return OrderReport(*(_fit(list(zip(eps_list, row))) for row in worst.tolist()))

@@ -54,12 +54,13 @@ callbacks of one slot.
 Row hooks
 ---------
 ``coefficient_rows(k, X, U)`` and ``cost_rows(k, X, U)`` evaluate the problem
-on row stacks: X is a (B, dim) block of states, U the (B, m) controls at step
-k.  The first returns the (B, dim) stacks of D, F and G; the second the (B,)
-running costs L, or for k = N (U unused) the terminal costs g.  The state
-solve runs through them alone.  Gallery problems build them from their
-channel and cost data, and ``D``, ``F``, ``G``, ``L`` and ``g`` are their
-one-row views; derived ones make one callback call per row.
+on row stacks at the step's width: X is a (B, 2^k) block of states, U the
+(B, m) controls at step k.  The first returns the (B, 2^k) stacks of D, F
+and G; the second the (B,) running costs L, or for k = N (U unused) the
+terminal costs g.  The state solve runs through them alone.  Gallery
+problems build them from their channel and cost data, and ``D``, ``F``,
+``G``, ``L`` and ``g`` are their one-row views; derived ones make one
+callback call per row, padded to dim blades, and cut its values (:func:`_cut`).
 """
 
 from __future__ import annotations
@@ -74,7 +75,9 @@ from .clifford import (
     CliffordElement,
     SuperOperator,
     _multiplication_blocks,
+    _padded,
     _product,
+    _row_norms,
     _table_product,
     conditional_expectation,
     inner,
@@ -83,7 +86,7 @@ from .clifford import (
     superop_from_pairing,
 )
 from .config import GALLERY_NAMES, ProblemSpec, Terms
-from .errors import SupportError
+from .errors import AdaptednessError, SupportError
 
 __all__ = [
     "ControlSet",
@@ -137,12 +140,29 @@ def _terms_to_element(alg: CliffordAlgebra, terms: Terms | None) -> CliffordElem
     return CliffordElement.from_terms(alg, [(mask, re + 1j * im) for mask, re, im in terms])
 
 
-def _square_rows(alg: CliffordAlgebra, k: int, X: np.ndarray) -> np.ndarray:
-    """X X row by row for a (B, dim) stack of states adapted at step k."""
-    if np.any(X[:, 1 << k:]):
-        raise SupportError(f"state not adapted at step {k}")
-    live = np.arange(1 << k)
+def _square_rows(alg: CliffordAlgebra, X: np.ndarray) -> np.ndarray:
+    """X X row by row for a (B, 2^k) stack of states."""
+    live = np.arange(X.shape[1])
     return _product(alg, X, X, live, live)
+
+
+def _row(k: int, x: CliffordElement) -> np.ndarray:
+    """The (1, 2^k) stack of a state adapted at step k, for the one-row views."""
+    if not x.is_adapted(k):
+        raise SupportError(f"state not adapted at step {k}")
+    return x.coeffs[None, :1 << k]
+
+
+def _cut(k: int, rows: np.ndarray, what: str) -> np.ndarray:
+    """Callback rows (B, dim) at the step-k width 2^k, each adapted up to 1e-12 (1 + its norm).
+
+    An exactly-zero leak passes even when the norm has overflowed, so
+    overflow reaches the costs as non-finite instead of raising.
+    """
+    leak = np.abs(rows[:, 1 << k:]).max(axis=1, initial=0.0)
+    if leak.any() and not np.all((leak == 0) | (leak <= 1e-12 * (1 + _row_norms(rows)))):
+        raise AdaptednessError(f"{what} produced a non-adapted element at step {k}")
+    return rows[:, :1 << k]
 
 
 class _Channel:
@@ -158,43 +178,39 @@ class _Channel:
                  quad_x: CliffordElement | None):
         self.alg = alg
         self.rate = rate
-        self.lin_u = lin_u or []
-        self.sq_u = sq_u or []
-        self.quad_x = quad_x
         steps = range(alg.n + 1)
-        self.lin = [[conditional_expectation(e, k) for e in self.lin_u] for k in steps]
-        self.sq = [[conditional_expectation(e, k) for e in self.sq_u] for k in steps]
-        self.quad = None if quad_x is None else \
-            [conditional_expectation(quad_x, k) for k in steps]
+        self.lin = [[conditional_expectation(e, k) for e in lin_u or ()] for k in steps]
+        self.sq = [[conditional_expectation(e, k) for e in sq_u or ()] for k in steps]
+        self.quad = None if quad_x is None else [conditional_expectation(quad_x, k) for k in steps]
 
     def value_rows(self, k: int, X: np.ndarray, U: np.ndarray,
                    xx: np.ndarray | None = None) -> np.ndarray:
-        """The channel on row stacks: X (B, dim) states, U (B, m) controls.
+        """The channel on row stacks: X (B, 2^k) states, U (B, m) controls.
 
-        The states must be adapted at step k.  ``xx`` is X X from
-        :func:`_square_rows`, shared by the channels of a step; it is
-        computed here when not given.  The quad term multiplies through
-        :func:`_product` on the first 2^k blade columns, not on the columns
+        ``xx`` is X X from :func:`_square_rows`, shared by the channels of a
+        step; it is computed here when not given.  The quad term multiplies
+        through :func:`_product` on all 2^k blade columns, not on the columns
         the stack happens to fill, so a row's value does not depend on the
         rows stacked with it.
         """
+        w = 1 << k
         out = self.rate * X if self.rate != 0.0 else np.zeros(X.shape, dtype=np.complex128)
         for i, e in enumerate(self.lin[k]):
-            out = out + U[:, i, None] * e.coeffs
+            out = out + U[:, i, None] * e.coeffs[:w]
         for i, e in enumerate(self.sq[k]):
-            out = out + U[:, i, None] ** 2 * e.coeffs
+            out = out + U[:, i, None] ** 2 * e.coeffs[:w]
         if self.quad is not None:
             if xx is None:
-                xx = _square_rows(self.alg, k, X)
-            c = self.quad[k].coeffs
+                xx = _square_rows(self.alg, X)
+            c = self.quad[k].coeffs[:w]
             out = out + _product(self.alg, np.broadcast_to(c, X.shape), xx,
-                                 np.nonzero(c)[0], np.arange(1 << k))
+                                 np.nonzero(c)[0], np.arange(w))
         return out
 
     def value(self, k, x, u):
         """One element: the single-row view of :meth:`value_rows`."""
         u = np.asarray(u, dtype=float).reshape(1, -1)
-        return CliffordElement(self.alg, self.value_rows(k, x.coeffs[None], u)[0])
+        return CliffordElement(self.alg, _padded(self.alg, self.value_rows(k, _row(k, x), u)[0]))
 
     def dx(self, k, x, u):
         rate = self.rate
@@ -222,7 +238,7 @@ class _Channel:
         return lambda h1, h2: qx * (h1 * h2 + h2 * h1)
 
     def duu(self, k, x, u):
-        if not self.sq_u:
+        if not self.sq[0]:
             return None
         sq = self.sq[k]
 
@@ -326,15 +342,16 @@ class ControlProblem:
         return dx, bt
 
     def _coefficient_rows(self, k, X, U):
-        out = np.empty((3,) + X.shape, dtype=np.complex128)
-        for i, (x, u) in enumerate(zip(X, U)):
+        out = np.empty((3, len(X), self.algebra.dim), dtype=np.complex128)
+        for i, (x, u) in enumerate(zip(_padded(self.algebra, X), U)):
             x = CliffordElement(self.algebra, x)
             for c, fn in enumerate((self.D, self.F, self.G)):
                 out[c, i] = fn(k, x, u).coeffs
-        return tuple(out)
+        return tuple(_cut(k, rows, what) for rows, what in
+                     zip(out, ("drift", "left diffusion", "right diffusion")))
 
     def _cost_rows(self, k, X, U):
-        xs = [CliffordElement(self.algebra, x) for x in X]
+        xs = [CliffordElement(self.algebra, x) for x in _padded(self.algebra, X)]
         if k == self.algebra.n:
             return np.array([self.g(x) for x in xs], dtype=float)
         return np.array([self.L(k, x, u) for x, u in zip(xs, U)], dtype=float)
@@ -393,7 +410,7 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
         return q * np.vecdot(X, X).real + r * np.vecdot(U, U)
 
     def L(k, x, u):
-        return float(cost_rows(k, x.coeffs[None], np.asarray(u, dtype=float).reshape(1, -1))[0])
+        return float(cost_rows(k, _row(k, x), np.asarray(u, dtype=float).reshape(1, -1))[0])
 
     def g_fn(x):
         return float(cost_rows(algebra.n, x.coeffs[None], None)[0])
@@ -452,7 +469,7 @@ def make_problem(algebra: CliffordAlgebra, spec: ProblemSpec) -> ControlProblem:
                 chF.dx_block(k, sym_x) + parity_signs * chG.dx_block(k, sym_x))
 
     def coefficient_rows(k, X, U):
-        xx = _square_rows(algebra, k, X) if squares else None
+        xx = _square_rows(algebra, X) if squares else None
         return tuple(ch.value_rows(k, X, U, xx) for ch in channels)
 
     return ControlProblem(

@@ -26,6 +26,7 @@ from .adjoint import (
 from .clifford import (
     CliffordElement,
     _mul_dw,
+    _padded,
     _table_product,
     inner,
     make_algebra,
@@ -215,8 +216,8 @@ def run_isometry(cfg: RunConfig) -> SuiteResult:
     the left.  Exactly (int signs, 0 or 2): the kernel's signs are that column
     and row, and left = parity * right, i.e. dW g = parity(g) dW.  In floats:
     ``_mul_dw`` on both sides of every probe row cut to 2^k blades is that
-    signed permutation times sqrt(dt).  Step k's images lie in
-    [2^k, 2^(k+1)), so the steps are disjoint and the isometry follows.
+    signed permutation times sqrt(dt) on 2^(k+1) columns.  Step k's images
+    lie in [2^k, 2^(k+1)), so the steps are disjoint and the isometry follows.
     """
     rng = suite_rng(cfg.seed, "isometry")
     alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
@@ -239,12 +240,11 @@ def run_isometry(cfg: RunConfig) -> SuiteResult:
         rows = z[:, 0] + 1j * z[:, 1]
         for k, step_signs in enumerate(signs):
             w = 1 << k
-            x = np.zeros((len(rows), alg.dim), dtype=np.complex128)
-            x[:, :w] = rows[:, :w]
             for side, sign in zip(("right", "left"), step_signs):
-                image = np.zeros_like(x)
-                image[:, w:2 * w] = rows[:, :w] * sign * root  # s -> s ^ 2^k
-                worst_iso = _worst(worst_iso, np.abs(_mul_dw(alg, x, k + 1, side) - image).max())
+                image = np.zeros((len(rows), 2 * w), dtype=np.complex128)
+                image[:, w:] = rows[:, :w] * sign * root  # s -> s ^ 2^k
+                worst_iso = _worst(worst_iso, np.abs(
+                    _mul_dw(alg, rows[:, :w], k + 1, side) - image).max())
 
     ok = _worst(worst_table, worst_parity) <= law_tol and worst_iso <= tol
     return SuiteResult("isometry", "pass" if ok else "fail",
@@ -336,29 +336,21 @@ def _test_tuple_draws(rng, alg, pairs_n: int) -> list:
 
 
 def _test_equations(alg, draws: list, k: int) -> tuple:
-    """The draws that start at step k, in draw order, as the zero-padded
-    (zeta, mu, nu) arrays of :func:`transposition_residual`.
-
-    The three are allocated apart: at N = 8 their sum can reach 2.4 MB,
-    which as one block the allocator maps afresh rather than reusing freed
-    heap.
-    """
+    """The draws that start at step k, in draw order, as the (zeta, mu, nu)
+    arguments of :func:`transposition_residual`: every element at its step
+    width, zeta (2, B, 2^k) and one (2, B, 2^j) array of mu and of nu per
+    step j."""
     states = [state for start, state in draws if start == k]
     widths = _tuple_widths(alg.n, k)
-    span = alg.n - k
-    # (step, blade) of each kept coefficient of a tuple's mu (and nu) drivers
-    steps = np.repeat(np.arange(span), widths[1:1 + span])
-    blades = np.concatenate([np.arange(w) for w in widths[1:1 + span]])
-    zeta = np.zeros((2, len(states), alg.dim), dtype=np.complex128)
-    mu, nu = (np.zeros((2, len(states), span, alg.dim), dtype=np.complex128) for _ in range(2))
+    arrays = [np.empty((2, len(states), w), dtype=np.complex128) for w in widths]
     replay = np.random.Generator(np.random.PCG64())  # each pair's state is set below
     for i, state in enumerate(states):
         replay.bit_generator.state = state
         z = replay.standard_normal(4 * sum(widths)).view(np.complex128).reshape(2, -1)
-        zeta[:, i, :widths[0]] = z[:, :widths[0]]
-        mu[:, i, steps, blades] = z[:, widths[0]:widths[0] + steps.size]
-        nu[:, i, steps, blades] = z[:, widths[0] + steps.size:]
-    return zeta, mu, nu
+        for a, part in zip(arrays, np.split(z, np.cumsum(widths)[:-1], axis=1)):
+            a[:, i] = part
+    span = alg.n - k
+    return arrays[0], arrays[1:1 + span], arrays[1 + span:]
 
 
 def run_adjoint(cfg: RunConfig) -> SuiteResult:
@@ -403,9 +395,7 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
     curv_err = 0.0
     for k, mk in enumerate(sa.M):
         if mk is not None:
-            rows = np.zeros((2, alg.dim), dtype=np.complex128)
-            rows[:, :1 << k] = _unit_rows(rng, 2, 1 << k)
-            v, w = CliffordElement(alg, rows[0]), CliffordElement(alg, rows[1])
+            v, w = (CliffordElement(alg, row) for row in _padded(alg, _unit_rows(rng, 2, 1 << k)))
             form = hxx_pairing(p, k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k])
             want = form(v, w)
             curv_err = _worst(curv_err, abs(mk.pair(v, w) - want) / (1 + abs(want)))

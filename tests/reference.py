@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from qsoc.adjoint import _step_pairings, hu_field, solve_first_adjoint
-from qsoc.clifford import AdaptedProcess, CliffordElement, _mul_dw, inner, parity
-from qsoc.errors import StepSizeError, SupportError
+from qsoc.clifford import AdaptedProcess, CliffordElement, _mul_dw, _padded, inner, parity
+from qsoc.errors import StepSizeError
 from qsoc.forward import quadratic_drivers, solve_state
 from qsoc.optimize import GradientTrace, _grid_blocks
 from qsoc.problems import ProblemSpec, cost, hxx_pairing
@@ -83,7 +83,7 @@ def _response(p, xbar, drivers):
         left = p.F_x(k, xk, uk)(zk) + f
         right = p.G_x(k, xk, uk)(zk) + g
         zs.append(zk + alg.dt * drift + mul_dw(left, k + 1) + mul_dw(right, k + 1, "left"))
-    return AdaptedProcess(alg, zs, tol=1e-9)
+    return AdaptedProcess(alg, zs)
 
 
 def first_variation(p, xbar, du):
@@ -207,8 +207,11 @@ def pauli_blade(n, mask):
 
 
 def mul_dw(a, k, side="right"):
-    """a dW_k (``side="right"``) or dW_k a on one element: one row of ``_mul_dw``."""
-    return CliffordElement(a.algebra, _mul_dw(a.algebra, a.coeffs[None], k, side)[0])
+    """a dW_k (``side="right"``) or dW_k a for ``a`` adapted at step k-1: one
+    row of ``_mul_dw``, padded to dim blades."""
+    assert a.is_adapted(k - 1)
+    row = _mul_dw(a.algebra, a.coeffs[None, :1 << (k - 1)], k, side)
+    return CliffordElement(a.algebra, _padded(a.algebra, row[0]))
 
 
 @dataclass
@@ -223,34 +226,31 @@ class RefTuple:
 
 def stack_pairs(pairs):
     """Pairs of RefTuples sharing a start index k as the (k, zeta, mu, nu)
-    arguments of ``transposition_residual``; a missing nu is zero."""
+    arguments of ``transposition_residual``: every element, adapted at its
+    step j, cut to its 2^j blades; a missing nu is zero."""
     k = pairs[0][0].k
     alg = pairs[0][0].zeta.algebra
-    span = len(pairs[0][0].mu)
+    steps = [k, *range(k, alg.n), *range(k, alg.n)]
 
-    def rows(t):
-        nu = t.nu if t.nu is not None else [CliffordElement.zero(alg)] * span
-        return [t.zeta.coeffs, *(v.coeffs for v in t.mu), *(v.coeffs for v in nu)]
+    def elements(t):
+        nu = t.nu if t.nu is not None else [CliffordElement.zero(alg)] * (alg.n - k)
+        return [t.zeta, *t.mu, *nu]
 
-    out = np.array([[rows(t) for t in pair] for pair in pairs], dtype=np.complex128)
-    out = out.transpose(1, 0, 2, 3)  # (equation, pair, row, blade)
-    return k, out[:, :, 0], out[:, :, 1:1 + span], out[:, :, 1 + span:]
+    slots = [[elements(t) for t in pair] for pair in pairs]
+    arrays = []
+    for s, j in enumerate(steps):
+        assert all(t[s].is_adapted(j) for pair in slots for t in pair)
+        rows = [[t[s].coeffs[:1 << j] for t in pair] for pair in slots]
+        # (equation, pair, blade)
+        arrays.append(np.array(rows, dtype=np.complex128).transpose(1, 0, 2))
+    span = alg.n - k
+    return k, arrays[0], arrays[1:1 + span], arrays[1 + span:]
 
 
 def by_start(pairs):
     """``stack_pairs`` of the pairs at each start index, in order of first appearance."""
     starts = dict.fromkeys(t1.k for t1, _ in pairs)
     return [stack_pairs([q for q in pairs if q[0].k == k]) for k in starts]
-
-
-def unstack(alg, k, zeta, mu, nu):
-    """The RefTuple pairs of ``transposition_residual`` arguments."""
-    def elements(rows):
-        return [CliffordElement(alg, row) for row in rows]
-
-    return [tuple(RefTuple(k=k, zeta=CliffordElement(alg, zeta[t, i]), mu=elements(mu[t, i]),
-                           nu=elements(nu[t, i])) for t in range(2))
-            for i in range(zeta.shape[1])]
 
 
 def compact_test_pairs(rng, alg, pairs_n):
@@ -281,32 +281,6 @@ def compact_test_pairs(rng, alg, pairs_n):
                                    nu=elements[1 + span:]))
         pairs.append(tuple(tuples))
     return pairs
-
-
-def check_tuple_pairs(pairs, n):
-    """Refuse the first bad test tuple, one element at a time.
-
-    In the stacked check's order: every start index, every zeta, every
-    driver count, then step by step every mu_j before every nu_j; tuples in
-    order, t1 before t2 of each pair.
-    """
-    tuples = [t for pair in pairs for t in pair]
-    for t in tuples:
-        if not 0 <= t.k <= n:
-            raise ValueError(f"step index {t.k} outside 0..{n}")
-    for t in tuples:
-        if not t.zeta.is_adapted(t.k):
-            raise SupportError("test tuple initial condition not adapted at its start index")
-    for t in tuples:
-        span = n - t.k
-        if len(t.mu) != span or (t.nu is not None and len(t.nu) != span):
-            raise ValueError("test tuple drivers must cover start index .. N-1")
-    for j in range(min(t.k for t in tuples), n):
-        for kind in ("mu", "nu"):
-            for t in tuples:
-                drivers = getattr(t, kind)
-                if j >= t.k and drivers is not None and not drivers[j - t.k].is_adapted(j):
-                    raise SupportError(f"{kind} driver not adapted at step {j}")
 
 
 def tuple_path(lin, t):
@@ -349,7 +323,8 @@ def transposition_defects(sa, tuples) -> list:
                 lhs += dt * pair(phi2[j - k], phi1[j - k])
         rhs = sa.P[k].pair(t2.zeta, t1.zeta)
         for i in range(alg.n - k):
-            rows = [v.coeffs[None] for v in (phi2[i + 1], d2[i], phi1[i + 1], d1[i])]
+            w = 1 << (k + i + 1)
+            rows = [v.coeffs[None, :w] for v in (phi2[i + 1], d2[i], phi1[i + 1], d1[i])]
             rhs += _step_pairings(sa.P[k + i + 1], *rows)[0, 0]
         out.append(abs(lhs - rhs))
     return out

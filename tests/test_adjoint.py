@@ -12,9 +12,15 @@ from qsoc.adjoint import (
     solve_first_adjoint,
     transposition_residual,
 )
-from qsoc.clifford import CliffordElement, SuperOperator, make_algebra
+from qsoc.clifford import (
+    CliffordElement,
+    SuperOperator,
+    _padded,
+    brownian_increment,
+    make_algebra,
+)
 from qsoc.conditions import _direction, _forms, _routes_agree
-from qsoc.errors import CapacityError, ContractError, SupportError
+from qsoc.errors import CapacityError, ContractError
 from qsoc.forward import solve_first_variation, solve_second_variation, solve_state
 from qsoc.problems import ProblemSpec, hxx_pairing, make_problem
 from reference import (
@@ -22,13 +28,11 @@ from reference import (
     ZERO_DYNAMICS,
     RefTuple,
     by_start,
-    check_tuple_pairs,
     gallery_spec,
     mul_dw,
     second_duality_residual,
     stack_pairs,
     transposition_defects,
-    unstack,
 )
 
 
@@ -173,7 +177,8 @@ def test_p_duality_formula_oracle():
             phi1, phi2 = [z1], [z2]
             for j in range(k, alg.n):
                 for phi in (phi1, phi2):
-                    phi.append(CliffordElement(alg, sa.adj.lin.t_rows(j, phi[-1].coeffs[None])[0]))
+                    step = sa.adj.lin.t_rows(j, phi[-1].coeffs[None, :1 << j])
+                    phi.append(CliffordElement(alg, _padded(alg, step[0])))
             val = 0.0 + 0.0j
             if p.g_xx is not None:
                 val -= p.g_xx(xbar.terminal)(phi2[-1], phi1[-1])
@@ -240,14 +245,14 @@ def test_superop_gram_matches_per_entry_pairing(case, rows):
         op = sa.M[3]
         anti = op.antilin
         assert anti is not None and np.max(np.abs(anti)) > 0.1
-    V, W = (rng.standard_normal((r, alg.dim)) + 1j * rng.standard_normal((r, alg.dim))
-            for r in rows)
-    b = op.size  # only the leading columns of the rows enter
-    want = np.array([[np.vdot(op.lin @ v[:b] + anti @ np.conj(v[:b]), w[:b]) for w in W]
-                     for v in V])
+    b = op.size  # rows of the operator's side, and no other
+    V, W = (rng.standard_normal((r, b)) + 1j * rng.standard_normal((r, b)) for r in rows)
+    want = np.array([[np.vdot(op.lin @ v + anti @ np.conj(v), w) for w in W] for v in V])
     got = op.gram(V, W)
     assert got.shape == rows
     assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
+    with pytest.raises(ValueError, match=f"rows must have {b} columns"):
+        op.gram(_padded(alg, V) if b < alg.dim else V[:, :-1], W)
 
 
 @pytest.mark.parametrize("m", (1, 2))
@@ -342,7 +347,7 @@ def test_blocked_p_matches_full_matrix_recursion():
         generic.curvature(alg.n, xbar.terminal, None, None, None)))
     for k in range(alg.n - 1, -1, -1):
         keep = np.diag(alg.adapted_mask(k).astype(np.complex128))
-        dw = np.array([mul_dw(CliffordElement.blade(alg, s), k + 1).coeffs
+        dw = np.array([(CliffordElement.blade(alg, s) * brownian_increment(alg, k + 1)).coeffs
                        for s in range(dim)]).T
         t = keep + dt * padded(lin.Dx[k]) + dw @ padded(lin.Bt[k])
         m_lin, m_anti = blocks(generic.curvature(k, xbar[k], ubar[k], adj.yhat[k], adj.Y[k]))
@@ -450,24 +455,30 @@ def test_stacked_transposition_check_matches_the_per_pair_reference(name):
         assert (got <= 1e-9) == (plant is None)
 
 
-def refusal_cases(alg, k):
-    """(message, plant) pairs; each plant spoils row ``i`` of equation ``t``
-    of the (zeta, mu, nu) arrays of start index k."""
-    late = np.zeros(alg.dim)
-    late[1 << (alg.n - 1)] = 1.0  # the blade e_N: adapted at step N only
+def widened(a):
+    """An array with its last axis doubled, zeros beyond."""
+    return np.concatenate([a, np.zeros_like(a)], axis=-1)
 
-    def at(which, *index):
-        def plant(t, i, arrays):
-            arrays[which][(t, i) + index] = late
-            return arrays
+
+def refusal_cases(alg, k):
+    """(message, plant) pairs; each plant spoils the (zeta, mu, nu)
+    arguments of start index k by one array of the wrong shape."""
+    def at(which, step, reshape):
+        def plant(arrays):
+            if which == 0:
+                return [reshape(arrays[0]), *arrays[1:]]
+            drivers = list(arrays[which])
+            drivers[step] = reshape(drivers[step])
+            return [*arrays[:which], drivers, *arrays[which + 1:]]
         return plant
 
     return [
-        ("initial condition", at(0)),
-        (f"mu driver not adapted at step {k + 1}", at(1, 1)),
-        (f"nu driver not adapted at step {k + 2}", at(2, 2)),
-        ("cover", lambda t, i, arrays: [arrays[0], arrays[1][:, :, :-1], arrays[2]]),
-        ("cover", lambda t, i, arrays: [arrays[0], arrays[1], arrays[2][:, :, 1:]]),
+        ("initial conditions must have shape", at(0, None, widened)),
+        (f"mu driver at step {k + 1} must have shape", at(1, 1, widened)),
+        (f"nu driver at step {k + 2} must have shape", at(2, 2, lambda a: a[:, :, :-1])),
+        (f"nu driver at step {k} must have shape", at(2, 0, lambda a: a[:, :-1])),
+        ("cover", lambda arrays: [arrays[0], arrays[1][:-1], arrays[2]]),
+        ("cover", lambda arrays: [arrays[0], arrays[1], arrays[2][1:]]),
     ]
 
 
@@ -480,15 +491,16 @@ def test_transposition_check_refuses_bad_tuples_before_any_compute(monkeypatch):
     monkeypatch.setattr(Linearization, "t_rows", lambda *a: pytest.fail("stepped"))
     monkeypatch.setattr(SuperOperator, "gram", lambda *a: pytest.fail("paired"))
     for match, plant in refusal_cases(alg, k):
-        for t in (0, 1):
-            bad = plant(t, 2, [a.copy() for a in good])
-            error = ValueError if match == "cover" else SupportError
-            with pytest.raises(error, match=match):
-                transposition_residual(sa, k, *bad)
+        with pytest.raises(ValueError, match=match):
+            transposition_residual(sa, k, *plant(good))
     with pytest.raises(ValueError, match="outside 0..5"):
         transposition_residual(sa, alg.n + 1, *good)
     with pytest.raises(ValueError, match="initial conditions must have shape"):
         transposition_residual(sa, k, good[0][:, :, :-1], *good[1:])
+    # a driver at the full width 2^N, zero beyond its step, is refused too
+    padded = [[_padded(alg, a) for a in drivers] for drivers in good[1:]]
+    with pytest.raises(ValueError, match=f"mu driver at step {k} must have shape"):
+        transposition_residual(sa, k, good[0], *padded)
 
 
 def test_transposition_check_pairs_through_m_and_calls_no_curvature_callback(monkeypatch):
@@ -506,24 +518,41 @@ def test_transposition_check_pairs_through_m_and_calls_no_curvature_callback(mon
     assert checks_by_start(sa, pairs) == clean and max(clean) <= 1e-9
 
 
-def test_stacked_tuple_check_raises_the_first_failure_of_the_per_element_check():
+def first_wrong_shape(n, k, zeta, mu, nu):
+    """The refusal of the stacked check, in its order: start index, zeta,
+    driver count, then step by step mu_j before nu_j; None when all fit."""
+    if not 0 <= k <= n:
+        return f"step index {k} outside 0..{n}"
+    if zeta.shape[::2] != (2, 1 << k):
+        return "initial conditions must have shape"
+    if not len(mu) == len(nu) == n - k:
+        return "drivers must cover start index .. N-1"
+    for j in range(k, n):
+        for kind, drivers in (("mu", mu), ("nu", nu)):
+            if drivers[j - k].shape != (2, zeta.shape[1], 1 << j):
+                return f"{kind} driver at step {j} must have shape"
+    return None
+
+
+def test_stacked_tuple_check_raises_the_first_wrong_shape_in_check_order():
     alg, p = build("quadratic_state", n=5)
     rng = np.random.default_rng(15)
     _, _, sa = solve_stack(p, np.zeros((alg.n, 1)))
-    late = CliffordElement.generator(alg, alg.n).coeffs  # adapted at step N only
 
-    def plant(k, arrays, kind, t, i, j):
+    def plant(k, arrays, kind, j):
+        zeta, mu, nu = arrays[0], list(arrays[1]), list(arrays[2])
         if kind in ("mu", "nu"):
-            drivers = arrays[1 if kind == "mu" else 2]
-            drivers[t, i, j % drivers.shape[2]] = late  # a short stack keeps 3 steps
+            drivers = mu if kind == "mu" else nu
+            j %= len(drivers)
+            drivers[j] = widened(drivers[j]) if rng.integers(2) else drivers[j][:, :, :-1]
         elif kind == "zeta":
-            arrays[0][t, i] = late
+            zeta = widened(zeta)
         elif kind == "short":
-            which = 1 + int(rng.integers(2))
-            arrays[which] = arrays[which][:, :, :-1]
+            drivers = mu if rng.integers(2) else nu
+            del drivers[-1]
         else:  # range
             k = alg.n + 1
-        return k, arrays
+        return k, [zeta, mu, nu]
 
     raised = set()
     for _ in range(60):
@@ -531,13 +560,12 @@ def test_stacked_tuple_check_raises_the_first_failure_of_the_per_element_check()
                                   for _ in range(4)])
         for _ in range(int(rng.integers(1, 5))):
             kind = ("zeta", "mu", "nu", "short", "range")[rng.integers(5)]
-            k, arrays = plant(k, arrays, kind, int(rng.integers(2)), int(rng.integers(4)),
-                              int(rng.integers(alg.n - 1)))
-        with pytest.raises((ValueError, SupportError)) as want:
-            check_tuple_pairs(unstack(alg, k, *arrays), alg.n)
-        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            k, arrays = plant(k, arrays, kind, int(rng.integers(alg.n - 1)))
+        want = first_wrong_shape(alg.n, k, *arrays)
+        assert want is not None
+        with pytest.raises(ValueError, match=re.escape(want)):
             transposition_residual(sa, k, *arrays)
-        raised.add(str(want.value))
+        raised.add(want)
     assert len(raised) >= 8  # every kind of refusal, at several steps
 
 
@@ -572,7 +600,7 @@ def test_a_nan_defect_at_one_start_index_is_not_dropped():
     # one NaN row of a stack makes the stack's defect NaN
     sa.P[3] = SuperOperator(alg, np.zeros((8, 8)))
     k, zeta, mu, nu = stack_pairs(pairs[:2])
-    mu[1, 1, 1, 0] = np.nan
+    mu[1][1, 1, 0] = np.nan
     assert np.isnan(transposition_residual(sa, k, zeta, mu, nu))
 
 
@@ -678,8 +706,8 @@ def test_p_block_collapses_under_real_symmetry():
         collapsed = 0.0
         for j in range(alg.n):
             pj = sa.P[j + 1]
-            a = CliffordElement(alg, sa.adj.lin.Du[j] @ du[j])
-            bn = mul_dw(CliffordElement(alg, sa.adj.lin.Bu[j] @ du[j]), j + 1)
+            a = CliffordElement(alg, _padded(alg, sa.adj.lin.Du[j] @ du[j]))
+            bn = mul_dw(CliffordElement(alg, _padded(alg, sa.adj.lin.Bu[j] @ du[j])), j + 1)
             tx = x1[j + 1] - dt * a - bn
             collapsed += 2 * dt * pj.pair(tx, a).real + dt * dt * pj.pair(a, a).real
             collapsed += 2 * pj.pair(tx, bn).real + 2 * dt * pj.pair(a, bn).real

@@ -88,11 +88,32 @@ def test_validate_rejects_p_suites_above_superop_budget(tmp_path, capsys):
     assert "grid.N" in err and "256" in err
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-    assert not out.exists()
+    assert not out.exists() and "256" in capsys.readouterr().err
     for suite in ("second_order", "theorem", "optimize"):
-        with pytest.raises(ConfigError) as exc:
-            parse_config(dict(cfg, suites=[suite]))
-        assert [p for p, _ in exc.value.errors] == ["grid.N"]
+        path = write_config(tmp_path, dict(cfg, suites=[suite]))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: grid.N: coefficient dimension 512 exceeds the superoperator "
+            f"budget 256 of suites {suite}")
+
+
+def test_run_narrowed_by_suite_is_held_to_the_budget_of_what_runs(tmp_path, capsys):
+    # the README config at N = 9: every suite refused as a whole, and isometry
+    # alone passes once --suite narrows the list
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    cfg = json.loads(block)
+    cfg["grid"]["N"] = 9
+    cfg["tolerances"] = {"isometry": {"probes": 20}}
+    path = write_config(tmp_path, cfg)
+    message = ("config error: grid.N: coefficient dimension 512 exceeds the superoperator "
+               "budget 256 of suites adjoint, second_order, theorem, optimize\n")
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "all")]):
+        assert main([*argv, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == message
+    out = tmp_path / "isometry"
+    assert main(["run", "--config", str(path), "--out", str(out), "--suite", "isometry"]) == 0
+    assert "isometry: pass" in capsys.readouterr().out
+    assert json.loads((out / "report.json").read_text())["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("tolerances, path", [
@@ -488,9 +509,13 @@ def test_isometry_suite_catches_a_dw_kernel_that_moves_blades_wrong(monkeypatch,
     mul_dw = suites._mul_dw
 
     def moved(alg, rows, k, side):
+        image = mul_dw(alg, rows, k, side)
         if kernel == "unmoved":  # the images stay in the lower half
-            return rows * alg._gen_signs(side, k) * np.sqrt(alg.dt)
-        return mul_dw(alg, rows, k % alg.n + 1, side)  # shifts by the next bit
+            return np.roll(image, -rows.shape[1], axis=1)
+        if k < alg.n:  # shifts by the next bit, past the columns of the image
+            wide = np.concatenate([rows, np.zeros_like(rows)], axis=1)
+            return mul_dw(alg, wide, k + 1, side)[:, :image.shape[1]]
+        return image
 
     monkeypatch.setattr(suites, "_mul_dw", moved)
     res = run_suite(isometry_config(), "isometry")

@@ -13,6 +13,7 @@ from qsoc.clifford import (
     _matrix_product,
     _mul_dw,
     _multiplication_blocks,
+    _padded,
     _row_norms,
     _table_product,
     brownian_increment,
@@ -472,16 +473,20 @@ def test_row_dw_kernel_is_the_element_product():
     rng = np.random.default_rng(31)
     rows = rng.standard_normal((7, alg.dim)) + 1j * rng.standard_normal((7, alg.dim))
     for k in range(1, alg.n + 1):
-        dw = brownian_increment(alg, k)
-        right, left = _mul_dw(alg, rows, k, "right"), _mul_dw(alg, rows, k, "left")
-        for i, row in enumerate(rows):
-            a = CliffordElement(alg, row)
+        dw, w = brownian_increment(alg, k), 1 << (k - 1)
+        # rows adapted at step k-1, at their width 2^(k-1); images at 2^k
+        right, left = _mul_dw(alg, rows[:, :w], k, "right"), _mul_dw(alg, rows[:, :w], k, "left")
+        assert right.shape == left.shape == (len(rows), 2 * w)
+        for i, row in enumerate(rows[:, :w]):
+            a = CliffordElement(alg, _padded(alg, row))
             assert np.array_equal(right[i], _mul_dw(alg, row[None], k, "right")[0])
             assert np.array_equal(left[i], _mul_dw(alg, row[None], k, "left")[0])
-            assert np.allclose(right[i], (a * dw).coeffs, atol=1e-14)
-            assert np.allclose(left[i], (dw * a).coeffs, atol=1e-14)
+            for got, want in ((right[i], (a * dw).coeffs), (left[i], (dw * a).coeffs)):
+                assert np.allclose(got, want[:2 * w], atol=1e-14) and not want[2 * w:].any()
     with pytest.raises(ValueError):
-        _mul_dw(alg, rows, alg.n + 1, "right")
+        _mul_dw(alg, rows[:, :1 << (alg.n - 1)], alg.n + 1, "right")
+    with pytest.raises(ValueError, match="shape"):
+        _mul_dw(alg, rows, alg.n, "right")  # a row wider than its step
 
 
 def test_row_norms_match_element_norm_bit_for_bit():

@@ -618,6 +618,26 @@ def test_cone_max_keeps_weakly_active_coordinates_inward():
     assert top[0] > 0 > top[1]
 
 
+def test_cone_max_on_a_degenerate_top_eigenspace():
+    # h = (I - J/3) - J/3 on 3 weakly active coordinates: the top eigenvalue
+    # 1 is double, its eigenspace the zero-sum vectors, and eigh returns one
+    # basis of it.  The smaller supports find a sign-consistent top vector
+    # whenever the cone meets that eigenspace, whichever basis eigh returns.
+    j = np.ones((3, 3)) / 3.0
+    h = (np.eye(3) - j) - j
+    assert np.allclose(np.linalg.eigvalsh(h), [-1.0, 1.0, 1.0])
+    weak = np.ones(3, dtype=bool)
+    inward = np.array([1.0, 1.0, -1.0])  # e.g. (1, 0, -1) lies in the cone
+    best, top = conditions._cone_max(h, ~weak, weak, inward)
+    assert best == pytest.approx(1.0, abs=1e-14) and top @ h @ top == pytest.approx(1.0)
+    assert np.linalg.norm(top) == pytest.approx(1.0)
+    assert np.all(inward * top >= 0) and np.any(top != 0)
+    # the orthant meets no zero-sum vector but 0: the best is a single coordinate
+    best, top = conditions._cone_max(h, ~weak, weak, np.ones(3))
+    assert best == pytest.approx(1 / 3, abs=1e-14)
+    assert np.count_nonzero(top) == 1 and top.max() == 1.0
+
+
 def test_weak_support_budget_is_checked_before_any_enumeration(monkeypatch):
     monkeypatch.setattr(conditions, "WEAK_SUPPORT_BUDGET", 2)
     monkeypatch.setattr(np.linalg, "eigh", lambda h: pytest.fail("enumerated"))

@@ -130,7 +130,7 @@ def test_custom_problem_step_operators_live_on_their_blocks():
     for k in range(alg.n):
         side = 1 << k
         assert adj.lin.Dx[k].shape == adj.lin.Bt[k].shape == (side, side)
-        assert adj.lin.Du[k].shape == adj.lin.Bu[k].shape == (alg.dim, p.m)
+        assert adj.lin.Du[k].shape == adj.lin.Bu[k].shape == (side, p.m)
         for op in (sa.M[k], sa.P[k]):
             assert op.size == side and op.lin.shape == (side, side)
             assert op.antilin is None

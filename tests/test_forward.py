@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qsoc.clifford import CliffordElement, make_algebra, parity
-from qsoc.errors import AdaptednessError
+from qsoc.clifford import CliffordElement, _padded, make_algebra, parity
+from qsoc.errors import AdaptednessError, ContractError
 from qsoc.forward import (
     Linearization,
     order_estimate_slopes,
@@ -87,29 +87,83 @@ def test_non_adapted_callback_detected():
 
 
 def test_a_zero_leak_passes_whatever_the_row_norm():
-    # row 0 leaks 1e-14, within 1e-12 (1 + |row|); row 1 turns NaN on its
-    # adapted blades with an exactly-zero leak.  Neither is refused, and the
-    # NaN row's cost is NaN; a NaN leak is refused.
+    # drift callbacks, keyed by the control of the row: row 0 leaks 1e-14,
+    # within 1e-12 (1 + |row|); row 1 turns NaN on its adapted blades with an
+    # exactly-zero leak.  Neither is refused, and the NaN row's cost is NaN;
+    # a NaN leak is refused, and so is a 1e-6 leak.
     alg, p = build("lq", n=3)
-    rows = p.coefficient_rows
+    U = np.array([0.0, 0.25, 0.5])[:, None, None] * np.ones((3, alg.n, 1))
 
-    def planted(nan_leak):
+    def planted(last):
+        def drift(k, x, u):
+            d = p.D(k, x, u).coeffs.copy()
+            if u[0] == 0.0:
+                d[-1] += 1e-14
+            elif u[0] == 0.25:
+                d[:1 << k] = np.nan
+            else:
+                d[-1] += last
+            return CliffordElement(alg, d)
+        return dataclasses.replace(p, D=drift, coefficient_rows=None)
+
+    with np.errstate(invalid="ignore"):
+        costs = stacked_costs(planted(0.0), U)
+    assert np.isfinite(costs[[0, 2]]).all() and np.isnan(costs[1])
+    for last in (np.nan, 1e-6):
+        with pytest.raises(AdaptednessError,
+                           match="drift produced a non-adapted element at step 0"):
+            stacked_costs(planted(last), U)
+
+
+def test_row_hooks_see_rows_at_their_step_width():
+    # a spy on the gallery hooks: X is (B, 2^k) at step k, (B, dim) at k = N,
+    # and every hook returns rows of that shape
+    alg, p = build("quadratic_state", n=4, m=2)
+    seen = []
+
+    def spy(hook):
         def fn(k, X, U):
-            d, f, g = (v.copy() for v in rows(k, X, U))
-            d[0, -1] += 1e-14
-            d[1, :1 << k] = np.nan
-            if nan_leak:
-                d[2, -1] = np.nan
-            return d, f, g
+            out = hook(k, X, U)
+            seen.append((hook.__name__, k, X.shape))
+            for rows in out if isinstance(out, tuple) else ():
+                assert rows.shape == X.shape
+            return out
         return fn
 
-    p.coefficient_rows = planted(False)
-    with np.errstate(invalid="ignore"):
-        costs = stacked_costs(p, np.zeros((3, alg.n, 1)))
-    assert np.isfinite(costs[[0, 2]]).all() and np.isnan(costs[1])
-    p.coefficient_rows = planted(True)
-    with pytest.raises(AdaptednessError, match="drift produced a non-adapted element at step 0"):
-        stacked_costs(p, np.zeros((3, alg.n, 1)))
+    p.coefficient_rows, p.cost_rows = spy(p.coefficient_rows), spy(p.cost_rows)
+    U = np.random.default_rng(6).uniform(-1, 1, (5, alg.n, 2))
+    stacked_costs(p, U)
+    widths = [(k, (5, 1 << k)) for k in range(alg.n + 1)]
+    assert seen == [("coefficient_rows", *w) for w in widths[:-1]] \
+        + [("cost_rows", *w) for w in widths]
+
+
+def test_a_hook_row_of_the_wrong_width_is_refused():
+    alg, p = build("lq", n=3)
+    rows = p.coefficient_rows
+    p.coefficient_rows = lambda k, X, U: tuple(_padded(alg, v) for v in rows(k, X, U))
+    with pytest.raises(ContractError, match="coefficient_rows returned shapes"):
+        stacked_costs(p, np.zeros((2, alg.n, 1)))
+
+
+def test_step_rows_append_the_noise_half():
+    # a step maps (B, 2^k) stacks to (B, 2^(k+1)): the drift part on the
+    # first 2^k columns, the dW_{k+1} part on the next 2^k
+    alg, p = build("quadratic_state", n=4)
+    lin = Linearization(p, solve_state(p, np.zeros((alg.n, 1))))
+    rng = np.random.default_rng(8)
+    for k in range(alg.n):
+        phi, mu, nu = (rng.standard_normal((3, 1 << k)) + 0j for _ in range(3))
+        step = lin.step_rows(k, phi, mu, nu)
+        assert step.shape == (3, 2 << k)
+        drift = phi + alg.dt * (phi @ lin.Dx[k].T + mu)
+        assert np.allclose(step[:, :1 << k], drift, rtol=1e-14, atol=1e-14)
+        noise = phi @ lin.Bt[k].T + nu
+        signs = alg._gen_signs("right", k + 1)[:1 << k]
+        assert np.allclose(step[:, 1 << k:], np.sqrt(alg.dt) * signs * noise,
+                           rtol=1e-14, atol=1e-14)
+        with pytest.raises(ValueError):  # a stack wider than its step
+            lin.step_rows(k, _padded(alg, phi), _padded(alg, mu), _padded(alg, nu))
 
 
 def test_first_variation_zero_direction():
@@ -279,7 +333,10 @@ def assert_rows_are_per_path_costs(p, U):
             costs, states = stacked_paths(p, U[i:i + rows])
             assert np.array_equal(costs, want[i:i + rows])
             for r, path in enumerate(paths[i:i + rows]):
-                assert np.array_equal([X[r] for X in states], [x.coeffs for x in path.process])
+                assert [X.shape[1] for X in states] == [1 << k for k in range(p.algebra.n + 1)]
+                assert np.array_equal(np.concatenate([X[r] for X in states]),
+                                      np.concatenate([x.coeffs[:1 << k]
+                                                      for k, x in enumerate(path.process)]))
     assert np.array_equal(stacked_costs(p, U), want)
 
 
@@ -324,10 +381,11 @@ def test_channel_rows_are_the_element_values():
     alg, p = build("quadratic_state", n=5, m=2)
     rng = np.random.default_rng(4)
     k = 3
-    X = np.where(alg.adapted_mask(k), rng.standard_normal((6, alg.dim))
-                 + 1j * rng.standard_normal((6, alg.dim)), 0)
+    X = rng.standard_normal((6, 1 << k)) + 1j * rng.standard_normal((6, 1 << k))
     U = rng.uniform(-1, 1, (6, 2))
     for rows, fn in zip(p.coefficient_rows(k, X, U), (p.D, p.F, p.G)):
+        assert rows.shape == X.shape
         for x, u, row in zip(X, U, rows):
-            want = fn(k, CliffordElement(alg, x), u).coeffs
-            assert np.allclose(row, want, rtol=1e-14, atol=1e-14)
+            want = fn(k, CliffordElement(alg, _padded(alg, x)), u).coeffs
+            assert np.allclose(row, want[:1 << k], rtol=1e-14, atol=1e-14)
+            assert not want[1 << k:].any()

@@ -211,22 +211,18 @@ def test_brute_force_nan_cost_never_wins(monkeypatch):
 
 def test_stacked_screen_raises_on_a_non_adapted_channel(monkeypatch):
     alg, p = build("lq", n=3)
-    rows = p.coefficient_rows
 
     def leaky(leak):
-        def fn(k, X, U):
-            d, f, g = rows(k, X, U)
-            if k == alg.n - 1:
-                g = g.copy()
-                g[:, -1] += leak  # blade e1 e2 e3 is not adapted at step N - 1
-            return d, f, g
-        return fn
+        def right(k, x, u):
+            g = p.G(k, x, u)
+            if k == alg.n - 1:  # blade e1 e2 e3 is not adapted at step N - 1
+                g = g + CliffordElement.blade(alg, alg.dim - 1, leak)
+            return g
+        return dataclasses.replace(p, G=right, coefficient_rows=None)
 
-    p.coefficient_rows = leaky(1e-14)  # within 1e-12 (1 + |row|)
-    brute_force_search(p, 3)
-    p.coefficient_rows = leaky(1e-6)
+    brute_force_search(leaky(1e-14), 3)  # within 1e-12 (1 + |row|)
     with pytest.raises(AdaptednessError, match="right diffusion"):
-        brute_force_search(p, 3)
+        brute_force_search(leaky(1e-6), 3)
 
 
 def test_gallery_brute_force_solves_few_paths(monkeypatch):

@@ -1,7 +1,7 @@
 """Suite internals: working sets, the closed form of P, NaN-keeping folds.
 
 The adjoint suite draws its test tuples at their adapted widths and checks
-one start index at a time, as zero-padded arrays; the algebra suite runs its
+one start index at a time, one array per step at its width; the algebra suite runs its
 kernel products on row blocks of ``max(1, SCREEN_BLOCK_ENTRIES // dim)`` rows.
 Neither changes a bit.  The algebra suite checks the product laws exactly on
 the sign table, and a single wrong sign in the table or in a grading fails its
@@ -41,17 +41,15 @@ def test_test_tuple_draws_are_the_compact_stream(n):
     draws = suites._test_tuple_draws(got_rng, alg, 30)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     for k in dict.fromkeys(k for k, _ in draws):
-        got = suites._test_equations(alg, draws, k)
-        # each element at its adapted width 2^j: normals there, zeros beyond
+        zeta, mu, nu = suites._test_equations(alg, draws, k)
+        # each element at its adapted width 2^j, normals throughout
         steps = [k, *range(k, n), *range(k, n)]
-        for t in range(2):
-            rows = np.concatenate([got[0][t, :, None], got[1][t], got[2][t]], axis=1)
-            assert [list(np.count_nonzero(r, axis=1)) for r in rows] \
-                == [[1 << j for j in steps]] * len(rows)
-            assert all(not r[i, 1 << j:].any() for r in rows for i, j in enumerate(steps))
-        ref = stack_pairs([pair for pair in want if pair[0].k == k])
-        assert ref[0] == k
-        for a, b in zip(got, ref[1:]):
+        got = [zeta, *mu, *nu]
+        assert [a.shape[2] for a in got] == [1 << j for j in steps]
+        assert all(np.count_nonzero(a) == a.size for a in got)
+        ref_k, *ref = stack_pairs([pair for pair in want if pair[0].k == k])
+        assert ref_k == k
+        for a, b in zip(got, [ref[0], *ref[1], *ref[2]]):
             assert a.shape == b.shape and a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
 
