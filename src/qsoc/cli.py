@@ -3,6 +3,7 @@
     qsoc run --config cfg.json [--out DIR] [--suite NAME]... [--seed S]
     qsoc validate --config cfg.json
 
+Each failing check of a suite is printed to stderr with its value and bound.
 Exit codes: 0 suites passed, 1 at least one suite failed, 2 configuration
 error, or a suite that could not run, a capacity limit hit at run time
 included (its status is ``error``; the report of every suite is still
@@ -43,9 +44,10 @@ def build_report(cfg, results) -> dict:
     return {
         "artifact": {"name": "qsoc", "version": __version__},
         "config": cfg.echo(),
-        "suites": [{"name": r.name, "status": r.status, "metrics": r.metrics}
-                   for r in results],
-        "verdict": "pass" if all(r.passed for r in results) else "fail",
+        "suites": [{"name": r.name, "status": r.status, "metrics": r.metrics,
+                    "checks": [{"name": c.name, "relation": c.relation, "bound": c.bound}
+                               for c in r.checks], "failing": r.failing} for r in results],
+        "verdict": "pass" if all(r.status == "pass" for r in results) else "fail",
     }
 
 
@@ -73,18 +75,18 @@ def main(argv=None) -> int:
         from .report import write_report_files
         from .suites import run_all
 
-        results = []
-        timings = {}
-        plotdata = {}
+        results, timings, plotdata = [], {}, {}
         started = time.perf_counter()
         for res in run_all(cfg):
             timings[res.name] = time.perf_counter() - started
             results.append(res)
-            if res.plotdata:
-                plotdata.update(res.plotdata)
+            plotdata.update(res.plotdata or {})
             print(f"{res.name}: {res.status}")
             if res.status == "error":
                 print(f"error: {res.name}: {res.metrics['reason']}", file=sys.stderr)
+            for c in (c for c in res.checks if not c.holds):
+                print(f"fail: {res.name}: {c.name} = {c.value}, bound {c.relation} {c.bound}",
+                      file=sys.stderr)
             started = time.perf_counter()
 
         report = build_report(cfg, results)

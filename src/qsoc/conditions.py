@@ -69,6 +69,7 @@ __all__ = [
     "second_order_direct",
     "taylor_consistency",
     "TaylorReport",
+    "Check",
     "verify_theorem",
     "TheoremReport",
     "default_gate_tolerance",
@@ -94,8 +95,26 @@ def first_order_integral(adj: AdjointPair, u: np.ndarray) -> float:
     return float(adj.lin.algebra.dt * np.sum(hu_field(adj) * _direction(adj, u)))
 
 
-def _routes_agree(route_gap: float, s: float) -> bool:
-    return route_gap <= ROUTE_GAP_TOL * (1.0 + abs(s))
+@dataclass(frozen=True)
+class Check:
+    """One pass criterion: metric ``name`` reads ``value``, at most ``bound`` ("<="),
+    at least it (">=") or in the closed window ``bound`` ("in").  NaN fails every
+    relation; None (an exact order sweep: every point underflowed) holds."""
+
+    name: str
+    value: float | None
+    bound: float | tuple
+    relation: str = "<="
+
+    @property
+    def holds(self) -> bool:
+        lo, hi = {"<=": (-np.inf, self.bound), ">=": (self.bound, np.inf),
+                  "in": self.bound}[self.relation]
+        return self.value is None or bool(lo <= self.value <= hi)
+
+
+def _route_check(name: str, gap: float, s: float) -> Check:
+    return Check(name, gap, ROUTE_GAP_TOL * (1.0 + abs(s)))
 
 
 def _forms(sa: SecondAdjoint, dus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,13 +192,18 @@ class TaylorReport:
     s: float
     a_est: float
     s_est: float
-    rel_err_a: float
-    rel_err_s: float
+    rel_err_first_order: float
+    rel_err_second_order: float
     fit_residual: float
     route_gap: float
     eps: list
     gaps: list
-    passed: bool
+
+    @property
+    def checks(self) -> list[Check]:
+        return [Check("rel_err_first_order", self.rel_err_first_order, TAYLOR_TOL),
+                Check("rel_err_second_order", self.rel_err_second_order, TAYLOR_TOL),
+                _route_check("route_gap", self.route_gap, self.s)]
 
 
 def taylor_consistency(sa: SecondAdjoint, u: np.ndarray, eps_list) -> TaylorReport:
@@ -188,9 +212,9 @@ def taylor_consistency(sa: SecondAdjoint, u: np.ndarray, eps_list) -> TaylorRepo
     Fits J(u^eps) - J(ubar) = a eps + b eps^2 (+ higher order); the duality
     identities force a = -FO and b = -S/2.  Estimates use two Richardson
     levels over a halving sweep, so smooth higher-order terms drop to O(eps^2)
-    of the finest point; both must be within ``TAYLOR_TOL``.  The sweep's
-    costs come from one row-stacked solve.  Passing also requires the two
-    routes to S to agree.
+    of the finest point; its checks hold both within ``TAYLOR_TOL`` and the
+    two routes to S within the route bound.  The sweep's costs come from one
+    row-stacked solve.
     """
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
     if len(eps_list) < 3:
@@ -226,11 +250,8 @@ def taylor_consistency(sa: SecondAdjoint, u: np.ndarray, eps_list) -> TaylorRepo
     rel_a = abs(a_est + fo) / max(abs(fo), scale * 1e-3)
     rel_s = abs(s_est - s) / max(abs(s), scale * 1e-3)
     return TaylorReport(fo=fo, s=s, a_est=float(a_est), s_est=float(s_est),
-                        rel_err_a=rel_a, rel_err_s=rel_s,
-                        fit_residual=fit_res, route_gap=route_gap,
-                        eps=eps_list, gaps=gaps,
-                        passed=bool(rel_a <= TAYLOR_TOL and rel_s <= TAYLOR_TOL
-                                    and _routes_agree(route_gap, s)))
+                        rel_err_first_order=rel_a, rel_err_second_order=rel_s,
+                        fit_residual=fit_res, route_gap=route_gap, eps=eps_list, gaps=gaps)
 
 
 def default_gate_tolerance(adj: AdjointPair) -> float:
@@ -283,8 +304,10 @@ class TheoremReport:
     route_gap: float       # largest |du.(H_P - H_D).du| over unit du in the cone's span
     oracle_gap: float      # cone_max_s against S along the top cone direction
     taylor_rel_err: float  # the cost sweep along that direction against S
-    verdict_ok: bool
+    taylor_rel_err_first_order: float  # ... and against -FO
+    taylor_route_gap: float  # the route gap along that direction
     cone_spectrum: list    # eigenvalues of H_P on the free coordinates, ascending
+    checks: list           # the verdict's Check records
 
 
 def verify_theorem(p: ControlProblem, ubar: np.ndarray, fo_tol: float | None = None,
@@ -295,7 +318,7 @@ def verify_theorem(p: ControlProblem, ubar: np.ndarray, fo_tol: float | None = N
     :func:`default_gate_tolerance`).  A coordinate at a bound whose descent
     direction leaves the box by more than ``fo_tol`` is strongly active (fixed,
     as in a box of zero width), by at most ``fo_tol`` weakly active (inward
-    only); the others are free.
+    only); the others are free.  Its checks: the KKT residual, S and the oracles.
     """
     ubar = p.check_control_path(ubar)
     adj = solve_first_adjoint(p, solve_state(p, ubar))
@@ -320,16 +343,16 @@ def verify_theorem(p: ControlProblem, ubar: np.ndarray, fo_tol: float | None = N
     room = np.where(top > 0, p.control_set.upper - ubar, p.control_set.lower - ubar)
     moves = top != 0
     step = min(1.0, float(np.min(room[moves] / top[moves], initial=1.0)))
-    oracle_gap = taylor_rel_err = 0.0
-    taylor_ok = True
+    oracle_gap, sweep = 0.0, TaylorReport(*[0.0] * 8, eps=[], gaps=[])  # no sweep: all hold
     if moves.any() and step > 0:
         sweep = taylor_consistency(sa, ubar + step * top, TAYLOR_EPS)
         oracle_gap = abs(sweep.s / step ** 2 - max_s)
-        taylor_rel_err, taylor_ok = sweep.rel_err_s, sweep.passed
-    verdict = (residual <= fo_tol and max_s <= s_tol and taylor_ok
-               and _routes_agree(route_gap, max_s) and _routes_agree(oracle_gap, max_s))
-    return TheoremReport(fo_tol=float(fo_tol), kkt_residual=residual, free=int(free.sum()),
+    checks = [Check("kkt_residual", residual, float(fo_tol)), Check("cone_max_s", max_s, s_tol),
+              _route_check("route_gap", route_gap, max_s),
+              _route_check("oracle_gap", float(oracle_gap), max_s),
+              *(Check(name, c.value, c.bound) for c, name in zip(sweep.checks, (
+                  "taylor_rel_err_first_order", "taylor_rel_err", "taylor_route_gap")))]
+    return TheoremReport(fo_tol=float(fo_tol), free=int(free.sum()),
                          strongly_active=int((~free & ~weak).sum()), weakly_active=int(weak.sum()),
-                         cone_max_s=max_s, route_gap=route_gap, oracle_gap=float(oracle_gap),
-                         taylor_rel_err=float(taylor_rel_err), verdict_ok=bool(verdict),
-                         cone_spectrum=np.linalg.eigh(h_p[np.ix_(free, free)])[0].tolist())
+                         cone_spectrum=np.linalg.eigh(h_p[np.ix_(free, free)])[0].tolist(),
+                         checks=checks, **{c.name: c.value for c in checks})

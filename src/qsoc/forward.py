@@ -265,12 +265,6 @@ class SlopeFit:
     exact: bool
     points: list
 
-    def within(self, lo: float, hi: float) -> bool:
-        return self.exact or (self.slope is not None and lo <= self.slope <= hi)
-
-    def at_least(self, bound: float) -> bool:
-        return self.exact or (self.slope is not None and self.slope >= bound)
-
 
 @dataclass
 class OrderReport:

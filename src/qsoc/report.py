@@ -89,13 +89,13 @@ def render_csv(report: dict) -> str:
     for suite in report["suites"]:
         lines.append(f"{suite['name']},status,{suite['status']}")
         for key, val in flatten_metrics(suite.get("metrics", {})):
-            if val is None:
-                rendered = ""
-            elif isinstance(val, str):
-                rendered = val
-            else:
-                rendered = format_number(val)
+            rendered = "" if val is None else val if isinstance(val, str) else format_number(val)
             lines.append(f"{suite['name']},{key},{rendered}")
+        for c in suite.get("checks", []):  # a record's row: holds or fails, relation, bound
+            state = "fails" if c["name"] in suite["failing"] else "holds"
+            bound = c["bound"] if c["relation"] == "in" else [c["bound"]]
+            lines.append(f"{suite['name']},check.{c['name']},{state} {c['relation']} "
+                         + " ".join(map(format_number, bound)))
     lines.append(f",verdict,{report['verdict']}")
     return "\n".join(lines) + "\n"
 

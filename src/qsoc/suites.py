@@ -2,10 +2,11 @@
 
 Every suite draws randomness from a generator seeded by (config seed, suite
 index), so reruns and suite subsets reproduce bit-identical numbers.  Suites
-return plain metric dictionaries (floats, ints, strings, short lists) ready
-for canonical serialization.  Every bound and solver setting is a constant
-here (tolerances are reported in the suite's metrics); a run config sets
-only the probe counts of ``algebra`` and ``isometry``.  A suite that raises a
+return plain metric dictionaries ready for canonical serialization and one
+:class:`~qsoc.conditions.Check` per pass criterion: a metric's name and value,
+its bound and a relation.  A suite passes iff every check holds.  Bounds and
+solver settings are constants here; a run config sets only the probe counts
+of ``algebra`` and ``isometry``.  A suite that raises a
 :class:`~qsoc.errors.QsocError` ends with status ``error`` and the reason;
 the other suites still run.
 """
@@ -35,7 +36,7 @@ from .clifford import (
     state_m,
 )
 from .conditions import (
-    TAYLOR_TOL,
+    Check,
     first_order_integral,
     reduced_hessians,
     taylor_consistency,
@@ -62,13 +63,18 @@ __all__ = ["SuiteResult", "run_suite", "run_all", "suite_rng"]
 @dataclasses.dataclass
 class SuiteResult:
     name: str
-    status: str  # "pass" | "fail" | "error"
     metrics: dict
+    checks: list  # its Check records: the suite passes iff every one holds
     plotdata: dict | None = None
+    error: bool = False  # a QsocError stopped the suite; the reason is in the metrics
 
     @property
-    def passed(self) -> bool:
-        return self.status == "pass"
+    def failing(self) -> list[str]:
+        return [c.name for c in self.checks if not c.holds]
+
+    @property
+    def status(self) -> str:
+        return "error" if self.error else "fail" if self.failing else "pass"
 
 
 def suite_rng(seed: int, suite: str) -> np.random.Generator:
@@ -148,7 +154,6 @@ def run_algebra(cfg: RunConfig) -> SuiteResult:
     rng = suite_rng(cfg.seed, "algebra")
     alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
     probes = cfg.tolerances.get("algebra", {}).get("probes", 10000)
-    law_tol, oracle_tol = 0.0, 1e-12
     laws = _blade_laws(alg)
 
     # The probes compare the product kernel (the matrix form above 6 live
@@ -198,12 +203,11 @@ def run_algebra(cfg: RunConfig) -> SuiteResult:
             abs(state_m(a) - mr.state(am)), abs(inner(a, b) - mr.inner(am, bm)))
 
     max_law = _worst(*laws.values())
-    ok = max_law <= law_tol and _worst(oracle_err, kernel_err) <= oracle_tol
-    metrics = {"probes": probes, "law_tol": law_tol,
-               "max_law_residual": max_law, **laws,
-               "oracle_n": n_or, "oracle_tol": oracle_tol, "oracle_residual": oracle_err,
-               "kernel_residual": kernel_err}
-    return SuiteResult("algebra", "pass" if ok else "fail", metrics)
+    metrics = {"probes": probes, "max_law_residual": max_law, **laws, "oracle_n": n_or,
+               "oracle_residual": oracle_err, "kernel_residual": kernel_err}
+    return SuiteResult("algebra", metrics, [Check("max_law_residual", max_law, 0.0),
+                                            Check("oracle_residual", oracle_err, 1e-12),
+                                            Check("kernel_residual", kernel_err, 1e-12)])
 
 
 # -- isometry ----------------------------------------------------------------
@@ -222,7 +226,6 @@ def run_isometry(cfg: RunConfig) -> SuiteResult:
     rng = suite_rng(cfg.seed, "isometry")
     alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
     probes = cfg.tolerances.get("isometry", {}).get("probes", 1000)
-    law_tol, tol = 0.0, 1e-10
     table, root = alg.sign_table, np.sqrt(alg.dt)
     # per step k, the sign table's generator column and row on the 2^k adapted blades
     signs = [(table[:1 << k, 1 << k], table[1 << k, :1 << k]) for k in range(alg.n)]
@@ -246,12 +249,10 @@ def run_isometry(cfg: RunConfig) -> SuiteResult:
                 worst_iso = _worst(worst_iso, np.abs(
                     _mul_dw(alg, rows[:, :w], k + 1, side) - image).max())
 
-    ok = _worst(worst_table, worst_parity) <= law_tol and worst_iso <= tol
-    return SuiteResult("isometry", "pass" if ok else "fail",
-                       {"probes": probes, "law_tol": law_tol, "tol": tol,
-                        "sign_table_residual": worst_table,
-                        "parity_reduction_residual": worst_parity,
-                        "isometry_residual": worst_iso})
+    checks = [Check("sign_table_residual", worst_table, 0.0),
+              Check("parity_reduction_residual", worst_parity, 0.0),
+              Check("isometry_residual", worst_iso, 1e-10)]
+    return SuiteResult("isometry", {"probes": probes, **{c.name: c.value for c in checks}}, checks)
 
 
 # -- orders ------------------------------------------------------------------
@@ -264,19 +265,14 @@ def run_orders(cfg: RunConfig) -> SuiteResult:
     ubar = _interior_control(p, rng, (alg.n, p.m), span=0.5)
     u = _interior_control(p, rng, (alg.n, p.m), span=1.0)
     rep = order_estimate_slopes(p, ubar, u, eps)
-    ok = rep.dx.within(0.9, 1.1) and rep.dx_minus_x1.within(1.8, 2.2) \
-        and rep.dx_minus_x1_x2.at_least(2.5)
-
-    def describe(fit):
-        return {"slope": fit.slope, "exact": fit.exact}
-
     plot = {"orders_sweep": [(e, v0, v1, v2) for (e, v0), (_, v1), (_, v2) in zip(
         rep.dx.points, rep.dx_minus_x1.points, rep.dx_minus_x1_x2.points)]}
-    return SuiteResult("orders", "pass" if ok else "fail",
-                       {"deviation": describe(rep.dx),
-                        "deviation_minus_linear": describe(rep.dx_minus_x1),
-                        "deviation_minus_quadratic": describe(rep.dx_minus_x1_x2)},
-                       plotdata=plot)
+    checks = [Check("deviation.slope", rep.dx.slope, (0.9, 1.1), "in"),
+              Check("deviation_minus_linear.slope", rep.dx_minus_x1.slope, (1.8, 2.2), "in"),
+              Check("deviation_minus_quadratic.slope", rep.dx_minus_x1_x2.slope, 2.5, ">=")]
+    metrics = {c.name.removesuffix(".slope"): {"slope": c.value, "exact": fit.exact}
+               for c, fit in zip(checks, vars(rep).values())}
+    return SuiteResult("orders", metrics, checks, plot)
 
 
 # -- gradient ----------------------------------------------------------------
@@ -285,7 +281,7 @@ def run_gradient(cfg: RunConfig) -> SuiteResult:
     rng = suite_rng(cfg.seed, "gradient")
     alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
     p = make_problem(alg, cfg.problem)
-    trials, dual_tol, fd_tol, h = 5, 1e-10, 1e-6, 1e-4
+    trials, h = 5, 1e-4
 
     ubar = _interior_control(p, rng, (alg.n, p.m), span=0.5)
     xbar = solve_state(p, ubar)
@@ -294,18 +290,14 @@ def run_gradient(cfg: RunConfig) -> SuiteResult:
     # the central-difference costs of every trial from one stacked solve
     dus = rng.uniform(-0.3, 0.3, size=(trials, alg.n, p.m))
     jp, jm = stacked_costs(p, np.concatenate([ubar + h * dus, ubar - h * dus])).reshape(2, trials)
-    worst_dual = 0.0
-    worst_fd = 0.0
+    worst_dual = worst_fd = 0.0
     for du, dj in zip(dus, (jp - jm) / (2 * h)):
         worst_dual = _worst(worst_dual, first_duality_residual(adj, du))
         fo = first_order_integral(adj, ubar + du)
         worst_fd = _worst(worst_fd, abs(dj + fo) / max(abs(fo), abs(dj), 1e-8))
 
-    ok = worst_dual <= dual_tol and worst_fd <= fd_tol
-    return SuiteResult("gradient", "pass" if ok else "fail",
-                       {"trials": trials, "duality_tol": dual_tol,
-                        "duality_residual": worst_dual,
-                        "fd_tol": fd_tol, "fd_residual": worst_fd})
+    checks = [Check("duality_residual", worst_dual, 1e-10), Check("fd_residual", worst_fd, 1e-6)]
+    return SuiteResult("gradient", {"trials": trials, **{c.name: c.value for c in checks}}, checks)
 
 
 # -- adjoint (transposition) ---------------------------------------------------
@@ -357,7 +349,7 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
     rng = suite_rng(cfg.seed, "adjoint")
     alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
     p = make_problem(alg, cfg.problem)
-    pairs_n, trans_tol, closed_tol = 100, 1e-9, 1e-10
+    pairs_n = 100
 
     ubar = _interior_control(p, rng, (alg.n, p.m), span=0.5)
     xbar = solve_state(p, ubar)
@@ -411,27 +403,24 @@ def run_adjoint(cfg: RunConfig) -> SuiteResult:
     dt, grow = alg.dt, (1.0 + spec.a * alg.dt) ** 2
     even = alg.parity_signs > 0
     alpha = beta = -2.0 * spec.s
-    closed = []
+    closed_err = 0.0
     for k in range(alg.n, -1, -1):
         if k < alg.n:
             alpha, beta = (
                 grow * alpha + dt * (spec.f0 + spec.g0) ** 2 * beta - 2.0 * spec.q * dt,
                 grow * beta + dt * (spec.f0 - spec.g0) ** 2 * alpha - 2.0 * spec.q * dt)
         pk = sa_lin.P[k]
-        want = np.diag(np.where(even[:1 << k], alpha, beta))
-        closed.append(np.inf if pk.antilin is not None else
-                      np.max(np.abs(pk.lin - want)) / (1.0 + max(abs(alpha), abs(beta))))
-    closed_err = _worst(*closed)
+        gap = np.abs(pk.lin)  # against the closed form in place: no dense copy of it
+        np.fill_diagonal(gap, np.abs(pk.lin.diagonal() - np.where(even[:1 << k], alpha, beta)))
+        closed_err = _worst(closed_err, np.inf if pk.antilin is not None else
+                            np.max(gap) / (1.0 + max(abs(alpha), abs(beta))))
 
-    ok = (trans_res <= trans_tol and closed_err <= closed_tol and term_y <= 1e-14
-          and term_p <= 1e-12 and curv_err <= 1e-12 and sym_err <= 1e-9)
-    return SuiteResult("adjoint", "pass" if ok else "fail",
-                       {"pairs": pairs_n, "transposition_tol": trans_tol,
-                        "transposition_residual": trans_res,
-                        "terminal_y_error": term_y, "terminal_p_error": term_p,
-                        "curvature_error": curv_err,
-                        "closed_form_error": closed_err,
-                        "real_symmetry_error": sym_err})
+    checks = [Check("transposition_residual", trans_res, 1e-9),
+              Check("terminal_y_error", term_y, 1e-14), Check("terminal_p_error", term_p, 1e-12),
+              Check("curvature_error", curv_err, 1e-12),
+              Check("closed_form_error", closed_err, 1e-10),
+              Check("real_symmetry_error", sym_err, 1e-9)]
+    return SuiteResult("adjoint", {"pairs": pairs_n, **{c.name: c.value for c in checks}}, checks)
 
 
 # -- second order --------------------------------------------------------------
@@ -445,15 +434,9 @@ def run_second_order(cfg: RunConfig) -> SuiteResult:
     u = _interior_control(p, rng, (alg.n, p.m), span=0.9)
     sa = compute_P(solve_first_adjoint(p, solve_state(p, ubar)))
     rep = taylor_consistency(sa, u, eps)
-    plot = {"taylor_sweep": [(e, g) for e, g in zip(rep.eps, rep.gaps)]}
-    return SuiteResult("second_order", "pass" if rep.passed else "fail",
-                       {"tol": TAYLOR_TOL, "fo": rep.fo, "s": rep.s,
-                        "a_est": rep.a_est, "s_est": rep.s_est,
-                        "rel_err_first_order": rep.rel_err_a,
-                        "rel_err_second_order": rep.rel_err_s,
-                        "fit_residual": rep.fit_residual,
-                        "route_gap": rep.route_gap},
-                       plotdata=plot)
+    metrics = {k: v for k, v in vars(rep).items() if k not in ("eps", "gaps")}
+    return SuiteResult("second_order", metrics, rep.checks,
+                       {"taylor_sweep": list(zip(rep.eps, rep.gaps))})
 
 
 # -- theorem -------------------------------------------------------------------
@@ -461,13 +444,11 @@ def run_second_order(cfg: RunConfig) -> SuiteResult:
 def run_theorem(cfg: RunConfig) -> SuiteResult:
     alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
     p = make_problem(alg, cfg.problem)
-    s_tol, analytic_tol = 1e-6, 1e-10
-
     # Newton from the box midpoint, an open side counting as 0
     bounds = np.array([p.control_set.lower, p.control_set.upper])
     mid = p.control_set.project(np.where(np.isfinite(bounds), bounds, 0.0).mean(axis=0))
     ubar, polish = kkt_point(p, np.tile(mid, (alg.n, 1)))
-    report = verify_theorem(p, ubar, s_tol=s_tol)
+    report = verify_theorem(p, ubar, s_tol=1e-6)
 
     # analytic companion: no dynamics and a pure control cost, so H = -2r dt I
     # and S = -2r dt ||du||^2
@@ -480,12 +461,14 @@ def run_theorem(cfg: RunConfig) -> SuiteResult:
     want = -2.0 * r_rate * alg.dt * np.eye(alg.n * p.m)
     analytic_err = float(np.max(np.abs(h_zero - want)))
 
-    ok = report.verdict_ok and report.kkt_residual <= KKT_TOL and analytic_err <= analytic_tol
-    metrics = {"kkt_tol": KKT_TOL, "s_tol": s_tol, "newton_steps": polish.newton_steps,
-               "gradient_steps": polish.gradient_steps, "cost": polish.costs[-1],
-               **dataclasses.asdict(report), "analytic_max_error": analytic_err}
+    metrics = {"newton_steps": polish.newton_steps, "gradient_steps": polish.gradient_steps,
+               "cost": polish.costs[-1], **vars(report), "analytic_max_error": analytic_err}
+    del metrics["checks"]  # records, not a value
+    # the suite holds the KKT residual to KKT_TOL as well as to the gate tolerance
+    checks = [dataclasses.replace(c, bound=min(c.bound, KKT_TOL)) if c.name == "kkt_residual"
+              else c for c in report.checks] + [Check("analytic_max_error", analytic_err, 1e-10)]
     plot = {"theorem_spectrum": list(enumerate(report.cone_spectrum))}
-    return SuiteResult("theorem", "pass" if ok else "fail", metrics, plotdata=plot)
+    return SuiteResult("theorem", metrics, checks, plot)
 
 
 # -- optimize ------------------------------------------------------------------
@@ -501,19 +484,17 @@ def run_optimize(cfg: RunConfig) -> SuiteResult:
     metrics = {"iterations": trace.iterations, "final_cost": costs[-1],
                "final_grad_norm": trace.grad_norms[-1] if trace.grad_norms else 0.0,
                "converged": trace.converged, "stalled": trace.stalled,
-               "step_halvings": trace.step_halvings,
-               "newton_steps": polish.newton_steps, "gradient_steps": polish.gradient_steps,
-               "kkt_tol": KKT_TOL, "kkt_residual": polish.kkt_residual}
-    ok = polish.kkt_residual <= KKT_TOL
+               "step_halvings": trace.step_halvings, "newton_steps": polish.newton_steps,
+               "gradient_steps": polish.gradient_steps, "kkt_residual": polish.kkt_residual}
+    checks = [Check("kkt_residual", polish.kkt_residual, KKT_TOL)]
     if p.control_set.is_bounded() and GRID_POINTS ** (alg.n * p.m) <= BRUTE_FORCE_BUDGET:
         _, j_bf = brute_force_search(p, GRID_POINTS)
-        metrics["brute_force_value"] = j_bf
-        ok = ok and costs[-1] <= j_bf + 1e-9
-    monotone = all(nxt - prev <= 1e-14 for prev, nxt in zip(costs[:-1], costs[1:]))
-    metrics["trace_monotone"] = monotone
+        checks.append(Check("brute_force_gap", float(costs[-1] - j_bf), 1e-9))
+        metrics.update(brute_force_value=j_bf, brute_force_gap=checks[-1].value)
+    checks.append(Check("max_cost_rise", float(np.max(np.diff(costs), initial=0.0)), 1e-14))
+    metrics.update(trace_monotone=checks[-1].holds, max_cost_rise=checks[-1].value)
     plot = {"optimize_trace": [(float(i), c) for i, c in enumerate(costs)]}
-    return SuiteResult("optimize", "pass" if (ok and monotone) else "fail",
-                       metrics, plotdata=plot)
+    return SuiteResult("optimize", metrics, checks, plot)
 
 
 _RUNNERS = {
@@ -543,5 +524,5 @@ def run_all(cfg: RunConfig) -> Iterator[SuiteResult]:
         try:
             result = run_suite(cfg, name)
         except QsocError as exc:
-            result = SuiteResult(name, "error", {"reason": str(exc)})
+            result = SuiteResult(name, {"reason": str(exc)}, [], error=True)
         yield result

@@ -11,6 +11,7 @@ import numpy as np
 
 from qsoc.adjoint import _step_pairings, hu_field, solve_first_adjoint
 from qsoc.clifford import AdaptedProcess, CliffordElement, _mul_dw, _padded, inner, parity
+from qsoc.conditions import Check
 from qsoc.errors import StepSizeError
 from qsoc.forward import quadratic_drivers, solve_state
 from qsoc.optimize import GradientTrace, _grid_blocks
@@ -24,6 +25,17 @@ ZERO_DYNAMICS = dict(a=0.0, f0=0.0, g0=0.0, b=None, f=None, g=None)
 # the same problem as the "problem" block of a run config with m = 1
 ZERO_DYNAMICS_PROBLEM = {"name": "lq", "rates": {"a": 0.0, "f0": 0.0, "g0": 0.0},
                          "elements": {"b": [[]], "f": [[]], "g": [[]]}}
+
+# The orders suite's slope windows, (fit of an OrderReport, window or bound, relation)
+ORDER_WINDOWS = (("dx", (0.9, 1.1), "in"), ("dx_minus_x1", (1.8, 2.2), "in"),
+                 ("dx_minus_x1_x2", 2.5, ">="))
+
+
+def order_slopes_failing(rep) -> list:
+    """The fits of an OrderReport whose slope leaves its window (an exact fit holds)."""
+    return [fit for fit, bound, rel in ORDER_WINDOWS
+            if not Check(fit, getattr(rep, fit).slope, bound, rel).holds]
+
 
 # The cases of the tests' gallery sweeps: lq with ZERO_DYNAMICS, named "free",
 # and the three gallery problems.

@@ -37,6 +37,7 @@ from reference import (
     RefTuple,
     by_start,
     gallery_spec,
+    order_slopes_failing,
 )
 
 
@@ -55,8 +56,9 @@ def test_criterion_1_algebra_laws():
     })
     res = run_suite(cfg, "algebra")
     elapsed = time.perf_counter() - started
-    assert res.passed, res.metrics
-    assert res.metrics["max_law_residual"] <= 1e-10
+    assert res.status == "pass", res.metrics
+    (laws,) = [c for c in res.checks if c.name == "max_law_residual"]
+    assert laws.bound == 0.0 and laws.value <= laws.bound  # the laws hold exactly
     assert res.metrics["oracle_residual"] <= 1e-12
     assert elapsed < 30.0
     _announce("1 algebra laws",
@@ -73,7 +75,7 @@ def test_criterion_2_ito_isometry():
         "seed": 2,
     })
     res = run_suite(cfg, "isometry")
-    assert res.passed, res.metrics
+    assert res.status == "pass", res.metrics
     assert res.metrics["isometry_residual"] <= 1e-10
     assert res.metrics["parity_reduction_residual"] == res.metrics["sign_table_residual"] == 0.0
     _announce("2 ito isometry + parity reduction",
@@ -92,9 +94,7 @@ def test_criterion_3_variation_order_estimates():
         ubar = rng.uniform(-0.4, 0.4, size=(alg.n, 1))
         u = rng.uniform(-1.0, 1.0, size=(alg.n, 1))
         rep = order_estimate_slopes(p, ubar, u, eps)
-        assert rep.dx.within(0.9, 1.1), (name, rep.dx)
-        assert rep.dx_minus_x1.within(1.8, 2.2), (name, rep.dx_minus_x1)
-        assert rep.dx_minus_x1_x2.at_least(2.5), (name, rep.dx_minus_x1_x2)
+        assert order_slopes_failing(rep) == [], (name, rep)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     _announce("3 variation order estimates", f"({elapsed:.1f}s)")
@@ -193,8 +193,8 @@ def test_criterion_6_second_order_taylor_chain():
         u = rng.uniform(-0.9, 0.9, size=(alg.n, 1))
         rep = taylor_consistency(compute_P(solve_first_adjoint(p, solve_state(p, ubar))), u, eps)
         assert abs(rep.s) > 1e-8  # a vacuously tiny functional would prove nothing
-        assert rep.rel_err_s <= 1e-3, (name, rep.rel_err_s)
-        assert rep.rel_err_a <= 1e-6, (name, rep.rel_err_a)
+        assert rep.rel_err_second_order <= 1e-3, (name, rep.rel_err_second_order)
+        assert rep.rel_err_first_order <= 1e-6, (name, rep.rel_err_first_order)
     _announce("6 second-order taylor chain")
 
 
@@ -234,7 +234,7 @@ def test_criterion_7_theorem_verdict():
     # a stationary interior optimum: the critical cone is every direction
     report = verify_theorem(p, ubar, fo_tol=1e-8, s_tol=1e-6)
     assert report.free == alg.n and report.strongly_active == report.weakly_active == 0
-    assert report.verdict_ok, report.cone_max_s
+    assert all(c.holds for c in report.checks), report.checks
 
     import itertools
     axis = np.linspace(-1.0, 1.0, 5)

@@ -19,7 +19,7 @@ from qsoc.clifford import (
     brownian_increment,
     make_algebra,
 )
-from qsoc.conditions import _direction, _forms, _routes_agree
+from qsoc.conditions import _direction, _forms, _route_check
 from qsoc.errors import CapacityError, ContractError
 from qsoc.forward import solve_first_variation, solve_second_variation, solve_state
 from qsoc.problems import ProblemSpec, hxx_pairing, make_problem
@@ -625,7 +625,7 @@ def test_second_order_routes_agree(name):
     alg, p, _, ubar, xbar, adj, sa, du = functional_case(name, 9)
     value, p_part, gap = s_parts(sa, ubar + du)
     assert gap <= 1e-12 * (1.0 + abs(value))
-    assert _routes_agree(gap, value)
+    assert _route_check("route_gap", gap, value).holds
     assert abs(p_part) > 1e-3  # P carries a real share of S
 
 
@@ -640,7 +640,7 @@ def test_corrupted_p_is_detected(name):
         corrupt_p(sa, k)
         value, _, gap = s_parts(sa, ubar + du)
         assert abs(value - clean) > 1e-3
-        assert gap > 1e-3 and not _routes_agree(gap, value)
+        assert gap > 1e-3 and not _route_check("route_gap", gap, value).holds
         assert transposition_residual(sa, *pairs) > 1.0
         sa.P[k] = saved
     corrupt_p(sa, 0)
@@ -656,7 +656,7 @@ def test_route_gap_flags_wrong_direction_variation(monkeypatch):
         alg, p, _, ubar, xbar, adj, sa, du = functional_case(name, 11)
         value, _, gap = s_parts(sa, ubar + du)
         assert gap >= 0.1
-        assert not _routes_agree(gap, value)
+        assert not _route_check("route_gap", gap, value).holds
 
 
 def test_second_order_zero_direction():
@@ -673,7 +673,8 @@ def test_second_order_routes_quadratic_homogeneity():
     scaled, scaled_p, scaled_gap = s_parts(sa, ubar + 2.0 * du)
     assert scaled == pytest.approx(4.0 * base, rel=1e-10, abs=1e-12)
     assert scaled_p == pytest.approx(4.0 * base_p, rel=1e-10, abs=1e-12)
-    assert _routes_agree(scaled_gap, scaled) and _routes_agree(base_gap, base)
+    assert _route_check("route_gap", scaled_gap, scaled).holds
+    assert _route_check("route_gap", base_gap, base).holds
 
 
 def test_second_order_zero_dynamics_term_cancellation():

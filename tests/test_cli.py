@@ -284,8 +284,9 @@ def test_theorem_runs_on_a_half_open_box(tmp_path, capsys):
                    '"grid": {"t0": 0.0, "T": 1.0, "N": 3}, "suites": ["theorem"]}')
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    metrics = json.loads((out / "report.json").read_text())["suites"][0]["metrics"]
-    assert metrics["free"] == 3 and metrics["kkt_residual"] <= metrics["kkt_tol"]
+    (theorem,) = json.loads((out / "report.json").read_text())["suites"]
+    assert theorem["metrics"]["free"] == 3 and theorem["failing"] == []
+    assert {"name": "kkt_residual", "relation": "<=", "bound": 1e-12} in theorem["checks"]
 
 
 @pytest.mark.parametrize("lower,upper", [(-1e400, -5.0), (5.0, 1e400)])
@@ -441,15 +442,25 @@ def flip_gen_sign(monkeypatch, sides=("left",), blade=0):
     monkeypatch.setattr(CliffordAlgebra, "_gen_signs", flipped)
 
 
-def test_failing_suite_exit_code(tmp_path, monkeypatch):
+def test_failing_suite_exit_code(tmp_path, monkeypatch, capsys):
     flip_gen_sign(monkeypatch)  # forces a failure verdict
     path = write_config(tmp_path, base_config(suites=["isometry"]))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())
     assert report["verdict"] == "fail"
-    metrics = report["suites"][0]["metrics"]
+    (suite,) = report["suites"]
+    metrics = suite["metrics"]
     assert metrics["parity_reduction_residual"] == metrics["sign_table_residual"] == 2.0
+    # each failing record on stderr, with its value and bound, and in the report
+    failing = ["sign_table_residual", "parity_reduction_residual", "isometry_residual"]
+    assert suite["failing"] == failing
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[:2] == ["fail: isometry: sign_table_residual = 2.0, bound <= 0.0",
+                         "fail: isometry: parity_reduction_residual = 2.0, bound <= 0.0"]
+    assert re.fullmatch(r"fail: isometry: isometry_residual = \S+, bound <= 1e-10", lines[2])
+    rows = (out / "report.csv").read_text().splitlines()
+    assert "isometry,check.sign_table_residual,fails <= 0" in rows
 
 
 def test_algebra_suite_catches_a_wrong_matrix_form(monkeypatch):
@@ -458,8 +469,7 @@ def test_algebra_suite_catches_a_wrong_matrix_form(monkeypatch):
     cfg = parse_config(base_config(grid={"t0": 0.0, "T": 1.0, "N": 8}, suites=["algebra"],
                                    tolerances={"algebra": {"probes": 300}}))
     clean = run_suite(cfg, "algebra")
-    assert clean.passed
-    assert clean.metrics["kernel_residual"] <= clean.metrics["oracle_tol"]
+    assert clean.status == "pass" and clean.failing == []
     original = CliffordAlgebra._matrix_form
 
     def flipped(self, q):
@@ -469,9 +479,8 @@ def test_algebra_suite_catches_a_wrong_matrix_form(monkeypatch):
         return (slot, phase, *rest)
     monkeypatch.setattr(CliffordAlgebra, "_matrix_form", flipped)
     res = run_suite(cfg, "algebra")
-    assert not res.passed
-    assert res.metrics["kernel_residual"] > res.metrics["oracle_tol"]
-    assert res.metrics["max_law_residual"] <= res.metrics["law_tol"]
+    assert res.status != "pass" and "kernel_residual" in res.failing
+    assert "max_law_residual" not in res.failing
 
 
 def isometry_config():
@@ -482,13 +491,14 @@ def isometry_config():
 def test_isometry_suite_catches_a_sign_error_in_the_dw_kernel(monkeypatch):
     cfg = isometry_config()
     clean = run_suite(cfg, "isometry")
-    assert clean.passed
+    assert clean.status == "pass"
     assert clean.metrics["parity_reduction_residual"] == clean.metrics["sign_table_residual"] == 0.0
     flip_gen_sign(monkeypatch)
     res = run_suite(cfg, "isometry")
-    assert not res.passed
+    assert res.status != "pass"
     assert res.metrics["parity_reduction_residual"] == res.metrics["sign_table_residual"] == 2.0
-    assert res.metrics["isometry_residual"] > res.metrics["tol"]
+    assert res.failing == ["sign_table_residual", "parity_reduction_residual",
+                           "isometry_residual"]
 
 
 def test_isometry_suite_catches_a_dw_sign_flipped_on_both_sides(monkeypatch):
@@ -496,10 +506,10 @@ def test_isometry_suite_catches_a_dw_sign_flipped_on_both_sides(monkeypatch):
     # signed permutation, so norms and the parity law cannot see it
     flip_gen_sign(monkeypatch, sides=("left", "right"), blade=1)
     res = run_suite(isometry_config(), "isometry")
-    assert not res.passed
+    assert res.status != "pass"
     assert res.metrics["sign_table_residual"] == 2.0
     assert res.metrics["parity_reduction_residual"] == 0.0
-    assert res.metrics["isometry_residual"] > res.metrics["tol"]
+    assert res.failing == ["sign_table_residual", "isometry_residual"]
 
 
 @pytest.mark.parametrize("kernel", ["unmoved", "next_bit"])
@@ -519,16 +529,16 @@ def test_isometry_suite_catches_a_dw_kernel_that_moves_blades_wrong(monkeypatch,
 
     monkeypatch.setattr(suites, "_mul_dw", moved)
     res = run_suite(isometry_config(), "isometry")
-    assert not res.passed
+    assert res.status != "pass"
     assert res.metrics["parity_reduction_residual"] == res.metrics["sign_table_residual"] == 0.0
-    assert res.metrics["isometry_residual"] > res.metrics["tol"]
+    assert res.failing == ["isometry_residual"]
 
 
 def test_algebra_suite_catches_a_wrong_generator_sign(monkeypatch):
     # e1 e2 = e2 e1 in a corrupted sign table breaks anticommutation
     cfg = parse_config(base_config(suites=["algebra"], tolerances={"algebra": {"probes": 300}}))
     clean = run_suite(cfg, "algebra")
-    assert clean.passed and clean.metrics["anticommute"] == 0.0
+    assert clean.status == "pass" and clean.metrics["anticommute"] == 0.0
     original = CliffordAlgebra.sign_table
 
     def corrupted(self):
@@ -537,7 +547,7 @@ def test_algebra_suite_catches_a_wrong_generator_sign(monkeypatch):
         return table
     monkeypatch.setattr(CliffordAlgebra, "sign_table", property(corrupted))
     res = run_suite(cfg, "algebra")
-    assert not res.passed
+    assert res.status != "pass" and "max_law_residual" in res.failing
     assert res.metrics["anticommute"] == 2.0
     assert res.metrics["square"] == 0.0
 

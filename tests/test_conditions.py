@@ -34,6 +34,11 @@ from qsoc.suites import run_all, run_suite
 from reference import GALLERY, ZERO_DYNAMICS, gallery_spec, quadratic_scores
 
 
+def failing(report):
+    """The names of the checks of a Taylor or theorem report that do not hold."""
+    return [c.name for c in report.checks if not c.holds]
+
+
 def build(name, n=4, m=1, T=1.0, **overrides):
     alg = make_algebra(n, 0.0, T)
     return alg, make_problem(alg, gallery_spec(name, m=m, **overrides))
@@ -156,9 +161,9 @@ def test_taylor_chain(name):
     ubar = rng.uniform(-0.4, 0.4, size=(alg.n, 1))
     u = rng.uniform(-0.9, 0.9, size=(alg.n, 1))
     report = taylor_consistency(stack(p, ubar)[2], u, [2.0 ** -e for e in range(4, 9)])
-    assert report.passed, (report.rel_err_a, report.rel_err_s)
-    assert report.rel_err_a <= 1e-6
-    assert report.rel_err_s <= 1e-3
+    assert failing(report) == [], report.checks
+    assert report.rel_err_first_order <= 1e-6
+    assert report.rel_err_second_order <= 1e-3
 
 
 def test_taylor_exact_quadratic_fit():
@@ -168,8 +173,8 @@ def test_taylor_exact_quadratic_fit():
     u = 0.8 * np.ones((alg.n, 1))
     report = taylor_consistency(stack(p, ubar)[2], u, [2.0 ** -e for e in range(2, 7)])
     assert report.fit_residual <= 1e-12
-    assert report.rel_err_a <= 1e-12
-    assert report.rel_err_s <= 1e-10
+    assert report.rel_err_first_order <= 1e-12
+    assert report.rel_err_second_order <= 1e-10
 
 
 def test_taylor_at_stationary_base_control():
@@ -180,7 +185,7 @@ def test_taylor_at_stationary_base_control():
     report = taylor_consistency(stack(p, ubar)[2], u, [2.0 ** -e for e in range(3, 8)])
     assert report.fo == 0.0
     assert report.s < 0.0
-    assert report.passed, (report.rel_err_a, report.rel_err_s)
+    assert failing(report) == [], report.checks
 
 
 def test_verify_theorem_gate_semantics():
@@ -190,10 +195,10 @@ def test_verify_theorem_gate_semantics():
     rng = np.random.default_rng(8)
     ubar = rng.uniform(-0.5, 0.5, size=(alg.n, 1))
     off = verify_theorem(p, ubar, fo_tol=1e-10, s_tol=1e-6)
-    assert off.kkt_residual > off.fo_tol and not off.verdict_ok
+    assert off.kkt_residual > off.fo_tol and failing(off) == ["kkt_residual"]
     assert off.cone_max_s <= 1e-6  # the sign of S alone would pass
     on = verify_theorem(p, kkt_point(p, ubar)[0], fo_tol=1e-10, s_tol=1e-6)
-    assert on.kkt_residual <= 1e-12 and on.verdict_ok
+    assert on.kkt_residual <= 1e-12 and failing(on) == []
 
 
 def test_verify_theorem_stationary_free_instance():
@@ -204,7 +209,7 @@ def test_verify_theorem_stationary_free_instance():
     assert report.kkt_residual == 0.0
     assert report.cone_spectrum == pytest.approx([-alg.dt] * 3, abs=1e-14)
     assert report.cone_max_s == pytest.approx(-alg.dt, abs=1e-14)
-    assert report.verdict_ok
+    assert failing(report) == []
 
 
 def test_verify_theorem_validates_the_base_control():
@@ -238,7 +243,7 @@ def test_suites_report_route_gaps():
     cfg = suite_config()
     second = run_suite(cfg, "second_order")
     theorem = run_suite(cfg, "theorem")
-    assert second.passed and theorem.passed
+    assert second.status == "pass" and theorem.status == "pass"
     assert second.metrics["route_gap"] <= 1e-10 * (1.0 + abs(second.metrics["s"]))
     assert theorem.metrics["route_gap"] <= 1e-12
 
@@ -257,15 +262,17 @@ def test_corrupted_p_fails_second_order_and_theorem(monkeypatch):
         monkeypatch.setattr(module, "compute_P", corrupted_compute_P)
     cfg = suite_config()
     second = run_suite(cfg, "second_order")
-    assert second.status == "fail"
+    assert second.status == "fail" and "route_gap" in second.failing
     assert second.metrics["route_gap"] > 1e-3
     # the KKT point is found with the true Hessian: only the cone check fails,
     # through the route gap and the cost sweep along the top cone direction
     theorem = run_suite(cfg, "theorem")
-    assert theorem.status == "fail" and not theorem.metrics["verdict_ok"]
-    assert theorem.metrics["kkt_residual"] <= theorem.metrics["kkt_tol"]
+    assert theorem.status == "fail" and "kkt_residual" not in theorem.failing
+    assert {"route_gap", "taylor_rel_err"} <= set(theorem.failing)
     assert theorem.metrics["route_gap"] > 1e-3
     assert theorem.metrics["taylor_rel_err"] > 1e-3
+    monkeypatch.undo()
+    assert all(run_suite(cfg, name).status == "pass" for name in ("second_order", "theorem"))
 
 
 def test_gram_one_column_short_fails_adjoint_and_second_order(monkeypatch):
@@ -283,10 +290,10 @@ def test_gram_one_column_short_fails_adjoint_and_second_order(monkeypatch):
     cfg = suite_config()
     adjoint = run_suite(cfg, "adjoint")
     assert adjoint.status == "fail"
-    assert adjoint.metrics["transposition_residual"] > adjoint.metrics["transposition_tol"]
+    assert "transposition_residual" in adjoint.failing
     second = run_suite(cfg, "second_order")
     assert second.status == "fail"
-    assert second.metrics["route_gap"] > ROUTE_GAP_TOL * (1.0 + abs(second.metrics["s"]))
+    assert "route_gap" in second.failing
 
 
 def test_transposition_check_catches_a_wrong_t_block_noise_half(monkeypatch):
@@ -310,13 +317,12 @@ def test_transposition_check_catches_a_wrong_t_block_noise_half(monkeypatch):
                              "grid": {"t0": 0.0, "T": 1.0, "N": 5}, "suites": ["adjoint"]})
     for cfg in (suite_config(), stripped):
         clean = run_suite(cfg, "adjoint")
-        assert clean.passed
+        assert clean.status == "pass"
         for plant in (noisy, drifting):
             monkeypatch.setattr(Linearization, "t_block", plant)
             res = run_suite(cfg, "adjoint")
-            assert res.status == "fail"
-            assert res.metrics["transposition_residual"] > 1e3 * res.metrics["transposition_tol"]
-            assert res.metrics["closed_form_error"] > 1e-10  # the suite's closed_tol
+            assert {"transposition_residual", "closed_form_error"} <= set(res.failing)
+            assert res.metrics["transposition_residual"] > 1e3 * 1e-9  # 1e3 times its bound
             monkeypatch.undo()
 
 
@@ -333,10 +339,10 @@ def test_transposition_check_catches_a_wrong_noise_half_in_the_row_stepping(monk
     cfg = suite_config()
     monkeypatch.setattr(Linearization, "t_rows", noisy)
     res = run_suite(cfg, "adjoint")
-    assert res.status == "fail"
-    assert res.metrics["transposition_residual"] > 1e3 * res.metrics["transposition_tol"]
+    assert "transposition_residual" in res.failing
+    assert res.metrics["transposition_residual"] > 1e3 * 1e-9  # 1e3 times its bound
     monkeypatch.undo()
-    assert run_suite(cfg, "adjoint").passed
+    assert run_suite(cfg, "adjoint").status == "pass"
 
 
 def test_theorem_zero_direction_serializes_as_positive_zero():
@@ -345,7 +351,7 @@ def test_theorem_zero_direction_serializes_as_positive_zero():
     ubar, _ = kkt_point(p, np.full((alg.n, 1), 0.75))
     report = verify_theorem(p, ubar)
     assert (report.strongly_active, report.cone_spectrum) == (alg.n, [])
-    assert report.verdict_ok
+    assert failing(report) == []
     for val in (report.cone_max_s, report.route_gap, report.oracle_gap):
         assert val == 0.0 and math.copysign(1.0, val) == 1.0
 
@@ -437,7 +443,7 @@ def test_coupled_custom_problem_has_mixed_curvature_and_exact_s():
     u = np.clip(ubar + rng.uniform(-0.5, 0.5, size=ubar.shape), -1.0, 1.0)
     xbar, adj, sa = stack(p, ubar)
     report = taylor_consistency(sa, u, [2.0 ** -e for e in range(4, 9)])
-    assert report.passed, (report.rel_err_a, report.rel_err_s)
+    assert failing(report) == [], report.checks
     with_mixed = reduced_hessians(sa)[0]
     p.D_xu = None
     without = reduced_hessians(sa)[0]
@@ -465,10 +471,10 @@ def theorem_case():
 def test_planted_hessian_defect_fails_theorem_through_oracle(monkeypatch, routes):
     p, ubar = theorem_case()
     clean = verify_theorem(p, ubar)
-    assert clean.verdict_ok and clean.oracle_gap <= 1e-13
+    assert failing(clean) == [] and clean.oracle_gap <= 1e-13
     monkeypatch.setattr(conditions, "reduced_hessians", _perturbed_hessians(routes))
     report = verify_theorem(p, ubar)
-    assert not report.verdict_ok
+    assert "oracle_gap" in failing(report)
     assert report.oracle_gap > ROUTE_GAP_TOL * (1.0 + abs(report.cone_max_s))
     if routes == (0, 1):  # both routes moved together: only the oracle sees it
         assert report.route_gap <= 1e-13
@@ -477,9 +483,9 @@ def test_planted_hessian_defect_fails_theorem_through_oracle(monkeypatch, routes
 def test_planted_hessian_defect_fails_analytic_companion(monkeypatch):
     monkeypatch.setattr(suites, "reduced_hessians", _perturbed_hessians((0,)))
     res = run_suite(suite_config(), "theorem")
-    assert res.metrics["verdict_ok"]  # the main check does not use the patched name
+    # the main check does not use the patched name
+    assert res.status == "fail" and res.failing == ["analytic_max_error"]
     assert res.metrics["analytic_max_error"] > 1e-7
-    assert res.status == "fail"
 
 
 def test_theorem_work_is_bounded_by_the_column_count(monkeypatch):
@@ -505,7 +511,7 @@ def test_theorem_work_is_bounded_by_the_column_count(monkeypatch):
             if hasattr(module, name):
                 counted(module, name)
     res = run_suite(suite_config(), "theorem")
-    assert res.passed and res.metrics["newton_steps"] == 1
+    assert res.status == "pass" and res.metrics["newton_steps"] == 1
     columns = 4  # N * m, for the problem and for the analytic companion
     # one reduced Hessian per Newton step, one for the cone and one for the
     # companion; one first variation each for the sweep's S along the top
@@ -533,7 +539,7 @@ def test_verify_theorem_builds_its_base_point_once(monkeypatch, n):
     for name in calls:
         monkeypatch.setattr(conditions, name, counted(name))
     report = verify_theorem(p, ubar)
-    assert report.verdict_ok and report.taylor_rel_err > 0.0  # the sweep ran
+    assert failing(report) == [] and report.taylor_rel_err > 0.0  # the sweep ran
     assert calls == dict.fromkeys(calls, 1)
 
 
@@ -553,8 +559,8 @@ def test_theorem_passes_at_a_kkt_point(name, n, overrides):
     cfg.problem = ProblemSpec.gallery(name, **overrides)
     res = run_suite(cfg, "theorem")
     metrics = res.metrics
-    assert res.passed, metrics
-    assert metrics["kkt_residual"] <= metrics["kkt_tol"] == 1e-12
+    assert res.status == "pass", metrics
+    assert [c.bound for c in res.checks if c.name == "kkt_residual"] == [1e-12]
     assert (metrics["free"], metrics["strongly_active"], metrics["weakly_active"]) == (n, 0, 0)
     assert metrics["cone_max_s"] < 0 and metrics["cone_max_s"] == max(metrics["cone_spectrum"])
 
@@ -578,9 +584,9 @@ def test_planted_stationary_saddle_fails_the_cone_check(q, r):
     assert report.kkt_residual <= 1e-15 and report.free == alg.n
     if q < 0:
         assert report.cone_spectrum == pytest.approx([-0.7112, 0.1307, 0.9013, 2.2282], abs=1e-4)
-        assert report.cone_max_s > 2.0 and not report.verdict_ok
+        assert report.cone_max_s > 2.0 and failing(report) == ["cone_max_s"]
     else:
-        assert report.cone_max_s < 0 and report.verdict_ok
+        assert report.cone_max_s < 0 and failing(report) == []
 
 
 @pytest.mark.parametrize("planted", [True, False], ids=["bound-at-optimum", "box"])
@@ -596,7 +602,7 @@ def test_weakly_active_plant_reaches_the_support_enumeration(monkeypatch, plante
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: supports.append(len(h)) or eigh(h))
     report = verify_theorem(p, u_star)
-    assert report.verdict_ok
+    assert failing(report) == []
     assert report.weakly_active == int(planted)
     assert report.free == p.algebra.n - int(planted)
     # the free block, and with the plant the block of free + weak coordinates too
@@ -666,7 +672,7 @@ def test_brute_force_runs_once_per_run(monkeypatch):
     })
     theorem, optimize = run_all(cfg)
     assert calls == [5]
-    assert theorem.passed and optimize.passed
+    assert theorem.status == "pass" and optimize.status == "pass"
     assert "brute_force_value" in optimize.metrics
     list(run_all(cfg))
     assert calls == [5, 5]

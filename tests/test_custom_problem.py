@@ -144,5 +144,5 @@ def test_adjoint_suite_on_the_callback_only_copy_keeps_curvature_error_at_roundi
     cfg = parse_config({"problem": {"name": "lq"}, "grid": {"t0": 0.0, "T": 1.0, "N": 4},
                         "suites": ["adjoint"], "seed": 3})
     res = suites.run_suite(cfg, "adjoint")
-    assert res.passed, res.metrics
+    assert res.status == "pass", res.metrics
     assert res.metrics["curvature_error"] <= 1e-15

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-BOUND = "pairs_n, trans_tol, closed_tol = 100, 1e-9, 1e-10"  # in suites.run_adjoint
+BOUND = 'Check("transposition_residual", trans_res, 1e-9)'  # in suites.run_adjoint
 
 
 @pytest.fixture
