@@ -1,12 +1,15 @@
-"""Candidate-control generation: projected gradient, Newton polish, brute force.
+"""Candidate-control generation: Newton to a KKT point, projected gradient, brute force.
 
 The gradient field is the control derivative of the Hamiltonian along the
 iterate's own trajectory and adjoint; by the exact discrete duality this is
 the exact gradient of the discrete cost, so fixed-step ascent on the
-Hamiltonian descends the cost.  :func:`kkt_point` polishes a control with
-Newton steps to a KKT point of the box.  Brute force enumerates a product
-grid over the box and certifies tiny instances independently of any gradient
-information.
+Hamiltonian descends the cost.  :func:`kkt_point` takes Newton steps on the
+reduced Hessian H_P (the second adjoint's) to a KKT point of the box; the
+``optimize`` suite runs it from its interior start, then
+:func:`projected_gradient` and :func:`kkt_point` once more as the fallback,
+both of which return at their first check from a KKT point.  Brute force
+enumerates a product grid over the box and certifies tiny instances
+independently of any gradient information.
 
 The brute force evaluates the grid, and the projected gradient its
 line-search candidates, in blocks through :func:`~qsoc.forward.stacked_paths`,
@@ -35,7 +38,7 @@ COST_SLACK = 1e-14  # a step may raise the cost by this much (rounding) and stil
 # State entries (rows x dim) per block of the brute force, of the line search and
 # of the algebra and isometry suites' probes: bounds the block's memory.
 SCREEN_BLOCK_ENTRIES = 1 << 12
-# KKT points of the theorem and optimize suites: Newton polish until the largest
+# KKT points of the theorem and optimize suites: Newton steps until the largest
 # move of the projected step u -> proj(u + dt H_u) is at most KKT_TOL
 KKT_TOL, NEWTON_STEPS = 1e-12, 20
 
@@ -66,9 +69,10 @@ def projected_gradient(p: ControlProblem, u0: np.ndarray, step: float = 0.5,
     trying one step at a time whenever those costs equal ``cost`` (see there).
     The accepted control's trajectory is taken from its block and carried
     into the next iteration.  Stops when the projected-gradient norm
-    falls below ``grad_tol``.  A non-finite cost at ``u0`` or gradient, or a
-    cost that stays non-finite at every step size, raises
-    :class:`StepSizeError`.
+    falls below ``grad_tol``, so at iteration 0 from a KKT point of
+    :func:`kkt_point`, where that norm is of order ``KKT_TOL / dt``.  A
+    non-finite cost at ``u0`` or gradient, or a cost that stays non-finite at
+    every step size, raises :class:`StepSizeError`.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -140,6 +144,10 @@ def kkt_point(p: ControlProblem, u0: np.ndarray) -> tuple[np.ndarray, NewtonTrac
     (A singular block takes its least-squares step.)  A step that raises the
     cost beyond rounding gives way to one :func:`projected_gradient` step;
     the search stops when that stalls too, or after ``NEWTON_STEPS`` steps.
+    From a control whose KKT residual is already at most ``KKT_TOL`` it
+    returns ``u0`` after its first residual check.  ``theorem`` starts it at
+    the box midpoint and ``optimize`` at its random interior control; both
+    hold the returned ``kkt_residual`` to ``KKT_TOL``.
     """
     u = p.check_control_path(np.asarray(u0, dtype=float))
     lo, hi = p.control_set.lower, p.control_set.upper

@@ -101,12 +101,18 @@ def _unit_rows(rng, count, dim):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def _probe_rows(rng, count, dim):
+    """Unit-norm rows whose re / im parts are drawn uniform in [-1, 1)."""
+    z = (2.0 * rng.random((count, dim, 2)) - 1.0).view(np.complex128)[..., 0]
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 def _unit_rows_on_support(rng, count, dim, width):
-    """Unit-norm rows living on a shared random support of ``width`` blades,
-    and that support (sorted)."""
+    """:func:`_probe_rows` living on a shared random support of ``width``
+    blades, and that support (sorted)."""
     support = np.sort(rng.choice(dim, size=width, replace=False))
     rows = np.zeros((count, dim), dtype=np.complex128)
-    rows[:, support] = _unit_rows(rng, count, width)
+    rows[:, support] = _probe_rows(rng, count, width)
     return support, rows
 
 
@@ -158,8 +164,9 @@ def run_algebra(cfg: RunConfig) -> SuiteResult:
 
     # The probes compare the product kernel (the matrix form above 6 live
     # blades) with the sign-table reference: two bilinear maps that differ
-    # also differ on random rows.  Sparse supports come first, then a dense
-    # tail keeps full-width products in the mix.
+    # also differ on random rows (off a null set, so any draw with a density
+    # will do; uniform re / im are a fraction of the cost of normals).  Sparse
+    # supports come first, then a dense tail keeps full-width products in the mix.
     kernel_err = 0.0
     chunk = 250
     dense_tail = min(probes, max(50, probes // 100))
@@ -174,7 +181,7 @@ def run_algebra(cfg: RunConfig) -> SuiteResult:
                 _unit_rows_on_support(rng, b, alg.dim, support_width) for _ in range(2))
         else:
             b = min(chunk, probes - done)
-            A, B = (_unit_rows(rng, b, alg.dim) for _ in range(2))
+            A, B = (_probe_rows(rng, b, alg.dim) for _ in range(2))
             live_a = live_b = None
         # The products run on row blocks; a product never mixes rows, so a
         # block changes no bit of the residual, only what is held at once.
@@ -478,14 +485,19 @@ def run_optimize(cfg: RunConfig) -> SuiteResult:
     alg = make_algebra(cfg.n_steps, cfg.t0, cfg.T)
     p = make_problem(alg, cfg.problem)
     u0 = _interior_control(p, rng, (alg.n, p.m), span=0.8)
-    u, trace = projected_gradient(p, u0, step=0.5, max_iter=300, grad_tol=1e-9)
+    # Newton from the start.  The projected gradient and a second Newton
+    # polish are the fallback; at a KKT point both return at their first check.
+    u, newton = kkt_point(p, u0)
+    u, trace = projected_gradient(p, u, step=0.5, max_iter=300, grad_tol=1e-9)
     u, polish = kkt_point(p, u)
-    costs = trace.costs + polish.costs[1:]
+    costs = newton.costs + trace.costs[1:] + polish.costs[1:]
     metrics = {"iterations": trace.iterations, "final_cost": costs[-1],
                "final_grad_norm": trace.grad_norms[-1] if trace.grad_norms else 0.0,
                "converged": trace.converged, "stalled": trace.stalled,
-               "step_halvings": trace.step_halvings, "newton_steps": polish.newton_steps,
-               "gradient_steps": polish.gradient_steps, "kkt_residual": polish.kkt_residual}
+               "step_halvings": trace.step_halvings,
+               "newton_steps": newton.newton_steps + polish.newton_steps,
+               "gradient_steps": newton.gradient_steps + polish.gradient_steps,
+               "kkt_residual": polish.kkt_residual}
     checks = [Check("kkt_residual", polish.kkt_residual, KKT_TOL)]
     if p.control_set.is_bounded() and GRID_POINTS ** (alg.n * p.m) <= BRUTE_FORCE_BUDGET:
         _, j_bf = brute_force_search(p, GRID_POINTS)

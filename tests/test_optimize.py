@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +8,15 @@ from hypothesis import given, strategies as st
 from qsoc import optimize
 from qsoc.adjoint import hu_field, solve_first_adjoint
 from qsoc.clifford import CliffordElement, make_algebra
-from qsoc.config import parse_config
+from qsoc.config import load_config, parse_config
 from qsoc.errors import AdaptednessError, BudgetError, QsocError, StepSizeError
 from qsoc.forward import solve_state, stacked_costs
 from qsoc.optimize import brute_force_search, kkt_point, projected_gradient
 from qsoc.problems import ControlSet, ProblemSpec, cost, make_problem
 from qsoc.suites import run_suite
 from reference import ZERO_DYNAMICS, control_grid, sequential_projected_gradient
+
+WORKLOAD = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "readme-n4.json"
 
 
 def build(name, n=3, m=1, **overrides):
@@ -384,17 +387,65 @@ def test_kkt_point_refuses_a_non_finite_start():
         kkt_point(p, np.zeros((alg.n, 1)))
 
 
-def test_optimize_polishes_a_projected_gradient_run_that_hits_its_cap():
-    # quadratic_state with m = 2 at N = 4: projected gradient stops at its
-    # 300-iteration cap (gradient norm 7e-6 to 2e-5 for seeds 0-3), and 5^8
-    # grid controls are too many for the brute force; Newton steps finish it
-    cfg = parse_config({"problem": {"name": "quadratic_state", "m": 2},
-                        "grid": {"t0": 0.0, "T": 1.0, "N": 4},
-                        "suites": ["optimize"], "seed": 3})
+QS_M2 = {"problem": {"name": "quadratic_state", "m": 2},  # 5^8 grid controls: no brute force
+         "grid": {"t0": 0.0, "T": 1.0, "N": 4}, "suites": ["optimize"], "seed": 3}
+# lq with q < 0: the stationary point Newton aims at from the start is a saddle
+# of higher cost, so the cost check sends its step to the gradient fallback
+SADDLE = {"problem": {"name": "lq", "m": 1, "lower": [-2.5], "upper": [2.5],
+                      "rates": {"q": -1.0, "r": 0.05}},
+          "grid": {"t0": 0.0, "T": 1.0, "N": 4}, "suites": ["optimize"], "seed": 0}
+
+
+@pytest.mark.parametrize("cfg,newton_steps", (
+    (load_config(WORKLOAD), 1),
+    (parse_config(QS_M2), 7),
+), ids=("readme-n4", "qs-m2"))
+def test_newton_from_the_start_leaves_the_gradient_loop_no_step(
+        monkeypatch, cfg, newton_steps):
+    # The gradient-first loop took 37 iterations on readme-n4 and stopped at its
+    # 300-iteration cap on quadratic_state m = 2 (40 and 302 adjoint solves).
+    # Newton from the start reaches the KKT point, so the gradient loop and the
+    # polish after it return at their first check: one adjoint solve for each
+    # Newton step, plus one at each of the three stops.
+    calls = []
+    solve = optimize.solve_first_adjoint
+    monkeypatch.setattr(optimize, "solve_first_adjoint",
+                        lambda *args: calls.append(1) or solve(*args))
     res = run_suite(cfg, "optimize")
     metrics = res.metrics
-    assert metrics["iterations"] == 300 and not (metrics["converged"] or metrics["stalled"])
-    assert "brute_force_value" not in metrics
     assert res.status == "pass", metrics
-    assert metrics["newton_steps"] >= 1
+    assert metrics["iterations"] == 0 and metrics["converged"] and not metrics["stalled"]
+    assert (metrics["newton_steps"], metrics["gradient_steps"]) == (newton_steps, 0)
+    assert len(calls) == newton_steps + 3
     assert [c.bound for c in res.checks if c.name == "kkt_residual"] == [1e-12]
+    assert ("brute_force_value" in metrics) == (cfg.problem.name == "lq")
+
+
+def test_a_wrong_sign_newton_step_fails_optimize_by_its_kkt_residual(monkeypatch):
+    # -H_P turns u - H_P^-1 g into u + H_P^-1 g; the cost check sends most such
+    # steps to single gradient steps, which do not reach the KKT bound
+    cfg = load_config(WORKLOAD)
+    reduced_hessians = optimize.reduced_hessians
+
+    def flipped(sa):
+        h_p, *rest = reduced_hessians(sa)
+        return (-h_p, *rest)
+
+    monkeypatch.setattr(optimize, "reduced_hessians", flipped)
+    res = run_suite(cfg, "optimize")
+    assert res.status == "fail" and res.failing == ["kkt_residual"], res.metrics
+    monkeypatch.undo()
+    assert run_suite(cfg, "optimize").status == "pass"
+
+
+def test_skipping_the_cost_check_before_the_fallback_fails_optimize_by_its_cost_rise(
+        monkeypatch):
+    # with no cost check, Newton keeps its climbing steps toward the saddle
+    # instead of giving way to projected-gradient steps
+    cfg = parse_config(SADDLE)
+    res = run_suite(cfg, "optimize")
+    assert res.status == "pass" and res.metrics["gradient_steps"] >= 1, res.metrics
+    monkeypatch.setattr(optimize, "COST_SLACK", np.inf)
+    res = run_suite(cfg, "optimize")
+    assert res.status == "fail" and res.failing == ["max_cost_rise"], res.metrics
+    assert res.metrics["gradient_steps"] == 0

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from qsoc import problems, suites
-from qsoc.clifford import SuperOperator, make_algebra
+from qsoc.clifford import CliffordAlgebra, SuperOperator, make_algebra
 from qsoc.config import load_config, parse_config
 from qsoc.optimize import SCREEN_BLOCK_ENTRIES
 from reference import compact_test_pairs, stack_pairs
@@ -178,6 +178,27 @@ def test_one_flipped_oracle_sign_fails_algebra_by_the_oracle(monkeypatch):
     res = suites.run_suite(config("lq", 8, "algebra", algebra={"probes": 300}), "algebra")
     assert res.status == "fail" and res.failing == ["oracle_residual"]
     assert res.metrics["max_law_residual"] == 0.0
+
+
+@pytest.mark.parametrize("n", (4, 8))
+def test_one_wrong_matrix_form_phase_fails_algebra_by_the_kernel(monkeypatch, n):
+    # the probes' uniform re / im draws still see a single wrong phase on the
+    # way into the matrix form (at N = 4 every probe is dense)
+    slot_form = CliffordAlgebra._slot_form
+
+    def planted(alg, top):
+        gather, gather_phase, *rest = slot_form(alg, top)
+        gather_phase = gather_phase.copy()
+        gather_phase[-1, -1] *= 1j
+        return (gather, gather_phase, *rest)
+
+    cfg = config("lq", n, "algebra", algebra={"probes": 300})
+    monkeypatch.setattr(CliffordAlgebra, "_slot_form", planted)
+    res = suites.run_suite(cfg, "algebra")
+    assert res.status == "fail" and "kernel_residual" in res.failing  # the oracle's `*` too
+    assert res.metrics["kernel_residual"] > 0.1 and res.metrics["max_law_residual"] == 0.0
+    monkeypatch.undo()
+    assert suites.run_suite(cfg, "algebra").status == "pass"
 
 
 def test_isometry_draws_only_the_adapted_blades_in_one_call_per_block(monkeypatch):
